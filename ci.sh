@@ -100,8 +100,49 @@ cargo test --quiet -p cxl-fabric --features check
 cargo test --quiet -p cxlfork-bench --test contention
 cargo test --quiet -p cxlfork-bench --features check --test contention
 
+echo '== these tests exist =='
+# The suites above ran them; this pins them by name, so that renaming or
+# filtering one away fails here instead of passing with "0 tests":
+# the golden traces (trace-gen may get faster, never different), the
+# fingerprint value identity (constant, memo and byte loop agree) and
+# the store's differential test against a per-page refcount model.
+expect_tests() {
+    package=$1 target=$2
+    shift 2
+    # shellcheck disable=SC2086 # $target is a list of cargo target flags
+    listed=$(cargo test --quiet -p "$package" $target -- --list)
+    for name in "$@"; do
+        echo "$listed" | grep -q "^$name: test\$" || {
+            echo "ci: test $name is missing from $package ($target)" >&2
+            exit 1
+        }
+    done
+}
+expect_tests trace-gen '--test golden' \
+    golden_trace_diurnal_cluster_default \
+    golden_trace_paper_default_burst
+expect_tests cxl-mem --lib \
+    page::tests::fingerprint_identity_zero_page_is_the_reference_constant \
+    page::tests::fingerprint_identity_pattern_matches_reference \
+    page::tests::fingerprint_identity_bytes_match_reference \
+    page::tests::fingerprint_identity_survives_memo_eviction \
+    page::tests::fingerprint_identity_memo_adds_nothing_to_page_size
+expect_tests node-os --lib \
+    frame::tests::fingerprint_identity_frame_size_is_unchanged
+expect_tests cxl-store '--test differential' \
+    store_differential_volatile_matches_per_page_model_page_for_page \
+    store_differential_durable_matches_model_and_recovers_to_it
+
 echo '== release build =='
 cargo build --workspace --release --quiet
+
+echo '== two-clock benchmark smoke (traced, ~20 s) =='
+# Builds the standalone benchmark package against this tree and runs
+# every workload shrunk, untraced and traced, with the layer probes: the
+# harness cannot compile-rot, and its built-in checks (phase sums equal
+# their parent spans, every rep bit-identical on the simulated clock,
+# armed == unarmed) run on every change. Not a measurement.
+benchmark/run.sh --smoke --traced > /dev/null
 
 echo '== benchmark report drift gate (telemetry armed, both feature states) =='
 # Regenerates every BENCH_<scenario>.json with telemetry armed,

@@ -367,13 +367,13 @@ pub(crate) fn take_checkpoint(
             image,
             armed: true,
         });
-        let outcome = dev_retry(
+        let mut outcome = dev_retry(
             "checkpoint_intern",
             &mut retries,
             &mut retry_backoff,
             || store.intern_pages(image, &datas, node_id),
         )?;
-        (outcome.pages.clone(), Some(outcome))
+        (std::mem::take(&mut outcome.pages), Some(outcome))
     } else {
         // With stream parallelism, stripe the data pages across shard
         // banks so the pipelined transfer has real per-bank work; at

@@ -17,7 +17,7 @@
 //! index, one shard at a time); data-path page reads/writes take only the
 //! owning shard's lock.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -770,11 +770,15 @@ impl CxlDevice {
         if pages.is_empty() {
             return Ok(0);
         }
+        // One sort answers "is any page listed twice?" for the whole
+        // batch; only a batch that fails it pays to find which page.
+        let mut sorted = pages.to_vec();
+        sorted.sort_unstable();
+        let has_duplicate = sorted.windows(2).any(|w| w[0] == w[1]);
         let mut by_shard: BTreeMap<usize, Vec<(u64, CxlPageId)>> = BTreeMap::new();
-        let mut seen = BTreeSet::new();
-        for &p in pages {
+        for (i, &p) in pages.iter().enumerate() {
             let (s, l) = self.shard_of(p).ok_or(CxlError::BadPage(p))?;
-            if !seen.insert(p) {
+            if has_duplicate && pages[..i].contains(&p) {
                 return Err(CxlError::BadPage(p));
             }
             by_shard.entry(s).or_default().push((l, p));

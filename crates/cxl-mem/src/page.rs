@@ -15,6 +15,7 @@
 //! isolation and checkpoint immutability by byte equality regardless of
 //! representation.
 
+use std::cell::RefCell;
 use std::fmt;
 
 use crate::PAGE_SIZE;
@@ -168,25 +169,87 @@ impl PageData {
 
     /// A 64-bit content fingerprint: FNV-1a over all 4096 logical bytes,
     /// independent of the storage representation (two content-equal pages
-    /// always fingerprint identically).
+    /// always fingerprint identically). The compact representations do not
+    /// pay for the bytes they do not store: `Zero` is a constant and
+    /// `Pattern` is looked up by seed in a bounded per-thread memo that
+    /// falls back to the byte loop on a miss.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         match self {
-            PageData::Bytes(b) => {
-                for &byte in b.iter() {
-                    h ^= u64::from(byte);
-                    h = h.wrapping_mul(0x1000_0000_01b3);
-                }
-            }
-            other => {
-                for i in 0..PAGE_SIZE {
-                    h ^= u64::from(other.byte_at(i));
-                    h = h.wrapping_mul(0x1000_0000_01b3);
-                }
-            }
+            PageData::Zero => ZERO_FINGERPRINT,
+            PageData::Pattern { seed } => pattern_fingerprint(*seed),
+            PageData::Bytes(b) => fnv1a(b.iter().copied()),
         }
-        h
     }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x1000_0000_01b3;
+
+/// FNV-1a of the zero page: xor with a zero byte is the identity, so the
+/// hash is the offset basis times the prime once per byte.
+const ZERO_FINGERPRINT: u64 = {
+    let mut h = FNV_OFFSET;
+    let mut i = 0;
+    while i < PAGE_SIZE {
+        h = h.wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    h
+};
+
+fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
+    bytes.fold(FNV_OFFSET, |h, byte| {
+        (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
+    })
+}
+
+/// Entries in the per-thread seed → fingerprint memo: 16 Ki × 16 B =
+/// 256 KiB, allocated on the first `Pattern` fingerprint.
+const MEMO_ENTRIES: usize = 1 << 14;
+/// Entries per bucket: one 64-byte cache line.
+const MEMO_WAYS: usize = 4;
+
+thread_local! {
+    /// `(seed, fingerprint)` entries in buckets of [`MEMO_WAYS`]. A
+    /// fingerprint of 0 marks an empty entry; a seed whose true
+    /// fingerprint is 0 is simply never cached.
+    static PATTERN_MEMO: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The two buckets (first-entry indices) that may hold `seed`. Two
+/// choices keep a working set of ~70 % of the entries almost free of
+/// conflict misses, where one direct-mapped choice loses a third of it.
+fn memo_buckets(seed: u64) -> [usize; 2] {
+    const BITS: u32 = (MEMO_ENTRIES / MEMO_WAYS).trailing_zeros();
+    // The top two BITS-wide fields of a multiplicative hash.
+    let h = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    [h >> (64 - BITS), (h << BITS) >> (64 - BITS)].map(|bucket| bucket as usize * MEMO_WAYS)
+}
+
+/// The fingerprint of `PageData::pattern(seed)`. A pattern page's bytes
+/// are a pure function of its seed, so the memo can only ever return the
+/// value the byte loop would; an evicted seed recomputes on its next
+/// visit. A seed that finds both its buckets full enters its first one
+/// at the head and pushes that bucket's oldest entry out, so seeds that
+/// are no longer asked for age out.
+fn pattern_fingerprint(seed: u64) -> u64 {
+    PATTERN_MEMO.with_borrow_mut(|memo| {
+        if memo.is_empty() {
+            *memo = vec![(0, 0); MEMO_ENTRIES];
+        }
+        let buckets = memo_buckets(seed);
+        let entries = || buckets.into_iter().flat_map(|b| b..b + MEMO_WAYS);
+        if let Some(hit) = entries().find(|&i| memo[i].0 == seed && memo[i].1 != 0) {
+            return memo[hit].1;
+        }
+        let fp = fnv1a((0..PAGE_SIZE).map(|i| PageData::pattern_byte(seed, i)));
+        let free = entries().find(|&i| memo[i].1 == 0).unwrap_or_else(|| {
+            memo[buckets[0]..][..MEMO_WAYS].rotate_right(1);
+            buckets[0]
+        });
+        memo[free] = (seed, fp);
+        fp
+    })
 }
 
 impl PartialEq for PageData {
@@ -321,6 +384,95 @@ mod tests {
             PageData::from_bytes(&[1, 2]).fingerprint(),
             PageData::from_bytes(&[1, 2]).fingerprint()
         );
+    }
+
+    /// The byte loop `fingerprint` ran for every page before the constant
+    /// and the memo: the oracle the fast paths must equal.
+    fn reference_fingerprint(page: &PageData) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for i in 0..PAGE_SIZE {
+            h ^= u64::from(page.byte_at(i));
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+        h
+    }
+
+    /// The verbatim copy of `page`'s 4096 bytes.
+    fn as_bytes(page: &PageData) -> PageData {
+        let mut buf = vec![0u8; PAGE_SIZE as usize];
+        page.read(0, &mut buf);
+        PageData::from_bytes(&buf)
+    }
+
+    #[test]
+    fn fingerprint_identity_zero_page_is_the_reference_constant() {
+        assert_eq!(
+            PageData::Zero.fingerprint(),
+            reference_fingerprint(&PageData::Zero)
+        );
+        assert_eq!(
+            as_bytes(&PageData::Zero).fingerprint(),
+            PageData::Zero.fingerprint()
+        );
+    }
+
+    #[test]
+    fn fingerprint_identity_survives_memo_eviction() {
+        // With every entry taken (by seeds this test never asks for),
+        // one more seed than a bucket holds, all sharing a first bucket,
+        // push each other out in turn: every visit after the first round
+        // finds its seed evicted and must still return its own value.
+        PATTERN_MEMO.with_borrow_mut(|memo| {
+            *memo = (0..MEMO_ENTRIES as u64)
+                .map(|i| (u64::MAX - i, 1))
+                .collect();
+        });
+        let bucket = memo_buckets(0x5eed)[0];
+        let seeds: Vec<u64> = (0x5eed_u64..)
+            .filter(|&s| memo_buckets(s)[0] == bucket)
+            .take(MEMO_WAYS + 1)
+            .collect();
+        for round in 0..3 {
+            for &seed in &seeds {
+                let cached = PATTERN_MEMO.with_borrow(|memo| memo.iter().any(|e| e.0 == seed));
+                assert!(!cached, "round {round}: {seed:#x} is still cached");
+                let expected = reference_fingerprint(&PageData::pattern(seed));
+                assert_eq!(PageData::pattern(seed).fingerprint(), expected);
+                assert_eq!(PageData::pattern(seed).fingerprint(), expected);
+                assert_eq!(
+                    PATTERN_MEMO.with_borrow(|memo| memo[bucket]),
+                    (seed, expected)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fingerprint_identity_memo_adds_nothing_to_page_size() {
+        // The memo lives beside the pages, not in them: growing `PageData`
+        // would grow every frame and every device slot.
+        assert_eq!(std::mem::size_of::<PageData>(), 24);
+    }
+
+    proptest::proptest! {
+        /// Memoised (first visit and repeat visit) and verbatim
+        /// representations of a pattern page agree with the byte loop.
+        #[test]
+        fn fingerprint_identity_pattern_matches_reference(seed in proptest::prelude::any::<u64>()) {
+            let page = PageData::pattern(seed);
+            let expected = reference_fingerprint(&page);
+            proptest::prop_assert_eq!(page.fingerprint(), expected);
+            proptest::prop_assert_eq!(page.fingerprint(), expected);
+            proptest::prop_assert_eq!(as_bytes(&page).fingerprint(), expected);
+        }
+
+        #[test]
+        fn fingerprint_identity_bytes_match_reference(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4097),
+        ) {
+            let page = PageData::from_bytes(&bytes);
+            proptest::prop_assert_eq!(page.fingerprint(), reference_fingerprint(&page));
+        }
     }
 
     #[test]

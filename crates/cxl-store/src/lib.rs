@@ -58,6 +58,7 @@
 //! after recovery LRU eviction falls back to creation order until new
 //! restores refresh it.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -1002,24 +1003,25 @@ impl Store {
             "intern_pages on unknown or committed {image}"
         );
 
-        // Resolve each input against the index and this batch's own
-        // misses; plan allocations for content seen for the first time.
+        // Resolve each run of equal fingerprints (zero pages arrive in
+        // long runs) against the index and this batch's own misses; plan
+        // allocations for content seen for the first time.
         let fps: Vec<u64> = data.iter().map(PageData::fingerprint).collect();
         let mut planned: BTreeMap<u64, usize> = BTreeMap::new(); // fp → miss slot
         let mut miss_payload: Vec<&PageData> = Vec::new();
-        let mut shared = 0u64;
-        let mut zero = 0u64;
-        for (fp, d) in fps.iter().zip(data) {
-            if matches!(d, PageData::Zero) {
-                zero += 1;
+        let mut shared = fps.len() as u64;
+        let mut pos = 0;
+        for run in fps.chunk_by(|a, b| a == b) {
+            if !inner.index.contains_key(&run[0]) {
+                if let Entry::Vacant(slot) = planned.entry(run[0]) {
+                    slot.insert(miss_payload.len());
+                    miss_payload.push(&data[pos]);
+                    shared -= 1;
+                }
             }
-            if inner.index.contains_key(fp) || planned.contains_key(fp) {
-                shared += 1;
-            } else {
-                planned.insert(*fp, miss_payload.len());
-                miss_payload.push(d);
-            }
+            pos += run.len();
         }
+        let zero = data.iter().filter(|d| matches!(d, PageData::Zero)).count() as u64;
 
         let allocated = match self.config.placement {
             PlacementPolicy::Locality => self
@@ -1066,11 +1068,11 @@ impl Store {
             );
         }
         let mut pages = Vec::with_capacity(fps.len());
-        for fp in &fps {
+        for run in fps.chunk_by(|a, b| a == b) {
             // cxl-lint: allow(device-unwrap): intern invariant — every fp was inserted into the index in the resolve pass just above
-            let entry = inner.index.get_mut(fp).expect("resolved above");
-            entry.refs += 1;
-            pages.push(entry.page);
+            let entry = inner.index.get_mut(&run[0]).expect("resolved above");
+            entry.refs += run.len() as u64;
+            pages.resize(pages.len() + run.len(), entry.page);
         }
         inner
             .pending
@@ -1596,20 +1598,19 @@ impl Store {
         freed
     }
 
-    /// Decrements refcounts for `fps` and frees device pages whose count
-    /// reaches zero. Returns pages freed.
+    /// Decrements refcounts for `fps`, one index probe per run of equal
+    /// fingerprints, and frees device pages whose count reaches zero —
+    /// in the order the last reference to each was listed, which is the
+    /// order the allocator will hand them out again. Returns pages freed.
     fn drop_refs(device: &CxlDevice, inner: &mut Inner, fps: &[u64]) -> u64 {
         let mut to_free = Vec::new();
-        for fp in fps {
-            let entry = inner
-                .index
-                .get_mut(fp)
-                // cxl-lint: allow(device-unwrap): refcount invariant — a catalogued image only holds fingerprints present in the index
-                .expect("image references only indexed content");
-            entry.refs -= 1;
-            if entry.refs == 0 {
-                // cxl-lint: allow(device-unwrap): the same entry was just fetched via get_mut under this lock hold
-                to_free.push(inner.index.remove(fp).expect("present").page);
+        for run in fps.chunk_by(|a, b| a == b) {
+            let Entry::Occupied(mut entry) = inner.index.entry(run[0]) else {
+                panic!("image references only indexed content");
+            };
+            entry.get_mut().refs -= run.len() as u64;
+            if entry.get().refs == 0 {
+                to_free.push(entry.remove().page);
             }
         }
         if to_free.is_empty() {

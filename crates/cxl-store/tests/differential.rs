@@ -1,0 +1,280 @@
+//! Differential test of the store's content index against a naive model.
+//!
+//! The store updates its index once per *run* of equal fingerprints; the
+//! model below does what the store did before that: one step per page,
+//! one refcount at a time, freeing a page the moment its count reaches
+//! zero. Seeded random sequences of begin / intern / commit / abort /
+//! release / evict with duplicate-heavy payloads (long zero runs, the same
+//! seed repeated inside one batch, the same bytes in two representations)
+//! must leave the two in the same state after every step — page ids
+//! included, because the order pages are freed in is the order the device
+//! hands them out again.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use cxl_fault::LeaseTable;
+use cxl_mem::{CxlDevice, CxlPageId, NodeId, PageData, PAGE_SIZE};
+use cxl_store::{ImageId, Store, StoreConfig};
+use simclock::{SimDuration, SimTime};
+
+const DEVICE_PAGES: u64 = 256;
+const STEPS: usize = 400;
+
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// A batch made of runs: zero pages, one of a few pattern seeds, the
+/// verbatim bytes of one of those patterns, or an all-zero byte page.
+fn payload(rng: &mut Rng) -> Vec<PageData> {
+    let mut pages = Vec::new();
+    for _ in 0..1 + rng.below(6) {
+        let longest = if rng.below(3) == 0 { 24 } else { 3 };
+        let run = 1 + rng.below(longest);
+        let seed = 100 + rng.below(40) as u64;
+        let page = match rng.below(8) {
+            0..=2 => PageData::Zero,
+            3..=5 => PageData::pattern(seed),
+            6 => {
+                let mut bytes = vec![0u8; PAGE_SIZE as usize];
+                PageData::pattern(seed).read(0, &mut bytes);
+                PageData::from_bytes(&bytes)
+            }
+            _ => PageData::from_bytes(&[]),
+        };
+        pages.extend(std::iter::repeat_n(page, run));
+    }
+    pages
+}
+
+#[derive(Default)]
+struct Model {
+    /// fingerprint → (device page, references), one count per page.
+    index: BTreeMap<u64, (CxlPageId, u64)>,
+    /// Fingerprints each pending or committed image references, in
+    /// intern order.
+    images: BTreeMap<u64, Vec<u64>>,
+    /// The allocator as a one-shard device runs it: freed pages come back
+    /// last-in first-out, then the slab grows.
+    freed: Vec<CxlPageId>,
+    grown: u64,
+}
+
+impl Model {
+    /// Interns page by page; returns the backing page of each input and
+    /// how many were first seen.
+    fn intern(&mut self, image: ImageId, data: &[PageData]) -> (Vec<CxlPageId>, u64) {
+        let mut fresh = 0;
+        let mut pages = Vec::new();
+        for d in data {
+            let fp = d.fingerprint();
+            let entry = self.index.entry(fp).or_insert_with(|| {
+                fresh += 1;
+                let page = self.freed.pop().unwrap_or_else(|| {
+                    self.grown += 1;
+                    CxlPageId(self.grown - 1)
+                });
+                (page, 0)
+            });
+            entry.1 += 1;
+            pages.push(entry.0);
+            self.images.entry(image.0).or_default().push(fp);
+        }
+        (pages, fresh)
+    }
+
+    /// Drops an image's references page by page; returns pages freed.
+    fn drop_image(&mut self, image: ImageId) -> u64 {
+        let mut freed = 0;
+        for fp in self.images.remove(&image.0).expect("model knows the image") {
+            let entry = self
+                .index
+                .get_mut(&fp)
+                .expect("referenced content is indexed");
+            entry.1 -= 1;
+            if entry.1 == 0 {
+                self.freed.push(self.index.remove(&fp).expect("present").0);
+                freed += 1;
+            }
+        }
+        freed
+    }
+}
+
+/// The store's index, reference recount and device contents against the
+/// model. `exact_pages` also compares page ids (a volatile store shares
+/// its device with nobody; a durable one shares it with the journal).
+fn check(store: &Store, model: &Model, exact_pages: bool, step: &str) {
+    let snapshot = store.index_snapshot();
+    let got: Vec<(u64, u64)> = snapshot.iter().map(|e| (e.fingerprint, e.refs)).collect();
+    let want: Vec<(u64, u64)> = model.index.iter().map(|(&fp, e)| (fp, e.1)).collect();
+    assert_eq!(got, want, "refcounts after {step}");
+    let recount: Vec<(u64, u64)> = store.live_reference_counts().into_iter().collect();
+    assert_eq!(recount, want, "catalog recount after {step}");
+    let pages: Vec<CxlPageId> = snapshot.iter().map(|e| e.page).collect();
+    let resident = store
+        .device()
+        .fingerprint_pages(&pages)
+        .expect("live pages");
+    let indexed: Vec<u64> = snapshot.iter().map(|e| e.fingerprint).collect();
+    assert_eq!(resident, indexed, "resident content after {step}");
+    if exact_pages {
+        let want: Vec<CxlPageId> = model.index.values().map(|e| e.0).collect();
+        assert_eq!(pages, want, "page ids after {step}");
+        assert_eq!(store.device().used_pages(), model.index.len() as u64);
+    }
+}
+
+/// Applies what an eviction flavour did to the model: its victims are the
+/// committed images that vanished, oldest first.
+fn apply_evictions(store: &Store, model: &mut Model, committed: &mut Vec<ImageId>, pages: u64) {
+    let live = store.images();
+    let mut freed = 0;
+    committed.retain(|image| {
+        let kept = live.contains(image);
+        if !kept {
+            freed += model.drop_image(*image);
+        }
+        kept
+    });
+    assert_eq!(pages, freed, "eviction freed what the model freed");
+}
+
+fn run(seed: u64, durable: bool) -> (Arc<CxlDevice>, Store, Model) {
+    let config = StoreConfig {
+        high_watermark: 0.08,
+        low_watermark: 0.04,
+        durable,
+        // Small enough that the sequence compacts the journal many times.
+        journal_compact_bytes: 4096,
+        ..StoreConfig::default()
+    };
+    let device = Arc::new(CxlDevice::new(DEVICE_PAGES));
+    let store = Store::with_config(Arc::clone(&device), config);
+    let leases = LeaseTable::new(SimDuration::from_secs(1));
+    let node = NodeId(0);
+    let mut rng = Rng(seed);
+    let mut model = Model::default();
+    let mut pending: Vec<ImageId> = Vec::new();
+    let mut committed: Vec<ImageId> = Vec::new();
+    let exact = !durable;
+
+    for step in 0..STEPS {
+        let now = SimTime::from_nanos(step as u64 + 1);
+        let what = match rng.below(10) {
+            0 | 1 if pending.len() < 3 => {
+                let image = store.begin_image("img", node, step as u64, now);
+                model.images.insert(image.0, Vec::new());
+                pending.push(image);
+                "begin"
+            }
+            0..=4 if !pending.is_empty() => {
+                let image = pending[rng.below(pending.len())];
+                let data = payload(&mut rng);
+                let out = store.intern_pages(image, &data, node).expect("device fits");
+                let (pages, fresh) = model.intern(image, &data);
+                let zero = data.iter().filter(|d| matches!(d, PageData::Zero)).count() as u64;
+                assert_eq!((out.fresh, out.shared), (fresh, data.len() as u64 - fresh));
+                assert_eq!(out.zero, zero);
+                if exact {
+                    assert_eq!(out.pages, pages, "input-order backing pages");
+                }
+                "intern"
+            }
+            5 if !pending.is_empty() => {
+                let image = pending.swap_remove(rng.below(pending.len()));
+                let meta = device.create_region("meta");
+                store.commit_image(image, meta).expect("pending");
+                committed.push(image);
+                committed.sort();
+                "commit"
+            }
+            6 if !pending.is_empty() => {
+                let image = pending.swap_remove(rng.below(pending.len()));
+                let freed = store.abort_image(image).expect("pending");
+                assert_eq!(freed, model.drop_image(image));
+                "abort"
+            }
+            7 if !committed.is_empty() => {
+                let image = committed.remove(rng.below(committed.len()));
+                let meta = store.image_meta(image).expect("live").meta_region;
+                let freed = store.release_image(image).expect("committed");
+                assert_eq!(freed, model.drop_image(image));
+                device
+                    .destroy_region(meta)
+                    .expect("release leaves it to us");
+                "release"
+            }
+            8 => {
+                let report = if rng.below(2) == 0 {
+                    store.evict_for(device.free_pages() + 1, &leases, now)
+                } else {
+                    store.evict_to_low_watermark(&leases, now)
+                };
+                apply_evictions(&store, &mut model, &mut committed, report.pages);
+                "evict"
+            }
+            9 => {
+                let report = store.gc_epochs_below(step as u64 / 2, &leases, now);
+                apply_evictions(&store, &mut model, &mut committed, report.pages);
+                "gc"
+            }
+            _ => continue,
+        };
+        check(
+            &store,
+            &model,
+            exact,
+            &format!("step {step} ({what}, seed {seed})"),
+        );
+    }
+    (device, store, model)
+}
+
+#[test]
+fn store_differential_volatile_matches_per_page_model_page_for_page() {
+    for seed in [1, 2025, 6502] {
+        run(seed, false);
+    }
+}
+
+#[test]
+fn store_differential_durable_matches_model_and_recovers_to_it() {
+    for seed in [3, 2025, 6502] {
+        let (device, store, mut model) = run(seed, true);
+        let config = store.config();
+        let pending: Vec<u64> = model
+            .images
+            .keys()
+            .copied()
+            .filter(|&id| !store.is_live(ImageId(id)))
+            .collect();
+        drop(store);
+        // Recovery replays the journal and rolls pending images back.
+        let (recovered, report) = Store::recover(device, config, NodeId(1));
+        assert_eq!(report.fingerprint_mismatches, 0);
+        assert_eq!(report.rolled_back_pending, pending.len() as u64);
+        for id in pending {
+            model.drop_image(ImageId(id));
+        }
+        check(
+            &recovered,
+            &model,
+            false,
+            &format!("recovery (seed {seed})"),
+        );
+    }
+}

@@ -253,6 +253,14 @@ mod tests {
     }
 
     #[test]
+    fn fingerprint_identity_frame_size_is_unchanged() {
+        // Content fingerprints are memoised beside the pages (cxl-mem),
+        // never cached in the frame: local memory is `slots` of these.
+        assert_eq!(std::mem::size_of::<Frame>(), 32);
+        assert_eq!(std::mem::size_of::<Option<Frame>>(), 32);
+    }
+
+    #[test]
     fn refcounting_frees_at_zero() {
         let mut a = FrameAllocator::new(4);
         let p = a.alloc(PageData::pattern(9)).unwrap();

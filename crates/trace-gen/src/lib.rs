@@ -94,6 +94,15 @@ impl std::error::Error for TraceError {}
 pub fn validate(trace: &[Invocation], known: &[String]) -> Result<(), TraceError> {
     let known_lower: std::collections::BTreeSet<String> =
         known.iter().map(|n| n.to_ascii_lowercase()).collect();
+    // Generated names are already lower-case: fold (and allocate) only
+    // for a name that has something to fold.
+    let is_known = |name: &str| {
+        if name.bytes().any(|b| b.is_ascii_uppercase()) {
+            known_lower.contains(&name.to_ascii_lowercase())
+        } else {
+            known_lower.contains(name)
+        }
+    };
     let mut prev = SimTime::ZERO;
     for (index, inv) in trace.iter().enumerate() {
         if inv.time < prev {
@@ -104,7 +113,7 @@ pub fn validate(trace: &[Invocation], known: &[String]) -> Result<(), TraceError
             });
         }
         prev = inv.time;
-        if !known_lower.contains(&inv.function.to_ascii_lowercase()) {
+        if !is_known(&inv.function) {
             return Err(TraceError::UnknownFunction {
                 index,
                 function: inv.function.clone(),
@@ -183,6 +192,68 @@ impl TraceConfig {
     }
 }
 
+/// One arrival before its name is attached. The generators collect and
+/// sort these 16-byte records and clone each name once from the config's
+/// table, instead of formatting and sorting 40-byte [`Invocation`]s.
+#[derive(Clone, Copy)]
+struct Arrival {
+    time_ns: u64,
+    owner: u32,
+    /// Index into the config's name table.
+    name: u32,
+}
+
+/// Merges per-stream arrivals into one time-sorted trace. The sort is
+/// stable: simultaneous arrivals keep the order they were generated in.
+fn into_trace(mut arrivals: Vec<Arrival>, names: &[String]) -> Vec<Invocation> {
+    arrivals.sort_by_key(|a| a.time_ns);
+    arrivals
+        .into_iter()
+        .map(|a| Invocation {
+            time: SimTime::from_nanos(a.time_ns),
+            function: names[a.name as usize].clone(),
+            owner: a.owner,
+        })
+        .collect()
+}
+
+/// One stream's burst windows: sorted, disjoint, inside `[0, duration)`.
+struct BurstWindows {
+    windows: Vec<(f64, f64)>,
+    /// First window that ends after the latest time asked about.
+    cursor: usize,
+}
+
+impl BurstWindows {
+    /// Carves windows of mean length `len_secs` every `every_secs` on
+    /// average, drawing from `rng`.
+    fn carve(rng: &mut impl Rng, every_secs: f64, len_secs: f64, duration_secs: f64) -> Self {
+        let mut windows = Vec::new();
+        let mut t = exp_sample(rng, every_secs);
+        while t < duration_secs {
+            let len = exp_sample(rng, len_secs).min(duration_secs - t);
+            windows.push((t, t + len));
+            t += len + exp_sample(rng, every_secs);
+        }
+        BurstWindows { windows, cursor: 0 }
+    }
+
+    /// Fraction of the trace spent inside a window.
+    fn share(&self, duration_secs: f64) -> f64 {
+        let burst_time: f64 = self.windows.iter().map(|(a, b)| b - a).sum();
+        burst_time / duration_secs
+    }
+
+    /// Whether `t` lies inside a window. Successive calls must not go
+    /// back in time.
+    fn contains(&mut self, t: f64) -> bool {
+        while self.windows.get(self.cursor).is_some_and(|w| t >= w.1) {
+            self.cursor += 1;
+        }
+        self.windows.get(self.cursor).is_some_and(|w| t >= w.0)
+    }
+}
+
 /// Generates a trace: one merged, time-sorted sequence of invocations.
 ///
 /// # Panics
@@ -191,30 +262,25 @@ impl TraceConfig {
 pub fn generate(config: &TraceConfig) -> Vec<Invocation> {
     assert!(config.duration_secs > 0.0, "duration must be positive");
     assert!(config.total_rps > 0.0, "rate must be positive");
-    let mut out = Vec::new();
-    for (fname, avg_rate) in config.function_rates() {
+    let mut out = Vec::with_capacity((config.total_rps * config.duration_secs) as usize);
+    for (name, (fname, avg_rate)) in config.function_rates().into_iter().enumerate() {
         let mut rng = derived(config.seed, &fname);
-
-        // Carve burst windows for this function.
-        let mut windows: Vec<(f64, f64)> = Vec::new();
-        let mut t = exp_sample(&mut rng, config.burst_every_secs);
-        while t < config.duration_secs {
-            let len = exp_sample(&mut rng, config.burst_len_secs).min(config.duration_secs - t);
-            windows.push((t, t + len));
-            t += len + exp_sample(&mut rng, config.burst_every_secs);
-        }
+        let mut bursts = BurstWindows::carve(
+            &mut rng,
+            config.burst_every_secs,
+            config.burst_len_secs,
+            config.duration_secs,
+        );
 
         // Split the average rate between base load and bursts so the
         // long-run mean stays `avg_rate`.
-        let burst_time: f64 = windows.iter().map(|(a, b)| b - a).sum();
-        let burst_share = burst_time / config.duration_secs;
         // base + burst_share * base * factor = avg  ⇒  base = avg / (1 + share*(factor-1))
+        let burst_share = bursts.share(config.duration_secs);
         let base_rate = avg_rate / (1.0 + burst_share * (config.burst_factor - 1.0));
 
-        let in_burst = |t: f64| windows.iter().any(|(a, b)| t >= *a && t < *b);
         let mut now = 0.0f64;
         loop {
-            let rate = if in_burst(now) {
+            let rate = if bursts.contains(now) {
                 base_rate * config.burst_factor
             } else {
                 base_rate
@@ -223,16 +289,15 @@ pub fn generate(config: &TraceConfig) -> Vec<Invocation> {
             if now >= config.duration_secs {
                 break;
             }
-            out.push(Invocation {
-                time: SimTime::from_nanos((now * 1e9) as u64),
-                function: fname.clone(),
+            out.push(Arrival {
+                time_ns: (now * 1e9) as u64,
                 owner: 0,
+                name: name as u32,
             });
         }
         let _ = rng.gen::<u64>();
     }
-    out.sort_by_key(|i| i.time);
-    out
+    into_trace(out, &config.functions)
 }
 
 /// Parameters for the cluster-scale diurnal multi-tenant generator.
@@ -335,40 +400,27 @@ pub fn generate_diurnal(config: &DiurnalConfig) -> Vec<Invocation> {
     let weight_total: f64 = tenant_weights.iter().sum();
     let fn_picker = ZipfSampler::new(config.functions_per_tenant as usize, config.popularity_skew);
 
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity((config.total_rps * config.duration_secs) as usize);
     for tenant in 0..config.tenants {
         let avg_rate = config.total_rps * tenant_weights[tenant as usize] / weight_total;
         let mut rng = derived(config.seed, &format!("tenant-{tenant}"));
         let phase: f64 = rng.gen_range(0.0..1.0);
 
         // Burst windows, carved exactly like the single-tenant generator.
-        let mut windows: Vec<(f64, f64)> = Vec::new();
-        let mut t = exp_sample(&mut rng, config.burst_every_secs);
-        while t < config.duration_secs {
-            let len = exp_sample(&mut rng, config.burst_len_secs).min(config.duration_secs - t);
-            windows.push((t, t + len));
-            t += len + exp_sample(&mut rng, config.burst_every_secs);
-        }
-        let burst_time: f64 = windows.iter().map(|(a, b)| b - a).sum();
-        let burst_share = burst_time / config.duration_secs;
+        let mut bursts = BurstWindows::carve(
+            &mut rng,
+            config.burst_every_secs,
+            config.burst_len_secs,
+            config.duration_secs,
+        );
         // The sinusoid averages to 1 over whole periods, so only the
         // burst share needs compensating to keep the long-run mean.
+        let burst_share = bursts.share(config.duration_secs);
         let base_rate = avg_rate / (1.0 + burst_share * (config.burst_factor - 1.0));
-        let in_burst = |t: f64| windows.iter().any(|(a, b)| t >= *a && t < *b);
 
         // Thinning: draw a homogeneous Poisson stream at the peak rate,
         // accept each arrival with probability rate(now) / peak.
         let peak = base_rate * (1.0 + config.diurnal_amplitude) * config.burst_factor;
-        let rate_at = |now: f64| {
-            let angle = std::f64::consts::TAU * (now / config.diurnal_period_secs + phase);
-            let diurnal = 1.0 + config.diurnal_amplitude * angle.sin();
-            let burst = if in_burst(now) {
-                config.burst_factor
-            } else {
-                1.0
-            };
-            base_rate * diurnal * burst
-        };
         let mut now = 0.0f64;
         loop {
             now += exp_sample(&mut rng, 1.0 / peak);
@@ -376,20 +428,27 @@ pub fn generate_diurnal(config: &DiurnalConfig) -> Vec<Invocation> {
                 break;
             }
             let accept: f64 = rng.gen_range(0.0..1.0);
-            if accept >= rate_at(now) / peak {
+            let angle = std::f64::consts::TAU * (now / config.diurnal_period_secs + phase);
+            let diurnal = 1.0 + config.diurnal_amplitude * angle.sin();
+            let burst = if bursts.contains(now) {
+                config.burst_factor
+            } else {
+                1.0
+            };
+            if accept >= base_rate * diurnal * burst / peak {
                 continue;
             }
             let idx = fn_picker.sample(&mut rng) as u32;
-            out.push(Invocation {
-                time: SimTime::from_nanos((now * 1e9) as u64),
-                function: function_name(tenant, idx),
+            out.push(Arrival {
+                time_ns: (now * 1e9) as u64,
                 owner: tenant,
+                // Tenant-major, like `function_names`.
+                name: tenant * config.functions_per_tenant + idx,
             });
         }
         let _ = rng.gen::<u64>();
     }
-    out.sort_by_key(|i| i.time);
-    out
+    into_trace(out, &config.function_names())
 }
 
 #[cfg(test)]
