@@ -13,37 +13,48 @@ echo '== fmt =='
 cargo fmt --all --check
 
 echo '== clippy (default features) =='
+# Besides the usual lints this enforces the workspace invariants in
+# crates/clippy.toml (DESIGN.md §12): no wall clock, no hash containers,
+# no raw locks, and — scoped to the device path — no unjustified
+# unwrap/expect. --all-targets extends the ban to tests/, benches/ and
+# examples/.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo '== clippy (--features check) =='
 cargo clippy --workspace --all-targets --features check -- -D warnings
 
-echo '== cxl-lint static analysis gate (both feature states) =='
-# Dependency-free static analysis (DESIGN.md §12): virtual-time-only
-# discipline, lock discipline (raw locks banned outside lockdep; the
-# statically extracted lock-class graph must be a DAG), and fault-hook
-# robustness (no unwrap/expect on the device path). Runs before the test
-# suites so a violation fails fast; the --json pass pins the
-# machine-readable schema end to end. Built in both feature states to
-# prove the lint itself carries no checker-gated code.
+echo '== clippy canary (must FAIL, naming every banned construct) =='
+# crates/cxl-lint/canary plants one violation per invariant above. If
+# clippy passes it, or misses one, the two clippy passes prove nothing.
+if canary=$(cargo clippy --quiet --manifest-path crates/cxl-lint/canary/Cargo.toml \
+    --target-dir target/clippy-canary -- -D warnings 2>&1); then
+    echo 'ci: clippy passed the canary: crates/clippy.toml is not applied' >&2
+    exit 1
+fi
+for flagged in 'disallowed type `std::time::Instant`' \
+    'disallowed type `std::collections::HashMap`' \
+    'disallowed type `std::sync::Mutex`' \
+    'index.html#unwrap_used' 'index.html#expect_used'; do
+    echo "$canary" | grep -qF "$flagged" || {
+        echo "ci: clippy did not report \"$flagged\" on the canary:" >&2
+        echo "$canary" >&2
+        exit 1
+    }
+done
+
+echo '== cxl-lint (static lock-class graph) =='
+# What clippy cannot express (DESIGN.md §12): the lock-class graph
+# extracted from source must be a DAG even on paths no test drives, and
+# public error enums stay #[non_exhaustive]. Runs before the test suites
+# so a violation fails fast; the suites then cross-check the same graph
+# against runtime lockdep (cxl-lint's static_vs_runtime test).
 cargo run --quiet -p cxl-lint
-cargo run --quiet -p cxl-lint -- --json > /dev/null
-cargo run --quiet -p cxl-lint --features check -- --json > /dev/null
 
 echo '== test (default features) =='
 cargo test --workspace --quiet
 
 echo '== test (--features check) =='
 cargo test --workspace --quiet --features check
-
-echo '== sharded-device audits + lockdep lint (both feature states) =='
-# Drives batched traffic across the sharded page pool, reconciles the
-# per-shard counters against the live slab, and lints the observed lock
-# order (regions -> shardNN, ascending) for cycles. The default-feature
-# pass proves the audits hold with lockdep compiled out; the check pass
-# proves the recorded edge graph is a DAG (DESIGN.md §10).
-cargo test --quiet -p cxl-check --test sharded_device_lint
-cargo test --quiet -p cxl-check --features check --test sharded_device_lint
 
 echo '== fault injection sweep (--features check, 3 seeds) =='
 for seed in 7 1984 4242; do
@@ -75,37 +86,18 @@ echo '== cluster-engine smoke (bounded, both feature states) =='
 CLUSTER_SMOKE_NODES=8 cargo test --quiet -p cxlfork-bench --test cluster_sim
 CLUSTER_SMOKE_NODES=8 cargo test --quiet -p cxlfork-bench --features check --test cluster_sim
 
-echo '== pipeline model property tests (both feature states) =='
-# The overlapped per-shard transfer model (DESIGN.md §15): p = 1 is
-# bit-identical to the serial cost, cost is monotone non-increasing in
-# p, and the critical path never beats the streaming-bandwidth floor
-# that keeps the paper's mechanism ordering intact. Already covered by
-# the workspace suites above; this pass pins the invariants by name so
-# a filtered-out rename fails loudly.
-cargo test --quiet -p simclock pipeline_
-cargo test --quiet -p simclock --features check pipeline_
-
-echo '== fabric queueing + contention properties (both feature states) =='
-# The fabric model (DESIGN.md §16): queueing delay is exactly zero at
-# zero load (attaching an idle fabric reproduces the flat 391 ns model
-# byte for byte), monotone in in-flight bytes and background load, and
-# telemetry-invariant; end to end, contention erodes the pipelined
-# copy's win and striping beats locality once traffic overlaps. The
-# BENCH_contention.json drift gate below pins the full surface; these
-# named passes pin the invariants so a filtered-out rename fails loudly.
-cargo test --quiet -p simclock queueing_
-cargo test --quiet -p simclock --features check queueing_
-cargo test --quiet -p cxl-fabric
-cargo test --quiet -p cxl-fabric --features check
-cargo test --quiet -p cxlfork-bench --test contention
-cargo test --quiet -p cxlfork-bench --features check --test contention
-
 echo '== these tests exist =='
 # The suites above ran them; this pins them by name, so that renaming or
 # filtering one away fails here instead of passing with "0 tests":
 # the golden traces (trace-gen may get faster, never different), the
-# fingerprint value identity (constant, memo and byte loop agree) and
-# the store's differential test against a per-page refcount model.
+# fingerprint value identity (constant, memo and byte loop agree), the
+# store's differential test against a per-page refcount model, the
+# sharded-device audit + lockdep lint (DESIGN.md §10), the pipeline
+# model's invariants (§15: p = 1 is the serial cost, cost is monotone in
+# p, never below the streaming floor), the fabric model's (§16: zero
+# delay at zero load, monotone in load, telemetry-invariant) and the
+# end-to-end contention properties, and the static-vs-runtime lock graph
+# cross-check.
 expect_tests() {
     package=$1 target=$2
     shift 2
@@ -132,6 +124,25 @@ expect_tests node-os --lib \
 expect_tests cxl-store '--test differential' \
     store_differential_volatile_matches_per_page_model_page_for_page \
     store_differential_durable_matches_model_and_recovers_to_it
+expect_tests cxl-check '--test sharded_device_lint' \
+    sharded_device_batch_churn_audits_clean_with_no_lock_cycle
+expect_tests simclock --lib \
+    latency::tests::pipeline_p1_is_bit_identical_to_serial \
+    latency::tests::pipeline_cost_is_monotone_non_increasing_in_p \
+    latency::tests::pipeline_never_beats_streaming_bandwidth_floor \
+    latency::tests::queueing_zero_load_is_exactly_zero \
+    latency::tests::queueing_delay_is_strictly_monotone_in_inflight_bytes
+expect_tests cxl-fabric --lib \
+    tests::fabric_isolated_transfer_costs_exactly_zero \
+    tests::fabric_delay_is_monotone_in_background_load \
+    tests::fabric_telemetry_is_cost_invariant
+expect_tests cxlfork-bench '--test contention' \
+    idle_fabric_reproduces_the_flat_model_exactly \
+    contention_shrinks_the_pipelined_copy_win \
+    armed_telemetry_does_not_move_contention_costs \
+    striping_beats_locality_under_overlapping_traffic
+expect_tests cxl-lint '--test static_vs_runtime' \
+    runtime_lockdep_agrees_with_the_static_graph
 
 echo '== release build =='
 cargo build --workspace --release --quiet

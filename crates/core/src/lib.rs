@@ -838,7 +838,7 @@ mod tests {
         let torn_region = c
             .device
             .create_region_staged("cxlfork:torn#1", cxl_mem::NodeId(0), 1);
-        c.device.alloc_pages(torn_region, 4).unwrap();
+        c.device.alloc_batch(torn_region, 4).unwrap();
         let forged = CxlForkCheckpoint {
             meta: ckpt.meta.clone(),
             region: torn_region,

@@ -327,9 +327,7 @@ fn attach_state(
         node.counters_add("cxl_transient_retry", retries);
     }
     if prefetched > 0 {
-        for _ in 0..prefetched {
-            node.counters_note("cxlfork_prefetched_page");
-        }
+        node.counters_add("cxlfork_prefetched_page", prefetched);
     }
     if cxl_telemetry::is_armed() {
         // Phase children partition [t0, t0+cost] contiguously, so their

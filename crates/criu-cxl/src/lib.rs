@@ -168,7 +168,7 @@ impl RemoteFork for CriuCxl {
         let device = Arc::clone(node.device());
         let guard = device.create_region_guarded(&format!("criu:{}{}", core.comm, id));
         let region = guard.id();
-        let page_ids = node.device().alloc_pages(region, captured.len() as u64)?;
+        let page_ids = node.device().alloc_batch(region, captured.len() as u64)?;
         let mut pagemap = PagemapImage::default();
         for (i, ((vpn, dirty, data), page)) in captured.into_iter().zip(&page_ids).enumerate() {
             node.device().write_page(*page, data, node_id)?;

@@ -512,7 +512,10 @@ impl FaultHook for Injector {
                 DeviceOp::Alloc | DeviceOp::Free => (0.0, 0.0),
             };
             let (transient_hit, poison_hit) = {
-                // cxl-lint: allow(device-unwrap): constructor invariant — `new` always pairs a plan with its derived rng
+                #[allow(
+                    clippy::expect_used,
+                    reason = "constructor invariant — `new` always pairs a plan with its derived rng"
+                )]
                 let rng = st.rng.as_mut().expect("a plan always carries an rng");
                 (
                     transient_p > 0.0 && rng.gen_f64_unit() < transient_p,
@@ -686,7 +689,7 @@ mod tests {
     fn plan_log(seed: u64) -> Vec<FaultRecord> {
         let d = CxlDevice::new(64);
         let r = d.create_region("r");
-        let pages = d.alloc_pages(r, 8).unwrap();
+        let pages = d.alloc_batch(r, 8).unwrap();
         let inj = Arc::new(Injector::from_plan(
             FaultPlan::new(seed).with_transient_rate(0.2),
         ));

@@ -161,7 +161,7 @@ mod tests {
         let expiry = leases.expires_at(NodeId(1)).unwrap();
 
         let staged = device.create_region_staged("boundary-staging", NodeId(1), 1);
-        device.alloc_pages(staged, 2).unwrap();
+        device.alloc_batch(staged, 2).unwrap();
 
         // One nanosecond before expiry: the owner is still live, nothing
         // is reclaimed.
@@ -203,13 +203,13 @@ mod tests {
 
         // Live owner's staging region: kept.
         let live_staged = device.create_region_staged("live-staging", NodeId(0), 1);
-        device.alloc_pages(live_staged, 2).unwrap();
+        device.alloc_batch(live_staged, 2).unwrap();
         // Dead owner's staging region: reclaimed.
         let dead_staged = device.create_region_staged("dead-staging", NodeId(1), 1);
-        device.alloc_pages(dead_staged, 3).unwrap();
+        device.alloc_batch(dead_staged, 3).unwrap();
         // Dead owner's *committed* checkpoint: survives its owner.
         let committed = device.create_region_staged("dead-committed", NodeId(1), 0);
-        device.alloc_pages(committed, 4).unwrap();
+        device.alloc_batch(committed, 4).unwrap();
         device.commit_region(committed).unwrap();
 
         let report = reclaim_orphans(&device, &leases, now);

@@ -43,6 +43,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Device path: a panic here would bypass an injected fault's recovery, so
+// each `unwrap`/`expect` names its invariant in an `#[allow]` (DESIGN.md §12).
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod crash;
 pub mod crashpoint;

@@ -1,45 +1,16 @@
-//! Diagnostics: typed violations, human rendering, and the
-//! machine-readable JSON report.
-//!
-//! The JSON schema is stable and versioned ([`JSON_SCHEMA_VERSION`]);
-//! `tests/json_roundtrip.rs` parses the emitted document with
-//! `cxl-telemetry`'s JSON parser and checks every field survives.
+//! Diagnostics: typed violations and their human rendering.
 
 use std::fmt;
 
-/// Version of the `--json` output schema.
-pub const JSON_SCHEMA_VERSION: u32 = 1;
-
-/// Severity of a finding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Informational: never fails the lint (lock-coverage gaps).
-    Warning,
-    /// Fails the lint (exit code 1).
-    Error,
-}
-
-impl Severity {
-    fn as_str(self) -> &'static str {
-        match self {
-            Severity::Warning => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
-
-/// One finding.
+/// One finding. Every finding fails the lint (exit code 1).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Stable rule id (`wall-clock`, `hash-iteration`, `raw-lock`,
-    /// `lock-cycle`, `lock-order-contradiction`, `lock-coverage`,
-    /// `device-unwrap`, `non-exhaustive-error`, `bad-allow`).
+    /// Stable rule id (`lock-cycle`, `lock-order-contradiction`,
+    /// `non-exhaustive-error`).
     pub rule: &'static str,
-    /// Severity — only `Error` findings fail the run.
-    pub severity: Severity,
-    /// Workspace-relative file path (`/`-separated).
+    /// Workspace-relative file path (`/`-separated), or `(lock graph)`.
     pub file: String,
-    /// 1-based line, or 0 for whole-graph findings (cycles).
+    /// 1-based line, or 0 for whole-graph findings.
     pub line: u32,
     /// Human explanation, including the suggested fix.
     pub message: String,
@@ -47,26 +18,11 @@ pub struct Violation {
 
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
-            write!(
-                f,
-                "{}: [{}] {}: {}",
-                self.severity.as_str(),
-                self.rule,
-                self.file,
-                self.message
-            )
-        } else {
-            write!(
-                f,
-                "{}: [{}] {}:{}: {}",
-                self.severity.as_str(),
-                self.rule,
-                self.file,
-                self.line,
-                self.message
-            )
+        write!(f, "error: [{}] {}", self.rule, self.file)?;
+        if self.line != 0 {
+            write!(f, ":{}", self.line)?;
         }
+        write!(f, ": {}", self.message)
     }
 }
 
@@ -75,151 +31,41 @@ impl fmt::Display for Violation {
 pub struct Report {
     /// Every finding, in file/line order.
     pub violations: Vec<Violation>,
-    /// The static lock-class graph: `(held, acquired, file, line)`.
-    pub lock_edges: Vec<(String, String, String, u32)>,
-    /// Static edges no runtime edge matched (only populated when runtime
-    /// edges were supplied): lockdep tests never exercised these.
+    /// The static lock-class graph as sorted `(held, acquired)` pairs.
+    pub lock_edges: Vec<(String, String)>,
+    /// Static edges no runtime edge matched (`lock-coverage`; only
+    /// populated when runtime edges were supplied): orderings no lockdep
+    /// test exercised. Informational — never fails the lint.
     pub coverage_gaps: Vec<(String, String)>,
     /// Files linted.
     pub files_scanned: usize,
 }
 
 impl Report {
-    /// `true` if no error-severity finding exists.
+    /// `true` if there is no finding.
     pub fn is_clean(&self) -> bool {
-        !self
-            .violations
-            .iter()
-            .any(|v| v.severity == Severity::Error)
+        self.violations.is_empty()
     }
+}
 
-    /// Human-readable rendering (one line per finding plus a summary).
-    pub fn render_human(&self) -> String {
-        let mut out = String::new();
+impl fmt::Display for Report {
+    /// One line per finding and coverage gap, plus a summary.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for v in &self.violations {
-            out.push_str(&v.to_string());
-            out.push('\n');
+            writeln!(f, "{v}")?;
         }
         for (held, acquired) in &self.coverage_gaps {
-            out.push_str(&format!(
-                "note: [lock-coverage] static edge {held} -> {acquired} never exercised by runtime lockdep tests\n"
-            ));
+            writeln!(
+                f,
+                "note: [lock-coverage] static edge {held} -> {acquired} never exercised by runtime lockdep tests"
+            )?;
         }
-        let errors = self
-            .violations
-            .iter()
-            .filter(|v| v.severity == Severity::Error)
-            .count();
-        out.push_str(&format!(
-            "cxl-lint: {} file(s), {} lock edge(s), {} error(s), {} warning(s)\n",
+        writeln!(
+            f,
+            "cxl-lint: {} file(s), {} lock edge(s), {} error(s)",
             self.files_scanned,
             self.lock_edges.len(),
-            errors,
-            self.violations.len() - errors,
-        ));
-        out
-    }
-
-    /// Machine-readable JSON document (schema pinned by
-    /// [`JSON_SCHEMA_VERSION`]).
-    pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\n  \"schema_version\": {JSON_SCHEMA_VERSION},\n  \"files_scanned\": {},\n  \"clean\": {},\n",
-            self.files_scanned,
-            self.is_clean()
-        ));
-        out.push_str("  \"violations\": [");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"rule\": {}, \"severity\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}",
-                json_str(v.rule),
-                json_str(v.severity.as_str()),
-                json_str(&v.file),
-                v.line,
-                json_str(&v.message)
-            ));
-        }
-        out.push_str(if self.violations.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-        out.push_str("  \"lock_graph\": [");
-        for (i, (held, acquired, file, line)) in self.lock_edges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"held\": {}, \"acquired\": {}, \"file\": {}, \"line\": {line}}}",
-                json_str(held),
-                json_str(acquired),
-                json_str(file)
-            ));
-        }
-        out.push_str(if self.lock_edges.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-        out.push_str("  \"coverage_gaps\": [");
-        for (i, (held, acquired)) in self.coverage_gaps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"held\": {}, \"acquired\": {}}}",
-                json_str(held),
-                json_str(acquired)
-            ));
-        }
-        out.push_str(if self.coverage_gaps.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        out.push_str("}\n");
-        out
-    }
-}
-
-/// JSON string escaping (the full control-character set).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn clean_report_renders_empty_arrays() {
-        let r = Report::default();
-        assert!(r.is_clean());
-        let json = r.render_json();
-        assert!(json.contains("\"violations\": []"));
-        assert!(json.contains("\"clean\": true"));
-    }
-
-    #[test]
-    fn escaping_covers_quotes_and_newlines() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+            self.violations.len(),
+        )
     }
 }

@@ -1,75 +1,44 @@
-//! The rule engine: walks lexed source files, applies the token-level
-//! rules, wires in the lock-graph analysis, and honors inline
-//! suppressions.
+//! The rule engine: lexes source files, applies the one token-level
+//! rule clippy has no lint for, and wires in the lock-graph analysis.
 //!
-//! ## Rule catalog
+//! | rule id                    | what it catches |
+//! |----------------------------|-----------------|
+//! | `non-exhaustive-error`     | `pub enum …Error` without `#[non_exhaustive]` — fault classes grow; downstream matches must not break |
+//! | `lock-cycle`               | a cycle in the statically extracted lock-class graph |
+//! | `lock-order-contradiction` | a runtime lockdep edge opposing the static graph or an ordered family's discipline |
+//! | `lock-coverage`            | (note, never fails) static lock edges no runtime lockdep test ever exercised |
 //!
-//! | rule id                   | severity | what it catches |
-//! |---------------------------|----------|-----------------|
-//! | `wall-clock`              | error    | `std::time::Instant` / `SystemTime` anywhere — all time must flow through `simclock` virtual time |
-//! | `hash-iteration`          | error    | `HashMap` / `HashSet` in determinism-sensitive modules (report/bench/trace emitters and the structures feeding them) — iteration order leaks into committed `BENCH_*.json` |
-//! | `raw-lock`                | error    | raw `parking_lot` / `std::sync` `Mutex` / `RwLock` outside `cxl_mem::lockdep` — invisible to lockdep's runtime graph and to the static one |
-//! | `device-unwrap`           | error    | `.unwrap()` / `.expect(…)` on the device data path — a `FaultHook` may veto any operation, and panicking bypasses the injected-fault cadence |
-//! | `non-exhaustive-error`    | error    | `pub enum …Error` without `#[non_exhaustive]` — fault classes grow; downstream matches must not break |
-//! | `bad-allow`               | error    | a `cxl-lint: allow(…)` comment without a justification |
-//! | `lock-cycle`              | error    | a cycle in the statically extracted lock-class graph |
-//! | `lock-order-contradiction`| error    | a runtime lockdep edge opposing the static graph or an ordered family's discipline |
-//! | `lock-coverage`           | warning  | static lock edges no runtime lockdep test ever exercised |
-//!
-//! ## Suppression
-//!
-//! `// cxl-lint: allow(rule-id): justification` on the violating line or
-//! on its own line directly above suppresses that rule there. The
-//! justification is mandatory — an allow without one is itself a
-//! violation (`bad-allow`). There is no blanket file-level opt-out; the
-//! escape hatch is deliberately narrow and auditable (`git grep
-//! 'cxl-lint: allow'` is the suppression review).
+//! There is no suppression syntax: no finding of these rules has ever
+//! been a false positive worth keeping. Everything that does need
+//! justified exceptions — wall clocks, hash containers, raw locks,
+//! device-path `unwrap` — is clippy's, under `crates/clippy.toml`, with
+//! `#[allow(clippy::…, reason = "…")]` as the audited escape hatch.
 
-use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-use crate::config::{path_matches, Config};
-use crate::diag::{Report, Severity, Violation};
-use crate::lexer::{lex, TokKind, Token};
+use crate::diag::{Report, Violation};
+use crate::lexer::{lex, matching_close, TokKind, Token};
 use crate::lockgraph;
 
-/// A lexed source file plus the side tables rules need.
+/// A lexed source file plus the side table rules need.
 pub struct SourceFile {
     /// Workspace-relative `/`-separated path.
     pub path: String,
     /// Token stream with comments removed.
     pub code: Vec<Token>,
-    /// `line → rule ids` allowed there.
-    allows: BTreeMap<u32, Vec<String>>,
-    /// Malformed allow comments, reported as `bad-allow`.
-    bad_allows: Vec<(u32, String)>,
     /// Line ranges (inclusive) covered by `#[cfg(test)]` items.
     test_ranges: Vec<(u32, u32)>,
 }
 
 impl SourceFile {
-    /// Lexes `src` and computes suppression and test-region tables.
+    /// Lexes `src` and computes the test-region table.
     pub fn new(path: String, src: &str) -> SourceFile {
-        let tokens = lex(src);
-        let mut allows: BTreeMap<u32, Vec<String>> = BTreeMap::new();
-        let mut bad_allows = Vec::new();
-        let mut code = Vec::with_capacity(tokens.len());
-        for t in tokens {
-            match t.kind {
-                TokKind::LineComment | TokKind::BlockComment => match parse_allow(&t.text) {
-                    Some(Ok(rule)) => allows.entry(t.line).or_default().push(rule),
-                    Some(Err(why)) => bad_allows.push((t.line, why)),
-                    None => {}
-                },
-                _ => code.push(t),
-            }
-        }
+        let mut code = lex(src);
+        code.retain(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment));
         let test_ranges = find_test_ranges(&code);
         SourceFile {
             path,
             code,
-            allows,
-            bad_allows,
             test_ranges,
         }
     }
@@ -80,156 +49,59 @@ impl SourceFile {
             .iter()
             .any(|&(a, b)| a <= line && line <= b)
     }
-
-    /// `true` if `rule` is allowed (with justification) on `line` or on
-    /// the line directly above it.
-    fn allowed(&self, rule: &str, line: u32) -> bool {
-        [line, line.saturating_sub(1)].iter().any(|l| {
-            self.allows
-                .get(l)
-                .is_some_and(|rs| rs.iter().any(|r| r == rule))
-        })
-    }
-}
-
-/// Parses a `cxl-lint:` marker out of a comment. Returns `None` if the
-/// comment has no marker, `Some(Ok(rule))` for a well-formed allow, and
-/// `Some(Err(reason))` for a malformed one.
-fn parse_allow(comment: &str) -> Option<Result<String, String>> {
-    // Doc comments *document* the marker syntax (this crate's own docs
-    // do); only plain `//` / `/* */` comments carry live suppressions.
-    if ["///", "//!", "/**", "/*!"]
-        .iter()
-        .any(|p| comment.starts_with(p))
-    {
-        return None;
-    }
-    let idx = comment.find("cxl-lint:")?;
-    let rest = comment[idx + "cxl-lint:".len()..].trim_start();
-    let Some(rest) = rest.strip_prefix("allow(") else {
-        return Some(Err(
-            "expected `cxl-lint: allow(rule): justification`".to_string()
-        ));
-    };
-    let Some((rule, after)) = rest.split_once(')') else {
-        return Some(Err("unterminated `allow(` — missing `)`".to_string()));
-    };
-    let rule = rule.trim();
-    if rule.is_empty() {
-        return Some(Err("empty rule id in `allow()`".to_string()));
-    }
-    let after = after.trim_start();
-    let justification = after.strip_prefix(':').map(str::trim).unwrap_or("");
-    if justification.is_empty() {
-        return Some(Err(format!(
-            "`allow({rule})` needs a justification: `cxl-lint: allow({rule}): why this is sound`"
-        )));
-    }
-    Some(Ok(rule.to_string()))
 }
 
 /// Finds line ranges of items annotated `#[cfg(test)]` (or any `cfg`
 /// whose argument mentions `test`): the attribute, any further
-/// attributes, then the item's brace-matched body.
+/// attributes, then the item up to its brace-matched body — or to a `;`
+/// if that comes first (a bodiless item).
 fn find_test_ranges(code: &[Token]) -> Vec<(u32, u32)> {
+    let is_attr = |i: usize| {
+        code.get(i).is_some_and(|t| t.is_punct('#'))
+            && code.get(i + 1).is_some_and(|t| t.is_punct('['))
+    };
     let mut ranges = Vec::new();
     let mut i = 0;
     while i < code.len() {
-        if !(code[i].is_punct('#') && code.get(i + 1).is_some_and(|t| t.is_punct('['))) {
+        if !is_attr(i) {
             i += 1;
             continue;
         }
-        // Parse one attribute: #[ ... ] with bracket matching.
-        let attr_start_line = code[i].line;
-        let mut j = i + 2;
-        let mut depth = 1u32;
-        let mut is_cfg_test = code.get(j).is_some_and(|t| t.is_ident("cfg"));
-        let mut saw_test = false;
-        while j < code.len() && depth > 0 {
-            if code[j].is_punct('[') {
-                depth += 1;
-            } else if code[j].is_punct(']') {
-                depth -= 1;
-            } else if code[j].is_ident("test") {
-                saw_test = true;
-            }
-            j += 1;
-        }
-        is_cfg_test = is_cfg_test && saw_test;
-        if !is_cfg_test {
-            i = j;
-            continue;
-        }
-        // Skip any further attributes.
-        while j < code.len()
-            && code[j].is_punct('#')
-            && code.get(j + 1).is_some_and(|t| t.is_punct('['))
+        let attr_end = matching_close(code, i + 1);
+        let attr = &code[i + 2..attr_end];
+        let mut next = attr_end + 1;
+        if attr.first().is_some_and(|t| t.is_ident("cfg"))
+            && attr.iter().any(|t| t.is_ident("test"))
         {
-            let mut d = 0u32;
-            j += 1;
-            loop {
-                if j >= code.len() {
-                    break;
-                }
-                if code[j].is_punct('[') {
-                    d += 1;
-                } else if code[j].is_punct(']') {
-                    d -= 1;
-                    if d == 0 {
-                        j += 1;
-                        break;
+            while is_attr(next) {
+                next = matching_close(code, next + 1) + 1;
+            }
+            let item_end = (next..code.len())
+                .find(|&j| code[j].is_punct(';') || code[j].is_punct('{'))
+                .map(|j| {
+                    if code[j].is_punct('{') {
+                        matching_close(code, j)
+                    } else {
+                        j
                     }
-                }
-                j += 1;
+                });
+            if let Some(end) = item_end {
+                ranges.push((code[i].line, code[end.min(code.len() - 1)].line));
+                next = end + 1;
             }
         }
-        // The annotated item: body is the first brace-matched block
-        // before a top-level `;` (a `;` first means no body).
-        let mut k = j;
-        let mut body_end_line = None;
-        while k < code.len() {
-            if code[k].is_punct(';') {
-                body_end_line = Some(code[k].line);
-                break;
-            }
-            if code[k].is_punct('{') {
-                let mut d = 1u32;
-                let mut m = k + 1;
-                while m < code.len() && d > 0 {
-                    if code[m].is_punct('{') {
-                        d += 1;
-                    } else if code[m].is_punct('}') {
-                        d -= 1;
-                    }
-                    m += 1;
-                }
-                body_end_line = Some(code[m.saturating_sub(1).min(code.len() - 1)].line);
-                k = m;
-                break;
-            }
-            k += 1;
-        }
-        if let Some(end) = body_end_line {
-            ranges.push((attr_start_line, end));
-            i = k.max(j);
-        } else {
-            i = j;
-        }
+        i = next;
     }
     ranges
 }
 
-/// Runtime lockdep edges, as `(held, acquired)` class names.
-pub type RuntimeEdges = [(String, String)];
-
 /// Lints in-memory sources. `files` is `(workspace-relative path,
-/// contents)`; `runtime_edges` enables the static-vs-runtime lockdep
-/// cross-check. This is the core entry point — the binary and every
+/// contents)`; `runtime_edges` — `(held, acquired)` class names recorded
+/// by runtime lockdep — enables the static-vs-runtime cross-check. This is the core entry point — the binary and every
 /// fixture test go through it.
 pub fn lint_files(
     files: &[(String, String)],
-    config: &Config,
-    runtime_edges: Option<&RuntimeEdges>,
+    runtime_edges: Option<&[(String, String)]>,
 ) -> Report {
     let sources: Vec<SourceFile> = files
         .iter()
@@ -238,78 +110,51 @@ pub fn lint_files(
 
     let mut violations = Vec::new();
     for sf in &sources {
-        for (line, why) in &sf.bad_allows {
-            violations.push(Violation {
-                rule: "bad-allow",
-                severity: Severity::Error,
-                file: sf.path.clone(),
-                line: *line,
-                message: why.clone(),
-            });
-        }
-        rule_wall_clock(sf, &mut violations);
-        rule_hash_iteration(sf, config, &mut violations);
-        rule_raw_lock(sf, config, &mut violations);
-        rule_device_unwrap(sf, config, &mut violations);
         rule_non_exhaustive_error(sf, &mut violations);
     }
 
     // Lock-class graph: extraction, cycles, runtime cross-check.
+    let graph_finding = |rule, message| Violation {
+        rule,
+        file: "(lock graph)".to_string(),
+        line: 0,
+        message,
+    };
     let graph = lockgraph::extract(&sources);
-    for cycle in graph.cycles(&config.ordered_families) {
-        violations.push(Violation {
-            rule: "lock-cycle",
-            severity: Severity::Error,
-            file: "(lock graph)".to_string(),
-            line: 0,
-            message: format!(
+    for cycle in graph.cycles() {
+        violations.push(graph_finding(
+            "lock-cycle",
+            format!(
                 "static lock-class cycle: {} -> {}",
                 cycle.join(" -> "),
                 cycle[0]
             ),
-        });
+        ));
     }
     let mut coverage_gaps = Vec::new();
     if let Some(runtime) = runtime_edges {
-        let cmp = graph.compare_runtime(runtime, &config.ordered_families);
+        let cmp = graph.compare_runtime(runtime);
         for (held, acquired, why) in cmp.contradictions {
-            violations.push(Violation {
-                rule: "lock-order-contradiction",
-                severity: Severity::Error,
-                file: "(lock graph)".to_string(),
-                line: 0,
-                message: format!("runtime edge {held} -> {acquired} {why}"),
-            });
+            violations.push(graph_finding(
+                "lock-order-contradiction",
+                format!("runtime edge {held} -> {acquired} {why}"),
+            ));
         }
         coverage_gaps = cmp.coverage_gaps;
     }
 
-    // Apply inline allows and config-disabled rules, then sort.
-    let by_path: BTreeMap<&str, &SourceFile> =
-        sources.iter().map(|s| (s.path.as_str(), s)).collect();
-    violations.retain(|v| {
-        if config.disabled_rules.iter().any(|r| r == v.rule) {
-            return false;
-        }
-        if v.line == 0 {
-            return true; // graph-level findings have no source line
-        }
-        !by_path
-            .get(v.file.as_str())
-            .is_some_and(|sf| sf.allowed(v.rule, v.line))
-    });
-    violations.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-
     Report {
         violations,
-        lock_edges: graph.edges_for_report(),
+        lock_edges: graph.edges(),
         coverage_gaps,
         files_scanned: sources.len(),
     }
 }
 
-/// Lints the workspace on disk: expands `config.roots` under `root`,
-/// reads every `.rs` file in sorted order, and runs [`lint_files`].
+/// Lints the workspace on disk: reads every `.rs` file under
+/// `<root>/crates/*/src` in sorted order and runs [`lint_files`].
+/// `tests/`, `benches/` and fixture trees are deliberately out of scope:
+/// they seed violations on purpose (the lockdep negative tests).
 ///
 /// # Errors
 ///
@@ -317,39 +162,34 @@ pub fn lint_files(
 /// tree must fail the gate, not pass it silently).
 pub fn lint_workspace(
     root: &Path,
-    config: &Config,
-    runtime_edges: Option<&RuntimeEdges>,
+    runtime_edges: Option<&[(String, String)]>,
 ) -> std::io::Result<Report> {
     let mut files = Vec::new();
-    for root_glob in &config.roots {
-        for dir in crate::config::expand_root(root, root_glob) {
-            collect_rs_files(&dir, &mut files)?;
+    for krate in sorted_entries(&root.join("crates"))? {
+        let src = krate.join("src");
+        if src.is_dir() {
+            collect_rs_files(&src, &mut files)?;
         }
     }
-    files.sort();
     let mut sources = Vec::with_capacity(files.len());
     for path in files {
         let text = std::fs::read_to_string(&path)?;
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/");
-        sources.push((rel, text));
+        let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy();
+        sources.push((rel.replace('\\', "/"), text));
     }
-    Ok(lint_files(&sources, config, runtime_edges))
+    Ok(lint_files(&sources, runtime_edges))
 }
 
-fn collect_rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> std::io::Result<()> {
-    let mut entries: Vec<_> = std::fs::read_dir(dir)?
-        .collect::<Result<Vec<_>, _>>()?
-        .into_iter()
-        .map(|e| e.path())
-        .collect();
+fn sorted_entries(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let mut entries = std::fs::read_dir(dir)?
+        .map(|e| e.map(|e| e.path()))
+        .collect::<Result<Vec<_>, _>>()?;
     entries.sort();
-    for path in entries {
+    Ok(entries)
+}
+
+fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+    for path in sorted_entries(dir)? {
         if path.is_dir() {
             collect_rs_files(&path, out)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
@@ -357,99 +197,6 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> std::io::R
         }
     }
     Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Token rules
-// ---------------------------------------------------------------------
-
-fn rule_wall_clock(sf: &SourceFile, out: &mut Vec<Violation>) {
-    for t in &sf.code {
-        if t.kind == TokKind::Ident && (t.text == "Instant" || t.text == "SystemTime") {
-            out.push(Violation {
-                rule: "wall-clock",
-                severity: Severity::Error,
-                file: sf.path.clone(),
-                line: t.line,
-                message: format!(
-                    "`{}` is wall-clock time; the simulator is virtual-time only — use \
-                     `simclock::SimTime`/`SimDuration` so armed and unarmed runs stay bit-identical",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
-fn rule_hash_iteration(sf: &SourceFile, config: &Config, out: &mut Vec<Violation>) {
-    if !path_matches(&sf.path, &config.deterministic_modules) {
-        return;
-    }
-    for t in &sf.code {
-        if t.kind == TokKind::Ident && (t.text == "HashMap" || t.text == "HashSet") {
-            out.push(Violation {
-                rule: "hash-iteration",
-                severity: Severity::Error,
-                file: sf.path.clone(),
-                line: t.line,
-                message: format!(
-                    "`{}` in a determinism-sensitive module: iteration order is randomized and \
-                     leaks into reports/traces — use `BTreeMap`/`BTreeSet` or sort explicitly",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
-fn rule_raw_lock(sf: &SourceFile, config: &Config, out: &mut Vec<Violation>) {
-    if path_matches(&sf.path, &config.raw_lock_exempt) {
-        return;
-    }
-    for t in &sf.code {
-        if t.kind == TokKind::Ident
-            && (t.text == "parking_lot" || t.text == "Mutex" || t.text == "RwLock")
-        {
-            out.push(Violation {
-                rule: "raw-lock",
-                severity: Severity::Error,
-                file: sf.path.clone(),
-                line: t.line,
-                message: format!(
-                    "raw `{}` is invisible to lockdep — use \
-                     `cxl_mem::lockdep::TrackedMutex`/`TrackedRwLock` with a lock-class name",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
-fn rule_device_unwrap(sf: &SourceFile, config: &Config, out: &mut Vec<Violation>) {
-    if !path_matches(&sf.path, &config.device_path_modules) {
-        return;
-    }
-    for (i, t) in sf.code.iter().enumerate() {
-        if t.kind == TokKind::Ident
-            && (t.text == "unwrap" || t.text == "expect")
-            && i > 0
-            && sf.code[i - 1].is_punct('.')
-            && sf.code.get(i + 1).is_some_and(|n| n.is_punct('('))
-            && !sf.in_test_code(t.line)
-        {
-            out.push(Violation {
-                rule: "device-unwrap",
-                severity: Severity::Error,
-                file: sf.path.clone(),
-                line: t.line,
-                message: format!(
-                    "`.{}()` on the device data path: a `FaultHook` may veto any operation, and \
-                     panicking bypasses the fault-injection cadence — propagate `CxlError` instead",
-                    t.text
-                ),
-            });
-        }
-    }
 }
 
 fn rule_non_exhaustive_error(sf: &SourceFile, out: &mut Vec<Violation>) {
@@ -471,20 +218,14 @@ fn rule_non_exhaustive_error(sf: &SourceFile, out: &mut Vec<Violation>) {
         // Scan the attribute window directly above the item for
         // `non_exhaustive`: walk back over attribute/visibility tokens,
         // stopping at the previous item's `}` or `;`.
-        let mut has = false;
-        for p in sf.code[..i].iter().rev() {
-            if p.is_punct('}') || p.is_punct(';') || p.is_punct('{') {
-                break;
-            }
-            if p.is_ident("non_exhaustive") {
-                has = true;
-                break;
-            }
-        }
+        let has = sf.code[..i]
+            .iter()
+            .rev()
+            .take_while(|p| !(p.is_punct('}') || p.is_punct(';') || p.is_punct('{')))
+            .any(|p| p.is_ident("non_exhaustive"));
         if !has {
             out.push(Violation {
                 rule: "non-exhaustive-error",
-                severity: Severity::Error,
                 file: sf.path.clone(),
                 line: name.line,
                 message: format!(
@@ -501,22 +242,6 @@ fn rule_non_exhaustive_error(sf: &SourceFile, out: &mut Vec<Violation>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn allow_parsing_accepts_and_rejects() {
-        assert_eq!(
-            parse_allow("// cxl-lint: allow(raw-lock): below cxl-mem in the layering"),
-            Some(Ok("raw-lock".to_string()))
-        );
-        assert!(matches!(
-            parse_allow("// cxl-lint: allow(raw-lock)"),
-            Some(Err(_))
-        ));
-        assert!(parse_allow("// ordinary comment").is_none());
-        // Doc comments describing the syntax are not live markers.
-        assert!(parse_allow("/// write `// cxl-lint: allow(x)` to suppress").is_none());
-        assert!(parse_allow("//! the `cxl-lint: allow` escape hatch").is_none());
-    }
 
     #[test]
     fn test_ranges_cover_cfg_test_mods() {

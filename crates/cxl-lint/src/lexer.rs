@@ -8,8 +8,8 @@
 //! `tests/lexer_edges.rs` pins down):
 //!
 //! * **Raw strings** `r"…"`, `r#"…"#`, `r##"…"##` (any hash depth), plus
-//!   byte-string variants `b"…"`, `br#"…"#` — a `HashMap` mentioned
-//!   inside one is *data*, not a violation.
+//!   byte-string variants `b"…"`, `br#"…"#` — a `x.lock()` or a brace
+//!   inside one is *data*, not an acquisition or a scope.
 //! * **Nested block comments** `/* /* … */ */` — Rust nests them; a
 //!   naive scanner would resurface too early and misread live code as
 //!   commented out (or vice versa).
@@ -70,9 +70,31 @@ impl Token {
     }
 }
 
+/// Index of the token closing the `[` or `{` group opened at
+/// `code[open]`, counting only that bracket kind; `code.len()` if the
+/// group never closes.
+pub fn matching_close<T: std::borrow::Borrow<Token>>(code: &[T], open: usize) -> usize {
+    let (opener, closer) = if code[open].borrow().is_punct('[') {
+        ('[', ']')
+    } else {
+        ('{', '}')
+    };
+    let mut depth = 0u32;
+    for (i, t) in code.iter().enumerate().skip(open) {
+        if t.borrow().is_punct(opener) {
+            depth += 1;
+        } else if t.borrow().is_punct(closer) {
+            depth -= 1;
+            if depth == 0 {
+                return i;
+            }
+        }
+    }
+    code.len()
+}
+
 /// Lexes `src`, returning every token including comments (the rule
-/// engine reads `// cxl-lint: allow(…)` suppressions out of the comment
-/// stream before discarding it).
+/// engine discards them).
 ///
 /// The lexer is total: malformed input never panics, it degrades to
 /// punct tokens. An unterminated string or comment consumes to EOF.
@@ -120,6 +142,19 @@ impl<'a> Lexer<'a> {
 
     fn push(&mut self, kind: TokKind, text: String, line: u32) {
         self.out.push(Token { kind, text, line });
+    }
+
+    fn skip_while(&mut self, pred: fn(u8) -> bool) {
+        while self.peek(0).is_some_and(pred) {
+            self.bump();
+        }
+    }
+
+    /// Consumes a run of identifier bytes, returning its text.
+    fn ident_text(&mut self) -> String {
+        let start = self.pos;
+        self.skip_while(is_ident_continue);
+        String::from_utf8_lossy(&self.src[start..self.pos]).into_owned()
     }
 
     fn run(mut self) -> Vec<Token> {
@@ -235,12 +270,7 @@ impl<'a> Lexer<'a> {
                 // Raw identifier r#ident: normalize to the bare name.
                 self.bump(); // r
                 self.bump(); // #
-                let start = self.pos;
-                while self.peek(0).is_some_and(is_ident_continue) {
-                    self.bump();
-                }
-                let text = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
-                self.push(TokKind::Ident, text, line);
+                self.ident(line);
             }
             _ => self.ident(line),
         }
@@ -290,28 +320,13 @@ impl<'a> Lexer<'a> {
     /// After an opening `'` of a char literal, consumes the body and the
     /// closing quote.
     fn char_body(&mut self) {
-        match self.bump() {
-            Some(b'\\') => {
-                self.bump(); // escaped char ( \n, \', \u{…} start, … )
-                             // Consume a possible \u{…} payload and the closing quote.
-                while let Some(b) = self.peek(0) {
-                    self.bump();
-                    if b == b'\'' {
-                        break;
-                    }
-                }
-            }
-            Some(_) => {
-                // One (possibly multi-byte) char, then the closing quote.
-                while let Some(b) = self.peek(0) {
-                    self.bump();
-                    if b == b'\'' {
-                        break;
-                    }
-                }
-            }
-            None => {}
+        // An escaped byte is never the closing quote, even in `'\''`.
+        if self.bump() == Some(b'\\') {
+            self.bump();
         }
+        // The rest of the char (multi-byte, or a `\u{…}` payload), then
+        // the closing quote.
+        while self.bump().is_some_and(|b| b != b'\'') {}
     }
 
     /// `'` starts either a lifetime (`'a`, `'static`) or a char literal
@@ -338,11 +353,7 @@ impl<'a> Lexer<'a> {
                     }
                     self.push(TokKind::Char, String::new(), line);
                 } else {
-                    let start = self.pos;
-                    for _ in 0..len {
-                        self.bump();
-                    }
-                    let text = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
+                    let text = self.ident_text();
                     self.push(TokKind::Lifetime, text, line);
                 }
             }
@@ -356,11 +367,7 @@ impl<'a> Lexer<'a> {
     }
 
     fn ident(&mut self, line: u32) {
-        let start = self.pos;
-        while self.peek(0).is_some_and(is_ident_continue) {
-            self.bump();
-        }
-        let text = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
+        let text = self.ident_text();
         self.push(TokKind::Ident, text, line);
     }
 
@@ -368,22 +375,13 @@ impl<'a> Lexer<'a> {
     /// one fractional part and an exponent — while leaving `..` (range)
     /// and method calls like `0.max(x)` alone.
     fn number(&mut self, line: u32) {
-        while self
-            .peek(0)
-            .is_some_and(|b| b.is_ascii_alphanumeric() || b == b'_')
-        {
-            self.bump();
-        }
+        let is_digit_like = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+        self.skip_while(is_digit_like);
         // Fraction: only if `.` is followed by a digit (so `0..9` and
         // `1.max(2)` stay three tokens).
         if self.peek(0) == Some(b'.') && self.peek(1).is_some_and(|b| b.is_ascii_digit()) {
             self.bump();
-            while self
-                .peek(0)
-                .is_some_and(|b| b.is_ascii_alphanumeric() || b == b'_')
-            {
-                self.bump();
-            }
+            self.skip_while(is_digit_like);
         }
         self.push(TokKind::Num, String::new(), line);
     }

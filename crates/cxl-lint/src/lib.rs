@@ -1,41 +1,33 @@
-//! `cxl-lint` — dependency-free workspace static analysis.
+//! `cxl-lint` — the static analysis the toolchain cannot do.
 //!
-//! The simulator's correctness story rests on invariants no
-//! off-the-shelf tool knows about:
+//! Most of the workspace's source-level invariants are clippy's to
+//! enforce (`crates/clippy.toml`: no wall clock, no hash containers, no
+//! raw locks; scoped `unwrap_used`/`expect_used` on the device path).
+//! What clippy cannot express stays here:
 //!
-//! * **Virtual time only.** Armed and unarmed telemetry runs, and every
-//!   committed `BENCH_*.json`, must stay bit-identical; one
-//!   `std::time::Instant` or one `HashMap` iteration in a report path
-//!   breaks that silently.
-//! * **Lock discipline.** Every lock must be a
-//!   [`TrackedMutex`](../cxl_mem/lockdep) / `TrackedRwLock` so runtime
-//!   lockdep sees it — and the acquisition *order* written in the source
-//!   must form a DAG even on paths no test drives.
-//! * **Fault-hook robustness.** Every `CxlDevice` access may be vetoed
-//!   by a `FaultHook`; `unwrap()` on the device path turns an injected
-//!   fault into a panic, bypassing the recovery machinery under test.
+//! * **Lock order.** Every lock is a
+//!   [`TrackedMutex`](../cxl_mem/lockdep) / `TrackedRwLock` with a class
+//!   name, and the acquisition *order* written in the source must form a
+//!   DAG even on paths no test drives. [`lockgraph`] extracts that
+//!   lock-class graph statically, checks it for cycles, and cross-checks
+//!   it against the edges runtime lockdep recorded.
+//! * **Error enums stay open.** Every `pub enum …Error` must be
+//!   `#[non_exhaustive]` (see [`engine`]).
 //!
-//! Before this crate those rules were enforced only dynamically, after a
-//! violation had already shipped. `cxl-lint` enforces them at `ci.sh`
-//! time, from a hand-rolled lexer (no `syn`/`quote` — the build
-//! container has no network): see [`lexer`] for the token model,
-//! [`engine`] for the rule catalog and suppression policy, [`lockgraph`]
-//! for the static lock-class graph and its cross-check against runtime
-//! lockdep, and [`config`] for `lint.toml`.
+//! Both run from a hand-rolled [`lexer`] (no `syn`/`quote` — the build
+//! container has no network): class names are string literals and guard
+//! lifetimes are brace scopes, so token fidelity is all they need.
 //!
-//! Run it as `cargo run -p cxl-lint` (human diagnostics) or with
-//! `--json` for the machine-readable report; DESIGN.md §12 is the
-//! policy document.
+//! Run it as `cargo run -p cxl-lint`; DESIGN.md §12 is the policy
+//! document.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
 pub mod diag;
 pub mod engine;
 pub mod lexer;
 pub mod lockgraph;
 
-pub use config::{Config, ConfigError};
-pub use diag::{Report, Severity, Violation, JSON_SCHEMA_VERSION};
+pub use diag::{Report, Violation};
 pub use engine::{lint_files, lint_workspace, SourceFile};

@@ -30,7 +30,7 @@
 //! 3. **Interprocedural propagation.** Each function's summary carries
 //!    the classes it acquires and the calls it makes while holding
 //!    guards. Summaries propagate callee→caller to a fixpoint, with
-//!    callees resolved by bare name (common names like `get`/`len` are
+//!    callees resolved by bare name (generic names like `read`/`len` are
 //!    on a stoplist, and unresolved names contribute nothing) — so
 //!    `store.intern_pages` holding the store lock still yields
 //!    `cxl_store.inner → cxl_mem.device.shard*` edges.
@@ -42,145 +42,32 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::engine::SourceFile;
-use crate::lexer::{TokKind, Token};
+use crate::lexer::{matching_close, TokKind, Token};
 
 /// Method/function names never used to resolve calls interprocedurally:
-/// too generic to identify one callee (std and every collection export
-/// them), so a name match would fabricate edges.
-const CALLEE_STOPLIST: &[&str] = &[
-    "new",
-    "default",
-    "clone",
-    "drop",
-    "len",
-    "is_empty",
-    "get",
-    "get_mut",
-    "set",
-    "insert",
-    "remove",
-    "push",
-    "pop",
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "next",
-    "from",
-    "into",
-    "to_string",
-    "to_owned",
-    "to_vec",
-    "fmt",
-    "eq",
-    "ne",
-    "cmp",
-    "partial_cmp",
-    "hash",
-    "as_ref",
-    "as_mut",
-    "as_str",
-    "as_bytes",
-    "unwrap",
-    "unwrap_or",
-    "unwrap_or_else",
-    "unwrap_or_default",
-    "expect",
-    "map",
-    "map_err",
-    "and_then",
-    "or_else",
-    "ok_or",
-    "ok_or_else",
-    "ok",
-    "err",
-    "collect",
-    "extend",
-    "contains",
-    "contains_key",
-    "with_capacity",
-    "read",
-    "write",
-    "lock",
-    "index",
-    "clear",
-    "count",
-    "sum",
-    "min",
-    "max",
-    "abs",
-    "retain",
-    "entry",
-    "or_default",
-    "or_insert",
-    "sort",
-    "sort_by",
-    "sort_by_key",
-    "position",
-    "rposition",
-    "zip",
-    "enumerate",
-    "filter",
-    "filter_map",
-    "flat_map",
-    "flatten",
-    "rev",
-    "take",
-    "skip",
-    "chain",
-    "any",
-    "all",
-    "fold",
-    "for_each",
-    "join",
-    "split",
-    "trim",
-    "parse",
-    "matches",
-    "starts_with",
-    "ends_with",
-    "is_some",
-    "is_none",
-    "is_ok",
-    "is_err",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "first",
-    "last",
-    "swap",
-    "replace",
-    "split_once",
-    "saturating_sub",
-    "checked_sub",
-    "wrapping_add",
-    "min_by_key",
-    "max_by_key",
-    "copied",
-    "cloned",
-    "format",
-    "assert",
-    "debug_assert",
+/// a lock-declaring file defines a `fn` of this name, yet the name is
+/// generic enough (std and every collection export it) that resolving a
+/// call by bare name would fabricate edges. A missing entry can only
+/// *add* edges, never hide one, and `tests/static_vs_runtime.rs` pins
+/// the workspace's graph edge for edge — so the list holds exactly the
+/// names that collide today, and that test says when it needs another.
+const CALLEE_STOPLIST: [&str; 10] = [
+    "default", "drop", "fmt", "is_empty", "len", "lock", "new", "read", "remove", "write",
 ];
 
-/// One static edge with its provenance.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Edge {
-    /// Class held when the acquisition happened.
-    pub held: String,
-    /// Class acquired.
-    pub acquired: String,
-    /// File of the acquisition site.
-    pub file: String,
-    /// Line of the acquisition site.
-    pub line: u32,
-}
+/// Class-name prefix of the one lock family with a declared intra-family
+/// acquisition order (ascending suffix): the device's page-pool shards
+/// are always taken in ascending shard index (DESIGN.md §10). Runtime
+/// edges inside the family are checked against that order instead of the
+/// static graph, where the whole family is the one node
+/// `cxl_mem.device.shard*`.
+const ORDERED_FAMILY: &str = "cxl_mem.device.shard";
 
 /// The extracted static lock-class graph.
 #[derive(Debug, Default)]
 pub struct LockGraph {
-    /// Deduplicated edges (first provenance wins).
-    edges: Vec<Edge>,
+    /// `(held, acquired)` class pairs.
+    edges: BTreeSet<(String, String)>,
 }
 
 /// Result of comparing the static graph against runtime lockdep edges.
@@ -193,67 +80,25 @@ pub struct RuntimeComparison {
 }
 
 impl LockGraph {
-    /// Edge list for the report: `(held, acquired, file, line)`.
-    pub fn edges_for_report(&self) -> Vec<(String, String, String, u32)> {
-        self.edges
-            .iter()
-            .map(|e| (e.held.clone(), e.acquired.clone(), e.file.clone(), e.line))
-            .collect()
+    /// The `(held, acquired)` edges, sorted.
+    pub fn edges(&self) -> Vec<(String, String)> {
+        self.edges.iter().cloned().collect()
     }
 
-    /// Finds elementary cycles in the class graph (DFS over unique
-    /// nodes). Self-edges on a family with a declared intra-family order
-    /// are not cycles — `shard03 → shard05` under ascending discipline
-    /// is legal even though both collapse to `cxl_mem.device.shard*`.
-    pub fn cycles(&self, ordered_families: &[String]) -> Vec<Vec<String>> {
-        let mut adj: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-        for e in &self.edges {
-            if e.held == e.acquired && is_ordered_family(&e.held, ordered_families) {
-                continue;
-            }
-            adj.entry(&e.held).or_default().insert(&e.acquired);
+    /// Finds elementary cycles in the class graph, each reported once,
+    /// starting from its least node. (Extraction records no self-edges,
+    /// so `shard03 → shard05` collapsing onto the one family node
+    /// `cxl_mem.device.shard*` is not a cycle.)
+    pub fn cycles(&self) -> Vec<Vec<String>> {
+        let mut adj: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+        for (held, acquired) in &self.edges {
+            adj.entry(held).or_default().push(acquired);
         }
-        // Iterative DFS with a recursion stack, reporting each cycle at
-        // its lexicographically-least entry node once.
-        let mut cycles: BTreeSet<Vec<String>> = BTreeSet::new();
-        let nodes: Vec<&str> = adj.keys().copied().collect();
-        for &start in &nodes {
-            // Path-based DFS from each node; bounded by graph size.
-            let mut stack = vec![(
-                start,
-                adj.get(start)
-                    .into_iter()
-                    .flatten()
-                    .copied()
-                    .collect::<Vec<_>>(),
-            )];
-            let mut path = vec![start];
-            while let Some((_, succs)) = stack.last_mut() {
-                if let Some(next) = succs.pop() {
-                    if next == start {
-                        // Found a cycle back to the root.
-                        let mut cyc: Vec<String> = path.iter().map(ToString::to_string).collect();
-                        // Canonicalize: rotate so the least node leads.
-                        if let Some(minpos) = cyc
-                            .iter()
-                            .enumerate()
-                            .min_by(|a, b| a.1.cmp(b.1))
-                            .map(|(i, _)| i)
-                        {
-                            cyc.rotate_left(minpos);
-                        }
-                        cycles.insert(cyc);
-                    } else if !path.contains(&next) {
-                        path.push(next);
-                        stack.push((next, adj.get(next).into_iter().flatten().copied().collect()));
-                    }
-                } else {
-                    stack.pop();
-                    path.pop();
-                }
-            }
+        let mut cycles = Vec::new();
+        for &start in adj.keys() {
+            close_cycles(&adj, &mut vec![start], &mut cycles);
         }
-        cycles.into_iter().collect()
+        cycles
     }
 
     /// Cross-checks runtime lockdep edges against the static graph.
@@ -270,33 +115,24 @@ impl LockGraph {
     ///   (dynamic dispatch, cross-crate private fields); they are fine.
     /// * Static edges matching no runtime edge come back as coverage
     ///   gaps: orderings no lockdep test exercised.
-    pub fn compare_runtime(
-        &self,
-        runtime: &[(String, String)],
-        ordered_families: &[String],
-    ) -> RuntimeComparison {
+    pub fn compare_runtime(&self, runtime: &[(String, String)]) -> RuntimeComparison {
         let mut contradictions = Vec::new();
-        let mut covered: BTreeSet<(String, String)> = BTreeSet::new();
+        let mut covered: BTreeSet<&(String, String)> = BTreeSet::new();
         for (h, a) in runtime {
-            let fam_h = family_of(h, ordered_families);
-            let fam_a = family_of(a, ordered_families);
-            if let (Some(f1), Some(f2)) = (fam_h, fam_a) {
-                if f1 == f2 {
-                    if h >= a {
-                        contradictions.push((
-                            h.clone(),
-                            a.clone(),
-                            format!("violates the ascending order declared for family `{f1}`"),
-                        ));
-                    }
-                    continue;
+            if h.starts_with(ORDERED_FAMILY) && a.starts_with(ORDERED_FAMILY) {
+                if h >= a {
+                    contradictions.push((
+                        h.clone(),
+                        a.clone(),
+                        format!("violates the ascending order declared for `{ORDERED_FAMILY}*`"),
+                    ));
                 }
+                continue;
             }
             let matches_static = |x: &str, y: &str| {
                 self.edges
                     .iter()
-                    .find(|e| class_matches(&e.held, x) && class_matches(&e.acquired, y))
-                    .map(|e| (e.held.clone(), e.acquired.clone()))
+                    .find(|(held, acquired)| class_matches(held, x) && class_matches(acquired, y))
             };
             if let Some(edge) = matches_static(h, a) {
                 covered.insert(edge);
@@ -309,14 +145,12 @@ impl LockGraph {
                 ));
             }
         }
-        let mut coverage_gaps: Vec<(String, String)> = self
+        let coverage_gaps = self
             .edges
             .iter()
-            .map(|e| (e.held.clone(), e.acquired.clone()))
             .filter(|e| !covered.contains(e))
+            .cloned()
             .collect();
-        coverage_gaps.sort();
-        coverage_gaps.dedup();
         RuntimeComparison {
             contradictions,
             coverage_gaps,
@@ -324,19 +158,24 @@ impl LockGraph {
     }
 }
 
-/// `true` if `class` is (or belongs to) a declared ordered family.
-fn is_ordered_family(class: &str, ordered_families: &[String]) -> bool {
-    family_of(class, ordered_families).is_some() && class.ends_with('*')
-}
-
-/// The ordered family `class` belongs to, if any. Accepts both the
-/// family node itself (`cxl_mem.device.shard*`) and concrete members
-/// (`cxl_mem.device.shard07`).
-fn family_of<'a>(class: &str, ordered_families: &'a [String]) -> Option<&'a str> {
-    ordered_families.iter().map(String::as_str).find(|f| {
-        let prefix = f.strip_suffix('*').unwrap_or(f);
-        class.strip_suffix('*').unwrap_or(class).starts_with(prefix)
-    })
+/// Depth-first extension of `path`, a simple path from `path[0]` through
+/// greater nodes only: every edge back to `path[0]` closes a cycle whose
+/// least node is `path[0]`, so each cycle is found from exactly one start.
+fn close_cycles<'a>(
+    adj: &BTreeMap<&'a str, Vec<&'a str>>,
+    path: &mut Vec<&'a str>,
+    cycles: &mut Vec<Vec<String>>,
+) {
+    let node = path[path.len() - 1];
+    for &next in adj.get(node).into_iter().flatten() {
+        if next == path[0] {
+            cycles.push(path.iter().map(ToString::to_string).collect());
+        } else if next > path[0] && !path.contains(&next) {
+            path.push(next);
+            close_cycles(adj, path, cycles);
+            path.pop();
+        }
+    }
 }
 
 /// `true` if static class node `node` (possibly a `…*` family) covers
@@ -357,16 +196,16 @@ fn class_matches(node: &str, class: &str) -> bool {
 struct FnSummary {
     /// Classes this function acquires directly (held or transient).
     acquires: BTreeSet<String>,
-    /// `(held classes, callee name, file, line)` call sites made while
-    /// holding at least one guard.
-    held_calls: Vec<(BTreeSet<String>, String, String, u32)>,
+    /// `(held classes, callee name)` call sites made while holding at
+    /// least one guard.
+    held_calls: Vec<(BTreeSet<String>, String)>,
     /// Every resolvable callee (for transitive acquisition closure).
     callees: BTreeSet<String>,
 }
 
 /// Extracts the static lock graph from all source files.
 pub fn extract(sources: &[SourceFile]) -> LockGraph {
-    let mut edges: Vec<Edge> = Vec::new();
+    let mut edges: BTreeSet<(String, String)> = BTreeSet::new();
     let mut summaries: BTreeMap<String, FnSummary> = BTreeMap::new();
 
     for sf in sources {
@@ -379,7 +218,7 @@ pub fn extract(sources: &[SourceFile]) -> LockGraph {
         if lock_names.is_empty() {
             continue;
         }
-        scan_functions(sf, &code, &lock_names, &mut edges, &mut summaries);
+        scan_functions(&code, &lock_names, &mut edges, &mut summaries);
     }
 
     // Fixpoint: each function's transitive acquisition set.
@@ -393,9 +232,7 @@ pub fn extract(sources: &[SourceFile]) -> LockGraph {
             let mut merged = all_acquires[name].clone();
             for callee in &summary.callees {
                 if let Some(extra) = all_acquires.get(callee) {
-                    for class in extra {
-                        merged.insert(class.clone());
-                    }
+                    merged.extend(extra.iter().cloned());
                 }
             }
             if merged.len() != all_acquires[name].len() {
@@ -412,29 +249,17 @@ pub fn extract(sources: &[SourceFile]) -> LockGraph {
     // the callee transitively acquires. Self-edges are dropped here —
     // name-based resolution is too coarse to claim re-entrancy.
     for summary in summaries.values() {
-        for (held, callee, file, line) in &summary.held_calls {
+        for (held, callee) in &summary.held_calls {
             let Some(acquired) = all_acquires.get(callee) else {
                 continue;
             };
             for h in held {
-                for a in acquired {
-                    if h != a {
-                        edges.push(Edge {
-                            held: h.clone(),
-                            acquired: a.clone(),
-                            file: file.clone(),
-                            line: *line,
-                        });
-                    }
+                for a in acquired.iter().filter(|a| *a != h) {
+                    edges.insert((h.clone(), a.clone()));
                 }
             }
         }
     }
-
-    // Dedup by (held, acquired), keeping the first provenance.
-    let mut seen = BTreeSet::new();
-    edges.retain(|e| seen.insert((e.held.clone(), e.acquired.clone())));
-    edges.sort();
     LockGraph { edges }
 }
 
@@ -450,38 +275,29 @@ fn collect_lock_names(code: &[&Token]) -> BTreeMap<String, BTreeSet<String>> {
         if (code[i].is_ident("const") || code[i].is_ident("static"))
             && code[i + 1].kind == TokKind::Ident
         {
-            let name = code[i + 1].text.clone();
-            // Find `= [` then collect string literals to `]`. The type
-            // ascription may itself contain brackets and semicolons
-            // (`[&str; 16]`), so only a top-level `;` ends the item.
+            // Skip the type ascription — it may itself contain brackets
+            // and semicolons (`[&str; 16]`) — to the item's `=` or `;`.
             let mut j = i + 2;
-            let mut brackets = 0i32;
-            while j < code.len() {
-                if code[j].is_punct('[') {
-                    brackets += 1;
-                } else if code[j].is_punct(']') {
-                    brackets -= 1;
-                } else if brackets == 0 && (code[j].is_punct('=') || code[j].is_punct(';')) {
-                    break;
-                }
-                j += 1;
+            while j < code.len() && !(code[j].is_punct('=') || code[j].is_punct(';')) {
+                j = if code[j].is_punct('[') {
+                    matching_close(code, j) + 1
+                } else {
+                    j + 1
+                };
             }
-            if j < code.len()
-                && code[j].is_punct('=')
+            if code.get(j).is_some_and(|t| t.is_punct('='))
                 && code.get(j + 1).is_some_and(|t| t.is_punct('['))
             {
-                let mut lits = Vec::new();
-                let mut k = j + 2;
-                while k < code.len() && !code[k].is_punct(']') {
-                    if code[k].kind == TokKind::Str {
-                        lits.push(code[k].text.clone());
-                    }
-                    k += 1;
-                }
+                let end = matching_close(code, j + 1);
+                let lits: Vec<String> = code[j + 2..end]
+                    .iter()
+                    .filter(|t| t.kind == TokKind::Str)
+                    .map(|t| t.text.clone())
+                    .collect();
                 if !lits.is_empty() {
-                    const_arrays.insert(name, lits);
+                    const_arrays.insert(code[i + 1].text.clone(), lits);
                 }
-                i = k;
+                i = end;
                 continue;
             }
         }
@@ -527,25 +343,12 @@ fn collect_lock_names(code: &[&Token]) -> BTreeMap<String, BTreeSet<String>> {
         };
         let Some(class) = class else { continue };
         // Binding name: `name : TrackedMutex::new(…)` (struct field
-        // init) or `let name = TrackedMutex::new(…)`.
-        let binding = match code[..i]
-            .iter()
-            .rev()
-            .take(3)
-            .collect::<Vec<_>>()
-            .as_slice()
+        // init) or `[let [mut]] name = TrackedMutex::new(…)`.
+        if i >= 2
+            && (code[i - 1].is_punct(':') || code[i - 1].is_punct('='))
+            && code[i - 2].kind == TokKind::Ident
         {
-            // field: `name : Tracked…`
-            [colon, name, ..] if colon.is_punct(':') && name.kind == TokKind::Ident => {
-                Some(name.text.clone())
-            }
-            // let: `name = Tracked…` (possibly `let mut name =`)
-            [eq, name, ..] if eq.is_punct('=') && name.kind == TokKind::Ident => {
-                Some(name.text.clone())
-            }
-            _ => None,
-        };
-        if let Some(binding) = binding {
+            let binding = code[i - 2].text.clone();
             names.entry(binding).or_default().insert(class);
         }
     }
@@ -553,56 +356,30 @@ fn collect_lock_names(code: &[&Token]) -> BTreeMap<String, BTreeSet<String>> {
 }
 
 /// Scans function bodies for acquisitions, guard lifetimes, and call
-/// sites, pushing direct edges and filling summaries.
+/// sites, inserting direct edges and filling summaries.
 fn scan_functions(
-    sf: &SourceFile,
     code: &[&Token],
     lock_names: &BTreeMap<String, BTreeSet<String>>,
-    edges: &mut Vec<Edge>,
+    edges: &mut BTreeSet<(String, String)>,
     summaries: &mut BTreeMap<String, FnSummary>,
 ) {
     let mut i = 0;
-    while i < code.len() {
-        if !code[i].is_ident("fn") {
+    while i + 1 < code.len() {
+        if !(code[i].is_ident("fn") && code[i + 1].kind == TokKind::Ident) {
             i += 1;
             continue;
         }
-        let Some(name_tok) = code.get(i + 1) else {
-            break;
-        };
-        if name_tok.kind != TokKind::Ident {
-            i += 1;
-            continue;
-        }
-        let fn_name = name_tok.text.clone();
-        // Find the body `{` (or `;` for a bodiless trait method).
-        let mut j = i + 2;
-        let body_start = loop {
-            match code.get(j) {
-                None => break None,
-                Some(t) if t.is_punct(';') => break None,
-                Some(t) if t.is_punct('{') => break Some(j),
-                Some(_) => j += 1,
-            }
-        };
-        let Some(body_start) = body_start else {
-            i = j;
+        // The body `{` — unless a `;` comes first (bodiless trait method).
+        let Some(body_start) = (i + 2..code.len())
+            .find(|&j| code[j].is_punct('{') || code[j].is_punct(';'))
+            .filter(|&j| code[j].is_punct('{'))
+        else {
+            i += 2;
             continue;
         };
-        // Brace-match the body.
-        let mut depth = 1u32;
-        let mut k = body_start + 1;
-        while k < code.len() && depth > 0 {
-            if code[k].is_punct('{') {
-                depth += 1;
-            } else if code[k].is_punct('}') {
-                depth -= 1;
-            }
-            k += 1;
-        }
-        let body = &code[body_start + 1..k.saturating_sub(1).max(body_start + 1)];
-        let summary = scan_body(sf, body, lock_names, edges);
-        let entry = summaries.entry(fn_name).or_default();
+        let body = &code[body_start + 1..matching_close(code, body_start)];
+        let summary = scan_body(body, lock_names, edges);
+        let entry = summaries.entry(code[i + 1].text.clone()).or_default();
         entry.acquires.extend(summary.acquires);
         entry.held_calls.extend(summary.held_calls);
         entry.callees.extend(summary.callees);
@@ -619,15 +396,14 @@ struct Guard {
 }
 
 fn scan_body(
-    sf: &SourceFile,
     body: &[&Token],
     lock_names: &BTreeMap<String, BTreeSet<String>>,
-    edges: &mut Vec<Edge>,
+    edges: &mut BTreeSet<(String, String)>,
 ) -> FnSummary {
     let mut summary = FnSummary::default();
     let mut guards: Vec<Guard> = Vec::new();
     let mut depth = 0u32;
-    // Pending `let` binding: (name, set at depth).
+    // Name bound by the `let` statement being scanned, if any.
     let mut pending_let: Option<String> = None;
     let mut i = 0;
     while i < body.len() {
@@ -672,15 +448,8 @@ fn scan_body(
             if is_acquire {
                 let after = body.get(i + 5);
                 for class in &lock_names[&t.text] {
-                    for g in &guards {
-                        if g.class != *class {
-                            edges.push(Edge {
-                                held: g.class.clone(),
-                                acquired: class.clone(),
-                                file: sf.path.clone(),
-                                line: t.line,
-                            });
-                        }
+                    for g in guards.iter().filter(|g| g.class != *class) {
+                        edges.insert((g.class.clone(), class.clone()));
                     }
                     summary.acquires.insert(class.clone());
                 }
@@ -700,32 +469,15 @@ fn scan_body(
                 i += 5;
                 continue;
             }
-            // Call site: `name (` that isn't a definition keyword.
+            // Call site: `name (`. Keywords and constructors land here too
+            // and resolve to nothing, like any name no scanned file defines.
             if body.get(i + 1).is_some_and(|n| n.is_punct('('))
                 && !CALLEE_STOPLIST.contains(&t.text.as_str())
-                && !matches!(
-                    t.text.as_str(),
-                    "fn" | "if"
-                        | "while"
-                        | "for"
-                        | "match"
-                        | "loop"
-                        | "return"
-                        | "Some"
-                        | "Ok"
-                        | "Err"
-                        | "None"
-                        | "Vec"
-                        | "Box"
-                        | "Arc"
-                )
             {
                 summary.callees.insert(t.text.clone());
                 if !guards.is_empty() {
                     let held: BTreeSet<String> = guards.iter().map(|g| g.class.clone()).collect();
-                    summary
-                        .held_calls
-                        .push((held, t.text.clone(), sf.path.clone(), t.line));
+                    summary.held_calls.push((held, t.text.clone()));
                 }
             }
         }
@@ -737,7 +489,6 @@ fn scan_body(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::SourceFile;
 
     fn graph_of(src: &str) -> LockGraph {
         let sf = SourceFile::new("crates/x/src/lib.rs".to_string(), src);
@@ -758,8 +509,8 @@ impl S {
 }
 "#,
         );
-        let edges = g.edges_for_report();
-        assert!(edges.iter().any(|(h, a, _, _)| h == "x.a" && a == "x.b"));
+        let edges = g.edges();
+        assert!(edges.iter().any(|(h, a)| h == "x.a" && a == "x.b"));
     }
 
     #[test]
@@ -777,8 +528,8 @@ fn p2(m1: &TrackedMutex<()>, m2: &TrackedMutex<()>) {
 }
 "#,
         );
-        let cycles = g.cycles(&[]);
-        assert_eq!(cycles.len(), 1, "edges: {:?}", g.edges_for_report());
+        let cycles = g.cycles();
+        assert_eq!(cycles.len(), 1, "edges: {:?}", g.edges());
         assert!(cycles[0].contains(&"c.one".to_string()));
     }
 
@@ -795,7 +546,7 @@ fn f(a: &TrackedMutex<()>, b: &TrackedMutex<()>) {
 }
 "#,
         );
-        assert!(g.edges_for_report().is_empty());
+        assert!(g.edges().is_empty());
     }
 
     #[test]
@@ -809,7 +560,7 @@ fn f(a: &TrackedMutex<u32>, b: &TrackedMutex<u32>) {
 }
 "#,
         );
-        assert!(g.edges_for_report().is_empty());
+        assert!(g.edges().is_empty());
     }
 
     #[test]
@@ -829,14 +580,14 @@ impl S {
 }
 "#,
         );
-        let edges = g.edges_for_report();
+        let edges = g.edges();
         assert!(
             edges
                 .iter()
-                .any(|(h, a, _, _)| h == "dev.regions" && a == "dev.shard*"),
+                .any(|(h, a)| h == "dev.regions" && a == "dev.shard*"),
             "edges: {edges:?}"
         );
-        assert!(g.cycles(&["dev.shard*".to_string()]).is_empty());
+        assert!(g.cycles().is_empty());
     }
 
     #[test]
@@ -853,11 +604,11 @@ fn intern(inner: &TrackedMutex<()>, dev: &TrackedMutex<()>) {
 }
 "#,
         );
-        let edges = g.edges_for_report();
+        let edges = g.edges();
         assert!(
             edges
                 .iter()
-                .any(|(h, a, _, _)| h == "store.inner" && a == "dev.lock"),
+                .any(|(h, a)| h == "store.inner" && a == "dev.lock"),
             "edges: {edges:?}"
         );
     }
@@ -873,13 +624,13 @@ fn f(a: &TrackedMutex<()>, b: &TrackedMutex<()>) {
 }
 "#,
         );
-        let fams = vec!["dev.shard*".to_string()];
+        let pair = |h: &str, a: &str| (h.to_string(), a.to_string());
         let runtime = vec![
-            ("r.b".to_string(), "r.a".to_string()), // reverse of static
-            ("dev.shard05".to_string(), "dev.shard02".to_string()), // descending
-            ("dev.shard01".to_string(), "dev.shard03".to_string()), // ascending: fine
+            pair("r.b", "r.a"),                                       // reverse of static
+            pair("cxl_mem.device.shard05", "cxl_mem.device.shard02"), // descending
+            pair("cxl_mem.device.shard01", "cxl_mem.device.shard03"), // ascending: fine
         ];
-        let cmp = g.compare_runtime(&runtime, &fams);
+        let cmp = g.compare_runtime(&runtime);
         assert_eq!(cmp.contradictions.len(), 2, "{:?}", cmp.contradictions);
         // The static a→b edge was never exercised: a coverage gap.
         assert_eq!(

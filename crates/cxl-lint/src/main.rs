@@ -1,36 +1,23 @@
 //! The `cxl-lint` binary: lints the workspace and exits nonzero on any
-//! error-severity finding. This is a hard CI gate (`ci.sh` runs it in
-//! both feature states, human and `--json`, before the test suites).
+//! finding. This is a hard CI gate (`ci.sh` runs it before the test
+//! suites).
 //!
 //! ```text
-//! cxl-lint [--root DIR] [--config FILE] [--json] [--runtime-edges FILE]
+//! cxl-lint [--root DIR]
 //! ```
 //!
-//! * `--root DIR` — workspace root (default: the current directory).
-//! * `--config FILE` — lint configuration (default: `<root>/lint.toml`).
-//! * `--json` — emit the machine-readable report instead of human
-//!   diagnostics (schema pinned by `cxl_lint::JSON_SCHEMA_VERSION`).
-//! * `--runtime-edges FILE` — a runtime lockdep edge snapshot (one
-//!   `held<TAB>acquired` pair per line, as printed by
-//!   `cxl_mem::lockdep::lock_order_edges`); enables the
-//!   static-vs-runtime cross-check and coverage-gap reporting.
-//!
-//! Exit codes: 0 clean, 1 violations found, 2 usage/configuration error.
+//! `--root DIR` is the workspace root (default: the current directory).
+//! Exit codes: 0 clean, 1 violations found, 2 usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use cxl_lint::{lint_workspace, Config};
+use cxl_lint::lint_workspace;
 
 fn main() -> ExitCode {
     match run() {
-        Ok(clean) => {
-            if clean {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
         Err(message) => {
             eprintln!("cxl-lint: {message}");
             ExitCode::from(2)
@@ -40,77 +27,19 @@ fn main() -> ExitCode {
 
 fn run() -> Result<bool, String> {
     let mut root = PathBuf::from(".");
-    let mut config_path: Option<PathBuf> = None;
-    let mut json = false;
-    let mut runtime_path: Option<PathBuf> = None;
-
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--root" => root = PathBuf::from(next_value(&mut args, "--root")?),
-            "--config" => config_path = Some(PathBuf::from(next_value(&mut args, "--config")?)),
-            "--json" => json = true,
-            "--runtime-edges" => {
-                runtime_path = Some(PathBuf::from(next_value(&mut args, "--runtime-edges")?));
-            }
+            "--root" => root = PathBuf::from(args.next().ok_or("--root needs a value")?),
             "--help" | "-h" => {
-                println!(
-                    "usage: cxl-lint [--root DIR] [--config FILE] [--json] [--runtime-edges FILE]"
-                );
+                println!("usage: cxl-lint [--root DIR]");
                 return Ok(true);
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
-
-    let config_path = config_path.unwrap_or_else(|| root.join("lint.toml"));
-    let config_text = std::fs::read_to_string(&config_path)
-        .map_err(|e| format!("cannot read {}: {e}", config_path.display()))?;
-    let config = Config::load_str(&config_text).map_err(|e| e.to_string())?;
-
-    let runtime_edges = match &runtime_path {
-        None => None,
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            Some(parse_runtime_edges(&text)?)
-        }
-    };
-
-    let report = lint_workspace(&root, &config, runtime_edges.as_deref())
-        .map_err(|e| format!("walking {}: {e}", root.display()))?;
-
-    if json {
-        print!("{}", report.render_json());
-    } else {
-        print!("{}", report.render_human());
-    }
+    let report =
+        lint_workspace(&root, None).map_err(|e| format!("walking {}: {e}", root.display()))?;
+    print!("{report}");
     Ok(report.is_clean())
-}
-
-fn next_value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
-    args.next().ok_or_else(|| format!("{flag} needs a value"))
-}
-
-/// Parses a runtime edge snapshot: one `held<TAB-or-space>acquired` pair
-/// per line; blank lines and `#` comments are skipped.
-fn parse_runtime_edges(text: &str) -> Result<Vec<(String, String)>, String> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        match (parts.next(), parts.next(), parts.next()) {
-            (Some(h), Some(a), None) => out.push((h.to_string(), a.to_string())),
-            _ => {
-                return Err(format!(
-                    "runtime edge file line {}: expected `held acquired`, got `{line}`",
-                    i + 1
-                ))
-            }
-        }
-    }
-    Ok(out)
 }

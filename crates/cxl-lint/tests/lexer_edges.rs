@@ -1,9 +1,9 @@
 //! Lexer edge cases the rule engine depends on: raw strings at any hash
 //! depth, nested block comments, lifetimes vs. char literals, raw
 //! identifiers, and byte strings. A mislexed corner here turns into a
-//! false positive (flagging `HashMap` inside a string) or a false
-//! negative (missing live code after a comment), so each corner is
-//! pinned by name.
+//! false positive (an identifier or brace read out of a string) or a
+//! false negative (missing live code after a comment), so each corner is
+//! pinned by name; `HashMap`/`Instant` below are just sample identifiers.
 
 use cxl_lint::lexer::{lex, TokKind};
 

@@ -2,9 +2,11 @@
 //! drive the device and store under the `check` feature so runtime
 //! lockdep records actual `(held, acquired)` class edges, then lint the
 //! committed source tree with those edges and assert the two graphs
-//! agree — no static cycle, no contradiction, and the
+//! agree — no static cycle, no contradiction, the
 //! `cxl_mem.device.regions → cxl_mem.device.shard*` ordering covered by
-//! a runtime `shardNN` edge.
+//! a runtime `shardNN` edge, and the static graph exactly the seven
+//! edges below (a refactor that hides an acquisition from the extractor
+//! must fail here, not silently shrink the graph).
 //!
 //! Everything lives in one `#[test]` because runtime lockdep's edge
 //! graph is process-global: a second test in this binary would see (and
@@ -13,7 +15,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use cxl_lint::{lint_workspace, Config, Severity};
+use cxl_lint::lint_workspace;
 use cxl_mem::lockdep::{lock_order_edges, reset_lock_graph};
 use cxl_mem::{CxlDevice, CxlPageId, NodeId, PageData};
 use cxl_store::Store;
@@ -71,29 +73,37 @@ fn runtime_lockdep_agrees_with_the_static_graph() {
 
     // Lint the committed tree against those runtime edges.
     let root = workspace_root();
-    let config_text = std::fs::read_to_string(root.join("lint.toml")).expect("committed lint.toml");
-    let config = Config::load_str(&config_text).expect("lint.toml parses");
-    let report = lint_workspace(root, &config, Some(&runtime)).expect("walk workspace");
+    let report = lint_workspace(root, Some(&runtime)).expect("walk workspace");
 
     // No static cycle, no static/runtime contradiction — on the real
     // tree, with real edges.
-    let errors: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| v.severity == Severity::Error)
-        .collect();
-    assert!(errors.is_empty(), "workspace must lint clean: {errors:?}");
-
-    // The statically extracted regions → shard* ordering is exactly what
-    // runtime lockdep observed (it must be covered, not a gap).
     assert!(
-        report
-            .lock_edges
-            .iter()
-            .any(|(h, a, _, _)| h == "cxl_mem.device.regions" && a == "cxl_mem.device.shard*"),
-        "static edges: {:?}",
-        report.lock_edges
+        report.is_clean(),
+        "workspace must lint clean: {:?}",
+        report.violations
     );
+
+    // The static graph of the committed tree, edge for edge.
+    let static_edges: Vec<(&str, &str)> = report
+        .lock_edges
+        .iter()
+        .map(|(h, a)| (h.as_str(), a.as_str()))
+        .collect();
+    assert_eq!(
+        static_edges,
+        [
+            ("cxl_mem.device.regions", "cxl_mem.device.shard*"),
+            ("cxl_store.inner", "cxl_fault.crashpoint"),
+            ("cxl_store.inner", "cxl_fault.injector"),
+            ("cxl_store.inner", "cxl_mem.device.hook"),
+            ("cxl_store.inner", "cxl_mem.device.regions"),
+            ("cxl_store.inner", "cxl_mem.device.shard*"),
+            ("cxl_store.inner", "cxl_store.crash_hook"),
+        ]
+    );
+
+    // The regions → shard* ordering is exactly what runtime lockdep
+    // observed (it must be covered, not a gap).
     assert!(
         !report
             .coverage_gaps
@@ -110,7 +120,7 @@ fn runtime_lockdep_agrees_with_the_static_graph() {
         "cxl_mem.device.shard07".to_string(),
         "cxl_mem.device.shard03".to_string(),
     ));
-    let report = lint_workspace(root, &config, Some(&poisoned)).expect("walk workspace");
+    let report = lint_workspace(root, Some(&poisoned)).expect("walk workspace");
     assert!(
         report
             .violations

@@ -17,6 +17,10 @@
 //! index, one shard at a time); data-path page reads/writes take only the
 //! owning shard's lock.
 
+// Device path: a panic here would bypass an injected fault's recovery, so
+// each `unwrap`/`expect` names its invariant in an `#[allow]` (DESIGN.md §12).
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -545,16 +549,6 @@ impl CxlDevice {
         Ok(self.alloc_batch(region, 1)?[0])
     }
 
-    /// Allocates `n` zeroed pages into `region`. Alias for
-    /// [`CxlDevice::alloc_batch`], kept for the scalar-era callers.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CxlDevice::alloc_batch`].
-    pub fn alloc_pages(&self, region: RegionId, n: u64) -> Result<Vec<CxlPageId>, CxlError> {
-        self.alloc_batch(region, n)
-    }
-
     /// Allocates `n` zeroed pages into `region` as one batch.
     ///
     /// All-or-nothing: on failure no pages are allocated. Shards are
@@ -562,8 +556,7 @@ impl CxlDevice {
     /// (LIFO) before extending a shard's slab — which keeps page-id
     /// sequences identical to the pre-shard allocator for alloc-only
     /// workloads. The fault hook is consulted once per *non-empty*
-    /// batch (exactly as the scalar-era `alloc_pages` consulted it once
-    /// per call); a zero-page batch is a no-op — it cannot fault, costs
+    /// batch; a zero-page batch is a no-op — it cannot fault, costs
     /// nothing and touches no telemetry.
     ///
     /// # Errors
@@ -571,45 +564,7 @@ impl CxlDevice {
     /// [`CxlError::OutOfDeviceMemory`] if fewer than `n` pages are free;
     /// [`CxlError::BadRegion`] if the region does not exist.
     pub fn alloc_batch(&self, region: RegionId, n: u64) -> Result<Vec<CxlPageId>, CxlError> {
-        if n == 0 {
-            // Still validate the region — an empty batch must be free,
-            // not a way to smuggle a dangling region id past the table.
-            if !self.regions.read().regions.contains_key(&region) {
-                return Err(CxlError::BadRegion(region));
-            }
-            return Ok(Vec::new());
-        }
-        // Allocations are not attributed to a node at this layer; the
-        // sentinel id keeps the hook signature uniform.
-        if let Some(err) = self.injected(DeviceOp::Alloc, None, NodeId(u32::MAX)) {
-            return Err(err);
-        }
-        let mut rt = self.regions.write();
-        if !rt.regions.contains_key(&region) {
-            return Err(CxlError::BadRegion(region));
-        }
-        let available = self.capacity_pages - rt.used_pages;
-        if n > available {
-            return Err(CxlError::OutOfDeviceMemory {
-                requested: n,
-                available,
-            });
-        }
-        let mut out = Vec::with_capacity(n as usize);
-        let mut remaining = n;
-        for shard in &self.shards {
-            if remaining == 0 {
-                break;
-            }
-            remaining -= Self::fill_from_shard(shard, region, remaining, &mut out);
-        }
-        debug_assert_eq!(remaining, 0, "capacity check vs shard sweep drifted");
-        rt.used_pages += n;
-        if let Some(r) = rt.regions.get_mut(&region) {
-            r.pages += n;
-        }
-        cxl_telemetry::counter_add(TELEMETRY_LAYER, "pages_allocated", None, n);
-        Ok(out)
+        self.alloc_batch_striped(region, n, 1)
     }
 
     /// Fills up to `want` zeroed pages from one shard into `out`,
@@ -651,18 +606,16 @@ impl CxlDevice {
     /// Allocates `n` zeroed pages into `region`, **striping** the batch
     /// across up to `streams` shards in balanced shares so a pipelined
     /// transfer has real per-bank work to overlap. First-fit allocation
-    /// ([`CxlDevice::alloc_batch`]) packs small working sets entirely
-    /// into shard 0, which would leave a multi-stream pipeline with one
-    /// populated bank; checkpointing with `parallelism > 1` allocates
-    /// through this path instead. `streams <= 1` (and `n == 0`)
-    /// delegates to `alloc_batch`, byte-identical page ids included.
+    /// ([`CxlDevice::alloc_batch`], which is this call with one stream)
+    /// packs small working sets entirely into shard 0, which would leave
+    /// a multi-stream pipeline with one populated bank; checkpointing
+    /// with `parallelism > 1` passes its stream count instead.
     ///
     /// Shares that do not fit their target shard (a full bank) fall back
     /// to a first-fit sweep over every shard, so the call succeeds
     /// whenever `alloc_batch` would — striping is a placement hint, not
-    /// a capacity contract. All-or-nothing on failure, and the fault
-    /// hook is consulted once per non-empty batch, exactly like
-    /// `alloc_batch`.
+    /// a capacity contract. All-or-nothing, the empty batch and the
+    /// fault-hook consult are as documented on `alloc_batch`.
     ///
     /// # Errors
     ///
@@ -673,9 +626,16 @@ impl CxlDevice {
         n: u64,
         streams: u32,
     ) -> Result<Vec<CxlPageId>, CxlError> {
-        if streams <= 1 || n == 0 {
-            return self.alloc_batch(region, n);
+        if n == 0 {
+            // Still validate the region — an empty batch must be free,
+            // not a way to smuggle a dangling region id past the table.
+            if !self.regions.read().regions.contains_key(&region) {
+                return Err(CxlError::BadRegion(region));
+            }
+            return Ok(Vec::new());
         }
+        // Allocations are not attributed to a node at this layer; the
+        // sentinel id keeps the hook signature uniform.
         if let Some(err) = self.injected(DeviceOp::Alloc, None, NodeId(u32::MAX)) {
             return Err(err);
         }
@@ -690,21 +650,24 @@ impl CxlDevice {
                 available,
             });
         }
-        let lanes = (streams as usize).min(self.shards.len()).max(1) as u64;
         let mut out = Vec::with_capacity(n as usize);
         let mut remaining = n;
-        for (i, shard) in self.shards.iter().take(lanes as usize).enumerate() {
-            let share = (n / lanes + u64::from((i as u64) < n % lanes)).min(remaining);
-            remaining -= Self::fill_from_shard(shard, region, share, &mut out);
+        if streams > 1 {
+            let lanes = (streams as usize).min(self.shards.len()).max(1) as u64;
+            for (i, shard) in self.shards.iter().take(lanes as usize).enumerate() {
+                let share = (n / lanes + u64::from((i as u64) < n % lanes)).min(remaining);
+                remaining -= Self::fill_from_shard(shard, region, share, &mut out);
+            }
         }
-        // Shortfall from full banks: first-fit over the whole pool.
+        // First-fit over the whole pool: the entire batch for one stream,
+        // the shortfall from full banks for a striped one.
         for shard in &self.shards {
             if remaining == 0 {
                 break;
             }
             remaining -= Self::fill_from_shard(shard, region, remaining, &mut out);
         }
-        debug_assert_eq!(remaining, 0, "capacity check vs striped sweep drifted");
+        debug_assert_eq!(remaining, 0, "capacity check vs shard sweep drifted");
         rt.used_pages += n;
         if let Some(r) = rt.regions.get_mut(&region) {
             r.pages += n;
@@ -801,9 +764,12 @@ impl CxlDevice {
         for (&s, locals) in &by_shard {
             let mut st = self.shards[s].state.write();
             for &(l, _) in locals {
+                #[allow(
+                    clippy::expect_used,
+                    reason = "liveness is pinned by the region-table write lock held since the batch was validated"
+                )]
                 let slot = st.slots[l as usize]
                     .take()
-                    // cxl-lint: allow(device-unwrap): liveness is pinned by the region-table write lock held since the batch was validated
                     .expect("liveness pinned under the region-table lock");
                 st.free.push(l);
                 st.used -= 1;
@@ -1091,33 +1057,65 @@ impl CxlDevice {
                 return Err(err);
             }
         }
+        self.gather(pages, Some(node), PageData::clone)
+    }
+
+    /// The scaffold behind [`CxlDevice::read_pages`],
+    /// [`CxlDevice::fingerprint_pages`] and [`CxlDevice::snapshot_pages`]:
+    /// groups `pages` by owning shard, visits each shard once (ascending,
+    /// one lock at a time) and returns `get(contents)` for every page
+    /// **in input order**. With `reader` set the visit is a modelled
+    /// transfer — that node's read counters advance by the shard's page
+    /// count once its sweep succeeded, under the shard's write lock;
+    /// without it the sweep is a read-locked audit that moves nothing.
+    #[allow(
+        clippy::expect_used,
+        reason = "the shard sweep writes every input position or returns Err before the collect"
+    )]
+    fn gather<T>(
+        &self,
+        pages: &[CxlPageId],
+        reader: Option<NodeId>,
+        get: impl Fn(&PageData) -> T,
+    ) -> Result<Vec<T>, CxlError> {
         let mut by_shard: BTreeMap<usize, Vec<(u64, usize)>> = BTreeMap::new();
         for (pos, &p) in pages.iter().enumerate() {
             let (s, l) = self.shard_of(p).ok_or(CxlError::BadPage(p))?;
             by_shard.entry(s).or_default().push((l, pos));
         }
-        let mut out: Vec<Option<PageData>> = pages.iter().map(|_| None).collect();
+        let mut out: Vec<Option<T>> = pages.iter().map(|_| None).collect();
         for (&s, entries) in &by_shard {
-            let mut st = self.shards[s].state.write();
-            for &(l, pos) in entries {
-                let data = st
-                    .slots
-                    .get(l as usize)
-                    .and_then(Option::as_ref)
-                    .map(|slot| slot.data.clone())
-                    .ok_or(CxlError::BadPage(pages[pos]))?;
-                out[pos] = Some(data);
+            let mut sweep = |slots: &[Option<PageSlot>]| -> Result<(), CxlError> {
+                for &(l, pos) in entries {
+                    let slot = slots
+                        .get(l as usize)
+                        .and_then(Option::as_ref)
+                        .ok_or(CxlError::BadPage(pages[pos]))?;
+                    out[pos] = Some(get(&slot.data));
+                }
+                Ok(())
+            };
+            if let Some(node) = reader {
+                let mut st = self.shards[s].state.write();
+                sweep(&st.slots)?;
+                let k = entries.len() as u64;
+                *st.stats.reads.entry(node).or_insert(0) += k;
+                *st.stats.bytes_read.entry(node).or_insert(0) += k * PAGE_SIZE;
+                cxl_telemetry::counter_add(TELEMETRY_LAYER, "reads", Some(node.0), k);
+                cxl_telemetry::counter_add(
+                    TELEMETRY_LAYER,
+                    "bytes_read",
+                    Some(node.0),
+                    k * PAGE_SIZE,
+                );
+            } else {
+                let st = self.shards[s].state.read();
+                sweep(&st.slots)?;
             }
-            let k = entries.len() as u64;
-            *st.stats.reads.entry(node).or_insert(0) += k;
-            *st.stats.bytes_read.entry(node).or_insert(0) += k * PAGE_SIZE;
-            cxl_telemetry::counter_add(TELEMETRY_LAYER, "reads", Some(node.0), k);
-            cxl_telemetry::counter_add(TELEMETRY_LAYER, "bytes_read", Some(node.0), k * PAGE_SIZE);
         }
         Ok(out
             .into_iter()
-            // cxl-lint: allow(device-unwrap): the shard sweep above wrote every input position or returned Err before reaching here
-            .map(|d| d.expect("every input position visited in the shard sweep"))
+            .map(|v| v.expect("every input position visited in the shard sweep"))
             .collect())
     }
 
@@ -1149,29 +1147,7 @@ impl CxlDevice {
     ///
     /// [`CxlError::BadPage`] if any page is not live.
     pub fn fingerprint_pages(&self, pages: &[CxlPageId]) -> Result<Vec<u64>, CxlError> {
-        let mut by_shard: BTreeMap<usize, Vec<(u64, usize)>> = BTreeMap::new();
-        for (pos, &p) in pages.iter().enumerate() {
-            let (s, l) = self.shard_of(p).ok_or(CxlError::BadPage(p))?;
-            by_shard.entry(s).or_default().push((l, pos));
-        }
-        let mut out: Vec<Option<u64>> = pages.iter().map(|_| None).collect();
-        for (&s, entries) in &by_shard {
-            let st = self.shards[s].state.read();
-            for &(l, pos) in entries {
-                let fp = st
-                    .slots
-                    .get(l as usize)
-                    .and_then(Option::as_ref)
-                    .map(|slot| slot.data.fingerprint())
-                    .ok_or(CxlError::BadPage(pages[pos]))?;
-                out[pos] = Some(fp);
-            }
-        }
-        Ok(out
-            .into_iter()
-            // cxl-lint: allow(device-unwrap): the shard sweep above wrote every input position or returned Err before reaching here
-            .map(|f| f.expect("every input position visited in the shard sweep"))
-            .collect())
+        self.gather(pages, None, PageData::fingerprint)
     }
 
     /// Copies the full contents of every page **in input order** without
@@ -1185,29 +1161,7 @@ impl CxlDevice {
     ///
     /// [`CxlError::BadPage`] if any page is not live.
     pub fn snapshot_pages(&self, pages: &[CxlPageId]) -> Result<Vec<PageData>, CxlError> {
-        let mut by_shard: BTreeMap<usize, Vec<(u64, usize)>> = BTreeMap::new();
-        for (pos, &p) in pages.iter().enumerate() {
-            let (s, l) = self.shard_of(p).ok_or(CxlError::BadPage(p))?;
-            by_shard.entry(s).or_default().push((l, pos));
-        }
-        let mut out: Vec<Option<PageData>> = pages.iter().map(|_| None).collect();
-        for (&s, entries) in &by_shard {
-            let st = self.shards[s].state.read();
-            for &(l, pos) in entries {
-                let data = st
-                    .slots
-                    .get(l as usize)
-                    .and_then(Option::as_ref)
-                    .map(|slot| slot.data.clone())
-                    .ok_or(CxlError::BadPage(pages[pos]))?;
-                out[pos] = Some(data);
-            }
-        }
-        Ok(out
-            .into_iter()
-            // cxl-lint: allow(device-unwrap): the shard sweep above wrote every input position or returned Err before reaching here
-            .map(|d| d.expect("every input position visited in the shard sweep"))
-            .collect())
+        self.gather(pages, None, PageData::clone)
     }
 
     /// Creates a region wrapped in a [`RegionGuard`] that destroys it on
@@ -1319,6 +1273,10 @@ impl Drop for RegionGuard<'_> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "test-local countdowns, counters and call logs behind raw std mutexes; tracking them would pollute the lockdep class graph the tests assert on"
+)]
 mod tests {
     use super::*;
 
@@ -1331,12 +1289,12 @@ mod tests {
         let d = dev();
         {
             let g = d.create_region_guarded("tmp");
-            d.alloc_pages(g.id(), 3).unwrap();
+            d.alloc_batch(g.id(), 3).unwrap();
             assert_eq!(d.used_pages(), 3);
         }
         assert_eq!(d.used_pages(), 0, "dropped guard frees pages");
         let g = d.create_region_guarded("kept");
-        d.alloc_pages(g.id(), 2).unwrap();
+        d.alloc_batch(g.id(), 2).unwrap();
         let region = g.commit();
         assert_eq!(d.used_pages(), 2);
         assert!(d.region_usage(region).is_ok());
@@ -1346,7 +1304,7 @@ mod tests {
     fn alloc_and_free_track_usage() {
         let d = dev();
         let r = d.create_region("r");
-        let pages = d.alloc_pages(r, 10).unwrap();
+        let pages = d.alloc_batch(r, 10).unwrap();
         assert_eq!(d.used_pages(), 10);
         assert_eq!(d.free_pages(), 54);
         d.free_page(pages[3]).unwrap();
@@ -1360,7 +1318,7 @@ mod tests {
     fn alloc_is_all_or_nothing() {
         let d = dev();
         let r = d.create_region("r");
-        let err = d.alloc_pages(r, 65).unwrap_err();
+        let err = d.alloc_batch(r, 65).unwrap_err();
         assert_eq!(
             err,
             CxlError::OutOfDeviceMemory {
@@ -1406,8 +1364,8 @@ mod tests {
         let d = dev();
         let ra = d.create_region("a");
         let rb = d.create_region("b");
-        let pa = d.alloc_pages(ra, 5).unwrap();
-        let pb = d.alloc_pages(rb, 3).unwrap();
+        let pa = d.alloc_batch(ra, 5).unwrap();
+        let pb = d.alloc_batch(rb, 3).unwrap();
         assert_eq!(d.destroy_region(ra).unwrap(), 5);
         assert_eq!(d.used_pages(), 3);
         assert_eq!(d.fingerprint(pa[0]).unwrap_err(), CxlError::BadPage(pa[0]));
@@ -1624,7 +1582,7 @@ mod tests {
     fn staged_regions_commit_atomically() {
         let d = dev();
         let r = d.create_region_staged("staging", NodeId(3), 7);
-        d.alloc_pages(r, 2).unwrap();
+        d.alloc_batch(r, 2).unwrap();
         assert_eq!(d.region_committed(r), Some(false));
         let staged = d.staging_regions();
         assert_eq!(staged.len(), 1);
@@ -1649,7 +1607,7 @@ mod tests {
         let d = dev();
         let region = {
             let g = d.create_region_staged_guarded("staging", NodeId(1), 4);
-            d.alloc_pages(g.id(), 3).unwrap();
+            d.alloc_batch(g.id(), 3).unwrap();
             g.abandon()
         };
         assert_eq!(d.used_pages(), 3, "abandon keeps pages");
@@ -1659,7 +1617,6 @@ mod tests {
 
     #[derive(Debug)]
     struct FailNthRead {
-        // cxl-lint: allow(raw-lock): test-local countdown; tracking it would pollute the lockdep class graph the tests assert on
         countdown: std::sync::Mutex<u64>,
     }
 
@@ -1690,7 +1647,6 @@ mod tests {
         let r = d.create_region("r");
         let p = d.alloc_page(r).unwrap();
         d.set_fault_hook(Some(Arc::new(FailNthRead {
-            // cxl-lint: allow(raw-lock): test-local countdown (see FailNthRead)
             countdown: std::sync::Mutex::new(1),
         })));
         assert!(d.read_page(p, NodeId(0)).is_ok(), "first read passes");
@@ -1709,7 +1665,6 @@ mod tests {
         let r = d.create_region("r");
         let pages = d.alloc_batch(r, 4).unwrap();
         d.set_fault_hook(Some(Arc::new(FailNthRead {
-            // cxl-lint: allow(raw-lock): test-local countdown (see FailNthRead)
             countdown: std::sync::Mutex::new(2),
         })));
         // The batch consults the hook once per page in input order, so the
@@ -1725,7 +1680,6 @@ mod tests {
 
     #[derive(Debug, Default)]
     struct CountAllocConsults {
-        // cxl-lint: allow(raw-lock): test-local counter; tracking it would pollute the lockdep class graph the tests assert on
         consults: std::sync::Mutex<u64>,
     }
 
@@ -1768,7 +1722,6 @@ mod tests {
     /// A fabric stub that charges 1 ns per byte seen and records calls.
     #[derive(Debug, Default)]
     struct RecordingLink {
-        // cxl-lint: allow(raw-lock): test-local call log; tracking it would pollute the lockdep class graph the tests assert on
         calls: std::sync::Mutex<Vec<(u32, u64, Vec<u64>)>>,
     }
 

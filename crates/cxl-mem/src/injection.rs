@@ -17,7 +17,7 @@ pub enum DeviceOp {
     Read,
     /// A write (`write`/`write_page`).
     Write,
-    /// A page allocation (`alloc_page`/`alloc_pages`/`alloc_bytes`).
+    /// A page allocation (`alloc_page`/`alloc_batch`/`alloc_bytes`).
     Alloc,
     /// A page free (`free_page`).
     Free,

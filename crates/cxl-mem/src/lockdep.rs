@@ -19,6 +19,11 @@
 //! cargo feature; without it the wrappers are zero-cost pass-throughs, so
 //! production builds pay nothing.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the one module where raw locks are legal: it wraps them, and the tracker's own edge set sits behind a plain std mutex so recording never recurses"
+)]
+
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 #[cfg(feature = "check")]

@@ -58,6 +58,10 @@
 //! after recovery LRU eviction falls back to creation order until new
 //! restores refresh it.
 
+// Device path: a panic here would bypass an injected fault's recovery, so
+// each `unwrap`/`expect` names its invariant in an `#[allow]` (DESIGN.md §12).
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -439,9 +443,12 @@ impl Store {
             "store watermarks must satisfy 0 < low <= high <= 1, got {config:?}"
         );
         let region = device.create_region(DATA_REGION_NAME);
+        #[allow(
+            clippy::expect_used,
+            reason = "journal creation retries transients with backoff; a persistent device failure at store construction is unrecoverable by design"
+        )]
         let journal = config.durable.then(|| {
             let (res, _) = with_backoff(&BackoffPolicy::default(), || Journal::create(&device, 0));
-            // cxl-lint: allow(device-unwrap): journal creation retries transients with backoff; a persistent device failure at store construction is unrecoverable by design
             res.expect("creating the store journal failed past retries")
         });
         Store {
@@ -515,15 +522,22 @@ impl Store {
                 let (res, _) = with_backoff(&BackoffPolicy::default(), || {
                     journal::load_generation(&device, f, node)
                 });
-                // cxl-lint: allow(device-unwrap): journal reads retry transients with backoff; recovery cannot proceed without the log
-                if let Some(loaded) = res.expect("journal scan failed past retries") {
+                #[allow(
+                    clippy::expect_used,
+                    reason = "journal reads retry transients with backoff; recovery cannot proceed without the log"
+                )]
+                let loaded = res.expect("journal scan failed past retries");
+                if let Some(loaded) = loaded {
                     chosen = Some((f.clone(), loaded));
                     continue;
                 }
             }
             stale.push(f.region);
         }
-        // cxl-lint: allow(device-unwrap): compaction publishes the new superblock before destroying the old generation, so a journaled device always has at least one valid root
+        #[allow(
+            clippy::expect_used,
+            reason = "compaction publishes the new superblock before destroying the old generation, so a journaled device always has at least one valid root"
+        )]
         let (gen, loaded) = chosen.expect("no valid journal superblock — journal root lost");
         report.journal_generation = gen.generation;
         report.pages_scanned = loaded.pages_scanned;
@@ -648,12 +662,15 @@ impl Store {
 
         // The store's data region is found by its fixed name — there is
         // no catalog to consult before recovery.
+        #[allow(
+            clippy::expect_used,
+            reason = "with_config creates the data region before journal generation 0, so any journaled device has one"
+        )]
         let data_region = device
             .regions()
             .into_iter()
             .find(|(_, u)| u.kind == RegionKind::Data && u.name == DATA_REGION_NAME)
             .map(|(r, _)| r)
-            // cxl-lint: allow(device-unwrap): with_config creates the data region before journal generation 0, so any journaled device has one
             .expect("durable store data region missing from the device");
 
         // Reconcile the device against the rebuilt index: any live
@@ -679,7 +696,10 @@ impl Store {
             let (res, _) = with_backoff(&BackoffPolicy::default(), || {
                 device.fingerprint_pages(&pages)
             });
-            // cxl-lint: allow(device-unwrap): fingerprinting is read-only and retried; recovery must not silently skip the integrity check
+            #[allow(
+                clippy::expect_used,
+                reason = "fingerprinting is read-only and retried; recovery must not silently skip the integrity check"
+            )]
             let actual = res.expect("fingerprint cross-check failed past retries");
             report.fingerprint_mismatches = index
                 .keys()
@@ -825,14 +845,22 @@ impl Store {
             let (res, _) = with_backoff(&BackoffPolicy::default(), || {
                 j.append_payload(&self.device, &payload)
             });
-            // cxl-lint: allow(device-unwrap): journal appends retry transients (rate ~2e-4) with backoff; P(persistent failure) ~ 1.6e-15, and a store that cannot journal must not claim durability
-            pages += res.expect("journal append failed past retries");
+            #[allow(
+                clippy::expect_used,
+                reason = "journal appends retry transients (rate ~2e-4) with backoff; P(persistent failure) ~ 1.6e-15, and a store that cannot journal must not claim durability"
+            )]
+            let appended = res.expect("journal append failed past retries");
+            pages += appended;
             if let Some(site) = mid_site {
                 self.crashpoint(site);
             }
             let (res, _) = with_backoff(&BackoffPolicy::default(), || j.seal(&self.device));
-            // cxl-lint: allow(device-unwrap): same retry/abundance argument as the payload write above
-            pages += res.expect("journal seal failed past retries");
+            #[allow(
+                clippy::expect_used,
+                reason = "same retry/abundance argument as the payload write above"
+            )]
+            let sealed = res.expect("journal seal failed past retries");
+            pages += sealed;
         }
         inner.stats.journal_pages_written += pages;
         pages
@@ -871,12 +899,19 @@ impl Store {
         let (res, _) = with_backoff(&BackoffPolicy::default(), || {
             Journal::stage_compacted(&self.device, generation, &payload)
         });
-        // cxl-lint: allow(device-unwrap): compaction retries transients with backoff; stage_compacted destroys its half-built region before erroring, so retries are clean
+        #[allow(
+            clippy::expect_used,
+            reason = "compaction retries transients with backoff; stage_compacted destroys its half-built region before erroring, so retries are clean"
+        )]
         let (mut fresh, mut pages) = res.expect("journal compaction failed past retries");
         self.crashpoint("compact.after_snapshot_write");
         let (res, _) = with_backoff(&BackoffPolicy::default(), || fresh.publish(&self.device));
-        // cxl-lint: allow(device-unwrap): the superblock write is idempotent and retried; see append rationale
-        pages += res.expect("journal publish failed past retries");
+        #[allow(
+            clippy::expect_used,
+            reason = "the superblock write is idempotent and retried; see append rationale"
+        )]
+        let published = res.expect("journal publish failed past retries");
+        pages += published;
         self.crashpoint("compact.after_publish");
         let _ = old.destroy(&self.device);
         self.crashpoint("compact.after_destroy_old");
@@ -1069,18 +1104,20 @@ impl Store {
         }
         let mut pages = Vec::with_capacity(fps.len());
         for run in fps.chunk_by(|a, b| a == b) {
-            // cxl-lint: allow(device-unwrap): intern invariant — every fp was inserted into the index in the resolve pass just above
+            #[allow(
+                clippy::expect_used,
+                reason = "intern invariant — every fp was inserted into the index in the resolve pass just above"
+            )]
             let entry = inner.index.get_mut(&run[0]).expect("resolved above");
             entry.refs += run.len() as u64;
             pages.resize(pages.len() + run.len(), entry.page);
         }
-        inner
-            .pending
-            .get_mut(&image.0)
-            // cxl-lint: allow(device-unwrap): intern invariant — the pending entry was validated at function entry and the lock is still held
-            .expect("checked above")
-            .fingerprints
-            .extend_from_slice(&fps);
+        #[allow(
+            clippy::expect_used,
+            reason = "intern invariant — the pending entry was validated at function entry and the lock is still held"
+        )]
+        let pending = inner.pending.get_mut(&image.0).expect("checked above");
+        pending.fingerprints.extend_from_slice(&fps);
 
         // Journal the published bindings (fingerprint → device page,
         // with multiplicity) so replay rebuilds exact refcounts.
@@ -1456,11 +1493,11 @@ impl Store {
             .collect();
         let mut freed = 0;
         for id in orphans {
-            let meta = inner
-                .pending
-                .remove(&id)
-                // cxl-lint: allow(device-unwrap): the orphan id list was collected from this same map under the same lock hold
-                .expect("collected above");
+            #[allow(
+                clippy::expect_used,
+                reason = "the orphan id list was collected from this same map under the same lock hold"
+            )]
+            let meta = inner.pending.remove(&id).expect("collected above");
             self.journal_append(
                 &mut inner,
                 meta.owner,

@@ -51,7 +51,10 @@ pub mod span;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-// cxl-lint: allow(raw-lock): cxl-telemetry sits below cxl-mem in the layering, so lockdep's TrackedMutex is unavailable here
+#[allow(
+    clippy::disallowed_types,
+    reason = "cxl-telemetry sits below cxl-mem in the layering, so lockdep's TrackedMutex is unavailable here"
+)]
 use parking_lot::Mutex;
 use simclock::{SimDuration, SimTime};
 
@@ -68,7 +71,10 @@ static ARMED: AtomicBool = AtomicBool::new(false);
 /// The armed sink. Lock order: callers may hold device/node locks when
 /// recording, so nothing inside this lock ever calls back into the
 /// simulation layers.
-// cxl-lint: allow(raw-lock): leaf lock below the lockdep layer; nothing inside it calls back up (see lock-order note above)
+#[allow(
+    clippy::disallowed_types,
+    reason = "leaf lock below the lockdep layer; nothing inside it calls back up (see lock-order note above)"
+)]
 static SINK: Mutex<Option<SinkState>> = Mutex::new(None);
 
 #[derive(Debug, Default)]
@@ -245,7 +251,10 @@ mod tests {
     use super::*;
 
     /// The sink is process-global; tests in this module serialize on it.
-    // cxl-lint: allow(raw-lock): test-only serialization of the process-global sink; below the lockdep layer
+    #[allow(
+        clippy::disallowed_types,
+        reason = "test-only serialization of the process-global sink; below the lockdep layer"
+    )]
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     fn t(ns: u64) -> SimTime {

@@ -2,6 +2,11 @@
 //! behaviour against reference models, frame refcount invariants, and
 //! fault-handler memory-safety under random workloads.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the page-table reference model is a HashMap on purpose (nothing like a radix tree); only lookups and lengths are compared, never iteration order"
+)]
+
 use std::collections::HashMap;
 
 use proptest::prelude::*;

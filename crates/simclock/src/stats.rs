@@ -235,7 +235,14 @@ impl Counters {
 
     /// Adds `n` to the named counter.
     pub fn add(&mut self, name: &str, n: u64) {
-        *self.counts.entry(name.to_owned()).or_insert(0) += n;
+        // Probe first: `entry` would allocate a `String` per increment
+        // even when the key exists, and this sits on `Node::access`.
+        match self.counts.get_mut(name) {
+            Some(count) => *count += n,
+            None => {
+                self.counts.insert(name.to_owned(), n);
+            }
+        }
     }
 
     /// Adds one to the named counter.

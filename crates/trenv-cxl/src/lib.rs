@@ -262,7 +262,7 @@ impl RemoteFork for TrEnvCxl {
         let device = Arc::clone(node.device());
         let guard = device.create_region_guarded(&format!("trenv:{}#{id}", core.comm));
         let region = guard.id();
-        let page_ids = node.device().alloc_pages(region, captured.len() as u64)?;
+        let page_ids = node.device().alloc_batch(region, captured.len() as u64)?;
         let mut pages = Vec::with_capacity(captured.len());
         let mut pagemap = PagemapImage::default();
         for (i, ((vpn, dirty, file_backed, data), page)) in

@@ -18,7 +18,7 @@
 //! The telemetry sink is process-global, so every test serializes on
 //! [`TELEMETRY_LOCK`].
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use cxl_mem::CxlDevice;
 use cxl_telemetry::{chrome_trace, Json, TelemetryData, TelemetrySession};
@@ -30,7 +30,11 @@ use node_os::{Node, NodeConfig};
 use rfork::{RemoteFork, RestoreOptions};
 use simclock::LatencyModel;
 
-static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
+#[allow(
+    clippy::disallowed_types,
+    reason = "test-only serialization of the process-global telemetry sink; never nested with a tracked lock"
+)]
+static TELEMETRY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[test]
 fn armed_availability_run_is_bit_identical_to_unarmed() {
