@@ -80,7 +80,7 @@ echo '== cluster-engine smoke (bounded, both feature states) =='
 # A smoke-scale slice of the cluster determinism suite
 # (tests/cluster_sim.rs): two runs of the same seeded diurnal trace
 # over CLUSTER_SMOKE_NODES nodes must produce bit-identical
-# PorterReports on the cxl-sim discrete-event engine, fairness and
+# PorterReports off the porter's cxl-sim event queue, fairness and
 # crash accounting included. The full 64-node, >=100k-invocation replay
 # is exercised by the BENCH_cluster.json drift gate below.
 CLUSTER_SMOKE_NODES=8 cargo test --quiet -p cxlfork-bench --test cluster_sim
@@ -96,8 +96,11 @@ echo '== these tests exist =='
 # model's invariants (§15: p = 1 is the serial cost, cost is monotone in
 # p, never below the streaming floor), the fabric model's (§16: zero
 # delay at zero load, monotone in load, telemetry-invariant) and the
-# end-to-end contention properties, and the static-vs-runtime lock graph
-# cross-check.
+# end-to-end contention properties, the static-vs-runtime lock graph
+# cross-check, and the guards of the one-path-per-decision shapes
+# (placement by scan sees every load change, a crashed node is never
+# dispatched to, the default config is the p = 1 pipeline, a hostile
+# superblock page count is skipped).
 expect_tests() {
     package=$1 target=$2
     shift 2
@@ -143,6 +146,15 @@ expect_tests cxlfork-bench '--test contention' \
     striping_beats_locality_under_overlapping_traffic
 expect_tests cxl-lint '--test static_vs_runtime' \
     runtime_lockdep_agrees_with_the_static_graph
+expect_tests cxlporter --lib \
+    cluster::tests::least_loaded_sees_an_untracked_load_decrease \
+    tests::crash_then_arrivals_never_dispatch_to_the_dead_node
+expect_tests cxlfork --lib \
+    tests::default_config_is_bit_identical_to_explicit_serial
+expect_tests cxl-store --lib \
+    journal::tests::hostile_superblock_page_count_is_skipped_not_allocated
+expect_tests cxl-sim '--test queue_properties' \
+    identical_schedules_dispatch_identically
 
 echo '== release build =='
 cargo build --workspace --release --quiet
@@ -154,6 +166,11 @@ echo '== two-clock benchmark smoke (traced, ~20 s) =='
 # their parent spans, every rep bit-identical on the simulated clock,
 # armed == unarmed) run on every change. Not a measurement.
 benchmark/run.sh --smoke --traced > /dev/null
+# BENCHMARK.json's command has no --locked: a dependency edit under
+# crates/ makes cargo rewrite benchmark/Cargo.lock without a word. The
+# benchmark's files are pinned, so that is a failure here, not a
+# surprise at gate time.
+git diff --exit-code -- benchmark/
 
 echo '== benchmark report drift gate (telemetry armed, both feature states) =='
 # Regenerates every BENCH_<scenario>.json with telemetry armed,

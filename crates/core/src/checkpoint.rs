@@ -483,48 +483,34 @@ pub(crate) fn take_checkpoint(
     let copied_pages =
         data_transfer + journal_transfer + leaves.len() as u64 + vma_blocks.len() as u64 + 1;
     let copied_bytes = copied_pages * PAGE_SIZE;
-    // With stream parallelism, cost the transfer as overlapped per-shard
-    // pipelines over the *actual* pages written (data + leaf + VMA +
-    // task backings, partitioned by bank); journal records are an
-    // append-only log on one bank and stay serial. At the default
-    // parallelism the serial batched write is charged unchanged. The
-    // same per-bank partition feeds the fabric, which also needs it
-    // when the transfer itself runs serially.
-    let stream_partition: Option<Vec<u64>> =
-        (parallelism > 1 || device.fabric_armed()).then(|| {
-            let mut transfer: Vec<CxlPageId> = match interned.as_ref() {
-                Some(o) => o.written_pages.clone(),
-                None => dsts.clone(),
-            };
-            transfer.extend(leaves.iter().map(|l| l.backing));
-            transfer.extend(vma_blocks.iter().map(|(_, backing)| *backing));
-            transfer.extend(task_backing.iter().copied());
-            device.shard_partition(&transfer)
-        });
-    // An attached fabric charges the whole transfer — journal records
-    // ride bank 0's port with the append-only log — and answers with
-    // the queueing delay this checkpoint suffers under contention.
-    // Detached (the default) this is exactly zero.
-    let fabric_wait = match &stream_partition {
-        Some(counts) if device.fabric_armed() => {
-            let mut charged = counts.clone();
-            if let Some(slot) = charged.first_mut() {
-                *slot += journal_transfer;
-            }
-            device.fabric_charge(node.now(), &charged)
-        }
-        _ => SimDuration::ZERO,
-    };
-    let copy_cost = match &stream_partition {
-        Some(counts) if parallelism > 1 => {
-            model
-                .pipeline(parallelism)
-                .with_queue_delay(fabric_wait)
-                .batch_write(counts, interned.is_some())
-                + model.cxl_batch_write(journal_transfer)
-        }
-        _ => model.cxl_batch_write(copied_pages) + fabric_wait,
-    };
+    // One costing path: `PipelineModel` over the per-bank partition of
+    // the pages actually written (data + leaf + VMA + task backings).
+    // `parallelism <= 1` is its serial degenerate case, not a branch
+    // here. Journal records are an append-only log on one bank and stay
+    // serial whatever the stream count.
+    let data_written: &[CxlPageId] = interned.as_ref().map_or(&dsts, |o| &o.written_pages);
+    let stream_partition = device.shard_partition(
+        data_written
+            .iter()
+            .copied()
+            .chain(leaves.iter().map(|l| l.backing))
+            .chain(vma_blocks.iter().map(|(_, backing)| *backing))
+            .chain(task_backing.iter().copied()),
+    );
+    // The fabric is charged the whole transfer — journal records ride
+    // bank 0's port with the log — and answers with the queueing delay
+    // this checkpoint suffers under contention: exactly zero detached
+    // (the default) or idle.
+    let mut charged = stream_partition.clone();
+    if let Some(slot) = charged.first_mut() {
+        *slot += journal_transfer;
+    }
+    let fabric_wait = device.fabric_charge(node.now(), &charged);
+    let copy_cost = model
+        .pipeline(parallelism)
+        .with_queue_delay(fabric_wait)
+        .batch_write(&stream_partition, interned.is_some())
+        + model.cxl_batch_write(journal_transfer);
     let rebase_cost = SimDuration::from_nanos(model.rebase_pointer_ns) * rebased_pointers;
     let serialize_cost = model.serialize(global_bytes.len() as u64);
     let cost = copy_cost + rebase_cost + serialize_cost + retry_backoff;
@@ -589,13 +575,15 @@ pub(crate) fn take_checkpoint(
             cxl_telemetry::record_span(&format!("core.{phase}"), track, cursor, end, &[]);
             cxl_telemetry::counter_add("core", &format!("phase.{phase}"), None, d.as_nanos());
             if phase == "checkpoint.copy_pages" {
-                if let Some(counts) = stream_partition.as_ref().filter(|_| parallelism > 1) {
+                // Decides what is *emitted*, not what is charged: a
+                // single stream has no per-stream children to show.
+                if parallelism > 1 {
                     // Per-stream children partition the copy phase: each
                     // stream starts with the phase and runs its own
                     // critical path (clamped to the phase — the modelled
                     // cost may be the serial floor).
                     let pipeline = model.pipeline(parallelism);
-                    for (i, load) in pipeline.stream_loads(counts).iter().enumerate() {
+                    for (i, load) in pipeline.stream_loads(&stream_partition).iter().enumerate() {
                         let stream_end =
                             cursor + pipeline.stream_write_cost(*load, interned.is_some()).min(d);
                         cxl_telemetry::record_span(

@@ -226,21 +226,18 @@ fn attach_state(
                             .retarget(PhysAddr::Local(pfn)),
                     );
                 }
-                // With stream parallelism, the hot set splits across
-                // shard banks and the batch read costs the bottleneck
-                // stream's critical path; serial (the default) is the
-                // single-stream batched read, unchanged. An attached
-                // fabric adds the queueing delay this read finds on its
-                // ports (exactly zero detached or idle).
-                let fabric_wait = device.fabric_charge_pages(node.now(), &hot_pages);
-                cost += if parallelism > 1 {
-                    model
-                        .pipeline(parallelism)
-                        .with_queue_delay(fabric_wait)
-                        .batch_read(&device.shard_partition(&hot_pages))
-                } else {
-                    model.prefetch_pages(hot_fills.len() as u64) + fabric_wait
-                };
+                // The hot set splits across shard banks and the batch
+                // read costs the bottleneck stream's critical path — at
+                // the default `parallelism = 1` that is the single-stream
+                // batched read. An attached fabric adds the queueing
+                // delay this read finds on its ports (exactly zero
+                // detached or idle).
+                let partition = device.shard_partition(hot_pages.iter().copied());
+                let fabric_wait = device.fabric_charge(node.now(), &partition);
+                cost += model
+                    .pipeline(parallelism)
+                    .with_queue_delay(fabric_wait)
+                    .batch_read(&partition);
             }
             node.with_process_ctx(pid, |p, _| {
                 for (leaf_index, local) in install {
@@ -296,22 +293,18 @@ fn attach_state(
                 }
             };
             prefetched = filled.installed;
-            // Pipelined prefetch costs the per-shard critical path of
-            // the dirty set, clamped by the serial charge for the pages
-            // actually installed (fill can skip already-present pages);
-            // serial (the default) is unchanged. Fabric queueing delay
-            // rides on top of either side of the clamp — contention
-            // slows pipelined and serial prefetch alike.
-            let fabric_wait = device.fabric_charge_pages(node.now(), &dirty_pages);
-            cost += if parallelism > 1 {
-                model
-                    .pipeline(parallelism)
-                    .with_queue_delay(fabric_wait)
-                    .batch_read(&device.shard_partition(&dirty_pages))
-                    .min(model.prefetch_pages(filled.installed) + fabric_wait)
-            } else {
-                model.prefetch_pages(filled.installed) + fabric_wait
-            };
+            // Prefetch costs the per-shard critical path of the dirty
+            // set, clamped by the serial charge for the pages actually
+            // installed (fill can skip already-present pages). Fabric
+            // queueing delay rides on both sides of the clamp —
+            // contention slows pipelined and serial prefetch alike.
+            let partition = device.shard_partition(dirty_pages.iter().copied());
+            let fabric_wait = device.fabric_charge(node.now(), &partition);
+            cost += model
+                .pipeline(parallelism)
+                .with_queue_delay(fabric_wait)
+                .batch_read(&partition)
+                .min(model.prefetch_pages(filled.installed) + fabric_wait);
             // Installing a mapping may leaf-CoW an attached leaf: one
             // local copy of the 4 KiB leaf each.
             cost += model.cxl_copy(cxl_mem::PAGE_SIZE) * filled.leaf_cows;

@@ -373,16 +373,6 @@ impl CxlDevice {
             .charge_transfer(attachment.device_index, now, &port_bytes)
     }
 
-    /// Charges a batched transfer of the given pages to the attached
-    /// fabric (their [`CxlDevice::shard_partition`] grouped per shard).
-    /// Exactly zero when no fabric is attached or `pages` is empty.
-    pub fn fabric_charge_pages(&self, now: SimTime, pages: &[CxlPageId]) -> SimDuration {
-        if !self.fabric_armed.load(Ordering::Relaxed) || pages.is_empty() {
-            return SimDuration::ZERO;
-        }
-        self.fabric_charge(now, &self.shard_partition(pages))
-    }
-
     /// Creates a device with a capacity given in MiB (the evaluation
     /// platform has a 16 GiB DIMM; tests use much smaller devices).
     pub fn with_capacity_mib(mib: u64) -> Self {
@@ -682,9 +672,9 @@ impl CxlDevice {
     /// skipped — the caller is costing a transfer, not validating ids.
     /// This is the shape [`simclock::PipelineModel`]-style critical-path
     /// costing consumes.
-    pub fn shard_partition(&self, pages: &[CxlPageId]) -> Vec<u64> {
+    pub fn shard_partition(&self, pages: impl IntoIterator<Item = CxlPageId>) -> Vec<u64> {
         let mut counts = vec![0u64; self.shards.len()];
-        for &p in pages {
+        for p in pages {
             if let Some((s, _)) = self.shard_of(p) {
                 counts[s] += 1;
             }
@@ -1741,23 +1731,23 @@ mod tests {
         let d = CxlDevice::with_shards(64, 8);
         let r = d.create_region("r");
         let pages = d.alloc_batch_striped(r, 8, 4).unwrap();
+        let counts = d.shard_partition(pages.iter().copied());
         let now = SimTime::from_nanos(5);
 
         // Detached: zero delay, no fabric consulted.
         assert!(!d.fabric_armed());
-        assert_eq!(d.fabric_charge_pages(now, &pages), SimDuration::ZERO);
+        assert_eq!(d.fabric_charge(now, &counts), SimDuration::ZERO);
 
         let link = Arc::new(RecordingLink::default());
         d.attach_fabric(Some((link.clone(), 3)));
         assert!(d.fabric_armed());
 
         // Empty batches stay free and never reach the link.
-        assert_eq!(d.fabric_charge_pages(now, &[]), SimDuration::ZERO);
         assert_eq!(d.fabric_charge(now, &[0, 0, 0]), SimDuration::ZERO);
         assert!(link.calls.lock().unwrap().is_empty());
 
         // A real batch forwards its per-shard byte counts and device id.
-        let delay = d.fabric_charge_pages(now, &pages);
+        let delay = d.fabric_charge(now, &counts);
         assert_eq!(delay, SimDuration::from_nanos(8 * PAGE_SIZE));
         {
             let calls = link.calls.lock().unwrap();
@@ -1782,7 +1772,7 @@ mod tests {
 
         d.attach_fabric(None);
         assert!(!d.fabric_armed());
-        assert_eq!(d.fabric_charge_pages(now, &pages), SimDuration::ZERO);
+        assert_eq!(d.fabric_charge(now, &counts), SimDuration::ZERO);
         assert_eq!(link.calls.lock().unwrap().len(), 1);
     }
 
@@ -1792,11 +1782,11 @@ mod tests {
         let r = d.create_region("r");
         let pages = d.alloc_batch_striped(r, 16, 4).unwrap();
         assert_eq!(pages.len(), 16);
-        let counts = d.shard_partition(&pages);
+        let counts = d.shard_partition(pages.iter().copied());
         assert_eq!(counts, vec![4, 4, 4, 4, 0, 0, 0, 0]);
         // More streams than shards clamps to the shard count.
         let more = d.alloc_batch_striped(r, 8, 32).unwrap();
-        let counts = d.shard_partition(&more);
+        let counts = d.shard_partition(more.iter().copied());
         assert_eq!(counts, vec![1; 8]);
         assert_eq!(d.used_pages(), 24);
     }
@@ -1827,10 +1817,13 @@ mod tests {
         let d = CxlDevice::with_shards(64, 8);
         let r = d.create_region("r");
         let fill = d.alloc_batch(r, 8).unwrap();
-        assert_eq!(d.shard_partition(&fill), vec![8, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(
+            d.shard_partition(fill.iter().copied()),
+            vec![8, 0, 0, 0, 0, 0, 0, 0]
+        );
         let pages = d.alloc_batch_striped(r, 14, 2).unwrap();
         assert_eq!(pages.len(), 14);
-        let counts = d.shard_partition(&pages);
+        let counts = d.shard_partition(pages.iter().copied());
         assert_eq!(counts.iter().sum::<u64>(), 14);
         assert_eq!(counts[0], 0, "shard 0 was full");
         assert_eq!(counts[1], 8, "stream 1's share landed in shard 1");
@@ -1850,12 +1843,12 @@ mod tests {
         let d = CxlDevice::with_shards(64, 4);
         let r = d.create_region("r");
         let pages = d.alloc_batch_striped(r, 6, 3).unwrap();
-        let counts = d.shard_partition(&pages);
+        let counts = d.shard_partition(pages.iter().copied());
         assert_eq!(counts.len(), d.shard_count());
         assert_eq!(counts, vec![2, 2, 2, 0]);
         // Out-of-range ids are skipped, not counted.
         let bogus = [CxlPageId(u64::MAX)];
-        assert_eq!(d.shard_partition(&bogus), vec![0; 4]);
-        assert!(d.shard_partition(&[]).iter().all(|&c| c == 0));
+        assert_eq!(d.shard_partition(bogus.iter().copied()), vec![0; 4]);
+        assert!(d.shard_partition([]).iter().all(|&c| c == 0));
     }
 }

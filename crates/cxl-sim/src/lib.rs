@@ -1,24 +1,16 @@
-//! Deterministic discrete-event simulation engine for cluster-scale
-//! experiments.
+//! The deterministic event queue under the porter's cluster-scale trace
+//! runs.
 //!
-//! The straight-line trace replay the porter shipped with walks one
-//! invocation at a time, which cannot express a cluster where crashes,
-//! deferred dispatches and maintenance interleave across hundreds of
-//! nodes. This crate provides the engine that replaces it:
+//! [`EventQueue`] is a binary-heap priority queue of typed events keyed
+//! by `(virtual time, sequence number)`. The sequence number is assigned
+//! at insertion, so the ordering is **total**: no two [`Scheduled`]
+//! events ever compare equal, ties in virtual time resolve to insertion
+//! order, and a run is bit-reproducible regardless of heap internals.
 //!
-//! * [`EventQueue`] — a binary-heap priority queue of typed events keyed
-//!   by `(virtual time, sequence number)`. The sequence number is
-//!   assigned at insertion, so the ordering is **total**: no two events
-//!   ever compare equal, ties in virtual time resolve to insertion
-//!   order, and a run is bit-reproducible regardless of heap internals.
-//! * [`Simulation`] + [`run`] — the dispatch loop. A simulation handles
-//!   one event at a time and may schedule further events; the engine
-//!   enforces that virtual time never runs backwards.
-//! * [`NodeMachine`] / [`ClusterMachines`] — per-node state machines
-//!   (dispatch, restore, cold-deploy, maintenance, crash) with legality
-//!   checking and transition accounting, so cluster runs can report how
-//!   often each node entered each phase and a crashed node can never be
-//!   driven again.
+//! That is the whole crate. The dispatch loop (`while let Some(ev) =
+//! queue.pop()`, with its "virtual time never runs backwards"
+//! assertion) belongs to the one simulation that exists,
+//! `cxlporter::CxlPorter::try_run_trace`.
 //!
 //! Everything here is pure virtual time: no wall clock, no ambient
 //! randomness, no iteration over unordered containers.
@@ -26,10 +18,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod engine;
-mod machine;
 mod queue;
 
-pub use engine::{run, EngineReport, Simulation};
-pub use machine::{ClusterMachines, NodeMachine, NodePhase, PHASES};
 pub use queue::{EventQueue, Scheduled};

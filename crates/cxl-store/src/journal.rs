@@ -57,6 +57,8 @@ use cxl_mem::{CxlDevice, CxlError, CxlPageId, NodeId, PageData, RegionId, PAGE_S
 const RECORD_MAGIC: u32 = 0x4A4C_5843;
 /// Superblock magic: "CXLS" little-endian.
 const SUPER_MAGIC: u32 = 0x534C_5843;
+/// Data-page ids one superblock page holds behind its 16-byte header.
+const SUPERBLOCK_MAX_PAGES: u64 = (PAGE_SIZE - 16) / 8;
 /// Commit marker byte sealing a record.
 const MARKER: u8 = 0xA5;
 /// Region-name prefix for journal generations.
@@ -875,6 +877,33 @@ pub fn load_generation(
     found: &FoundGeneration,
     node: NodeId,
 ) -> Result<Option<LoadedGeneration>, CxlError> {
+    read_generation(device, found, Some(node))
+}
+
+/// Reads one generation back through the *unmodelled* snapshot path:
+/// no virtual-clock charge, no fault hooks, no node attribution. This
+/// is the auditors' loader — [`load_generation`] is the recovery one.
+/// Returns `None` for a generation without a valid superblock.
+pub fn snapshot_generation(
+    device: &CxlDevice,
+    found: &FoundGeneration,
+) -> Option<LoadedGeneration> {
+    read_generation(device, found, None).ok().flatten()
+}
+
+/// The body behind [`load_generation`] and [`snapshot_generation`]:
+/// with `reader` set every read is a modelled, fault-injectable
+/// `read_pages` by that node; without it an unmodelled `snapshot_pages`
+/// (the same switch `CxlDevice::gather` takes).
+fn read_generation(
+    device: &CxlDevice,
+    found: &FoundGeneration,
+    reader: Option<NodeId>,
+) -> Result<Option<LoadedGeneration>, CxlError> {
+    let read = |pages: &[CxlPageId]| match reader {
+        Some(node) => device.read_pages(pages, node),
+        None => device.snapshot_pages(pages),
+    };
     // The superblock page is the region's lowest-id page only by
     // convention; find it by parsing. A generation's region holds the
     // superblock plus data pages; try each page as superblock root.
@@ -884,45 +913,35 @@ pub fn load_generation(
         .filter(|(_, r)| *r == found.region)
         .map(|(p, _)| p)
         .collect();
-    if pages.is_empty() {
-        return Ok(None);
-    }
-    let contents = device.read_pages(&pages, node)?;
+    let contents = read(&pages)?;
     let mut pages_scanned = pages.len() as u64;
+    let mut raw = vec![0u8; PAGE_SIZE as usize];
     for (candidate, data) in pages.iter().zip(&contents) {
-        let mut raw = vec![0u8; PAGE_SIZE as usize];
         data.read(0, &mut raw);
         let mut r = Reader::new(&raw);
         if r.u32() != Some(SUPER_MAGIC) || r.u64() != Some(found.generation) {
             continue;
         }
-        let Some(count) = r.u32() else { continue };
-        let mut data_pages = Vec::with_capacity(count as usize);
-        let mut ok = true;
-        for _ in 0..count {
-            match r.u64() {
-                Some(p) => data_pages.push(CxlPageId(p)),
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
+        // The count is device bytes: a corrupt or poisoned page may
+        // claim anything. More ids than one page holds is not a
+        // superblock — and must not size an allocation.
+        let Some(count) = r.u32().filter(|&n| u64::from(n) <= SUPERBLOCK_MAX_PAGES) else {
             continue;
-        }
+        };
+        let Some(data_pages) = (0..count)
+            .map(|_| r.u64().map(CxlPageId))
+            .collect::<Option<Vec<_>>>()
+        else {
+            continue;
+        };
         // Read the data pages in stream order. Pages already read above
         // were a discovery sweep; the stream read is the modelled one.
         let mut buf = Vec::with_capacity(data_pages.len() * PAGE_SIZE as usize);
-        if !data_pages.is_empty() {
-            let stream = device.read_pages(&data_pages, node)?;
-            pages_scanned += data_pages.len() as u64;
-            for page in &stream {
-                let mut raw = vec![0u8; PAGE_SIZE as usize];
-                page.read(0, &mut raw);
-                buf.extend_from_slice(&raw);
-            }
+        for page in &read(&data_pages)? {
+            page.read(0, &mut raw);
+            buf.extend_from_slice(&raw);
         }
+        pages_scanned += data_pages.len() as u64;
         let log = parse_log(&buf);
         buf.truncate(log.committed_bytes as usize);
         return Ok(Some(LoadedGeneration {
@@ -934,67 +953,6 @@ pub fn load_generation(
         }));
     }
     Ok(None)
-}
-
-/// Reads one generation back through the *unmodelled* snapshot path:
-/// no virtual-clock charge, no fault hooks, no node attribution. This
-/// is the auditors' loader — [`load_generation`] is the recovery one.
-/// Returns `None` for a generation without a valid superblock.
-pub fn snapshot_generation(
-    device: &CxlDevice,
-    found: &FoundGeneration,
-) -> Option<LoadedGeneration> {
-    let pages: Vec<CxlPageId> = device
-        .live_pages()
-        .into_iter()
-        .filter(|(_, r)| *r == found.region)
-        .map(|(p, _)| p)
-        .collect();
-    let contents = device.snapshot_pages(&pages).ok()?;
-    let mut pages_scanned = pages.len() as u64;
-    for (candidate, data) in pages.iter().zip(&contents) {
-        let mut raw = vec![0u8; PAGE_SIZE as usize];
-        data.read(0, &mut raw);
-        let mut r = Reader::new(&raw);
-        if r.u32() != Some(SUPER_MAGIC) || r.u64() != Some(found.generation) {
-            continue;
-        }
-        let count = r.u32()?;
-        let mut data_pages = Vec::with_capacity(count as usize);
-        let mut ok = true;
-        for _ in 0..count {
-            match r.u64() {
-                Some(p) => data_pages.push(CxlPageId(p)),
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
-            continue;
-        }
-        let mut buf = Vec::with_capacity(data_pages.len() * PAGE_SIZE as usize);
-        if !data_pages.is_empty() {
-            let stream = device.snapshot_pages(&data_pages).ok()?;
-            pages_scanned += data_pages.len() as u64;
-            for page in &stream {
-                let mut raw = vec![0u8; PAGE_SIZE as usize];
-                page.read(0, &mut raw);
-                buf.extend_from_slice(&raw);
-            }
-        }
-        let log = parse_log(&buf);
-        buf.truncate(log.committed_bytes as usize);
-        return Some(LoadedGeneration {
-            log,
-            buf,
-            pages_scanned,
-            data_pages,
-            super_page: *candidate,
-        });
-    }
-    None
 }
 
 /// Replays a record stream into the content-index reference counts it
@@ -1296,6 +1254,41 @@ mod tests {
         assert_eq!(loaded.log.entries, vec![snap]);
         old.destroy(&device).unwrap();
         assert_eq!(find_generations(&device).len(), 1);
+    }
+
+    #[test]
+    fn hostile_superblock_page_count_is_skipped_not_allocated() {
+        let device = CxlDevice::new(64);
+        let mut old = Journal::create(&device, 0).unwrap();
+        let e = entry(0, Record::Abort { image: 1 });
+        old.append_payload(&device, &encode_payload(&e)).unwrap();
+        old.seal(&device).unwrap();
+        let snap = entry(0, Record::Snapshot(SnapshotState::default()));
+        let (staged, _) = Journal::stage_compacted(&device, 1, &encode_payload(&snap)).unwrap();
+
+        // Plant a page in generation 1's region that carries the right
+        // magic and generation but claims `u32::MAX` data pages (32 GiB
+        // of ids), then one claiming a single id more than a page holds.
+        for count in [u32::MAX, SUPERBLOCK_MAX_PAGES as u32 + 1] {
+            let mut sb = Vec::new();
+            put_u32(&mut sb, SUPER_MAGIC);
+            put_u64(&mut sb, 1);
+            put_u32(&mut sb, count);
+            device
+                .write_pages(&[(staged.super_page, PageData::from_bytes(&sb))], NodeId(0))
+                .unwrap();
+            let found = find_generations(&device);
+            // Not a valid superblock: no abort, no error, and recovery's
+            // highest-valid-generation walk falls back to generation 0.
+            assert!(load_generation(&device, &found[1], NodeId(0))
+                .unwrap()
+                .is_none());
+            assert!(snapshot_generation(&device, &found[1]).is_none());
+            let loaded = load_generation(&device, &found[0], NodeId(0))
+                .unwrap()
+                .unwrap();
+            assert_eq!(loaded.log.entries, vec![e.clone()]);
+        }
     }
 
     #[test]

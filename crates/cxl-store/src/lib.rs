@@ -1717,7 +1717,7 @@ mod tests {
         let d = Arc::new(CxlDevice::with_shards(256, 8));
         let store = Store::new(Arc::clone(&d));
         let (_, out) = intern(&store, "packed", &payload, t(1));
-        let counts = d.shard_partition(&out.written_pages);
+        let counts = d.shard_partition(out.written_pages.iter().copied());
         assert_eq!(counts[0], 16, "locality packs into the first bank");
 
         let d = Arc::new(CxlDevice::with_shards(256, 8));
@@ -1730,7 +1730,7 @@ mod tests {
         );
         let (_, out) = intern(&store, "striped", &payload, t(1));
         assert_eq!(out.fresh, 16);
-        let counts = d.shard_partition(&out.written_pages);
+        let counts = d.shard_partition(out.written_pages.iter().copied());
         assert_eq!(counts, vec![2; 8], "stripe balances every bank");
     }
 

@@ -1,73 +1,11 @@
 //! The simulated CXL-interconnected cluster.
 
-use std::cell::RefCell;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use cxl_mem::CxlDevice;
 use node_os::fs::SharedFs;
 use node_os::{Node, NodeConfig};
 use simclock::LatencyModel;
-
-/// Incremental least-loaded index: an ordered set of `(scaled load,
-/// node index)` pairs mirroring each node's frame utilization.
-///
-/// The scheduler keeps the index fresh by calling [`Cluster::touch`]
-/// after every placement-relevant mutation; lookups then cost one
-/// ordered-set minimum instead of a full O(n) scan of every node's
-/// allocator.
-///
-/// Lazy repair at lookup time only ever visits the entry at the
-/// *minimum*, so it corrects exactly one kind of staleness: untracked
-/// load **increases** (a stale-low entry surfaces at the front, is
-/// re-costed, and sinks to its true position). An untracked **decrease**
-/// leaves a stale-high entry buried above the minimum where no lookup
-/// will re-examine it, so every path that shrinks a node's load
-/// (instance teardown, crash reclamation) must `touch` the node —
-/// [`Cluster::mark_failed`] drops the entry outright so a dead node can
-/// never win a placement regardless of what its entry said. The
-/// porter's mutators all follow this contract, and `check` builds
-/// cross-check every lookup against a full scan.
-#[derive(Debug, Default)]
-struct LoadIndex {
-    /// `(load, index)` — the minimum is the least-loaded node, ties
-    /// resolving to the lowest index, exactly the documented tie-break.
-    entries: BTreeSet<(u64, usize)>,
-    /// Last load written into `entries` per node.
-    cached: Vec<u64>,
-    /// Whether `entries` currently holds a pair for the node.
-    present: Vec<bool>,
-}
-
-impl LoadIndex {
-    /// Grows per-node bookkeeping to cover `n` nodes.
-    fn grow(&mut self, n: usize) {
-        while self.cached.len() < n {
-            self.cached.push(0);
-            self.present.push(false);
-        }
-    }
-
-    /// Replaces the node's entry with `load`.
-    fn update(&mut self, node: usize, load: u64) {
-        self.grow(node + 1);
-        if self.present[node] {
-            self.entries.remove(&(self.cached[node], node));
-        }
-        self.entries.insert((load, node));
-        self.cached[node] = load;
-        self.present[node] = true;
-    }
-
-    /// Drops the node's entry (failed nodes take no placements).
-    fn remove(&mut self, node: usize) {
-        self.grow(node + 1);
-        if self.present[node] {
-            self.entries.remove(&(self.cached[node], node));
-            self.present[node] = false;
-        }
-    }
-}
 
 /// A cluster of nodes sharing one CXL device and one root filesystem.
 ///
@@ -83,9 +21,6 @@ pub struct Cluster {
     pub rootfs: Arc<SharedFs>,
     /// Per-node failure flags: a failed node takes no new placements.
     failed: Vec<bool>,
-    /// Placement index (interior mutability: lookups lazily repair
-    /// stale entries without requiring `&mut self`).
-    index: RefCell<LoadIndex>,
 }
 
 impl Cluster {
@@ -125,7 +60,6 @@ impl Cluster {
             nodes,
             device,
             rootfs,
-            index: RefCell::new(LoadIndex::default()),
         }
     }
 
@@ -142,85 +76,22 @@ impl Cluster {
     /// Index of the live node with the most free local memory, or `None`
     /// when every node has failed.
     ///
-    /// Ties break deterministically toward the **lowest node index**: the
-    /// index is ordered by `(load, node)`, so an evenly loaded cluster
-    /// always places on the first live node and repeated runs schedule
+    /// A plain scan of the live nodes' allocators at call time: nothing
+    /// is cached, so memory freed by any path counts at the very next
+    /// placement. Ties break toward the **lowest node index** (the
+    /// minimum is over `(load, node)`), so an evenly loaded cluster
+    /// places on the first live node and repeated runs schedule
     /// identically.
-    ///
-    /// Backed by the incremental [`LoadIndex`]: callers that mutate node
-    /// memory should [`touch`](Self::touch) the node to keep lookups
-    /// O(log n). Entries left stale by untracked load *increases* are
-    /// repaired here before any candidate is returned; untracked
-    /// *decreases* require the `touch` (see [`LoadIndex`] for why the
-    /// lazy repair cannot see them).
     pub fn least_loaded(&self) -> Option<usize> {
-        let mut ix = self.index.borrow_mut();
-        // Cover nodes the index has never seen (first call, or a cluster
-        // built before any touch).
-        ix.grow(self.nodes.len());
-        for i in 0..self.nodes.len() {
-            if !ix.present[i] && !self.failed[i] {
-                let load = self.scaled_load(i);
-                ix.update(i, load);
-            }
-        }
-        loop {
-            let &(cached, i) = ix.entries.iter().next()?;
-            if self.is_failed(i) {
-                ix.remove(i);
-                continue;
-            }
-            let actual = self.scaled_load(i);
-            if actual == cached {
-                #[cfg(feature = "check")]
-                debug_assert_eq!(
-                    Some(i),
-                    self.scan_least_loaded(),
-                    "load index disagrees with full scan"
-                );
-                return Some(i);
-            }
-            // Stale entry (the node was mutated without a touch):
-            // correct it and re-evaluate the minimum.
-            ix.update(i, actual);
-        }
-    }
-
-    /// Reference O(n) scan of every live node, used to cross-check the
-    /// index in `check` builds.
-    #[cfg(feature = "check")]
-    fn scan_least_loaded(&self) -> Option<usize> {
-        let mut best: Option<(usize, u64)> = None;
-        for i in self.live_nodes() {
-            let load = self.scaled_load(i);
-            let improves = match best {
-                None => true,
-                Some((_, incumbent)) => load < incumbent,
-            };
-            if improves {
-                best = Some((i, load));
-            }
-        }
-        best.map(|(i, _)| i)
-    }
-
-    /// Refreshes the placement index entry for `idx` after its memory
-    /// use changed. The scheduler calls this after every dispatch,
-    /// restore, deployment or reclamation that touched the node.
-    pub fn touch(&mut self, idx: usize) {
-        let ix = self.index.get_mut();
-        if self.failed.get(idx).copied().unwrap_or(true) {
-            ix.remove(idx);
-        } else {
-            let load = (self.nodes[idx].frames().utilization() * 1e9) as u64;
-            ix.update(idx, load);
-        }
+        self.live_nodes()
+            .map(|i| (self.scaled_load(i), i))
+            .min()
+            .map(|(_, i)| i)
     }
 
     /// Marks a node as failed; it is skipped by placement from now on.
     pub fn mark_failed(&mut self, idx: usize) {
         self.failed[idx] = true;
-        self.index.get_mut().remove(idx);
     }
 
     /// Whether `idx` has been marked failed.
@@ -301,119 +172,23 @@ mod tests {
     }
 
     #[test]
-    fn load_index_tracks_touches_and_self_repairs() {
+    fn least_loaded_sees_an_untracked_load_decrease() {
         let mut c = Cluster::new(3, 64, 16, LatencyModel::calibrated());
-        assert_eq!(c.least_loaded(), Some(0));
-        // Scheduler-style mutation: allocate then touch.
-        for _ in 0..300 {
-            c.nodes[0].frames_mut().alloc_zeroed().unwrap();
+        // Load node 0 heaviest; it falls behind 1 and 2 in a lookup.
+        let held: Vec<_> = (0..600)
+            .map(|_| c.nodes[0].frames_mut().alloc_zeroed().unwrap())
+            .collect();
+        for i in 1..3 {
+            for _ in 0..300 {
+                c.nodes[i].frames_mut().alloc_zeroed().unwrap();
+            }
         }
-        c.touch(0);
         assert_eq!(c.least_loaded(), Some(1));
-        // Untracked mutation (no touch): the lookup must still repair
-        // the stale entry and agree with a full scan.
-        for _ in 0..600 {
-            c.nodes[1].frames_mut().alloc_zeroed().unwrap();
+        // Freed with no notification of any kind: node 0 must win next.
+        for pfn in held {
+            c.nodes[0].frames_mut().dec_ref(pfn);
         }
-        assert_eq!(c.least_loaded(), Some(2));
-        // Freeing memory moves a node back to the front once touched.
-        let freed: Vec<_> = (0..300).map(|_| ()).collect();
-        drop(freed);
-        c.touch(1);
-        c.touch(2);
-        assert_eq!(c.least_loaded(), Some(2));
-        c.mark_failed(2);
         assert_eq!(c.least_loaded(), Some(0));
-    }
-
-    #[test]
-    fn load_index_agrees_with_scan_over_a_seeded_64_node_trace() {
-        // Test-local splitmix64: the trace must be deterministic but
-        // must not perturb any simulation RNG stream.
-        fn next(state: &mut u64) -> u64 {
-            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-        // Reference brute-force scan, independent of the index (and of
-        // the `check`-only `scan_least_loaded`).
-        fn scan(c: &Cluster) -> Option<usize> {
-            let mut best: Option<(usize, u64)> = None;
-            for i in c.live_nodes() {
-                let load = (c.nodes[i].frames().utilization() * 1e9) as u64;
-                if best.is_none_or(|(_, incumbent)| load < incumbent) {
-                    best = Some((i, load));
-                }
-            }
-            best.map(|(i, _)| i)
-        }
-
-        const NODES: usize = 64;
-        let mut c = Cluster::new(NODES, 16, 64, LatencyModel::calibrated());
-        let mut held: Vec<Vec<node_os::Pfn>> = vec![Vec::new(); NODES];
-        let mut rng = 0x5EED_u64;
-        for step in 0..2000u32 {
-            let op = next(&mut rng) % 100;
-            let i = (next(&mut rng) % NODES as u64) as usize;
-            if op < 50 {
-                // Scheduler-style placement: allocate, then touch.
-                if !c.is_failed(i) {
-                    for _ in 0..=(next(&mut rng) % 32) {
-                        if let Ok(pfn) = c.nodes[i].frames_mut().alloc_zeroed() {
-                            held[i].push(pfn);
-                        }
-                    }
-                    c.touch(i);
-                }
-            } else if op < 70 {
-                // Instance teardown: free, then touch — untracked
-                // decreases are exactly what the lazy repair cannot see.
-                if !c.is_failed(i) {
-                    for _ in 0..=(next(&mut rng) % 16) {
-                        if let Some(pfn) = held[i].pop() {
-                            c.nodes[i].frames_mut().dec_ref(pfn);
-                        }
-                    }
-                    c.touch(i);
-                }
-            } else if op < 85 {
-                // Untracked growth (tools and tests mutate nodes
-                // directly): the lookup must self-repair.
-                if !c.is_failed(i) {
-                    if let Ok(pfn) = c.nodes[i].frames_mut().alloc_zeroed() {
-                        held[i].push(pfn);
-                    }
-                }
-            } else if op < 90 {
-                // Crash teardown in the porter's order: reclaim the
-                // node's memory, then mark it failed (which drops the
-                // index entry — no touch on the way down).
-                if !c.is_failed(i) && c.live_nodes().count() > 8 {
-                    for pfn in held[i].drain(..) {
-                        c.nodes[i].frames_mut().dec_ref(pfn);
-                    }
-                    c.mark_failed(i);
-                }
-            } else {
-                // Fairness-deferral shape: repeated lookups with no
-                // mutation in between must be stable.
-                assert_eq!(c.least_loaded(), c.least_loaded(), "step {step}");
-            }
-            let got = c.least_loaded();
-            assert_eq!(got, scan(&c), "index diverged from scan at step {step}");
-            if let Some(winner) = got {
-                assert!(
-                    !c.is_failed(winner),
-                    "crashed node {winner} won placement at step {step}"
-                );
-            }
-        }
-        assert!(
-            c.live_nodes().count() >= 8,
-            "trace should leave survivors to keep the assertions meaningful"
-        );
     }
 
     #[test]

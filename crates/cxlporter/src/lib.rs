@@ -389,7 +389,11 @@ mod tests {
     }
 
     #[test]
-    fn state_machines_account_phases() {
+    fn crash_then_arrivals_never_dispatch_to_the_dead_node() {
+        // The burst spreads instances over both nodes; node 1 then dies
+        // with some of them in flight, and a second burst arrives. The
+        // porter's `debug_assert!(!is_failed(node))` guards (armed in
+        // test builds) sit on both the warm and the cold dispatch path.
         let mut porter = porter_with(
             PorterConfig {
                 checkpoint_after: 4,
@@ -397,24 +401,29 @@ mod tests {
             },
             4096,
         );
-        let trace = warm_then_burst("Json", 4, 8);
+        let mut trace = warm_then_burst("Json", 4, 8);
+        let crash_at = trace.last().unwrap().time + SimDuration::from_nanos(1);
+        for i in 0..8u64 {
+            trace.push(Invocation {
+                time: crash_at + SimDuration::from_millis(1 + i),
+                function: "Json".to_owned(),
+                owner: 0,
+            });
+        }
+        porter.set_crash_schedule(cxl_fault::CrashSchedule::from_events(vec![
+            cxl_fault::NodeCrash {
+                node: 1,
+                at: crash_at,
+                mid_checkpoint: false,
+            },
+        ]));
         let report = porter.run_trace(&trace);
-        let machines = porter.machines();
-        use cxl_sim::NodePhase;
-        assert_eq!(
-            machines.phase_entries_total(NodePhase::ColdDeploying),
-            report.full_cold
-        );
-        assert_eq!(
-            machines.phase_entries_total(NodePhase::Restoring),
-            report.restores
-        );
-        assert_eq!(
-            machines.phase_entries_total(NodePhase::Dispatching),
-            report.warm_hits
-        );
-        assert_eq!(machines.crashed_count(), 0);
-        assert!(report.engine_events >= trace.len() as u64);
+        assert_eq!(report.crashes_survived, 1);
+        assert!(report.redispatched > 0, "crash caught work in flight");
+        assert_eq!(report.dropped + report.work_lost, 0, "{report:?}");
+        assert_eq!(report.engine_events, trace.len() as u64 + 1);
+        assert!(porter.cluster.is_failed(1));
+        assert_eq!(porter.cluster.nodes[1].frames().used(), 0);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use cxl_fabric::{DevicePool, PlacementPolicy};
 use cxl_fault::{reclaim_dead, reclaim_orphans, CrashSchedule, LeaseTable, NodeCrash};
 use cxl_mem::NodeId;
-use cxl_sim::{ClusterMachines, EventQueue, NodePhase, Scheduled, Simulation};
+use cxl_sim::EventQueue;
 use cxl_store::ImageId;
 use node_os::addr::Pid;
 use node_os::OsError;
@@ -326,8 +326,8 @@ pub struct PorterReport {
     pub fair_drops: u64,
     /// Requests served (dispatched without being dropped) per owner.
     pub per_owner_served: BTreeMap<u32, u64>,
-    /// Events the discrete-event engine dispatched across `run_trace`
-    /// calls (arrivals + crashes + fairness deferrals).
+    /// Events the dispatch loop popped across `run_trace` calls
+    /// (arrivals + crashes + fairness deferrals).
     pub engine_events: u64,
     /// Checkpoints routed to each fabric pool device (empty without a
     /// [`CxlPorter::with_device_pool`] pool).
@@ -385,13 +385,12 @@ pub struct CxlPorter<M: RemoteFork> {
     torn_epoch: u64,
     image_store: Option<Arc<cxl_store::Store>>,
     catalog: Catalog,
-    machines: ClusterMachines,
     device_pool: Option<Arc<DevicePool>>,
     fn_checkpoint_seq: BTreeMap<String, u64>,
     fn_fabric_home: BTreeMap<String, u32>,
 }
 
-/// Event alphabet of a porter trace run. Ordering within the engine's
+/// Event alphabet of a porter trace run. Ordering within the queue's
 /// `(time, seq)` key reproduces the historical straight-line replay
 /// exactly: crashes are enqueued before arrivals (lower seq ⇒ a crash
 /// due at an arrival's instant fires first, like the old inclusive
@@ -411,36 +410,6 @@ enum PorterEvent {
         /// Deferrals so far, counted against the budget.
         attempts: u32,
     },
-}
-
-/// One trace run bound to the discrete-event engine.
-struct TraceSim<'a, M: RemoteFork> {
-    porter: &'a mut CxlPorter<M>,
-    trace: &'a [Invocation],
-}
-
-impl<M: RemoteFork> Simulation for TraceSim<'_, M> {
-    type Event = PorterEvent;
-
-    fn dispatch(&mut self, ev: Scheduled<PorterEvent>, queue: &mut EventQueue<PorterEvent>) {
-        match ev.event {
-            PorterEvent::Crash(crash) => self.porter.handle_crash(crash),
-            PorterEvent::Arrival(idx) => {
-                let inv = &self.trace[idx];
-                self.porter.maintenance_tick(inv.time);
-                self.porter.dispatch_arrival(inv, idx, 0, queue);
-            }
-            PorterEvent::Deferred { idx, attempts } => {
-                self.porter.maintenance_tick(ev.at);
-                let retry = Invocation {
-                    time: ev.at,
-                    function: self.trace[idx].function.clone(),
-                    owner: self.trace[idx].owner,
-                };
-                self.porter.dispatch_arrival(&retry, idx, attempts, queue);
-            }
-        }
-    }
 }
 
 impl<M: RemoteFork> CxlPorter<M> {
@@ -465,7 +434,6 @@ impl<M: RemoteFork> CxlPorter<M> {
         for idx in 0..cluster.nodes.len() {
             leases.renew(NodeId(idx as u32), SimTime::ZERO);
         }
-        let machines = ClusterMachines::new(cluster.nodes.len());
         CxlPorter {
             mech,
             config,
@@ -484,7 +452,6 @@ impl<M: RemoteFork> CxlPorter<M> {
             torn_epoch: 0,
             image_store: None,
             catalog: Catalog::table1(),
-            machines,
             device_pool: None,
             fn_checkpoint_seq: BTreeMap::new(),
             fn_fabric_home: BTreeMap::new(),
@@ -504,12 +471,6 @@ impl<M: RemoteFork> CxlPorter<M> {
     /// The function catalog invocations resolve against.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
-    }
-
-    /// Per-node state machines: phase entry and transition counts
-    /// accumulated over every trace run.
-    pub fn machines(&self) -> &ClusterMachines {
-        &self.machines
     }
 
     /// Attaches a content-addressed checkpoint image store. The
@@ -676,7 +637,7 @@ impl<M: RemoteFork> CxlPorter<M> {
         }
     }
 
-    /// Runs a trace to completion under the discrete-event engine.
+    /// Runs a trace to completion by draining one event queue.
     ///
     /// The trace is validated first: arrival times must be
     /// non-decreasing. A queue-driven replay would otherwise silently
@@ -717,14 +678,37 @@ impl<M: RemoteFork> CxlPorter<M> {
             for (idx, inv) in trace.iter().enumerate() {
                 queue.push(inv.time, PorterEvent::Arrival(idx));
             }
-            let engine = {
-                let mut sim = TraceSim {
-                    porter: self,
-                    trace,
-                };
-                cxl_sim::run(&mut sim, &mut queue)
-            };
-            self.report.engine_events += engine.dispatched;
+            // The dispatch loop. Handlers may push follow-up events, but
+            // never into the past of the event being dispatched: results
+            // would then depend on dispatch interleaving.
+            let mut now = SimTime::ZERO;
+            while let Some(ev) = queue.pop() {
+                assert!(
+                    ev.at >= now,
+                    "event queue dispatched backwards: {} after {}",
+                    ev.at.as_nanos(),
+                    now.as_nanos()
+                );
+                now = ev.at;
+                self.report.engine_events += 1;
+                match ev.event {
+                    PorterEvent::Crash(crash) => self.handle_crash(crash),
+                    PorterEvent::Arrival(idx) => {
+                        let inv = &trace[idx];
+                        self.maintenance_tick(inv.time);
+                        self.dispatch_arrival(inv, idx, 0, &mut queue);
+                    }
+                    PorterEvent::Deferred { idx, attempts } => {
+                        self.maintenance_tick(ev.at);
+                        let retry = Invocation {
+                            time: ev.at,
+                            function: trace[idx].function.clone(),
+                            owner: trace[idx].owner,
+                        };
+                        self.dispatch_arrival(&retry, idx, attempts, &mut queue);
+                    }
+                }
+            }
         }
         let mut report = std::mem::take(&mut self.report);
         // Backstop GC: a crash after the last maintenance tick may have
@@ -837,7 +821,6 @@ impl<M: RemoteFork> CxlPorter<M> {
             let live: Vec<usize> = self.cluster.live_nodes().collect();
             for &idx in &live {
                 self.leases.renew(NodeId(idx as u32), now);
-                self.machines.pulse(idx, NodePhase::Maintenance, now);
             }
             let r = reclaim_orphans(&self.cluster.device, &self.leases, now);
             self.report.orphan_regions_reclaimed += r.regions;
@@ -912,7 +895,6 @@ impl<M: RemoteFork> CxlPorter<M> {
         }
         self.cluster.nodes[node].drop_page_cache();
         self.cluster.mark_failed(node);
-        self.machines.enter(node, NodePhase::Crashed, crash.at);
         self.leases.revoke(NodeId(node as u32));
         self.report.crashes_survived += 1;
 
@@ -966,7 +948,7 @@ impl<M: RemoteFork> CxlPorter<M> {
             };
             self.note_queue_wait(node, now);
             self.cluster.nodes[node].clock_mut().advance_to(now);
-            self.machines.pulse(node, NodePhase::Dispatching, now);
+            debug_assert!(!self.cluster.is_failed(node), "dispatch to a crashed node");
             match self.invoke_with_reclaim(node, pid, &spec, inv_idx, now) {
                 Some(result) => {
                     self.report.warm_hits += 1;
@@ -978,7 +960,6 @@ impl<M: RemoteFork> CxlPorter<M> {
                     self.report.dropped += 1;
                 }
             }
-            self.cluster.touch(node);
             return;
         }
 
@@ -998,7 +979,6 @@ impl<M: RemoteFork> CxlPorter<M> {
                         self.report.dropped += 1;
                     }
                 }
-                self.cluster.touch(node);
             }
             None => {
                 self.report.dropped += 1;
@@ -1167,6 +1147,7 @@ impl<M: RemoteFork> CxlPorter<M> {
         owner: u32,
     ) -> Option<(u64, SimDuration)> {
         let node = self.cluster.least_loaded()?;
+        debug_assert!(!self.cluster.is_failed(node), "placement on a crashed node");
         self.note_queue_wait(node, now);
         self.cluster.nodes[node].clock_mut().advance_to(now);
 
@@ -1230,7 +1211,6 @@ impl<M: RemoteFork> CxlPorter<M> {
                     container.attach_process(&spec.name, r.pid);
                     let id = self.next_instance_id;
                     self.next_instance_id += 1;
-                    self.machines.pulse(node, NodePhase::Restoring, now);
                     let image = self
                         .store
                         .get(&spec.name)
@@ -1288,7 +1268,6 @@ impl<M: RemoteFork> CxlPorter<M> {
                     container.attach_process(&spec.name, pid);
                     let id = self.next_instance_id;
                     self.next_instance_id += 1;
-                    self.machines.pulse(node, NodePhase::ColdDeploying, now);
                     self.instances.push(Instance {
                         id,
                         node,
@@ -1506,7 +1485,6 @@ impl<M: RemoteFork> CxlPorter<M> {
         let node = inst.node;
         let _ = inst.container.recycle(&mut self.cluster.nodes[node]);
         self.return_container(node, inst.container);
-        self.cluster.touch(node);
     }
 
     /// Live instance count (for tests and reports).

@@ -213,9 +213,6 @@ pub struct MmContext<'a> {
     pub page_cache: &'a mut PageCache,
     /// The node's fabric id.
     pub node: NodeId,
-    /// Sequential read-ahead window for file major faults, in pages
-    /// (including the faulting page). `1` disables read-ahead.
-    pub file_readahead_pages: u64,
 }
 
 /// Result of a batched page fill ([`AddressSpace::fill_pages`]).
@@ -573,15 +570,6 @@ impl AddressSpace {
                             let pfn = ctx.frames.alloc(data)?;
                             ctx.frames.inc_ref(pfn); // the cache's reference
                             ctx.page_cache.insert(path, file_page, pfn);
-                            // Optional sequential read-ahead: warm the page
-                            // cache with the following pages of the file
-                            // while the media is already positioned.
-                            let extra = Self::file_readahead(path, file_page, ctx);
-                            if extra > 0 {
-                                let ra_cost = ctx.model.file_readahead(extra);
-                                outcome.fault_cost += ra_cost;
-                                outcome.cost += ra_cost;
-                            }
                             (FaultKind::FileMajor, pfn)
                         }
                     };
@@ -668,32 +656,6 @@ impl AddressSpace {
                 OsError::from(e)
             }
         })
-    }
-
-    /// Best-effort sequential read-ahead after a file major fault: pulls
-    /// up to `ctx.file_readahead_pages - 1` following pages of the same
-    /// file into the node's page cache. Cache-only — no mappings are
-    /// installed, so later faults on these pages are minor. The scan
-    /// stops quietly at the file end or on frame exhaustion. Returns how
-    /// many extra pages were actually read from the media.
-    fn file_readahead(path: &str, file_page: u64, ctx: &mut MmContext<'_>) -> u64 {
-        let window = ctx.file_readahead_pages.max(1);
-        let mut extra = 0;
-        for fp in file_page + 1..file_page + window {
-            if ctx.page_cache.lookup(path, fp).is_some() {
-                continue; // already warm
-            }
-            let Ok(data) = ctx.rootfs.read_page(path, fp) else {
-                break; // past the file end
-            };
-            // The freshly allocated reference belongs to the cache.
-            let Ok(pfn) = ctx.frames.alloc(data) else {
-                break; // node full: read-ahead is strictly best-effort
-            };
-            ctx.page_cache.insert(path, fp, pfn);
-            extra += 1;
-        }
-        extra
     }
 
     fn backing_for(&self, vpn: VirtPageNum) -> Option<BackingPage> {
@@ -906,7 +868,6 @@ mod tests {
         rootfs: Arc<SharedFs>,
         model: LatencyModel,
         page_cache: PageCache,
-        file_readahead_pages: u64,
     }
 
     impl World {
@@ -920,7 +881,6 @@ mod tests {
                 rootfs,
                 model: LatencyModel::calibrated(),
                 page_cache: PageCache::new(),
-                file_readahead_pages: 1,
             }
         }
 
@@ -933,7 +893,6 @@ mod tests {
                 model: &self.model,
                 page_cache: &mut self.page_cache,
                 node: NodeId(0),
-                file_readahead_pages: self.file_readahead_pages,
             }
         }
     }
@@ -1398,80 +1357,6 @@ mod tests {
         // The pages installed before the failure stay mapped (the caller
         // rolls the whole process back).
         assert_eq!(asp.private_local_pages(), 2);
-    }
-
-    #[test]
-    fn file_readahead_warms_cache_and_is_off_by_default() {
-        // Default window (1): a major fault caches only its own page.
-        let mut w = World::new();
-        let mut asp = AddressSpace::new();
-        asp.map_file(0, 16, Protection::read_exec(), "/lib/libc.so", 0)
-            .unwrap();
-        let base = asp
-            .access(VirtPageNum(0), Access::Read, &mut w.ctx())
-            .unwrap();
-        assert_eq!(base.fault, Some(FaultKind::FileMajor));
-        let o = asp
-            .access(VirtPageNum(1), Access::Read, &mut w.ctx())
-            .unwrap();
-        assert_eq!(o.fault, Some(FaultKind::FileMajor), "no read-ahead");
-
-        // Window of 4: one major fault pre-reads the next three pages,
-        // charging the media reads to the faulting access; the following
-        // touches are minor faults served from the warm cache.
-        let mut w = World::new();
-        w.file_readahead_pages = 4;
-        let mut asp = AddressSpace::new();
-        asp.map_file(0, 16, Protection::read_exec(), "/lib/libc.so", 0)
-            .unwrap();
-        let major = asp
-            .access(VirtPageNum(0), Access::Read, &mut w.ctx())
-            .unwrap();
-        assert_eq!(major.fault, Some(FaultKind::FileMajor));
-        assert_eq!(
-            major.fault_cost,
-            base.fault_cost + w.model.file_readahead(3),
-            "read-ahead charges exactly the extra media reads"
-        );
-        for i in 1..4 {
-            let o = asp
-                .access(VirtPageNum(i), Access::Read, &mut w.ctx())
-                .unwrap();
-            assert_eq!(o.fault, Some(FaultKind::FileMinor), "page {i} was warm");
-        }
-        let o = asp
-            .access(VirtPageNum(4), Access::Read, &mut w.ctx())
-            .unwrap();
-        assert_eq!(o.fault, Some(FaultKind::FileMajor), "past the window");
-    }
-
-    #[test]
-    fn file_readahead_stops_at_file_end_and_when_node_is_full() {
-        let mut w = World::new();
-        w.file_readahead_pages = 64;
-        w.rootfs.create("/tiny", 2 * crate::PAGE_SIZE, 7);
-        let mut asp = AddressSpace::new();
-        asp.map_file(0, 2, Protection::read_exec(), "/tiny", 0)
-            .unwrap();
-        let o = asp
-            .access(VirtPageNum(0), Access::Read, &mut w.ctx())
-            .unwrap();
-        assert_eq!(o.fault, Some(FaultKind::FileMajor));
-        // Only one page follows in the file: read-ahead charged one page.
-        assert_eq!(w.frames.used(), 2);
-
-        // A nearly-full node degrades to no read-ahead, not an error.
-        let mut w = World::new();
-        w.file_readahead_pages = 64;
-        w.frames = FrameAllocator::new(1);
-        let mut asp = AddressSpace::new();
-        asp.map_file(0, 16, Protection::read_exec(), "/lib/libc.so", 0)
-            .unwrap();
-        let o = asp
-            .access(VirtPageNum(0), Access::Read, &mut w.ctx())
-            .unwrap();
-        assert_eq!(o.fault, Some(FaultKind::FileMajor));
-        assert_eq!(w.frames.used(), 1, "read-ahead stopped at capacity");
     }
 
     #[test]

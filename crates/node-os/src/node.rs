@@ -29,11 +29,6 @@ pub struct NodeConfig {
     pub cache: CacheConfig,
     /// Latency model.
     pub model: LatencyModel,
-    /// Sequential read-ahead window for file major faults, in pages
-    /// (including the faulting page). The default of `1` disables
-    /// read-ahead; larger windows warm the page cache with the following
-    /// pages of the file on each major fault.
-    pub file_readahead_pages: u64,
 }
 
 impl Default for NodeConfig {
@@ -43,7 +38,6 @@ impl Default for NodeConfig {
             local_mem_mib: 8192,
             cache: CacheConfig::default(),
             model: LatencyModel::calibrated(),
-            file_readahead_pages: 1,
         }
     }
 }
@@ -70,12 +64,6 @@ impl NodeConfig {
     /// Sets the cache geometry.
     pub fn with_cache(mut self, cache: CacheConfig) -> Self {
         self.cache = cache;
-        self
-    }
-
-    /// Sets the file major-fault read-ahead window (`1` = off).
-    pub fn with_file_readahead_pages(mut self, pages: u64) -> Self {
-        self.file_readahead_pages = pages.max(1);
         self
     }
 }
@@ -125,7 +113,6 @@ pub struct Node {
     processes: BTreeMap<Pid, Process>,
     next_pid: u64,
     counters: Counters,
-    file_readahead_pages: u64,
 }
 
 impl Node {
@@ -150,7 +137,6 @@ impl Node {
             processes: BTreeMap::new(),
             next_pid: 1,
             counters: Counters::new(),
-            file_readahead_pages: config.file_readahead_pages.max(1),
         }
     }
 
@@ -307,7 +293,6 @@ impl Node {
             model: &self.model,
             page_cache: &mut self.page_cache,
             node: self.id,
-            file_readahead_pages: self.file_readahead_pages,
         }
     }
 
@@ -335,7 +320,6 @@ impl Node {
             model: &self.model,
             page_cache: &mut self.page_cache,
             node: self.id,
-            file_readahead_pages: self.file_readahead_pages,
         };
         Ok(f(process, &mut ctx))
     }
@@ -454,7 +438,6 @@ impl Node {
             model: &self.model,
             page_cache: &mut self.page_cache,
             node: self.id,
-            file_readahead_pages: self.file_readahead_pages,
         };
         process.mm.teardown(&mut ctx);
         Ok(())

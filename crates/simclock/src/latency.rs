@@ -294,14 +294,6 @@ impl LatencyModel {
         self.cxl_batch_read(pages)
     }
 
-    /// Reading `extra` *additional* file pages piggybacked on a major
-    /// fault (read-ahead fill): the trap and handler were already paid
-    /// by the triggering fault, so each extra page costs only the media
-    /// read.
-    pub fn file_readahead(&self, extra: u64) -> SimDuration {
-        SimDuration::from_nanos(self.file_read_page_ns) * extra
-    }
-
     /// Creating a container from scratch (≈130 ms, §5).
     pub fn container_create(&self) -> SimDuration {
         SimDuration::from_nanos(self.container_create_ns)
@@ -728,18 +720,6 @@ mod tests {
         let scalar = m.cxl_copy(PAGE_SIZE);
         let pipelined = scalar - m.cxl_read_round_trip();
         assert_eq!(m.cxl_batch_read(5), scalar + pipelined * 4);
-    }
-
-    #[test]
-    fn file_readahead_charges_media_read_only() {
-        let m = LatencyModel::calibrated();
-        assert_eq!(m.file_readahead(0), SimDuration::ZERO);
-        assert_eq!(
-            m.file_readahead(3),
-            SimDuration::from_nanos(m.file_read_page_ns) * 3
-        );
-        // An extra read-ahead page is cheaper than a full major fault.
-        assert!(m.file_readahead(1) < m.file_major_fault());
     }
 
     /// Shard-count partitions exercised by the pipeline property tests:
