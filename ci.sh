@@ -91,7 +91,10 @@ echo '== these tests exist =='
 # filtering one away fails here instead of passing with "0 tests":
 # the golden traces (trace-gen may get faster, never different), the
 # fingerprint value identity (constant, memo and byte loop agree), the
-# store's differential test against a per-page refcount model, the
+# store's differential test against a per-page refcount model (slot reuse
+# and the recovered slab included) and the journal golden recorded before
+# the index became a slab, `CxlBacking` against its ordered-map model, the
+# porter's expiry floor at its edge and under late memory pressure, the
 # sharded-device audit + lockdep lint (DESIGN.md §10), the pipeline
 # model's invariants (§15: p = 1 is the serial cost, cost is monotone in
 # p, never below the streaming floor), the fabric model's (§16: zero
@@ -123,10 +126,12 @@ expect_tests cxl-mem --lib \
     page::tests::fingerprint_identity_survives_memo_eviction \
     page::tests::fingerprint_identity_memo_adds_nothing_to_page_size
 expect_tests node-os --lib \
-    frame::tests::fingerprint_identity_frame_size_is_unchanged
+    frame::tests::fingerprint_identity_frame_size_is_unchanged \
+    mm::tests::cxl_backing_matches_btreemap_model_under_arbitrary_insert_orders
 expect_tests cxl-store '--test differential' \
     store_differential_volatile_matches_per_page_model_page_for_page \
-    store_differential_durable_matches_model_and_recovers_to_it
+    store_differential_durable_matches_model_and_recovers_to_it \
+    journal_golden_fixed_script_pins_pages_written_and_region_bytes
 expect_tests cxl-check '--test sharded_device_lint' \
     sharded_device_batch_churn_audits_clean_with_no_lock_cycle
 expect_tests simclock --lib \
@@ -148,7 +153,9 @@ expect_tests cxl-lint '--test static_vs_runtime' \
     runtime_lockdep_agrees_with_the_static_graph
 expect_tests cxlporter --lib \
     cluster::tests::least_loaded_sees_an_untracked_load_decrease \
-    tests::crash_then_arrivals_never_dispatch_to_the_dead_node
+    tests::crash_then_arrivals_never_dispatch_to_the_dead_node \
+    porter::tests::idle_instance_expires_one_nanosecond_past_the_expiry_floor \
+    porter::tests::node_turning_pressured_after_the_floor_was_computed_expires_on_time
 expect_tests cxlfork --lib \
     tests::default_config_is_bit_identical_to_explicit_serial
 expect_tests cxl-store --lib \

@@ -110,6 +110,9 @@ pub struct CxlForkCheckpoint {
     pub data_pages: u64,
     /// Pages whose checkpointed D bit is set.
     pub dirty_pages: u64,
+    /// Those pages — `(vpn, device page)`, ascending — as the rebase
+    /// walk met them: what a restore's dirty-page prefetch reads.
+    pub(crate) dirty: Vec<(VirtPageNum, CxlPageId)>,
     /// Pages whose checkpointed A bit is set.
     pub accessed_pages: u64,
 }
@@ -394,9 +397,11 @@ pub(crate) fn take_checkpoint(
     // REBASE: rewrite every copied entry to its machine-independent CXL
     // page number, read-only + CoW + checkpoint-pinned, keeping the
     // FILE / ACCESSED / DIRTY record bits.
-    let mut backing = CxlBacking::new();
+    // Entries are in leaf/slot — ascending vpn — order: every insert
+    // below is an append into an allocation of exactly this size.
+    let mut backing = CxlBacking::with_capacity(entries.len());
     let data_pages = entries.len() as u64;
-    let mut dirty_pages = 0u64;
+    let mut dirty: Vec<(VirtPageNum, CxlPageId)> = Vec::new();
     let mut accessed_pages = 0u64;
     let mut rebased_pointers = 0u64;
     let mut ckpt_leaves: Vec<PtLeaf> = (0..src_leaves.len()).map(|_| PtLeaf::new()).collect();
@@ -411,7 +416,7 @@ pub(crate) fn take_checkpoint(
         }
         if e.pte.is_dirty() {
             flags |= PteFlags::DIRTY;
-            dirty_pages += 1;
+            dirty.push((e.vpn, dst));
         }
         ckpt_leaves[e.leaf_pos].set(e.slot, Pte::mapped(PhysAddr::Cxl(dst), flags));
         rebased_pointers += 1;
@@ -621,7 +626,8 @@ pub(crate) fn take_checkpoint(
         leaves,
         backing: Arc::new(backing),
         data_pages,
-        dirty_pages,
+        dirty_pages: dirty.len() as u64,
+        dirty,
         accessed_pages,
     })
 }

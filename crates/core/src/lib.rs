@@ -850,6 +850,7 @@ mod tests {
             backing: Arc::clone(&ckpt.backing),
             data_pages: ckpt.data_pages,
             dirty_pages: ckpt.dirty_pages,
+            dirty: ckpt.dirty.clone(),
             accessed_pages: ckpt.accessed_pages,
         };
         let before = c.nodes[1].process_count();
@@ -980,6 +981,44 @@ mod tests {
         );
         assert_eq!(c.device.used_pages(), used_before);
         assert!(c.device.staging_regions().is_empty());
+    }
+
+    #[test]
+    fn prefetch_out_of_frames_rolls_back_once_and_leaks_nothing() {
+        let mut c = cluster(1);
+        let pid = build_process(&mut c.nodes[0]);
+        let ckpt = c.fork.checkpoint(&mut c.nodes[0], pid).unwrap();
+        assert_eq!(ckpt.dirty.len() as u64, ckpt.dirty_pages);
+
+        // A 1 MiB node with all but 20 frames held by another process:
+        // the 64-page dirty prefetch runs out of frames partway through.
+        let mut small = Node::new(
+            NodeConfig::default().with_id(1).with_local_mem_mib(1),
+            Arc::clone(&c.device),
+        );
+        let hog = small.spawn("hog").unwrap();
+        let hog_pages = small.frames().available() - 20;
+        small
+            .process_mut(hog)
+            .unwrap()
+            .mm
+            .map_anonymous(0, hog_pages, Protection::read_write(), "hog")
+            .unwrap();
+        for vpn in 0..hog_pages {
+            small.access(hog, vpn, Access::Write).unwrap();
+        }
+        let frames_before = small.frames().used();
+
+        let err = c
+            .fork
+            .restore_with(&ckpt, &mut small, rfork::RestoreOptions::mow())
+            .unwrap_err();
+        assert!(
+            matches!(err, RforkError::Os(node_os::OsError::OutOfMemory { .. })),
+            "got {err}"
+        );
+        assert_eq!(small.process_count(), 1, "only the hog is left");
+        assert_eq!(small.frames().used(), frames_before, "no leaked frames");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   (or user-hinted hot) pages are *armed* to migrate on first access and
 //!   the rest stay mapped read-only in CXL.
 
-use node_os::addr::{PhysAddr, Pid, VirtPageNum};
+use node_os::addr::{PhysAddr, Pid};
 use node_os::mm::CxlTierPolicy;
 use node_os::page_table::{AttachedLeaf, PtLeaf};
 use node_os::process::FdTable;
@@ -256,17 +256,8 @@ fn attach_state(
     // ---- Optional dirty-page prefetch (§4.2.1). ----
     let mut prefetched = 0u64;
     if options.prefetch_dirty && options.policy != TierPolicy::MigrateOnAccess {
-        let dirty: Vec<(VirtPageNum, cxl_mem::CxlPageId)> = checkpoint
-            .iter_pages()
-            .filter(|(_, pte)| pte.is_dirty())
-            .map(|(vpn, pte)| {
-                let PhysAddr::Cxl(page) = pte.target().expect("checkpoint entries are mapped")
-                else {
-                    unreachable!("checkpoint targets are CXL pages")
-                };
-                (vpn, page)
-            })
-            .collect();
+        // The checkpoint listed its D-bit pages once, in the rebase walk.
+        let dirty = &checkpoint.dirty;
         if !dirty.is_empty() {
             // One batched device read for the whole dirty set, then one
             // fill sweep installing the mappings. A single dirty page
@@ -282,16 +273,9 @@ fn attach_state(
                     ctx,
                 )
             })?;
-            let filled = match filled {
-                Ok(f) => f,
-                Err(e) => {
-                    // Roll back the half-restored process (memory-
-                    // constrained nodes can run out of frames
-                    // mid-prefetch).
-                    let _ = node.kill(pid);
-                    return Err(RforkError::from(e));
-                }
-            };
+            // Memory-constrained nodes can run out of frames mid-prefetch;
+            // `restore` rolls the half-restored process back.
+            let filled = filled.map_err(RforkError::from)?;
             prefetched = filled.installed;
             // Prefetch costs the per-shard critical path of the dirty
             // set, clamped by the serial charge for the pages actually

@@ -960,7 +960,9 @@ impl CxlDevice {
         data: PageData,
         node: NodeId,
     ) -> Result<(), CxlError> {
-        self.write_pages(&[(page, data)], node)
+        self.write_batch([(page, data)], node, |writes, _| {
+            std::mem::take(&mut writes[0].1)
+        })
     }
 
     /// Replaces the full contents of every `(page, data)` pair as one
@@ -969,6 +971,10 @@ impl CxlDevice {
     /// (grouped per shard), and the fault hook is consulted once per page
     /// in input order before any data moves. Callers charge
     /// `LatencyModel::cxl_batch_write(pairs.len())` for the transfer.
+    ///
+    /// Clones each page into the device slab: for callers that replay
+    /// the same batch across retries. [`CxlDevice::write_pages_owned`]
+    /// runs the same body and moves the pages in instead.
     ///
     /// # Errors
     ///
@@ -981,26 +987,55 @@ impl CxlDevice {
         writes: &[(CxlPageId, PageData)],
         node: NodeId,
     ) -> Result<(), CxlError> {
-        for (p, _) in writes {
+        self.write_batch(writes, node, |writes, pos| writes[pos].1.clone())
+    }
+
+    /// [`CxlDevice::write_pages`] for a batch the caller is done with:
+    /// each page's contents move into the device slab instead of being
+    /// cloned into it (the journal builds every 4 KiB page exactly once
+    /// this way).
+    ///
+    /// # Errors
+    ///
+    /// As [`CxlDevice::write_pages`].
+    pub fn write_pages_owned(
+        &self,
+        writes: Vec<(CxlPageId, PageData)>,
+        node: NodeId,
+    ) -> Result<(), CxlError> {
+        self.write_batch(writes, node, |writes, pos| {
+            std::mem::take(&mut writes[pos].1)
+        })
+    }
+
+    /// The body behind both batched writes; `contents` yields what goes
+    /// into the slab for the pair at a position (a clone, or the page
+    /// itself).
+    fn write_batch<W: AsRef<[(CxlPageId, PageData)]>>(
+        &self,
+        mut writes: W,
+        node: NodeId,
+        contents: impl Fn(&mut W, usize) -> PageData,
+    ) -> Result<(), CxlError> {
+        for (p, _) in writes.as_ref() {
             if let Some(err) = self.injected(DeviceOp::Write, Some(*p), node) {
                 return Err(err);
             }
         }
         let mut by_shard: BTreeMap<usize, Vec<(u64, usize)>> = BTreeMap::new();
-        for (pos, (p, _)) in writes.iter().enumerate() {
+        for (pos, (p, _)) in writes.as_ref().iter().enumerate() {
             let (s, l) = self.shard_of(*p).ok_or(CxlError::BadPage(*p))?;
             by_shard.entry(s).or_default().push((l, pos));
         }
         for (&s, entries) in &by_shard {
             let mut st = self.shards[s].state.write();
             for &(l, pos) in entries {
-                let (p, data) = &writes[pos];
                 let slot = st
                     .slots
                     .get_mut(l as usize)
                     .and_then(Option::as_mut)
-                    .ok_or(CxlError::BadPage(*p))?;
-                slot.data = data.clone();
+                    .ok_or(CxlError::BadPage(writes.as_ref()[pos].0))?;
+                slot.data = contents(&mut writes, pos);
             }
             let k = entries.len() as u64;
             *st.stats.writes.entry(node).or_insert(0) += k;

@@ -72,6 +72,10 @@ impl PageData {
             "page literal of {} bytes exceeds page size",
             bytes.len()
         );
+        if bytes.len() as u64 == PAGE_SIZE {
+            // A full page needs no zero padding: one allocation, one copy.
+            return PageData::Bytes(bytes.into());
+        }
         let mut buf = vec![0u8; PAGE_SIZE as usize].into_boxed_slice();
         buf[..bytes.len()].copy_from_slice(bytes);
         PageData::Bytes(buf)

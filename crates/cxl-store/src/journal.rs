@@ -241,9 +241,53 @@ fn put_opt_u32(buf: &mut Vec<u8>, v: Option<u32>) {
     }
 }
 
-fn put_image_record(buf: &mut Vec<u8>, r: &ImageRecord) {
+/// An [`ImageRecord`] as the encoder reads it: borrowed, with the
+/// fingerprints as an iterator, so the store can encode a snapshot from
+/// its own books without first copying them into records.
+#[derive(Debug)]
+pub struct ImageRef<'a, F> {
+    /// Image id.
+    pub id: u64,
+    /// Label.
+    pub label: &'a str,
+    /// Owning node.
+    pub owner: u32,
+    /// Checkpoint epoch.
+    pub epoch: u64,
+    /// Pin state.
+    pub pinned: bool,
+    /// Lease holder.
+    pub lease: Option<u32>,
+    /// Creation virtual time, nanoseconds.
+    pub created_at: u64,
+    /// Last-restore virtual time, nanoseconds.
+    pub last_restore: u64,
+    /// Metadata region id (`u64::MAX` while pending).
+    pub meta_region: u64,
+    /// Referenced fingerprints, with multiplicity.
+    pub fingerprints: F,
+}
+
+impl ImageRecord {
+    fn as_ref(&self) -> ImageRef<'_, impl ExactSizeIterator<Item = u64> + '_> {
+        ImageRef {
+            id: self.id,
+            label: &self.label,
+            owner: self.owner,
+            epoch: self.epoch,
+            pinned: self.pinned,
+            lease: self.lease,
+            created_at: self.created_at,
+            last_restore: self.last_restore,
+            meta_region: self.meta_region,
+            fingerprints: self.fingerprints.iter().copied(),
+        }
+    }
+}
+
+fn put_image_record(buf: &mut Vec<u8>, r: ImageRef<'_, impl ExactSizeIterator<Item = u64>>) {
     put_u64(buf, r.id);
-    put_str(buf, &r.label);
+    put_str(buf, r.label);
     put_u32(buf, r.owner);
     put_u64(buf, r.epoch);
     buf.push(u8::from(r.pinned));
@@ -252,9 +296,41 @@ fn put_image_record(buf: &mut Vec<u8>, r: &ImageRecord) {
     put_u64(buf, r.last_restore);
     put_u64(buf, r.meta_region);
     put_u32(buf, r.fingerprints.len() as u32);
-    for &fp in &r.fingerprints {
+    for fp in r.fingerprints {
         put_u64(buf, fp);
     }
+}
+
+/// The fields of a `Snapshot` record, from any source that can walk them.
+fn put_snapshot<'a, F: ExactSizeIterator<Item = u64>>(
+    buf: &mut Vec<u8>,
+    next_image: u64,
+    index: impl ExactSizeIterator<Item = (u64, u64)>,
+    catalog: impl ExactSizeIterator<Item = ImageRef<'a, F>>,
+    pending: impl ExactSizeIterator<Item = ImageRef<'a, F>>,
+) {
+    put_u64(buf, next_image);
+    put_u32(buf, index.len() as u32);
+    for (fp, page) in index {
+        put_u64(buf, fp);
+        put_u64(buf, page);
+    }
+    put_u32(buf, catalog.len() as u32);
+    for r in catalog {
+        put_image_record(buf, r);
+    }
+    put_u32(buf, pending.len() as u32);
+    for r in pending {
+        put_image_record(buf, r);
+    }
+}
+
+/// The tags every payload starts with.
+fn put_entry_header(buf: &mut Vec<u8>, tag: u8, seq: u64, owner: u32, epoch: u64) {
+    buf.push(tag);
+    put_u64(buf, seq);
+    put_u32(buf, owner);
+    put_u64(buf, epoch);
 }
 
 /// A bounds-checked little-endian reader; every getter returns `None`
@@ -334,61 +410,71 @@ impl<'a> Reader<'a> {
 /// record framing.
 pub fn encode_payload(entry: &JournalEntry) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
-    buf.push(entry.record.tag());
-    put_u64(&mut buf, entry.seq);
-    put_u32(&mut buf, entry.owner);
-    put_u64(&mut buf, entry.epoch);
+    encode_payload_into(&mut buf, entry);
+    buf
+}
+
+/// [`encode_payload`] appending to `buf` — how the store frames records
+/// straight into the journal mirror.
+pub fn encode_payload_into(buf: &mut Vec<u8>, entry: &JournalEntry) {
+    put_entry_header(buf, entry.record.tag(), entry.seq, entry.owner, entry.epoch);
     match &entry.record {
         Record::Begin {
             image,
             created_at,
             label,
         } => {
-            put_u64(&mut buf, *image);
-            put_u64(&mut buf, *created_at);
-            put_str(&mut buf, label);
+            put_u64(buf, *image);
+            put_u64(buf, *created_at);
+            put_str(buf, label);
         }
         Record::Intern { image, entries } => {
-            put_u64(&mut buf, *image);
-            put_u32(&mut buf, entries.len() as u32);
+            put_u64(buf, *image);
+            put_u32(buf, entries.len() as u32);
             for &(fp, page) in entries {
-                put_u64(&mut buf, fp);
-                put_u64(&mut buf, page);
+                put_u64(buf, fp);
+                put_u64(buf, page);
             }
         }
         Record::Commit { image, meta_region }
         | Record::Release { image, meta_region }
         | Record::Evict { image, meta_region } => {
-            put_u64(&mut buf, *image);
-            put_u64(&mut buf, *meta_region);
+            put_u64(buf, *image);
+            put_u64(buf, *meta_region);
         }
-        Record::Abort { image } => put_u64(&mut buf, *image),
+        Record::Abort { image } => put_u64(buf, *image),
         Record::SetPinned { image, pinned } => {
-            put_u64(&mut buf, *image);
+            put_u64(buf, *image);
             buf.push(u8::from(*pinned));
         }
         Record::SetLease { image, holder } => {
-            put_u64(&mut buf, *image);
-            put_opt_u32(&mut buf, *holder);
+            put_u64(buf, *image);
+            put_opt_u32(buf, *holder);
         }
-        Record::Snapshot(s) => {
-            put_u64(&mut buf, s.next_image);
-            put_u32(&mut buf, s.index.len() as u32);
-            for &(fp, page) in &s.index {
-                put_u64(&mut buf, fp);
-                put_u64(&mut buf, page);
-            }
-            put_u32(&mut buf, s.catalog.len() as u32);
-            for r in &s.catalog {
-                put_image_record(&mut buf, r);
-            }
-            put_u32(&mut buf, s.pending.len() as u32);
-            for r in &s.pending {
-                put_image_record(&mut buf, r);
-            }
-        }
+        Record::Snapshot(s) => put_snapshot(
+            buf,
+            s.next_image,
+            s.index.iter().copied(),
+            s.catalog.iter().map(ImageRecord::as_ref),
+            s.pending.iter().map(ImageRecord::as_ref),
+        ),
     }
-    buf
+}
+
+/// Appends the payload of a compaction's one entry — a
+/// [`Record::Snapshot`] with `seq` 0, owner `u32::MAX`, epoch 0 — to
+/// `buf`, walking the state where it lives instead of through a
+/// [`SnapshotState`] copy of it. Byte-identical to
+/// [`encode_payload_into`] on the equivalent owned entry.
+pub fn encode_snapshot_into<'a, F: ExactSizeIterator<Item = u64>>(
+    buf: &mut Vec<u8>,
+    next_image: u64,
+    index: impl ExactSizeIterator<Item = (u64, u64)>,
+    catalog: impl ExactSizeIterator<Item = ImageRef<'a, F>>,
+    pending: impl ExactSizeIterator<Item = ImageRef<'a, F>>,
+) {
+    put_entry_header(buf, Record::TAG_SNAPSHOT, 0, u32::MAX, 0);
+    put_snapshot(buf, next_image, index, catalog, pending);
 }
 
 /// Decodes one payload. `None` on truncation or an unknown tag.
@@ -551,6 +637,18 @@ fn trailing_nonzero(buf: &[u8]) -> u64 {
         .map_or(0, |i| i as u64 + 1)
 }
 
+/// Appends one unsealed record to `buf`: magic, length, then the payload
+/// `encode` writes in place. Returns the record's byte offset.
+fn frame_record(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> u64 {
+    let start = buf.len();
+    put_u32(buf, RECORD_MAGIC);
+    put_u32(buf, 0);
+    encode(buf);
+    let len = (buf.len() - start - 8) as u32;
+    buf[start + 4..start + 8].copy_from_slice(&len.to_le_bytes());
+    start as u64
+}
+
 // --- the device-resident log ---------------------------------------------
 
 /// A live journal generation: the DRAM mirror plus the device region
@@ -642,8 +740,8 @@ impl Journal {
         for p in &self.data_pages {
             put_u64(&mut sb, p.0);
         }
-        device.write_pages(
-            &[(self.super_page, PageData::from_bytes(&sb))],
+        device.write_pages_owned(
+            vec![(self.super_page, PageData::from_bytes(&sb))],
             NodeId(u32::MAX),
         )?;
         self.pages_written += 1;
@@ -667,56 +765,51 @@ impl Journal {
     }
 
     /// Writes the dirty byte range `[from, to)` of the mirror to the
-    /// device, whole pages at a time. Returns pages written.
+    /// device, whole pages at a time. Each page is built once, here, and
+    /// handed to the device to keep. Returns pages written.
     fn flush_range(&mut self, device: &CxlDevice, from: u64, to: u64) -> Result<u64, CxlError> {
         if to <= from {
             return Ok(0);
         }
         let first = (from / PAGE_SIZE) as usize;
         let last = to.div_ceil(PAGE_SIZE) as usize;
-        let mut writes = Vec::with_capacity(last - first);
-        for pi in first..last {
-            let start = pi * PAGE_SIZE as usize;
-            let end = (start + PAGE_SIZE as usize).min(self.buf.len());
-            writes.push((
-                self.data_pages[pi],
-                PageData::from_bytes(&self.buf[start..end]),
-            ));
-        }
-        device.write_pages(&writes, NodeId(u32::MAX))?;
-        self.pages_written += writes.len() as u64;
-        Ok(writes.len() as u64)
+        let writes: Vec<(CxlPageId, PageData)> = (first..last)
+            .map(|pi| {
+                let start = pi * PAGE_SIZE as usize;
+                let end = (start + PAGE_SIZE as usize).min(self.buf.len());
+                (
+                    self.data_pages[pi],
+                    PageData::from_bytes(&self.buf[start..end]),
+                )
+            })
+            .collect();
+        let written = writes.len() as u64;
+        device.write_pages_owned(writes, NodeId(u32::MAX))?;
+        self.pages_written += written;
+        Ok(written)
     }
 
-    /// Phase one of an append: frames and writes the record header and
-    /// payload (no marker yet — the record is *not* sealed). Returns
+    /// Phase one of an append, DRAM half: frames a record header at the
+    /// tail of the mirror and lets `encode` append the payload behind it
+    /// (no marker yet — the record is *not* sealed). Returns the record's
+    /// byte offset for [`Journal::flush_from`].
+    pub fn frame(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> u64 {
+        frame_record(&mut self.buf, encode)
+    }
+
+    /// Phase one of an append, device half: writes the mirror from byte
+    /// `start` (what [`Journal::frame`] returned) to its end. Returns
     /// journal pages written.
     ///
     /// # Errors
     ///
-    /// Device allocation/write failures; the mirror is rolled back so a
-    /// retry re-frames the record.
-    pub fn append_payload(&mut self, device: &CxlDevice, payload: &[u8]) -> Result<u64, CxlError> {
-        let start = self.buf.len() as u64;
-        put_u32(&mut self.buf, RECORD_MAGIC);
-        put_u32(&mut self.buf, payload.len() as u32);
-        self.buf.extend_from_slice(payload);
+    /// Device allocation/write failures. The frame stays in the mirror,
+    /// so a retry is the same call again.
+    pub fn flush_from(&mut self, device: &CxlDevice, start: u64) -> Result<u64, CxlError> {
         // Reserve through the marker byte so sealing never allocates.
         let total = self.buf.len() as u64 + 1;
-        let mut pages = match self.reserve(device, total) {
-            Ok(p) => p,
-            Err(e) => {
-                self.buf.truncate(start as usize);
-                return Err(e);
-            }
-        };
-        match self.flush_range(device, start, self.buf.len() as u64) {
-            Ok(p) => pages += p,
-            Err(e) => {
-                self.buf.truncate(start as usize);
-                return Err(e);
-            }
-        }
+        let mut pages = self.reserve(device, total)?;
+        pages += self.flush_range(device, start, self.buf.len() as u64)?;
         Ok(pages)
     }
 
@@ -746,11 +839,12 @@ impl Journal {
     }
 
     /// Compaction phase one: builds generation `generation` around one
-    /// sealed record (the state snapshot, expected to carry `seq` 0) —
-    /// region, data pages, payload, and marker — but **no superblock**.
-    /// Until [`Journal::publish`] runs, recovery cannot see this
-    /// generation, so a crash anywhere in between leaves the previous
-    /// generation authoritative. Returns the journal plus pages written.
+    /// sealed record (the state snapshot `encode` writes, expected to
+    /// carry `seq` 0) — region, data pages, payload, and marker — but
+    /// **no superblock**. Until [`Journal::publish`] runs, recovery
+    /// cannot see this generation, so a crash anywhere in between leaves
+    /// the previous generation authoritative. Returns the journal plus
+    /// pages written.
     ///
     /// # Errors
     ///
@@ -759,13 +853,11 @@ impl Journal {
     pub fn stage_compacted(
         device: &CxlDevice,
         generation: u64,
-        payload: &[u8],
+        encode: impl FnOnce(&mut Vec<u8>),
     ) -> Result<(Journal, u64), CxlError> {
         let region = device.create_region_meta(&format!("{JOURNAL_REGION_PREFIX}{generation}"));
-        let mut buf = Vec::with_capacity(payload.len() + 16);
-        put_u32(&mut buf, RECORD_MAGIC);
-        put_u32(&mut buf, payload.len() as u32);
-        buf.extend_from_slice(payload);
+        let mut buf = Vec::new();
+        frame_record(&mut buf, encode);
         buf.push(MARKER);
         let data_needed = (buf.len() as u64).div_ceil(PAGE_SIZE);
         let pages = match device.alloc_batch(region, 1 + data_needed) {
@@ -1118,6 +1210,12 @@ mod tests {
         ]
     }
 
+    /// Phase one of an append: frame, then write out, no marker.
+    fn append_unsealed(j: &mut Journal, device: &CxlDevice, e: &JournalEntry) {
+        let start = j.frame(|buf| encode_payload_into(buf, e));
+        j.flush_from(device, start).unwrap();
+    }
+
     fn frame(entries: &[JournalEntry]) -> Vec<u8> {
         let mut buf = Vec::new();
         for e in entries {
@@ -1136,6 +1234,41 @@ mod tests {
             let payload = encode_payload(&e);
             assert_eq!(decode_payload(&payload), Some(e));
         }
+    }
+
+    #[test]
+    fn snapshot_encoded_from_borrowed_state_matches_the_owned_record() {
+        let Some(Record::Snapshot(mut state)) = sample_records().pop().map(|e| e.record) else {
+            panic!("the last sample is the snapshot");
+        };
+        state.pending.push(ImageRecord {
+            id: 2,
+            label: "img-b".into(),
+            owner: 4,
+            epoch: 10,
+            pinned: false,
+            lease: Some(4),
+            created_at: 789,
+            last_restore: 789,
+            meta_region: u64::MAX,
+            fingerprints: vec![0xdead],
+        });
+        let mut borrowed = Vec::new();
+        encode_snapshot_into(
+            &mut borrowed,
+            state.next_image,
+            state.index.iter().copied(),
+            state.catalog.iter().map(ImageRecord::as_ref),
+            state.pending.iter().map(ImageRecord::as_ref),
+        );
+        let owned = JournalEntry {
+            seq: 0,
+            owner: u32::MAX,
+            epoch: 0,
+            record: Record::Snapshot(state),
+        };
+        assert_eq!(borrowed, encode_payload(&owned));
+        assert_eq!(decode_payload(&borrowed), Some(owned));
     }
 
     #[test]
@@ -1198,8 +1331,7 @@ mod tests {
         let mut j = Journal::create(&device, 0).unwrap();
         let records = sample_records();
         for e in &records {
-            let payload = encode_payload(e);
-            j.append_payload(&device, &payload).unwrap();
+            append_unsealed(&mut j, &device, e);
             j.seal(&device).unwrap();
         }
         assert!(j.pages_written() > 0);
@@ -1217,8 +1349,7 @@ mod tests {
         let mut resumed = resume(&found[0], loaded);
         assert_eq!(resumed.next_seq(), records.len() as u64);
         let extra = entry(records.len() as u64, Record::Abort { image: 9 });
-        let payload = encode_payload(&extra);
-        resumed.append_payload(&device, &payload).unwrap();
+        append_unsealed(&mut resumed, &device, &extra);
         resumed.seal(&device).unwrap();
         let reloaded = load_generation(&device, &found[0], NodeId(0))
             .unwrap()
@@ -1232,12 +1363,12 @@ mod tests {
         let device = CxlDevice::new(64);
         let mut old = Journal::create(&device, 0).unwrap();
         let e = entry(0, Record::Abort { image: 1 });
-        old.append_payload(&device, &encode_payload(&e)).unwrap();
+        append_unsealed(&mut old, &device, &e);
         old.seal(&device).unwrap();
 
         let snap = entry(0, Record::Snapshot(SnapshotState::default()));
         let (mut staged, written) =
-            Journal::stage_compacted(&device, 1, &encode_payload(&snap)).unwrap();
+            Journal::stage_compacted(&device, 1, |buf| encode_payload_into(buf, &snap)).unwrap();
         assert!(written > 0);
         // Both regions exist, but gen 1 has no superblock yet: a crash
         // here leaves gen 0 authoritative.
@@ -1261,10 +1392,11 @@ mod tests {
         let device = CxlDevice::new(64);
         let mut old = Journal::create(&device, 0).unwrap();
         let e = entry(0, Record::Abort { image: 1 });
-        old.append_payload(&device, &encode_payload(&e)).unwrap();
+        append_unsealed(&mut old, &device, &e);
         old.seal(&device).unwrap();
         let snap = entry(0, Record::Snapshot(SnapshotState::default()));
-        let (staged, _) = Journal::stage_compacted(&device, 1, &encode_payload(&snap)).unwrap();
+        let (staged, _) =
+            Journal::stage_compacted(&device, 1, |buf| encode_payload_into(buf, &snap)).unwrap();
 
         // Plant a page in generation 1's region that carries the right
         // magic and generation but claims `u32::MAX` data pages (32 GiB
@@ -1296,8 +1428,7 @@ mod tests {
         let device = CxlDevice::new(64);
         let mut j = Journal::create(&device, 0).unwrap();
         let e = entry(0, Record::Abort { image: 1 });
-        let payload = encode_payload(&e);
-        j.append_payload(&device, &payload).unwrap();
+        append_unsealed(&mut j, &device, &e);
         // No marker: the record is torn on reload.
         let found = find_generations(&device);
         let loaded = load_generation(&device, &found[0], NodeId(0))

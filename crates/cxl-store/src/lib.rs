@@ -11,7 +11,9 @@
 //! [`Store`] fixes both halves:
 //!
 //! * **Cross-image dedup.** A refcounted content index maps the 64-bit
-//!   page fingerprint ([`PageData::fingerprint`]) to one device page.
+//!   page fingerprint ([`PageData::fingerprint`]) to one device page;
+//!   images reference its entries by slab slot, so only *finding* content
+//!   costs a map probe.
 //!   `CxlFork::checkpoint` routes its batched data-page writes through
 //!   [`Store::intern_pages`]; a page whose content is already resident
 //!   (in *any* image) resolves to the existing device page and moves no
@@ -62,7 +64,6 @@
 // each `unwrap`/`expect` names its invariant in an `#[allow]` (DESIGN.md §12).
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -74,8 +75,10 @@ use cxl_mem::lockdep::TrackedMutex;
 use cxl_mem::{CxlDevice, CxlError, CxlPageId, NodeId, PageData, RegionId, RegionKind, PAGE_SIZE};
 use simclock::{SimDuration, SimTime};
 
+mod index;
 pub mod journal;
 
+use index::{ContentIndex, Slot};
 use journal::{Journal, Record};
 
 /// Telemetry layer name for store counters.
@@ -145,8 +148,19 @@ fn nanos_time(ns: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_nanos(ns)
 }
 
-/// Rehydrates a journaled image record into catalog form.
-fn meta_from_record(r: &journal::ImageRecord) -> ImageMeta {
+/// Rehydrates a journaled image record into catalog form, taking one
+/// reference on `index` per fingerprint. A fingerprint the snapshot's own
+/// index does not list (corrupt journal) holds no reference.
+fn meta_from_record(r: &journal::ImageRecord, index: &mut ContentIndex) -> ImageMeta {
+    let slots = r
+        .fingerprints
+        .iter()
+        .filter_map(|&fp| {
+            let slot = index.find(fp)?;
+            index.add_refs(slot, 1);
+            Some(slot)
+        })
+        .collect();
     ImageMeta {
         label: r.label.clone(),
         owner: NodeId(r.owner),
@@ -156,22 +170,20 @@ fn meta_from_record(r: &journal::ImageRecord) -> ImageMeta {
         created_at: nanos_time(r.created_at),
         last_restore: nanos_time(r.last_restore),
         meta_region: RegionId(r.meta_region),
-        fingerprints: r.fingerprints.clone(),
+        slots,
     }
 }
 
-/// Replay-time twin of `Store::drop_refs`: decrements refcounts and
-/// forgets zero-ref entries, but never touches the device — page
-/// reconciliation happens once, against the final rebuilt index.
-fn drop_replay_refs(index: &mut BTreeMap<u64, IndexEntry>, fps: &[u64]) {
-    for fp in fps {
-        if let Some(e) = index.get_mut(fp) {
-            e.refs = e.refs.saturating_sub(1);
-            if e.refs == 0 {
-                index.remove(fp);
-            }
-        }
-    }
+/// Drops one reference per listed slot. Returns the device pages whose
+/// content nobody references any more, in the order the last reference to
+/// each was listed — the order the allocator will hand them out again.
+/// Replay ignores them: it reconciles the device once, against the final
+/// rebuilt index.
+fn drop_slot_refs(index: &mut ContentIndex, slots: &[Slot]) -> Vec<CxlPageId> {
+    slots
+        .iter()
+        .filter_map(|&slot| index.release(slot))
+        .collect()
 }
 
 /// Identifies one checkpoint image in the catalog.
@@ -313,15 +325,15 @@ pub struct ImageMeta {
     /// The checkpoint's metadata region (leaves, VMA blocks, task,
     /// globals) — destroyed along with the image on eviction.
     pub meta_region: RegionId,
-    /// Content fingerprints referenced by this image, with multiplicity.
-    fingerprints: Vec<u64>,
+    /// Content-index slots referenced by this image, with multiplicity.
+    slots: Vec<Slot>,
 }
 
 impl ImageMeta {
     /// Distinct data-page references held by this image (with
     /// multiplicity; equals the checkpoint's data page count).
     pub fn data_refs(&self) -> u64 {
-        self.fingerprints.len() as u64
+        self.slots.len() as u64
     }
 }
 
@@ -347,17 +359,11 @@ pub struct EvictionReport {
 }
 
 #[derive(Debug)]
-struct IndexEntry {
-    page: CxlPageId,
-    refs: u64,
-}
-
-#[derive(Debug)]
 struct Inner {
     /// The store-owned committed region holding all deduped data pages.
     region: RegionId,
-    /// fingerprint → (device page, refcount).
-    index: BTreeMap<u64, IndexEntry>,
+    /// Refcounted content: fingerprint → device page.
+    index: ContentIndex,
     /// Committed images, by id.
     catalog: BTreeMap<u64, ImageMeta>,
     /// Images begun but not yet committed (mid-checkpoint).
@@ -458,7 +464,7 @@ impl Store {
                 "cxl_store.inner",
                 Inner {
                     region,
-                    index: BTreeMap::new(),
+                    index: ContentIndex::default(),
                     catalog: BTreeMap::new(),
                     pending: BTreeMap::new(),
                     next_image: 1,
@@ -545,7 +551,7 @@ impl Store {
         report.torn_tail_bytes = loaded.log.torn_bytes;
 
         // Replay the record stream into fresh DRAM state.
-        let mut index: BTreeMap<u64, IndexEntry> = BTreeMap::new();
+        let mut index = ContentIndex::default();
         let mut catalog: BTreeMap<u64, ImageMeta> = BTreeMap::new();
         let mut pending: BTreeMap<u64, ImageMeta> = BTreeMap::new();
         let mut next_image = 1u64;
@@ -554,36 +560,21 @@ impl Store {
             match &entry.record {
                 Record::Snapshot(s) => {
                     next_image = s.next_image;
-                    index = s
-                        .index
-                        .iter()
-                        .map(|&(fp, page)| {
-                            (
-                                fp,
-                                IndexEntry {
-                                    page: CxlPageId(page),
-                                    refs: 0,
-                                },
-                            )
-                        })
-                        .collect();
+                    index = ContentIndex::default();
+                    for &(fp, page) in &s.index {
+                        let (slot, _) = index.find_or_reserve(fp);
+                        index.bind(slot, CxlPageId(page));
+                    }
                     catalog = s
                         .catalog
                         .iter()
-                        .map(|r| (r.id, meta_from_record(r)))
+                        .map(|r| (r.id, meta_from_record(r, &mut index)))
                         .collect();
                     pending = s
                         .pending
                         .iter()
-                        .map(|r| (r.id, meta_from_record(r)))
+                        .map(|r| (r.id, meta_from_record(r, &mut index)))
                         .collect();
-                    for meta in catalog.values().chain(pending.values()) {
-                        for fp in &meta.fingerprints {
-                            if let Some(e) = index.get_mut(fp) {
-                                e.refs += 1;
-                            }
-                        }
-                    }
                 }
                 Record::Begin {
                     image,
@@ -602,22 +593,24 @@ impl Store {
                             created_at: nanos_time(*created_at),
                             last_restore: nanos_time(*created_at),
                             meta_region: RegionId(u64::MAX),
-                            fingerprints: Vec::new(),
+                            slots: Vec::new(),
                         },
                     );
                 }
                 Record::Intern { image, entries } => {
+                    // A record for an image that is not pending (forged,
+                    // or its Begin was lost) still counts against the
+                    // index: references nobody holds, so nobody drops.
+                    let mut held = pending.get_mut(image);
                     for &(fp, page) in entries {
-                        index
-                            .entry(fp)
-                            .or_insert(IndexEntry {
-                                page: CxlPageId(page),
-                                refs: 0,
-                            })
-                            .refs += 1;
-                    }
-                    if let Some(meta) = pending.get_mut(image) {
-                        meta.fingerprints.extend(entries.iter().map(|&(fp, _)| fp));
+                        let (slot, fresh) = index.find_or_reserve(fp);
+                        if fresh {
+                            index.bind(slot, CxlPageId(page));
+                        }
+                        index.add_refs(slot, 1);
+                        if let Some(meta) = held.as_deref_mut() {
+                            meta.slots.push(slot);
+                        }
                     }
                 }
                 Record::Commit { image, meta_region } => {
@@ -628,12 +621,12 @@ impl Store {
                 }
                 Record::Abort { image } => {
                     if let Some(meta) = pending.remove(image) {
-                        drop_replay_refs(&mut index, &meta.fingerprints);
+                        drop_slot_refs(&mut index, &meta.slots);
                     }
                 }
                 Record::Release { image, meta_region } | Record::Evict { image, meta_region } => {
                     if let Some(meta) = catalog.remove(image) {
-                        drop_replay_refs(&mut index, &meta.fingerprints);
+                        drop_slot_refs(&mut index, &meta.slots);
                     }
                     doomed_meta.push(RegionId(*meta_region));
                 }
@@ -655,9 +648,9 @@ impl Store {
         // (the journal-replay twin of `reclaim_orphan_pending`).
         report.rolled_back_pending = pending.len() as u64;
         for meta in std::mem::take(&mut pending).into_values() {
-            drop_replay_refs(&mut index, &meta.fingerprints);
+            drop_slot_refs(&mut index, &meta.slots);
         }
-        index.retain(|_, e| e.refs > 0);
+        index.drop_unreferenced();
         report.committed_images = catalog.len() as u64;
 
         // The store's data region is found by its fixed name — there is
@@ -677,7 +670,7 @@ impl Store {
         // data-region page the index does not reference was leaked by a
         // crash between the device write and the journal record (or
         // between the journal record and the free) — free it.
-        let referenced: BTreeSet<CxlPageId> = index.values().map(|e| e.page).collect();
+        let referenced: BTreeSet<CxlPageId> = index.iter().map(|(_, page, _)| page).collect();
         let leaked: Vec<CxlPageId> = device
             .live_pages()
             .into_iter()
@@ -691,8 +684,8 @@ impl Store {
 
         // Cross-check rebuilt refcounts against on-device content: every
         // indexed fingerprint must match its page's actual bytes.
-        if !index.is_empty() {
-            let pages: Vec<CxlPageId> = index.values().map(|e| e.page).collect();
+        if index.len() > 0 {
+            let pages: Vec<CxlPageId> = index.iter().map(|(_, page, _)| page).collect();
             let (res, _) = with_backoff(&BackoffPolicy::default(), || {
                 device.fingerprint_pages(&pages)
             });
@@ -702,9 +695,9 @@ impl Store {
             )]
             let actual = res.expect("fingerprint cross-check failed past retries");
             report.fingerprint_mismatches = index
-                .keys()
+                .iter()
                 .zip(&actual)
-                .filter(|(expected, got)| *expected != *got)
+                .filter(|((expected, _, _), got)| expected != *got)
                 .count() as u64;
         }
 
@@ -841,9 +834,9 @@ impl Store {
                 epoch,
                 record,
             };
-            let payload = journal::encode_payload(&entry);
+            let start = j.frame(|buf| journal::encode_payload_into(buf, &entry));
             let (res, _) = with_backoff(&BackoffPolicy::default(), || {
-                j.append_payload(&self.device, &payload)
+                j.flush_from(&self.device, start)
             });
             #[allow(
                 clippy::expect_used,
@@ -888,16 +881,11 @@ impl Store {
         let Some(old) = inner.journal.take() else {
             return 0;
         };
-        let entry = journal::JournalEntry {
-            seq: 0,
-            owner: u32::MAX,
-            epoch: 0,
-            record: Record::Snapshot(Self::snapshot_state(inner)),
-        };
-        let payload = journal::encode_payload(&entry);
         let generation = old.generation() + 1;
         let (res, _) = with_backoff(&BackoffPolicy::default(), || {
-            Journal::stage_compacted(&self.device, generation, &payload)
+            Journal::stage_compacted(&self.device, generation, |buf| {
+                Self::encode_snapshot(inner, buf);
+            })
         });
         #[allow(
             clippy::expect_used,
@@ -927,26 +915,44 @@ impl Store {
         self.compact_journal_locked(&mut inner)
     }
 
-    /// The full store state as a wire-format snapshot.
-    fn snapshot_state(inner: &Inner) -> journal::SnapshotState {
-        let to_record = |(&id, m): (&u64, &ImageMeta)| journal::ImageRecord {
-            id,
-            label: m.label.clone(),
-            owner: m.owner.0,
-            epoch: m.epoch,
-            pinned: m.pinned,
-            lease: m.lease.map(|n| n.0),
-            created_at: time_nanos(m.created_at),
-            last_restore: time_nanos(m.last_restore),
-            meta_region: m.meta_region.0,
-            fingerprints: m.fingerprints.clone(),
-        };
-        journal::SnapshotState {
-            next_image: inner.next_image,
-            index: inner.index.iter().map(|(&fp, e)| (fp, e.page.0)).collect(),
-            catalog: inner.catalog.iter().map(to_record).collect(),
-            pending: inner.pending.iter().map(to_record).collect(),
+    /// Encodes the full store state as a compaction snapshot, straight
+    /// from the books: index entries in fingerprint order, each image's
+    /// fingerprints read back through its slots in intern order.
+    fn encode_snapshot(inner: &Inner, buf: &mut Vec<u8>) {
+        fn as_record<'a>(
+            index: &'a ContentIndex,
+            id: u64,
+            m: &'a ImageMeta,
+        ) -> journal::ImageRef<'a, impl ExactSizeIterator<Item = u64> + 'a> {
+            journal::ImageRef {
+                id,
+                label: &m.label,
+                owner: m.owner.0,
+                epoch: m.epoch,
+                pinned: m.pinned,
+                lease: m.lease.map(|n| n.0),
+                created_at: time_nanos(m.created_at),
+                last_restore: time_nanos(m.last_restore),
+                meta_region: m.meta_region.0,
+                fingerprints: m.slots.iter().map(|&slot| index.fingerprint(slot)),
+            }
         }
+        let index = &inner.index;
+        let images = inner.catalog.len() + inner.pending.len();
+        let refs: usize = inner
+            .catalog
+            .values()
+            .chain(inner.pending.values())
+            .map(|m| m.slots.len())
+            .sum();
+        buf.reserve(16 * index.len() + 8 * refs + 128 * images + 64);
+        journal::encode_snapshot_into(
+            buf,
+            inner.next_image,
+            index.iter().map(|(fp, page, _)| (fp, page.0)),
+            inner.catalog.iter().map(|(&id, m)| as_record(index, id, m)),
+            inner.pending.iter().map(|(&id, m)| as_record(index, id, m)),
+        );
     }
 
     /// The device this store allocates from.
@@ -1000,10 +1006,56 @@ impl Store {
                 created_at: now,
                 last_restore: now,
                 meta_region: RegionId(u64::MAX),
-                fingerprints: Vec::new(),
+                slots: Vec::new(),
             },
         );
         ImageId(id)
+    }
+
+    /// The device half of an intern attempt: allocates one page per
+    /// missed content under the placement policy and writes the non-zero
+    /// ones. Returns every allocated page (in `payload` order) and the
+    /// ones whose bytes crossed the fabric. On a failed write the
+    /// allocations are freed again.
+    fn place_misses(
+        &self,
+        region: RegionId,
+        payload: &[&PageData],
+        node: NodeId,
+    ) -> Result<(Vec<CxlPageId>, Vec<CxlPageId>), CxlError> {
+        let allocated = match self.config.placement {
+            PlacementPolicy::Locality => self.device.alloc_batch(region, payload.len() as u64)?,
+            PlacementPolicy::Stripe => {
+                let streams = u32::try_from(self.device.shard_count()).unwrap_or(u32::MAX);
+                self.device
+                    .alloc_batch_striped(region, payload.len() as u64, streams)?
+            }
+        };
+        // Crash here: pages allocated but unjournaled — recovery frees
+        // them as leaked.
+        self.crashpoint("intern.after_alloc");
+        // Fresh allocations are already zeroed, so only non-zero misses
+        // cross the fabric.
+        let writes: Vec<(CxlPageId, PageData)> = payload
+            .iter()
+            .zip(&allocated)
+            .filter(|(d, _)| !matches!(d, PageData::Zero))
+            .map(|(d, &p)| (p, (*d).clone()))
+            .collect();
+        let written_pages = writes.iter().map(|(p, _)| *p).collect();
+        if let Err(e) = self.device.write_pages_owned(writes, node) {
+            // Roll the attempt back so a retry starts from scratch; the
+            // rollback free itself retries transients rather than leak.
+            let (_, _) = cxl_fault::with_backoff(&cxl_fault::BackoffPolicy::default(), || {
+                self.device.free_batch(&allocated)
+            });
+            return Err(e);
+        }
+        // Crash here: content written but unjournaled — still leaked
+        // pages from recovery's point of view. Constructive ordering:
+        // device first, journal second.
+        self.crashpoint("intern.after_data_write");
+        Ok((allocated, written_pages))
     }
 
     /// Interns a batch of page contents for `image`, returning the
@@ -1039,85 +1091,53 @@ impl Store {
         );
 
         // Resolve each run of equal fingerprints (zero pages arrive in
-        // long runs) against the index and this batch's own misses; plan
-        // allocations for content seen for the first time.
+        // long runs) with one index probe; content seen for the first
+        // time reserves a slot and is queued for allocation.
         let fps: Vec<u64> = data.iter().map(PageData::fingerprint).collect();
-        let mut planned: BTreeMap<u64, usize> = BTreeMap::new(); // fp → miss slot
+        let mut slots: Vec<Slot> = Vec::with_capacity(fps.len());
+        let mut missed: Vec<Slot> = Vec::new();
         let mut miss_payload: Vec<&PageData> = Vec::new();
-        let mut shared = fps.len() as u64;
         let mut pos = 0;
         for run in fps.chunk_by(|a, b| a == b) {
-            if !inner.index.contains_key(&run[0]) {
-                if let Entry::Vacant(slot) = planned.entry(run[0]) {
-                    slot.insert(miss_payload.len());
-                    miss_payload.push(&data[pos]);
-                    shared -= 1;
-                }
+            let (slot, fresh) = inner.index.find_or_reserve(run[0]);
+            if fresh {
+                missed.push(slot);
+                miss_payload.push(&data[pos]);
             }
+            slots.resize(slots.len() + run.len(), slot);
             pos += run.len();
         }
+        let shared = (fps.len() - missed.len()) as u64;
         let zero = data.iter().filter(|d| matches!(d, PageData::Zero)).count() as u64;
 
-        let allocated = match self.config.placement {
-            PlacementPolicy::Locality => self
-                .device
-                .alloc_batch(inner.region, miss_payload.len() as u64)?,
-            PlacementPolicy::Stripe => {
-                let streams = u32::try_from(self.device.shard_count()).unwrap_or(u32::MAX);
-                self.device
-                    .alloc_batch_striped(inner.region, miss_payload.len() as u64, streams)?
+        let (allocated, written_pages) = match self.place_misses(inner.region, &miss_payload, node)
+        {
+            Ok(placed) => placed,
+            Err(e) => {
+                // All-or-nothing: the attempt's reservations go back, so
+                // a retry starts from the index it found.
+                for &slot in missed.iter().rev() {
+                    inner.index.vacate(slot);
+                }
+                return Err(e);
             }
         };
-        // Crash here: pages allocated but unjournaled — recovery frees
-        // them as leaked.
-        self.crashpoint("intern.after_alloc");
-        // Fresh allocations are already zeroed, so only non-zero misses
-        // cross the fabric.
-        let writes: Vec<(CxlPageId, PageData)> = miss_payload
-            .iter()
-            .zip(&allocated)
-            .filter(|(d, _)| !matches!(d, PageData::Zero))
-            .map(|(d, &p)| (p, (*d).clone()))
-            .collect();
-        if let Err(e) = self.device.write_pages(&writes, node) {
-            // Roll the attempt back so a retry starts from scratch; the
-            // rollback free itself retries transients rather than leak.
-            let (_, _) = cxl_fault::with_backoff(&cxl_fault::BackoffPolicy::default(), || {
-                self.device.free_batch(&allocated)
-            });
-            return Err(e);
-        }
-        // Crash here: content written but unjournaled — still leaked
-        // pages from recovery's point of view. Constructive ordering:
-        // device first, journal second.
-        self.crashpoint("intern.after_data_write");
 
         // Device state is in place — publish to the index and the image.
-        for (fp, slot) in &planned {
-            inner.index.insert(
-                *fp,
-                IndexEntry {
-                    page: allocated[*slot],
-                    refs: 0,
-                },
-            );
+        for (&slot, &page) in missed.iter().zip(&allocated) {
+            inner.index.bind(slot, page);
         }
         let mut pages = Vec::with_capacity(fps.len());
-        for run in fps.chunk_by(|a, b| a == b) {
-            #[allow(
-                clippy::expect_used,
-                reason = "intern invariant — every fp was inserted into the index in the resolve pass just above"
-            )]
-            let entry = inner.index.get_mut(&run[0]).expect("resolved above");
-            entry.refs += run.len() as u64;
-            pages.resize(pages.len() + run.len(), entry.page);
+        for run in slots.chunk_by(|a, b| a == b) {
+            let page = inner.index.add_refs(run[0], run.len() as u64);
+            pages.resize(pages.len() + run.len(), page);
         }
         #[allow(
             clippy::expect_used,
             reason = "intern invariant — the pending entry was validated at function entry and the lock is still held"
         )]
         let pending = inner.pending.get_mut(&image.0).expect("checked above");
-        pending.fingerprints.extend_from_slice(&fps);
+        pending.slots.extend_from_slice(&slots);
 
         // Journal the published bindings (fingerprint → device page,
         // with multiplicity) so replay rebuilds exact refcounts.
@@ -1135,7 +1155,7 @@ impl Store {
         self.crashpoint("intern.after_marker");
 
         let fresh = allocated.len() as u64;
-        let written = writes.len() as u64;
+        let written = written_pages.len() as u64;
         let outcome = InternOutcome {
             pages,
             fresh,
@@ -1143,7 +1163,7 @@ impl Store {
             shared,
             zero,
             journal_pages,
-            written_pages: writes.iter().map(|(p, _)| *p).collect(),
+            written_pages,
         };
         let stats = &mut inner.stats;
         stats.interned_pages += fps.len() as u64;
@@ -1242,7 +1262,7 @@ impl Store {
             None,
         );
         self.crashpoint("abort.after_journal");
-        let freed = Self::drop_refs(&self.device, &mut inner, &meta.fingerprints);
+        let freed = Self::drop_refs(&self.device, &mut inner, &meta.slots);
         self.crashpoint("abort.after_free");
         Ok(freed)
     }
@@ -1389,7 +1409,7 @@ impl Store {
             None,
         );
         self.crashpoint("release.after_journal");
-        let freed = Self::drop_refs(&self.device, &mut inner, &meta.fingerprints);
+        let freed = Self::drop_refs(&self.device, &mut inner, &meta.slots);
         inner.stats.released_images += 1;
         inner.stats.evicted_pages += freed;
         self.crashpoint("release.after_free");
@@ -1505,7 +1525,7 @@ impl Store {
                 Record::Abort { image: id },
                 None,
             );
-            freed += Self::drop_refs(&self.device, &mut inner, &meta.fingerprints);
+            freed += Self::drop_refs(&self.device, &mut inner, &meta.slots);
         }
         freed
     }
@@ -1517,10 +1537,10 @@ impl Store {
             .lock()
             .index
             .iter()
-            .map(|(&fingerprint, e)| IndexEntrySnapshot {
+            .map(|(fingerprint, page, refs)| IndexEntrySnapshot {
                 fingerprint,
-                page: e.page,
-                refs: e.refs,
+                page,
+                refs,
             })
             .collect()
     }
@@ -1531,8 +1551,8 @@ impl Store {
         let inner = self.inner.lock();
         let mut counts: BTreeMap<u64, u64> = BTreeMap::new();
         for meta in inner.catalog.values().chain(inner.pending.values()) {
-            for &fp in &meta.fingerprints {
-                *counts.entry(fp).or_insert(0) += 1;
+            for &slot in &meta.slots {
+                *counts.entry(inner.index.fingerprint(slot)).or_insert(0) += 1;
             }
         }
         counts
@@ -1542,8 +1562,9 @@ impl Store {
     /// it from the catalog (seeds `ContentIndexSkew`).
     #[doc(hidden)]
     pub fn debug_force_refs(&self, fingerprint: u64, refs: u64) {
-        if let Some(e) = self.inner.lock().index.get_mut(&fingerprint) {
-            e.refs = refs;
+        let mut inner = self.inner.lock();
+        if let Some(slot) = inner.index.find(fingerprint) {
+            inner.index.set_refs(slot, refs);
         }
     }
 
@@ -1551,10 +1572,17 @@ impl Store {
     /// freed) device page (seeds `DanglingIndexEntry`).
     #[doc(hidden)]
     pub fn debug_plant_index_entry(&self, fingerprint: u64, page: CxlPageId, refs: u64) {
-        self.inner
-            .lock()
-            .index
-            .insert(fingerprint, IndexEntry { page, refs });
+        let mut inner = self.inner.lock();
+        let (slot, _) = inner.index.find_or_reserve(fingerprint);
+        inner.index.bind(slot, page);
+        inner.index.set_refs(slot, refs);
+    }
+
+    /// Test hook: slab positions the content index has ever handed out
+    /// (occupied plus vacated) — grows only when no vacated slot is left.
+    #[doc(hidden)]
+    pub fn debug_index_slots(&self) -> usize {
+        self.inner.lock().index.slots()
     }
 
     fn evictable(meta: &ImageMeta, leases: &LeaseTable, now: SimTime) -> bool {
@@ -1627,7 +1655,7 @@ impl Store {
             None,
         );
         self.crashpoint("evict.after_journal");
-        let mut freed = Self::drop_refs(&self.device, &mut inner, &meta.fingerprints);
+        let mut freed = Self::drop_refs(&self.device, &mut inner, &meta.slots);
         freed += self.device.destroy_region(meta.meta_region).unwrap_or(0);
         inner.stats.evicted_images += 1;
         inner.stats.evicted_pages += freed;
@@ -1635,21 +1663,11 @@ impl Store {
         freed
     }
 
-    /// Decrements refcounts for `fps`, one index probe per run of equal
-    /// fingerprints, and frees device pages whose count reaches zero —
-    /// in the order the last reference to each was listed, which is the
-    /// order the allocator will hand them out again. Returns pages freed.
-    fn drop_refs(device: &CxlDevice, inner: &mut Inner, fps: &[u64]) -> u64 {
-        let mut to_free = Vec::new();
-        for run in fps.chunk_by(|a, b| a == b) {
-            let Entry::Occupied(mut entry) = inner.index.entry(run[0]) else {
-                panic!("image references only indexed content");
-            };
-            entry.get_mut().refs -= run.len() as u64;
-            if entry.get().refs == 0 {
-                to_free.push(entry.remove().page);
-            }
-        }
+    /// Drops an image's references and frees the device pages whose
+    /// count reached zero, in the order [`drop_slot_refs`] lists them.
+    /// Returns pages freed.
+    fn drop_refs(device: &CxlDevice, inner: &mut Inner, slots: &[Slot]) -> u64 {
+        let to_free = drop_slot_refs(&mut inner.index, slots);
         if to_free.is_empty() {
             return 0;
         }

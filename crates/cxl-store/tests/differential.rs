@@ -9,6 +9,12 @@
 //! must leave the two in the same state after every step — page ids
 //! included, because the order pages are freed in is the order the device
 //! hands them out again.
+//!
+//! The index is a slab whose slots images hold: the same runs check that
+//! a slot vacated by a release is reused by the next new content (the
+//! slab is never longer than the most entries that were ever live at
+//! once), and that recovery rebuilds the same entries — fingerprint,
+//! device page and count — from the journal alone.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -71,6 +77,11 @@ struct Model {
     /// last-in first-out, then the slab grows.
     freed: Vec<CxlPageId>,
     grown: u64,
+    /// Most index entries live at once so far (ops only ever grow or only
+    /// ever shrink the index, so op boundaries see every peak).
+    peak_entries: usize,
+    /// Index entries ever created.
+    minted: usize,
 }
 
 impl Model {
@@ -93,6 +104,8 @@ impl Model {
             pages.push(entry.0);
             self.images.entry(image.0).or_default().push(fp);
         }
+        self.peak_entries = self.peak_entries.max(self.index.len());
+        self.minted += fresh as usize;
         (pages, fresh)
     }
 
@@ -240,7 +253,18 @@ fn run(seed: u64, durable: bool) -> (Arc<CxlDevice>, Store, Model) {
             exact,
             &format!("step {step} ({what}, seed {seed})"),
         );
+        // Vacated slots are reused before the slab grows: it is exactly
+        // as long as the index was at its fullest.
+        assert_eq!(
+            store.debug_index_slots(),
+            model.peak_entries,
+            "slab length after step {step} ({what}, seed {seed})"
+        );
     }
+    assert!(
+        model.minted > 2 * model.peak_entries,
+        "seed {seed}: the run must mint far more entries than the slab has slots"
+    );
     (device, store, model)
 }
 
@@ -262,6 +286,7 @@ fn store_differential_durable_matches_model_and_recovers_to_it() {
             .copied()
             .filter(|&id| !store.is_live(ImageId(id)))
             .collect();
+        let before = store.index_snapshot();
         drop(store);
         // Recovery replays the journal and rolls pending images back.
         let (recovered, report) = Store::recover(device, config, NodeId(1));
@@ -276,5 +301,139 @@ fn store_differential_durable_matches_model_and_recovers_to_it() {
             false,
             &format!("recovery (seed {seed})"),
         );
+        // Same entries on the same device pages as before the crash,
+        // less what only the rolled-back images referenced.
+        let survived: Vec<_> = before
+            .into_iter()
+            .filter_map(|mut entry| {
+                entry.refs = model.index.get(&entry.fingerprint)?.1;
+                Some(entry)
+            })
+            .collect();
+        assert_eq!(recovered.index_snapshot(), survived, "seed {seed}");
     }
+}
+
+/// Folds every live journal-region page — page id, then its 4096 bytes —
+/// into an FNV-1a hash, generations and page ids ascending.
+fn fold_journal_region(device: &CxlDevice, hash: &mut u64) {
+    let mut fold = |byte: u8| *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    let live = device.live_pages();
+    let mut raw = vec![0u8; PAGE_SIZE as usize];
+    for generation in cxl_store::journal::find_generations(device) {
+        let pages: Vec<CxlPageId> = live
+            .iter()
+            .filter(|(_, region)| *region == generation.region)
+            .map(|(page, _)| *page)
+            .collect();
+        let contents = device.snapshot_pages(&pages).expect("live pages");
+        for (page, data) in pages.iter().zip(&contents) {
+            page.0.to_le_bytes().into_iter().for_each(&mut fold);
+            data.read(0, &mut raw);
+            raw.iter().copied().for_each(&mut fold);
+        }
+    }
+}
+
+/// One fixed intern / commit / release / evict / compact / abort script
+/// against a durable store whose journal compacts on nearly every commit.
+/// The journal region is hashed after every step (compaction destroys the
+/// previous generation, so the end state alone would hide most records).
+/// Both constants were recorded on the commit *before* the content index
+/// became a slab and journal pages single-copy: slot numbering, the
+/// snapshot encoder and the owning device write may not move one byte or
+/// one page write.
+#[test]
+fn journal_golden_fixed_script_pins_pages_written_and_region_bytes() {
+    const GOLDEN_JOURNAL_PAGES_WRITTEN: u64 = 43;
+    const GOLDEN_REGION_FNV: u64 = 9_235_144_851_708_389_209;
+
+    let device = Arc::new(CxlDevice::new(DEVICE_PAGES));
+    let store = Store::with_config(
+        Arc::clone(&device),
+        StoreConfig {
+            durable: true,
+            journal_compact_bytes: 1024,
+            ..StoreConfig::default()
+        },
+    );
+    let leases = LeaseTable::new(SimDuration::from_secs(1));
+    let node = NodeId(2);
+    let at = |step: u64| SimTime::from_nanos(1_000 * step);
+    let pat = PageData::pattern;
+    let as_bytes = |page: &PageData| {
+        let mut bytes = vec![0u8; PAGE_SIZE as usize];
+        page.read(0, &mut bytes);
+        PageData::from_bytes(&bytes)
+    };
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+
+    // A: an intra-batch duplicate, a zero run, one content in two
+    // representations.
+    let a = store.begin_image("golden:a", node, 1, at(1));
+    let mut data = vec![pat(1), pat(2), pat(3)];
+    data.extend(std::iter::repeat_n(PageData::Zero, 5));
+    data.extend([pat(1), as_bytes(&pat(2))]);
+    store.intern_pages(a, &data, node).expect("device fits");
+    fold_journal_region(&device, &mut hash);
+    let meta_a = device.create_region("golden:meta-a");
+    store.commit_image(a, meta_a).expect("pending");
+    fold_journal_region(&device, &mut hash);
+
+    // B: dedups against A, adds 37 pages; its commit outgrows the
+    // compaction limit.
+    let b = store.begin_image("golden:b", NodeId(3), 2, at(2));
+    let mut data = vec![pat(1)];
+    data.extend((4..=40).map(pat));
+    data.extend(std::iter::repeat_n(PageData::Zero, 3));
+    store
+        .intern_pages(b, &data, NodeId(3))
+        .expect("device fits");
+    fold_journal_region(&device, &mut hash);
+    let meta_b = device.create_region("golden:meta-b");
+    store.commit_image(b, meta_b).expect("pending");
+    store.set_pinned(b, true).expect("committed");
+    store.set_lease(b, Some(NodeId(3))).expect("committed");
+    fold_journal_region(&device, &mut hash);
+
+    // Releasing A frees the index entries only it held (2, 3); C then
+    // interns new content into whatever the index hands back.
+    store.release_image(a).expect("committed");
+    device.destroy_region(meta_a).expect("ours to destroy");
+    fold_journal_region(&device, &mut hash);
+    let c = store.begin_image("golden:c", node, 3, at(3));
+    let mut data: Vec<PageData> = (50..=60).map(pat).collect();
+    data.extend([pat(2), PageData::Zero, pat(50)]);
+    store.intern_pages(c, &data, node).expect("device fits");
+    fold_journal_region(&device, &mut hash);
+    let meta_c = device.create_region("golden:meta-c");
+    store.commit_image(c, meta_c).expect("pending");
+    store.touch_restore(c, at(4));
+    fold_journal_region(&device, &mut hash);
+
+    // Eviction takes B (unpinned, lease lapsed, least recently restored).
+    store.set_pinned(b, false).expect("committed");
+    let report = store.evict_for(device.free_pages() + 1, &leases, at(5_000_000));
+    assert_eq!(report.images, 1);
+    assert!(!store.is_live(b) && store.is_live(c));
+    fold_journal_region(&device, &mut hash);
+
+    store.compact_journal();
+    fold_journal_region(&device, &mut hash);
+
+    // D: a pending image in the snapshot, then aborted.
+    let d = store.begin_image("golden:d", node, 4, at(6));
+    store
+        .intern_pages(d, &[pat(60), pat(70), PageData::Zero], node)
+        .expect("device fits");
+    store.compact_journal();
+    fold_journal_region(&device, &mut hash);
+    store.abort_image(d).expect("pending");
+    fold_journal_region(&device, &mut hash);
+
+    assert_eq!(
+        (store.stats().journal_pages_written, hash),
+        (GOLDEN_JOURNAL_PAGES_WRITTEN, GOLDEN_REGION_FNV),
+        "journal pages written / FNV of the journal region after every step"
+    );
 }

@@ -101,7 +101,7 @@ pub struct PorterConfig {
 /// `max_deferrals` times, after which it is dropped (`fair_drops`).
 /// This bounds how far a single bursty tenant can push everyone else's
 /// queue-wait tail.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FairnessConfig {
     /// Maximum concurrently busy instances per owner. A quota of 0
     /// drops every arrival of every owner (useful only in tests).
@@ -180,6 +180,52 @@ impl PorterConfig {
     }
 }
 
+/// Position of a [`Function`] in the porter's table: what instances and
+/// arrivals compare instead of name strings.
+type FnId = usize;
+
+/// One function name the porter has seen arrive, resolved once.
+#[derive(Debug)]
+struct Function {
+    /// The catalog entry with [`PorterConfig::template_overlap`] applied.
+    spec: Arc<FunctionSpec>,
+    /// The entry for `spec.name`, under which the function's instances
+    /// are filed: the catalog resolves names case-insensitively, idle
+    /// instances are matched on the exact spelling.
+    filed_under: FnId,
+    /// Keep-alive window of an idle instance on an unpressured node.
+    keep_alive: SimDuration,
+}
+
+/// Instants before which no idle instance can be past its keep-alive
+/// window: the minimum over instances of `last_used` plus a window.
+/// [`CxlPorter::evict_expired`] recomputes both on every scan; in between
+/// they are only ever lowered, wherever a `last_used` is written, so they
+/// stay lower bounds while instances come and go.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ExpiryFloor {
+    /// With each instance's own window: holds while no node is pressured.
+    calm: SimTime,
+    /// With the smaller of its own and the pressure window: holds
+    /// whatever the nodes' memory does. Never after `calm`.
+    pressured: SimTime,
+}
+
+impl ExpiryFloor {
+    /// No instances: nothing expires, ever.
+    const NEVER: ExpiryFloor = ExpiryFloor {
+        calm: SimTime::from_nanos(u64::MAX),
+        pressured: SimTime::from_nanos(u64::MAX),
+    };
+
+    /// Lowers the floors for an instance last used at `last_used` whose
+    /// own keep-alive window is `own`.
+    fn cover(&mut self, last_used: SimTime, own: SimDuration, pressure: SimDuration) {
+        self.calm = self.calm.min(last_used + own);
+        self.pressured = self.pressured.min(last_used + own.min(pressure));
+    }
+}
+
 /// One live function instance.
 #[derive(Debug)]
 struct Instance {
@@ -188,7 +234,7 @@ struct Instance {
     node: usize,
     container: Container,
     pid: Pid,
-    function: String,
+    function: FnId,
     /// Owning tenant of the invocation that created the instance.
     owner: u32,
     busy_until: SimTime,
@@ -385,6 +431,10 @@ pub struct CxlPorter<M: RemoteFork> {
     torn_epoch: u64,
     image_store: Option<Arc<cxl_store::Store>>,
     catalog: Catalog,
+    /// Every arrival name resolved so far, and where to find it.
+    functions: Vec<Function>,
+    fn_ids: BTreeMap<String, FnId>,
+    expiry_floor: ExpiryFloor,
     device_pool: Option<Arc<DevicePool>>,
     fn_checkpoint_seq: BTreeMap<String, u64>,
     fn_fabric_home: BTreeMap<String, u32>,
@@ -452,6 +502,9 @@ impl<M: RemoteFork> CxlPorter<M> {
             torn_epoch: 0,
             image_store: None,
             catalog: Catalog::table1(),
+            functions: Vec::new(),
+            fn_ids: BTreeMap::new(),
+            expiry_floor: ExpiryFloor::NEVER,
             device_pool: None,
             fn_checkpoint_seq: BTreeMap::new(),
             fn_fabric_home: BTreeMap::new(),
@@ -462,10 +515,63 @@ impl<M: RemoteFork> CxlPorter<M> {
     /// default is the Table 1 suite (matching the historical
     /// `faas::by_name` lookup); cluster-scale scenarios install their
     /// synthetic per-tenant namespaces here.
+    ///
+    /// # Panics
+    ///
+    /// If an arrival has already been resolved against the current
+    /// catalog (resolutions are cached for the porter's lifetime).
     #[must_use]
     pub fn with_catalog(mut self, catalog: Catalog) -> Self {
+        assert!(
+            self.functions.is_empty(),
+            "install the catalog before the first trace runs"
+        );
         self.catalog = catalog;
         self
+    }
+
+    /// The table position of the function an arrival names, resolving
+    /// the name against the catalog the first time it is seen. `None` for
+    /// names the catalog does not know.
+    fn function_id(&mut self, name: &str) -> Option<FnId> {
+        if let Some(&id) = self.fn_ids.get(name) {
+            return Some(id);
+        }
+        let spec = self.catalog.get(name)?.clone();
+        let spec = Arc::new(spec.with_template_overlap(self.config.template_overlap));
+        let keep_alive = self
+            .config
+            .per_function_keep_alive
+            .get(&spec.name)
+            .copied()
+            .unwrap_or(self.config.keep_alive);
+        let id = self.functions.len();
+        self.fn_ids.insert(name.to_owned(), id);
+        self.functions.push(Function {
+            spec: Arc::clone(&spec),
+            filed_under: id,
+            keep_alive,
+        });
+        if spec.name != name {
+            self.functions[id].filed_under = self.function_id(&spec.name)?;
+        }
+        Some(id)
+    }
+
+    /// Lowers the expiry floor for an instance of `function` whose
+    /// `last_used` was just set to `last_used`.
+    fn note_last_used(&mut self, function: FnId, last_used: SimTime) {
+        self.expiry_floor.cover(
+            last_used,
+            self.functions[function].keep_alive,
+            self.config.pressure_keep_alive,
+        );
+    }
+
+    /// Files a new instance.
+    fn admit(&mut self, instance: Instance) {
+        self.note_last_used(instance.function, instance.last_used);
+        self.instances.push(instance);
     }
 
     /// The function catalog invocations resolve against.
@@ -760,7 +866,7 @@ impl<M: RemoteFork> CxlPorter<M> {
         attempts: u32,
         queue: &mut EventQueue<PorterEvent>,
     ) {
-        if let Some(fairness) = self.config.fairness.clone() {
+        if let Some(fairness) = self.config.fairness {
             let (busy, next_free) = self.owner_busy(inv.owner, inv.time);
             if busy >= fairness.max_inflight_per_owner {
                 match next_free {
@@ -880,7 +986,8 @@ impl<M: RemoteFork> CxlPorter<M> {
             if self.instances[idx].node == node {
                 let inst = self.instances.swap_remove(idx);
                 if inst.busy_until > crash.at {
-                    in_flight.push((inst.function.clone(), inst.owner));
+                    let name = self.functions[inst.function].spec.name.clone();
+                    in_flight.push((name, inst.owner));
                 }
                 let mut container = inst.container;
                 let _ = container.recycle(&mut self.cluster.nodes[node]);
@@ -933,19 +1040,17 @@ impl<M: RemoteFork> CxlPorter<M> {
     }
 
     fn handle(&mut self, inv: &Invocation) {
-        let Some(spec) = self.catalog.get(&inv.function).cloned() else {
+        let Some(function) = self.function_id(&inv.function) else {
             return;
         };
-        let spec = spec.with_template_overlap(self.config.template_overlap);
+        let spec = Arc::clone(&self.functions[function].spec);
         let now = inv.time;
         self.evict_expired(now);
 
         // Warm path: an idle instance of this function.
-        if let Some(id) = self.find_idle(&inv.function, now) {
-            let (node, pid, inv_idx) = {
-                let i = self.instance(id).expect("just found");
-                (i.node, i.pid, i.invocations)
-            };
+        if let Some(at) = self.find_idle(function, now) {
+            let i = &self.instances[at];
+            let (id, node, pid, inv_idx) = (i.id, i.node, i.pid, i.invocations);
             self.note_queue_wait(node, now);
             self.cluster.nodes[node].clock_mut().advance_to(now);
             debug_assert!(!self.cluster.is_failed(node), "dispatch to a crashed node");
@@ -964,7 +1069,8 @@ impl<M: RemoteFork> CxlPorter<M> {
         }
 
         // Cold path.
-        match self.cold_start(&spec, now, inv.owner) {
+        let filed_under = self.functions[function].filed_under;
+        match self.cold_start(&spec, filed_under, now, inv.owner) {
             Some((id, startup)) => {
                 let (node, pid) = {
                     let i = self.instance(id).expect("just created");
@@ -1029,10 +1135,12 @@ impl<M: RemoteFork> CxlPorter<M> {
         inst.invocations += 1;
         inst.busy_until = now + latency;
         inst.last_used = inst.busy_until;
+        let (function, last_used) = (inst.function, inst.last_used);
         let node = inst.node;
         let pid = inst.pid;
         let invocations = inst.invocations;
         let cold_started = inst.cold_started;
+        self.note_last_used(function, last_used);
 
         if now >= self.measure_from {
             self.report
@@ -1105,12 +1213,14 @@ impl<M: RemoteFork> CxlPorter<M> {
         }
     }
 
-    fn find_idle(&self, function: &str, now: SimTime) -> Option<u64> {
+    /// Position of the most recently used idle instance of `function`.
+    fn find_idle(&self, function: FnId, now: SimTime) -> Option<usize> {
         self.instances
             .iter()
-            .filter(|i| i.function == function && i.busy_until <= now)
-            .max_by_key(|i| i.last_used)
-            .map(|i| i.id)
+            .enumerate()
+            .filter(|(_, i)| i.function == function && i.busy_until <= now)
+            .max_by_key(|(_, i)| i.last_used)
+            .map(|(at, _)| at)
     }
 
     /// Runs an invocation, reclaiming idle instances on OOM (the
@@ -1143,6 +1253,7 @@ impl<M: RemoteFork> CxlPorter<M> {
     fn cold_start(
         &mut self,
         spec: &FunctionSpec,
+        function: FnId,
         now: SimTime,
         owner: u32,
     ) -> Option<(u64, SimDuration)> {
@@ -1215,12 +1326,12 @@ impl<M: RemoteFork> CxlPorter<M> {
                         .store
                         .get(&spec.name)
                         .and_then(|entry| self.mech.image_id(&entry.checkpoint));
-                    self.instances.push(Instance {
+                    self.admit(Instance {
                         id,
                         node,
                         container,
                         pid: r.pid,
-                        function: spec.name.clone(),
+                        function,
                         owner,
                         busy_until: now,
                         last_used: now,
@@ -1268,12 +1379,12 @@ impl<M: RemoteFork> CxlPorter<M> {
                     container.attach_process(&spec.name, pid);
                     let id = self.next_instance_id;
                     self.next_instance_id += 1;
-                    self.instances.push(Instance {
+                    self.admit(Instance {
                         id,
                         node,
                         container,
                         pid,
-                        function: spec.name.clone(),
+                        function,
                         owner,
                         busy_until: now,
                         last_used: now,
@@ -1447,28 +1558,35 @@ impl<M: RemoteFork> CxlPorter<M> {
     }
 
     /// Evicts idle instances past their keep-alive window; the window
-    /// shrinks to 10 s on pressured nodes (§5).
+    /// shrinks to 10 s on pressured nodes (§5). Arrivals at or before the
+    /// expiry floor skip the scan: nothing can have expired yet.
     fn evict_expired(&mut self, now: SimTime) {
+        if now <= self.expiry_floor.pressured {
+            return;
+        }
+        let threshold = self.config.high_mem_threshold;
+        let pressured = |node: &node_os::Node| node.frames().utilization() >= threshold;
+        if now <= self.expiry_floor.calm && !self.cluster.nodes.iter().any(pressured) {
+            return;
+        }
+        let mut floor = ExpiryFloor::NEVER;
         let mut idx = 0;
         while idx < self.instances.len() {
             let i = &self.instances[idx];
-            let pressured =
-                self.cluster.nodes[i.node].frames().utilization() >= self.config.high_mem_threshold;
-            let window = if pressured {
+            let own = self.functions[i.function].keep_alive;
+            let window = if pressured(&self.cluster.nodes[i.node]) {
                 self.config.pressure_keep_alive
             } else {
-                self.config
-                    .per_function_keep_alive
-                    .get(&i.function)
-                    .copied()
-                    .unwrap_or(self.config.keep_alive)
+                own
             };
             if i.busy_until <= now && now - i.last_used > window {
                 self.drop_instance(idx);
             } else {
+                floor.cover(i.last_used, own, self.config.pressure_keep_alive);
                 idx += 1;
             }
         }
+        self.expiry_floor = floor;
     }
 
     /// Kills an instance (looked up by stable id) and recycles its
@@ -1552,4 +1670,124 @@ fn fnv64(name: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cxlfork::CxlFork;
+    use node_os::mm::Access;
+    use node_os::vma::Protection;
+    use simclock::LatencyModel;
+
+    const NODE_MEM_MIB: u64 = 128;
+
+    fn one_node_porter(config: PorterConfig) -> CxlPorter<CxlFork> {
+        let cluster = Cluster::new(1, NODE_MEM_MIB, 1024, LatencyModel::calibrated());
+        CxlPorter::new(cluster, CxlFork::new(), config)
+    }
+
+    /// Serves one `Float` arrival at t = 0 and returns when its instance
+    /// went idle.
+    fn one_idle_instance(porter: &mut CxlPorter<CxlFork>) -> SimTime {
+        porter.handle(&Invocation {
+            time: SimTime::ZERO,
+            function: "Float".into(),
+            owner: 0,
+        });
+        assert_eq!(porter.live_instances(), 1);
+        porter.instances[0].last_used
+    }
+
+    /// What a scan at `now` would leave alive, whatever the floor says.
+    fn alive_after_forced_scan(porter: &mut CxlPorter<CxlFork>, now: SimTime) -> usize {
+        porter.expiry_floor.calm = SimTime::ZERO;
+        porter.expiry_floor.pressured = SimTime::ZERO;
+        porter.evict_expired(now);
+        porter.live_instances()
+    }
+
+    const TICK: SimDuration = SimDuration::from_nanos(1);
+
+    #[test]
+    fn idle_instance_expires_one_nanosecond_past_the_expiry_floor() {
+        // A window below the 10 s pressure one: both floors are the
+        // instant after which the instance is expired.
+        let window = SimDuration::from_secs(5);
+        let mut porter = one_node_porter(PorterConfig {
+            keep_alive: window,
+            ..PorterConfig::cxlfork_dynamic()
+        });
+        let idle_since = one_idle_instance(&mut porter);
+        // Between scans a floor is only lowered: it still stands where
+        // the instance's admission at t = 0 put it.
+        assert_eq!(porter.expiry_floor.pressured, SimTime::ZERO + window);
+        assert_eq!(alive_after_forced_scan(&mut porter, idle_since), 1);
+        let floor = ExpiryFloor {
+            calm: idle_since + window,
+            pressured: idle_since + window,
+        };
+        assert_eq!(porter.expiry_floor, floor);
+
+        // At the floor the scan is skipped — and would have found nothing.
+        porter.evict_expired(floor.calm);
+        assert_eq!(porter.live_instances(), 1);
+        assert_eq!(alive_after_forced_scan(&mut porter, floor.calm), 1);
+        assert_eq!(porter.expiry_floor, floor, "a scan recomputes the same");
+
+        // One nanosecond later the scan runs and the instance is gone.
+        porter.evict_expired(floor.calm + TICK);
+        assert_eq!(porter.live_instances(), 0);
+        assert_eq!(porter.expiry_floor, ExpiryFloor::NEVER);
+    }
+
+    #[test]
+    fn node_turning_pressured_after_the_floor_was_computed_expires_on_time() {
+        let config = PorterConfig::cxlfork_dynamic();
+        let (pressure_window, calm_window) = (config.pressure_keep_alive, config.keep_alive);
+        assert!(pressure_window < calm_window);
+        let mut porter = one_node_porter(config);
+        let idle_since = one_idle_instance(&mut porter);
+
+        // A scan while the node is calm keeps the instance: its 600 s
+        // window applies, the pressure window only bounds the lower floor.
+        let early = idle_since + SimDuration::from_secs(1);
+        assert_eq!(alive_after_forced_scan(&mut porter, early), 1);
+        let floor = ExpiryFloor {
+            calm: idle_since + calm_window,
+            pressured: idle_since + pressure_window,
+        };
+        assert_eq!(porter.expiry_floor, floor);
+        // Past the lower floor with every node calm, still no scan (one
+        // would recompute the floors) and rightly none.
+        let later = floor.pressured + SimDuration::from_secs(1);
+        porter.expiry_floor.calm = floor.calm + TICK;
+        porter.evict_expired(later);
+        assert_eq!(porter.expiry_floor.calm, floor.calm + TICK);
+        assert_eq!(alive_after_forced_scan(&mut porter, later), 1);
+        assert_eq!(porter.expiry_floor, floor);
+
+        // Only now does the node fill up past the HighMem threshold.
+        let node = &mut porter.cluster.nodes[0];
+        let hog = node.spawn("hog").unwrap();
+        let pages = node.frames().available() * 19 / 20;
+        node.process_mut(hog)
+            .unwrap()
+            .mm
+            .map_anonymous(0, pages, Protection::read_write(), "hog")
+            .unwrap();
+        for vpn in 0..pages {
+            node.access(hog, vpn, Access::Write).unwrap();
+        }
+        assert!(node.frames().utilization() >= porter.config.high_mem_threshold);
+
+        // The floors computed while calm still hold: nothing expires at
+        // the lower one, and one nanosecond past it the shrunken window
+        // evicts the instance.
+        porter.evict_expired(floor.pressured);
+        assert_eq!(porter.live_instances(), 1);
+        assert_eq!(alive_after_forced_scan(&mut porter, floor.pressured), 1);
+        porter.evict_expired(floor.pressured + TICK);
+        assert_eq!(porter.live_instances(), 0);
+    }
 }

@@ -336,7 +336,7 @@ impl RemoteFork for MitosisCxl {
         }
 
         // Backing map: every shadow page is pull-able from the parent.
-        let mut backing = CxlBacking::new();
+        let mut backing = CxlBacking::with_capacity(d.pages.len());
         for (record, shadow) in d.pages.iter().zip(&checkpoint.shadow) {
             debug_assert_eq!(record.0, shadow.vpn, "descriptor/shadow order");
             backing.insert(

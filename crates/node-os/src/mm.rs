@@ -22,7 +22,6 @@
 //! model and is charged the local-DRAM or CXL round trip on a miss — the
 //! mechanism behind the warm-execution tiering results (Fig. 8b).
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use simclock::{LatencyModel, SimDuration};
@@ -96,10 +95,13 @@ pub struct BackingPage {
     pub file_backed: bool,
 }
 
-/// The vpn → checkpointed-page map used by pull-based restore policies.
+/// The vpn → checkpointed-page map used by pull-based restore policies:
+/// `(vpn, page)` pairs sorted by vpn. A checkpoint fills it in ascending
+/// vpn order (one append per page, into an allocation sized up front);
+/// lookups are a binary search.
 #[derive(Debug, Default, Clone)]
 pub struct CxlBacking {
-    map: BTreeMap<u64, BackingPage>,
+    pages: Vec<(u64, BackingPage)>,
 }
 
 impl CxlBacking {
@@ -108,29 +110,45 @@ impl CxlBacking {
         CxlBacking::default()
     }
 
-    /// Registers the checkpointed page for `vpn`.
+    /// An empty backing map with room for exactly `pages` entries.
+    pub fn with_capacity(pages: usize) -> Self {
+        CxlBacking {
+            pages: Vec::with_capacity(pages),
+        }
+    }
+
+    /// Registers the checkpointed page for `vpn`, replacing an earlier
+    /// registration of the same vpn.
     pub fn insert(&mut self, vpn: VirtPageNum, page: BackingPage) {
-        self.map.insert(vpn.0, page);
+        if self.pages.last().is_none_or(|(last, _)| *last < vpn.0) {
+            self.pages.push((vpn.0, page));
+            return;
+        }
+        match self.pages.binary_search_by_key(&vpn.0, |(v, _)| *v) {
+            Ok(at) => self.pages[at].1 = page,
+            Err(at) => self.pages.insert(at, (vpn.0, page)),
+        }
     }
 
     /// Looks up the checkpointed page for `vpn`.
     pub fn get(&self, vpn: VirtPageNum) -> Option<BackingPage> {
-        self.map.get(&vpn.0).cloned()
+        let at = self.pages.binary_search_by_key(&vpn.0, |(v, _)| *v).ok()?;
+        Some(self.pages[at].1.clone())
     }
 
     /// Number of backed pages.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.pages.len()
     }
 
     /// `true` if no pages are backed.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.pages.is_empty()
     }
 
     /// Iterates `(vpn, backing)` pairs in address order.
     pub fn iter(&self) -> impl Iterator<Item = (VirtPageNum, BackingPage)> + '_ {
-        self.map.iter().map(|(v, b)| (VirtPageNum(*v), b.clone()))
+        self.pages.iter().map(|(v, b)| (VirtPageNum(*v), b.clone()))
     }
 }
 
@@ -858,6 +876,8 @@ fn base_flags(vma: &Vma) -> PteFlags {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::cache::{CacheConfig, LlcCache};
 
@@ -1383,5 +1403,54 @@ mod tests {
             .unwrap();
         assert!(hit.cache_hit);
         assert!(hit.cost < miss.cost);
+    }
+
+    /// What a test can compare of a [`BackingPage`]: its device page and
+    /// flag bits.
+    fn backing_key(page: &BackingPage) -> (CxlPageId, bool, bool, bool) {
+        let BackingSource::Device(device_page) = page.source else {
+            unreachable!("the property test only registers device pages")
+        };
+        (device_page, page.accessed, page.dirty, page.file_backed)
+    }
+
+    proptest::proptest! {
+        /// The sorted-vector [`CxlBacking`] behaves exactly like a
+        /// `BTreeMap<vpn, page>` whatever order pages are registered in:
+        /// a later registration of a vpn wins, iteration is ascending,
+        /// and absent vpns (between, below and above the registered ones)
+        /// look up as `None`.
+        #[test]
+        fn cxl_backing_matches_btreemap_model_under_arbitrary_insert_orders(
+            inserts in proptest::collection::vec((0u64..96, 0u64..1_000, 0u8..8), 0..160),
+            ascending_prefix in 0u64..64,
+        ) {
+            let page = |device_page: u64, bits: u8| BackingPage {
+                source: BackingSource::Device(CxlPageId(device_page)),
+                accessed: bits & 1 != 0,
+                dirty: bits & 2 != 0,
+                file_backed: bits & 4 != 0,
+            };
+            let mut backing = CxlBacking::with_capacity(ascending_prefix as usize);
+            let mut model: BTreeMap<u64, BackingPage> = BTreeMap::new();
+            // A checkpoint-shaped ascending fill (the append path), then
+            // arbitrary inserts on top of it, duplicates included.
+            let fill = (0..ascending_prefix).map(|i| (200 + 2 * i, i, (i % 8) as u8));
+            for (vpn, device_page, bits) in fill.chain(inserts) {
+                backing.insert(VirtPageNum(vpn), page(device_page, bits));
+                model.insert(vpn, page(device_page, bits));
+            }
+            proptest::prop_assert_eq!(backing.len(), model.len());
+            proptest::prop_assert_eq!(backing.is_empty(), model.is_empty());
+            let listed: Vec<_> = backing.iter().map(|(v, p)| (v.0, backing_key(&p))).collect();
+            let expected: Vec<_> = model.iter().map(|(v, p)| (*v, backing_key(p))).collect();
+            proptest::prop_assert_eq!(listed, expected);
+            for vpn in 0..340 {
+                proptest::prop_assert_eq!(
+                    backing.get(VirtPageNum(vpn)).as_ref().map(backing_key),
+                    model.get(&vpn).map(backing_key)
+                );
+            }
+        }
     }
 }
