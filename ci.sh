@@ -103,7 +103,13 @@ echo '== these tests exist =='
 # cross-check, and the guards of the one-path-per-decision shapes
 # (placement by scan sees every load change, a crashed node is never
 # dispatched to, the default config is the p = 1 pipeline, a hostile
-# superblock page count is skipped).
+# superblock page count is skipped), and what holds the store's one
+# `apply` in place (§11/§13: the journal folded through it equals the
+# live books after every differential step, it is total, a journal that
+# cannot take a record or a snapshot refuses with a typed error and
+# leaks nothing — at the store, the journal and `CxlFork::checkpoint` —
+# the crashpoint sweep's literal site sequence, and per-function porter
+# state filed under one entry however an arrival spells the name).
 expect_tests() {
     package=$1 target=$2
     shift 2
@@ -131,7 +137,9 @@ expect_tests node-os --lib \
 expect_tests cxl-store '--test differential' \
     store_differential_volatile_matches_per_page_model_page_for_page \
     store_differential_durable_matches_model_and_recovers_to_it \
-    journal_golden_fixed_script_pins_pages_written_and_region_bytes
+    journal_golden_fixed_script_pins_pages_written_and_region_bytes \
+    superblock_limit_intern_record_too_large_is_a_typed_error_and_leaks_nothing \
+    superblock_limit_commit_with_unsnapshotable_books_is_a_typed_error_and_leaks_nothing
 expect_tests cxl-check '--test sharded_device_lint' \
     sharded_device_batch_churn_audits_clean_with_no_lock_cycle
 expect_tests simclock --lib \
@@ -155,11 +163,19 @@ expect_tests cxlporter --lib \
     cluster::tests::least_loaded_sees_an_untracked_load_decrease \
     tests::crash_then_arrivals_never_dispatch_to_the_dead_node \
     porter::tests::idle_instance_expires_one_nanosecond_past_the_expiry_floor \
-    porter::tests::node_turning_pressured_after_the_floor_was_computed_expires_on_time
+    porter::tests::node_turning_pressured_after_the_floor_was_computed_expires_on_time \
+    porter::tests::spellings_of_one_function_share_its_fabric_home_and_slo_statistics
 expect_tests cxlfork --lib \
     tests::default_config_is_bit_identical_to_explicit_serial
 expect_tests cxl-store --lib \
-    journal::tests::hostile_superblock_page_count_is_skipped_not_allocated
+    journal::tests::hostile_superblock_page_count_is_skipped_not_allocated \
+    journal::tests::superblock_limit_is_refused_where_the_page_list_grows \
+    tests::apply_is_total_a_record_that_meets_the_wrong_state_changes_nothing \
+    tests::an_intern_that_cannot_be_journaled_is_rolled_back_whole
+expect_tests cxlfork-bench '--test crashpoint_sweep' \
+    every_crashpoint_recovers_with_zero_violations
+expect_tests cxlfork '--test recheckpoint' \
+    checkpoint_the_journal_cannot_hold_fails_typed_and_leaves_nothing_behind
 expect_tests cxl-sim '--test queue_properties' \
     identical_schedules_dispatch_identically
 

@@ -172,14 +172,17 @@ struct ImageGuard<'s> {
 impl ImageGuard<'_> {
     /// Publishes the image (catalog entry referencing `meta_region`) and
     /// disarms the rollback. Returns the image plus the journal pages
-    /// the commit record cost (zero for a volatile store).
-    fn commit(mut self, meta_region: RegionId) -> (cxl_store::ImageId, u64) {
-        self.armed = false;
-        let journal_pages = self
-            .store
-            .commit_image(self.image, meta_region)
-            .expect("image stays pending until the guard commits it");
-        (self.image, journal_pages)
+    /// the commit record cost (zero for a volatile store). A journal that
+    /// cannot hold the image refuses: the guard stays armed and aborts it.
+    fn commit(mut self, meta_region: RegionId) -> Result<(cxl_store::ImageId, u64), RforkError> {
+        match self.store.commit_image(self.image, meta_region) {
+            Ok(journal_pages) => {
+                self.armed = false;
+                Ok((self.image, journal_pages))
+            }
+            Err(cxl_store::StoreError::JournalFull { cause, .. }) => Err(cause.into()),
+            Err(e) => panic!("image stays pending until the guard commits it: {e}"),
+        }
     }
 }
 
@@ -528,15 +531,15 @@ pub(crate) fn take_checkpoint(
 
     let region_usage = device.region_usage(region)?;
     // Phase two: every page is in place — publish atomically, then
-    // disarm the cleanup guards (region first, then the store image,
-    // which records the committed region as its metadata region).
+    // commit the store image (which records the committed region as its
+    // metadata region) and disarm the region's cleanup guard. A store
+    // that refuses the commit leaves both guards to roll back.
     device.commit_region(region)?;
-    let region = guard.commit();
     let mut cost = cost;
     let mut commit_cost = SimDuration::ZERO;
     let image = match image_guard {
         Some(g) => {
-            let (image, commit_journal_pages) = g.commit(region);
+            let (image, commit_journal_pages) = g.commit(region)?;
             // The commit marker is itself a journaled write (possibly
             // with a compaction snapshot behind it); it lands strictly
             // after the publish, so its cost is charged here.
@@ -549,6 +552,7 @@ pub(crate) fn take_checkpoint(
         }
         None => None,
     };
+    let region = guard.commit();
 
     if cxl_telemetry::is_armed() {
         // The phase children partition [t0, t0+cost] contiguously, so

@@ -197,3 +197,71 @@ fn hybrid_restore_of_a_recheckpoint_respects_new_access_bits() {
     assert_eq!(cold.fault, None);
     assert!(cold.cxl_tier);
 }
+
+/// A durable store journals 16 bytes per checkpointed page, and one
+/// journal generation holds 510 pages of records: with compaction off,
+/// the sixteenth checkpoint of an 8192-page process is one `Intern`
+/// record too many. The checkpoint fails with the journal's typed
+/// refusal — no panic — and both guards roll back: the pending image is
+/// aborted, the staging region destroyed, device usage where it was.
+#[test]
+fn checkpoint_the_journal_cannot_hold_fails_typed_and_leaves_nothing_behind() {
+    use cxl_mem::CxlError;
+    use cxl_store::{Store, StoreConfig};
+    use rfork::RforkError;
+
+    const HEAP: u64 = 8192;
+    let (mut nodes, device) = cluster(1);
+    let store = Arc::new(Store::with_config(
+        Arc::clone(&device),
+        StoreConfig {
+            durable: true,
+            journal_compact_bytes: u64::MAX,
+            ..StoreConfig::default()
+        },
+    ));
+    let fork = CxlFork::with_store(Arc::clone(&store));
+    let node = &mut nodes[0];
+    let pid = node.spawn("wide").unwrap();
+    let mm = &mut node.process_mut(pid).unwrap().mm;
+    mm.map_anonymous(0, HEAP, Protection::read_write(), "heap")
+        .unwrap();
+    for vpn in 0..HEAP {
+        node.access(pid, vpn, Access::Write).unwrap();
+    }
+
+    let kept: Vec<_> = (0..15)
+        .map(|_| fork.checkpoint(node, pid).expect("the record fits"))
+        .collect();
+    let (used, stats) = (device.used_pages(), store.stats());
+    let err = fork.checkpoint(node, pid).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            RforkError::Cxl(CxlError::OutOfDeviceMemory { requested, available: 510 })
+                if requested > 510
+        ),
+        "{err:?}"
+    );
+    assert_eq!(device.used_pages(), used, "no device page leaked");
+    assert!(device.staging_regions().is_empty(), "staging region gone");
+    assert_eq!(store.images().len(), kept.len());
+    let refs: u64 = store.index_snapshot().iter().map(|e| e.refs).sum();
+    assert_eq!(refs, 15 * HEAP, "the pending image's references dropped");
+    assert_eq!(store.stats().interned_pages, stats.interned_pages);
+    #[cfg(feature = "check")]
+    {
+        let mut violations = cxl_check::audit_device(&device);
+        violations.extend(cxl_check::audit_store(&store));
+        violations.extend(cxl_check::audit_journal(&store));
+        assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    // Releasing checkpoints does not shrink a journal that never
+    // compacts, but compaction does: after it the same checkpoint fits.
+    store.compact_journal();
+    let again = fork
+        .checkpoint(node, pid)
+        .expect("a compacted journal has room");
+    assert_eq!(again.data_pages, HEAP);
+}

@@ -181,13 +181,6 @@ impl FaultPlan {
         self.transient_per_write = p;
         self
     }
-
-    /// Sets the per-read poison probability.
-    #[must_use]
-    pub fn with_poison_rate(mut self, p: f64) -> Self {
-        self.poison_per_read = p;
-        self
-    }
 }
 
 /// Counters of injected faults.

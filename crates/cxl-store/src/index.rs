@@ -19,6 +19,8 @@ use std::collections::BTreeMap;
 
 use cxl_mem::CxlPageId;
 
+use crate::IndexEntrySnapshot;
+
 /// Position of an entry in the slab.
 pub(crate) type Slot = u32;
 
@@ -143,11 +145,15 @@ impl ContentIndex {
         self.entries.len()
     }
 
-    /// `(fingerprint, page, refs)` of every entry, fingerprint-ordered.
-    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = (u64, CxlPageId, u64)> + '_ {
+    /// Every entry, fingerprint-ordered.
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = IndexEntrySnapshot> + '_ {
         self.by_fingerprint.iter().map(|(&fingerprint, &slot)| {
             let entry = &self.entries[slot as usize];
-            (fingerprint, entry.page, entry.refs)
+            IndexEntrySnapshot {
+                fingerprint,
+                page: entry.page,
+                refs: entry.refs,
+            }
         })
     }
 }
@@ -213,7 +219,9 @@ mod tests {
             index.bind(slot, CxlPageId(fp + 1));
             index.add_refs(slot, fp);
         }
-        let seen: Vec<_> = index.iter().collect();
+        let seen: Vec<_> = (index.iter())
+            .map(|e| (e.fingerprint, e.page, e.refs))
+            .collect();
         assert_eq!(
             seen,
             vec![

@@ -64,6 +64,28 @@ const MARKER: u8 = 0xA5;
 /// Region-name prefix for journal generations.
 pub const JOURNAL_REGION_PREFIX: &str = "cxl-store:journal#";
 
+/// Refuses a record stream of `bytes`: one generation's data pages must
+/// all be listed in its single superblock page (chaining superblocks is
+/// future work). Typed as the device exhaustion it is for the caller —
+/// `requested` pages against the `available` list slots — and not
+/// transient: the same stream is refused again until the journal is
+/// compacted or the images shrink.
+///
+/// # Errors
+///
+/// [`CxlError::OutOfDeviceMemory`] when `bytes` needs more than
+/// `SUPERBLOCK_MAX_PAGES` (510) data pages.
+pub fn check_capacity(bytes: u64) -> Result<(), CxlError> {
+    let requested = bytes.div_ceil(PAGE_SIZE);
+    if requested > SUPERBLOCK_MAX_PAGES {
+        return Err(CxlError::OutOfDeviceMemory {
+            requested,
+            available: SUPERBLOCK_MAX_PAGES,
+        });
+    }
+    Ok(())
+}
+
 /// One journaled store mutation. Field order here is the wire order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Record {
@@ -212,10 +234,6 @@ pub struct JournalEntry {
 
 // --- little-endian codec helpers -----------------------------------------
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
@@ -227,7 +245,7 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     let bytes = s.as_bytes();
     let len = u16::try_from(bytes.len()).unwrap_or(u16::MAX);
-    put_u16(buf, len);
+    buf.extend_from_slice(&len.to_le_bytes());
     buf.extend_from_slice(&bytes[..len as usize]);
 }
 
@@ -262,8 +280,8 @@ pub struct ImageRef<'a, F> {
     pub created_at: u64,
     /// Last-restore virtual time, nanoseconds.
     pub last_restore: u64,
-    /// Metadata region id (`u64::MAX` while pending).
-    pub meta_region: u64,
+    /// Metadata region id; `None` while pending (`u64::MAX` on the wire).
+    pub meta_region: Option<u64>,
     /// Referenced fingerprints, with multiplicity.
     pub fingerprints: F,
 }
@@ -279,7 +297,7 @@ impl ImageRecord {
             lease: self.lease,
             created_at: self.created_at,
             last_restore: self.last_restore,
-            meta_region: self.meta_region,
+            meta_region: Some(self.meta_region),
             fingerprints: self.fingerprints.iter().copied(),
         }
     }
@@ -294,7 +312,7 @@ fn put_image_record(buf: &mut Vec<u8>, r: ImageRef<'_, impl ExactSizeIterator<It
     put_opt_u32(buf, r.lease);
     put_u64(buf, r.created_at);
     put_u64(buf, r.last_restore);
-    put_u64(buf, r.meta_region);
+    put_u64(buf, r.meta_region.unwrap_or(u64::MAX));
     put_u32(buf, r.fingerprints.len() as u32);
     for fp in r.fingerprints {
         put_u64(buf, fp);
@@ -356,10 +374,6 @@ impl<'a> Reader<'a> {
         self.take(1).map(|s| s[0])
     }
 
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|s| u16::from_le_bytes([s[0], s[1]]))
-    }
-
     fn u32(&mut self) -> Option<u32> {
         self.take(4)
             .map(|s| u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
@@ -371,7 +385,7 @@ impl<'a> Reader<'a> {
     }
 
     fn string(&mut self) -> Option<String> {
-        let len = self.u16()? as usize;
+        let len = self.take(2).map(|s| u16::from_le_bytes([s[0], s[1]]))? as usize;
         let bytes = self.take(len)?;
         Some(String::from_utf8_lossy(bytes).into_owned())
     }
@@ -394,15 +408,19 @@ impl<'a> Reader<'a> {
             created_at: self.u64()?,
             last_restore: self.u64()?,
             meta_region: self.u64()?,
-            fingerprints: {
-                let n = self.u32()? as usize;
-                let mut fps = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    fps.push(self.u64()?);
-                }
-                fps
-            },
+            fingerprints: self.list(Self::u64)?,
         })
+    }
+
+    /// A `u32` count, then that many items. The count is device bytes:
+    /// it may claim anything, and must not size an allocation.
+    fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        let n = self.u32()? as usize;
+        let mut out = Vec::with_capacity(n.min(1 << 20));
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Some(out)
     }
 }
 
@@ -477,6 +495,24 @@ pub fn encode_snapshot_into<'a, F: ExactSizeIterator<Item = u64>>(
     put_snapshot(buf, next_image, index, catalog, pending);
 }
 
+/// Stream bytes of the sealed record [`encode_snapshot_into`] produces for
+/// `index_len` index entries and `images` — record framing and commit
+/// marker included — so a caller can tell whether a compaction would fit
+/// one generation without encoding it.
+pub fn snapshot_record_len<'a, F: ExactSizeIterator<Item = u64> + 'a>(
+    index_len: usize,
+    images: impl Iterator<Item = &'a ImageRef<'a, F>>,
+) -> u64 {
+    // Fixed fields of put_image_record, then of frame + header + put_snapshot.
+    let images: usize = images
+        .map(|r| {
+            let lease = if r.lease.is_some() { 5 } else { 1 };
+            51 + r.label.len().min(usize::from(u16::MAX)) + lease + 8 * r.fingerprints.len()
+        })
+        .sum();
+    (8 + 21 + 8 + 4 + 16 * index_len + 4 + 4 + images + 1) as u64
+}
+
 /// Decodes one payload. `None` on truncation or an unknown tag.
 pub fn decode_payload(payload: &[u8]) -> Option<JournalEntry> {
     let mut r = Reader::new(payload);
@@ -490,15 +526,10 @@ pub fn decode_payload(payload: &[u8]) -> Option<JournalEntry> {
             created_at: r.u64()?,
             label: r.string()?,
         },
-        Record::TAG_INTERN => {
-            let image = r.u64()?;
-            let n = r.u32()? as usize;
-            let mut entries = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                entries.push((r.u64()?, r.u64()?));
-            }
-            Record::Intern { image, entries }
-        }
+        Record::TAG_INTERN => Record::Intern {
+            image: r.u64()?,
+            entries: r.list(|r| Some((r.u64()?, r.u64()?)))?,
+        },
         Record::TAG_COMMIT => Record::Commit {
             image: r.u64()?,
             meta_region: r.u64()?,
@@ -520,30 +551,12 @@ pub fn decode_payload(payload: &[u8]) -> Option<JournalEntry> {
             image: r.u64()?,
             holder: r.opt_u32()?,
         },
-        Record::TAG_SNAPSHOT => {
-            let next_image = r.u64()?;
-            let ni = r.u32()? as usize;
-            let mut index = Vec::with_capacity(ni.min(1 << 20));
-            for _ in 0..ni {
-                index.push((r.u64()?, r.u64()?));
-            }
-            let nc = r.u32()? as usize;
-            let mut catalog = Vec::with_capacity(nc.min(1 << 20));
-            for _ in 0..nc {
-                catalog.push(r.image_record()?);
-            }
-            let np = r.u32()? as usize;
-            let mut pending = Vec::with_capacity(np.min(1 << 20));
-            for _ in 0..np {
-                pending.push(r.image_record()?);
-            }
-            Record::Snapshot(SnapshotState {
-                next_image,
-                index,
-                catalog,
-                pending,
-            })
-        }
+        Record::TAG_SNAPSHOT => Record::Snapshot(SnapshotState {
+            next_image: r.u64()?,
+            index: r.list(|r| Some((r.u64()?, r.u64()?)))?,
+            catalog: r.list(Reader::image_record)?,
+            pending: r.list(Reader::image_record)?,
+        }),
         _ => return None,
     };
     Some(JournalEntry {
@@ -573,60 +586,42 @@ pub struct ParsedLog {
 pub fn parse_log(buf: &[u8]) -> ParsedLog {
     let mut entries = Vec::new();
     let mut pos = 0usize;
-    loop {
+    let torn_bytes = loop {
         let remaining = &buf[pos..];
-        if remaining.len() < 8 {
+        let Some((header, _)) = remaining.split_first_chunk::<8>() else {
             // Not even a full header fits: any nonzero residue is a torn
             // header fragment.
-            return ParsedLog {
-                entries,
-                committed_bytes: pos as u64,
-                torn_bytes: trailing_nonzero(remaining),
-            };
-        }
-        let magic = u32::from_le_bytes([remaining[0], remaining[1], remaining[2], remaining[3]]);
+            break trailing_nonzero(remaining);
+        };
+        let magic = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
         if magic == 0 {
             // Freshly allocated pages are zeroed: clean end of log.
-            break;
+            break 0;
         }
         if magic != RECORD_MAGIC {
             // Corrupt header — no further record is sealed.
-            return ParsedLog {
-                entries,
-                committed_bytes: pos as u64,
-                torn_bytes: trailing_nonzero(remaining),
-            };
+            break trailing_nonzero(remaining);
         }
-        let len =
-            u32::from_le_bytes([remaining[4], remaining[5], remaining[6], remaining[7]]) as usize;
+        let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]) as usize;
         let payload_end = pos + 8 + len;
         let sealed = buf.get(payload_end) == Some(&MARKER);
         let decoded = buf
             .get(pos + 8..payload_end)
             .and_then(decode_payload)
             .filter(|_| sealed);
-        match decoded {
-            Some(entry) => {
-                entries.push(entry);
-                pos = payload_end + 1;
-            }
-            None => {
-                // Header landed but the payload or marker did not: torn
-                // tail. The header's length field bounds the fragment
-                // (trailing payload bytes may legitimately be zero).
-                let frag = (8 + len).min(remaining.len()) as u64;
-                return ParsedLog {
-                    entries,
-                    committed_bytes: pos as u64,
-                    torn_bytes: frag,
-                };
-            }
-        }
-    }
+        let Some(entry) = decoded else {
+            // Header landed but the payload or marker did not: torn
+            // tail. The header's length field bounds the fragment
+            // (trailing payload bytes may legitimately be zero).
+            break (8 + len).min(remaining.len()) as u64;
+        };
+        entries.push(entry);
+        pos = payload_end + 1;
+    };
     ParsedLog {
         entries,
         committed_bytes: pos as u64,
-        torn_bytes: 0,
+        torn_bytes,
     }
 }
 
@@ -664,8 +659,6 @@ pub struct Journal {
     /// DRAM mirror of the record stream (excludes the superblock).
     buf: Vec<u8>,
     next_seq: u64,
-    /// Cumulative journal pages written to the device.
-    pages_written: u64,
 }
 
 impl Journal {
@@ -676,33 +669,43 @@ impl Journal {
     ///
     /// Device allocation/write failures (including injected faults).
     pub fn create(device: &CxlDevice, generation: u64) -> Result<Journal, CxlError> {
-        let region = device.create_region_meta(&format!("{JOURNAL_REGION_PREFIX}{generation}"));
-        let super_page = match device.alloc_batch(region, 1) {
-            Ok(pages) => pages[0],
-            Err(e) => {
-                let _ = device.destroy_region(region);
-                return Err(e);
-            }
-        };
-        let mut journal = Journal {
-            region,
-            generation,
-            super_page,
-            data_pages: Vec::new(),
-            buf: Vec::new(),
-            next_seq: 0,
-            pages_written: 0,
-        };
-        if let Err(e) = journal.write_superblock(device) {
-            let _ = device.destroy_region(region);
+        let (mut journal, _) = Journal::stage(device, generation, Vec::new(), 0)?;
+        if let Err(e) = journal.publish(device) {
+            let _ = journal.destroy(device);
             return Err(e);
         }
         Ok(journal)
     }
 
-    /// The journal's region.
-    pub fn region(&self) -> RegionId {
-        self.region
+    /// Builds generation `generation` around the sealed record stream
+    /// `buf` — region, data pages, bytes — but **no superblock**. Returns
+    /// the journal plus pages written; on error nothing is left behind.
+    fn stage(
+        device: &CxlDevice,
+        generation: u64,
+        buf: Vec<u8>,
+        next_seq: u64,
+    ) -> Result<(Journal, u64), CxlError> {
+        let end = buf.len() as u64;
+        check_capacity(end)?;
+        let region = device.create_region_meta(&format!("{JOURNAL_REGION_PREFIX}{generation}"));
+        let pages = device.alloc_batch(region, 1 + end.div_ceil(PAGE_SIZE));
+        let staged = pages.and_then(|pages| {
+            let mut journal = Journal {
+                region,
+                generation,
+                super_page: pages[0],
+                data_pages: pages[1..].to_vec(),
+                buf,
+                next_seq,
+            };
+            let written = journal.flush_range(device, 0, end)?;
+            Ok((journal, written))
+        });
+        if staged.is_err() {
+            let _ = device.destroy_region(region);
+        }
+        staged
     }
 
     /// The generation number.
@@ -710,26 +713,9 @@ impl Journal {
         self.generation
     }
 
-    /// Bytes in the record stream (DRAM mirror length).
-    pub fn len_bytes(&self) -> u64 {
-        self.buf.len() as u64
-    }
-
-    /// Device pages held by this generation (superblock + data).
-    pub fn pages(&self) -> u64 {
-        1 + self.data_pages.len() as u64
-    }
-
-    /// Cumulative journal pages written to the device.
-    pub fn pages_written(&self) -> u64 {
-        self.pages_written
-    }
-
-    /// Next record sequence number.
-    pub fn next_seq(&mut self) -> u64 {
-        let s = self.next_seq;
-        self.next_seq += 1;
-        s
+    /// Sequence number of the next record to be sealed.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
     }
 
     fn write_superblock(&mut self, device: &CxlDevice) -> Result<(), CxlError> {
@@ -744,23 +730,28 @@ impl Journal {
             vec![(self.super_page, PageData::from_bytes(&sb))],
             NodeId(u32::MAX),
         )?;
-        self.pages_written += 1;
         Ok(())
     }
 
     /// Ensures the data pages cover `bytes` of record stream, updating
     /// the superblock when pages are added. Returns pages written.
     fn reserve(&mut self, device: &CxlDevice, bytes: u64) -> Result<u64, CxlError> {
+        check_capacity(bytes)?;
         let need = bytes.div_ceil(PAGE_SIZE) as usize;
         if need <= self.data_pages.len() {
             return Ok(0);
         }
-        let extra = (need - self.data_pages.len()) as u64;
-        let fresh = device.alloc_batch(self.region, extra)?;
+        let listed = self.data_pages.len();
+        let fresh = device.alloc_batch(self.region, (need - listed) as u64)?;
         self.data_pages.extend(fresh);
         // Superblock first: a crash after this write but before the new
         // pages carry bytes just makes replay end at their zero fill.
-        self.write_superblock(device)?;
+        if let Err(e) = self.write_superblock(device) {
+            // Not listed after all: a later append must not take the
+            // pages for covered and write records where no reader looks.
+            let _ = device.free_batch(&self.data_pages.split_off(listed));
+            return Err(e);
+        }
         Ok(1)
     }
 
@@ -785,7 +776,6 @@ impl Journal {
             .collect();
         let written = writes.len() as u64;
         device.write_pages_owned(writes, NodeId(u32::MAX))?;
-        self.pages_written += written;
         Ok(written)
     }
 
@@ -803,14 +793,22 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Device allocation/write failures. The frame stays in the mirror,
-    /// so a retry is the same call again.
+    /// Device allocation/write failures, or [`check_capacity`]'s refusal.
+    /// The frame stays in the mirror, so a retry is the same call again;
+    /// a caller that gives up takes it out with [`Journal::unframe`].
     pub fn flush_from(&mut self, device: &CxlDevice, start: u64) -> Result<u64, CxlError> {
         // Reserve through the marker byte so sealing never allocates.
         let total = self.buf.len() as u64 + 1;
         let mut pages = self.reserve(device, total)?;
         pages += self.flush_range(device, start, self.buf.len() as u64)?;
         Ok(pages)
+    }
+
+    /// Drops the unsealed frame at byte `start` from the mirror again:
+    /// whatever part of it reached the device is a torn tail the next
+    /// append overwrites.
+    pub fn unframe(&mut self, start: u64) {
+        self.buf.truncate(start as usize);
     }
 
     /// Phase two of an append: writes the commit marker, sealing the
@@ -823,13 +821,12 @@ impl Journal {
     pub fn seal(&mut self, device: &CxlDevice) -> Result<u64, CxlError> {
         let start = self.buf.len() as u64;
         self.buf.push(MARKER);
-        match self.flush_range(device, start, self.buf.len() as u64) {
-            Ok(p) => Ok(p),
-            Err(e) => {
-                self.buf.pop();
-                Err(e)
-            }
+        let written = self.flush_range(device, start, self.buf.len() as u64);
+        match written {
+            Ok(_) => self.next_seq += 1,
+            Err(_) => self.buf.truncate(start as usize),
         }
+        written
     }
 
     /// Whether the record stream has outgrown `limit` bytes and should
@@ -848,42 +845,18 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Device allocation/write failures; the half-built region is
-    /// destroyed before returning.
+    /// [`check_capacity`]'s refusal of a snapshot one generation cannot
+    /// hold (nothing was created), or device allocation/write failures
+    /// (the half-built region is destroyed before returning).
     pub fn stage_compacted(
         device: &CxlDevice,
         generation: u64,
         encode: impl FnOnce(&mut Vec<u8>),
     ) -> Result<(Journal, u64), CxlError> {
-        let region = device.create_region_meta(&format!("{JOURNAL_REGION_PREFIX}{generation}"));
         let mut buf = Vec::new();
         frame_record(&mut buf, encode);
         buf.push(MARKER);
-        let data_needed = (buf.len() as u64).div_ceil(PAGE_SIZE);
-        let pages = match device.alloc_batch(region, 1 + data_needed) {
-            Ok(p) => p,
-            Err(e) => {
-                let _ = device.destroy_region(region);
-                return Err(e);
-            }
-        };
-        let end = buf.len() as u64;
-        let mut journal = Journal {
-            region,
-            generation,
-            super_page: pages[0],
-            data_pages: pages[1..].to_vec(),
-            buf,
-            next_seq: 1,
-            pages_written: 0,
-        };
-        match journal.flush_range(device, 0, end) {
-            Ok(written) => Ok((journal, written)),
-            Err(e) => {
-                let _ = device.destroy_region(region);
-                Err(e)
-            }
-        }
+        Journal::stage(device, generation, buf, 1)
     }
 
     /// Compaction phase two: writes the superblock, making this the
@@ -1110,7 +1083,6 @@ pub fn resume(found: &FoundGeneration, loaded: LoadedGeneration) -> Journal {
         data_pages: loaded.data_pages,
         buf: loaded.buf,
         next_seq,
-        pages_written: 0,
     }
 }
 
@@ -1265,10 +1237,59 @@ mod tests {
             seq: 0,
             owner: u32::MAX,
             epoch: 0,
-            record: Record::Snapshot(state),
+            record: Record::Snapshot(state.clone()),
         };
         assert_eq!(borrowed, encode_payload(&owned));
         assert_eq!(decode_payload(&borrowed), Some(owned));
+        // Framing and marker included, without encoding anything.
+        let images: Vec<_> = (state.catalog.iter().chain(&state.pending))
+            .map(ImageRecord::as_ref)
+            .collect();
+        assert_eq!(
+            snapshot_record_len(state.index.len(), images.iter()),
+            8 + borrowed.len() as u64 + 1
+        );
+    }
+
+    #[test]
+    fn superblock_limit_is_refused_where_the_page_list_grows() {
+        let limit = SUPERBLOCK_MAX_PAGES * PAGE_SIZE;
+        assert!(check_capacity(limit).is_ok());
+        let full = CxlError::OutOfDeviceMemory {
+            requested: SUPERBLOCK_MAX_PAGES + 1,
+            available: SUPERBLOCK_MAX_PAGES,
+        };
+        assert_eq!(check_capacity(limit + 1), Err(full.clone()));
+        assert!(!full.is_transient());
+
+        // An append that would need a 511th data page: refused before
+        // any page is allocated or the superblock rewritten.
+        let device = CxlDevice::new(1024);
+        let mut j = Journal::create(&device, 0).unwrap();
+        let small = entry(0, Record::Abort { image: 1 });
+        append_unsealed(&mut j, &device, &small);
+        j.seal(&device).unwrap();
+        let used = device.used_pages();
+        let start = j.frame(|buf| buf.resize(buf.len() + limit as usize, 0xEE));
+        assert_eq!(j.flush_from(&device, start), Err(full.clone()));
+        assert_eq!(device.used_pages(), used);
+        // Taken out of the mirror, the frame leaves no trace: the next
+        // record lands where it would have, and the log reloads clean.
+        j.unframe(start);
+        let next = entry(1, Record::Abort { image: 2 });
+        assert_eq!(j.next_seq(), 1, "the refused record took no number");
+        append_unsealed(&mut j, &device, &next);
+        j.seal(&device).unwrap();
+        let found = find_generations(&device);
+        let loaded = load_generation(&device, &found[0], NodeId(0)).unwrap();
+        let log = loaded.unwrap().log;
+        assert_eq!((log.entries, log.torn_bytes), (vec![small, next], 0));
+
+        // A compaction snapshot one generation cannot hold: refused
+        // before its region exists.
+        let staged = Journal::stage_compacted(&device, 1, |buf| buf.resize(limit as usize, 0xEE));
+        assert_eq!(staged.err(), Some(full));
+        assert_eq!(find_generations(&device).len(), 1);
     }
 
     #[test]
@@ -1334,7 +1355,6 @@ mod tests {
             append_unsealed(&mut j, &device, e);
             j.seal(&device).unwrap();
         }
-        assert!(j.pages_written() > 0);
 
         let found = find_generations(&device);
         assert_eq!(found.len(), 1);

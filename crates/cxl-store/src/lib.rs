@@ -20,10 +20,10 @@
 //!   bytes. Zero pages are elided entirely from the transfer: freshly
 //!   allocated device pages are already zeroed, so the canonical zero
 //!   page costs one allocation and no write, ever.
-//! * **Capacity-pressure GC.** An image catalog tracks per-image
+//! * **Capacity-pressure GC.** An image table tracks per-image
 //!   metadata — owner, epoch, pinned/lease state (leases from
 //!   [`cxl_fault::LeaseTable`]), last-restore virtual time — and drives
-//!   epoch-based GC plus watermark eviction: when device utilization
+//!   watermark eviction: when device utilization
 //!   crosses the high watermark, unpinned images whose lease holder is
 //!   not live are evicted in LRU-by-last-restore order until utilization
 //!   falls below the low watermark. A restore of an evicted image gets a
@@ -42,7 +42,11 @@
 //! device. A store created with [`StoreConfig::durable`] additionally
 //! write-ahead-journals every mutation to a device-resident metadata
 //! region (see [`journal`]) so that [`Store::recover`] can rebuild the
-//! index, catalog, and pin/lease state from the surviving device alone.
+//! index, image table, and pin/lease state from the surviving device
+//! alone. The journal record is the one description of a mutation: a live
+//! mutator appends it and hands it to [`Books::apply`], recovery decodes
+//! it and hands it to the same function (`books.rs`; `recovery.rs` is
+//! locate / replay / reconcile; this file is the public API).
 //! Mutations follow a strict ordering discipline — constructive device
 //! work (page interning) lands *before* its journal record, destructive
 //! work (free/destroy) lands *after* — so that a crash at any
@@ -72,14 +76,18 @@ use std::sync::Arc;
 pub use cxl_fabric::PlacementPolicy;
 use cxl_fault::{with_backoff, BackoffPolicy, CrashpointHook, LeaseTable};
 use cxl_mem::lockdep::TrackedMutex;
-use cxl_mem::{CxlDevice, CxlError, CxlPageId, NodeId, PageData, RegionId, RegionKind, PAGE_SIZE};
-use simclock::{SimDuration, SimTime};
+use cxl_mem::{CxlDevice, CxlError, CxlPageId, NodeId, PageData, RegionId, PAGE_SIZE};
+use simclock::SimTime;
 
+mod books;
 mod index;
 pub mod journal;
+mod recovery;
 
-use index::{ContentIndex, Slot};
-use journal::{Journal, Record};
+pub use books::{Books, Effects, ImageMeta, ImageState};
+use index::Slot;
+use journal::{Journal, JournalEntry, Record};
+pub use recovery::RecoveryReport;
 
 /// Telemetry layer name for store counters.
 const TELEMETRY_LAYER: &str = "cxlstore";
@@ -88,10 +96,27 @@ const TELEMETRY_LAYER: &str = "cxlstore";
 /// Fixed so [`Store::recover`] can find it with no catalog to consult.
 const DATA_REGION_NAME: &str = "cxl-store:data";
 
+/// Runs a device operation, retrying transient errors with the default
+/// bounded backoff. The backoff is not charged to any clock: store
+/// mutators do not own one.
+fn retry<T>(op: impl FnMut() -> Result<T, CxlError>) -> Result<T, CxlError> {
+    with_backoff(&BackoffPolicy::default(), op).0
+}
+
+/// Unwraps the result of a device operation the store cannot go on
+/// without; `what` names it in the panic.
+#[allow(
+    clippy::expect_used,
+    reason = "every caller retried transients (rate ~2e-4) with backoff first, P(persistent failure) ~ 1.6e-15; past that a store that cannot write or read its journal must not claim durability, and the failure is unrecoverable by design"
+)]
+fn must<T>(what: &str, res: Result<T, CxlError>) -> T {
+    res.expect(what)
+}
+
 /// Typed failure for store mutators that take an [`ImageId`]. Earlier
 /// versions silently no-opped on unknown or wrong-state ids, which made
 /// caller bugs (double release, commit of an aborted image) invisible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum StoreError {
     /// The image id is not known to the store — never created here, or
@@ -118,73 +143,36 @@ pub enum StoreError {
         /// The mutator that rejected it.
         op: &'static str,
     },
+    /// The journal cannot hold the mutation's record, or the snapshot the
+    /// books would compact into afterwards (see
+    /// [`journal::check_capacity`]) — or, rarely, the record's write
+    /// failed past retries; `cause` says which. Nothing was journaled and
+    /// nothing changed.
+    JournalFull {
+        /// The image the mutation was about.
+        image: ImageId,
+        /// The mutator that gave up.
+        op: &'static str,
+        /// The refusal.
+        cause: CxlError,
+    },
 }
 
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StoreError::UnknownImage { image, op } => {
-                write!(f, "{op}: {image} is not known to the store")
+        let (image, op, what) = match self {
+            StoreError::UnknownImage { image, op } => (image, op, "is not known to the store"),
+            StoreError::AlreadyCommitted { image, op } => (image, op, "is already committed"),
+            StoreError::NotCommitted { image, op } => (image, op, "is pending, not committed"),
+            StoreError::JournalFull { image, op, cause } => {
+                return write!(f, "{op}: the journal cannot hold {image}: {cause}");
             }
-            StoreError::AlreadyCommitted { image, op } => {
-                write!(f, "{op}: {image} is already committed")
-            }
-            StoreError::NotCommitted { image, op } => {
-                write!(f, "{op}: {image} is pending, not committed")
-            }
-        }
+        };
+        write!(f, "{op}: {image} {what}")
     }
 }
 
 impl std::error::Error for StoreError {}
-
-/// Virtual time as wire-format nanoseconds since the epoch.
-fn time_nanos(t: SimTime) -> u64 {
-    t.duration_since(SimTime::ZERO).as_nanos()
-}
-
-/// Wire-format nanoseconds back to virtual time.
-fn nanos_time(ns: u64) -> SimTime {
-    SimTime::ZERO + SimDuration::from_nanos(ns)
-}
-
-/// Rehydrates a journaled image record into catalog form, taking one
-/// reference on `index` per fingerprint. A fingerprint the snapshot's own
-/// index does not list (corrupt journal) holds no reference.
-fn meta_from_record(r: &journal::ImageRecord, index: &mut ContentIndex) -> ImageMeta {
-    let slots = r
-        .fingerprints
-        .iter()
-        .filter_map(|&fp| {
-            let slot = index.find(fp)?;
-            index.add_refs(slot, 1);
-            Some(slot)
-        })
-        .collect();
-    ImageMeta {
-        label: r.label.clone(),
-        owner: NodeId(r.owner),
-        epoch: r.epoch,
-        pinned: r.pinned,
-        lease: r.lease.map(NodeId),
-        created_at: nanos_time(r.created_at),
-        last_restore: nanos_time(r.last_restore),
-        meta_region: RegionId(r.meta_region),
-        slots,
-    }
-}
-
-/// Drops one reference per listed slot. Returns the device pages whose
-/// content nobody references any more, in the order the last reference to
-/// each was listed — the order the allocator will hand them out again.
-/// Replay ignores them: it reconciles the device once, against the final
-/// rebuilt index.
-fn drop_slot_refs(index: &mut ContentIndex, slots: &[Slot]) -> Vec<CxlPageId> {
-    slots
-        .iter()
-        .filter_map(|&slot| index.release(slot))
-        .collect()
-}
 
 /// Identifies one checkpoint image in the catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -235,6 +223,20 @@ impl Default for StoreConfig {
     }
 }
 
+impl StoreConfig {
+    /// # Panics
+    ///
+    /// Panics unless `0 < low_watermark <= high_watermark <= 1`.
+    fn assert_watermarks(&self) {
+        assert!(
+            self.low_watermark > 0.0
+                && self.low_watermark <= self.high_watermark
+                && self.high_watermark <= 1.0,
+            "store watermarks must satisfy 0 < low <= high <= 1, got {self:?}"
+        );
+    }
+}
+
 /// What one [`Store::intern_pages`] call did, page-accounted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InternOutcome {
@@ -273,7 +275,7 @@ pub struct StoreStats {
     pub fresh_pages: u64,
     /// Zero-page inputs whose transfer was elided.
     pub zero_elided: u64,
-    /// Images evicted under capacity pressure or epoch GC.
+    /// Images evicted under capacity pressure.
     pub evicted_images: u64,
     /// Device pages freed by eviction/GC/release (data + metadata).
     pub evicted_pages: u64,
@@ -292,48 +294,8 @@ impl StoreStats {
 
     /// Interned-to-written ratio (1.0 = no sharing; higher = better).
     pub fn dedup_ratio(&self) -> f64 {
-        let written = self
-            .fresh_pages
-            .saturating_sub(self.zero_elided.min(self.fresh_pages));
-        if written == 0 {
-            return self.interned_pages as f64;
-        }
-        self.interned_pages as f64 / written as f64
-    }
-}
-
-/// Per-image catalog entry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ImageMeta {
-    /// Human-readable label (mirrors the checkpoint region name).
-    pub label: String,
-    /// Node that took the checkpoint.
-    pub owner: NodeId,
-    /// Checkpoint epoch (the mechanism's sequence number).
-    pub epoch: u64,
-    /// Pinned images are never evicted.
-    pub pinned: bool,
-    /// A node currently depending on this image (running instances
-    /// restored from it). While the holder's lease is live in the
-    /// [`LeaseTable`], the image is exempt from eviction.
-    pub lease: Option<NodeId>,
-    /// Virtual time the image was created.
-    pub created_at: SimTime,
-    /// Virtual time of the most recent restore (eviction is
-    /// LRU-by-last-restore).
-    pub last_restore: SimTime,
-    /// The checkpoint's metadata region (leaves, VMA blocks, task,
-    /// globals) — destroyed along with the image on eviction.
-    pub meta_region: RegionId,
-    /// Content-index slots referenced by this image, with multiplicity.
-    slots: Vec<Slot>,
-}
-
-impl ImageMeta {
-    /// Distinct data-page references held by this image (with
-    /// multiplicity; equals the checkpoint's data page count).
-    pub fn data_refs(&self) -> u64 {
-        self.slots.len() as u64
+        let written = self.fresh_pages.saturating_sub(self.zero_elided);
+        self.interned_pages as f64 / written.max(1) as f64
     }
 }
 
@@ -362,55 +324,12 @@ pub struct EvictionReport {
 struct Inner {
     /// The store-owned committed region holding all deduped data pages.
     region: RegionId,
-    /// Refcounted content: fingerprint → device page.
-    index: ContentIndex,
-    /// Committed images, by id.
-    catalog: BTreeMap<u64, ImageMeta>,
-    /// Images begun but not yet committed (mid-checkpoint).
-    pending: BTreeMap<u64, ImageMeta>,
-    next_image: u64,
+    /// Content index, image table, next image id: what the journal
+    /// describes, changed only by [`Books::apply`] and `intern_pages`.
+    books: Books,
     stats: StoreStats,
     /// The live write-ahead journal (durable stores only).
     journal: Option<Journal>,
-}
-
-/// Everything [`Store::recover`] did, for failover accounting and the
-/// crashpoint sweep's determinism checks. Bit-identical for identical
-/// device states.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Journal generation replayed.
-    pub journal_generation: u64,
-    /// Sealed records replayed.
-    pub entries_replayed: u64,
-    /// Bytes of torn journal tail truncated (a record whose commit
-    /// marker never landed).
-    pub torn_tail_bytes: u64,
-    /// Committed images in the recovered catalog.
-    pub committed_images: u64,
-    /// Pending (mid-checkpoint) images rolled back — their coordinator
-    /// died, so they can never complete.
-    pub rolled_back_pending: u64,
-    /// Live data-region pages no journal record referenced (interned but
-    /// never journaled, or half-freed) — freed by reconciliation.
-    pub freed_leaked_pages: u64,
-    /// Checkpoint metadata regions destroyed: half-finished
-    /// release/evictions plus committed regions orphaned by a crash
-    /// between the device commit and the journal commit record.
-    pub destroyed_meta_regions: u64,
-    /// Stale or invalid journal generations destroyed (half-finished
-    /// compactions).
-    pub stale_generations_destroyed: u64,
-    /// Index entries whose device page's content fingerprint no longer
-    /// matches the journal's record — always 0 unless the device is
-    /// corrupt.
-    pub fingerprint_mismatches: u64,
-    /// Journal pages read during scan + replay; charge
-    /// `cxl_batch_read(pages_scanned)` to the virtual clock.
-    pub pages_scanned: u64,
-    /// Pages written compacting the recovered journal; charge
-    /// `cxl_batch_write(compaction_pages_written)`.
-    pub compaction_pages_written: u64,
 }
 
 /// The content-addressed checkpoint image store. Cheap to share
@@ -442,36 +361,26 @@ impl Store {
     /// Panics unless `0 < low_watermark <= high_watermark <= 1`, or if a
     /// durable journal cannot be created past retries.
     pub fn with_config(device: Arc<CxlDevice>, config: StoreConfig) -> Self {
-        assert!(
-            config.low_watermark > 0.0
-                && config.low_watermark <= config.high_watermark
-                && config.high_watermark <= 1.0,
-            "store watermarks must satisfy 0 < low <= high <= 1, got {config:?}"
-        );
+        config.assert_watermarks();
         let region = device.create_region(DATA_REGION_NAME);
-        #[allow(
-            clippy::expect_used,
-            reason = "journal creation retries transients with backoff; a persistent device failure at store construction is unrecoverable by design"
-        )]
         let journal = config.durable.then(|| {
-            let (res, _) = with_backoff(&BackoffPolicy::default(), || Journal::create(&device, 0));
-            res.expect("creating the store journal failed past retries")
+            let created = retry(|| Journal::create(&device, 0));
+            must("creating the store journal failed past retries", created)
         });
+        let inner = Inner {
+            region,
+            books: Books::default(),
+            stats: StoreStats::default(),
+            journal,
+        };
+        Store::assemble(device, config, inner)
+    }
+
+    fn assemble(device: Arc<CxlDevice>, config: StoreConfig, inner: Inner) -> Self {
         Store {
             device,
             config,
-            inner: TrackedMutex::new(
-                "cxl_store.inner",
-                Inner {
-                    region,
-                    index: ContentIndex::default(),
-                    catalog: BTreeMap::new(),
-                    pending: BTreeMap::new(),
-                    next_image: 1,
-                    stats: StoreStats::default(),
-                    journal,
-                },
-            ),
+            inner: TrackedMutex::new("cxl_store.inner", inner),
             crash_hook: TrackedMutex::new("cxl_store.crash_hook", None),
             crash_armed: AtomicBool::new(false),
         }
@@ -480,7 +389,8 @@ impl Store {
     /// Rebuilds a store from the device alone — the coordinator that
     /// owned the previous [`Store`] is dead and its DRAM gone. Replays
     /// the highest valid journal generation (truncating any torn tail at
-    /// the last commit marker), rolls back images that were still
+    /// the last commit marker) through the same [`Books::apply`] the live
+    /// mutators use, rolls back images that were still
     /// pending (their checkpoints can never complete), reconciles the
     /// device — frees leaked data pages, destroys half-released and
     /// orphaned checkpoint metadata regions — cross-checks rebuilt
@@ -505,283 +415,20 @@ impl Store {
         node: NodeId,
     ) -> (Store, RecoveryReport) {
         assert!(config.durable, "Store::recover requires a durable config");
-        assert!(
-            config.low_watermark > 0.0
-                && config.low_watermark <= config.high_watermark
-                && config.high_watermark <= 1.0,
-            "store watermarks must satisfy 0 < low <= high <= 1, got {config:?}"
-        );
-        let mut report = RecoveryReport::default();
-
-        // Locate the authoritative journal: the highest generation with
-        // a valid superblock. Generations without one are half-finished
-        // compactions (staged but never published) — stale.
-        let found = journal::find_generations(&device);
-        assert!(
-            !found.is_empty(),
-            "Store::recover: no journal on the device — was the store created durable?"
-        );
-        let mut chosen: Option<(journal::FoundGeneration, journal::LoadedGeneration)> = None;
-        let mut stale: Vec<RegionId> = Vec::new();
-        for f in found.iter().rev() {
-            if chosen.is_none() {
-                let (res, _) = with_backoff(&BackoffPolicy::default(), || {
-                    journal::load_generation(&device, f, node)
-                });
-                #[allow(
-                    clippy::expect_used,
-                    reason = "journal reads retry transients with backoff; recovery cannot proceed without the log"
-                )]
-                let loaded = res.expect("journal scan failed past retries");
-                if let Some(loaded) = loaded {
-                    chosen = Some((f.clone(), loaded));
-                    continue;
-                }
-            }
-            stale.push(f.region);
-        }
-        #[allow(
-            clippy::expect_used,
-            reason = "compaction publishes the new superblock before destroying the old generation, so a journaled device always has at least one valid root"
-        )]
-        let (gen, loaded) = chosen.expect("no valid journal superblock — journal root lost");
-        report.journal_generation = gen.generation;
-        report.pages_scanned = loaded.pages_scanned;
-        report.entries_replayed = loaded.log.entries.len() as u64;
-        report.torn_tail_bytes = loaded.log.torn_bytes;
-
-        // Replay the record stream into fresh DRAM state.
-        let mut index = ContentIndex::default();
-        let mut catalog: BTreeMap<u64, ImageMeta> = BTreeMap::new();
-        let mut pending: BTreeMap<u64, ImageMeta> = BTreeMap::new();
-        let mut next_image = 1u64;
-        let mut doomed_meta: Vec<RegionId> = Vec::new();
-        for entry in &loaded.log.entries {
-            match &entry.record {
-                Record::Snapshot(s) => {
-                    next_image = s.next_image;
-                    index = ContentIndex::default();
-                    for &(fp, page) in &s.index {
-                        let (slot, _) = index.find_or_reserve(fp);
-                        index.bind(slot, CxlPageId(page));
-                    }
-                    catalog = s
-                        .catalog
-                        .iter()
-                        .map(|r| (r.id, meta_from_record(r, &mut index)))
-                        .collect();
-                    pending = s
-                        .pending
-                        .iter()
-                        .map(|r| (r.id, meta_from_record(r, &mut index)))
-                        .collect();
-                }
-                Record::Begin {
-                    image,
-                    created_at,
-                    label,
-                } => {
-                    next_image = next_image.max(image + 1);
-                    pending.insert(
-                        *image,
-                        ImageMeta {
-                            label: label.clone(),
-                            owner: NodeId(entry.owner),
-                            epoch: entry.epoch,
-                            pinned: false,
-                            lease: None,
-                            created_at: nanos_time(*created_at),
-                            last_restore: nanos_time(*created_at),
-                            meta_region: RegionId(u64::MAX),
-                            slots: Vec::new(),
-                        },
-                    );
-                }
-                Record::Intern { image, entries } => {
-                    // A record for an image that is not pending (forged,
-                    // or its Begin was lost) still counts against the
-                    // index: references nobody holds, so nobody drops.
-                    let mut held = pending.get_mut(image);
-                    for &(fp, page) in entries {
-                        let (slot, fresh) = index.find_or_reserve(fp);
-                        if fresh {
-                            index.bind(slot, CxlPageId(page));
-                        }
-                        index.add_refs(slot, 1);
-                        if let Some(meta) = held.as_deref_mut() {
-                            meta.slots.push(slot);
-                        }
-                    }
-                }
-                Record::Commit { image, meta_region } => {
-                    if let Some(mut meta) = pending.remove(image) {
-                        meta.meta_region = RegionId(*meta_region);
-                        catalog.insert(*image, meta);
-                    }
-                }
-                Record::Abort { image } => {
-                    if let Some(meta) = pending.remove(image) {
-                        drop_slot_refs(&mut index, &meta.slots);
-                    }
-                }
-                Record::Release { image, meta_region } | Record::Evict { image, meta_region } => {
-                    if let Some(meta) = catalog.remove(image) {
-                        drop_slot_refs(&mut index, &meta.slots);
-                    }
-                    doomed_meta.push(RegionId(*meta_region));
-                }
-                Record::SetPinned { image, pinned } => {
-                    if let Some(meta) = catalog.get_mut(image) {
-                        meta.pinned = *pinned;
-                    }
-                }
-                Record::SetLease { image, holder } => {
-                    if let Some(meta) = catalog.get_mut(image) {
-                        meta.lease = holder.map(NodeId);
-                    }
-                }
-            }
-        }
-
-        // The coordinator died: every image still pending was
-        // mid-checkpoint and can never complete. Roll all of them back
-        // (the journal-replay twin of `reclaim_orphan_pending`).
-        report.rolled_back_pending = pending.len() as u64;
-        for meta in std::mem::take(&mut pending).into_values() {
-            drop_slot_refs(&mut index, &meta.slots);
-        }
-        index.drop_unreferenced();
-        report.committed_images = catalog.len() as u64;
-
-        // The store's data region is found by its fixed name — there is
-        // no catalog to consult before recovery.
-        #[allow(
-            clippy::expect_used,
-            reason = "with_config creates the data region before journal generation 0, so any journaled device has one"
-        )]
-        let data_region = device
-            .regions()
-            .into_iter()
-            .find(|(_, u)| u.kind == RegionKind::Data && u.name == DATA_REGION_NAME)
-            .map(|(r, _)| r)
-            .expect("durable store data region missing from the device");
-
-        // Reconcile the device against the rebuilt index: any live
-        // data-region page the index does not reference was leaked by a
-        // crash between the device write and the journal record (or
-        // between the journal record and the free) — free it.
-        let referenced: BTreeSet<CxlPageId> = index.iter().map(|(_, page, _)| page).collect();
-        let leaked: Vec<CxlPageId> = device
-            .live_pages()
-            .into_iter()
-            .filter(|(p, r)| *r == data_region && !referenced.contains(p))
-            .map(|(p, _)| p)
-            .collect();
-        if !leaked.is_empty() {
-            let (res, _) = with_backoff(&BackoffPolicy::default(), || device.free_batch(&leaked));
-            report.freed_leaked_pages = res.unwrap_or(0);
-        }
-
-        // Cross-check rebuilt refcounts against on-device content: every
-        // indexed fingerprint must match its page's actual bytes.
-        if index.len() > 0 {
-            let pages: Vec<CxlPageId> = index.iter().map(|(_, page, _)| page).collect();
-            let (res, _) = with_backoff(&BackoffPolicy::default(), || {
-                device.fingerprint_pages(&pages)
-            });
-            #[allow(
-                clippy::expect_used,
-                reason = "fingerprinting is read-only and retried; recovery must not silently skip the integrity check"
-            )]
-            let actual = res.expect("fingerprint cross-check failed past retries");
-            report.fingerprint_mismatches = index
-                .iter()
-                .zip(&actual)
-                .filter(|((expected, _, _), got)| expected != *got)
-                .count() as u64;
-        }
-
-        // Finish half-done destructive mutations: metadata regions whose
-        // release/evict was journaled but whose destruction may not have
-        // happened. Destroy is idempotent here (BadRegion ignored).
-        for region in doomed_meta {
-            if device.destroy_region(region).is_ok() {
-                report.destroyed_meta_regions += 1;
-            }
-        }
-
-        // Sweep orphaned checkpoint metadata: a committed region nobody
-        // in the recovered catalog references means the crash landed
-        // between the device-side region commit and the journal's Commit
-        // record. Staging regions are left to lease reclamation (the
-        // store cannot judge other nodes' liveness).
-        let staging: BTreeSet<u64> = device
-            .staging_regions()
-            .iter()
-            .map(|s| s.region.0)
-            .collect();
-        let kept: BTreeSet<u64> = catalog.values().map(|m| m.meta_region.0).collect();
-        for (region, usage) in device.regions() {
-            if usage.kind == RegionKind::Data
-                && region != data_region
-                && !staging.contains(&region.0)
-                && !kept.contains(&region.0)
-                && device.destroy_region(region).is_ok()
-            {
-                report.destroyed_meta_regions += 1;
-            }
-        }
-
-        // Drop stale/invalid journal generations, resume the live one,
-        // and immediately compact so the next crash replays one snapshot
+        config.assert_watermarks();
+        let (inner, mut report) = recovery::recover(&device, node);
+        let store = Store::assemble(device, config, inner);
+        // Compact at once, so the next crash replays one snapshot
         // instead of the whole history.
-        for region in stale {
-            if device.destroy_region(region).is_ok() {
-                report.stale_generations_destroyed += 1;
-            }
-        }
-        let resumed = journal::resume(&gen, loaded);
-        let store = Store {
-            device,
-            config,
-            inner: TrackedMutex::new(
-                "cxl_store.inner",
-                Inner {
-                    region: data_region,
-                    index,
-                    catalog,
-                    pending: BTreeMap::new(),
-                    next_image,
-                    stats: StoreStats::default(),
-                    journal: Some(resumed),
-                },
-            ),
-            crash_hook: TrackedMutex::new("cxl_store.crash_hook", None),
-            crash_armed: AtomicBool::new(false),
-        };
-        {
-            let mut inner = store.inner.lock();
-            report.compaction_pages_written = store.compact_journal_locked(&mut inner);
-        }
+        report.compaction_pages_written = store.compact_journal();
 
-        cxl_telemetry::counter_add(
-            TELEMETRY_LAYER,
-            "recovered_images",
-            Some(node.0),
-            report.committed_images,
-        );
-        cxl_telemetry::counter_add(
-            TELEMETRY_LAYER,
-            "recovery_replayed_entries",
-            Some(node.0),
-            report.entries_replayed,
-        );
-        cxl_telemetry::counter_add(
-            TELEMETRY_LAYER,
-            "recovery_freed_leaked_pages",
-            Some(node.0),
-            report.freed_leaked_pages,
-        );
+        for (counter, value) in [
+            ("recovered_images", report.committed_images),
+            ("recovery_replayed_entries", report.entries_replayed),
+            ("recovery_freed_leaked_pages", report.freed_leaked_pages),
+        ] {
+            cxl_telemetry::counter_add(TELEMETRY_LAYER, counter, Some(node.0), value);
+        }
         if report.torn_tail_bytes > 0 {
             cxl_telemetry::counter_add(TELEMETRY_LAYER, "recovery_torn_tails", Some(node.0), 1);
         }
@@ -811,65 +458,78 @@ impl Store {
         }
     }
 
-    /// Appends one sealed record to the journal (no-op for non-durable
-    /// stores). `mid_site` fires between the payload write and the
-    /// commit-marker write — the torn-tail crash window. Returns journal
-    /// pages written.
+    /// Appends `record` to the journal as one sealed record (no-op for
+    /// non-durable stores). `mid_site` fires between the payload write
+    /// and the commit-marker write — the torn-tail crash window. Returns
+    /// the entry as journaled and the journal pages written.
+    ///
+    /// # Errors
+    ///
+    /// The payload could not be written — [`journal::check_capacity`]'s
+    /// refusal, or a device failure past retries. The frame is taken out
+    /// of the mirror again: nothing was journaled.
     fn journal_append(
         &self,
         inner: &mut Inner,
-        owner: NodeId,
-        epoch: u64,
+        (owner, epoch): (NodeId, u64),
         record: Record,
         mid_site: Option<&'static str>,
-    ) -> u64 {
-        let mut pages = 0;
-        {
-            let Some(j) = inner.journal.as_mut() else {
-                return 0;
-            };
-            let entry = journal::JournalEntry {
-                seq: j.next_seq(),
-                owner: owner.0,
-                epoch,
-                record,
-            };
-            let start = j.frame(|buf| journal::encode_payload_into(buf, &entry));
-            let (res, _) = with_backoff(&BackoffPolicy::default(), || {
-                j.flush_from(&self.device, start)
-            });
-            #[allow(
-                clippy::expect_used,
-                reason = "journal appends retry transients (rate ~2e-4) with backoff; P(persistent failure) ~ 1.6e-15, and a store that cannot journal must not claim durability"
-            )]
-            let appended = res.expect("journal append failed past retries");
-            pages += appended;
-            if let Some(site) = mid_site {
-                self.crashpoint(site);
-            }
-            let (res, _) = with_backoff(&BackoffPolicy::default(), || j.seal(&self.device));
-            #[allow(
-                clippy::expect_used,
-                reason = "same retry/abundance argument as the payload write above"
-            )]
-            let sealed = res.expect("journal seal failed past retries");
-            pages += sealed;
+    ) -> Result<(JournalEntry, u64), CxlError> {
+        let mut entry = JournalEntry {
+            seq: 0,
+            owner: owner.0,
+            epoch,
+            record,
+        };
+        let Some(j) = inner.journal.as_mut() else {
+            return Ok((entry, 0));
+        };
+        entry.seq = j.next_seq();
+        let start = j.frame(|buf| journal::encode_payload_into(buf, &entry));
+        let flushed = retry(|| j.flush_from(&self.device, start));
+        let mut pages = flushed.inspect_err(|_| j.unframe(start))?;
+        if let Some(site) = mid_site {
+            self.crashpoint(site);
         }
+        // The marker byte was reserved with the payload.
+        let sealed = retry(|| j.seal(&self.device));
+        pages += must("journal seal failed past retries", sealed);
         inner.stats.journal_pages_written += pages;
-        pages
+        Ok((entry, pages))
     }
 
-    /// Compacts the journal into a fresh generation when it has outgrown
-    /// [`StoreConfig::journal_compact_bytes`]. Returns pages written.
-    fn maybe_compact(&self, inner: &mut Inner) -> u64 {
-        let wants = inner
-            .journal
-            .as_ref()
-            .is_some_and(|j| j.wants_compaction(self.config.journal_compact_bytes));
-        if !wants {
-            return 0;
+    /// How every mutator but `intern_pages` changes the books: journal
+    /// the record, fire `after_site`, [apply](Books::apply) it. Returns
+    /// what the device is still owed and the journal pages written.
+    ///
+    /// # Errors
+    ///
+    /// [`Store::journal_append`]'s: the books are untouched.
+    fn try_log(
+        &self,
+        inner: &mut Inner,
+        tags: (NodeId, u64),
+        record: Record,
+        [mid_site, after_site]: [Option<&'static str>; 2],
+    ) -> Result<(Effects, u64), CxlError> {
+        let (entry, pages) = self.journal_append(inner, tags, record, mid_site)?;
+        if let Some(site) = after_site {
+            self.crashpoint(site);
         }
-        self.compact_journal_locked(inner)
+        Ok((inner.books.apply(&entry), pages))
+    }
+
+    /// [`Store::try_log`] for the mutators that have no error to return:
+    /// their records are a few dozen bytes.
+    fn log(
+        &self,
+        inner: &mut Inner,
+        tags: (NodeId, u64),
+        record: Record,
+        after_site: Option<&'static str>,
+    ) -> Effects {
+        let logged = self.try_log(inner, tags, record, [None, after_site]);
+        must("journal append failed past retries", logged).0
     }
 
     /// Rewrites the surviving state as one `Snapshot` record in a new
@@ -882,24 +542,19 @@ impl Store {
             return 0;
         };
         let generation = old.generation() + 1;
-        let (res, _) = with_backoff(&BackoffPolicy::default(), || {
+        // `stage_compacted` destroys its half-built region before
+        // erroring, so retries are clean; `commit_image` refuses books
+        // whose snapshot one generation cannot hold before they get here.
+        let staged = retry(|| {
             Journal::stage_compacted(&self.device, generation, |buf| {
-                Self::encode_snapshot(inner, buf);
+                inner.books.encode_snapshot(buf);
             })
         });
-        #[allow(
-            clippy::expect_used,
-            reason = "compaction retries transients with backoff; stage_compacted destroys its half-built region before erroring, so retries are clean"
-        )]
-        let (mut fresh, mut pages) = res.expect("journal compaction failed past retries");
+        let (mut fresh, mut pages) = must("journal compaction failed past retries", staged);
         self.crashpoint("compact.after_snapshot_write");
-        let (res, _) = with_backoff(&BackoffPolicy::default(), || fresh.publish(&self.device));
-        #[allow(
-            clippy::expect_used,
-            reason = "the superblock write is idempotent and retried; see append rationale"
-        )]
-        let published = res.expect("journal publish failed past retries");
-        pages += published;
+        // The superblock write is idempotent.
+        let published = retry(|| fresh.publish(&self.device));
+        pages += must("journal publish failed past retries", published);
         self.crashpoint("compact.after_publish");
         let _ = old.destroy(&self.device);
         self.crashpoint("compact.after_destroy_old");
@@ -913,46 +568,6 @@ impl Store {
     pub fn compact_journal(&self) -> u64 {
         let mut inner = self.inner.lock();
         self.compact_journal_locked(&mut inner)
-    }
-
-    /// Encodes the full store state as a compaction snapshot, straight
-    /// from the books: index entries in fingerprint order, each image's
-    /// fingerprints read back through its slots in intern order.
-    fn encode_snapshot(inner: &Inner, buf: &mut Vec<u8>) {
-        fn as_record<'a>(
-            index: &'a ContentIndex,
-            id: u64,
-            m: &'a ImageMeta,
-        ) -> journal::ImageRef<'a, impl ExactSizeIterator<Item = u64> + 'a> {
-            journal::ImageRef {
-                id,
-                label: &m.label,
-                owner: m.owner.0,
-                epoch: m.epoch,
-                pinned: m.pinned,
-                lease: m.lease.map(|n| n.0),
-                created_at: time_nanos(m.created_at),
-                last_restore: time_nanos(m.last_restore),
-                meta_region: m.meta_region.0,
-                fingerprints: m.slots.iter().map(|&slot| index.fingerprint(slot)),
-            }
-        }
-        let index = &inner.index;
-        let images = inner.catalog.len() + inner.pending.len();
-        let refs: usize = inner
-            .catalog
-            .values()
-            .chain(inner.pending.values())
-            .map(|m| m.slots.len())
-            .sum();
-        buf.reserve(16 * index.len() + 8 * refs + 128 * images + 64);
-        journal::encode_snapshot_into(
-            buf,
-            inner.next_image,
-            index.iter().map(|(fp, page, _)| (fp, page.0)),
-            inner.catalog.iter().map(|(&id, m)| as_record(index, id, m)),
-            inner.pending.iter().map(|(&id, m)| as_record(index, id, m)),
-        );
     }
 
     /// The device this store allocates from.
@@ -980,36 +595,16 @@ impl Store {
     /// [`Store::commit_image`].
     pub fn begin_image(&self, label: &str, owner: NodeId, epoch: u64, now: SimTime) -> ImageId {
         let mut inner = self.inner.lock();
-        let id = inner.next_image;
-        inner.next_image += 1;
+        let image = inner.books.next_image();
+        let record = Record::Begin {
+            image,
+            created_at: books::time_nanos(now),
+            label: label.to_owned(),
+        };
         self.crashpoint("begin.before_journal");
-        self.journal_append(
-            &mut inner,
-            owner,
-            epoch,
-            Record::Begin {
-                image: id,
-                created_at: time_nanos(now),
-                label: label.to_owned(),
-            },
-            None,
-        );
-        self.crashpoint("begin.after_journal");
-        inner.pending.insert(
-            id,
-            ImageMeta {
-                label: label.to_owned(),
-                owner,
-                epoch,
-                pinned: false,
-                lease: None,
-                created_at: now,
-                last_restore: now,
-                meta_region: RegionId(u64::MAX),
-                slots: Vec::new(),
-            },
-        );
-        ImageId(id)
+        let after_site = Some("begin.after_journal");
+        self.log(&mut inner, (owner, epoch), record, after_site);
+        ImageId(image)
     }
 
     /// The device half of an intern attempt: allocates one page per
@@ -1023,14 +618,13 @@ impl Store {
         payload: &[&PageData],
         node: NodeId,
     ) -> Result<(Vec<CxlPageId>, Vec<CxlPageId>), CxlError> {
-        let allocated = match self.config.placement {
-            PlacementPolicy::Locality => self.device.alloc_batch(region, payload.len() as u64)?,
-            PlacementPolicy::Stripe => {
-                let streams = u32::try_from(self.device.shard_count()).unwrap_or(u32::MAX);
-                self.device
-                    .alloc_batch_striped(region, payload.len() as u64, streams)?
-            }
+        // One stream is first-fit packing: `alloc_batch`, page ids included.
+        let streams = match self.config.placement {
+            PlacementPolicy::Locality => 1,
+            PlacementPolicy::Stripe => u32::try_from(self.device.shard_count()).unwrap_or(u32::MAX),
         };
+        let pages = payload.len() as u64;
+        let allocated = self.device.alloc_batch_striped(region, pages, streams)?;
         // Crash here: pages allocated but unjournaled — recovery frees
         // them as leaked.
         self.crashpoint("intern.after_alloc");
@@ -1044,11 +638,8 @@ impl Store {
             .collect();
         let written_pages = writes.iter().map(|(p, _)| *p).collect();
         if let Err(e) = self.device.write_pages_owned(writes, node) {
-            // Roll the attempt back so a retry starts from scratch; the
-            // rollback free itself retries transients rather than leak.
-            let (_, _) = cxl_fault::with_backoff(&cxl_fault::BackoffPolicy::default(), || {
-                self.device.free_batch(&allocated)
-            });
+            // Roll the attempt back so a retry starts from scratch.
+            self.free_pages(&allocated);
             return Err(e);
         }
         // Crash here: content written but unjournaled — still leaked
@@ -1070,10 +661,16 @@ impl Store {
     /// the call in `cxl_fault::with_backoff` retries cannot double-count
     /// references.
     ///
+    /// The one mutator that does not go through [`Books::apply`]:
+    /// constructive ordering puts the device work before the record, and
+    /// the record names pages only the device work can know.
+    ///
     /// # Errors
     ///
     /// Propagates device allocation/write failures (including injected
-    /// faults).
+    /// faults), and the journal's refusal of an `Intern` record one
+    /// generation cannot hold ([`journal::check_capacity`]; not
+    /// transient).
     ///
     /// # Panics
     ///
@@ -1085,10 +682,10 @@ impl Store {
         node: NodeId,
     ) -> Result<InternOutcome, CxlError> {
         let mut inner = self.inner.lock();
-        assert!(
-            inner.pending.contains_key(&image.0),
-            "intern_pages on unknown or committed {image}"
-        );
+        let epoch = match inner.books.require(image, false, "intern_pages") {
+            Ok(meta) => meta.epoch,
+            Err(e) => panic!("{e}"),
+        };
 
         // Resolve each run of equal fingerprints (zero pages arrive in
         // long runs) with one index probe; content seen for the first
@@ -1098,8 +695,9 @@ impl Store {
         let mut missed: Vec<Slot> = Vec::new();
         let mut miss_payload: Vec<&PageData> = Vec::new();
         let mut pos = 0;
+        let index = &mut inner.books.index;
         for run in fps.chunk_by(|a, b| a == b) {
-            let (slot, fresh) = inner.index.find_or_reserve(run[0]);
+            let (slot, fresh) = index.find_or_reserve(run[0]);
             if fresh {
                 missed.push(slot);
                 miss_payload.push(&data[pos]);
@@ -1117,46 +715,62 @@ impl Store {
                 // All-or-nothing: the attempt's reservations go back, so
                 // a retry starts from the index it found.
                 for &slot in missed.iter().rev() {
-                    inner.index.vacate(slot);
+                    inner.books.index.vacate(slot);
                 }
                 return Err(e);
             }
         };
 
-        // Device state is in place — publish to the index and the image.
+        // Device state is in place — publish to the index.
+        let index = &mut inner.books.index;
         for (&slot, &page) in missed.iter().zip(&allocated) {
-            inner.index.bind(slot, page);
+            index.bind(slot, page);
         }
         let mut pages = Vec::with_capacity(fps.len());
         for run in slots.chunk_by(|a, b| a == b) {
-            let page = inner.index.add_refs(run[0], run.len() as u64);
+            let page = index.add_refs(run[0], run.len() as u64);
             pages.resize(pages.len() + run.len(), page);
         }
-        #[allow(
-            clippy::expect_used,
-            reason = "intern invariant — the pending entry was validated at function entry and the lock is still held"
-        )]
-        let pending = inner.pending.get_mut(&image.0).expect("checked above");
-        pending.slots.extend_from_slice(&slots);
 
         // Journal the published bindings (fingerprint → device page,
         // with multiplicity) so replay rebuilds exact refcounts.
-        let epoch = inner.pending[&image.0].epoch;
-        let journal_pages = self.journal_append(
-            &mut inner,
-            node,
-            epoch,
-            Record::Intern {
-                image: image.0,
-                entries: fps.iter().copied().zip(pages.iter().map(|p| p.0)).collect(),
-            },
-            Some("intern.after_journal_payload"),
-        );
+        let record = Record::Intern {
+            image: image.0,
+            entries: fps.iter().copied().zip(pages.iter().map(|p| p.0)).collect(),
+        };
+        let mid_site = Some("intern.after_journal_payload");
+        let journal_pages = match self.journal_append(&mut inner, (node, epoch), record, mid_site) {
+            Ok((_, journal_pages)) => journal_pages,
+            Err(e) => {
+                // The record cannot be journaled: take the references
+                // back, which frees exactly the pages placed above.
+                let orphaned = books::drop_slot_refs(&mut inner.books.index, &slots);
+                self.free_pages(&orphaned);
+                return Err(e);
+            }
+        };
         self.crashpoint("intern.after_marker");
+        if let Some(meta) = inner.books.images.get_mut(&image.0) {
+            meta.slots.extend_from_slice(&slots);
+        }
 
         let fresh = allocated.len() as u64;
         let written = written_pages.len() as u64;
-        let outcome = InternOutcome {
+        let stats = &mut inner.stats;
+        stats.interned_pages += fps.len() as u64;
+        stats.deduped_pages += shared;
+        stats.fresh_pages += fresh;
+        stats.zero_elided += fresh - written;
+        for (counter, value) in [
+            ("interned", fps.len() as u64),
+            ("dedup_hits", shared),
+            ("fresh_pages", fresh),
+            ("bytes_saved", (fps.len() as u64 - written) * PAGE_SIZE),
+        ] {
+            cxl_telemetry::counter_add(TELEMETRY_LAYER, counter, Some(node.0), value);
+        }
+        self.crashpoint("intern.after_publish");
+        Ok(InternOutcome {
             pages,
             fresh,
             written,
@@ -1164,26 +778,10 @@ impl Store {
             zero,
             journal_pages,
             written_pages,
-        };
-        let stats = &mut inner.stats;
-        stats.interned_pages += fps.len() as u64;
-        stats.deduped_pages += shared;
-        stats.fresh_pages += fresh;
-        stats.zero_elided += fresh - written;
-        cxl_telemetry::counter_add(TELEMETRY_LAYER, "interned", Some(node.0), fps.len() as u64);
-        cxl_telemetry::counter_add(TELEMETRY_LAYER, "dedup_hits", Some(node.0), shared);
-        cxl_telemetry::counter_add(TELEMETRY_LAYER, "fresh_pages", Some(node.0), fresh);
-        cxl_telemetry::counter_add(
-            TELEMETRY_LAYER,
-            "bytes_saved",
-            Some(node.0),
-            (fps.len() as u64 - written) * PAGE_SIZE,
-        );
-        self.crashpoint("intern.after_publish");
-        Ok(outcome)
+        })
     }
 
-    /// Publishes a pending image into the catalog. `meta_region` is the
+    /// Publishes a pending image. `meta_region` is the
     /// checkpoint's committed metadata region; eviction destroys it along
     /// with the image's data references. Returns journal pages written
     /// (commit record plus any compaction this commit triggered) for the
@@ -1191,43 +789,70 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// [`StoreError::AlreadyCommitted`] if `image` is already in the
-    /// catalog, [`StoreError::UnknownImage`] if it is not pending.
+    /// [`StoreError::AlreadyCommitted`] if `image` is already committed,
+    /// [`StoreError::UnknownImage`] if it is not pending,
+    /// [`StoreError::JournalFull`] if one journal generation cannot hold
+    /// the `Commit` record, or the snapshot of books with this image in
+    /// them — the image stays pending, for the caller to abort.
     pub fn commit_image(&self, image: ImageId, meta_region: RegionId) -> Result<u64, StoreError> {
+        let op = "commit_image";
         let mut inner = self.inner.lock();
-        if inner.catalog.contains_key(&image.0) {
-            return Err(StoreError::AlreadyCommitted {
-                image,
-                op: "commit_image",
-            });
-        }
-        let Some(mut meta) = inner.pending.remove(&image.0) else {
-            return Err(StoreError::UnknownImage {
-                image,
-                op: "commit_image",
-            });
+        let tags = inner.books.require(image, false, op)?.tags();
+        let record = Record::Commit {
+            image: image.0,
+            meta_region: meta_region.0,
         };
-        meta.meta_region = meta_region;
-        let (owner, epoch) = (meta.owner, meta.epoch);
+        let full = |cause| StoreError::JournalFull { image, op, cause };
+        if inner.journal.is_some() {
+            // A commit moves the image between the snapshot's two lists
+            // and changes no length: refuse now what the compaction
+            // after the sealed record could not write.
+            journal::check_capacity(inner.books.snapshot_len()).map_err(full)?;
+        }
         // Crash here (or mid-record): no sealed Commit — recovery rolls
         // the image back as pending and sweeps its orphaned meta region.
         self.crashpoint("commit.before_journal");
-        let mut pages = self.journal_append(
-            &mut inner,
-            owner,
-            epoch,
-            Record::Commit {
-                image: image.0,
-                meta_region: meta_region.0,
-            },
-            Some("commit.mid_record"),
-        );
-        // Crash here: the sealed Commit is the durability point — the
+        // Crash after: the sealed Commit is the durability point — the
         // image survives into the recovered catalog.
-        self.crashpoint("commit.after_journal");
-        inner.catalog.insert(image.0, meta);
-        pages += self.maybe_compact(&mut inner);
+        let sites = [Some("commit.mid_record"), Some("commit.after_journal")];
+        let (_, mut pages) = self
+            .try_log(&mut inner, tags, record, sites)
+            .map_err(full)?;
+        let limit = self.config.journal_compact_bytes;
+        let journal = inner.journal.as_ref();
+        if journal.is_some_and(|j| j.wants_compaction(limit)) {
+            pages += self.compact_journal_locked(&mut inner);
+        }
         Ok(pages)
+    }
+
+    /// The one way an image leaves the books: by the record its state
+    /// names — `Abort` while pending, `Release` or (`evict`) `Evict` once
+    /// committed. Destructive ordering: journal first, free second —
+    /// recovery re-applies a journaled removal idempotently. `sites` fire
+    /// after the record is sealed and after the device is paid: the
+    /// orphaned data pages freed and, for an eviction, the metadata region
+    /// destroyed. Returns pages freed.
+    fn remove_image(
+        &self,
+        inner: &mut Inner,
+        image: u64,
+        evict: bool,
+        sites: Option<[&'static str; 2]>,
+    ) -> u64 {
+        let Some(meta) = inner.books.images.get(&image) else {
+            return 0;
+        };
+        let (tags, record) = (meta.tags(), meta.removal_record(image, evict));
+        let owed = self.log(inner, tags, record, sites.map(|s| s[0]));
+        let mut freed = self.free_pages(&owed.free);
+        if let Some(region) = owed.doomed_meta.filter(|_| evict) {
+            freed += self.device.destroy_region(region).unwrap_or(0);
+        }
+        if let Some(sites) = sites {
+            self.crashpoint(sites[1]);
+        }
+        freed
     }
 
     /// Abandons a pending image (failed checkpoint), dropping its index
@@ -1240,56 +865,25 @@ impl Store {
     /// it instead), [`StoreError::UnknownImage`] if it is not pending.
     pub fn abort_image(&self, image: ImageId) -> Result<u64, StoreError> {
         let mut inner = self.inner.lock();
-        if inner.catalog.contains_key(&image.0) {
-            return Err(StoreError::AlreadyCommitted {
-                image,
-                op: "abort_image",
-            });
-        }
-        let Some(meta) = inner.pending.remove(&image.0) else {
-            return Err(StoreError::UnknownImage {
-                image,
-                op: "abort_image",
-            });
-        };
-        // Destructive ordering: journal first, free second — recovery
-        // re-applies a journaled abort idempotently.
-        self.journal_append(
-            &mut inner,
-            meta.owner,
-            meta.epoch,
-            Record::Abort { image: image.0 },
-            None,
-        );
-        self.crashpoint("abort.after_journal");
-        let freed = Self::drop_refs(&self.device, &mut inner, &meta.slots);
-        self.crashpoint("abort.after_free");
-        Ok(freed)
+        inner.books.require(image, false, "abort_image")?;
+        let sites = Some(["abort.after_journal", "abort.after_free"]);
+        Ok(self.remove_image(&mut inner, image.0, false, sites))
     }
 
     /// True while `image` is restorable (committed and not evicted).
     pub fn is_live(&self, image: ImageId) -> bool {
-        self.inner.lock().catalog.contains_key(&image.0)
+        self.inner.lock().books.in_state(image.0, true).is_some()
     }
 
-    /// A copy of the catalog entry, if live.
+    /// A copy of the image's entry, if live.
     pub fn image_meta(&self, image: ImageId) -> Option<ImageMeta> {
-        self.inner.lock().catalog.get(&image.0).cloned()
-    }
-
-    /// Number of committed images.
-    pub fn image_count(&self) -> usize {
-        self.inner.lock().catalog.len()
+        self.inner.lock().books.in_state(image.0, true).cloned()
     }
 
     /// Ids of every committed image, ascending.
     pub fn images(&self) -> Vec<ImageId> {
-        self.inner
-            .lock()
-            .catalog
-            .keys()
-            .map(|&id| ImageId(id))
-            .collect()
+        let inner = self.inner.lock();
+        inner.books.committed().map(|(id, _)| ImageId(id)).collect()
     }
 
     /// Records a successful restore at `now` (LRU bookkeeping). No-op
@@ -1298,7 +892,7 @@ impl Store {
     /// back to creation order until restores refresh it.
     pub fn touch_restore(&self, image: ImageId, now: SimTime) {
         self.crashpoint("restore.touch");
-        if let Some(meta) = self.inner.lock().catalog.get_mut(&image.0) {
+        if let Some(meta) = self.inner.lock().books.in_state(image.0, true) {
             meta.last_restore = meta.last_restore.max(now);
         }
     }
@@ -1311,21 +905,12 @@ impl Store {
     /// [`StoreError::UnknownImage`] otherwise-unknown ids.
     pub fn set_pinned(&self, image: ImageId, pinned: bool) -> Result<(), StoreError> {
         let mut inner = self.inner.lock();
-        let (owner, epoch) = Self::committed_tags(&inner, image, "set_pinned")?;
-        self.journal_append(
-            &mut inner,
-            owner,
-            epoch,
-            Record::SetPinned {
-                image: image.0,
-                pinned,
-            },
-            None,
-        );
-        self.crashpoint("pin.after_journal");
-        if let Some(meta) = inner.catalog.get_mut(&image.0) {
-            meta.pinned = pinned;
-        }
+        let tags = inner.books.require(image, true, "set_pinned")?.tags();
+        let record = Record::SetPinned {
+            image: image.0,
+            pinned,
+        };
+        self.log(&mut inner, tags, record, Some("pin.after_journal"));
         Ok(())
     }
 
@@ -1339,42 +924,17 @@ impl Store {
     /// [`StoreError::UnknownImage`] otherwise-unknown ids.
     pub fn set_lease(&self, image: ImageId, holder: Option<NodeId>) -> Result<(), StoreError> {
         let mut inner = self.inner.lock();
-        let (owner, epoch) = Self::committed_tags(&inner, image, "set_lease")?;
-        self.journal_append(
-            &mut inner,
-            owner,
-            epoch,
-            Record::SetLease {
-                image: image.0,
-                holder: holder.map(|n| n.0),
-            },
-            None,
-        );
-        self.crashpoint("lease.after_journal");
-        if let Some(meta) = inner.catalog.get_mut(&image.0) {
-            meta.lease = holder;
-        }
+        let tags = inner.books.require(image, true, "set_lease")?.tags();
+        let record = Record::SetLease {
+            image: image.0,
+            holder: holder.map(|n| n.0),
+        };
+        self.log(&mut inner, tags, record, Some("lease.after_journal"));
         Ok(())
     }
 
-    /// Validates that `image` is committed, returning its (owner, epoch)
-    /// journal tags.
-    fn committed_tags(
-        inner: &Inner,
-        image: ImageId,
-        op: &'static str,
-    ) -> Result<(NodeId, u64), StoreError> {
-        if let Some(meta) = inner.catalog.get(&image.0) {
-            return Ok((meta.owner, meta.epoch));
-        }
-        if inner.pending.contains_key(&image.0) {
-            return Err(StoreError::NotCommitted { image, op });
-        }
-        Err(StoreError::UnknownImage { image, op })
-    }
-
     /// Releases a committed image: drops its index references, frees
-    /// now-unreferenced data pages, and forgets the catalog entry. The
+    /// now-unreferenced data pages, and forgets the entry. The
     /// metadata region is the caller's to destroy (the mechanism owns
     /// it) — but the journal records it, so crash recovery destroys it
     /// if the caller died first. Returns the number of data pages freed.
@@ -1385,34 +945,11 @@ impl Store {
     /// [`StoreError::UnknownImage`] otherwise-unknown ids.
     pub fn release_image(&self, image: ImageId) -> Result<u64, StoreError> {
         let mut inner = self.inner.lock();
-        if inner.pending.contains_key(&image.0) {
-            return Err(StoreError::NotCommitted {
-                image,
-                op: "release_image",
-            });
-        }
-        let Some(meta) = inner.catalog.remove(&image.0) else {
-            return Err(StoreError::UnknownImage {
-                image,
-                op: "release_image",
-            });
-        };
-        // Destructive ordering: journal first, free second.
-        self.journal_append(
-            &mut inner,
-            meta.owner,
-            meta.epoch,
-            Record::Release {
-                image: image.0,
-                meta_region: meta.meta_region.0,
-            },
-            None,
-        );
-        self.crashpoint("release.after_journal");
-        let freed = Self::drop_refs(&self.device, &mut inner, &meta.slots);
+        inner.books.require(image, true, "release_image")?;
+        let sites = Some(["release.after_journal", "release.after_free"]);
+        let freed = self.remove_image(&mut inner, image.0, false, sites);
         inner.stats.released_images += 1;
         inner.stats.evicted_pages += freed;
-        self.crashpoint("release.after_free");
         Ok(freed)
     }
 
@@ -1470,34 +1007,6 @@ impl Store {
         self.evict_while(leases, now, keep, |device| device.free_pages() < pages)
     }
 
-    /// Releases every unpinned, unleased image whose epoch is strictly
-    /// below `min_epoch` (epoch-based GC).
-    pub fn gc_epochs_below(
-        &self,
-        min_epoch: u64,
-        leases: &LeaseTable,
-        now: SimTime,
-    ) -> EvictionReport {
-        let mut report = EvictionReport::default();
-        loop {
-            let candidate = {
-                let inner = self.inner.lock();
-                inner
-                    .catalog
-                    .iter()
-                    .filter(|(_, m)| m.epoch < min_epoch && Self::evictable(m, leases, now))
-                    .map(|(&id, _)| ImageId(id))
-                    .next()
-            };
-            let Some(id) = candidate else {
-                return report;
-            };
-            let freed = self.evict_image(id);
-            report.images += 1;
-            report.pages += freed;
-        }
-    }
-
     /// Aborts pending images whose owner's lease has lapsed — the
     /// store-side half of crash-orphan reclamation
     /// ([`cxl_fault::reclaim_orphans`] destroys the on-device staging
@@ -1505,66 +1014,39 @@ impl Store {
     /// mid-checkpoint intern calls took). Returns data pages freed.
     pub fn reclaim_orphan_pending(&self, leases: &LeaseTable, now: SimTime) -> u64 {
         let mut inner = self.inner.lock();
-        let orphans: Vec<u64> = inner
-            .pending
-            .iter()
-            .filter(|(_, m)| !leases.is_live(m.owner, now))
-            .map(|(&id, _)| id)
-            .collect();
-        let mut freed = 0;
-        for id in orphans {
-            #[allow(
-                clippy::expect_used,
-                reason = "the orphan id list was collected from this same map under the same lock hold"
-            )]
-            let meta = inner.pending.remove(&id).expect("collected above");
-            self.journal_append(
-                &mut inner,
-                meta.owner,
-                meta.epoch,
-                Record::Abort { image: id },
-                None,
-            );
-            freed += Self::drop_refs(&self.device, &mut inner, &meta.slots);
-        }
-        freed
+        let orphans = inner.books.pending_where(|m| !leases.is_live(m.owner, now));
+        orphans
+            .into_iter()
+            .map(|id| self.remove_image(&mut inner, id, false, None))
+            .sum()
     }
 
     /// The content index, for auditors ([`IndexEntrySnapshot`] per
     /// entry, fingerprint-ordered).
     pub fn index_snapshot(&self) -> Vec<IndexEntrySnapshot> {
-        self.inner
-            .lock()
-            .index
-            .iter()
-            .map(|(fingerprint, page, refs)| IndexEntrySnapshot {
-                fingerprint,
-                page,
-                refs,
-            })
-            .collect()
+        self.inner.lock().books.index_snapshot()
     }
 
     /// Reference counts the index *should* hold, recomputed from the
-    /// catalog and pending images (fingerprint → multiplicity).
+    /// committed and pending images (fingerprint → multiplicity).
     pub fn live_reference_counts(&self) -> BTreeMap<u64, u64> {
-        let inner = self.inner.lock();
-        let mut counts: BTreeMap<u64, u64> = BTreeMap::new();
-        for meta in inner.catalog.values().chain(inner.pending.values()) {
-            for &slot in &meta.slots {
-                *counts.entry(inner.index.fingerprint(slot)).or_insert(0) += 1;
-            }
-        }
-        counts
+        self.inner.lock().books.live_reference_counts()
+    }
+
+    /// Test hook: runs `f` on the live books, for comparing them with
+    /// books folded from the journal.
+    #[doc(hidden)]
+    pub fn debug_with_books<R>(&self, f: impl FnOnce(&Books) -> R) -> R {
+        f(&self.inner.lock().books)
     }
 
     /// Test hook: overwrites an index entry's refcount, desynchronizing
     /// it from the catalog (seeds `ContentIndexSkew`).
     #[doc(hidden)]
     pub fn debug_force_refs(&self, fingerprint: u64, refs: u64) {
-        let mut inner = self.inner.lock();
-        if let Some(slot) = inner.index.find(fingerprint) {
-            inner.index.set_refs(slot, refs);
+        let index = &mut self.inner.lock().books.index;
+        if let Some(slot) = index.find(fingerprint) {
+            index.set_refs(slot, refs);
         }
     }
 
@@ -1572,27 +1054,21 @@ impl Store {
     /// freed) device page (seeds `DanglingIndexEntry`).
     #[doc(hidden)]
     pub fn debug_plant_index_entry(&self, fingerprint: u64, page: CxlPageId, refs: u64) {
-        let mut inner = self.inner.lock();
-        let (slot, _) = inner.index.find_or_reserve(fingerprint);
-        inner.index.bind(slot, page);
-        inner.index.set_refs(slot, refs);
+        let index = &mut self.inner.lock().books.index;
+        let (slot, _) = index.find_or_reserve(fingerprint);
+        index.bind(slot, page);
+        index.set_refs(slot, refs);
     }
 
     /// Test hook: slab positions the content index has ever handed out
     /// (occupied plus vacated) — grows only when no vacated slot is left.
     #[doc(hidden)]
     pub fn debug_index_slots(&self) -> usize {
-        self.inner.lock().index.slots()
+        self.inner.lock().books.index.slots()
     }
 
     fn evictable(meta: &ImageMeta, leases: &LeaseTable, now: SimTime) -> bool {
-        if meta.pinned {
-            return false;
-        }
-        match meta.lease {
-            Some(holder) => !leases.is_live(holder, now),
-            None => true,
-        }
+        !meta.pinned && meta.lease.is_none_or(|holder| !leases.is_live(holder, now))
     }
 
     /// Evicts LRU-first while `keep_going(device)` holds and candidates
@@ -1606,19 +1082,22 @@ impl Store {
     ) -> EvictionReport {
         let mut report = EvictionReport::default();
         while keep_going(&self.device) {
-            let victim = {
-                let inner = self.inner.lock();
-                inner
-                    .catalog
-                    .iter()
-                    .filter(|(&id, m)| !keep.contains(&id) && Self::evictable(m, leases, now))
-                    .min_by_key(|(&id, m)| (m.last_restore, id))
-                    .map(|(&id, _)| ImageId(id))
-            };
+            let mut inner = self.inner.lock();
+            let victim = inner
+                .books
+                .committed()
+                .filter(|(id, m)| !keep.contains(id) && Self::evictable(m, leases, now))
+                .min_by_key(|(id, m)| (m.last_restore, *id))
+                .map(|(id, _)| id);
             let Some(id) = victim else {
                 break;
             };
-            let freed = self.evict_image(id);
+            // Frees the image's unshared data pages and destroys its
+            // metadata region.
+            let sites = Some(["evict.after_journal", "evict.after_free"]);
+            let freed = self.remove_image(&mut inner, id, true, sites);
+            inner.stats.evicted_images += 1;
+            inner.stats.evicted_pages += freed;
             report.images += 1;
             report.pages += freed;
         }
@@ -1636,49 +1115,16 @@ impl Store {
         report
     }
 
-    /// Removes one committed image: drops data refs, frees unshared
-    /// pages, destroys the metadata region. Returns total pages freed.
-    fn evict_image(&self, image: ImageId) -> u64 {
-        let mut inner = self.inner.lock();
-        let Some(meta) = inner.catalog.remove(&image.0) else {
-            return 0;
-        };
-        // Destructive ordering: journal first, free second.
-        self.journal_append(
-            &mut inner,
-            meta.owner,
-            meta.epoch,
-            Record::Evict {
-                image: image.0,
-                meta_region: meta.meta_region.0,
-            },
-            None,
-        );
-        self.crashpoint("evict.after_journal");
-        let mut freed = Self::drop_refs(&self.device, &mut inner, &meta.slots);
-        freed += self.device.destroy_region(meta.meta_region).unwrap_or(0);
-        inner.stats.evicted_images += 1;
-        inner.stats.evicted_pages += freed;
-        self.crashpoint("evict.after_free");
-        freed
-    }
-
-    /// Drops an image's references and frees the device pages whose
-    /// count reached zero, in the order [`drop_slot_refs`] lists them.
-    /// Returns pages freed.
-    fn drop_refs(device: &CxlDevice, inner: &mut Inner, slots: &[Slot]) -> u64 {
-        let to_free = drop_slot_refs(&mut inner.index, slots);
-        if to_free.is_empty() {
+    /// Frees `pages` in one batch. Returns pages freed.
+    fn free_pages(&self, pages: &[CxlPageId]) -> u64 {
+        if pages.is_empty() {
             return 0;
         }
         // `free_batch` is all-or-nothing and its fault hook fires before
         // any mutation, so retrying a transient fault cannot double-free;
         // giving up instead would leak the pages for the store's
         // lifetime.
-        let (freed, _) = cxl_fault::with_backoff(&cxl_fault::BackoffPolicy::default(), || {
-            device.free_batch(&to_free)
-        });
-        freed.unwrap_or(0)
+        retry(|| self.device.free_batch(pages)).unwrap_or(0)
     }
 }
 
@@ -1930,32 +1376,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_gc_releases_only_older_unpinned_epochs() {
-        let d = device();
-        let store = Store::new(Arc::clone(&d));
-        let leases = LeaseTable::new(SimDuration::from_secs(10));
-        let mk = |label: &str, epoch| {
-            let img = store.begin_image(label, NodeId(0), epoch, t(epoch));
-            store
-                .intern_pages(img, &[PageData::pattern(epoch * 7)], NodeId(0))
-                .unwrap();
-            store
-                .commit_image(img, store.device().create_region(label))
-                .unwrap();
-            img
-        };
-        let old = mk("old", 1);
-        let mid = mk("mid", 2);
-        let new = mk("new", 3);
-        store.set_pinned(mid, true).unwrap();
-        let report = store.gc_epochs_below(3, &leases, t(10));
-        assert_eq!(report.images, 1);
-        assert!(!store.is_live(old));
-        assert!(store.is_live(mid), "pinned survives GC");
-        assert!(store.is_live(new));
-    }
-
-    #[test]
     fn orphaned_pending_images_are_reclaimed_when_the_lease_lapses() {
         let d = device();
         let store = Store::new(Arc::clone(&d));
@@ -2075,6 +1495,117 @@ mod tests {
         );
     }
 
+    #[test]
+    fn apply_is_total_a_record_that_meets_the_wrong_state_changes_nothing() {
+        let store = Store::new(device());
+        let (committed, _) = intern(&store, "committed", &[PageData::pattern(1)], t(1));
+        let pending = store.begin_image("pending", NodeId(0), 2, t(2));
+        store
+            .intern_pages(pending, &[PageData::pattern(2)], NodeId(0))
+            .unwrap();
+        let (c, p) = (committed.0, pending.0);
+        let misfits = [
+            Record::Commit {
+                image: c,
+                meta_region: 77,
+            },
+            Record::Abort { image: c },
+            Record::Abort { image: 99 },
+            Record::SetPinned {
+                image: p,
+                pinned: true,
+            },
+            Record::SetLease {
+                image: p,
+                holder: Some(3),
+            },
+        ];
+        let mut books = store.debug_with_books(|live| {
+            let mut payload = Vec::new();
+            live.encode_snapshot(&mut payload);
+            let mut copy = Books::default();
+            copy.apply(&journal::decode_payload(&payload).unwrap());
+            copy
+        });
+        let render = |books: &Books| {
+            let mut payload = Vec::new();
+            books.encode_snapshot(&mut payload);
+            (payload, books.index_snapshot())
+        };
+        let before = render(&books);
+        for record in misfits {
+            let entry = JournalEntry {
+                seq: 0,
+                owner: 9,
+                epoch: 9,
+                record,
+            };
+            assert_eq!(books.apply(&entry), Effects::default(), "{entry:?}");
+            assert_eq!(render(&books), before, "{entry:?}");
+        }
+        // A removal of a pending image by a committed image's record
+        // removes nothing, but still dooms the region it names — recovery
+        // destroys it idempotently.
+        let entry = JournalEntry {
+            seq: 0,
+            owner: 9,
+            epoch: 9,
+            record: Record::Evict {
+                image: p,
+                meta_region: 55,
+            },
+        };
+        let owed = books.apply(&entry);
+        assert_eq!((owed.free, owed.doomed_meta), (vec![], Some(RegionId(55))));
+        assert_eq!(render(&books), before);
+    }
+
+    #[test]
+    fn an_intern_that_cannot_be_journaled_is_rolled_back_whole() {
+        use cxl_mem::DeviceOp;
+        // Journal pages are written on behalf of no node.
+        #[derive(Debug)]
+        struct FailJournalWrites;
+        impl cxl_mem::FaultHook for FailJournalWrites {
+            fn inject(
+                &self,
+                op: DeviceOp,
+                _page: Option<CxlPageId>,
+                node: NodeId,
+            ) -> Option<CxlError> {
+                (op == DeviceOp::Write && node == NodeId(u32::MAX))
+                    .then_some(CxlError::Transient { op: "write" })
+            }
+        }
+        let d = Arc::new(CxlDevice::new(1024));
+        let store = Store::with_config(Arc::clone(&d), durable_config());
+        let (_, _) = intern(&store, "base", &[PageData::pattern(1)], t(1));
+        let img = store.begin_image("fails", NodeId(0), 2, t(2));
+        let (used, index, stats) = (d.used_pages(), store.index_snapshot(), store.stats());
+        // Enough pages that the record needs journal pages of its own.
+        let mut data = vec![PageData::pattern(1), PageData::Zero];
+        data.extend((2..400).map(PageData::pattern));
+
+        d.set_fault_hook(Some(Arc::new(FailJournalWrites)));
+        let err = store.intern_pages(img, &data, NodeId(0)).unwrap_err();
+        d.set_fault_hook(None);
+        assert!(err.is_transient());
+        assert_eq!(d.used_pages(), used, "placed pages freed again");
+        assert_eq!(store.index_snapshot(), index, "references taken back");
+        assert_eq!(store.stats(), stats);
+
+        // The retry journals, and recovery sees one Intern record.
+        let out = store.intern_pages(img, &data, NodeId(0)).unwrap();
+        assert_eq!((out.fresh, out.shared), (399, 1));
+        let meta = d.create_region("fails-meta");
+        store.commit_image(img, meta).unwrap();
+        let expected = store.index_snapshot();
+        drop(store);
+        let (recovered, report) = Store::recover(Arc::clone(&d), durable_config(), NodeId(1));
+        assert_eq!(report.torn_tail_bytes, 0);
+        assert_eq!(recovered.index_snapshot(), expected);
+    }
+
     fn durable_config() -> StoreConfig {
         StoreConfig {
             durable: true,
@@ -2134,7 +1665,7 @@ mod tests {
         let meta = recovered.image_meta(a).unwrap();
         assert!(meta.pinned);
         assert_eq!(meta.owner, NodeId(1));
-        assert_eq!(meta.meta_region, meta_a);
+        assert_eq!(meta.meta_region(), Some(meta_a));
         assert_eq!(recovered.image_meta(b).unwrap().lease, Some(NodeId(2)));
         assert_eq!(recovered.index_snapshot(), index_before);
 

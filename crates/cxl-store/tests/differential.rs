@@ -15,13 +15,20 @@
 //! slab is never longer than the most entries that were ever live at
 //! once), and that recovery rebuilds the same entries — fingerprint,
 //! device page and count — from the journal alone.
+//!
+//! The live mutators and recovery share one `Books::apply`; what only the
+//! live side does (the intern body, the order records are appended in) is
+//! held to it here: after every step of the durable runs the journal is
+//! decoded from the device and folded through `apply` into fresh books,
+//! which must equal the live store's.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cxl_fault::LeaseTable;
-use cxl_mem::{CxlDevice, CxlPageId, NodeId, PageData, PAGE_SIZE};
-use cxl_store::{ImageId, Store, StoreConfig};
+use cxl_mem::{CxlDevice, CxlError, CxlPageId, NodeId, PageData, PAGE_SIZE};
+use cxl_store::journal::{self, JournalEntry, Record, SnapshotState};
+use cxl_store::{Books, ImageId, Store, StoreConfig, StoreError};
 use simclock::{SimDuration, SimTime};
 
 const DEVICE_PAGES: u64 = 256;
@@ -151,6 +158,48 @@ fn check(store: &Store, model: &Model, exact_pages: bool, step: &str) {
     }
 }
 
+/// The books as the snapshot encoder renders them: `next_image`, index
+/// bindings, and every image — state, flags, times, fingerprints in
+/// intern order. (Slot numbers are host-side names and differ between a
+/// live index and a replayed one; nothing here shows them.)
+fn rendered(books: &Books) -> SnapshotState {
+    let mut payload = Vec::new();
+    books.encode_snapshot(&mut payload);
+    match journal::decode_payload(&payload) {
+        Some(JournalEntry {
+            record: Record::Snapshot(state),
+            ..
+        }) => state,
+        other => panic!("a snapshot payload decodes to a snapshot, got {other:?}"),
+    }
+}
+
+/// Decodes the journal from the device, folds its entries through
+/// `Books::apply` into fresh books, and compares them with the live
+/// store's: index triples, image table, `next_image`.
+fn check_replay(device: &CxlDevice, store: &Store, step: &str) {
+    let generation = (journal::find_generations(device).pop()).expect("a durable store journals");
+    let loaded = journal::snapshot_generation(device, &generation).expect("valid superblock");
+    assert_eq!(loaded.log.torn_bytes, 0, "torn tail after {step}");
+    let mut replayed = Books::default();
+    for entry in &loaded.log.entries {
+        replayed.apply(entry);
+    }
+    store.debug_with_books(|live| {
+        assert_eq!(
+            replayed.index_snapshot(),
+            live.index_snapshot(),
+            "replayed index after {step}"
+        );
+        assert_eq!(
+            rendered(&replayed),
+            rendered(live),
+            "replayed image table after {step}"
+        );
+        assert_eq!(replayed.next_image(), live.next_image(), "after {step}");
+    });
+}
+
 /// Applies what an eviction flavour did to the model: its victims are the
 /// committed images that vanished, oldest first.
 fn apply_evictions(store: &Store, model: &mut Model, committed: &mut Vec<ImageId>, pages: u64) {
@@ -223,7 +272,8 @@ fn run(seed: u64, durable: bool) -> (Arc<CxlDevice>, Store, Model) {
             }
             7 if !committed.is_empty() => {
                 let image = committed.remove(rng.below(committed.len()));
-                let meta = store.image_meta(image).expect("live").meta_region;
+                let meta = store.image_meta(image).and_then(|m| m.meta_region());
+                let meta = meta.expect("live");
                 let freed = store.release_image(image).expect("committed");
                 assert_eq!(freed, model.drop_image(image));
                 device
@@ -240,19 +290,13 @@ fn run(seed: u64, durable: bool) -> (Arc<CxlDevice>, Store, Model) {
                 apply_evictions(&store, &mut model, &mut committed, report.pages);
                 "evict"
             }
-            9 => {
-                let report = store.gc_epochs_below(step as u64 / 2, &leases, now);
-                apply_evictions(&store, &mut model, &mut committed, report.pages);
-                "gc"
-            }
             _ => continue,
         };
-        check(
-            &store,
-            &model,
-            exact,
-            &format!("step {step} ({what}, seed {seed})"),
-        );
+        let at = format!("step {step} ({what}, seed {seed})");
+        check(&store, &model, exact, &at);
+        if durable {
+            check_replay(&device, &store, &at);
+        }
         // Vacated slots are reused before the slab grows: it is exactly
         // as long as the index was at its fullest.
         assert_eq!(
@@ -436,4 +480,111 @@ fn journal_golden_fixed_script_pins_pages_written_and_region_bytes() {
         (GOLDEN_JOURNAL_PAGES_WRITTEN, GOLDEN_REGION_FNV),
         "journal pages written / FNV of the journal region after every step"
     );
+}
+
+/// A durable store on a `pages`-page device, with one small committed
+/// image so the books are not empty, and both store auditors.
+fn durable_store_with_one_image(pages: u64) -> (Arc<CxlDevice>, Store) {
+    let device = Arc::new(CxlDevice::new(pages));
+    let config = StoreConfig {
+        durable: true,
+        ..StoreConfig::default()
+    };
+    let store = Store::with_config(Arc::clone(&device), config);
+    let keep = store.begin_image("limits:keep", NodeId(0), 1, SimTime::from_nanos(1));
+    let data = [PageData::pattern(1), PageData::Zero];
+    store.intern_pages(keep, &data, NodeId(0)).expect("fits");
+    let meta = device.create_region("limits:meta-keep");
+    store.commit_image(keep, meta).expect("pending");
+    (device, store)
+}
+
+fn audits(store: &Store) -> Vec<cxl_check::Violation> {
+    let mut violations = cxl_check::audit_store(store);
+    violations.extend(cxl_check::audit_journal(store));
+    violations
+}
+
+/// One superblock page lists 510 data pages, 2 088 960 bytes of record
+/// stream. An `Intern` record is 16 bytes a page: 131 000 pages of it do
+/// not fit, whatever they hold (here zeroes: one device page).
+#[test]
+fn superblock_limit_intern_record_too_large_is_a_typed_error_and_leaks_nothing() {
+    let (device, store) = durable_store_with_one_image(64);
+    let image = store.begin_image("limits:huge", NodeId(1), 2, SimTime::from_nanos(2));
+    let (used, stats, index) = (device.used_pages(), store.stats(), store.index_snapshot());
+
+    let data = vec![PageData::Zero; 131_000];
+    let err = store.intern_pages(image, &data, NodeId(1)).unwrap_err();
+    assert!(
+        matches!(err, CxlError::OutOfDeviceMemory { requested, available: 510 } if requested > 510),
+        "{err:?}"
+    );
+    assert!(!err.is_transient(), "a retry would be refused the same way");
+    assert_eq!(device.used_pages(), used, "no device page leaked");
+    assert_eq!(store.stats(), stats, "nothing was counted");
+    assert_eq!(store.index_snapshot(), index, "no reference was kept");
+    assert_eq!(audits(&store), vec![]);
+
+    // The image is still pending and the journal still appends: a batch
+    // that fits goes through, and the store replays to what it holds.
+    let out = store.intern_pages(image, &data[..1_000], NodeId(1));
+    assert_eq!(out.expect("fits").shared, 1_000);
+    store.abort_image(image).expect("pending");
+    assert_eq!(store.index_snapshot(), index);
+    assert_eq!(audits(&store), vec![]);
+    check_replay(&device, &store, "the refused intern");
+}
+
+/// A snapshot spends 16 bytes on each distinct page plus 8 on each
+/// reference, an `Intern` record 16 on each page: an image of new,
+/// all-distinct content can be journaled into a generation that the
+/// snapshot with it in it would outgrow. Six images of zero-page
+/// references (cheap: one device page) bring the snapshot to 1.94 MB of
+/// the 2.09 MB one generation holds, each commit compacting; 7 500
+/// distinct pages then journal (120 KB) and cannot be snapshot (+180 KB).
+/// The commit is refused before its record is written, so the image can
+/// still be aborted — a sealed `Commit` followed by a compaction that
+/// cannot be written would be a committed image nobody can snapshot.
+#[test]
+fn superblock_limit_commit_with_unsnapshotable_books_is_a_typed_error_and_leaks_nothing() {
+    let (device, store) = durable_store_with_one_image(1 << 14);
+    let zeroes = vec![PageData::Zero; 50_000];
+    for (epoch, refs) in [50_000, 50_000, 50_000, 50_000, 29_000, 14_000]
+        .into_iter()
+        .enumerate()
+    {
+        let filler = store.begin_image("limits:z", NodeId(0), epoch as u64, SimTime::ZERO);
+        let out = store.intern_pages(filler, &zeroes[..refs], NodeId(0));
+        assert_eq!(out.expect("the record fits").shared, refs as u64);
+        let meta = device.create_region("limits:meta-z");
+        store.commit_image(filler, meta).expect("the snapshot fits");
+    }
+
+    let image = store.begin_image("limits:w", NodeId(1), 9, SimTime::from_nanos(2));
+    let data: Vec<PageData> = (1_000..8_500).map(PageData::pattern).collect();
+    let out = store.intern_pages(image, &data, NodeId(1));
+    assert_eq!(out.expect("the record fits").fresh, 7_500);
+    let meta = device.create_region("limits:meta-w");
+    let (used, stats) = (device.used_pages(), store.stats());
+
+    let err = store.commit_image(image, meta).unwrap_err();
+    let StoreError::JournalFull { cause, .. } = &err else {
+        panic!("expected JournalFull, got {err:?}");
+    };
+    assert!(
+        matches!(cause, CxlError::OutOfDeviceMemory { requested, available: 510 } if *requested > 510),
+        "{cause:?}"
+    );
+    assert!(!store.is_live(image), "the image stays pending");
+    assert_eq!(device.used_pages(), used, "no device page moved");
+    assert_eq!(store.stats(), stats, "no journal page was written");
+    assert_eq!(audits(&store), vec![]);
+
+    // What core's `ImageGuard` and staging-region guard do next.
+    assert_eq!(store.abort_image(image).expect("still pending"), 7_500);
+    device.destroy_region(meta).expect("ours");
+    assert_eq!(store.index_snapshot().len(), 2, "the first image's two");
+    assert_eq!(audits(&store), vec![]);
+    check_replay(&device, &store, "the refused commit");
 }

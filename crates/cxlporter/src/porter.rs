@@ -195,6 +195,14 @@ struct Function {
     filed_under: FnId,
     /// Keep-alive window of an idle instance on an unpressured node.
     keep_alive: SimDuration,
+    /// Latency tracking for SLO-driven tiering. This and the two fields
+    /// below are kept in the `filed_under` entry only: however an arrival
+    /// spells the name, the function has one set of them.
+    stats: FnStats,
+    /// Checkpoints of this function routed through the device pool.
+    checkpoint_seq: u64,
+    /// Pool device the function's latest image was placed on.
+    fabric_home: Option<u32>,
 }
 
 /// Instants before which no idle instance can be past its keep-alive
@@ -420,7 +428,6 @@ pub struct CxlPorter<M: RemoteFork> {
     store: ObjectStore<M::Checkpoint>,
     instances: Vec<Instance>,
     ghost_pools: Vec<Vec<Container>>,
-    fn_stats: BTreeMap<String, FnStats>,
     report: PorterReport,
     next_container_id: u64,
     next_instance_id: u64,
@@ -436,8 +443,6 @@ pub struct CxlPorter<M: RemoteFork> {
     fn_ids: BTreeMap<String, FnId>,
     expiry_floor: ExpiryFloor,
     device_pool: Option<Arc<DevicePool>>,
-    fn_checkpoint_seq: BTreeMap<String, u64>,
-    fn_fabric_home: BTreeMap<String, u32>,
 }
 
 /// Event alphabet of a porter trace run. Ordering within the queue's
@@ -491,7 +496,6 @@ impl<M: RemoteFork> CxlPorter<M> {
             store: ObjectStore::new(),
             instances: Vec::new(),
             ghost_pools,
-            fn_stats: BTreeMap::new(),
             report: PorterReport::default(),
             next_container_id,
             next_instance_id: 1,
@@ -506,8 +510,6 @@ impl<M: RemoteFork> CxlPorter<M> {
             fn_ids: BTreeMap::new(),
             expiry_floor: ExpiryFloor::NEVER,
             device_pool: None,
-            fn_checkpoint_seq: BTreeMap::new(),
-            fn_fabric_home: BTreeMap::new(),
         }
     }
 
@@ -551,6 +553,9 @@ impl<M: RemoteFork> CxlPorter<M> {
             spec: Arc::clone(&spec),
             filed_under: id,
             keep_alive,
+            stats: FnStats::default(),
+            checkpoint_seq: 0,
+            fabric_home: None,
         });
         if spec.name != name {
             self.functions[id].filed_under = self.function_id(&spec.name)?;
@@ -620,18 +625,15 @@ impl<M: RemoteFork> CxlPorter<M> {
     /// Routes the cluster device's fabric charges to the pool device the
     /// placement policy picks for `function`'s next checkpoint, and
     /// remembers that device as the function's fabric home for restores.
-    fn route_fabric_for_checkpoint(&mut self, function: &str) {
+    fn route_fabric_for_checkpoint(&mut self, function: FnId) {
         let Some(pool) = &self.device_pool else {
             return;
         };
-        let nth = self
-            .fn_checkpoint_seq
-            .entry(function.to_string())
-            .or_insert(0);
-        let idx = pool.place_with(self.config.placement, fnv64(function), *nth);
-        *nth += 1;
+        let f = &mut self.functions[function];
+        let idx = pool.place_with(self.config.placement, fnv64(&f.spec.name), f.checkpoint_seq);
+        f.checkpoint_seq += 1;
         let device = u32::try_from(idx).unwrap_or(u32::MAX);
-        self.fn_fabric_home.insert(function.to_string(), device);
+        f.fabric_home = Some(device);
         *self.report.fabric_placements.entry(device).or_insert(0) += 1;
         cxl_telemetry::counter_add("cxlporter", "fabric.placement", Some(device), 1);
         let link: Arc<dyn cxl_mem::FabricLink> = pool.topology().clone();
@@ -641,11 +643,11 @@ impl<M: RemoteFork> CxlPorter<M> {
     /// Routes fabric charges to the device `function`'s image landed on
     /// (no-op if the function was never placed — e.g. restored from an
     /// adopted store — in which case the last routing stays in effect).
-    fn route_fabric_for_restore(&mut self, function: &str) {
+    fn route_fabric_for_restore(&mut self, function: FnId) {
         let Some(pool) = &self.device_pool else {
             return;
         };
-        if let Some(&device) = self.fn_fabric_home.get(function) {
+        if let Some(device) = self.functions[function].fabric_home {
             let link: Arc<dyn cxl_mem::FabricLink> = pool.topology().clone();
             self.cluster.device.attach_fabric(Some((link, device)));
         }
@@ -1143,11 +1145,12 @@ impl<M: RemoteFork> CxlPorter<M> {
         self.note_last_used(function, last_used);
 
         if now >= self.measure_from {
-            self.report
-                .per_function
-                .entry(spec.name.clone())
-                .or_default()
-                .record(latency);
+            // Probe first: `entry` would clone the name per invocation.
+            let per_function = &mut self.report.per_function;
+            match per_function.get_mut(&spec.name) {
+                Some(histogram) => histogram.record(latency),
+                None => (per_function.entry(spec.name.clone()).or_default()).record(latency),
+            }
             self.report.overall.record(latency);
             if cxl_telemetry::is_armed() {
                 cxl_telemetry::timer_record("cxlporter", "e2e", None, latency);
@@ -1160,7 +1163,7 @@ impl<M: RemoteFork> CxlPorter<M> {
             }
         }
         let slo_factor = self.config.slo_factor;
-        let stats = self.fn_stats.entry(spec.name.clone()).or_default();
+        let stats = &mut self.functions[function].stats;
         stats.observe(latency, warm);
         if warm {
             stats.note_breach(latency, slo_factor);
@@ -1180,7 +1183,7 @@ impl<M: RemoteFork> CxlPorter<M> {
                     "",
                     now,
                 );
-                self.route_fabric_for_checkpoint(&spec.name);
+                self.route_fabric_for_checkpoint(function);
                 let ckpt = match self.mech.checkpoint(&mut self.cluster.nodes[node], pid) {
                     Ok(c) => Some(c),
                     Err(_) => {
@@ -1285,7 +1288,7 @@ impl<M: RemoteFork> CxlPorter<M> {
         }
 
         if self.store.contains(&spec.name) {
-            let options = self.choose_options(spec, node);
+            let options = self.choose_options(function, node);
             if options.policy == TierPolicy::Hybrid {
                 self.report.hybrid_restores += 1;
             }
@@ -1298,7 +1301,7 @@ impl<M: RemoteFork> CxlPorter<M> {
             self.ensure_free(node, estimate + faas::BARE_CONTAINER_PAGES, now);
 
             let (container, container_cost) = self.claim_container(node, now)?;
-            self.route_fabric_for_restore(&spec.name);
+            self.route_fabric_for_restore(function);
             // Placement + restore span; the mechanism's own
             // `core.restore` phase spans nest underneath it.
             cxl_telemetry::span_open(
@@ -1413,7 +1416,7 @@ impl<M: RemoteFork> CxlPorter<M> {
     }
 
     /// SLO- and memory-driven tiering choice (§5).
-    fn choose_options(&self, spec: &FunctionSpec, node: usize) -> RestoreOptions {
+    fn choose_options(&self, function: FnId, node: usize) -> RestoreOptions {
         if !self.config.dynamic_tiering {
             return match self.config.static_policy {
                 TierPolicy::MigrateOnWrite => RestoreOptions::mow(),
@@ -1426,10 +1429,9 @@ impl<M: RemoteFork> CxlPorter<M> {
             // HighMem: no more hybrid promotions (§5).
             return RestoreOptions::mow();
         }
-        if let Some(s) = self.fn_stats.get(&spec.name) {
-            if s.over_slo(self.config.slo_factor) {
-                return RestoreOptions::hybrid();
-            }
+        let stats = &self.functions[function].stats;
+        if stats.over_slo(self.config.slo_factor) {
+            return RestoreOptions::hybrid();
         }
         RestoreOptions::mow()
     }
@@ -1789,5 +1791,64 @@ mod tests {
         assert_eq!(alive_after_forced_scan(&mut porter, floor.pressured), 1);
         porter.evict_expired(floor.pressured + TICK);
         assert_eq!(porter.live_instances(), 0);
+    }
+    #[test]
+    fn spellings_of_one_function_share_its_fabric_home_and_slo_statistics() {
+        use cxl_fabric::{FabricConfig, FabricTopology};
+        use cxl_mem::CxlDevice;
+
+        let topology = Arc::new(FabricTopology::new(FabricConfig {
+            devices: 2,
+            ..FabricConfig::default()
+        }));
+        let devices = (0..2).map(|_| Arc::new(CxlDevice::new(64))).collect();
+        let pool = Arc::new(DevicePool::attach(topology, devices));
+        let mut porter = one_node_porter(PorterConfig {
+            checkpoint_after: 2,
+            // Stripe: a function's nth checkpoint lands on device n mod 2.
+            placement: cxl_fabric::PlacementPolicy::Stripe,
+            ..PorterConfig::cxlfork_dynamic()
+        })
+        .with_device_pool(pool);
+        let arrive = |porter: &mut CxlPorter<CxlFork>, secs: u64, function: &str| {
+            porter.handle(&Invocation {
+                time: SimTime::ZERO + SimDuration::from_secs(secs),
+                function: function.into(),
+                owner: 0,
+            });
+        };
+
+        // Two arrivals under the catalog's spelling: cold, then warm and
+        // checkpointed — the function's first image, on device 0.
+        arrive(&mut porter, 0, "Float");
+        arrive(&mut porter, 1, "Float");
+        assert_eq!(porter.report.checkpoints, 1);
+        // The same function spelled differently finds no idle instance
+        // (those are matched on the exact spelling) and restores — from
+        // the image "Float" placed, charged to the device it was placed on.
+        porter.cluster.device.attach_fabric(None);
+        arrive(&mut porter, 2, "float");
+        assert_eq!(porter.report.restores, 1);
+        assert!(porter.cluster.device.fabric_armed(), "routed to its home");
+
+        let (canonical, alias) = (porter.fn_ids["Float"], porter.fn_ids["float"]);
+        assert_ne!(canonical, alias);
+        assert_eq!(porter.functions[alias].filed_under, canonical);
+        assert_eq!(porter.functions[canonical].filed_under, canonical);
+        // One set of state, in the entry both are filed under: the
+        // alias's own entry never holds any.
+        let (kept, unused) = (&porter.functions[canonical], &porter.functions[alias]);
+        assert_eq!((kept.checkpoint_seq, kept.fabric_home), (1, Some(0)));
+        assert_eq!((unused.checkpoint_seq, unused.fabric_home), (0, None));
+        assert!(kept.stats.ewma_ns > 0.0 && kept.stats.min_warm_ns > 0);
+        assert_eq!(unused.stats.ewma_ns, 0.0);
+        // All three latencies were observed by the one `FnStats`, and
+        // filed under the one report key.
+        let per_function: Vec<_> = porter.report.per_function.iter().collect();
+        assert_eq!(per_function.len(), 1);
+        assert_eq!(
+            (per_function[0].0.as_str(), per_function[0].1.len()),
+            ("Float", 3)
+        );
     }
 }

@@ -60,12 +60,6 @@ impl NodeConfig {
         self.model = model;
         self
     }
-
-    /// Sets the cache geometry.
-    pub fn with_cache(mut self, cache: CacheConfig) -> Self {
-        self.cache = cache;
-        self
-    }
 }
 
 /// One process: task + address space.
@@ -185,11 +179,6 @@ impl Node {
         &self.cache
     }
 
-    /// Mutable access to the LLC (flush between phases).
-    pub fn cache_mut(&mut self) -> &mut LlcCache {
-        &mut self.cache
-    }
-
     /// Event counters (faults by kind, cache hits/misses).
     pub fn counters(&self) -> &Counters {
         &self.counters
@@ -279,21 +268,6 @@ impl Node {
     /// Number of live processes.
     pub fn process_count(&self) -> usize {
         self.processes.len()
-    }
-
-    /// Builds the borrowed fault context for external drivers (the fork
-    /// mechanism crates use this with [`Node::process_mut`] unavailable —
-    /// split borrows instead via [`Node::with_process_ctx`]).
-    pub fn mm_context(&mut self) -> MmContext<'_> {
-        MmContext {
-            frames: &mut self.frames,
-            cache: &mut self.cache,
-            device: &self.device,
-            rootfs: &self.rootfs,
-            model: &self.model,
-            page_cache: &mut self.page_cache,
-            node: self.id,
-        }
     }
 
     /// Runs `f` with simultaneous mutable access to one process and the

@@ -380,12 +380,6 @@ impl LatencyModelBuilder {
         self
     }
 
-    /// Sets the container-creation cost in milliseconds.
-    pub fn container_create_ms(mut self, ms: u64) -> Self {
-        self.model.container_create_ns = ms * 1_000_000;
-        self
-    }
-
     /// Finalizes the model.
     pub fn build(self) -> LatencyModel {
         self.model

@@ -48,15 +48,6 @@ pub fn exp_sample<R: Rng>(rng: &mut R, mean_secs: f64) -> f64 {
     (-u.ln()) * mean_secs
 }
 
-/// Samples a Zipf-like rank in `[0, n)` with skew parameter `s`.
-///
-/// Implemented by inverse-CDF over precomputed weights for small `n`; the
-/// function caches nothing, so callers iterating heavily should precompute
-/// a [`ZipfSampler`].
-pub fn zipf_sample<R: Rng>(rng: &mut R, n: usize, s: f64) -> usize {
-    ZipfSampler::new(n, s).sample(rng)
-}
-
 /// A reusable Zipf sampler over ranks `[0, n)`.
 ///
 /// # Example

@@ -53,6 +53,71 @@ fn authored_contents(seed: u64) -> BTreeMap<u64, PageData> {
     map
 }
 
+/// The sites [`scenario`] reaches, in order — the same for every seed.
+/// Recorded at f98969d, before the store's mutators were rebuilt around
+/// one `apply`: a rewrite that moves, drops or adds a site fails here by
+/// name, instead of only shifting what each kill position means.
+const RECORDED_SITE_SEQUENCE: [&str; 52] = [
+    // image A: begin, intern, commit
+    "begin.before_journal",
+    "begin.after_journal",
+    "intern.after_alloc",
+    "intern.after_data_write",
+    "intern.after_journal_payload",
+    "intern.after_marker",
+    "intern.after_publish",
+    "commit.before_journal",
+    "commit.mid_record",
+    "commit.after_journal",
+    // image B
+    "begin.before_journal",
+    "begin.after_journal",
+    "intern.after_alloc",
+    "intern.after_data_write",
+    "intern.after_journal_payload",
+    "intern.after_marker",
+    "intern.after_publish",
+    "commit.before_journal",
+    "commit.mid_record",
+    "commit.after_journal",
+    // pin A, lease B
+    "pin.after_journal",
+    "lease.after_journal",
+    // image C: begin, intern, abort
+    "begin.before_journal",
+    "begin.after_journal",
+    "intern.after_alloc",
+    "intern.after_data_write",
+    "intern.after_journal_payload",
+    "intern.after_marker",
+    "intern.after_publish",
+    "abort.after_journal",
+    "abort.after_free",
+    // image D
+    "begin.before_journal",
+    "begin.after_journal",
+    "intern.after_alloc",
+    "intern.after_data_write",
+    "intern.after_journal_payload",
+    "intern.after_marker",
+    "intern.after_publish",
+    "commit.before_journal",
+    "commit.mid_record",
+    "commit.after_journal",
+    // unlease and release B, touch A and D, unpin and evict A, compact
+    "lease.after_journal",
+    "release.after_journal",
+    "release.after_free",
+    "restore.touch",
+    "restore.touch",
+    "pin.after_journal",
+    "evict.after_journal",
+    "evict.after_free",
+    "compact.after_snapshot_write",
+    "compact.after_publish",
+    "compact.after_destroy_old",
+];
+
 /// The deterministic scenario under test. Walks the full mutation
 /// surface of the durable store: begin/intern (with intra- and
 /// cross-image dedup and a zero page), commit, pin, lease, restore
@@ -156,7 +221,7 @@ fn recover_and_verify(
         live.extend(journal::find_generations(device).iter().map(|g| g.region));
         for id in 1..=8u64 {
             if let Some(meta) = recovered.image_meta(ImageId(id)) {
-                live.push(meta.meta_region);
+                live.extend(meta.meta_region());
             }
         }
         violations.extend(audit_device_with_live(device, live));
@@ -224,6 +289,10 @@ fn sweep(seed: u64) -> Vec<RecoveryReport> {
         seed,
     );
     let sequence = recorder.sequence();
+    assert_eq!(
+        sequence, RECORDED_SITE_SEQUENCE,
+        "seed {seed}: site sequence"
+    );
     let distinct = recorder.site_counts();
     assert!(
         sequence.len() >= 30,
