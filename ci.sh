@@ -109,7 +109,10 @@ echo '== these tests exist =='
 # cannot take a record or a snapshot refuses with a typed error and
 # leaks nothing — at the store, the journal and `CxlFork::checkpoint` —
 # the crashpoint sweep's literal site sequence, and per-function porter
-# state filed under one entry however an arrival spells the name).
+# state filed under one entry however an arrival spells the name), the
+# fault plan's stream recorded literally (the availability and cluster
+# runs replay it), the porter's expiry floor deciding like a scan on every
+# arrival, and catalog specs reaching the porter's deployments as held.
 expect_tests() {
     package=$1 target=$2
     shift 2
@@ -164,7 +167,12 @@ expect_tests cxlporter --lib \
     tests::crash_then_arrivals_never_dispatch_to_the_dead_node \
     porter::tests::idle_instance_expires_one_nanosecond_past_the_expiry_floor \
     porter::tests::node_turning_pressured_after_the_floor_was_computed_expires_on_time \
-    porter::tests::spellings_of_one_function_share_its_fabric_home_and_slo_statistics
+    porter::tests::spellings_of_one_function_share_one_entry_and_its_slo_statistics \
+    porter::tests::expiry_floor_skips_only_scans_that_would_expire_nothing
+expect_tests cxlporter '--test porter_scenarios' \
+    catalog_template_overlap_reaches_the_deployments
+expect_tests cxl-fault --lib \
+    inject::tests::plan_fault_stream_is_pinned
 expect_tests cxlfork --lib \
     tests::default_config_is_bit_identical_to_explicit_serial
 expect_tests cxl-store --lib \

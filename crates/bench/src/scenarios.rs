@@ -914,12 +914,13 @@ pub fn run_contention(
     }
 }
 
-/// Consecutive checkpoints routed under `policy` across a two-device
-/// pool sharing one wide fabric window, returning the summed checkpoint
-/// cost. Locality pins every image of the function to one device, so
-/// each checkpoint queues behind the previous one's in-flight bytes;
-/// stripe alternates devices and halves the per-port backlog. The
-/// stripe-vs-locality delta in `BENCH_contention.json` comes from here.
+/// Consecutive checkpoints routed under `policy` across two devices
+/// behind one switch with a wide fabric window, returning the summed
+/// checkpoint cost. Locality pins every image of the function to one
+/// device, so each checkpoint queues behind the previous one's in-flight
+/// bytes; stripe alternates devices and halves the per-port backlog.
+/// The stripe-vs-locality delta in `BENCH_contention.json` comes from
+/// here.
 pub fn run_placement(
     spec: &FunctionSpec,
     policy: cxl_fabric::PlacementPolicy,
@@ -929,23 +930,19 @@ pub fn run_placement(
 ) -> SimDuration {
     let (mut nodes, device, _rootfs) = two_node_cluster(model);
     let mut node0 = nodes.remove(0);
+    let devices = 2;
     // A window wide enough (1 s of virtual time) that every checkpoint
     // in the run still sees its predecessors' traffic in flight.
     let topology = Arc::new(cxl_fabric::FabricTopology::new(cxl_fabric::FabricConfig {
-        devices: 2,
+        devices,
         window_ns: 1_000_000_000,
         ..cxl_fabric::FabricConfig::default()
     }));
-    let pool = cxl_fabric::DevicePool::attach(
-        Arc::clone(&topology),
-        (0..2).map(|_| Arc::new(CxlDevice::new(64))).collect(),
-    );
     let fork = CxlFork::new();
     let mut total = SimDuration::ZERO;
     for nth in 0..checkpoints {
-        let idx = pool.place_with(policy, 0x5eed, nth);
         let link: Arc<dyn cxl_mem::FabricLink> = Arc::clone(&topology) as _;
-        device.attach_fabric(Some((link, idx as u32)));
+        device.attach_fabric(Some((link, policy.device(devices, 0x5eed, nth))));
         let parent = warm_parent(&mut node0, spec, steady);
         let ckpt = fork
             .checkpoint(&mut node0, parent)

@@ -22,9 +22,8 @@
 //!   window and pays **exactly zero**, which is what keeps the default
 //!   single-device, zero-load configuration bit-identical to the flat
 //!   calibrated model — the six committed BENCH baselines do not move.
-//! * [`PlacementPolicy`] / [`DevicePool`] — stripe vs. locality
-//!   placement of checkpoint images across the pool's devices, used by
-//!   `cxl-store` allocation and the porter.
+//! * [`PlacementPolicy::device`] — stripe vs. locality placement of
+//!   checkpoint images across the topology's devices.
 //!
 //! The topology implements [`cxl_mem::FabricLink`], so it attaches to a
 //! [`cxl_mem::CxlDevice`] the same way a fault hook does: one relaxed
@@ -39,28 +38,25 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::Arc;
-
 use cxl_mem::lockdep::TrackedMutex;
-use cxl_mem::{CxlDevice, FabricLink};
+use cxl_mem::FabricLink;
 use serde::{Deserialize, Serialize};
-use simclock::{QueueingCurve, SimDuration, SimTime};
+use simclock::{LatencyModel, QueueingCurve, SimDuration, SimTime};
 
 /// Buckets per sliding window: finer buckets age traffic out more
 /// smoothly at the cost of a little state. Eight matches the device's
 /// default shard count and keeps the window array cache-resident.
 const WINDOW_BUCKETS: u64 = 8;
 
-/// How checkpoint images are spread across the devices of a
-/// [`DevicePool`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// How checkpoint images are spread across the devices behind one
+/// switch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PlacementPolicy {
     /// All images of one function land on the same device (chosen by a
     /// deterministic hash of the function's identity). Maximizes
     /// template-page dedup inside `cxl-store` — cross-image sharing
     /// only works within one device — at the price of hot functions
     /// concentrating their traffic on one uplink.
-    #[default]
     Locality,
     /// Consecutive images round-robin across devices. Spreads load over
     /// every uplink, at the price of duplicating template pages into
@@ -69,21 +65,31 @@ pub enum PlacementPolicy {
 }
 
 impl PlacementPolicy {
-    /// Short lowercase name, used in counter names and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            PlacementPolicy::Locality => "locality",
-            PlacementPolicy::Stripe => "stripe",
-        }
+    /// The device, out of `devices`, that the `nth` image of the
+    /// function identified by `function_seed` lands on: locality hashes
+    /// the function identity (all its images share a device), stripe
+    /// round-robins on `nth`.
+    ///
+    /// # Panics
+    /// If `devices` is zero.
+    pub fn device(self, devices: u32, function_seed: u64, nth: u64) -> u32 {
+        let n = u64::from(devices);
+        let pick = match self {
+            PlacementPolicy::Locality => mix64(function_seed) % n,
+            PlacementPolicy::Stripe => nth % n,
+        };
+        u32::try_from(pick).unwrap_or(0)
     }
 }
 
-/// Shape and calibration of a [`FabricTopology`].
+/// Shape of a [`FabricTopology`].
 ///
-/// The default — one device, eight ports, streaming-write bandwidth per
-/// port, no background load — is the configuration under which the
-/// fabric charges exactly zero extra latency to an isolated transfer,
-/// keeping the flat 391 ns model intact.
+/// The default — one device, eight ports, no background load — is the
+/// configuration under which the fabric charges exactly zero extra
+/// latency to an isolated transfer, keeping the flat 391 ns model
+/// intact. Every port drains at the calibrated model's streaming CXL
+/// write bandwidth ([`LatencyModel::cxl_write_bytes_per_ns`], 8 B/ns),
+/// so one port at full tilt is one busy bank.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FabricConfig {
     /// Devices behind the switch (≥ 1).
@@ -91,10 +97,6 @@ pub struct FabricConfig {
     /// Switch ports per device (≥ 1); device shards map onto ports
     /// modulo this count.
     pub ports_per_device: u32,
-    /// Drain bandwidth of one port, in bytes per virtual nanosecond.
-    /// The default matches the calibrated model's streaming CXL write
-    /// bandwidth (8 B/ns), so one port at full tilt is one busy bank.
-    pub link_bytes_per_ns: f64,
     /// Width of the sliding accounting window in virtual nanoseconds.
     pub window_ns: u64,
     /// Synthetic offered load from traffic outside the simulation, in
@@ -102,8 +104,6 @@ pub struct FabricConfig {
     /// 900 = near saturation). Added to the in-flight bytes every
     /// charge sees, on ports and uplinks alike.
     pub background_load_permille: u32,
-    /// How [`DevicePool::place`] spreads images across devices.
-    pub placement: PlacementPolicy,
 }
 
 impl Default for FabricConfig {
@@ -111,10 +111,8 @@ impl Default for FabricConfig {
         FabricConfig {
             devices: 1,
             ports_per_device: 8,
-            link_bytes_per_ns: 8.0,
             window_ns: 1_000_000,
             background_load_permille: 0,
-            placement: PlacementPolicy::Locality,
         }
     }
 }
@@ -197,9 +195,8 @@ impl FabricTopology {
     /// Builds a topology for `config`.
     ///
     /// # Panics
-    /// If `devices` or `ports_per_device` is zero, the bandwidth is not
-    /// strictly positive and finite, the window is narrower than
-    /// [`WINDOW_BUCKETS`] ns, or the background load exceeds 1000 ‰.
+    /// If `devices` or `ports_per_device` is zero, the window is narrower
+    /// than [`WINDOW_BUCKETS`] ns, or the background load exceeds 1000 ‰.
     pub fn new(config: FabricConfig) -> Self {
         assert!(config.devices >= 1, "fabric needs at least one device");
         assert!(
@@ -214,9 +211,10 @@ impl FabricTopology {
             config.background_load_permille <= 1000,
             "background load is a permille fraction of capacity"
         );
-        let port_curve = QueueingCurve::new(config.link_bytes_per_ns, config.window_ns);
+        let link_bytes_per_ns = LatencyModel::calibrated().cxl_write_bytes_per_ns;
+        let port_curve = QueueingCurve::new(link_bytes_per_ns, config.window_ns);
         let uplink_curve = QueueingCurve::new(
-            config.link_bytes_per_ns * f64::from(config.ports_per_device),
+            link_bytes_per_ns * f64::from(config.ports_per_device),
             config.window_ns,
         );
         let ports = (config.devices * config.ports_per_device) as usize;
@@ -364,73 +362,6 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A pool of CXL devices attached to one shared [`FabricTopology`],
-/// plus the placement policy that decides which device a new checkpoint
-/// image lands on.
-#[derive(Debug, Clone)]
-pub struct DevicePool {
-    topology: Arc<FabricTopology>,
-    devices: Vec<Arc<CxlDevice>>,
-}
-
-impl DevicePool {
-    /// Wires `devices` onto `topology` (device `i` becomes fabric
-    /// device `i`) and returns the pool.
-    ///
-    /// # Panics
-    /// If the device count does not match the topology's configuration.
-    pub fn attach(topology: Arc<FabricTopology>, devices: Vec<Arc<CxlDevice>>) -> Self {
-        assert_eq!(
-            devices.len(),
-            topology.config.devices as usize,
-            "pool size must match FabricConfig::devices"
-        );
-        for (i, device) in devices.iter().enumerate() {
-            let link: Arc<dyn FabricLink> = topology.clone();
-            device.attach_fabric(Some((link, u32::try_from(i).unwrap_or(u32::MAX))));
-        }
-        DevicePool { topology, devices }
-    }
-
-    /// The shared topology.
-    pub fn topology(&self) -> &Arc<FabricTopology> {
-        &self.topology
-    }
-
-    /// Number of devices in the pool.
-    pub fn len(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// `true` if the pool has no devices (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
-    }
-
-    /// The `index`-th device.
-    pub fn device(&self, index: usize) -> &Arc<CxlDevice> {
-        &self.devices[index]
-    }
-
-    /// Picks the device for the `nth` image of the function identified
-    /// by `function_seed`, under the pool's configured policy:
-    /// locality hashes the function identity (all its images share a
-    /// device), stripe round-robins on `nth`.
-    pub fn place(&self, function_seed: u64, nth: u64) -> usize {
-        self.place_with(self.topology.config.placement, function_seed, nth)
-    }
-
-    /// [`DevicePool::place`] under an explicit policy (for A/B sweeps).
-    pub fn place_with(&self, policy: PlacementPolicy, function_seed: u64, nth: u64) -> usize {
-        let n = self.devices.len() as u64;
-        let pick = match policy {
-            PlacementPolicy::Locality => mix64(function_seed) % n,
-            PlacementPolicy::Stripe => nth % n,
-        };
-        usize::try_from(pick).unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,36 +488,24 @@ mod tests {
 
     #[test]
     fn placement_policies_split_locality_and_stripe() {
-        let t = Arc::new(FabricTopology::new(FabricConfig {
-            devices: 2,
-            placement: PlacementPolicy::Locality,
-            ..FabricConfig::default()
-        }));
-        let pool = DevicePool::attach(
-            t,
-            vec![
-                Arc::new(CxlDevice::with_capacity_mib(4)),
-                Arc::new(CxlDevice::with_capacity_mib(4)),
-            ],
-        );
-        assert_eq!(pool.len(), 2);
-        assert!(pool.device(0).fabric_armed() && pool.device(1).fabric_armed());
         // Locality: every image of one function lands on one device.
-        let home = pool.place(42, 0);
+        let home = PlacementPolicy::Locality.device(2, 42, 0);
+        assert!(home < 2);
         for nth in 1..32 {
-            assert_eq!(pool.place(42, nth), home);
+            assert_eq!(PlacementPolicy::Locality.device(2, 42, nth), home);
         }
         // ... and the hash actually uses the function identity.
         assert!(
-            (0..64).any(|f| pool.place_with(PlacementPolicy::Locality, f, 0) != home),
+            (0..64).any(|f| PlacementPolicy::Locality.device(2, f, 0) != home),
             "locality hash maps every function to one device"
         );
         // Stripe: consecutive images alternate.
         for nth in 0..32 {
-            assert_eq!(
-                pool.place_with(PlacementPolicy::Stripe, 42, nth),
-                (nth % 2) as usize
-            );
+            assert_eq!(PlacementPolicy::Stripe.device(2, 42, nth), (nth % 2) as u32);
+        }
+        // One device takes every image under either policy.
+        for policy in [PlacementPolicy::Locality, PlacementPolicy::Stripe] {
+            assert!((0..16).all(|nth| policy.device(1, 7, nth) == 0));
         }
     }
 }

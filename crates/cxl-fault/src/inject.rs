@@ -5,12 +5,12 @@
 //! * a [`FaultSchedule`] of explicit triggers — "fail the `k`-th read
 //!   with poison" — counted per operation kind, for tests that need a
 //!   fault in an exact place; and
-//! * a [`FaultPlan`] of per-operation fault probabilities drawn from an
-//!   RNG seeded via `simclock::rng::derived(seed, "cxl-fault.plan")`,
+//! * a [`FaultPlan`]: a per-read/write transient-error probability drawn
+//!   from an RNG seeded via `simclock::rng::derived(seed, "cxl-fault.plan")`,
 //!   for availability experiments that want faults "everywhere, fairly".
 //!
 //! Determinism hinges on one rule: the injector consumes randomness only
-//! inside [`Injector::inject`], exactly once per probability it checks,
+//! inside [`Injector::inject`], exactly once per read or write it checks,
 //! in device-op order. Two runs issuing the same operation sequence see
 //! identical faults; changing the seed moves them.
 
@@ -45,14 +45,6 @@ pub enum InjectedFault {
 
 /// One explicit trigger: fire `fault` on the `after`-th operation of
 /// kind `op` (0-based, counted from injector arming).
-///
-/// A trigger may additionally target one fabric **port** (see
-/// [`Injector::set_port_geometry`]): it still arms at the `after`-th
-/// operation of its kind, but it and any burst it starts only fail
-/// operations whose page rides the targeted port — a link-level error
-/// is a property of one switch port, not of the whole device. With
-/// `port: None` (every pre-existing constructor) behavior is
-/// bit-identical to the un-ported injector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Trigger {
     /// Operation kind that this trigger counts and matches.
@@ -61,8 +53,6 @@ pub struct Trigger {
     pub after: u64,
     /// The fault to inject.
     pub fault: InjectedFault,
-    /// Fabric port the fault is pinned to (`None` = whole device).
-    pub port: Option<u32>,
 }
 
 /// An explicit, ordered set of fault triggers.
@@ -91,7 +81,6 @@ impl FaultSchedule {
             op,
             after,
             fault: InjectedFault::Poison,
-            port: None,
         })
     }
 
@@ -103,24 +92,6 @@ impl FaultSchedule {
             op,
             after,
             fault: InjectedFault::Transient { burst },
-            port: None,
-        })
-    }
-
-    /// Like [`FaultSchedule::transient_after`], but the burst is pinned
-    /// to one fabric `port`: it arms at the `after`-th operation of
-    /// kind `op` and then fails the next `burst` operations of that
-    /// kind *whose page rides the targeted port*. Requires the
-    /// injector's port geometry to be set (see
-    /// [`Injector::set_port_geometry`]); without it the burst never
-    /// matches.
-    #[must_use]
-    pub fn transient_after_on_port(self, op: DeviceOp, after: u64, burst: u32, port: u32) -> Self {
-        self.with(Trigger {
-            op,
-            after,
-            fault: InjectedFault::Transient { burst },
-            port: Some(port),
         })
     }
 
@@ -132,7 +103,6 @@ impl FaultSchedule {
             op: DeviceOp::Alloc,
             after,
             fault: InjectedFault::AllocExhausted { burst },
-            port: None,
         })
     }
 
@@ -147,38 +117,32 @@ impl FaultSchedule {
     }
 }
 
-/// Seeded probabilistic fault plan. All probabilities default to zero;
-/// enable only what an experiment needs.
+/// Seeded probabilistic fault plan: transient link errors on reads and
+/// writes. The rate defaults to zero.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the injector's RNG (derived with label
     /// `"cxl-fault.plan"`, so it does not share a stream with trace
     /// generation or crash scheduling).
     pub seed: u64,
-    /// Probability that a read is hit by a transient link error.
-    pub transient_per_read: f64,
-    /// Probability that a write is hit by a transient link error.
-    pub transient_per_write: f64,
-    /// Probability that a read permanently poisons its page.
-    pub poison_per_read: f64,
+    /// Probability that a read or a write is hit by a transient link
+    /// error.
+    pub transient_rate: f64,
 }
 
 impl FaultPlan {
-    /// A benign plan (all probabilities zero) with the given seed.
+    /// A benign plan (rate zero) with the given seed.
     pub fn new(seed: u64) -> Self {
         FaultPlan {
             seed,
-            transient_per_read: 0.0,
-            transient_per_write: 0.0,
-            poison_per_read: 0.0,
+            transient_rate: 0.0,
         }
     }
 
     /// Sets the transient-error probability for both reads and writes.
     #[must_use]
     pub fn with_transient_rate(mut self, p: f64) -> Self {
-        self.transient_per_read = p;
-        self.transient_per_write = p;
+        self.transient_rate = p;
         self
     }
 }
@@ -220,46 +184,12 @@ pub struct FaultRecord {
 /// availability runs from accumulating unbounded logs).
 const FAULT_LOG_CAP: usize = 256;
 
-/// Page → fabric-port mapping, mirroring how the device's offset-range
-/// shards land on switch ports (shard `i` rides port
-/// `i % ports_per_device`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PortGeometry {
-    /// Pages per device shard ([`cxl_mem::CxlDevice::pages_per_shard`]).
-    pub pages_per_shard: u64,
-    /// Switch ports the device exposes.
-    pub ports_per_device: u32,
-}
-
-impl PortGeometry {
-    /// The fabric port a page's traffic rides.
-    pub fn port_of(&self, page: CxlPageId) -> u32 {
-        let shard = page.0 / self.pages_per_shard.max(1);
-        u32::try_from(shard % u64::from(self.ports_per_device.max(1))).unwrap_or(0)
-    }
-}
-
-/// Does an operation on `page` ride the targeted port? `None` targets
-/// the whole device (always matches — the pre-port behavior); a
-/// concrete port requires geometry and a page on that port.
-fn port_hit(geometry: Option<PortGeometry>, port: Option<u32>, page: Option<CxlPageId>) -> bool {
-    match port {
-        None => true,
-        Some(target) => match (geometry, page) {
-            (Some(g), Some(p)) => g.port_of(p) == target,
-            _ => false,
-        },
-    }
-}
-
 /// One active transient/exhaustion burst.
 #[derive(Debug, Clone, Copy)]
 struct Burst {
     op: DeviceOp,
     remaining: u32,
     oom: bool,
-    /// Fabric port the burst is pinned to (`None` = whole device).
-    port: Option<u32>,
 }
 
 #[derive(Debug)]
@@ -273,8 +203,6 @@ struct InjectorState {
     poisoned: BTreeSet<CxlPageId>,
     /// Active transient/exhaustion bursts.
     bursts: Vec<Burst>,
-    /// Page → port mapping for port-targeted triggers.
-    geometry: Option<PortGeometry>,
     stats: FaultStats,
     log: Vec<FaultRecord>,
 }
@@ -303,7 +231,6 @@ impl Injector {
                     counts: BTreeMap::new(),
                     poisoned: BTreeSet::new(),
                     bursts: Vec::new(),
-                    geometry: None,
                     stats: FaultStats::default(),
                     log: Vec::new(),
                 },
@@ -324,27 +251,6 @@ impl Injector {
     /// Installs this injector as the device's fault hook.
     pub fn arm(self: &std::sync::Arc<Self>, device: &cxl_mem::CxlDevice) {
         device.set_fault_hook(Some(self.clone()));
-    }
-
-    /// Sets the page → fabric-port mapping that port-targeted triggers
-    /// (e.g. [`FaultSchedule::transient_after_on_port`]) resolve pages
-    /// against. Untargeted triggers ignore it entirely.
-    pub fn set_port_geometry(&self, geometry: PortGeometry) {
-        self.state.lock().geometry = Some(geometry);
-    }
-
-    /// [`Injector::arm`] plus port geometry derived from the device's
-    /// shard layout and the fabric's `ports_per_device`.
-    pub fn arm_with_ports(
-        self: &std::sync::Arc<Self>,
-        device: &cxl_mem::CxlDevice,
-        ports_per_device: u32,
-    ) {
-        self.set_port_geometry(PortGeometry {
-            pages_per_shard: device.pages_per_shard(),
-            ports_per_device,
-        });
-        self.arm(device);
     }
 
     /// Directly poisons a page (test convenience; no operation needed).
@@ -394,14 +300,8 @@ impl FaultHook for Injector {
             }
         }
 
-        // 2. Active error bursts from earlier triggers. A port-pinned
-        // burst only fails operations whose page rides its port;
-        // untargeted bursts (`port: None`) match exactly as before.
-        if let Some(pos) = st
-            .bursts
-            .iter()
-            .position(|b| b.op == op && b.remaining > 0 && port_hit(st.geometry, b.port, page))
-        {
+        // 2. Active error bursts from earlier triggers.
+        if let Some(pos) = st.bursts.iter().position(|b| b.op == op && b.remaining > 0) {
             let burst = &mut st.bursts[pos];
             burst.remaining -= 1;
             let oom = burst.oom;
@@ -421,112 +321,68 @@ impl FaultHook for Injector {
             });
         }
 
-        // 3. Scheduled triggers firing at this exact op index. A
-        // port-pinned trigger arms at its index either way, but only
-        // fails the current operation if it rides the targeted port;
-        // otherwise the full burst stays pending for step 2 and the
-        // operation falls through to the plan checks.
+        // 3. Scheduled triggers firing at this exact op index.
         if let Some(pos) = st
             .schedule
             .iter()
             .position(|t| t.op == op && t.after == index)
         {
             let trigger = st.schedule.swap_remove(pos);
-            let on_port = port_hit(st.geometry, trigger.port, page);
             match trigger.fault {
                 InjectedFault::Poison => {
                     if let Some(p) = page {
-                        if on_port {
-                            if st.poisoned.insert(p) {
-                                st.stats.poisons += 1;
-                            }
-                            record(st, op, index, page);
-                            return Some(CxlError::Poisoned(p));
+                        if st.poisoned.insert(p) {
+                            st.stats.poisons += 1;
                         }
-                        // Off-port: the targeted page never came by.
+                        record(st, op, index, page);
+                        return Some(CxlError::Poisoned(p));
                     }
                     // No page to poison (alloc): fall through benignly.
                 }
                 InjectedFault::Transient { burst } => {
-                    if on_port {
-                        if burst > 1 {
-                            st.bursts.push(Burst {
-                                op,
-                                remaining: burst - 1,
-                                oom: false,
-                                port: trigger.port,
-                            });
-                        }
-                        st.stats.transients += 1;
-                        record(st, op, index, page);
-                        return Some(CxlError::Transient { op: op.name() });
-                    }
-                    st.bursts.push(Burst {
-                        op,
-                        remaining: burst,
-                        oom: false,
-                        port: trigger.port,
-                    });
-                }
-                InjectedFault::AllocExhausted { burst } => {
-                    if on_port {
-                        if burst > 1 {
-                            st.bursts.push(Burst {
-                                op,
-                                remaining: burst - 1,
-                                oom: true,
-                                port: trigger.port,
-                            });
-                        }
-                        st.stats.alloc_failures += 1;
-                        record(st, op, index, page);
-                        return Some(CxlError::OutOfDeviceMemory {
-                            requested: 0,
-                            available: 0,
+                    if burst > 1 {
+                        st.bursts.push(Burst {
+                            op,
+                            remaining: burst - 1,
+                            oom: false,
                         });
                     }
-                    st.bursts.push(Burst {
-                        op,
-                        remaining: burst,
-                        oom: true,
-                        port: trigger.port,
+                    st.stats.transients += 1;
+                    record(st, op, index, page);
+                    return Some(CxlError::Transient { op: op.name() });
+                }
+                InjectedFault::AllocExhausted { burst } => {
+                    if burst > 1 {
+                        st.bursts.push(Burst {
+                            op,
+                            remaining: burst - 1,
+                            oom: true,
+                        });
+                    }
+                    st.stats.alloc_failures += 1;
+                    record(st, op, index, page);
+                    return Some(CxlError::OutOfDeviceMemory {
+                        requested: 0,
+                        available: 0,
                     });
                 }
             }
         }
 
-        // 4. Seeded plan probabilities. Exactly one RNG draw per
-        // probability per op, so the stream is a pure function of the op
-        // sequence.
+        // 4. The seeded plan: exactly one RNG draw per read or write when
+        // the rate is non-zero, so the stream is a pure function of the
+        // op sequence.
         if let Some(plan) = st.plan {
-            let (transient_p, poison_p) = match op {
-                DeviceOp::Read => (plan.transient_per_read, plan.poison_per_read),
-                DeviceOp::Write => (plan.transient_per_write, 0.0),
-                DeviceOp::Alloc | DeviceOp::Free => (0.0, 0.0),
-            };
-            let (transient_hit, poison_hit) = {
+            if plan.transient_rate > 0.0 && matches!(op, DeviceOp::Read | DeviceOp::Write) {
                 #[allow(
                     clippy::expect_used,
                     reason = "constructor invariant — `new` always pairs a plan with its derived rng"
                 )]
                 let rng = st.rng.as_mut().expect("a plan always carries an rng");
-                (
-                    transient_p > 0.0 && rng.gen_f64_unit() < transient_p,
-                    poison_p > 0.0 && rng.gen_f64_unit() < poison_p,
-                )
-            };
-            if transient_hit {
-                st.stats.transients += 1;
-                record(st, op, index, page);
-                return Some(CxlError::Transient { op: op.name() });
-            }
-            if poison_hit {
-                if let Some(p) = page {
-                    if st.poisoned.insert(p) {
-                        st.stats.poisons += 1;
-                    }
+                if rng.gen_f64_unit() < plan.transient_rate {
+                    st.stats.transients += 1;
                     record(st, op, index, page);
-                    return Some(CxlError::Poisoned(p));
+                    return Some(CxlError::Transient { op: op.name() });
                 }
             }
         }
@@ -605,80 +461,6 @@ mod tests {
         assert_eq!(inj.stats().alloc_failures, 1);
     }
 
-    #[test]
-    fn port_targeted_burst_only_fails_traffic_on_its_port() {
-        // 8 shards of 8 pages behind 4 ports: shard i → port i % 4, so
-        // page 0 rides port 0 and page 8 (shard 1) rides port 1.
-        let d = CxlDevice::with_shards(64, 8);
-        let r = d.create_region("r");
-        let on_port = d.alloc_page(r).unwrap(); // shard 0 → port 0
-        let off_port = CxlPageId(8); // shard 1 → port 1
-        let off_port = {
-            // Land a page in shard 1 via striped allocation.
-            let pages = d.alloc_batch_striped(r, 2, 2).unwrap();
-            assert_eq!(
-                pages[1].0 / d.pages_per_shard(),
-                1,
-                "second stripe lands in shard 1"
-            );
-            let _ = off_port;
-            pages[1]
-        };
-        let inj = Arc::new(Injector::from_schedule(
-            FaultSchedule::new().transient_after_on_port(DeviceOp::Read, 0, 2, 0),
-        ));
-        inj.arm_with_ports(&d, 4);
-
-        // The trigger arms on read 0 — which rides port 1, so it is NOT
-        // failed and the burst stays fully pending.
-        assert!(d.read_page(off_port, NodeId(0)).is_ok());
-        // Port-0 traffic now burns the burst...
-        assert!(d.read_page(on_port, NodeId(0)).is_err());
-        // ...port-1 traffic in between is untouched and consumes nothing...
-        assert!(d.read_page(off_port, NodeId(0)).is_ok());
-        assert!(d.read_page(on_port, NodeId(0)).is_err());
-        // ...and once the burst is spent, port 0 recovers too.
-        assert!(d.read_page(on_port, NodeId(0)).is_ok());
-        assert_eq!(inj.stats().transients, 2);
-    }
-
-    #[test]
-    fn port_targeted_burst_without_geometry_never_matches() {
-        let d = CxlDevice::with_shards(64, 8);
-        let r = d.create_region("r");
-        let p = d.alloc_page(r).unwrap();
-        let inj = Arc::new(Injector::from_schedule(
-            FaultSchedule::new().transient_after_on_port(DeviceOp::Read, 0, 4, 0),
-        ));
-        inj.arm(&d); // no geometry
-        for _ in 0..8 {
-            assert!(d.read_page(p, NodeId(0)).is_ok());
-        }
-        assert_eq!(inj.stats().transients, 0);
-    }
-
-    #[test]
-    fn untargeted_schedule_is_identical_with_geometry_set() {
-        // Setting geometry must not perturb `port: None` triggers — the
-        // single-device bit-identity contract.
-        let run = |with_geometry: bool| {
-            let d = CxlDevice::new(16);
-            let r = d.create_region("r");
-            let p = d.alloc_page(r).unwrap();
-            let inj = Arc::new(Injector::from_schedule(
-                FaultSchedule::new().transient_after(DeviceOp::Read, 1, 2),
-            ));
-            if with_geometry {
-                inj.arm_with_ports(&d, 8);
-            } else {
-                inj.arm(&d);
-            }
-            let outcomes: Vec<bool> = (0..6).map(|_| d.read_page(p, NodeId(0)).is_ok()).collect();
-            (outcomes, inj.fault_log())
-        };
-        assert_eq!(run(false), run(true));
-    }
-
     fn plan_log(seed: u64) -> Vec<FaultRecord> {
         let d = CxlDevice::new(64);
         let r = d.create_region("r");
@@ -698,5 +480,53 @@ mod tests {
         assert_eq!(plan_log(7), plan_log(7));
         assert_ne!(plan_log(7), plan_log(8), "seed moves the faults");
         assert!(!plan_log(7).is_empty(), "0.2 over 200 reads fires");
+    }
+
+    /// FNV-1a over each record's operation, per-kind index and page.
+    fn log_hash(log: &[FaultRecord]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for r in log {
+            let page = r.page.map_or(u64::MAX, |p| p.0);
+            for word in [r.op as u64, r.index, page] {
+                for byte in word.to_le_bytes() {
+                    h ^= u64::from(byte);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// The plan's fault stream, recorded literally: `cluster_trace` and
+    /// `BENCH_availability.json` replay it, so one RNG draw per read or
+    /// write (none per allocation or free) must stay exactly as it is.
+    #[test]
+    fn plan_fault_stream_is_pinned() {
+        let d = CxlDevice::new(64);
+        let r = d.create_region("r");
+        let pages = d.alloc_batch(r, 8).unwrap();
+        let inj = Arc::new(Injector::from_plan(
+            FaultPlan::new(7).with_transient_rate(0.2),
+        ));
+        inj.arm(&d);
+        for i in 0..240u64 {
+            let page = pages[(i % 8) as usize];
+            match i % 4 {
+                0 | 3 => {
+                    let _ = d.read_page(page, NodeId(0));
+                }
+                1 => {
+                    let _ = d.write_page(page, PageData::pattern(i), NodeId(0));
+                }
+                _ => {
+                    if let Ok(fresh) = d.alloc_page(r) {
+                        let _ = d.free_page(fresh);
+                    }
+                }
+            }
+        }
+        let log = inj.fault_log();
+        assert!(log.iter().any(|r| r.op == DeviceOp::Write));
+        assert_eq!((log.len(), log_hash(&log)), (42, 7_112_811_430_668_935_086));
     }
 }

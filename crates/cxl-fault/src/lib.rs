@@ -8,8 +8,8 @@
 //!
 //! * [`Injector`]: a [`cxl_mem::FaultHook`] that fails device operations
 //!   according to an explicit [`FaultSchedule`] ("poison the 3rd read")
-//!   and/or a seeded [`FaultPlan`] (per-op fault probabilities drawn from
-//!   `simclock::rng::derived`). Both are deterministic: the same op
+//!   and/or a seeded [`FaultPlan`] (a per-read/write transient-error
+//!   probability drawn from `simclock::rng::derived`). Both are deterministic: the same op
 //!   sequence and seed always fault the same operations.
 //! * [`retry`]: bounded exponential backoff for transient link errors,
 //!   charged to the *virtual* clock so retry costs show up in reports.
@@ -56,8 +56,7 @@ pub mod retry;
 pub use crash::{CrashSchedule, NodeCrash};
 pub use crashpoint::{run_to_crash, CrashpointHook, CrashpointKill, Killer, Recorder};
 pub use inject::{
-    FaultPlan, FaultRecord, FaultSchedule, FaultStats, InjectedFault, Injector, PortGeometry,
-    Trigger,
+    FaultPlan, FaultRecord, FaultSchedule, FaultStats, InjectedFault, Injector, Trigger,
 };
 pub use lease::{reclaim_dead, reclaim_orphans, LeaseTable, ReclaimReport};
 pub use retry::{with_backoff, BackoffPolicy, RetryReport};

@@ -389,13 +389,6 @@ impl CxlDevice {
         self.shards.len()
     }
 
-    /// Pages per shard (the offset-range partition stride). Page id `p`
-    /// lives in shard `p / pages_per_shard()`; fabric tooling uses this
-    /// to map pages onto switch ports without holding device locks.
-    pub fn pages_per_shard(&self) -> u64 {
-        self.pages_per_shard
-    }
-
     /// Maps a global page id to `(shard index, shard-local index)`, or
     /// `None` if the id is outside the device.
     fn shard_of(&self, page: CxlPageId) -> Option<(usize, u64)> {

@@ -73,7 +73,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-pub use cxl_fabric::PlacementPolicy;
 use cxl_fault::{with_backoff, BackoffPolicy, CrashpointHook, LeaseTable};
 use cxl_mem::lockdep::TrackedMutex;
 use cxl_mem::{CxlDevice, CxlError, CxlPageId, NodeId, PageData, RegionId, PAGE_SIZE};
@@ -202,13 +201,6 @@ pub struct StoreConfig {
     /// [`Store::commit_image`] compacts it into a fresh generation
     /// holding one state snapshot. Only meaningful when `durable`.
     pub journal_compact_bytes: u64,
-    /// How fresh content allocations spread across the device's banks
-    /// (and thus its fabric ports): [`PlacementPolicy::Locality`] (the
-    /// default) packs them first-fit, bit-identical to the
-    /// pre-placement store; [`PlacementPolicy::Stripe`] spreads each
-    /// intern batch round-robin across every bank, trading allocator
-    /// locality for balanced per-port fabric load under contention.
-    pub placement: PlacementPolicy,
 }
 
 impl Default for StoreConfig {
@@ -218,7 +210,6 @@ impl Default for StoreConfig {
             low_watermark: 0.70,
             durable: false,
             journal_compact_bytes: 256 * 1024,
-            placement: PlacementPolicy::Locality,
         }
     }
 }
@@ -608,23 +599,17 @@ impl Store {
     }
 
     /// The device half of an intern attempt: allocates one page per
-    /// missed content under the placement policy and writes the non-zero
-    /// ones. Returns every allocated page (in `payload` order) and the
-    /// ones whose bytes crossed the fabric. On a failed write the
-    /// allocations are freed again.
+    /// missed content, first-fit, and writes the non-zero ones. Returns
+    /// every allocated page (in `payload` order) and the ones whose bytes
+    /// crossed the fabric. On a failed write the allocations are freed
+    /// again.
     fn place_misses(
         &self,
         region: RegionId,
         payload: &[&PageData],
         node: NodeId,
     ) -> Result<(Vec<CxlPageId>, Vec<CxlPageId>), CxlError> {
-        // One stream is first-fit packing: `alloc_batch`, page ids included.
-        let streams = match self.config.placement {
-            PlacementPolicy::Locality => 1,
-            PlacementPolicy::Stripe => u32::try_from(self.device.shard_count()).unwrap_or(u32::MAX),
-        };
-        let pages = payload.len() as u64;
-        let allocated = self.device.alloc_batch_striped(region, pages, streams)?;
+        let allocated = self.device.alloc_batch(region, payload.len() as u64)?;
         // Crash here: pages allocated but unjournaled — recovery frees
         // them as leaked.
         self.crashpoint("intern.after_alloc");
@@ -1169,33 +1154,6 @@ mod tests {
         assert_eq!(stats.interned_pages, 4);
         assert_eq!(stats.deduped_pages, 2);
         assert_eq!(stats.bytes_saved(), 2 * PAGE_SIZE);
-    }
-
-    #[test]
-    fn stripe_placement_spreads_fresh_pages_across_banks() {
-        // Locality (the default) packs a miss batch first-fit — same
-        // page ids the store always produced — while stripe spreads it
-        // across every bank so each fabric port carries an even share.
-        let payload: Vec<PageData> = (1..=16u64).map(PageData::pattern).collect();
-
-        let d = Arc::new(CxlDevice::with_shards(256, 8));
-        let store = Store::new(Arc::clone(&d));
-        let (_, out) = intern(&store, "packed", &payload, t(1));
-        let counts = d.shard_partition(out.written_pages.iter().copied());
-        assert_eq!(counts[0], 16, "locality packs into the first bank");
-
-        let d = Arc::new(CxlDevice::with_shards(256, 8));
-        let store = Store::with_config(
-            Arc::clone(&d),
-            StoreConfig {
-                placement: PlacementPolicy::Stripe,
-                ..StoreConfig::default()
-            },
-        );
-        let (_, out) = intern(&store, "striped", &payload, t(1));
-        assert_eq!(out.fresh, 16);
-        let counts = d.shard_partition(out.written_pages.iter().copied());
-        assert_eq!(counts, vec![2; 8], "stripe balances every bank");
     }
 
     #[test]

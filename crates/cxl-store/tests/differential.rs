@@ -222,7 +222,6 @@ fn run(seed: u64, durable: bool) -> (Arc<CxlDevice>, Store, Model) {
         durable,
         // Small enough that the sequence compacts the journal many times.
         journal_compact_bytes: 4096,
-        ..StoreConfig::default()
     };
     let device = Arc::new(CxlDevice::new(DEVICE_PAGES));
     let store = Store::with_config(Arc::clone(&device), config);

@@ -239,28 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn per_function_keep_alive_overrides_the_global_window() {
-        let mut config = PorterConfig::cxlfork_dynamic();
-        config.checkpoint_after = 2;
-        config
-            .per_function_keep_alive
-            .insert("Float".into(), SimDuration::from_secs(1));
-        let mut porter = porter_with(config, 4096);
-        // Two requests 0.5 s apart (inside the window), then one 10 s
-        // later (outside it) — the last must cold-path again.
-        let t = |s_ns: u64| Invocation {
-            time: simclock::SimTime::from_nanos(s_ns),
-            function: "Float".into(),
-            owner: 0,
-        };
-        let trace = vec![t(0), t(1_000_000_000), t(1_600_000_000), t(12_000_000_000)];
-        let report = porter.run_trace(&trace);
-        // Request 2 and 3 hit warm; request 4 found the instance evicted.
-        assert_eq!(report.warm_hits, 2, "{report:?}");
-        assert_eq!(report.full_cold + report.restores, 2, "{report:?}");
-    }
-
-    #[test]
     fn cxl_pressure_reclaims_coldest_checkpoints() {
         // A CXL device barely big enough for one checkpoint: storing the
         // second function's checkpoint must evict the first.

@@ -20,7 +20,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cxl_fabric::{DevicePool, PlacementPolicy};
 use cxl_fault::{reclaim_dead, reclaim_orphans, CrashSchedule, LeaseTable, NodeCrash};
 use cxl_mem::NodeId;
 use cxl_sim::EventQueue;
@@ -37,6 +36,21 @@ use faas::{Catalog, Container, FunctionSpec};
 use crate::cluster::Cluster;
 use crate::store::ObjectStore;
 
+/// Keep-alive window of an idle instance on a pressured node (§5: 10 s).
+const PRESSURE_KEEP_ALIVE: SimDuration = SimDuration::from_secs(10);
+
+/// Local-memory utilization at or above which a node counts as
+/// pressured (§5/§6.2: HighMem = 90 %): no hybrid promotions, and the
+/// pressure keep-alive window.
+const HIGH_MEM_THRESHOLD: f64 = 0.9;
+
+/// SLO multiplier over a function's best observed warm latency.
+const SLO_FACTOR: f64 = 1.3;
+
+/// Liveness-lease duration: a node that stops renewing for this long is
+/// presumed dead and its checkpoint staging regions reclaimable.
+const LEASE_TTL: SimDuration = SimDuration::from_secs(30);
+
 /// Autoscaler configuration.
 #[derive(Debug, Clone)]
 pub struct PorterConfig {
@@ -45,11 +59,6 @@ pub struct PorterConfig {
     /// Keep-alive window with ample memory (minutes in production; the
     /// paper cites multi-minute windows).
     pub keep_alive: SimDuration,
-    /// Keep-alive window under memory pressure (§5: 10 s).
-    pub pressure_keep_alive: SimDuration,
-    /// Local-memory utilization above which a node counts as pressured
-    /// (§5/§6.2: HighMem = 90 %).
-    pub high_mem_threshold: f64,
     /// Ghost containers pre-provisioned per node.
     pub ghost_pool_per_node: usize,
     /// Whether the mechanism restores into ghost containers (CXLfork and
@@ -60,37 +69,16 @@ pub struct PorterConfig {
     pub dynamic_tiering: bool,
     /// Policy used when `dynamic_tiering` is off.
     pub static_policy: TierPolicy,
-    /// SLO multiplier over the observed warm latency.
-    pub slo_factor: f64,
     /// Interval between A-bit maintenance resets.
     pub maintenance_interval: SimDuration,
     /// CXL device utilization above which stored checkpoints are
     /// reclaimed, coldest first (§5: CXLporter "is also responsible for
     /// reclaiming checkpoints under CXL memory pressure").
     pub cxl_reclaim_threshold: f64,
-    /// Per-function keep-alive overrides (the paper leaves "different
-    /// window sizes for different functions" as future work, §5; CXLfork's
-    /// cheap restores make short windows safe for functions with fast
-    /// cold paths).
-    pub per_function_keep_alive: BTreeMap<String, SimDuration>,
-    /// Liveness-lease duration: a node that stops renewing for this long
-    /// is presumed dead and its checkpoint staging regions reclaimable.
-    pub lease_ttl: SimDuration,
-    /// Fraction of each function's runtime (library) pages backed by
-    /// shared runtime images (see `faas::FunctionSpec::template_overlap`);
-    /// applied when the porter resolves an invocation's spec. 0 keeps the
-    /// historical fully-private layout.
-    pub template_overlap: f64,
     /// Per-owner fairness quotas for multi-tenant traces. `None` (the
     /// default) disables quota metering entirely and reproduces the
     /// historical dispatch behaviour byte-for-byte.
     pub fairness: Option<FairnessConfig>,
-    /// Image-placement policy across the fabric device pool (only
-    /// meaningful once [`CxlPorter::with_device_pool`] attaches one).
-    /// `Locality` pins every checkpoint of a function to one
-    /// seed-derived device; `Stripe` round-robins consecutive
-    /// checkpoints across the pool.
-    pub placement: PlacementPolicy,
 }
 
 /// Per-owner dispatch quotas.
@@ -124,20 +112,13 @@ impl Default for PorterConfig {
         PorterConfig {
             checkpoint_after: 16,
             keep_alive: SimDuration::from_secs(600),
-            pressure_keep_alive: SimDuration::from_secs(10),
-            high_mem_threshold: 0.9,
             ghost_pool_per_node: 10,
             use_ghost_containers: true,
             dynamic_tiering: true,
             static_policy: TierPolicy::MigrateOnWrite,
-            slo_factor: 1.3,
             maintenance_interval: SimDuration::from_secs(10),
             cxl_reclaim_threshold: 0.9,
-            per_function_keep_alive: BTreeMap::new(),
-            lease_ttl: SimDuration::from_secs(30),
-            template_overlap: 0.0,
             fairness: None,
-            placement: PlacementPolicy::Locality,
         }
     }
 }
@@ -187,52 +168,20 @@ type FnId = usize;
 /// One function name the porter has seen arrive, resolved once.
 #[derive(Debug)]
 struct Function {
-    /// The catalog entry with [`PorterConfig::template_overlap`] applied.
+    /// The catalog entry, exactly as the catalog holds it.
     spec: Arc<FunctionSpec>,
     /// The entry for `spec.name`, under which the function's instances
     /// are filed: the catalog resolves names case-insensitively, idle
     /// instances are matched on the exact spelling.
     filed_under: FnId,
-    /// Keep-alive window of an idle instance on an unpressured node.
-    keep_alive: SimDuration,
-    /// Latency tracking for SLO-driven tiering. This and the two fields
-    /// below are kept in the `filed_under` entry only: however an arrival
-    /// spells the name, the function has one set of them.
+    /// Latency tracking for SLO-driven tiering, kept in the
+    /// `filed_under` entry only: however an arrival spells the name, the
+    /// function has one set of statistics.
     stats: FnStats,
-    /// Checkpoints of this function routed through the device pool.
-    checkpoint_seq: u64,
-    /// Pool device the function's latest image was placed on.
-    fabric_home: Option<u32>,
 }
 
-/// Instants before which no idle instance can be past its keep-alive
-/// window: the minimum over instances of `last_used` plus a window.
-/// [`CxlPorter::evict_expired`] recomputes both on every scan; in between
-/// they are only ever lowered, wherever a `last_used` is written, so they
-/// stay lower bounds while instances come and go.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ExpiryFloor {
-    /// With each instance's own window: holds while no node is pressured.
-    calm: SimTime,
-    /// With the smaller of its own and the pressure window: holds
-    /// whatever the nodes' memory does. Never after `calm`.
-    pressured: SimTime,
-}
-
-impl ExpiryFloor {
-    /// No instances: nothing expires, ever.
-    const NEVER: ExpiryFloor = ExpiryFloor {
-        calm: SimTime::from_nanos(u64::MAX),
-        pressured: SimTime::from_nanos(u64::MAX),
-    };
-
-    /// Lowers the floors for an instance last used at `last_used` whose
-    /// own keep-alive window is `own`.
-    fn cover(&mut self, last_used: SimTime, own: SimDuration, pressure: SimDuration) {
-        self.calm = self.calm.min(last_used + own);
-        self.pressured = self.pressured.min(last_used + own.min(pressure));
-    }
-}
+/// The expiry floor of an empty instance table: nothing expires, ever.
+const NO_INSTANCES: SimTime = SimTime::from_nanos(u64::MAX);
 
 /// One live function instance.
 #[derive(Debug)]
@@ -295,8 +244,8 @@ impl FnStats {
 
     /// Records SLO breaches after the minimum is known. Called with the
     /// same warm samples as [`FnStats::observe`].
-    fn note_breach(&mut self, latency: SimDuration, slo_factor: f64) {
-        if self.min_warm_ns > 0 && latency.as_nanos() as f64 > self.min_warm_ns as f64 * slo_factor
+    fn note_breach(&mut self, latency: SimDuration) {
+        if self.min_warm_ns > 0 && latency.as_nanos() as f64 > self.min_warm_ns as f64 * SLO_FACTOR
         {
             self.slo_breaches += 1;
         }
@@ -305,9 +254,9 @@ impl FnStats {
     /// `true` once warm executions have repeatedly exceeded the SLO
     /// relative to the best observed warm latency (tail-sensitive, as §5's
     /// "monitors the tail and average latency").
-    fn over_slo(&self, slo_factor: f64) -> bool {
+    fn over_slo(&self) -> bool {
         self.slo_breaches >= 3
-            || (self.min_warm_ns > 0 && self.ewma_warm_ns > self.min_warm_ns as f64 * slo_factor)
+            || (self.min_warm_ns > 0 && self.ewma_warm_ns > self.min_warm_ns as f64 * SLO_FACTOR)
     }
 }
 
@@ -383,9 +332,6 @@ pub struct PorterReport {
     /// Events the dispatch loop popped across `run_trace` calls
     /// (arrivals + crashes + fairness deferrals).
     pub engine_events: u64,
-    /// Checkpoints routed to each fabric pool device (empty without a
-    /// [`CxlPorter::with_device_pool`] pool).
-    pub fabric_placements: BTreeMap<u32, u64>,
 }
 
 impl PorterReport {
@@ -441,8 +387,12 @@ pub struct CxlPorter<M: RemoteFork> {
     /// Every arrival name resolved so far, and where to find it.
     functions: Vec<Function>,
     fn_ids: BTreeMap<String, FnId>,
-    expiry_floor: ExpiryFloor,
-    device_pool: Option<Arc<DevicePool>>,
+    /// A lower bound on every instance's `last_used`, so no idle instance
+    /// can be past its keep-alive window before this plus the window.
+    /// [`CxlPorter::evict_expired`] recomputes it on every scan; in
+    /// between, admitting an instance lowers it and `last_used` only
+    /// ever grows, so it stays a lower bound while instances come and go.
+    expiry_floor: SimTime,
 }
 
 /// Event alphabet of a porter trace run. Ordering within the queue's
@@ -485,7 +435,7 @@ impl<M: RemoteFork> CxlPorter<M> {
             }
             ghost_pools.push(pool);
         }
-        let mut leases = LeaseTable::new(config.lease_ttl);
+        let mut leases = LeaseTable::new(LEASE_TTL);
         for idx in 0..cluster.nodes.len() {
             leases.renew(NodeId(idx as u32), SimTime::ZERO);
         }
@@ -508,8 +458,7 @@ impl<M: RemoteFork> CxlPorter<M> {
             catalog: Catalog::table1(),
             functions: Vec::new(),
             fn_ids: BTreeMap::new(),
-            expiry_floor: ExpiryFloor::NEVER,
-            device_pool: None,
+            expiry_floor: NO_INSTANCES,
         }
     }
 
@@ -539,23 +488,13 @@ impl<M: RemoteFork> CxlPorter<M> {
         if let Some(&id) = self.fn_ids.get(name) {
             return Some(id);
         }
-        let spec = self.catalog.get(name)?.clone();
-        let spec = Arc::new(spec.with_template_overlap(self.config.template_overlap));
-        let keep_alive = self
-            .config
-            .per_function_keep_alive
-            .get(&spec.name)
-            .copied()
-            .unwrap_or(self.config.keep_alive);
+        let spec = Arc::new(self.catalog.get(name)?.clone());
         let id = self.functions.len();
         self.fn_ids.insert(name.to_owned(), id);
         self.functions.push(Function {
             spec: Arc::clone(&spec),
             filed_under: id,
-            keep_alive,
             stats: FnStats::default(),
-            checkpoint_seq: 0,
-            fabric_home: None,
         });
         if spec.name != name {
             self.functions[id].filed_under = self.function_id(&spec.name)?;
@@ -563,19 +502,9 @@ impl<M: RemoteFork> CxlPorter<M> {
         Some(id)
     }
 
-    /// Lowers the expiry floor for an instance of `function` whose
-    /// `last_used` was just set to `last_used`.
-    fn note_last_used(&mut self, function: FnId, last_used: SimTime) {
-        self.expiry_floor.cover(
-            last_used,
-            self.functions[function].keep_alive,
-            self.config.pressure_keep_alive,
-        );
-    }
-
     /// Files a new instance.
     fn admit(&mut self, instance: Instance) {
-        self.note_last_used(instance.function, instance.last_used);
+        self.expiry_floor = self.expiry_floor.min(instance.last_used);
         self.instances.push(instance);
     }
 
@@ -599,58 +528,6 @@ impl<M: RemoteFork> CxlPorter<M> {
     /// The attached checkpoint image store, if any.
     pub fn image_store(&self) -> Option<&Arc<cxl_store::Store>> {
         self.image_store.as_ref()
-    }
-
-    /// Attaches a fabric device pool. Before every checkpoint the porter
-    /// picks a pool device under [`PorterConfig::placement`] and routes
-    /// the cluster device's fabric charges to that device's switch ports
-    /// (page *data* still lives on the single simulated cluster device —
-    /// the pool models where the traffic lands, not a second copy).
-    /// Restores of a function charge the device its image was placed on.
-    #[must_use]
-    pub fn with_device_pool(mut self, pool: Arc<DevicePool>) -> Self {
-        assert!(
-            !pool.is_empty(),
-            "device pool must have at least one device"
-        );
-        self.device_pool = Some(pool);
-        self
-    }
-
-    /// The attached fabric device pool, if any.
-    pub fn device_pool(&self) -> Option<&Arc<DevicePool>> {
-        self.device_pool.as_ref()
-    }
-
-    /// Routes the cluster device's fabric charges to the pool device the
-    /// placement policy picks for `function`'s next checkpoint, and
-    /// remembers that device as the function's fabric home for restores.
-    fn route_fabric_for_checkpoint(&mut self, function: FnId) {
-        let Some(pool) = &self.device_pool else {
-            return;
-        };
-        let f = &mut self.functions[function];
-        let idx = pool.place_with(self.config.placement, fnv64(&f.spec.name), f.checkpoint_seq);
-        f.checkpoint_seq += 1;
-        let device = u32::try_from(idx).unwrap_or(u32::MAX);
-        f.fabric_home = Some(device);
-        *self.report.fabric_placements.entry(device).or_insert(0) += 1;
-        cxl_telemetry::counter_add("cxlporter", "fabric.placement", Some(device), 1);
-        let link: Arc<dyn cxl_mem::FabricLink> = pool.topology().clone();
-        self.cluster.device.attach_fabric(Some((link, device)));
-    }
-
-    /// Routes fabric charges to the device `function`'s image landed on
-    /// (no-op if the function was never placed — e.g. restored from an
-    /// adopted store — in which case the last routing stays in effect).
-    fn route_fabric_for_restore(&mut self, function: FnId) {
-        let Some(pool) = &self.device_pool else {
-            return;
-        };
-        if let Some(device) = self.functions[function].fabric_home {
-            let link: Arc<dyn cxl_mem::FabricLink> = pool.topology().clone();
-            self.cluster.device.attach_fabric(Some((link, device)));
-        }
     }
 
     /// Adopts a checkpoint store recovered from a dead coordinator's
@@ -1137,12 +1014,11 @@ impl<M: RemoteFork> CxlPorter<M> {
         inst.invocations += 1;
         inst.busy_until = now + latency;
         inst.last_used = inst.busy_until;
-        let (function, last_used) = (inst.function, inst.last_used);
+        let function = inst.function;
         let node = inst.node;
         let pid = inst.pid;
         let invocations = inst.invocations;
         let cold_started = inst.cold_started;
-        self.note_last_used(function, last_used);
 
         if now >= self.measure_from {
             // Probe first: `entry` would clone the name per invocation.
@@ -1162,11 +1038,10 @@ impl<M: RemoteFork> CxlPorter<M> {
                 );
             }
         }
-        let slo_factor = self.config.slo_factor;
         let stats = &mut self.functions[function].stats;
         stats.observe(latency, warm);
         if warm {
-            stats.note_breach(latency, slo_factor);
+            stats.note_breach(latency);
         }
 
         if cold_started {
@@ -1183,7 +1058,6 @@ impl<M: RemoteFork> CxlPorter<M> {
                     "",
                     now,
                 );
-                self.route_fabric_for_checkpoint(function);
                 let ckpt = match self.mech.checkpoint(&mut self.cluster.nodes[node], pid) {
                     Ok(c) => Some(c),
                     Err(_) => {
@@ -1301,7 +1175,6 @@ impl<M: RemoteFork> CxlPorter<M> {
             self.ensure_free(node, estimate + faas::BARE_CONTAINER_PAGES, now);
 
             let (container, container_cost) = self.claim_container(node, now)?;
-            self.route_fabric_for_restore(function);
             // Placement + restore span; the mechanism's own
             // `core.restore` phase spans nest underneath it.
             cxl_telemetry::span_open(
@@ -1425,12 +1298,12 @@ impl<M: RemoteFork> CxlPorter<M> {
             };
         }
         let util = self.cluster.nodes[node].frames().utilization();
-        if util >= self.config.high_mem_threshold {
+        if util >= HIGH_MEM_THRESHOLD {
             // HighMem: no more hybrid promotions (§5).
             return RestoreOptions::mow();
         }
         let stats = &self.functions[function].stats;
-        if stats.over_slo(self.config.slo_factor) {
+        if stats.over_slo() {
             return RestoreOptions::hybrid();
         }
         RestoreOptions::mow()
@@ -1560,31 +1433,32 @@ impl<M: RemoteFork> CxlPorter<M> {
     }
 
     /// Evicts idle instances past their keep-alive window; the window
-    /// shrinks to 10 s on pressured nodes (§5). Arrivals at or before the
-    /// expiry floor skip the scan: nothing can have expired yet.
+    /// shrinks to 10 s on pressured nodes (§5). An arrival within the
+    /// smaller of the two windows of the expiry floor skips the scan, and
+    /// so does one within the calm window while no node is pressured:
+    /// nothing can have expired yet.
     fn evict_expired(&mut self, now: SimTime) {
-        if now <= self.expiry_floor.pressured {
+        let keep_alive = self.config.keep_alive;
+        if now <= self.expiry_floor + keep_alive.min(PRESSURE_KEEP_ALIVE) {
             return;
         }
-        let threshold = self.config.high_mem_threshold;
-        let pressured = |node: &node_os::Node| node.frames().utilization() >= threshold;
-        if now <= self.expiry_floor.calm && !self.cluster.nodes.iter().any(pressured) {
+        let pressured = |node: &node_os::Node| node.frames().utilization() >= HIGH_MEM_THRESHOLD;
+        if now <= self.expiry_floor + keep_alive && !self.cluster.nodes.iter().any(pressured) {
             return;
         }
-        let mut floor = ExpiryFloor::NEVER;
+        let mut floor = NO_INSTANCES;
         let mut idx = 0;
         while idx < self.instances.len() {
             let i = &self.instances[idx];
-            let own = self.functions[i.function].keep_alive;
             let window = if pressured(&self.cluster.nodes[i.node]) {
-                self.config.pressure_keep_alive
+                PRESSURE_KEEP_ALIVE
             } else {
-                own
+                keep_alive
             };
             if i.busy_until <= now && now - i.last_used > window {
                 self.drop_instance(idx);
             } else {
-                floor.cover(i.last_used, own, self.config.pressure_keep_alive);
+                floor = floor.min(i.last_used);
                 idx += 1;
             }
         }
@@ -1662,18 +1536,6 @@ impl<M: RemoteFork> CxlPorter<M> {
     }
 }
 
-/// FNV-1a over the function name: a stable, platform-independent seed
-/// for locality placement (`std` hashers are randomized per process,
-/// which would break run-to-run determinism).
-fn fnv64(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in name.as_bytes() {
-        h ^= u64::from(*byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1681,19 +1543,25 @@ mod tests {
     use node_os::mm::Access;
     use node_os::vma::Protection;
     use simclock::LatencyModel;
+    use trace_gen::TraceConfig;
 
-    const NODE_MEM_MIB: u64 = 128;
+    /// Where the floor tests start: past every keep-alive window they
+    /// use, so a floor reset to zero always lets the next expiry check
+    /// scan.
+    const START: SimTime = SimTime::from_nanos(1_000 * 1_000_000_000);
+
+    const TICK: SimDuration = SimDuration::from_nanos(1);
 
     fn one_node_porter(config: PorterConfig) -> CxlPorter<CxlFork> {
-        let cluster = Cluster::new(1, NODE_MEM_MIB, 1024, LatencyModel::calibrated());
+        let cluster = Cluster::new(1, 128, 1024, LatencyModel::calibrated());
         CxlPorter::new(cluster, CxlFork::new(), config)
     }
 
-    /// Serves one `Float` arrival at t = 0 and returns when its instance
-    /// went idle.
+    /// Serves one `Float` arrival at [`START`] and returns when its
+    /// instance went idle.
     fn one_idle_instance(porter: &mut CxlPorter<CxlFork>) -> SimTime {
         porter.handle(&Invocation {
-            time: SimTime::ZERO,
+            time: START,
             function: "Float".into(),
             owner: 0,
         });
@@ -1703,74 +1571,14 @@ mod tests {
 
     /// What a scan at `now` would leave alive, whatever the floor says.
     fn alive_after_forced_scan(porter: &mut CxlPorter<CxlFork>, now: SimTime) -> usize {
-        porter.expiry_floor.calm = SimTime::ZERO;
-        porter.expiry_floor.pressured = SimTime::ZERO;
+        porter.expiry_floor = SimTime::ZERO;
         porter.evict_expired(now);
+        assert_ne!(porter.expiry_floor, SimTime::ZERO, "the scan ran");
         porter.live_instances()
     }
 
-    const TICK: SimDuration = SimDuration::from_nanos(1);
-
-    #[test]
-    fn idle_instance_expires_one_nanosecond_past_the_expiry_floor() {
-        // A window below the 10 s pressure one: both floors are the
-        // instant after which the instance is expired.
-        let window = SimDuration::from_secs(5);
-        let mut porter = one_node_porter(PorterConfig {
-            keep_alive: window,
-            ..PorterConfig::cxlfork_dynamic()
-        });
-        let idle_since = one_idle_instance(&mut porter);
-        // Between scans a floor is only lowered: it still stands where
-        // the instance's admission at t = 0 put it.
-        assert_eq!(porter.expiry_floor.pressured, SimTime::ZERO + window);
-        assert_eq!(alive_after_forced_scan(&mut porter, idle_since), 1);
-        let floor = ExpiryFloor {
-            calm: idle_since + window,
-            pressured: idle_since + window,
-        };
-        assert_eq!(porter.expiry_floor, floor);
-
-        // At the floor the scan is skipped — and would have found nothing.
-        porter.evict_expired(floor.calm);
-        assert_eq!(porter.live_instances(), 1);
-        assert_eq!(alive_after_forced_scan(&mut porter, floor.calm), 1);
-        assert_eq!(porter.expiry_floor, floor, "a scan recomputes the same");
-
-        // One nanosecond later the scan runs and the instance is gone.
-        porter.evict_expired(floor.calm + TICK);
-        assert_eq!(porter.live_instances(), 0);
-        assert_eq!(porter.expiry_floor, ExpiryFloor::NEVER);
-    }
-
-    #[test]
-    fn node_turning_pressured_after_the_floor_was_computed_expires_on_time() {
-        let config = PorterConfig::cxlfork_dynamic();
-        let (pressure_window, calm_window) = (config.pressure_keep_alive, config.keep_alive);
-        assert!(pressure_window < calm_window);
-        let mut porter = one_node_porter(config);
-        let idle_since = one_idle_instance(&mut porter);
-
-        // A scan while the node is calm keeps the instance: its 600 s
-        // window applies, the pressure window only bounds the lower floor.
-        let early = idle_since + SimDuration::from_secs(1);
-        assert_eq!(alive_after_forced_scan(&mut porter, early), 1);
-        let floor = ExpiryFloor {
-            calm: idle_since + calm_window,
-            pressured: idle_since + pressure_window,
-        };
-        assert_eq!(porter.expiry_floor, floor);
-        // Past the lower floor with every node calm, still no scan (one
-        // would recompute the floors) and rightly none.
-        let later = floor.pressured + SimDuration::from_secs(1);
-        porter.expiry_floor.calm = floor.calm + TICK;
-        porter.evict_expired(later);
-        assert_eq!(porter.expiry_floor.calm, floor.calm + TICK);
-        assert_eq!(alive_after_forced_scan(&mut porter, later), 1);
-        assert_eq!(porter.expiry_floor, floor);
-
-        // Only now does the node fill up past the HighMem threshold.
-        let node = &mut porter.cluster.nodes[0];
+    /// Takes `node` past the HighMem threshold with an anonymous hog.
+    fn fill_past_high_mem(node: &mut node_os::Node) {
         let hog = node.spawn("hog").unwrap();
         let pages = node.frames().available() * 19 / 20;
         node.process_mut(hog)
@@ -1781,35 +1589,133 @@ mod tests {
         for vpn in 0..pages {
             node.access(hog, vpn, Access::Write).unwrap();
         }
-        assert!(node.frames().utilization() >= porter.config.high_mem_threshold);
+        assert!(node.frames().utilization() >= HIGH_MEM_THRESHOLD);
+    }
 
-        // The floors computed while calm still hold: nothing expires at
-        // the lower one, and one nanosecond past it the shrunken window
-        // evicts the instance.
-        porter.evict_expired(floor.pressured);
+    #[test]
+    fn idle_instance_expires_one_nanosecond_past_the_expiry_floor() {
+        // A window below the 10 s pressure one.
+        let window = SimDuration::from_secs(5);
+        let mut porter = one_node_porter(PorterConfig {
+            keep_alive: window,
+            ..PorterConfig::cxlfork_dynamic()
+        });
+        let idle_since = one_idle_instance(&mut porter);
+        // Between scans the floor only moves down: it still stands where
+        // the instance's admission put it.
+        assert_eq!(porter.expiry_floor, START);
+        assert_eq!(alive_after_forced_scan(&mut porter, idle_since), 1);
+        assert_eq!(porter.expiry_floor, idle_since);
+
+        // At the floor plus the window the scan is skipped — and would
+        // have found nothing.
+        let expiry = idle_since + window;
+        porter.evict_expired(expiry);
         assert_eq!(porter.live_instances(), 1);
-        assert_eq!(alive_after_forced_scan(&mut porter, floor.pressured), 1);
-        porter.evict_expired(floor.pressured + TICK);
+        assert_eq!(alive_after_forced_scan(&mut porter, expiry), 1);
+        assert_eq!(
+            porter.expiry_floor, idle_since,
+            "a scan recomputes the same"
+        );
+
+        // One nanosecond later the scan runs and the instance is gone.
+        porter.evict_expired(expiry + TICK);
+        assert_eq!(porter.live_instances(), 0);
+        assert_eq!(porter.expiry_floor, NO_INSTANCES);
+        // An empty table never scans, even at the end of time.
+        porter.evict_expired(SimTime::from_nanos(u64::MAX));
+        assert_eq!(porter.expiry_floor, NO_INSTANCES);
+    }
+
+    #[test]
+    fn node_turning_pressured_after_the_floor_was_computed_expires_on_time() {
+        let config = PorterConfig::cxlfork_dynamic();
+        assert!(PRESSURE_KEEP_ALIVE < config.keep_alive);
+        let mut porter = one_node_porter(config);
+        let idle_since = one_idle_instance(&mut porter);
+
+        // A scan while the node is calm keeps the instance: its 600 s
+        // window applies.
+        let early = idle_since + SimDuration::from_secs(1);
+        assert_eq!(alive_after_forced_scan(&mut porter, early), 1);
+        assert_eq!(porter.expiry_floor, idle_since);
+        // Past the pressure window with every node calm, still no scan
+        // (one would raise a floor set below the truth) and rightly none.
+        let later = idle_since + PRESSURE_KEEP_ALIVE + SimDuration::from_secs(1);
+        let below = SimTime::from_nanos(idle_since.as_nanos() - 1);
+        porter.expiry_floor = below;
+        porter.evict_expired(later);
+        assert_eq!(porter.expiry_floor, below);
+        assert_eq!(alive_after_forced_scan(&mut porter, later), 1);
+        assert_eq!(porter.expiry_floor, idle_since);
+
+        // Only now does the node fill up past the HighMem threshold.
+        fill_past_high_mem(&mut porter.cluster.nodes[0]);
+
+        // The floor computed while calm still holds: nothing expires at
+        // the pressure window's end, and one nanosecond past it the
+        // shrunken window evicts the instance.
+        let expiry = idle_since + PRESSURE_KEEP_ALIVE;
+        porter.evict_expired(expiry);
+        assert_eq!(porter.live_instances(), 1);
+        assert_eq!(alive_after_forced_scan(&mut porter, expiry), 1);
+        porter.evict_expired(expiry + TICK);
         assert_eq!(porter.live_instances(), 0);
     }
-    #[test]
-    fn spellings_of_one_function_share_its_fabric_home_and_slo_statistics() {
-        use cxl_fabric::{FabricConfig, FabricTopology};
-        use cxl_mem::CxlDevice;
 
-        let topology = Arc::new(FabricTopology::new(FabricConfig {
-            devices: 2,
-            ..FabricConfig::default()
-        }));
-        let devices = (0..2).map(|_| Arc::new(CxlDevice::new(64))).collect();
-        let pool = Arc::new(DevicePool::attach(topology, devices));
+    #[test]
+    fn expiry_floor_skips_only_scans_that_would_expire_nothing() {
+        // A seeded three-function trace, replayed arrival by arrival: one
+        // run keeps the floor, the other resets it before every arrival
+        // so each arrival scans. Node 0 goes past HighMem halfway.
+        let trace: Vec<Invocation> = trace_gen::generate(&TraceConfig {
+            duration_secs: 40.0,
+            total_rps: 3.0,
+            ..TraceConfig::paper_default(vec!["Float".into(), "Json".into(), "Pyaes".into()], 11)
+        })
+        .into_iter()
+        .map(|inv| Invocation {
+            time: START + (inv.time - SimTime::ZERO),
+            ..inv
+        })
+        .collect();
+        let hog_at = trace.len() / 2;
+        // Below the pressure window (`burst_scaleout`'s 6 s) and above it.
+        for keep_alive in [SimDuration::from_secs(6), SimDuration::from_secs(600)] {
+            let run = |scan_every_arrival: bool| {
+                let cluster = Cluster::new(2, 256, 2048, LatencyModel::calibrated());
+                let config = PorterConfig {
+                    keep_alive,
+                    ..PorterConfig::cxlfork_dynamic()
+                };
+                let mut porter = CxlPorter::new(cluster, CxlFork::new(), config);
+                let mut steps = Vec::with_capacity(trace.len());
+                for (n, inv) in trace.iter().enumerate() {
+                    if n == hog_at {
+                        fill_past_high_mem(&mut porter.cluster.nodes[0]);
+                    }
+                    if scan_every_arrival {
+                        porter.expiry_floor = SimTime::ZERO;
+                    }
+                    let report = porter.run_trace(std::slice::from_ref(inv));
+                    steps.push((report, porter.live_instances()));
+                }
+                steps
+            };
+            let with_floor = run(false);
+            assert_eq!(with_floor, run(true), "keep-alive {keep_alive:?}");
+            // The replay does expire instances, calm or pressured.
+            let shrank = with_floor.windows(2).filter(|w| w[1].1 < w[0].1).count();
+            assert!(shrank > 0, "keep-alive {keep_alive:?}: nothing expired");
+        }
+    }
+
+    #[test]
+    fn spellings_of_one_function_share_one_entry_and_its_slo_statistics() {
         let mut porter = one_node_porter(PorterConfig {
             checkpoint_after: 2,
-            // Stripe: a function's nth checkpoint lands on device n mod 2.
-            placement: cxl_fabric::PlacementPolicy::Stripe,
             ..PorterConfig::cxlfork_dynamic()
-        })
-        .with_device_pool(pool);
+        });
         let arrive = |porter: &mut CxlPorter<CxlFork>, secs: u64, function: &str| {
             porter.handle(&Invocation {
                 time: SimTime::ZERO + SimDuration::from_secs(secs),
@@ -1819,27 +1725,27 @@ mod tests {
         };
 
         // Two arrivals under the catalog's spelling: cold, then warm and
-        // checkpointed — the function's first image, on device 0.
+        // checkpointed.
         arrive(&mut porter, 0, "Float");
         arrive(&mut porter, 1, "Float");
         assert_eq!(porter.report.checkpoints, 1);
         // The same function spelled differently finds no idle instance
-        // (those are matched on the exact spelling) and restores — from
-        // the image "Float" placed, charged to the device it was placed on.
-        porter.cluster.device.attach_fabric(None);
+        // (those are matched on the exact spelling) and restores from the
+        // image "Float" checkpointed.
         arrive(&mut porter, 2, "float");
         assert_eq!(porter.report.restores, 1);
-        assert!(porter.cluster.device.fabric_armed(), "routed to its home");
 
         let (canonical, alias) = (porter.fn_ids["Float"], porter.fn_ids["float"]);
         assert_ne!(canonical, alias);
         assert_eq!(porter.functions[alias].filed_under, canonical);
         assert_eq!(porter.functions[canonical].filed_under, canonical);
-        // One set of state, in the entry both are filed under: the
-        // alias's own entry never holds any.
+        // Both spellings resolve to the one catalog spec; its statistics
+        // live in the entry both are filed under, never in the alias's.
+        assert_eq!(
+            porter.functions[alias].spec,
+            porter.functions[canonical].spec
+        );
         let (kept, unused) = (&porter.functions[canonical], &porter.functions[alias]);
-        assert_eq!((kept.checkpoint_seq, kept.fabric_home), (1, Some(0)));
-        assert_eq!((unused.checkpoint_seq, unused.fabric_home), (0, None));
         assert!(kept.stats.ewma_ns > 0.0 && kept.stats.min_warm_ns > 0);
         assert_eq!(unused.stats.ewma_ns, 0.0);
         // All three latencies were observed by the one `FnStats`, and

@@ -140,29 +140,65 @@ fn store_porter(config: PorterConfig, mem_mib: u64) -> CxlPorter<CxlFork> {
     CxlPorter::new(cluster, CxlFork::with_store(Arc::clone(&store)), config).with_image_store(store)
 }
 
+/// The Table 1 suite with `overlap` of every function's runtime pages
+/// drawn from shared runtime images.
+fn overlapped_suite(overlap: f64) -> faas::Catalog {
+    faas::Catalog::from_specs(
+        faas::suite()
+            .into_iter()
+            .map(|spec| spec.with_template_overlap(overlap)),
+    )
+}
+
+/// `Float` and `Json` alternating one second apart, three of each.
+fn float_json_trace() -> Vec<Invocation> {
+    (0..3)
+        .flat_map(|i| [at(2 * i * SEC, "Float"), at((2 * i + 1) * SEC, "Json")])
+        .collect()
+}
+
+fn checkpoint_after_two() -> PorterConfig {
+    PorterConfig {
+        checkpoint_after: 2,
+        ..PorterConfig::cxlfork_dynamic()
+    }
+}
+
+#[test]
+fn catalog_template_overlap_reaches_the_deployments() {
+    // The porter deploys a spec exactly as the catalog holds it: with
+    // half of each runtime shared, Float's and Json's checkpoints carry
+    // identical library pages the store deduplicates; fully private
+    // layouts share less.
+    let deduped = |overlap: f64| {
+        let mut p =
+            store_porter(checkpoint_after_two(), 4096).with_catalog(overlapped_suite(overlap));
+        let report = p.run_trace(&float_json_trace());
+        assert_eq!(report.checkpoints, 2);
+        report.store_deduped_pages
+    };
+    let (shared, private) = (deduped(0.5), deduped(0.0));
+    assert!(
+        shared > private,
+        "overlap 0.5 deduped {shared} pages, overlap 0 {private}"
+    );
+}
+
 #[test]
 fn shared_templates_dedup_device_pages_below_the_private_baseline() {
     // Two functions whose runtime layouts share half their library pages
-    // (template_overlap = 0.5) checkpoint identical page content; the
-    // content-addressed store resolves those to one device page each,
-    // so the device ends the run measurably lighter than the private
-    // no-store baseline on the identical trace.
-    let config = || PorterConfig {
-        checkpoint_after: 2,
-        template_overlap: 0.5,
-        ..PorterConfig::cxlfork_dynamic()
-    };
-    let mut trace = Vec::new();
-    for i in 0..3 {
-        trace.push(at(2 * i * SEC, "Float"));
-        trace.push(at((2 * i + 1) * SEC, "Json"));
-    }
+    // (catalog specs at template_overlap = 0.5) checkpoint identical
+    // page content; the content-addressed store resolves those to one
+    // device page each, so the device ends the run measurably lighter
+    // than the private no-store baseline on the identical trace.
+    let trace = float_json_trace();
 
-    let mut plain = porter(config(), 4096);
+    let mut plain = porter(checkpoint_after_two(), 4096).with_catalog(overlapped_suite(0.5));
     let plain_report = plain.run_trace(&trace);
     let plain_used = plain.cluster.device.used_pages();
 
-    let mut deduped = store_porter(config(), 4096);
+    let mut deduped =
+        store_porter(checkpoint_after_two(), 4096).with_catalog(overlapped_suite(0.5));
     let store_report = deduped.run_trace(&trace);
     let store_used = deduped.cluster.device.used_pages();
 
@@ -220,69 +256,4 @@ fn evicted_image_turns_the_next_restore_into_a_cold_redeploy() {
     assert_eq!(report.restores, 0);
     assert_eq!(report.dropped, 0);
     assert_eq!(p.stored_checkpoints(), 0);
-}
-
-#[test]
-fn fabric_pool_routes_checkpoints_by_placement_policy() {
-    use std::sync::Arc;
-
-    use cxl_fabric::{DevicePool, FabricConfig, FabricTopology, PlacementPolicy};
-    use cxl_mem::CxlDevice;
-
-    let pool = |load_permille: u32| {
-        let topology = Arc::new(FabricTopology::new(FabricConfig {
-            devices: 2,
-            background_load_permille: load_permille,
-            ..FabricConfig::default()
-        }));
-        let devices = (0..2).map(|_| Arc::new(CxlDevice::new(64))).collect();
-        Arc::new(DevicePool::attach(topology, devices))
-    };
-    let config = |placement| PorterConfig {
-        checkpoint_after: 2,
-        placement,
-        ..PorterConfig::cxlfork_dynamic()
-    };
-    let two_fn_trace = || {
-        (0..3)
-            .flat_map(|i| [at(i * SEC, "Json"), at(i * SEC + 1, "Float")])
-            .collect::<Vec<_>>()
-    };
-
-    // Without a pool the placement machinery stays cold.
-    let mut bare = porter(config(PlacementPolicy::Locality), 4096);
-    let bare_report = bare.run_trace(&two_fn_trace());
-    assert_eq!(bare_report.checkpoints, 2);
-    assert!(bare_report.fabric_placements.is_empty());
-
-    // Stripe places every function's first image on device 0 (nth = 0).
-    let mut striped = porter(config(PlacementPolicy::Stripe), 4096).with_device_pool(pool(0));
-    let striped_report = striped.run_trace(&two_fn_trace());
-    assert_eq!(striped_report.checkpoints, 2);
-    assert_eq!(
-        striped_report.fabric_placements,
-        [(0, 2)].into_iter().collect()
-    );
-
-    // Locality hashes the function name; every checkpoint lands
-    // somewhere, and the routing is deterministic run to run.
-    let run_locality = || {
-        let mut p = porter(config(PlacementPolicy::Locality), 4096).with_device_pool(pool(0));
-        p.run_trace(&two_fn_trace())
-    };
-    let first = run_locality();
-    assert_eq!(first.fabric_placements.values().sum::<u64>(), 2);
-    assert_eq!(first, run_locality());
-
-    // Heavy background load on the switch shows up in checkpoint cost:
-    // the loaded run can only be slower than the idle-fabric run.
-    let mut loaded = porter(config(PlacementPolicy::Locality), 4096).with_device_pool(pool(900));
-    let loaded_report = loaded.run_trace(&two_fn_trace());
-    assert_eq!(loaded_report.checkpoints, 2);
-    assert!(
-        loaded_report.overall.mean() >= first.overall.mean(),
-        "background fabric load must not make runs faster: {:?} < {:?}",
-        loaded_report.overall.mean(),
-        first.overall.mean()
-    );
 }

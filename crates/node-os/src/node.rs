@@ -25,8 +25,6 @@ pub struct NodeConfig {
     /// Local DRAM capacity in MiB (the evaluation VMs have tens of GiB;
     /// Fig. 10c shrinks this to 50 % / 25 %).
     pub local_mem_mib: u64,
-    /// LLC geometry.
-    pub cache: CacheConfig,
     /// Latency model.
     pub model: LatencyModel,
 }
@@ -36,7 +34,6 @@ impl Default for NodeConfig {
         NodeConfig {
             id: 0,
             local_mem_mib: 8192,
-            cache: CacheConfig::default(),
             model: LatencyModel::calibrated(),
         }
     }
@@ -123,7 +120,7 @@ impl Node {
             id: NodeId(config.id),
             clock: SimClock::new(),
             frames: FrameAllocator::with_capacity_mib(config.local_mem_mib),
-            cache: LlcCache::new(config.cache),
+            cache: LlcCache::new(CacheConfig::default()),
             model: config.model,
             device,
             rootfs,

@@ -323,16 +323,6 @@ impl LatencyModel {
         }
     }
 
-    /// The queueing-delay curve of one fabric port at this model's
-    /// calibration point: streaming write bandwidth as the drain rate
-    /// over a `window_ns`-wide virtual-time window. At zero in-flight
-    /// bytes the delay is exactly zero, which is what keeps the flat
-    /// [`LatencyModel::cxl_read_round_trip`] model intact for an
-    /// uncontended fabric.
-    pub fn port_queueing_curve(&self, window_ns: u64) -> QueueingCurve {
-        QueueingCurve::new(self.cxl_write_bytes_per_ns, window_ns)
-    }
-
     /// Serializing `bytes` into an image.
     pub fn serialize(&self, bytes: u64) -> SimDuration {
         SimDuration::from_secs_f64(bytes as f64 * self.serialize_ns_per_byte / 1e9)
@@ -371,12 +361,6 @@ impl LatencyModelBuilder {
         self.model.cxl_round_trip_ns = ns;
         self.model.cxl_copy_bytes_per_ns = calibrated.cxl_copy_bytes_per_ns * scale;
         self.model.cxl_write_bytes_per_ns = calibrated.cxl_write_bytes_per_ns * scale;
-        self
-    }
-
-    /// Sets the local DRAM round-trip latency in nanoseconds.
-    pub fn local_round_trip_ns(mut self, ns: u64) -> Self {
-        self.model.local_round_trip_ns = ns;
         self
     }
 
@@ -885,7 +869,7 @@ mod tests {
         // The calibration contract: an uncontended fabric adds nothing,
         // so the flat 391 ns model survives bit-for-bit.
         let m = LatencyModel::calibrated();
-        let curve = m.port_queueing_curve(1_000_000);
+        let curve = QueueingCurve::new(m.cxl_write_bytes_per_ns, 1_000_000);
         assert_eq!(curve.delay(0), SimDuration::ZERO);
         // And threading a zero delay through the pipeline is identity.
         for counts in PARTITIONS {
@@ -904,7 +888,7 @@ mod tests {
     #[test]
     fn queueing_delay_is_strictly_monotone_in_inflight_bytes() {
         let m = LatencyModel::calibrated();
-        let curve = m.port_queueing_curve(1_000_000);
+        let curve = QueueingCurve::new(m.cxl_write_bytes_per_ns, 1_000_000);
         let capacity = curve.capacity_bytes();
         // Sweep from far below to far beyond the utilization clamp:
         // delay never decreases at any step (ties are allowed below the

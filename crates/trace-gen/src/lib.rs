@@ -151,12 +151,6 @@ pub struct TraceConfig {
     pub burst_every_secs: f64,
     /// Mean burst window length in seconds.
     pub burst_len_secs: f64,
-    /// Fraction of each function's runtime (library) pages drawn from
-    /// shared runtime images, forwarded to [`faas::FunctionSpec`] when the
-    /// porter resolves a trace entry. 0 (the default) keeps the historical
-    /// fully-private layout and existing benchmark reports byte-identical.
-    #[serde(default)]
-    pub template_overlap: f64,
 }
 
 impl TraceConfig {
@@ -171,7 +165,6 @@ impl TraceConfig {
             burst_factor: 6.0,
             burst_every_secs: 15.0,
             burst_len_secs: 2.0,
-            template_overlap: 0.0,
         }
     }
 

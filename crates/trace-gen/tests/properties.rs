@@ -24,7 +24,6 @@ fn arb_config() -> impl Strategy<Value = TraceConfig> {
             burst_factor: bf,
             burst_every_secs: be,
             burst_len_secs: bl,
-            template_overlap: 0.0,
         })
 }
 
