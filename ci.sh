@@ -112,7 +112,10 @@ echo '== these tests exist =='
 # state filed under one entry however an arrival spells the name), the
 # fault plan's stream recorded literally (the availability and cluster
 # runs replay it), the porter's expiry floor deciding like a scan on every
-# arrival, and catalog specs reaching the porter's deployments as held.
+# arrival, catalog specs reaching the porter's deployments as held, and
+# the node books (§9): `NodeCounters` against an independent tally of
+# every access outcome, the `node_os.*` telemetry counters against those
+# books, and `device_retries` counting one run.
 expect_tests() {
     package=$1 target=$2
     shift 2
@@ -136,7 +139,8 @@ expect_tests cxl-mem --lib \
     page::tests::fingerprint_identity_memo_adds_nothing_to_page_size
 expect_tests node-os --lib \
     frame::tests::fingerprint_identity_frame_size_is_unchanged \
-    mm::tests::cxl_backing_matches_btreemap_model_under_arbitrary_insert_orders
+    mm::tests::cxl_backing_matches_btreemap_model_under_arbitrary_insert_orders \
+    node::tests::counters_equal_an_independent_tally_of_access_outcomes
 expect_tests cxl-store '--test differential' \
     store_differential_volatile_matches_per_page_model_page_for_page \
     store_differential_durable_matches_model_and_recovers_to_it \
@@ -170,7 +174,10 @@ expect_tests cxlporter --lib \
     porter::tests::spellings_of_one_function_share_one_entry_and_its_slo_statistics \
     porter::tests::expiry_floor_skips_only_scans_that_would_expire_nothing
 expect_tests cxlporter '--test porter_scenarios' \
-    catalog_template_overlap_reaches_the_deployments
+    catalog_template_overlap_reaches_the_deployments \
+    device_retries_count_one_run_each
+expect_tests cxlfork-bench '--test telemetry' \
+    node_telemetry_counters_reconcile_with_node_books
 expect_tests cxl-fault --lib \
     inject::tests::plan_fault_stream_is_pinned
 expect_tests cxlfork --lib \

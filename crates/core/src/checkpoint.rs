@@ -524,10 +524,7 @@ pub(crate) fn take_checkpoint(
     let cost = copy_cost + rebase_cost + serialize_cost + retry_backoff;
     let t0 = node.now();
     node.clock_mut().advance(cost);
-    node.counters_note("cxlfork_checkpoint");
-    if retries > 0 {
-        node.counters_add("cxl_transient_retry", retries);
-    }
+    node.add_transient_retries(retries);
 
     let region_usage = device.region_usage(region)?;
     // Phase two: every page is in place — publish atomically, then

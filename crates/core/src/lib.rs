@@ -604,21 +604,22 @@ mod tests {
         let pid = build_process(&mut c.nodes[0]);
         let ckpt = c.fork.checkpoint(&mut c.nodes[0], pid).unwrap();
         let restored = c.fork.restore(&ckpt, &mut c.nodes[1]).unwrap(); // default: prefetch on
-        assert_eq!(
-            c.nodes[1].counters().get("cxlfork_prefetched_page"),
-            ckpt.dirty_pages
-        );
-        // Writing a prefetched page is fault-free.
-        let o = c.nodes[1].access(restored.pid, 3, Access::Write).unwrap();
-        assert_eq!(o.fault, None);
-        assert_eq!(
+        let private = |c: &Cluster| {
             c.nodes[1]
                 .process(restored.pid)
                 .unwrap()
                 .mm
-                .private_local_pages(),
-            ckpt.dirty_pages
+                .private_local_pages()
+        };
+        assert_eq!(
+            private(&c),
+            ckpt.dirty_pages,
+            "restore prefetched the dirty set"
         );
+        // Writing a prefetched page is fault-free.
+        let o = c.nodes[1].access(restored.pid, 3, Access::Write).unwrap();
+        assert_eq!(o.fault, None);
+        assert_eq!(private(&c), ckpt.dirty_pages);
     }
 
     #[test]
@@ -878,7 +879,7 @@ mod tests {
         let faulted = c.fork.checkpoint(&mut c.nodes[0], pid).unwrap();
         c.device.set_fault_hook(None);
 
-        assert_eq!(c.nodes[0].counters().get("cxl_transient_retry"), 2);
+        assert_eq!(c.nodes[0].counters().transient_retries, 2);
         assert!(
             faulted.meta().checkpoint_cost > clean.meta().checkpoint_cost,
             "backoff delay must show up in the checkpoint cost ({} vs {})",

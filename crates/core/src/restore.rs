@@ -299,13 +299,7 @@ fn attach_state(
     cost += retry_backoff;
     let t0 = node.now();
     node.clock_mut().advance(cost);
-    node.counters_note("cxlfork_restore");
-    if retries > 0 {
-        node.counters_add("cxl_transient_retry", retries);
-    }
-    if prefetched > 0 {
-        node.counters_add("cxlfork_prefetched_page", prefetched);
-    }
+    node.add_transient_retries(retries);
     if cxl_telemetry::is_armed() {
         // Phase children partition [t0, t0+cost] contiguously, so their
         // durations sum exactly to the parent restore span.

@@ -197,7 +197,6 @@ impl RemoteFork for CriuCxl {
             + model.cxl_write_copy(meta_bytes + payload_bytes)
             + SimDuration::from_nanos(model.image_file_open_ns) * 3;
         node.clock_mut().advance(cost);
-        node.counters_note("criu_checkpoint");
 
         let cxl_pages = page_ids.len() as u64 + meta_bytes.div_ceil(PAGE_SIZE);
         let region = guard.commit();
@@ -264,7 +263,6 @@ impl RemoteFork for CriuCxl {
         }
 
         node.clock_mut().advance(cost);
-        node.counters_note("criu_restore");
         Ok(Restored {
             pid,
             restore_latency: cost,

@@ -64,11 +64,9 @@ pub struct PorterConfig {
     /// Whether the mechanism restores into ghost containers (CXLfork and
     /// Mitosis do; CRIU "is not compatible with ghost containers", §6.2).
     pub use_ghost_containers: bool,
-    /// Dynamically switch tiering policies based on SLO + memory
-    /// pressure. When `false`, `static_policy` is always used.
-    pub dynamic_tiering: bool,
-    /// Policy used when `dynamic_tiering` is off.
-    pub static_policy: TierPolicy,
+    /// The tiering policy every restore uses; `None` chooses per restore
+    /// from the function's SLO and the node's memory pressure (§5).
+    pub tiering: Option<TierPolicy>,
     /// Interval between A-bit maintenance resets.
     pub maintenance_interval: SimDuration,
     /// CXL device utilization above which stored checkpoints are
@@ -114,8 +112,7 @@ impl Default for PorterConfig {
             keep_alive: SimDuration::from_secs(600),
             ghost_pool_per_node: 10,
             use_ghost_containers: true,
-            dynamic_tiering: true,
-            static_policy: TierPolicy::MigrateOnWrite,
+            tiering: None,
             maintenance_interval: SimDuration::from_secs(10),
             cxl_reclaim_threshold: 0.9,
             fairness: None,
@@ -133,8 +130,7 @@ impl PorterConfig {
     /// `CXLfork-MoW` variant of Fig. 10).
     pub fn cxlfork_static_mow() -> Self {
         PorterConfig {
-            dynamic_tiering: false,
-            static_policy: TierPolicy::MigrateOnWrite,
+            tiering: Some(TierPolicy::MigrateOnWrite),
             ..PorterConfig::default()
         }
     }
@@ -143,8 +139,7 @@ impl PorterConfig {
     /// inherently migrate-on-access).
     pub fn mitosis() -> Self {
         PorterConfig {
-            dynamic_tiering: false,
-            static_policy: TierPolicy::MigrateOnAccess,
+            tiering: Some(TierPolicy::MigrateOnAccess),
             ..PorterConfig::default()
         }
     }
@@ -154,8 +149,7 @@ impl PorterConfig {
     pub fn criu() -> Self {
         PorterConfig {
             use_ghost_containers: false,
-            dynamic_tiering: false,
-            static_policy: TierPolicy::MigrateOnWrite,
+            tiering: Some(TierPolicy::MigrateOnWrite),
             ..PorterConfig::default()
         }
     }
@@ -299,7 +293,8 @@ pub struct PorterReport {
     /// In-flight invocations lost to a crash that no surviving node
     /// could absorb.
     pub work_lost: u64,
-    /// Transient CXL device errors absorbed by retry, summed over nodes.
+    /// Transient CXL device errors absorbed by retry during this run,
+    /// summed over nodes.
     pub device_retries: u64,
     /// Orphaned checkpoint staging regions the lease GC reclaimed.
     pub orphan_regions_reclaimed: u64,
@@ -642,6 +637,7 @@ impl<M: RemoteFork> CxlPorter<M> {
     /// Returns [`TraceError::OutOfOrder`] for a non-monotonic trace;
     /// nothing is dispatched in that case.
     pub fn try_run_trace(&mut self, trace: &[Invocation]) -> Result<PorterReport, TraceError> {
+        let retries_before = self.device_retries();
         for (i, w) in trace.windows(2).enumerate() {
             if w[1].time < w[0].time {
                 return Err(TraceError::OutOfOrder {
@@ -707,12 +703,7 @@ impl<M: RemoteFork> CxlPorter<M> {
             report.orphan_regions_reclaimed += r.regions;
             report.orphan_pages_reclaimed += r.pages;
         }
-        report.device_retries = self
-            .cluster
-            .nodes
-            .iter()
-            .map(|n| n.counters().get("cxl_transient_retry"))
-            .sum();
+        report.device_retries = self.device_retries() - retries_before;
         report.peak_local_pages = self
             .cluster
             .nodes
@@ -734,6 +725,15 @@ impl<M: RemoteFork> CxlPorter<M> {
             );
         }
         Ok(report)
+    }
+
+    /// Transient device errors retried away on every node, ever.
+    fn device_retries(&self) -> u64 {
+        self.cluster
+            .nodes
+            .iter()
+            .map(|n| n.counters().transient_retries)
+            .sum()
     }
 
     /// Dispatches one (possibly deferred) arrival, metering the owner's
@@ -1290,8 +1290,8 @@ impl<M: RemoteFork> CxlPorter<M> {
 
     /// SLO- and memory-driven tiering choice (§5).
     fn choose_options(&self, function: FnId, node: usize) -> RestoreOptions {
-        if !self.config.dynamic_tiering {
-            return match self.config.static_policy {
+        if let Some(policy) = self.config.tiering {
+            return match policy {
                 TierPolicy::MigrateOnWrite => RestoreOptions::mow(),
                 TierPolicy::MigrateOnAccess => RestoreOptions::moa(),
                 TierPolicy::Hybrid => RestoreOptions::hybrid(),

@@ -2,6 +2,9 @@
 //! hybrid promotion, measurement-window boundaries, and cross-node
 //! balancing.
 
+use std::sync::Arc;
+
+use cxl_fault::{FaultPlan, Injector};
 use cxlfork::CxlFork;
 use cxlporter::{Cluster, CxlPorter, PorterConfig};
 use rfork::RemoteFork;
@@ -48,6 +51,42 @@ fn burst_concurrency_equals_instance_count() {
     assert_eq!(report.full_cold, 1);
     assert_eq!(report.restores, 5);
     assert_eq!(p.live_instances(), 6);
+}
+
+#[test]
+fn device_retries_count_one_run_each() {
+    // Two back-to-back runs on one porter over a device that fires
+    // seeded transient errors: each report counts its own run's retries,
+    // so together they account for the nodes' lifetime books exactly.
+    let mut p = porter(
+        PorterConfig {
+            checkpoint_after: 3,
+            ..PorterConfig::cxlfork_dynamic()
+        },
+        4096,
+    );
+    let injector = Arc::new(Injector::from_plan(
+        FaultPlan::new(7).with_transient_rate(4e-4),
+    ));
+    injector.arm(&p.cluster.device);
+    let mut first = warm_phase("Json", 4);
+    first.extend((0..12).map(|i| at(6 * SEC + i, "Json")));
+    let second: Vec<Invocation> = (0..24).map(|i| at(20 * SEC + i, "Json")).collect();
+    let r1 = p.run_trace(&first);
+    let r2 = p.run_trace(&second);
+    let books: u64 = p
+        .cluster
+        .nodes
+        .iter()
+        .map(|n| n.counters().transient_retries)
+        .sum();
+    assert!(
+        r1.device_retries > 0 && r2.device_retries > 0,
+        "both runs must see retries: {} then {}",
+        r1.device_retries,
+        r2.device_retries
+    );
+    assert_eq!(r1.device_retries + r2.device_retries, books);
 }
 
 #[test]

@@ -56,7 +56,6 @@ impl Container {
         }
         let cost = node.model().container_create();
         node.clock_mut().advance(cost);
-        node.counters_note("container_create");
         Ok((
             Container {
                 id,
@@ -89,7 +88,6 @@ impl Container {
         assert!(self.is_ghost(), "container {} is already occupied", self.id);
         let cost = node.model().ghost_trigger();
         node.clock_mut().advance(cost);
-        node.counters_note("ghost_trigger");
         cost
     }
 

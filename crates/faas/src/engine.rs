@@ -13,8 +13,8 @@
 //! memory-tier latencies are charged by the same machinery for every fork
 //! mechanism.
 
-use node_os::addr::Pid;
-use node_os::mm::Access;
+use node_os::addr::{Pid, VirtPageNum};
+use node_os::mm::{Access, AccessOutcome};
 use node_os::{Node, OsError};
 use simclock::SimDuration;
 
@@ -36,6 +36,15 @@ pub struct InvocationResult {
     pub faults: u64,
 }
 
+impl InvocationResult {
+    fn book(&mut self, o: AccessOutcome) {
+        self.memory += o.cost - o.fault_cost;
+        self.fault += o.fault_cost;
+        self.faults += u64::from(o.fault.is_some());
+        self.total += o.cost;
+    }
+}
+
 /// Cost breakdown of a cold deployment's state initialization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct InitReport {
@@ -47,6 +56,29 @@ pub struct InitReport {
     pub fault: SimDuration,
     /// Pages touched during initialization.
     pub pages_touched: u64,
+}
+
+impl InitReport {
+    fn book(&mut self, o: AccessOutcome) {
+        self.fault += o.fault_cost;
+        self.pages_touched += 1;
+        self.total += o.cost;
+    }
+}
+
+/// The engine's one access loop: issues `access` to every page of `vpns`,
+/// in order, and hands each outcome to `book`.
+fn touch(
+    node: &mut Node,
+    pid: Pid,
+    vpns: impl IntoIterator<Item = VirtPageNum>,
+    access: Access,
+    mut book: impl FnMut(AccessOutcome),
+) -> Result<(), OsError> {
+    for vpn in vpns {
+        book(node.access(pid, vpn.0, access)?);
+    }
+    Ok(())
 }
 
 /// Deploys a function cold on `node`: creates the process, maps its
@@ -115,26 +147,17 @@ fn deploy_cold_inner(
 
     let mut report = InitReport::default();
     // Fault in every library page (reads from the root fs).
-    for vpn in layout.file_start..layout.file_end {
-        let o = node.access(pid, vpn, Access::Read)?;
-        report.fault += o.fault_cost;
-        report.pages_touched += 1;
-        report.total += o.cost;
-    }
+    let files = (layout.file_start..layout.file_end).map(VirtPageNum);
+    touch(node, pid, files, Access::Read, |o| report.book(o))?;
     // Build all anonymous state (init, ro and rw data are all *written*
     // during initialization — that is what makes them checkpointable).
-    for (start, end) in [
-        (layout.init_start, layout.init_end),
-        (layout.ro_start, layout.ro_end),
-        (layout.rw_start, layout.rw_end),
-    ] {
-        for vpn in start..end {
-            let o = node.access(pid, vpn, Access::Write)?;
-            report.fault += o.fault_cost;
-            report.pages_touched += 1;
-            report.total += o.cost;
-        }
-    }
+    let anon = [
+        layout.init_start..layout.init_end,
+        layout.ro_start..layout.ro_end,
+        layout.rw_start..layout.rw_end,
+    ];
+    let anon = anon.into_iter().flatten().map(VirtPageNum);
+    touch(node, pid, anon, Access::Write, |o| report.book(o))?;
     // Runtime startup / model parsing compute.
     let compute = SimDuration::from_millis(spec.init_compute_ms);
     node.clock_mut().advance(compute);
@@ -165,41 +188,19 @@ pub fn run_invocation(
     // Read sweep(s) over the working set.
     let ws = layout.working_set(spec);
     for _pass in 0..spec.ws_passes {
-        for vpn in &ws {
-            let o = node.access(pid, vpn.0, Access::Read)?;
-            r.memory += o.cost - o.fault_cost;
-            r.fault += o.fault_cost;
-            if o.fault.is_some() {
-                r.faults += 1;
-            }
-            r.total += o.cost;
-        }
+        touch(node, pid, ws.iter().copied(), Access::Read, |o| r.book(o))?;
     }
 
     // Input-dependent read tail over the init data (which slice depends
     // on the request; different instances — distinguished cluster-wide by
     // (node, pid) — see different input streams).
     let salt = ((node.id().0 as u64) << 32) | pid.0;
-    for vpn in layout.init_tail(salt, invocation_idx) {
-        let o = node.access(pid, vpn.0, Access::Read)?;
-        r.memory += o.cost - o.fault_cost;
-        r.fault += o.fault_cost;
-        if o.fault.is_some() {
-            r.faults += 1;
-        }
-        r.total += o.cost;
-    }
+    let tail = layout.init_tail(salt, invocation_idx);
+    touch(node, pid, tail, Access::Read, |o| r.book(o))?;
 
     // Write burst into the R/W band.
-    for vpn in layout.write_set(spec, invocation_idx) {
-        let o = node.access(pid, vpn.0, Access::Write)?;
-        r.memory += o.cost - o.fault_cost;
-        r.fault += o.fault_cost;
-        if o.fault.is_some() {
-            r.faults += 1;
-        }
-        r.total += o.cost;
-    }
+    let writes = layout.write_set(spec, invocation_idx);
+    touch(node, pid, writes, Access::Write, |o| r.book(o))?;
 
     // Compute.
     let compute = SimDuration::from_millis(spec.compute_ms);
@@ -303,10 +304,11 @@ mod tests {
         let spec = by_name("Pyaes").unwrap();
         let (pid, _) = deploy_cold(&mut n, &spec).unwrap();
         run_invocation(&mut n, pid, &spec, 0).unwrap();
-        n.reset_counters();
+        let before = n.counters();
         run_invocation(&mut n, pid, &spec, 1).unwrap();
-        let hits = n.counters().get("llc_hit");
-        let misses = n.counters().get("llc_miss");
+        let after = n.counters();
+        let hits = after.llc_hits - before.llc_hits;
+        let misses = after.llc_misses - before.llc_misses;
         assert!(
             hits as f64 / (hits + misses) as f64 > 0.9,
             "warm Pyaes should hit the LLC: {hits} hits / {misses} misses"

@@ -283,7 +283,6 @@ impl RemoteFork for MitosisCxl {
             + SimDuration::from_nanos(model.descriptor_encode_pte_ns) * shadow.len() as u64
             + model.serialize(descriptor.len() as u64);
         node.clock_mut().advance(cost);
-        node.counters_note("mitosis_checkpoint");
 
         let comm = {
             // Re-borrow for the comm; cheap.
@@ -362,7 +361,6 @@ impl RemoteFork for MitosisCxl {
         // Restores resume without copying any page data.
         cost += SimDuration::from_nanos(model.rebase_pointer_ns) * d.pages.len() as u64;
         node.clock_mut().advance(cost);
-        node.counters_note("mitosis_restore");
         Ok(Restored {
             pid,
             restore_latency: cost,

@@ -175,6 +175,18 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    /// Every fault kind, in declaration order.
+    pub const ALL: [FaultKind; 8] = [
+        FaultKind::UpgradeInPlace,
+        FaultKind::AnonZeroFill,
+        FaultKind::FileMajor,
+        FaultKind::FileMinor,
+        FaultKind::LocalCow,
+        FaultKind::CxlCow,
+        FaultKind::CxlPull,
+        FaultKind::RemotePull,
+    ];
+
     /// Stable counter name for this fault kind.
     pub fn counter_name(self) -> &'static str {
         match self {
@@ -205,8 +217,6 @@ pub struct AccessOutcome {
     pub cxl_tier: bool,
     /// Whether a page-table leaf CoW happened on the way.
     pub pt_leaf_cow: bool,
-    /// Whether a VMA block was reconstructed on the way.
-    pub vma_block_cow: bool,
     /// Transient CXL link errors retried away during the access (their
     /// backoff delay is already included in `cost`).
     pub retries: u32,
@@ -430,7 +440,6 @@ impl AddressSpace {
             cache_hit: false,
             cxl_tier: false,
             pt_leaf_cow: false,
-            vma_block_cow: false,
             retries: 0,
         };
 
@@ -479,7 +488,6 @@ impl AddressSpace {
         // locally (copy + re-register fs callbacks for file VMAs, §4.2.1).
         let vma_touch = self.vmas.ensure_local(vpn);
         if vma_touch.block_cow {
-            outcome.vma_block_cow = true;
             let mut cost = ctx.model.cxl_copy(crate::PAGE_SIZE);
             let is_file_vma = self
                 .vmas

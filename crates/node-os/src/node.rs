@@ -3,7 +3,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use simclock::stats::Counters;
 use simclock::{LatencyModel, SimClock, SimDuration, SimTime};
 
 use cxl_mem::{CxlDevice, NodeId};
@@ -13,7 +12,7 @@ use crate::cache::{CacheConfig, LlcCache};
 use crate::error::OsError;
 use crate::frame::FrameAllocator;
 use crate::fs::SharedFs;
-use crate::mm::{Access, AccessOutcome, AddressSpace, MmContext};
+use crate::mm::{Access, AccessOutcome, AddressSpace, FaultKind, MmContext};
 use crate::pagecache::PageCache;
 use crate::process::Task;
 
@@ -56,6 +55,57 @@ impl NodeConfig {
     pub fn with_model(mut self, model: LatencyModel) -> Self {
         self.model = model;
         self
+    }
+}
+
+/// A node's event books: faults by kind, the LLC outcome of every
+/// access, and the transient CXL errors retried away.
+///
+/// Fixed fields, one update per [`Node::access`]; the names the reports
+/// use are rendered only by [`NodeCounters::get`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct NodeCounters {
+    faults: [u64; FaultKind::ALL.len()],
+    /// Accesses the LLC intercepted.
+    pub llc_hits: u64,
+    /// Accesses that went to memory.
+    pub llc_misses: u64,
+    /// Transient CXL errors retried away by accesses, checkpoints and
+    /// restores on this node.
+    pub transient_retries: u64,
+}
+
+impl NodeCounters {
+    /// Faults of `kind` taken.
+    pub fn faults(&self, kind: FaultKind) -> u64 {
+        self.faults[kind as usize]
+    }
+
+    /// The count reported under `name`: a [`FaultKind::counter_name`],
+    /// `llc_hit`, `llc_miss` or `cxl_transient_retry`. Any other name
+    /// counts 0.
+    pub fn get(&self, name: &str) -> u64 {
+        match name {
+            "llc_hit" => self.llc_hits,
+            "llc_miss" => self.llc_misses,
+            "cxl_transient_retry" => self.transient_retries,
+            _ => FaultKind::ALL
+                .into_iter()
+                .find(|k| k.counter_name() == name)
+                .map_or(0, |k| self.faults(k)),
+        }
+    }
+
+    fn record(&mut self, outcome: &AccessOutcome) {
+        if let Some(kind) = outcome.fault {
+            self.faults[kind as usize] += 1;
+        }
+        if outcome.cache_hit {
+            self.llc_hits += 1;
+        } else {
+            self.llc_misses += 1;
+        }
+        self.transient_retries += u64::from(outcome.retries);
     }
 }
 
@@ -103,7 +153,7 @@ pub struct Node {
     page_cache: PageCache,
     processes: BTreeMap<Pid, Process>,
     next_pid: u64,
-    counters: Counters,
+    counters: NodeCounters,
 }
 
 impl Node {
@@ -127,7 +177,7 @@ impl Node {
             page_cache: PageCache::new(),
             processes: BTreeMap::new(),
             next_pid: 1,
-            counters: Counters::new(),
+            counters: NodeCounters::default(),
         }
     }
 
@@ -176,25 +226,15 @@ impl Node {
         &self.cache
     }
 
-    /// Event counters (faults by kind, cache hits/misses).
-    pub fn counters(&self) -> &Counters {
-        &self.counters
+    /// A snapshot of the node's event books.
+    pub fn counters(&self) -> NodeCounters {
+        self.counters
     }
 
-    /// Resets the event counters.
-    pub fn reset_counters(&mut self) {
-        self.counters = Counters::new();
-    }
-
-    /// Increments a named event counter (fork mechanisms record their
-    /// operations here).
-    pub fn counters_note(&mut self, name: &str) {
-        self.counters.incr(name);
-    }
-
-    /// Adds `n` to a named event counter (e.g. retry totals).
-    pub fn counters_add(&mut self, name: &str, n: u64) {
-        self.counters.add(name, n);
+    /// Books `n` transient CXL errors that a checkpoint or restore on
+    /// this node retried away.
+    pub fn add_transient_retries(&mut self, n: u64) {
+        self.counters.transient_retries += n;
     }
 
     /// The node's page cache.
@@ -307,27 +347,7 @@ impl Node {
             p.mm.access(crate::addr::VirtPageNum(vpn), access, ctx)
         })??;
         self.clock.advance(outcome.cost);
-        if let Some(kind) = outcome.fault {
-            self.counters.incr(kind.counter_name());
-        }
-        if outcome.pt_leaf_cow {
-            self.counters.incr("pt_leaf_cow");
-        }
-        if outcome.vma_block_cow {
-            self.counters.incr("vma_block_cow");
-        }
-        self.counters.incr(if outcome.cache_hit {
-            "llc_hit"
-        } else {
-            "llc_miss"
-        });
-        if outcome.cxl_tier && !outcome.cache_hit {
-            self.counters.incr("cxl_line_access");
-        }
-        if outcome.retries > 0 {
-            self.counters
-                .add("cxl_transient_retry", u64::from(outcome.retries));
-        }
+        self.counters.record(&outcome);
         if cxl_telemetry::is_armed() {
             let node = self.id.0;
             if let Some(kind) = outcome.fault {
@@ -385,7 +405,6 @@ impl Node {
             },
         );
         self.clock.advance(cost);
-        self.counters.incr("local_fork");
         cxl_telemetry::counter_add("node_os", "local_fork", Some(self.id.0), 1);
         cxl_telemetry::timer_record("node_os", "local_fork.latency", Some(self.id.0), cost);
         Ok((pid, cost))
@@ -458,11 +477,156 @@ mod tests {
             .unwrap();
         n.access(pid, 0, Access::Write).unwrap();
         n.access(pid, 0, Access::Read).unwrap();
-        assert_eq!(n.counters().get("fault_anon_zero_fill"), 1);
-        assert_eq!(n.counters().get("llc_hit"), 1);
-        assert_eq!(n.counters().get("llc_miss"), 1);
-        n.reset_counters();
-        assert_eq!(n.counters().get("llc_hit"), 0);
+        let first = n.counters();
+        assert_eq!(first.faults(FaultKind::AnonZeroFill), 1);
+        assert_eq!(first.llc_hits, 1);
+        assert_eq!(first.llc_misses, 1);
+        // Books only grow: a window is the difference of two snapshots.
+        n.access(pid, 0, Access::Read).unwrap();
+        let now = n.counters();
+        assert_eq!(now.llc_hits - first.llc_hits, 1);
+        assert_eq!(now.llc_misses - first.llc_misses, 0);
+        assert_eq!(now.get("fault_anon_zero_fill"), 1);
+    }
+
+    /// The books against an independent tally: a seeded script over a
+    /// parent, its local-fork child and a pull-policy process reaches all
+    /// eight fault kinds while an injector fires transient read errors.
+    #[test]
+    fn counters_equal_an_independent_tally_of_access_outcomes() {
+        use crate::mm::{BackingPage, BackingSource, CxlBacking, CxlTierPolicy};
+        use crate::pte::PteFlags;
+        use crate::{PhysAddr, VirtPageNum};
+        use cxl_mem::PageData;
+        use rand::Rng;
+
+        let device = Arc::new(CxlDevice::with_capacity_mib(16));
+        let rootfs = Arc::new(SharedFs::new());
+        rootfs.create("/lib/app.so", 16 * crate::PAGE_SIZE, 5);
+        let mut n = Node::with_rootfs(
+            NodeConfig::default().with_local_mem_mib(16),
+            Arc::clone(&device),
+            rootfs,
+        );
+        let region = device.create_region("ckpt");
+        let mut cxl_pages = Vec::new();
+        for i in 0..48 {
+            let page = device.alloc_page(region).unwrap();
+            device
+                .write_page(page, PageData::pattern(i), NodeId(9))
+                .unwrap();
+            cxl_pages.push(page);
+        }
+
+        // Parent: anonymous heap, a file mapping, and CXL-resident CoW
+        // pages (migrate-on-write).
+        let parent = n.spawn("parent").unwrap();
+        {
+            let mm = &mut n.process_mut(parent).unwrap().mm;
+            mm.map_anonymous(0, 64, Protection::read_write(), "heap")
+                .unwrap();
+            mm.map_file(100, 16, Protection::read_exec(), "/lib/app.so", 0)
+                .unwrap();
+            mm.map_anonymous(200, 16, Protection::read_write(), "ckpt")
+                .unwrap();
+            for (i, page) in cxl_pages[..16].iter().enumerate() {
+                mm.install_mapping(
+                    VirtPageNum(200 + i as u64),
+                    PhysAddr::Cxl(*page),
+                    PteFlags::PRESENT | PteFlags::COW,
+                    false,
+                );
+            }
+        }
+        // Puller: migrate-on-access from the device and from another
+        // node's memory.
+        let puller = n.spawn("puller").unwrap();
+        {
+            let mm = &mut n.process_mut(puller).unwrap().mm;
+            mm.map_anonymous(300, 32, Protection::read_write(), "pulled")
+                .unwrap();
+            mm.set_policy(CxlTierPolicy::MigrateOnAccess);
+            let mut backing = CxlBacking::new();
+            for (i, page) in cxl_pages[16..].iter().enumerate() {
+                let source = if i < 16 {
+                    BackingSource::Device(*page)
+                } else {
+                    BackingSource::Remote(Arc::new(PageData::pattern(100 + i as u64)))
+                };
+                backing.insert(
+                    VirtPageNum(300 + i as u64),
+                    BackingPage {
+                        source,
+                        accessed: true,
+                        dirty: false,
+                        file_backed: false,
+                    },
+                );
+            }
+            mm.set_backing(Arc::new(backing));
+        }
+
+        let injector = Arc::new(cxl_fault::Injector::from_plan(
+            cxl_fault::FaultPlan::new(11).with_transient_rate(0.2),
+        ));
+        injector.arm(&device);
+
+        let mut faults = [0u64; FaultKind::ALL.len()];
+        let (mut hits, mut misses, mut retries) = (0u64, 0u64, 0u64);
+        let mut rng = simclock::rng::seeded(26);
+        let ranges: [(u64, u64, bool); 3] = [(0, 64, true), (100, 116, false), (200, 216, true)];
+        let mut run = |n: &mut Node, pids: &[Pid], steps: usize| {
+            for _ in 0..steps {
+                let pid = pids[rng.gen_range(0..pids.len())];
+                let (vpn, writable) = if pid == puller {
+                    (rng.gen_range(300..332), true)
+                } else {
+                    let (lo, hi, writable) = ranges[rng.gen_range(0..ranges.len())];
+                    (rng.gen_range(lo..hi), writable)
+                };
+                let access = if writable && rng.gen_range(0u8..2) == 0 {
+                    Access::Write
+                } else {
+                    Access::Read
+                };
+                // A read whose retries run out is an error, and books
+                // nothing on either side.
+                let Ok(o) = n.access(pid, vpn, access) else {
+                    continue;
+                };
+                if let Some(kind) = o.fault {
+                    faults[FaultKind::ALL.iter().position(|k| *k == kind).unwrap()] += 1;
+                }
+                if o.cache_hit {
+                    hits += 1;
+                } else {
+                    misses += 1;
+                }
+                retries += u64::from(o.retries);
+            }
+        };
+        run(&mut n, &[parent, puller], 400);
+        // The child shares the parent's heap copy-on-write and re-faults
+        // its file pages from the warm page cache.
+        let (child, _) = n.local_fork(parent).unwrap();
+        run(&mut n, &[parent, child, puller], 800);
+        device.set_fault_hook(None);
+
+        let books = n.counters();
+        for (kind, tallied) in FaultKind::ALL.into_iter().zip(faults) {
+            assert!(tallied > 0, "the script never reached {kind:?}");
+            assert_eq!(books.faults(kind), tallied, "{kind:?}");
+            assert_eq!(books.get(kind.counter_name()), books.faults(kind));
+        }
+        assert!(retries > 0, "the injector never fired");
+        assert_eq!(
+            (books.llc_hits, books.llc_misses, books.transient_retries),
+            (hits, misses, retries)
+        );
+        assert_eq!(books.get("llc_hit"), books.llc_hits);
+        assert_eq!(books.get("llc_miss"), books.llc_misses);
+        assert_eq!(books.get("cxl_transient_retry"), books.transient_retries);
+        assert_eq!(books.get("no_such_event"), 0);
     }
 
     #[test]

@@ -8,10 +8,8 @@
 //! the paper (e.g. a 391 ns CXL round trip, a 2.5 µs CXL copy-on-write
 //! fault).
 //!
-//! The crate also provides the statistics utilities the evaluation harness
-//! needs: [`stats::LatencyHistogram`] for P50/P99 tail-latency reporting and
-//! [`stats::Breakdown`] for the stacked-bar style cost breakdowns of
-//! Figure 7a.
+//! The crate also provides [`stats::LatencyHistogram`], the exact-percentile
+//! recorder behind the evaluation's P50/P99 tail-latency reports.
 //!
 //! # Example
 //!

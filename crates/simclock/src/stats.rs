@@ -1,11 +1,7 @@
-//! Latency statistics: percentile histograms and cost breakdowns.
+//! Latency statistics: exact-percentile histograms.
 //!
-//! The evaluation reports P50/P99 end-to-end function latencies (Fig. 10)
-//! and stacked cost breakdowns (Fig. 7a). [`LatencyHistogram`] and
-//! [`Breakdown`] are the two reporting primitives behind those.
-
-use std::collections::BTreeMap;
-use std::fmt;
+//! The evaluation reports P50/P99 end-to-end function latencies (Fig. 10);
+//! [`LatencyHistogram`] is the reporting primitive behind them.
 
 use serde::{Deserialize, Serialize};
 
@@ -121,150 +117,6 @@ impl LatencyHistogram {
     pub fn min(&mut self) -> SimDuration {
         self.ensure_sorted();
         self.samples.first().copied().unwrap_or(SimDuration::ZERO)
-    }
-}
-
-/// A named-bucket cost breakdown, e.g. `Restore / Page Faults / Execution`
-/// (Fig. 7a).
-///
-/// Buckets are created on first charge and iterate in insertion-independent
-/// (sorted) order for stable reporting.
-///
-/// # Example
-///
-/// ```
-/// use simclock::{SimDuration, stats::Breakdown};
-///
-/// let mut b = Breakdown::new();
-/// b.charge("restore", SimDuration::from_millis(3));
-/// b.charge("faults", SimDuration::from_millis(1));
-/// b.charge("restore", SimDuration::from_millis(2));
-/// assert_eq!(b.get("restore").as_millis(), 5);
-/// assert_eq!(b.total().as_millis(), 6);
-/// ```
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Breakdown {
-    buckets: BTreeMap<String, SimDuration>,
-}
-
-impl Breakdown {
-    /// Creates an empty breakdown.
-    pub fn new() -> Self {
-        Breakdown::default()
-    }
-
-    /// Adds `cost` to the named bucket.
-    pub fn charge(&mut self, bucket: &str, cost: SimDuration) {
-        *self
-            .buckets
-            .entry(bucket.to_owned())
-            .or_insert(SimDuration::ZERO) += cost;
-    }
-
-    /// Returns the accumulated cost of `bucket` (zero if absent).
-    pub fn get(&self, bucket: &str) -> SimDuration {
-        self.buckets
-            .get(bucket)
-            .copied()
-            .unwrap_or(SimDuration::ZERO)
-    }
-
-    /// Sum over all buckets.
-    pub fn total(&self) -> SimDuration {
-        self.buckets.values().copied().sum()
-    }
-
-    /// Iterates `(bucket, cost)` pairs in sorted bucket-name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, SimDuration)> {
-        self.buckets.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Merges another breakdown into this one, bucket by bucket.
-    pub fn merge(&mut self, other: &Breakdown) {
-        for (k, v) in other.iter() {
-            self.charge(k, v);
-        }
-    }
-
-    /// `true` if no bucket has been charged.
-    pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
-    }
-}
-
-impl fmt::Display for Breakdown {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.buckets.is_empty() {
-            return write!(f, "(empty breakdown)");
-        }
-        let mut first = true;
-        for (k, v) in self.iter() {
-            if !first {
-                write!(f, " + ")?;
-            }
-            write!(f, "{k}={v}")?;
-            first = false;
-        }
-        write!(f, " = {}", self.total())
-    }
-}
-
-/// A monotonically growing event counter set, used for fault and access
-/// accounting.
-///
-/// # Example
-///
-/// ```
-/// use simclock::stats::Counters;
-///
-/// let mut c = Counters::new();
-/// c.add("cow_fault", 3);
-/// c.incr("cow_fault");
-/// assert_eq!(c.get("cow_fault"), 4);
-/// ```
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counters {
-    counts: BTreeMap<String, u64>,
-}
-
-impl Counters {
-    /// Creates an empty counter set.
-    pub fn new() -> Self {
-        Counters::default()
-    }
-
-    /// Adds `n` to the named counter.
-    pub fn add(&mut self, name: &str, n: u64) {
-        // Probe first: `entry` would allocate a `String` per increment
-        // even when the key exists, and this sits on `Node::access`.
-        match self.counts.get_mut(name) {
-            Some(count) => *count += n,
-            None => {
-                self.counts.insert(name.to_owned(), n);
-            }
-        }
-    }
-
-    /// Adds one to the named counter.
-    pub fn incr(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Returns the counter value (zero if absent).
-    pub fn get(&self, name: &str) -> u64 {
-        self.counts.get(name).copied().unwrap_or(0)
-    }
-
-    /// Iterates `(name, count)` pairs in sorted order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counts.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Merges another counter set into this one.
-    pub fn merge(&mut self, other: &Counters) {
-        for (k, v) in other.iter() {
-            self.add(k, v);
-        }
     }
 }
 
@@ -392,47 +244,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.len(), 2);
         assert_eq!(a.mean().as_millis(), 2);
-    }
-
-    #[test]
-    fn breakdown_accumulates_and_totals() {
-        let mut b = Breakdown::new();
-        b.charge("x", SimDuration::from_nanos(10));
-        b.charge("y", SimDuration::from_nanos(5));
-        b.charge("x", SimDuration::from_nanos(1));
-        assert_eq!(b.get("x").as_nanos(), 11);
-        assert_eq!(b.get("absent"), SimDuration::ZERO);
-        assert_eq!(b.total().as_nanos(), 16);
-        let keys: Vec<_> = b.iter().map(|(k, _)| k.to_owned()).collect();
-        assert_eq!(keys, vec!["x", "y"]);
-    }
-
-    #[test]
-    fn breakdown_merge_and_display() {
-        let mut a = Breakdown::new();
-        a.charge("restore", SimDuration::from_millis(1));
-        let mut b = Breakdown::new();
-        b.charge("restore", SimDuration::from_millis(2));
-        b.charge("faults", SimDuration::from_millis(4));
-        a.merge(&b);
-        assert_eq!(a.get("restore").as_millis(), 3);
-        assert_eq!(a.get("faults").as_millis(), 4);
-        let s = a.to_string();
-        assert!(s.contains("restore=3.000ms"), "{s}");
-        assert_eq!(Breakdown::new().to_string(), "(empty breakdown)");
-    }
-
-    #[test]
-    fn counters_track_events() {
-        let mut c = Counters::new();
-        c.incr("a");
-        c.add("a", 2);
-        c.add("b", 7);
-        let mut d = Counters::new();
-        d.add("b", 3);
-        c.merge(&d);
-        assert_eq!(c.get("a"), 3);
-        assert_eq!(c.get("b"), 10);
-        assert_eq!(c.get("zzz"), 0);
     }
 }

@@ -191,7 +191,6 @@ impl TrEnvCxl {
                 * checkpoint.pages.len() as u64
             + model.local_copy(leaves.len() as u64 * PAGE_SIZE);
         node.clock_mut().advance(cost);
-        node.counters_note("trenv_template_build");
 
         self.templates.lock().insert(
             key,
@@ -286,7 +285,6 @@ impl RemoteFork for TrEnvCxl {
         let payload = pages.len() as u64 * PAGE_SIZE;
         let cost = model.cxl_write_copy(payload) + model.serialize(meta_bytes);
         node.clock_mut().advance(cost);
-        node.counters_note("trenv_checkpoint");
 
         let region = guard.commit();
         Ok(TrEnvCheckpoint {
@@ -358,7 +356,6 @@ impl RemoteFork for TrEnvCxl {
         cost += model.local_copy(template.leaves.len() as u64 * PAGE_SIZE);
 
         node.clock_mut().advance(cost);
-        node.counters_note("trenv_restore");
         Ok(Restored {
             pid,
             restore_latency: cost,

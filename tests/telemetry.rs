@@ -6,8 +6,9 @@
 //!    virtual-time result: an armed seeded availability run produces a
 //!    bit-identical [`cxlporter::PorterReport`] to an unarmed one.
 //! 2. **Reconciliation** — the `cxl_mem.*` telemetry counters are
-//!    mirrors of [`cxl_mem::CxlDeviceStats`]; after a full
-//!    checkpoint/restore/invoke cycle the two books must agree entry
+//!    mirrors of [`cxl_mem::CxlDeviceStats`], and the `node_os.*` fault
+//!    and LLC counters mirror each node's [`Node::counters`]; after a
+//!    full checkpoint/restore/invoke cycle the two books must agree entry
 //!    for entry (and, under `--features check`, the cross-layer audits
 //!    of the same run must stay clean).
 //! 3. **Trace consistency** — checkpoint/restore phase child spans
@@ -25,7 +26,9 @@ use cxl_telemetry::{chrome_trace, Json, TelemetryData, TelemetrySession};
 use cxlfork::CxlFork;
 use cxlfork_bench::report::cold_start_report;
 use cxlfork_bench::{run_availability, run_cold_start, Scenario, DEFAULT_STEADY_INVOCATIONS};
+use mitosis_cxl::MitosisCxl;
 use node_os::fs::SharedFs;
+use node_os::mm::FaultKind;
 use node_os::{Node, NodeConfig};
 use rfork::{RemoteFork, RestoreOptions};
 use simclock::LatencyModel;
@@ -146,6 +149,86 @@ fn telemetry_counters_reconcile_with_device_stats() {
         violations.extend(cxl_check::audit_device(&device));
         violations.extend(cxl_check::check_lock_order());
         assert!(violations.is_empty(), "audit found: {violations:?}");
+    }
+}
+
+#[test]
+fn node_telemetry_counters_reconcile_with_node_books() {
+    let _guard = TELEMETRY_LOCK.lock().unwrap();
+    let model = LatencyModel::calibrated();
+
+    // The nodes are created *inside* the armed window, so their books
+    // and the telemetry counters cover exactly the same accesses.
+    let session = TelemetrySession::start();
+    let device = Arc::new(CxlDevice::with_capacity_mib(4096));
+    let rootfs = Arc::new(SharedFs::new());
+    let mut nodes: Vec<Node> = (0..4)
+        .map(|i| {
+            Node::with_rootfs(
+                NodeConfig::default()
+                    .with_id(i)
+                    .with_local_mem_mib(2048)
+                    .with_model(model.clone()),
+                Arc::clone(&device),
+                Arc::clone(&rootfs),
+            )
+        })
+        .collect();
+
+    // Cold deploy and a local-fork child on node 0, then CXLfork MoW and
+    // MoA restores and a Mitosis restore, one per node, each invoked.
+    let spec = faas::by_name("Json").expect("Json is in the suite");
+    let (parent, _) = faas::deploy_cold(&mut nodes[0], &spec).expect("deploy fits");
+    faas::warm_for_checkpoint(&mut nodes[0], parent, &spec, DEFAULT_STEADY_INVOCATIONS)
+        .expect("warm-up fits");
+    let (child, _) = nodes[0].local_fork(parent).expect("local fork fits");
+    faas::run_invocation(&mut nodes[0], child, &spec, 1).expect("invocation");
+    let fork = CxlFork::new();
+    let ckpt = fork
+        .checkpoint(&mut nodes[0], parent)
+        .expect("checkpoint fits");
+    for (node, opts) in [(1, RestoreOptions::mow()), (2, RestoreOptions::moa())] {
+        let restored = fork
+            .restore_with(&ckpt, &mut nodes[node], opts)
+            .expect("restore fits");
+        faas::run_invocation(&mut nodes[node], restored.pid, &spec, 0).expect("invocation");
+    }
+    let mitosis = MitosisCxl::new();
+    let mckpt = mitosis
+        .checkpoint(&mut nodes[0], parent)
+        .expect("checkpoint fits");
+    let restored = mitosis
+        .restore(&mckpt, &mut nodes[3])
+        .expect("restore fits");
+    faas::run_invocation(&mut nodes[3], restored.pid, &spec, 0).expect("invocation");
+    let data = session.finish();
+
+    let count = |name: &str, node: &Node| data.registry.counter("node_os", name, Some(node.id().0));
+    for node in &nodes {
+        let books = node.counters();
+        for kind in FaultKind::ALL {
+            assert_eq!(
+                count(kind.counter_name(), node),
+                books.faults(kind),
+                "node_os.{}{{node={}}} disagrees with the node's books",
+                kind.counter_name(),
+                node.id().0
+            );
+        }
+        assert_eq!(count("llc_hit", node), books.llc_hits);
+        assert_eq!(count("llc_miss", node), books.llc_misses);
+    }
+    // The scenario reached the flavours each restore path exists for.
+    let total = |kind: FaultKind| nodes.iter().map(|n| n.counters().faults(kind)).sum::<u64>();
+    for kind in [
+        FaultKind::FileMajor,
+        FaultKind::AnonZeroFill,
+        FaultKind::LocalCow,
+        FaultKind::CxlCow,
+        FaultKind::CxlPull,
+        FaultKind::RemotePull,
+    ] {
+        assert!(total(kind) > 0, "the scenario never took a {kind:?} fault");
     }
 }
 
