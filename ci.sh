@@ -1,10 +1,5 @@
 #!/usr/bin/env sh
 # Repository CI gate. Everything here must pass before a change lands.
-#
-# Runs the suite twice: once as shipped (checkers compiled out, zero
-# cost) and once with --features check, which arms the cross-layer
-# invariant auditor, checkpoint seal verification and lockdep edge
-# recording throughout the workspace (see DESIGN.md §7).
 set -eu
 
 cd "$(dirname "$0")"
@@ -12,7 +7,15 @@ cd "$(dirname "$0")"
 echo '== fmt =='
 cargo fmt --all --check
 
-echo '== clippy (default features) =='
+echo '== no build-configuration switch for the auditors =='
+# The auditors run in every test build (DESIGN.md §7): no crate may
+# grow a `check` feature back, and nothing may build with one.
+if git grep -nE 'feature = "check"|--features check|^check = ' -- crates/ tests/ examples/ Cargo.toml; then
+    echo 'ci: a `check` feature is back (DESIGN.md §7)' >&2
+    exit 1
+fi
+
+echo '== clippy =='
 # Besides the usual lints this enforces the workspace invariants in
 # crates/clippy.toml (DESIGN.md §12): no wall clock, no hash containers,
 # no raw locks, and — scoped to the device path — no unjustified
@@ -20,12 +23,9 @@ echo '== clippy (default features) =='
 # examples/.
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo '== clippy (--features check) =='
-cargo clippy --workspace --all-targets --features check -- -D warnings
-
 echo '== clippy canary (must FAIL, naming every banned construct) =='
 # crates/cxl-lint/canary plants one violation per invariant above. If
-# clippy passes it, or misses one, the two clippy passes prove nothing.
+# clippy passes it, or misses one, the clippy pass proves nothing.
 if canary=$(cargo clippy --quiet --manifest-path crates/cxl-lint/canary/Cargo.toml \
     --target-dir target/clippy-canary -- -D warnings 2>&1); then
     echo 'ci: clippy passed the canary: crates/clippy.toml is not applied' >&2
@@ -46,37 +46,35 @@ echo '== cxl-lint (static lock-class graph) =='
 # What clippy cannot express (DESIGN.md §12): the lock-class graph
 # extracted from source must be a DAG even on paths no test drives, and
 # public error enums stay #[non_exhaustive]. Runs before the test suites
-# so a violation fails fast; the suites then cross-check the same graph
+# so a violation fails fast; the suite then cross-checks the same graph
 # against runtime lockdep (cxl-lint's static_vs_runtime test).
 cargo run --quiet -p cxl-lint
 
-echo '== test (default features) =='
+echo '== test =='
+# A debug build: lockdep records every nested acquisition, each CXLfork
+# restore re-verifies its checkpoint's seal, and every trace a test runs
+# ends in the cluster audit (DESIGN.md §7).
 cargo test --workspace --quiet
 
-echo '== test (--features check) =='
-cargo test --workspace --quiet --features check
-
-echo '== fault injection sweep (--features check, 3 seeds) =='
+echo '== fault injection sweep (3 seeds) =='
 for seed in 7 1984 4242; do
     echo "-- CXLFAULT_SEED=$seed"
-    CXLFAULT_SEED=$seed cargo test --quiet -p cxlfork-bench --features check --test fault_recovery
-    CXLFAULT_SEED=$seed cargo test --quiet -p cxlfork-bench --features check --test capacity_pressure
+    CXLFAULT_SEED=$seed cargo test --quiet -p cxlfork-bench --test fault_recovery
+    CXLFAULT_SEED=$seed cargo test --quiet -p cxlfork-bench --test capacity_pressure
 done
 
-echo '== crashpoint sweep smoke (bounded, both feature states) =='
+echo '== crashpoint sweep smoke (bounded) =='
 # A bounded slice of the exhaustive crash-recovery sweep
 # (tests/crashpoint_sweep.rs, DESIGN.md §13): kill the coordinator at
 # the first 6 injection positions for 2 seeds, recover the store from
 # the surviving device, and hold every recovery to zero audit
 # violations and byte-identical surviving contents. The full sweep
-# (every position, 3 seeds) already ran with the workspace suites
-# above; this pass pins the env-bounded smoke contract itself.
+# (every position, 3 seeds) already ran with the workspace suite above;
+# this pass pins the env-bounded smoke contract itself.
 CRASH_SWEEP_POSITIONS=6 CRASH_SWEEP_SEEDS=2 \
     cargo test --quiet -p cxlfork-bench --test crashpoint_sweep
-CRASH_SWEEP_POSITIONS=6 CRASH_SWEEP_SEEDS=2 \
-    cargo test --quiet -p cxlfork-bench --features check --test crashpoint_sweep
 
-echo '== cluster-engine smoke (bounded, both feature states) =='
+echo '== cluster-engine smoke (bounded) =='
 # A smoke-scale slice of the cluster determinism suite
 # (tests/cluster_sim.rs): two runs of the same seeded diurnal trace
 # over CLUSTER_SMOKE_NODES nodes must produce bit-identical
@@ -84,7 +82,6 @@ echo '== cluster-engine smoke (bounded, both feature states) =='
 # crash accounting included. The full 64-node, >=100k-invocation replay
 # is exercised by the BENCH_cluster.json drift gate below.
 CLUSTER_SMOKE_NODES=8 cargo test --quiet -p cxlfork-bench --test cluster_sim
-CLUSTER_SMOKE_NODES=8 cargo test --quiet -p cxlfork-bench --features check --test cluster_sim
 
 echo '== these tests exist =='
 # The suites above ran them; this pins them by name, so that renaming or
@@ -115,7 +112,11 @@ echo '== these tests exist =='
 # arrival, catalog specs reaching the porter's deployments as held, and
 # the node books (§9): `NodeCounters` against an independent tally of
 # every access outcome, the `node_os.*` telemetry counters against those
-# books, and `device_retries` counting one run.
+# books, and `device_retries` counting one run; and the auditors every
+# test build runs (§7): lockdep recording edges, the checkpoint seal
+# tripping on a written checkpoint, the seal and node auditors naming
+# seeded violations, the cluster audit needing the porter's declared
+# container pins, and a TrEnv release that strands no template frames.
 expect_tests() {
     package=$1 target=$2
     shift 2
@@ -132,6 +133,7 @@ expect_tests trace-gen '--test golden' \
     golden_trace_diurnal_cluster_default \
     golden_trace_paper_default_burst
 expect_tests cxl-mem --lib \
+    lockdep::tests::nested_acquisitions_record_edges \
     page::tests::fingerprint_identity_zero_page_is_the_reference_constant \
     page::tests::fingerprint_identity_pattern_matches_reference \
     page::tests::fingerprint_identity_bytes_match_reference \
@@ -149,6 +151,9 @@ expect_tests cxl-store '--test differential' \
     superblock_limit_commit_with_unsnapshotable_books_is_a_typed_error_and_leaks_nothing
 expect_tests cxl-check '--test sharded_device_lint' \
     sharded_device_batch_churn_audits_clean_with_no_lock_cycle
+expect_tests cxl-check '--test negative_audit' \
+    freed_checkpoint_page_is_reported_as_dangling_and_unsealed \
+    mutating_a_sealed_checkpoint_page_is_reported
 expect_tests simclock --lib \
     latency::tests::pipeline_p1_is_bit_identical_to_serial \
     latency::tests::pipeline_cost_is_monotone_non_increasing_in_p \
@@ -175,13 +180,18 @@ expect_tests cxlporter --lib \
     porter::tests::expiry_floor_skips_only_scans_that_would_expire_nothing
 expect_tests cxlporter '--test porter_scenarios' \
     catalog_template_overlap_reaches_the_deployments \
-    device_retries_count_one_run_each
+    device_retries_count_one_run_each \
+    cluster_audit_flags_container_pins_unless_the_accessor_declares_them
+expect_tests trenv-cxl --lib \
+    tests::drop_templates_releases_pinned_frames \
+    tests::release_with_a_live_template_is_refused_and_strands_nothing
 expect_tests cxlfork-bench '--test telemetry' \
     node_telemetry_counters_reconcile_with_node_books
 expect_tests cxl-fault --lib \
     inject::tests::plan_fault_stream_is_pinned
 expect_tests cxlfork --lib \
-    tests::default_config_is_bit_identical_to_explicit_serial
+    tests::default_config_is_bit_identical_to_explicit_serial \
+    tests::restore_of_a_written_checkpoint_trips_the_debug_seal
 expect_tests cxl-store --lib \
     journal::tests::hostile_superblock_page_count_is_skipped_not_allocated \
     journal::tests::superblock_limit_is_refused_where_the_page_list_grows \
@@ -210,13 +220,12 @@ benchmark/run.sh --smoke --traced > /dev/null
 # surprise at gate time.
 git diff --exit-code -- benchmark/
 
-echo '== benchmark report drift gate (telemetry armed, both feature states) =='
+echo '== benchmark report drift gate (telemetry armed) =='
 # Regenerates every BENCH_<scenario>.json with telemetry armed,
 # round-trips each through the parser, and fails if any byte differs
 # from the committed file: perf changes must be committed explicitly.
-# The --features check pass proves the audits themselves never move a
-# virtual-time result (armed-vs-unarmed bit-identity).
+# The scenarios audit every cluster they drive, so this also proves the
+# audits never move a virtual-time result.
 cargo run --release --quiet -p cxlfork-bench --bin bench_report -- --check
-cargo run --release --quiet -p cxlfork-bench --features check --bin bench_report -- --check
 
 echo 'CI green.'

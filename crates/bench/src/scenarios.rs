@@ -100,11 +100,10 @@ fn two_node_cluster(model: &LatencyModel) -> (Vec<Node>, Arc<CxlDevice>, Arc<Sha
     (nodes, device, rootfs)
 }
 
-/// Post-condition under the `check` feature: after a scenario run, every
-/// node's memory ledgers, the device's region books, and the global
-/// lock-order graph must all be clean. Checkpoints may still be live;
-/// the audit verifies consistency, not emptiness.
-#[cfg(feature = "check")]
+/// Post-condition of every scenario run: every node's memory ledgers,
+/// the device's region books, and the global lock-order graph must all
+/// be clean. Checkpoints may still be live; the audit verifies
+/// consistency, not emptiness.
 fn audit_scenario(nodes: &[&Node], device: &CxlDevice) {
     let mut violations = Vec::new();
     for node in nodes {
@@ -118,8 +117,32 @@ fn audit_scenario(nodes: &[&Node], device: &CxlDevice) {
     );
 }
 
-#[cfg(not(feature = "check"))]
-fn audit_scenario(_nodes: &[&Node], _device: &CxlDevice) {}
+/// Runs `trace` on `porter`, then asserts the cluster audit
+/// ([`cxl_check::audit_cluster`], container pins declared through
+/// [`cxlporter::CxlPorter::pinned_frames`]) finds every ledger
+/// balanced. Every scenario that runs a porter trace goes through here.
+fn run_audited<M: RemoteFork>(
+    porter: &mut cxlporter::CxlPorter<M>,
+    trace: &[trace_gen::Invocation],
+) -> cxlporter::PorterReport {
+    let report = porter.run_trace(trace);
+    let cluster = &porter.cluster;
+    let violations = cxl_check::audit_cluster(
+        cluster
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(i, node)| (node, porter.pinned_frames(i))),
+        &cluster.device,
+        porter.image_store().map(|s| &**s),
+        cluster.live_nodes().map(|i| NodeId(i as u32)),
+    );
+    assert!(
+        violations.is_empty(),
+        "cluster invariants violated after trace: {violations:?}"
+    );
+    report
+}
 
 /// Deploys + warms a parent on `node`, returning its pid.
 fn warm_parent(node: &mut Node, spec: &FunctionSpec, steady: u64) -> node_os::Pid {
@@ -490,7 +513,7 @@ pub fn run_availability(
             seed,
         )
     });
-    let report = porter.run_trace(&trace);
+    let report = run_audited(&mut porter, &trace);
 
     // Coordinator failover: the coordinator's DRAM dies with it (porter,
     // checkpoint handles, the store's in-memory index); only the device
@@ -517,7 +540,7 @@ pub fn run_availability(
             seed,
         )
     });
-    let successor_report = successor.run_trace(&tail);
+    let successor_report = run_audited(&mut successor, &tail);
 
     AvailabilityOutcome {
         report,
@@ -790,7 +813,7 @@ pub fn run_cluster_with(
         nodes / 16,
     ));
 
-    let report = porter.run_trace(&trace);
+    let report = run_audited(&mut porter, &trace);
     ClusterOutcome {
         report,
         trace_len: trace.len() as u64,

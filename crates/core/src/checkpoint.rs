@@ -115,6 +115,11 @@ pub struct CxlForkCheckpoint {
     pub(crate) dirty: Vec<(VirtPageNum, CxlPageId)>,
     /// Pages whose checkpointed A bit is set.
     pub accessed_pages: u64,
+    /// Content fingerprint of every page `region` owned when the
+    /// checkpoint was taken: the seal each restore re-verifies in debug
+    /// builds (a checkpoint is never written after it is taken, §4.2.1).
+    #[cfg(debug_assertions)]
+    pub(crate) seal: Vec<(CxlPageId, u64)>,
 }
 
 impl CxlForkCheckpoint {
@@ -630,6 +635,13 @@ pub(crate) fn take_checkpoint(
         dirty_pages: dirty.len() as u64,
         dirty,
         accessed_pages,
+        #[cfg(debug_assertions)]
+        seal: device
+            .live_pages()
+            .into_iter()
+            .filter(|&(_, owner)| owner == region)
+            .map(|(page, _)| (page, device.fingerprint(page).expect("a live page")))
+            .collect(),
     })
 }
 

@@ -119,11 +119,6 @@ pub struct CxlFork {
     /// restores of an evicted image fail with a typed
     /// [`RforkError::EvictedImage`] miss.
     store: Option<std::sync::Arc<cxl_store::Store>>,
-    /// Fingerprint seals of every live checkpoint this mechanism took;
-    /// restores re-verify them (checkpoints are immutable by design,
-    /// §4.2.1).
-    #[cfg(feature = "check")]
-    seals: cxl_mem::lockdep::TrackedMutex<cxl_check::SealRegistry>,
 }
 
 impl Default for CxlFork {
@@ -132,11 +127,6 @@ impl Default for CxlFork {
             next_seq: AtomicU64::new(0),
             config: CxlForkConfig::default(),
             store: None,
-            #[cfg(feature = "check")]
-            seals: cxl_mem::lockdep::TrackedMutex::new(
-                "cxlfork.seals",
-                cxl_check::SealRegistry::default(),
-            ),
         }
     }
 }
@@ -200,8 +190,6 @@ impl CxlFork {
     /// [`RforkError::Cxl`] if the region is already gone (store-less
     /// path only).
     pub fn release(&self, checkpoint: CxlForkCheckpoint, node: &Node) -> Result<u64, RforkError> {
-        #[cfg(feature = "check")]
-        self.with_seals(|seals| seals.release(checkpoint.region));
         if let (Some(store), Some(image)) = (&self.store, checkpoint.image) {
             // An image already evicted (or released) by the store is a
             // clean no-op here, matching the store-less path's tolerance.
@@ -215,20 +203,6 @@ impl CxlFork {
     }
 }
 
-#[cfg(feature = "check")]
-impl CxlFork {
-    fn with_seals<R>(&self, f: impl FnOnce(&mut cxl_check::SealRegistry) -> R) -> R {
-        f(&mut self.seals.lock())
-    }
-
-    /// Re-verifies every checkpoint this mechanism sealed against the
-    /// device, returning a violation per mutated or freed checkpoint
-    /// page. Only available with the `check` feature.
-    pub fn verify_seals(&self, device: &cxl_mem::CxlDevice) -> Vec<cxl_check::Violation> {
-        self.with_seals(|seals| seals.verify(device))
-    }
-}
-
 impl RemoteFork for CxlFork {
     type Checkpoint = CxlForkCheckpoint;
 
@@ -238,15 +212,7 @@ impl RemoteFork for CxlFork {
 
     fn checkpoint(&self, node: &mut Node, pid: Pid) -> Result<CxlForkCheckpoint, RforkError> {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let ckpt =
-            checkpoint::take_checkpoint(node, pid, seq, self.store.as_deref(), &self.config)?;
-        #[cfg(feature = "check")]
-        self.with_seals(|seals| {
-            seals
-                .seal_region(node.device(), ckpt.region)
-                .expect("checkpoint pages are live at seal time");
-        });
-        Ok(ckpt)
+        checkpoint::take_checkpoint(node, pid, seq, self.store.as_deref(), &self.config)
     }
 
     fn restore_with(
@@ -267,15 +233,20 @@ impl RemoteFork for CxlFork {
         if let (Some(store), Some(image)) = (&self.store, checkpoint.image) {
             store.touch_restore(image, node.now());
         }
-        // Post-condition (`check` builds): a restore must never write
+        // Post-condition (debug builds): a restore must never write
         // through the sealed checkpoint it attaches.
-        #[cfg(feature = "check")]
+        #[cfg(debug_assertions)]
         {
-            let violations =
-                self.with_seals(|seals| seals.verify_region(node.device(), checkpoint.region));
+            let device = node.device();
+            let broken: Vec<cxl_mem::CxlPageId> = checkpoint
+                .seal
+                .iter()
+                .filter(|&&(page, sealed)| device.fingerprint(page).ok() != Some(sealed))
+                .map(|&(page, _)| page)
+                .collect();
             assert!(
-                violations.is_empty(),
-                "restore mutated its sealed checkpoint: {violations:?}"
+                broken.is_empty(),
+                "restore mutated or freed sealed checkpoint pages {broken:?}"
             );
         }
         Ok(restored)
@@ -853,6 +824,8 @@ mod tests {
             dirty_pages: ckpt.dirty_pages,
             dirty: ckpt.dirty.clone(),
             accessed_pages: ckpt.accessed_pages,
+            #[cfg(debug_assertions)]
+            seal: Vec::new(),
         };
         let before = c.nodes[1].process_count();
         let err = c.fork.restore(&forged, &mut c.nodes[1]).unwrap_err();
@@ -862,6 +835,25 @@ mod tests {
         // A destroyed region is equally unrestorable.
         c.device.destroy_region(torn_region).unwrap();
         c.fork.release(ckpt, &c.nodes[0]).unwrap();
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "the seal is a debug-build check")]
+    #[should_panic(expected = "restore mutated or freed sealed checkpoint pages")]
+    fn restore_of_a_written_checkpoint_trips_the_debug_seal() {
+        let mut c = cluster(2);
+        let pid = build_process(&mut c.nodes[0]);
+        let ckpt = c.fork.checkpoint(&mut c.nodes[0], pid).unwrap();
+        // A stray write through the checkpoint: the bug class §4.2.1's
+        // immutable checkpoints exclude.
+        let (_, pte) = ckpt.iter_pages().next().unwrap();
+        let Some(PhysAddr::Cxl(page)) = pte.target() else {
+            panic!("checkpoint pages live on the device");
+        };
+        c.device
+            .write_page(page, cxl_mem::PageData::pattern(0xBAD), cxl_mem::NodeId(1))
+            .unwrap();
+        let _ = c.fork.restore(&ckpt, &mut c.nodes[1]);
     }
 
     #[test]

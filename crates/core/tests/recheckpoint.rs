@@ -249,13 +249,10 @@ fn checkpoint_the_journal_cannot_hold_fails_typed_and_leaves_nothing_behind() {
     let refs: u64 = store.index_snapshot().iter().map(|e| e.refs).sum();
     assert_eq!(refs, 15 * HEAP, "the pending image's references dropped");
     assert_eq!(store.stats().interned_pages, stats.interned_pages);
-    #[cfg(feature = "check")]
-    {
-        let mut violations = cxl_check::audit_device(&device);
-        violations.extend(cxl_check::audit_store(&store));
-        violations.extend(cxl_check::audit_journal(&store));
-        assert!(violations.is_empty(), "{violations:?}");
-    }
+    let mut violations = cxl_check::audit_device(&device);
+    violations.extend(cxl_check::audit_store(&store));
+    violations.extend(cxl_check::audit_journal(&store));
+    assert!(violations.is_empty(), "{violations:?}");
 
     // Releasing checkpoints does not shrink a journal that never
     // compacts, but compaction does: after it the same checkpoint fits.

@@ -16,7 +16,7 @@
 //! [`audit_device`] checks the device's own books (slab ↔ `used_pages`
 //! counter ↔ per-region accounting), and [`audit_device_with_live`]
 //! additionally reports regions no declared owner references — leaked
-//! checkpoints.
+//! checkpoints. [`audit_cluster`] runs every auditor over a deployment.
 //!
 //! All checks are read-only walks over accessor APIs; the auditor holds
 //! no state between runs and never mutates the structures it audits.
@@ -436,6 +436,34 @@ pub fn audit_journal(store: &cxl_store::Store) -> Vec<Violation> {
             index_refs: irefs,
         });
     }
+    out
+}
+
+/// Audits a whole deployment after a trace: every node's memory ledgers
+/// (each node paired with the frames its containers pin outside any
+/// process, declared as external references), the shared device's
+/// books, the image store's content index if there is one, the staging
+/// regions of owners not in `live`, and the recorded lock-order graph.
+///
+/// It takes the cluster's parts rather than a `cxlporter::CxlPorter`:
+/// `cxlporter`'s unit tests link this crate as a dev-dependency, and a
+/// porter type from that second copy of `cxlporter` would not be theirs.
+pub fn audit_cluster<'a, P: IntoIterator<Item = Pfn>>(
+    nodes: impl IntoIterator<Item = (&'a Node, P)>,
+    device: &CxlDevice,
+    store: Option<&cxl_store::Store>,
+    live: impl IntoIterator<Item = cxl_mem::NodeId>,
+) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for (node, pins) in nodes {
+        out.extend(NodeAudit::new(node).with_external_refs(pins).run());
+    }
+    out.extend(audit_device(device));
+    if let Some(store) = store {
+        out.extend(audit_store(store));
+    }
+    out.extend(audit_staging(device, live));
+    out.extend(crate::check_lock_order());
     out
 }
 

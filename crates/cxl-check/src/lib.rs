@@ -16,15 +16,18 @@
 //!
 //! * [`audit`] — walks a [`node_os::Node`] (PTEs ↔ frame refcounts ↔ page
 //!   cache ↔ VMAs) and a [`cxl_mem::CxlDevice`] (slab ↔ region
-//!   accounting), cross-validating every reference.
+//!   accounting), cross-validating every reference; [`audit_cluster`]
+//!   runs every auditor over a whole deployment.
 //! * [`seal`] — a [`SealRegistry`] records content fingerprints of every
-//!   device page a checkpoint owns at seal time and re-verifies them
-//!   after restores, catching in-place mutation of "immutable"
-//!   checkpoints.
+//!   device page a checkpoint owns at seal time and re-verifies them,
+//!   catching in-place mutation of "immutable" checkpoints.
 //! * [`lockorder`] — DFS cycle detection over the lock-order graph that
-//!   [`cxl_mem::lockdep`] records under the `check` cargo feature,
-//!   lockdep-style: a cycle is a potential deadlock even if the unlucky
-//!   interleaving never ran.
+//!   [`cxl_mem::lockdep`] records in debug builds, lockdep-style: a cycle
+//!   is a potential deadlock even if the unlucky interleaving never ran.
+//!
+//! The crate is test support: the crates it audits take it as a
+//! dev-dependency, and only the `cxlfork-bench` scenarios link it
+//! normally. Nothing the release benchmark builds depends on it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,8 +42,8 @@ pub mod lockorder;
 pub mod seal;
 
 pub use audit::{
-    audit_device, audit_device_with_live, audit_journal, audit_node, audit_staging, audit_store,
-    NodeAudit,
+    audit_cluster, audit_device, audit_device_with_live, audit_journal, audit_node, audit_staging,
+    audit_store, NodeAudit,
 };
 pub use lockorder::{check_lock_order, lock_order_cycles};
 pub use seal::SealRegistry;

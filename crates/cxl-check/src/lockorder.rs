@@ -1,7 +1,7 @@
 //! Lock-order cycle detection (the analysis half of lockdep).
 //!
 //! [`cxl_mem::lockdep`] records one directed edge `held → acquired` for
-//! every nested lock acquisition under the `check` feature. A cycle in
+//! every nested lock acquisition in debug builds. A cycle in
 //! that graph means two code paths acquire some set of lock classes in
 //! incompatible orders — a potential deadlock, reported even if the
 //! unlucky thread interleaving never ran. This module finds every
@@ -81,8 +81,7 @@ pub fn lock_order_cycles(edges: &[(&'static str, &'static str)]) -> Vec<Violatio
 }
 
 /// Snapshots the globally recorded lock-order graph and returns any
-/// cycles in it. Always empty when the `check` feature is off (nothing
-/// is recorded).
+/// cycles in it. Always empty in release builds (nothing is recorded).
 pub fn check_lock_order() -> Vec<Violation> {
     lock_order_cycles(&cxl_mem::lockdep::lock_order_edges())
 }

@@ -6,10 +6,12 @@
 //! read-only, so the [`SealRegistry`] enforces immutability after the
 //! fact — it records a content fingerprint of every page a checkpoint's
 //! region owns at seal time (via [`CxlDevice::fingerprint`]) and
-//! re-verifies them after restores and remote forks. A fingerprint
-//! mismatch means some code path wrote through a sealed checkpoint; a
-//! missing page means the checkpoint was (partially) reclaimed while
-//! still sealed.
+//! re-verifies them on demand. A fingerprint mismatch means some code
+//! path wrote through a sealed checkpoint; a missing page means the
+//! checkpoint was (partially) reclaimed while still sealed. (`cxlfork`
+//! itself keeps the same fingerprints in each checkpoint and re-checks
+//! them on every restore in debug builds; the registry is what tests use
+//! to seal any region and name the violation.)
 
 use std::collections::BTreeMap;
 

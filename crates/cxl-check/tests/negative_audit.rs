@@ -2,14 +2,10 @@
 //! CXLfork checkpoint/restore stack and require the auditor to name
 //! them. A checker that only ever sees clean states is untested — these
 //! are the seeded-bug half of its contract.
-//!
-//! The dev-dependency on `cxlfork` pins the `check` feature on, so the
-//! seal registry inside [`cxlfork::CxlFork`] is live in this binary
-//! regardless of how the test suite itself was invoked.
 
 use std::sync::Arc;
 
-use cxl_check::Violation;
+use cxl_check::{SealRegistry, Violation};
 use cxl_mem::{CxlDevice, CxlPageId, NodeId};
 use cxlfork::CxlFork;
 use node_os::addr::PhysAddr;
@@ -65,6 +61,8 @@ fn freed_checkpoint_page_is_reported_as_dangling_and_unsealed() {
     let pid = build_victim(&mut src);
     let fork = CxlFork::new();
     let ckpt = fork.checkpoint(&mut src, pid).unwrap();
+    let mut seals = SealRegistry::new();
+    seals.seal_region(&device, ckpt.region).unwrap();
     // A zero-copy clone whose armed PTEs point straight at the device.
     let opts = RestoreOptions {
         policy: TierPolicy::MigrateOnWrite,
@@ -77,7 +75,7 @@ fn freed_checkpoint_page_is_reported_as_dangling_and_unsealed() {
         Vec::new(),
         "clean before sabotage"
     );
-    assert_eq!(fork.verify_seals(&device), Vec::new());
+    assert_eq!(seals.verify(&device), Vec::new());
 
     // Sabotage: free one checkpoint data page behind everyone's back —
     // the double-free / premature-release bug class.
@@ -95,12 +93,12 @@ fn freed_checkpoint_page_is_reported_as_dangling_and_unsealed() {
     // The source keeps running on its local frames and stays clean.
     assert_eq!(cxl_check::audit_node(&src), Vec::new());
     // And the seal checker reports the sealed page as gone.
-    let seals = fork.verify_seals(&device);
+    let violations = seals.verify(&device);
     assert!(
-        seals
+        violations
             .iter()
             .any(|v| matches!(v, Violation::SealMissingPage { page: p, .. } if *p == page)),
-        "expected a SealMissingPage for {page}, got {seals:?}"
+        "expected a SealMissingPage for {page}, got {violations:?}"
     );
 }
 
@@ -110,11 +108,9 @@ fn mutating_a_sealed_checkpoint_page_is_reported() {
     let pid = build_victim(&mut src);
     let fork = CxlFork::new();
     let ckpt = fork.checkpoint(&mut src, pid).unwrap();
-    assert_eq!(
-        fork.verify_seals(&device),
-        Vec::new(),
-        "clean before sabotage"
-    );
+    let mut seals = SealRegistry::new();
+    seals.seal_region(&device, ckpt.region).unwrap();
+    assert_eq!(seals.verify(&device), Vec::new(), "clean before sabotage");
 
     // Sabotage: scribble over a checkpoint data page — the stray-writer
     // bug class the paper's immutable checkpoints exclude by design.
@@ -125,7 +121,7 @@ fn mutating_a_sealed_checkpoint_page_is_reported() {
     device.write_page(page, data, NodeId(1)).unwrap();
     assert_ne!(device.fingerprint(page).unwrap(), before, "sabotage took");
 
-    let violations = fork.verify_seals(&device);
+    let violations = seals.verify(&device);
     assert!(
         violations
             .iter()

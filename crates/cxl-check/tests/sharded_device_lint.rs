@@ -1,10 +1,9 @@
 //! CI gate for the sharded device (DESIGN.md §10): drives batched and
 //! scalar traffic across every page-pool shard, then runs the full
 //! device audit — shard-counter reconciliation included — and the
-//! lockdep lock-order lint. With `--features check` the shard locks
-//! record real acquisition edges (`cxl_mem.device.regions` → shardNN,
-//! ascending); without it lockdep is compiled out and the lint is
-//! trivially clean. `ci.sh` runs this binary in both feature states.
+//! lockdep lock-order lint. The shard locks record real acquisition
+//! edges (`cxl_mem.device.regions` → shardNN, ascending) in every test
+//! build.
 //!
 //! Lives in its own test binary because the lockdep edge graph is
 //! process-global.

@@ -1,6 +1,6 @@
 //! Static-vs-runtime lockdep cross-check over the *real* workspace:
-//! drive the device and store under the `check` feature so runtime
-//! lockdep records actual `(held, acquired)` class edges, then lint the
+//! drive the device and store in a debug build so runtime lockdep
+//! records actual `(held, acquired)` class edges, then lint the
 //! committed source tree with those edges and assert the two graphs
 //! agree — no static cycle, no contradiction, the
 //! `cxl_mem.device.regions → cxl_mem.device.shard*` ordering covered by
@@ -26,6 +26,10 @@ fn workspace_root() -> &'static Path {
 }
 
 #[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "runtime lockdep records edges only in debug builds"
+)]
 fn runtime_lockdep_agrees_with_the_static_graph() {
     reset_lock_graph();
 
@@ -60,7 +64,7 @@ fn runtime_lockdep_agrees_with_the_static_graph() {
         .collect();
     assert!(
         !runtime.is_empty(),
-        "the check feature must be on for this test (dev-dep enables it)"
+        "runtime lockdep records edges in every debug build"
     );
     // The driven workload must have taken a shard lock under the region
     // table, or the cross-check below proves nothing.

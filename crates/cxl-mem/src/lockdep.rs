@@ -15,117 +15,84 @@
 //! device` on any others.
 //!
 //! The wrappers [`TrackedMutex`] and [`TrackedRwLock`] mirror the
-//! `parking_lot` API. Recording is compiled in only under the `check`
-//! cargo feature; without it the wrappers are zero-cost pass-throughs, so
-//! production builds pay nothing.
+//! `parking_lot` API. Recording runs in debug builds (every `cargo
+//! test`); in release builds `cfg!(debug_assertions)` folds it away and
+//! the wrappers are zero-cost pass-throughs, so the measured binaries
+//! pay nothing.
 
 #![allow(
     clippy::disallowed_types,
     reason = "the one module where raw locks are legal: it wraps them, and the tracker's own edge set sits behind a plain std mutex so recording never recurses"
 )]
 
+use std::cell::RefCell;
+use std::collections::BTreeSet;
+use std::sync::{Mutex as StdMutex, MutexGuard as StdMutexGuard, OnceLock, PoisonError};
+
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-#[cfg(feature = "check")]
-mod recording {
-    use std::cell::RefCell;
-    use std::collections::BTreeSet;
-    use std::sync::{Mutex as StdMutex, OnceLock};
+type EdgeSet = BTreeSet<(&'static str, &'static str)>;
 
-    /// Global edge set: `(held, acquired)` class pairs ever observed.
-    /// Guarded by a plain `std` mutex so the tracker never tracks itself.
-    static EDGES: OnceLock<StdMutex<BTreeSet<(&'static str, &'static str)>>> = OnceLock::new();
+/// Global edge set: `(held, acquired)` class pairs ever observed.
+/// Guarded by a plain `std` mutex so the tracker never tracks itself.
+static EDGES: OnceLock<StdMutex<EdgeSet>> = OnceLock::new();
 
-    thread_local! {
-        /// Classes currently held by this thread, in acquisition order.
-        static HELD: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-    }
-
-    fn edges() -> &'static StdMutex<BTreeSet<(&'static str, &'static str)>> {
-        EDGES.get_or_init(|| StdMutex::new(BTreeSet::new()))
-    }
-
-    pub(super) fn note_acquire(class: &'static str) {
-        HELD.with(|held| {
-            let mut held = held.borrow_mut();
-            if !held.is_empty() {
-                let mut edges = edges()
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                for &prev in held.iter() {
-                    edges.insert((prev, class));
-                }
-            }
-            held.push(class);
-        });
-    }
-
-    pub(super) fn note_release(class: &'static str) {
-        HELD.with(|held| {
-            let mut held = held.borrow_mut();
-            if let Some(pos) = held.iter().rposition(|&c| c == class) {
-                held.remove(pos);
-            }
-        });
-    }
-
-    pub(super) fn snapshot() -> Vec<(&'static str, &'static str)> {
-        edges()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .copied()
-            .collect()
-    }
-
-    pub(super) fn reset() {
-        edges()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
-    }
+thread_local! {
+    /// Classes currently held by this thread, in acquisition order.
+    static HELD: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
 }
 
-#[cfg(feature = "check")]
+fn edges() -> StdMutexGuard<'static, EdgeSet> {
+    EDGES
+        .get_or_init(|| StdMutex::new(BTreeSet::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
 fn note_acquire(class: &'static str) {
-    recording::note_acquire(class);
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    HELD.with(|held| {
+        let mut held = held.borrow_mut();
+        if !held.is_empty() {
+            let mut edges = edges();
+            for &prev in held.iter() {
+                edges.insert((prev, class));
+            }
+        }
+        held.push(class);
+    });
 }
 
-#[cfg(not(feature = "check"))]
-fn note_acquire(_class: &'static str) {}
-
-#[cfg(feature = "check")]
 fn note_release(class: &'static str) {
-    recording::note_release(class);
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    HELD.with(|held| {
+        let mut held = held.borrow_mut();
+        if let Some(pos) = held.iter().rposition(|&c| c == class) {
+            held.remove(pos);
+        }
+    });
 }
-
-#[cfg(not(feature = "check"))]
-fn note_release(_class: &'static str) {}
 
 /// Returns every `(held, acquired)` lock-class edge observed so far.
 ///
-/// Empty unless the `check` feature is enabled. Feed this to
+/// Always empty in release builds. Feed this to
 /// `cxl_check::lock_order_cycles` for deadlock-potential detection.
 pub fn lock_order_edges() -> Vec<(&'static str, &'static str)> {
-    #[cfg(feature = "check")]
-    {
-        recording::snapshot()
-    }
-    #[cfg(not(feature = "check"))]
-    {
-        Vec::new()
-    }
+    edges().iter().copied().collect()
 }
 
 /// Clears the recorded lock-order graph (tests isolate scenarios with
 /// this; note the graph is process-global).
 pub fn reset_lock_graph() {
-    #[cfg(feature = "check")]
-    recording::reset();
+    edges().clear();
 }
 
-/// A [`parking_lot::Mutex`] that records lock-order edges under the
-/// `check` feature.
+/// A [`parking_lot::Mutex`] that records lock-order edges in debug
+/// builds.
 #[derive(Debug)]
 pub struct TrackedMutex<T> {
     class: &'static str,
@@ -182,8 +149,8 @@ impl<T> Drop for TrackedMutexGuard<'_, T> {
     }
 }
 
-/// A [`parking_lot::RwLock`] that records lock-order edges under the
-/// `check` feature. Read and write acquisitions record the same class:
+/// A [`parking_lot::RwLock`] that records lock-order edges in debug
+/// builds. Read and write acquisitions record the same class:
 /// `parking_lot` read locks still deadlock against writers in a cycle.
 #[derive(Debug)]
 pub struct TrackedRwLock<T> {
@@ -282,7 +249,6 @@ mod tests {
         assert_eq!(rw.read().len(), 2);
     }
 
-    #[cfg(feature = "check")]
     #[test]
     fn nested_acquisitions_record_edges() {
         reset_lock_graph();
@@ -292,6 +258,10 @@ mod tests {
             let _ga = a.lock();
             let _gb = b.lock();
         }
-        assert!(lock_order_edges().contains(&("test.edge_a", "test.edge_b")));
+        // Debug builds record the edge; release builds compile it out.
+        assert_eq!(
+            lock_order_edges().contains(&("test.edge_a", "test.edge_b")),
+            cfg!(debug_assertions)
+        );
     }
 }

@@ -46,6 +46,31 @@ mod tests {
         })
     }
 
+    /// Runs `trace`, then asserts the cluster audit finds every ledger
+    /// balanced: how every trace a unit test runs ends.
+    pub(crate) fn run_audited<M: RemoteFork>(
+        porter: &mut CxlPorter<M>,
+        trace: &[Invocation],
+    ) -> PorterReport {
+        let report = porter.run_trace(trace);
+        let cluster = &porter.cluster;
+        let violations = cxl_check::audit_cluster(
+            cluster
+                .nodes
+                .iter()
+                .enumerate()
+                .map(|(i, node)| (node, porter.pinned_frames(i))),
+            &cluster.device,
+            porter.image_store().map(|s| &**s),
+            cluster.live_nodes().map(|i| cxl_mem::NodeId(i as u32)),
+        );
+        assert!(
+            violations.is_empty(),
+            "cluster invariants violated after trace: {violations:?}"
+        );
+        report
+    }
+
     fn porter_with(config: PorterConfig, node_mem_mib: u64) -> CxlPorter<CxlFork> {
         let cluster = Cluster::new(2, node_mem_mib, 8192, LatencyModel::calibrated());
         CxlPorter::new(cluster, CxlFork::new(), config)
@@ -80,7 +105,7 @@ mod tests {
     fn first_request_is_cold_then_warm_hits_dominate() {
         let mut porter = porter_with(PorterConfig::cxlfork_dynamic(), 4096);
         let trace = small_trace(&["Float"], 5.0, 4.0, 1);
-        let report = porter.run_trace(&trace);
+        let report = run_audited(&mut porter, &trace);
         // The first request cold-starts; requests arriving during that
         // window also cold-start (the burst feed-on-itself effect, §7.2).
         assert!(report.full_cold >= 1);
@@ -99,7 +124,7 @@ mod tests {
             4096,
         );
         let trace = warm_then_burst("Json", 4, 8);
-        let report = porter.run_trace(&trace);
+        let report = run_audited(&mut porter, &trace);
         assert_eq!(report.checkpoints, 1);
         assert_eq!(porter.stored_checkpoints(), 1);
         assert_eq!(
@@ -119,7 +144,7 @@ mod tests {
     fn ghost_containers_bound_startup_latency() {
         let mut porter = porter_with(PorterConfig::cxlfork_dynamic(), 4096);
         let trace = small_trace(&["Pyaes"], 30.0, 3.0, 3);
-        let report = porter.run_trace(&trace);
+        let report = run_audited(&mut porter, &trace);
         // With ghosts + CXLfork, even tail restores avoid the 130 ms
         // container creation; overall P99 stays near a cold CXLfork
         // restore + execution.
@@ -147,7 +172,7 @@ mod tests {
                 ..PorterConfig::criu()
             },
         );
-        let mut criu_report = criu_porter.run_trace(&trace);
+        let mut criu_report = run_audited(&mut criu_porter, &trace);
 
         let mut fork_porter = porter_with(
             PorterConfig {
@@ -156,7 +181,7 @@ mod tests {
             },
             4096,
         );
-        let mut fork_report = fork_porter.run_trace(&trace);
+        let mut fork_report = run_audited(&mut fork_porter, &trace);
 
         assert!(criu_report.restores > 0);
         assert!(fork_report.restores > 0);
@@ -207,7 +232,7 @@ mod tests {
                 owner: 0,
             });
         }
-        let report = porter.run_trace(&trace);
+        let report = run_audited(&mut porter, &trace);
         assert!(
             report.recycles > 0,
             "constrained nodes must recycle: {report:?}"
@@ -231,7 +256,7 @@ mod tests {
             4096,
         );
         let trace = small_trace(&["Json"], 40.0, 4.0, 5);
-        porter.run_trace(&trace);
+        run_audited(&mut porter, &trace);
         // After the run, maintenance has reset A bits at least once; the
         // checkpoint's current working set reflects only recent restores.
         // (Indirect check: the checkpoint exists and has bounded hot set.)
@@ -262,7 +287,7 @@ mod tests {
                 owner: 0,
             });
         }
-        let report = porter.run_trace(&trace);
+        let report = run_audited(&mut porter, &trace);
         assert_eq!(report.checkpoints, 2);
         assert!(
             report.checkpoint_reclaims >= 1,
@@ -308,7 +333,7 @@ mod tests {
             t(2_000_000_000, "m2"),
             t(3_000_000_000, "Float"), // not in this catalog: ignored
         ];
-        let report = porter.run_trace(&trace);
+        let report = run_audited(&mut porter, &trace);
         assert_eq!(report.full_cold, 3, "{report:?}");
         assert_eq!(report.overall.len(), 3, "unknown function is skipped");
     }
@@ -333,7 +358,7 @@ mod tests {
             owner: 7,
         };
         let trace = vec![t(0), t(1), t(2), t(3)];
-        let report = porter.run_trace(&trace);
+        let report = run_audited(&mut porter, &trace);
         assert!(report.fair_deferrals >= 3, "{report:?}");
         assert_eq!(report.fair_drops, 0, "{report:?}");
         assert_eq!(
@@ -353,7 +378,7 @@ mod tests {
             },
             4096,
         );
-        let report = strict.run_trace(&[t(0), t(1), t(2), t(3)]);
+        let report = run_audited(&mut strict, &[t(0), t(1), t(2), t(3)]);
         assert_eq!(report.fair_drops, 3, "{report:?}");
         assert_eq!(report.per_owner_served.get(&7), Some(&1));
     }
@@ -361,7 +386,7 @@ mod tests {
     #[test]
     fn fairness_off_reports_no_fairness_activity() {
         let mut porter = porter_with(PorterConfig::cxlfork_dynamic(), 4096);
-        let report = porter.run_trace(&small_trace(&["Float"], 20.0, 2.0, 9));
+        let report = run_audited(&mut porter, &small_trace(&["Float"], 20.0, 2.0, 9));
         assert_eq!(report.fair_deferrals, 0);
         assert_eq!(report.fair_drops, 0);
     }
@@ -395,7 +420,7 @@ mod tests {
                 mid_checkpoint: false,
             },
         ]));
-        let report = porter.run_trace(&trace);
+        let report = run_audited(&mut porter, &trace);
         assert_eq!(report.crashes_survived, 1);
         assert!(report.redispatched > 0, "crash caught work in flight");
         assert_eq!(report.dropped + report.work_lost, 0, "{report:?}");
@@ -414,7 +439,7 @@ mod tests {
         );
         assert_eq!(porter.mechanism().name(), "Mitosis-CXL");
         let trace = small_trace(&["Pyaes"], 20.0, 2.0, 6);
-        let report = porter.run_trace(&trace);
+        let report = run_audited(&mut porter, &trace);
         assert!(!report.overall.is_empty());
         assert_eq!(report.dropped, 0);
     }

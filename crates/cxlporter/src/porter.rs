@@ -324,8 +324,8 @@ pub struct PorterReport {
     pub fair_drops: u64,
     /// Requests served (dispatched without being dropped) per owner.
     pub per_owner_served: BTreeMap<u32, u64>,
-    /// Events the dispatch loop popped across `run_trace` calls
-    /// (arrivals + crashes + fairness deferrals).
+    /// Events the dispatch loop popped during this run (arrivals +
+    /// crashes + fairness deferrals).
     pub engine_events: u64,
 }
 
@@ -359,6 +359,17 @@ impl PorterReport {
 /// });
 /// let report = porter.run_trace(&trace);
 /// assert!(report.overall.len() as usize <= trace.len());
+///
+/// // Every ledger in the cluster balances after the run; the frames the
+/// // containers pin outside any process are declared to the audit.
+/// let c = &porter.cluster;
+/// let violations = cxl_check::audit_cluster(
+///     c.nodes.iter().enumerate().map(|(i, node)| (node, porter.pinned_frames(i))),
+///     &c.device,
+///     porter.image_store().map(|s| &**s),
+///     c.live_nodes().map(|i| cxl_mem::NodeId(i as u32)),
+/// );
+/// assert!(violations.is_empty(), "{violations:?}");
 /// ```
 #[derive(Debug)]
 pub struct CxlPorter<M: RemoteFork> {
@@ -714,16 +725,6 @@ impl<M: RemoteFork> CxlPorter<M> {
         if let Some(istore) = &self.image_store {
             report.store_deduped_pages = istore.stats().deduped_pages;
         }
-        // Post-condition (`check` builds): a full trace must leave every
-        // memory ledger in the cluster balanced.
-        #[cfg(feature = "check")]
-        {
-            let violations = self.audit();
-            assert!(
-                violations.is_empty(),
-                "cluster invariants violated after trace: {violations:?}"
-            );
-        }
         Ok(report)
     }
 
@@ -1053,17 +1054,13 @@ impl<M: RemoteFork> CxlPorter<M> {
             if invocations == self.config.checkpoint_after && !self.store.contains(&spec.name) {
                 // Make room first if the device is short (a checkpoint
                 // needs roughly the footprint plus metadata).
-                self.reclaim_cxl_for(
-                    spec.footprint_pages() + spec.footprint_pages() / 16,
-                    "",
-                    now,
-                );
+                self.reclaim_cxl_for(spec.footprint_pages() + spec.footprint_pages() / 16, now);
                 let ckpt = match self.mech.checkpoint(&mut self.cluster.nodes[node], pid) {
                     Ok(c) => Some(c),
                     Err(_) => {
                         // Device full: evict everything evictable and retry
                         // once.
-                        self.reclaim_cxl_for(u64::MAX, "", now);
+                        self.reclaim_cxl_for(u64::MAX, now);
                         self.mech
                             .checkpoint(&mut self.cluster.nodes[node], pid)
                             .ok()
@@ -1325,14 +1322,14 @@ impl<M: RemoteFork> CxlPorter<M> {
     /// unprotected images (crashed owners, lease lapses) go first —
     /// they serve no restorable checkpoint — before live checkpoints
     /// are sacrificed.
-    fn reclaim_cxl_for(&mut self, pages: u64, keep: &str, now: SimTime) {
+    fn reclaim_cxl_for(&mut self, pages: u64, now: SimTime) {
         if let Some(istore) = self.image_store.clone() {
             let referenced = self.referenced_images();
             let evicted = istore.evict_for_except(pages, &self.leases, now, &referenced);
             self.report.image_evictions += evicted.images;
         }
         while self.cluster.device.free_pages() < pages {
-            if !self.evict_coldest(keep) {
+            if !self.evict_coldest("") {
                 break;
             }
         }
@@ -1496,43 +1493,20 @@ impl<M: RemoteFork> CxlPorter<M> {
         &self.store
     }
 
-    /// Runs the cross-layer invariant audit over the whole deployment:
-    /// every node's memory ledgers, the shared device's region
-    /// accounting, and the recorded lock-order graph. Returns every
-    /// violation found (empty = clean). Only available with the `check`
-    /// feature.
-    #[cfg(feature = "check")]
-    pub fn audit(&self) -> Vec<cxl_check::Violation> {
-        let mut out = Vec::new();
-        for (idx, node) in self.cluster.nodes.iter().enumerate() {
-            // Containers pin their bare 512 KiB footprint outside any
-            // process; declare those frames so the refcount balance
-            // closes.
-            let pins = self.ghost_pools[idx]
-                .iter()
-                .chain(
-                    self.instances
-                        .iter()
-                        .filter(|i| i.node == idx)
-                        .map(|i| &i.container),
-                )
-                .flat_map(|c| c.pinned_frames().iter().copied());
-            out.extend(
-                cxl_check::NodeAudit::new(node)
-                    .with_external_refs(pins)
-                    .run(),
-            );
-        }
-        out.extend(cxl_check::audit_device(&self.cluster.device));
-        if let Some(istore) = &self.image_store {
-            out.extend(cxl_check::audit_store(istore));
-        }
-        out.extend(cxl_check::audit_staging(
-            &self.cluster.device,
-            self.cluster.live_nodes().map(|i| NodeId(i as u32)),
-        ));
-        out.extend(cxl_check::check_lock_order());
-        out
+    /// The local frames the containers on `node` pin outside any
+    /// process (each one's bare 512 KiB footprint): its ghost pool and
+    /// the containers of its live instances. A node audit must declare
+    /// them as external references for the refcount balance to close.
+    pub fn pinned_frames(&self, node: usize) -> impl Iterator<Item = node_os::Pfn> + '_ {
+        self.ghost_pools[node]
+            .iter()
+            .chain(
+                self.instances
+                    .iter()
+                    .filter(move |i| i.node == node)
+                    .map(|i| &i.container),
+            )
+            .flat_map(|c| c.pinned_frames().iter().copied())
     }
 }
 
@@ -1697,7 +1671,7 @@ mod tests {
                     if scan_every_arrival {
                         porter.expiry_floor = SimTime::ZERO;
                     }
-                    let report = porter.run_trace(std::slice::from_ref(inv));
+                    let report = crate::tests::run_audited(&mut porter, std::slice::from_ref(inv));
                     steps.push((report, porter.live_instances()));
                 }
                 steps

@@ -1,12 +1,15 @@
 //! Deterministic autoscaler scenarios: ghost-pool accounting, dynamic
 //! hybrid promotion, measurement-window boundaries, and cross-node
-//! balancing.
+//! balancing. Every trace ends in the cluster audit ([`run_audited`]).
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use cxl_check::Violation;
 use cxl_fault::{FaultPlan, Injector};
+use cxl_mem::NodeId;
 use cxlfork::CxlFork;
-use cxlporter::{Cluster, CxlPorter, PorterConfig};
+use cxlporter::{Cluster, CxlPorter, PorterConfig, PorterReport};
 use rfork::RemoteFork;
 use simclock::{LatencyModel, SimDuration, SimTime};
 use trace_gen::Invocation;
@@ -20,6 +23,33 @@ fn at(ns: u64, function: &str) -> Invocation {
 }
 
 const SEC: u64 = 1_000_000_000;
+
+/// The cluster audit of `p`, each node's container pins declared
+/// through [`CxlPorter::pinned_frames`].
+fn audit<M: RemoteFork>(p: &CxlPorter<M>) -> Vec<Violation> {
+    let cluster = &p.cluster;
+    cxl_check::audit_cluster(
+        cluster
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(i, node)| (node, p.pinned_frames(i))),
+        &cluster.device,
+        p.image_store().map(|s| &**s),
+        cluster.live_nodes().map(|i| NodeId(i as u32)),
+    )
+}
+
+/// Runs `trace`, then asserts [`audit`] finds every ledger balanced.
+fn run_audited<M: RemoteFork>(p: &mut CxlPorter<M>, trace: &[Invocation]) -> PorterReport {
+    let report = p.run_trace(trace);
+    let violations = audit(p);
+    assert!(
+        violations.is_empty(),
+        "cluster invariants violated after trace: {violations:?}"
+    );
+    report
+}
 
 fn porter(config: PorterConfig, mem_mib: u64) -> CxlPorter<CxlFork> {
     let cluster = Cluster::new(2, mem_mib, 8192, LatencyModel::calibrated());
@@ -47,7 +77,7 @@ fn burst_concurrency_equals_instance_count() {
     for i in 0..6 {
         trace.push(at(6 * SEC + i, "Json"));
     }
-    let report = p.run_trace(&trace);
+    let report = run_audited(&mut p, &trace);
     assert_eq!(report.full_cold, 1);
     assert_eq!(report.restores, 5);
     assert_eq!(p.live_instances(), 6);
@@ -72,8 +102,8 @@ fn device_retries_count_one_run_each() {
     let mut first = warm_phase("Json", 4);
     first.extend((0..12).map(|i| at(6 * SEC + i, "Json")));
     let second: Vec<Invocation> = (0..24).map(|i| at(20 * SEC + i, "Json")).collect();
-    let r1 = p.run_trace(&first);
-    let r2 = p.run_trace(&second);
+    let r1 = run_audited(&mut p, &first);
+    let r2 = run_audited(&mut p, &second);
     let books: u64 = p
         .cluster
         .nodes
@@ -113,7 +143,7 @@ fn dynamic_tiering_promotes_thrashing_functions_to_hybrid() {
         trace.push(at(t + 1, "BFS"));
         t += 4 * SEC; // beyond keep-alive: instances evicted
     }
-    let report = p.run_trace(&trace);
+    let report = run_audited(&mut p, &trace);
     assert!(report.restores >= 4, "{report:?}");
     assert!(
         report.hybrid_restores > 0,
@@ -127,7 +157,7 @@ fn measurement_window_is_half_open() {
     p.set_measure_from(SimTime::from_nanos(2 * SEC));
     // One request exactly at the boundary (measured), one before (not).
     let trace = vec![at(SEC, "Float"), at(2 * SEC, "Float")];
-    let report = p.run_trace(&trace);
+    let report = run_audited(&mut p, &trace);
     assert_eq!(report.overall.len(), 1);
 }
 
@@ -137,7 +167,7 @@ fn cold_starts_balance_across_nodes() {
     // nodes (least-loaded placement).
     let mut p = porter(PorterConfig::cxlfork_dynamic(), 4096);
     let trace = vec![at(0, "Float"), at(1, "Json")];
-    let report = p.run_trace(&trace);
+    let report = run_audited(&mut p, &trace);
     assert_eq!(report.full_cold, 2);
     let peaks = &report.peak_local_pages;
     assert!(peaks.iter().all(|p| *p > 0), "both nodes used: {peaks:?}");
@@ -157,7 +187,7 @@ fn report_accounting_is_conserved() {
         trace.push(at(5 * SEC + i, "Pyaes"));
     }
     trace.push(at(8 * SEC, "Pyaes"));
-    let report = p.run_trace(&trace);
+    let report = run_audited(&mut p, &trace);
     assert_eq!(
         report.warm_hits + report.restores + report.full_cold + report.dropped,
         trace.len() as u64
@@ -212,7 +242,7 @@ fn catalog_template_overlap_reaches_the_deployments() {
     let deduped = |overlap: f64| {
         let mut p =
             store_porter(checkpoint_after_two(), 4096).with_catalog(overlapped_suite(overlap));
-        let report = p.run_trace(&float_json_trace());
+        let report = run_audited(&mut p, &float_json_trace());
         assert_eq!(report.checkpoints, 2);
         report.store_deduped_pages
     };
@@ -233,12 +263,12 @@ fn shared_templates_dedup_device_pages_below_the_private_baseline() {
     let trace = float_json_trace();
 
     let mut plain = porter(checkpoint_after_two(), 4096).with_catalog(overlapped_suite(0.5));
-    let plain_report = plain.run_trace(&trace);
+    let plain_report = run_audited(&mut plain, &trace);
     let plain_used = plain.cluster.device.used_pages();
 
     let mut deduped =
         store_porter(checkpoint_after_two(), 4096).with_catalog(overlapped_suite(0.5));
-    let store_report = deduped.run_trace(&trace);
+    let store_report = run_audited(&mut deduped, &trace);
     let store_used = deduped.cluster.device.used_pages();
 
     assert_eq!(plain_report.checkpoints, 2);
@@ -264,7 +294,7 @@ fn evicted_image_turns_the_next_restore_into_a_cold_redeploy() {
         4096,
     );
     let warm = warm_phase("Json", 4);
-    let report = p.run_trace(&warm);
+    let report = run_audited(&mut p, &warm);
     assert_eq!(report.checkpoints, 1);
     assert_eq!(p.stored_checkpoints(), 1);
 
@@ -289,10 +319,47 @@ fn evicted_image_turns_the_next_restore_into_a_cold_redeploy() {
     // Long after keep-alive expiry no warm instance survives, so the
     // next request goes to cold start, detects the miss, drops the
     // stale checkpoint, and re-deploys cold instead of failing.
-    let report = p.run_trace(&[at(100 * SEC, "Json")]);
+    let report = run_audited(&mut p, &[at(100 * SEC, "Json")]);
     assert_eq!(report.image_misses, 1);
     assert_eq!(report.full_cold, 1);
     assert_eq!(report.restores, 0);
     assert_eq!(report.dropped, 0);
     assert_eq!(p.stored_checkpoints(), 0);
+}
+
+#[test]
+fn cluster_audit_flags_container_pins_unless_the_accessor_declares_them() {
+    // Ghost containers pin their bare footprint outside any process, and
+    // so do the containers of live instances. Undeclared, every such
+    // frame is a leak or a refcount skew; declared through
+    // `pinned_frames`, the books close.
+    let mut p = porter(PorterConfig::cxlfork_dynamic(), 4096);
+    run_audited(&mut p, &warm_phase("Float", 3));
+    assert!(p.live_instances() > 0);
+    let cluster = &p.cluster;
+    let pinned: BTreeSet<(u32, u64)> = (0..cluster.nodes.len())
+        .flat_map(|i| p.pinned_frames(i).map(move |pfn| (i as u32, pfn.0)))
+        .collect();
+    assert!(!pinned.is_empty(), "ghost pools pin frames");
+
+    let undeclared = cxl_check::audit_cluster(
+        cluster
+            .nodes
+            .iter()
+            .map(|node| (node, std::iter::empty::<node_os::Pfn>())),
+        &cluster.device,
+        None,
+        cluster.live_nodes().map(|i| NodeId(i as u32)),
+    );
+    let flagged: BTreeSet<(u32, u64)> = undeclared
+        .iter()
+        .map(|v| match v {
+            Violation::FrameLeak { node, pfn, .. } | Violation::RefcountSkew { node, pfn, .. } => {
+                (node.0, pfn.0)
+            }
+            other => panic!("only container pins may be flagged, got {other}"),
+        })
+        .collect();
+    assert_eq!(flagged, pinned);
+    assert_eq!(audit(&p), Vec::new());
 }

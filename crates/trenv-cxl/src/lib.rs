@@ -36,7 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -63,22 +63,43 @@ struct Template {
     pinned_frames: Vec<node_os::Pfn>,
 }
 
+/// Every template materialized across the cluster.
+#[derive(Debug, Default)]
+struct Templates {
+    /// `(checkpoint region, node) → template`. Templates are per-function
+    /// *and* per-node — the pre-processing TrEnv requires everywhere.
+    /// A `BTreeMap` keeps any walk over the table deterministic (restore
+    /// cost accounting feeds the bench reports).
+    built: BTreeMap<(RegionId, NodeId), Arc<Template>>,
+    /// Checkpoints whose release was refused while templates still
+    /// mapped them: dropping the last of those templates frees the
+    /// region.
+    released: BTreeSet<RegionId>,
+}
+
+impl Templates {
+    /// Nodes holding a template of the checkpoint in `region`.
+    fn holders(&self, region: RegionId) -> Vec<NodeId> {
+        self.built
+            .keys()
+            .filter(|&&(r, _)| r == region)
+            .map(|&(_, node)| node)
+            .collect()
+    }
+}
+
 /// The TrEnv-CXL mechanism.
 #[derive(Debug)]
 pub struct TrEnvCxl {
     next_id: AtomicU64,
-    /// `(checkpoint id, node) → template`. Templates are per-function
-    /// *and* per-node — the pre-processing TrEnv requires everywhere.
-    /// A `BTreeMap` keeps any walk over the table deterministic (restore
-    /// cost accounting feeds the bench reports).
-    templates: TrackedMutex<BTreeMap<(u64, NodeId), Arc<Template>>>,
+    templates: TrackedMutex<Templates>,
 }
 
 impl Default for TrEnvCxl {
     fn default() -> Self {
         TrEnvCxl {
             next_id: AtomicU64::new(0),
-            templates: TrackedMutex::new("trenv.templates", BTreeMap::new()),
+            templates: TrackedMutex::new("trenv.templates", Templates::default()),
         }
     }
 }
@@ -87,7 +108,6 @@ impl Default for TrEnvCxl {
 #[derive(Debug)]
 pub struct TrEnvCheckpoint {
     meta: CheckpointMeta,
-    id: u64,
     /// The device region holding the data pages.
     pub region: RegionId,
     core_bytes: Vec<u8>,
@@ -113,12 +133,15 @@ impl TrEnvCxl {
 
     /// Number of templates currently materialized across the cluster.
     pub fn template_count(&self) -> usize {
-        self.templates.lock().len()
+        self.templates.lock().built.len()
     }
 
     /// `true` if `node` already holds a template for this checkpoint.
     pub fn has_template(&self, checkpoint: &TrEnvCheckpoint, node: NodeId) -> bool {
-        self.templates.lock().contains_key(&(checkpoint.id, node))
+        self.templates
+            .lock()
+            .built
+            .contains_key(&(checkpoint.region, node))
     }
 
     /// Pre-processes the template for `checkpoint` on `node` (TrEnv's
@@ -137,8 +160,8 @@ impl TrEnvCxl {
         checkpoint: &TrEnvCheckpoint,
         node: &mut Node,
     ) -> Result<SimDuration, RforkError> {
-        let key = (checkpoint.id, node.id());
-        if self.templates.lock().contains_key(&key) {
+        let key = (checkpoint.region, node.id());
+        if self.templates.lock().built.contains_key(&key) {
             return Ok(SimDuration::ZERO);
         }
         let model = node.model().clone();
@@ -192,7 +215,7 @@ impl TrEnvCxl {
             + model.local_copy(leaves.len() as u64 * PAGE_SIZE);
         node.clock_mut().advance(cost);
 
-        self.templates.lock().insert(
+        self.templates.lock().built.insert(
             key,
             Arc::new(Template {
                 leaves,
@@ -202,17 +225,34 @@ impl TrEnvCxl {
         Ok(cost)
     }
 
-    /// Drops every template for `checkpoint`, releasing the pinned frames
-    /// on the corresponding nodes.
-    pub fn drop_templates(&self, checkpoint: &TrEnvCheckpoint, nodes: &mut [Node]) {
-        let mut templates = self.templates.lock();
-        for node in nodes {
-            if let Some(t) = templates.remove(&(checkpoint.id, node.id())) {
-                // The mechanism holds the only Arc once removed.
-                for pfn in &t.pinned_frames {
-                    node.frames_mut().dec_ref(*pfn);
+    /// Drops the templates that `nodes` hold for the checkpoint in
+    /// `region` (its [`TrEnvCheckpoint::region`]), unpinning their
+    /// frames. Run it before releasing the checkpoint; after a release
+    /// [`RemoteFork::release_checkpoint`] refused, dropping the last
+    /// template also frees the region.
+    ///
+    /// Returns the device pages freed with the region (0 unless this call
+    /// finished a refused release).
+    ///
+    /// # Errors
+    ///
+    /// [`RforkError::Cxl`] if the region of a refused release is gone.
+    pub fn drop_templates(&self, region: RegionId, nodes: &mut [Node]) -> Result<u64, RforkError> {
+        let finish = {
+            let mut templates = self.templates.lock();
+            for node in nodes.iter_mut() {
+                if let Some(t) = templates.built.remove(&(region, node.id())) {
+                    // The mechanism holds the only Arc once removed.
+                    for pfn in &t.pinned_frames {
+                        node.frames_mut().dec_ref(*pfn);
+                    }
                 }
             }
+            templates.holders(region).is_empty() && templates.released.remove(&region)
+        };
+        match nodes.first() {
+            Some(node) if finish => Ok(node.device().destroy_region(region)?),
+            _ => Ok(0),
         }
     }
 }
@@ -296,7 +336,6 @@ impl RemoteFork for TrEnvCxl {
                 checkpoint_cost: cost,
                 vma_count: mm_img.vmas.len(),
             },
-            id,
             region,
             core_bytes,
             mm_bytes,
@@ -339,7 +378,8 @@ impl RemoteFork for TrEnvCxl {
             let templates = self.templates.lock();
             Arc::clone(
                 templates
-                    .get(&(checkpoint.id, node.id()))
+                    .built
+                    .get(&(checkpoint.region, node.id()))
                     .expect("template built above"),
             )
         };
@@ -376,18 +416,34 @@ impl RemoteFork for TrEnvCxl {
         checkpoint.meta.footprint_pages / 8
     }
 
-    /// Frees the CXL data region. Note: templates on other nodes keep
-    /// their (now dangling) local structures until
-    /// [`TrEnvCxl::drop_templates`] runs — the lifecycle coupling CXLfork
-    /// avoids.
+    /// Frees the CXL data region — once no node holds a template of it
+    /// any more. Templates pin local frames on their nodes, which this
+    /// call (given one node, immutably) cannot unpin: the lifecycle
+    /// coupling CXLfork avoids. While any remain the release is refused
+    /// and nothing is torn down; [`TrEnvCxl::drop_templates`] then
+    /// unpins them and frees the region with the last one.
+    ///
+    /// # Errors
+    ///
+    /// [`RforkError::Unsupported`] while templates remain;
+    /// [`RforkError::Cxl`] if the region is already gone.
     fn release_checkpoint(
         &self,
         checkpoint: TrEnvCheckpoint,
         node: &Node,
     ) -> Result<u64, RforkError> {
-        self.templates
-            .lock()
-            .retain(|(id, _), _| *id != checkpoint.id);
+        {
+            let mut templates = self.templates.lock();
+            let holders = templates.holders(checkpoint.region);
+            if !holders.is_empty() {
+                templates.released.insert(checkpoint.region);
+                return Err(RforkError::Unsupported(format!(
+                    "{}: memory templates on {holders:?} still map the checkpoint; \
+                     drop_templates must run before release",
+                    checkpoint.meta.comm
+                )));
+            }
+        }
         Ok(node.device().destroy_region(checkpoint.region)?)
     }
 }
@@ -535,9 +591,44 @@ mod tests {
         dst.kill(r.pid).unwrap();
         assert!(dst.frames().used() > before, "template still pinned");
         let mut nodes = [src, dst];
-        trenv.drop_templates(&ckpt, &mut nodes);
+        assert_eq!(trenv.drop_templates(ckpt.region, &mut nodes), Ok(0));
         assert_eq!(nodes[1].frames().used(), before);
         assert_eq!(trenv.template_count(), 0);
+        assert!(trenv.release_checkpoint(ckpt, &nodes[0]).unwrap() > 0);
+    }
+
+    #[test]
+    fn release_with_a_live_template_is_refused_and_strands_nothing() {
+        // Restore on the destination, kill the instance, release: the
+        // template still pins frames there, so the release is refused
+        // and the template stays findable. The documented teardown then
+        // unpins it and frees the region with it.
+        let (mut src, mut dst) = cluster();
+        let pid = build_process(&mut src);
+        let trenv = TrEnvCxl::new();
+        let ckpt = trenv.checkpoint(&mut src, pid).unwrap();
+        let region = ckpt.region;
+        let device = Arc::clone(src.device());
+        let pages = device.region_usage(region).unwrap().pages;
+        let baseline = dst.frames().used();
+        let r = trenv.restore(&ckpt, &mut dst).unwrap();
+        dst.kill(r.pid).unwrap();
+
+        let refused = trenv.release_checkpoint(ckpt, &dst);
+        assert!(
+            matches!(&refused, Err(RforkError::Unsupported(m)) if m.contains("drop_templates")),
+            "{refused:?}"
+        );
+        assert_eq!(trenv.template_count(), 1, "the template is still findable");
+        assert_eq!(device.region_usage(region).unwrap().pages, pages);
+
+        let mut nodes = [src, dst];
+        assert_eq!(trenv.drop_templates(region, &mut nodes), Ok(pages));
+        assert_eq!(nodes[1].frames().used(), baseline);
+        assert_eq!(trenv.template_count(), 0);
+        assert!(device.region_usage(region).is_err(), "region freed");
+        assert_eq!(cxl_check::audit_node(&nodes[1]), Vec::new());
+        assert_eq!(cxl_check::audit_device(&device), Vec::new());
     }
 
     #[test]

@@ -107,14 +107,9 @@ fn build_function(node: &mut Node, tag: u64) -> Pid {
 }
 
 fn audit_clean(rig: &Rig) {
-    #[cfg(feature = "check")]
-    {
-        let mut violations = cxl_check::audit_device(&rig.device);
-        violations.extend(cxl_check::audit_store(&rig.store));
-        assert!(violations.is_empty(), "books must balance: {violations:?}");
-    }
-    #[cfg(not(feature = "check"))]
-    let _ = rig;
+    let mut violations = cxl_check::audit_device(&rig.device);
+    violations.extend(cxl_check::audit_store(&rig.store));
+    assert!(violations.is_empty(), "books must balance: {violations:?}");
 }
 
 #[test]

@@ -34,25 +34,20 @@ fn cluster() -> (Vec<Node>, Arc<CxlDevice>) {
     (nodes, device)
 }
 
-/// Post-condition under `--features check`: every node's page tables,
-/// frame ledger and VMA tree are mutually consistent, the device's
-/// region books balance, and no lock-order cycle has been recorded.
+/// Post-condition: every node's page tables, frame ledger and VMA tree
+/// are mutually consistent, the device's region books balance, and no
+/// lock-order cycle has been recorded.
 fn audit_clean(nodes: &[Node], device: &CxlDevice) {
-    #[cfg(feature = "check")]
-    {
-        let mut violations = Vec::new();
-        for node in nodes {
-            violations.extend(cxl_check::audit_node(node));
-        }
-        violations.extend(cxl_check::audit_device(device));
-        violations.extend(cxl_check::check_lock_order());
-        assert!(
-            violations.is_empty(),
-            "cross-layer audit failed: {violations:?}"
-        );
+    let mut violations = Vec::new();
+    for node in nodes {
+        violations.extend(cxl_check::audit_node(node));
     }
-    #[cfg(not(feature = "check"))]
-    let _ = (nodes, device);
+    violations.extend(cxl_check::audit_device(device));
+    violations.extend(cxl_check::check_lock_order());
+    assert!(
+        violations.is_empty(),
+        "cross-layer audit failed: {violations:?}"
+    );
 }
 
 fn build_parent(node: &mut Node) -> Pid {

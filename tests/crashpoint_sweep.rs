@@ -19,9 +19,10 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use cxl_check::{audit_device, audit_device_with_live, audit_journal, audit_store};
 use cxl_fault::{run_to_crash, CrashpointHook, Killer, LeaseTable, Recorder};
 use cxl_mem::{CxlDevice, NodeId, PageData, PAGE_SIZE};
-use cxl_store::{RecoveryReport, Store, StoreConfig};
+use cxl_store::{journal, ImageId, RecoveryReport, Store, StoreConfig};
 use simclock::{SimDuration, SimTime};
 
 const SEEDS: [u64; 3] = [7, 1984, 4242];
@@ -209,24 +210,19 @@ fn recover_and_verify(
         "{ctx}: recovered index must pass the fingerprint cross-check: {report:?}"
     );
 
-    // Zero violations across every auditor (check feature builds).
-    #[cfg(feature = "check")]
-    {
-        use cxl_check::{audit_device, audit_device_with_live, audit_journal, audit_store};
-        use cxl_store::{journal, ImageId};
-        let mut violations = audit_device(device);
-        violations.extend(audit_store(&recovered));
-        violations.extend(audit_journal(&recovered));
-        let mut live: Vec<cxl_mem::RegionId> = vec![recovered.data_region()];
-        live.extend(journal::find_generations(device).iter().map(|g| g.region));
-        for id in 1..=8u64 {
-            if let Some(meta) = recovered.image_meta(ImageId(id)) {
-                live.extend(meta.meta_region());
-            }
+    // Zero violations across every auditor.
+    let mut violations = audit_device(device);
+    violations.extend(audit_store(&recovered));
+    violations.extend(audit_journal(&recovered));
+    let mut live: Vec<cxl_mem::RegionId> = vec![recovered.data_region()];
+    live.extend(journal::find_generations(device).iter().map(|g| g.region));
+    for id in 1..=8u64 {
+        if let Some(meta) = recovered.image_meta(ImageId(id)) {
+            live.extend(meta.meta_region());
         }
-        violations.extend(audit_device_with_live(device, live));
-        assert!(violations.is_empty(), "{ctx}: {violations:?}");
     }
+    violations.extend(audit_device_with_live(device, live));
+    assert!(violations.is_empty(), "{ctx}: {violations:?}");
 
     // Balanced page accounting: every live device page is owned by a
     // region the audits above accepted, and the used-page counter

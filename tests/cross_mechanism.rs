@@ -24,26 +24,20 @@ struct Cluster {
     dst: Node,
 }
 
-/// Post-condition under `--features check`: the given nodes' memory
-/// ledgers, the device's region books and the lock-order graph are all
-/// consistent. Live checkpoints are fine — the audit verifies balance,
-/// not emptiness.
+/// Post-condition: the given nodes' memory ledgers, the device's region
+/// books and the lock-order graph are all consistent. Live checkpoints
+/// are fine — the audit verifies balance, not emptiness.
 fn audit_clean(nodes: &[&Node], device: &CxlDevice) {
-    #[cfg(feature = "check")]
-    {
-        let mut violations = Vec::new();
-        for node in nodes {
-            violations.extend(cxl_check::audit_node(node));
-        }
-        violations.extend(cxl_check::audit_device(device));
-        violations.extend(cxl_check::check_lock_order());
-        assert!(
-            violations.is_empty(),
-            "cross-layer audit failed: {violations:?}"
-        );
+    let mut violations = Vec::new();
+    for node in nodes {
+        violations.extend(cxl_check::audit_node(node));
     }
-    #[cfg(not(feature = "check"))]
-    let _ = (nodes, device);
+    violations.extend(cxl_check::audit_device(device));
+    violations.extend(cxl_check::check_lock_order());
+    assert!(
+        violations.is_empty(),
+        "cross-layer audit failed: {violations:?}"
+    );
 }
 
 impl Cluster {

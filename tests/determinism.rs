@@ -3,31 +3,29 @@
 //! autoscaler traces and fork pipelines twice and require exact equality
 //! of every reported number.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::run_audited;
 use cxlporter::{Cluster, CxlPorter, PorterConfig};
 use rfork::RemoteFork;
 use simclock::LatencyModel;
 use trace_gen::{generate, TraceConfig};
 
-/// Post-condition under `--features check`: node ledgers, device books
-/// and the lock-order graph are consistent after a pipeline run.
+/// Post-condition: node ledgers, device books and the lock-order graph
+/// are consistent after a pipeline run.
 fn audit_clean(nodes: &[&node_os::Node], device: &cxl_mem::CxlDevice) {
-    #[cfg(feature = "check")]
-    {
-        let mut violations = Vec::new();
-        for node in nodes {
-            violations.extend(cxl_check::audit_node(node));
-        }
-        violations.extend(cxl_check::audit_device(device));
-        violations.extend(cxl_check::check_lock_order());
-        assert!(
-            violations.is_empty(),
-            "cross-layer audit failed: {violations:?}"
-        );
+    let mut violations = Vec::new();
+    for node in nodes {
+        violations.extend(cxl_check::audit_node(node));
     }
-    #[cfg(not(feature = "check"))]
-    let _ = (nodes, device);
+    violations.extend(cxl_check::audit_device(device));
+    violations.extend(cxl_check::check_lock_order());
+    assert!(
+        violations.is_empty(),
+        "cross-layer audit failed: {violations:?}"
+    );
 }
 
 fn trace(seed: u64) -> Vec<trace_gen::Invocation> {
@@ -50,7 +48,7 @@ fn porter_runs_are_bit_identical() {
                 ..PorterConfig::cxlfork_dynamic()
             },
         );
-        let mut report = porter.run_trace(&trace(99));
+        let mut report = run_audited(&mut porter, &trace(99));
         (
             report.overall.p50(),
             report.overall.p99(),

@@ -1,8 +1,12 @@
 //! End-to-end integration tests of the full FaaS stack: trace → CXLporter
 //! → remote fork → invocation engine → OS substrate, on every mechanism.
+//! Every trace ends in the cluster audit ([`run_audited`]).
+
+mod common;
 
 use std::sync::Arc;
 
+use common::run_audited;
 use cxlporter::{Cluster, CxlPorter, PorterConfig};
 use simclock::{LatencyModel, SimDuration, SimTime};
 use trace_gen::{generate, Invocation, TraceConfig};
@@ -32,7 +36,7 @@ fn cxlfork_porter_serves_a_bursty_trace() {
         PorterConfig::cxlfork_dynamic(),
     );
     let t = trace(11, 10.0, 40.0);
-    let report = porter.run_trace(&t);
+    let report = run_audited(&mut porter, &t);
     assert_eq!(report.dropped, 0);
     assert_eq!(
         report.warm_hits + report.restores + report.full_cold,
@@ -46,10 +50,6 @@ fn cxlfork_porter_serves_a_bursty_trace() {
     assert!(report.checkpoints >= 1);
     // Checkpoints live on the device.
     assert!(report.final_cxl_pages > 0);
-    // `run_trace` already audits internally under `check`; assert once
-    // more through the public API to pin it down.
-    #[cfg(feature = "check")]
-    assert_eq!(porter.audit(), Vec::new());
 }
 
 #[test]
@@ -60,7 +60,7 @@ fn all_mechanisms_complete_the_same_trace() {
     let cluster = Cluster::new(2, 4096, 8192, LatencyModel::calibrated());
     let criu = criu_cxl::CriuCxl::new(Arc::new(cxl_mem::CxlFs::new(Arc::clone(&cluster.device))));
     let mut p = CxlPorter::new(cluster, criu, PorterConfig::criu());
-    let r = p.run_trace(&t);
+    let r = run_audited(&mut p, &t);
     served.push(("criu", r.warm_hits + r.restores + r.full_cold, r.dropped));
 
     let cluster = Cluster::new(2, 4096, 8192, LatencyModel::calibrated());
@@ -69,7 +69,7 @@ fn all_mechanisms_complete_the_same_trace() {
         mitosis_cxl::MitosisCxl::new(),
         PorterConfig::mitosis(),
     );
-    let r = p.run_trace(&t);
+    let r = run_audited(&mut p, &t);
     served.push(("mitosis", r.warm_hits + r.restores + r.full_cold, r.dropped));
 
     let cluster = Cluster::new(2, 4096, 8192, LatencyModel::calibrated());
@@ -78,7 +78,7 @@ fn all_mechanisms_complete_the_same_trace() {
         cxlfork::CxlFork::new(),
         PorterConfig::cxlfork_dynamic(),
     );
-    let r = p.run_trace(&t);
+    let r = run_audited(&mut p, &t);
     served.push(("cxlfork", r.warm_hits + r.restores + r.full_cold, r.dropped));
 
     for (name, count, dropped) in served {
@@ -120,7 +120,7 @@ fn burst_tail_latency_orders_cxlfork_under_criu() {
     let criu = criu_cxl::CriuCxl::new(Arc::new(cxl_mem::CxlFs::new(Arc::clone(&cluster.device))));
     let mut p = CxlPorter::new(cluster, criu, config(PorterConfig::criu()));
     p.set_measure_from(burst_start);
-    let mut criu_report = p.run_trace(&t);
+    let mut criu_report = run_audited(&mut p, &t);
 
     let cluster = Cluster::new(2, 4096, 8192, LatencyModel::calibrated());
     let mut p = CxlPorter::new(
@@ -129,7 +129,7 @@ fn burst_tail_latency_orders_cxlfork_under_criu() {
         config(PorterConfig::cxlfork_dynamic()),
     );
     p.set_measure_from(burst_start);
-    let mut fork_report = p.run_trace(&t);
+    let mut fork_report = run_audited(&mut p, &t);
 
     assert!(criu_report.restores > 0 && fork_report.restores > 0);
     let criu_p99 = criu_report.overall.p99();
@@ -149,7 +149,7 @@ fn constrained_memory_favors_cxlfork_density() {
     let cluster = Cluster::new(2, mem_mib, 8192, LatencyModel::calibrated());
     let criu = criu_cxl::CriuCxl::new(Arc::new(cxl_mem::CxlFs::new(Arc::clone(&cluster.device))));
     let mut p = CxlPorter::new(cluster, criu, PorterConfig::criu());
-    let criu_report = p.run_trace(&t);
+    let criu_report = run_audited(&mut p, &t);
 
     let cluster = Cluster::new(2, mem_mib, 8192, LatencyModel::calibrated());
     let mut p = CxlPorter::new(
@@ -157,7 +157,7 @@ fn constrained_memory_favors_cxlfork_density() {
         cxlfork::CxlFork::new(),
         PorterConfig::cxlfork_dynamic(),
     );
-    let fork_report = p.run_trace(&t);
+    let fork_report = run_audited(&mut p, &t);
 
     // CXLfork evicts/recycles less and keeps more requests warm.
     assert!(
@@ -188,7 +188,7 @@ fn measurement_warmup_excludes_initial_cold_starts() {
         PorterConfig::cxlfork_dynamic(),
     );
     p.set_measure_from(SimTime::ZERO + SimDuration::from_secs(3));
-    let mut report = p.run_trace(&t);
+    let mut report = run_audited(&mut p, &t);
     let in_window = t
         .iter()
         .filter(|i| i.time >= SimTime::ZERO + SimDuration::from_secs(3))

@@ -9,9 +9,9 @@
 //!    mid-checkpoint), every invocation either completes on a surviving
 //!    node or is counted as lost work, with zero double-executions, and
 //!    no torn staging region outlives the run.
-//! 3. **Post-recovery consistency** — under `--features check`, the
-//!    cross-layer audits of the surviving nodes and the shared device
-//!    report zero violations after recovery.
+//! 3. **Post-recovery consistency** — the cross-layer audits of the
+//!    surviving nodes and the shared device report zero violations
+//!    after recovery (every trace runs through [`run_audited`]).
 //! 4. **Coordinator failover** — when the whole coordinator dies (every
 //!    DRAM structure gone, only the device survives), a successor
 //!    replays the store journal, adopts the recovered images, and
@@ -19,8 +19,11 @@
 //!
 //! The seed is overridable with `CXLFAULT_SEED` so CI can sweep it.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::run_audited;
 use cxl_fault::{CrashSchedule, FaultPlan, Injector, NodeCrash};
 use cxl_mem::{CxlDevice, NodeId, PageData};
 use cxlfork_bench::run_availability;
@@ -149,21 +152,12 @@ fn run_failover() -> (PorterReport, u64, bool) {
         },
     ]));
     let trace = failover_trace();
-    let report = porter.run_trace(&trace);
-
-    let staging_empty = porter.cluster.device.staging_regions().is_empty();
-
     // Post-recovery consistency: the surviving nodes and the shared
     // device must audit clean (the dead nodes were torn down and must
     // not have leaked into the shared books either).
-    #[cfg(feature = "check")]
-    {
-        let violations = porter.audit();
-        assert!(
-            violations.is_empty(),
-            "post-recovery audit failed: {violations:?}"
-        );
-    }
+    let report = run_audited(&mut porter, &trace);
+
+    let staging_empty = porter.cluster.device.staging_regions().is_empty();
 
     (report, trace.len() as u64, staging_empty)
 }
@@ -240,7 +234,7 @@ fn run_coordinator_failover() -> (
         },
     )
     .with_image_store(Arc::clone(&store));
-    let report_a = porter.run_trace(&failover_trace());
+    let report_a = run_audited(&mut porter, &failover_trace());
     assert!(
         report_a.checkpoints >= 1,
         "coordinator A must publish images"
@@ -291,17 +285,12 @@ fn run_coordinator_failover() -> (
 
     // The successor serves the same workload; re-checkpoints dedup
     // against the recovered index instead of re-copying every page.
-    let report_b = porter_b.run_trace(&failover_trace());
-
-    #[cfg(feature = "check")]
-    {
-        let mut violations = porter_b.audit();
-        violations.extend(cxl_check::audit_journal(&recovered));
-        assert!(
-            violations.is_empty(),
-            "post-adoption audit failed: {violations:?}"
-        );
-    }
+    let report_b = run_audited(&mut porter_b, &failover_trace());
+    let violations = cxl_check::audit_journal(&recovered);
+    assert!(
+        violations.is_empty(),
+        "post-adoption journal audit failed: {violations:?}"
+    );
 
     (report_b, recovery, adopted)
 }

@@ -9,8 +9,8 @@
 //!    mirrors of [`cxl_mem::CxlDeviceStats`], and the `node_os.*` fault
 //!    and LLC counters mirror each node's [`Node::counters`]; after a
 //!    full checkpoint/restore/invoke cycle the two books must agree entry
-//!    for entry (and, under `--features check`, the cross-layer audits
-//!    of the same run must stay clean).
+//!    for entry (and the cross-layer audits of the same run must stay
+//!    clean).
 //! 3. **Trace consistency** — checkpoint/restore phase child spans
 //!    partition their parent span exactly, the `core.phase.*` counters
 //!    equal the corresponding span durations, and the Chrome export
@@ -139,17 +139,14 @@ fn telemetry_counters_reconcile_with_device_stats() {
         "page telemetry disagrees with the device's allocator"
     );
 
-    // Under `--features check`, the very same run must also pass the
-    // cross-layer audits: telemetry never perturbs the books it mirrors.
-    #[cfg(feature = "check")]
-    {
-        let mut violations = Vec::new();
-        violations.extend(cxl_check::audit_node(&node0));
-        violations.extend(cxl_check::audit_node(&node1));
-        violations.extend(cxl_check::audit_device(&device));
-        violations.extend(cxl_check::check_lock_order());
-        assert!(violations.is_empty(), "audit found: {violations:?}");
-    }
+    // The very same run must also pass the cross-layer audits:
+    // telemetry never perturbs the books it mirrors.
+    let mut violations = Vec::new();
+    violations.extend(cxl_check::audit_node(&node0));
+    violations.extend(cxl_check::audit_node(&node1));
+    violations.extend(cxl_check::audit_device(&device));
+    violations.extend(cxl_check::check_lock_order());
+    assert!(violations.is_empty(), "audit found: {violations:?}");
 }
 
 #[test]
