@@ -15,6 +15,16 @@ if git grep -nE 'feature = "check"|--features check|^check = ' -- crates/ tests/
     exit 1
 fi
 
+echo '== one crash seam, one seal =='
+# A crash point is a device-operation boundary, reached through the
+# device's fault hook (DESIGN.md §13), and checkpoint immutability is the
+# seal each CXLfork checkpoint carries (§7). Neither second copy may
+# come back.
+if git grep -nE 'CrashpointHook|set_crash_hook|crash_armed|SealRegistry' -- crates tests; then
+    echo 'ci: a store crash-site hook or the test-only seal registry is back' >&2
+    exit 1
+fi
+
 echo '== clippy =='
 # Besides the usual lints this enforces the workspace invariants in
 # crates/clippy.toml (DESIGN.md §12): no wall clock, no hash containers,
@@ -65,9 +75,9 @@ done
 
 echo '== crashpoint sweep smoke (bounded) =='
 # A bounded slice of the exhaustive crash-recovery sweep
-# (tests/crashpoint_sweep.rs, DESIGN.md §13): kill the coordinator at
-# the first 6 injection positions for 2 seeds, recover the store from
-# the surviving device, and hold every recovery to zero audit
+# (tests/crashpoint_sweep.rs, DESIGN.md §13): kill the coordinator
+# before each of the first 6 mutating device operations for 2 seeds,
+# recover the store from the surviving device, and hold every recovery to zero audit
 # violations and byte-identical surviving contents. The full sweep
 # (every position, 3 seeds) already ran with the workspace suite above;
 # this pass pins the env-bounded smoke contract itself.
@@ -105,16 +115,19 @@ echo '== these tests exist =='
 # live books after every differential step, it is total, a journal that
 # cannot take a record or a snapshot refuses with a typed error and
 # leaks nothing — at the store, the journal and `CxlFork::checkpoint` —
-# the crashpoint sweep's literal site sequence, and per-function porter
+# the crashpoint sweep's literal device-op sequence, and per-function porter
 # state filed under one entry however an arrival spells the name), the
 # fault plan's stream recorded literally (the availability and cluster
-# runs replay it), the porter's expiry floor deciding like a scan on every
+# runs replay it) and unmoved by region-table consults, the crash seam
+# (reads never count, a kill before a batch's first write writes none of
+# it, the killer stays quiet after firing, every region-table change is
+# reported and cannot be vetoed), the porter's expiry floor deciding like a scan on every
 # arrival, catalog specs reaching the porter's deployments as held, and
 # the node books (§9): `NodeCounters` against an independent tally of
 # every access outcome, the `node_os.*` telemetry counters against those
 # books, and `device_retries` counting one run; and the auditors every
 # test build runs (§7): lockdep recording edges, the checkpoint seal
-# tripping on a written checkpoint, the seal and node auditors naming
+# tripping on a written or freed checkpoint page, the node auditor naming
 # seeded violations, the cluster audit needing the porter's declared
 # container pins, and a TrEnv release that strands no template frames.
 expect_tests() {
@@ -188,7 +201,13 @@ expect_tests trenv-cxl --lib \
 expect_tests cxlfork-bench '--test telemetry' \
     node_telemetry_counters_reconcile_with_node_books
 expect_tests cxl-fault --lib \
-    inject::tests::plan_fault_stream_is_pinned
+    inject::tests::plan_fault_stream_is_pinned \
+    inject::tests::region_ops_leave_the_plan_fault_stream_unchanged \
+    crashpoint::tests::recorder_captures_the_ordered_sequence \
+    crashpoint::tests::killer_fires_at_each_position_and_run_to_crash_catches_it \
+    crashpoint::tests::a_kill_at_the_first_write_of_a_batch_writes_no_page_of_it \
+    crashpoint::tests::killer_stays_quiet_after_it_fires \
+    crashpoint::tests::create_commit_and_destroy_each_report_region_and_ignore_a_veto
 expect_tests cxlfork --lib \
     tests::default_config_is_bit_identical_to_explicit_serial \
     tests::restore_of_a_written_checkpoint_trips_the_debug_seal

@@ -12,18 +12,18 @@
 //! [`Violation`] — it never panics on a broken invariant, so tests can
 //! assert on the exact violation class they seeded.
 //!
-//! Three checkers live here:
+//! Two checkers live here:
 //!
 //! * [`audit`] — walks a [`node_os::Node`] (PTEs ↔ frame refcounts ↔ page
 //!   cache ↔ VMAs) and a [`cxl_mem::CxlDevice`] (slab ↔ region
 //!   accounting), cross-validating every reference; [`audit_cluster`]
 //!   runs every auditor over a whole deployment.
-//! * [`seal`] — a [`SealRegistry`] records content fingerprints of every
-//!   device page a checkpoint owns at seal time and re-verifies them,
-//!   catching in-place mutation of "immutable" checkpoints.
 //! * [`lockorder`] — DFS cycle detection over the lock-order graph that
 //!   [`cxl_mem::lockdep`] records in debug builds, lockdep-style: a cycle
 //!   is a potential deadlock even if the unlucky interleaving never ran.
+//!
+//! Checkpoint immutability is not checked here: every CXLfork checkpoint
+//! carries its own seal, re-verified by each restore in debug builds.
 //!
 //! The crate is test support: the crates it audits take it as a
 //! dev-dependency, and only the `cxlfork-bench` scenarios link it
@@ -39,14 +39,12 @@ use node_os::{Pfn, Pid};
 
 pub mod audit;
 pub mod lockorder;
-pub mod seal;
 
 pub use audit::{
     audit_cluster, audit_device, audit_device_with_live, audit_journal, audit_node, audit_staging,
     audit_store, NodeAudit,
 };
 pub use lockorder::{check_lock_order, lock_order_cycles};
-pub use seal::SealRegistry;
 
 /// One detected cross-layer invariant violation.
 ///
@@ -215,24 +213,6 @@ pub enum Violation {
         name: String,
         /// Pages still held.
         pages: u64,
-    },
-    /// A sealed checkpoint page whose content changed after seal time.
-    SealMismatch {
-        /// Region the seal covers.
-        region: RegionId,
-        /// The mutated page.
-        page: CxlPageId,
-        /// Fingerprint recorded at seal time.
-        expected: u64,
-        /// Fingerprint observed now.
-        actual: u64,
-    },
-    /// A sealed checkpoint page that is no longer live on the device.
-    SealMissingPage {
-        /// Region the seal covers.
-        region: RegionId,
-        /// The freed page.
-        page: CxlPageId,
     },
     /// A checkpoint-store content-index entry whose refcount disagrees
     /// with the image references the catalog can account for.
@@ -416,18 +396,6 @@ impl fmt::Display for Violation {
                 f,
                 "device: {region} ({name:?}, {pages} pages) is referenced by no live owner"
             ),
-            Violation::SealMismatch {
-                region,
-                page,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "seal {region}: page {page} fingerprint {actual:#018x}, sealed as {expected:#018x}"
-            ),
-            Violation::SealMissingPage { region, page } => {
-                write!(f, "seal {region}: sealed page {page} is no longer live")
-            }
             Violation::ContentIndexSkew {
                 fingerprint,
                 page,

@@ -1,11 +1,13 @@
 //! Negative tests: seed real cross-layer violations through the full
-//! CXLfork checkpoint/restore stack and require the auditor to name
-//! them. A checker that only ever sees clean states is untested — these
-//! are the seeded-bug half of its contract.
+//! CXLfork checkpoint/restore stack and require the auditor — and the
+//! seal every checkpoint carries in debug builds — to name them. A
+//! checker that only ever sees clean states is untested — these are the
+//! seeded-bug half of its contract.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use cxl_check::{SealRegistry, Violation};
+use cxl_check::Violation;
 use cxl_mem::{CxlDevice, CxlPageId, NodeId};
 use cxlfork::CxlFork;
 use node_os::addr::PhysAddr;
@@ -55,27 +57,51 @@ fn first_ckpt_page(ckpt: &cxlfork::CxlForkCheckpoint) -> CxlPageId {
     page
 }
 
+/// A zero-copy restore: armed PTEs point straight at the device, and no
+/// checkpoint page is read on the way.
+fn zero_copy() -> RestoreOptions {
+    RestoreOptions {
+        policy: TierPolicy::MigrateOnWrite,
+        prefetch_dirty: false,
+        sync_hot_prefetch: false,
+    }
+}
+
+/// Restores `ckpt` on `node`, which must panic on the checkpoint's seal.
+fn assert_restore_trips_the_seal(
+    fork: &CxlFork,
+    ckpt: &cxlfork::CxlForkCheckpoint,
+    node: &mut Node,
+) {
+    let caught = catch_unwind(AssertUnwindSafe(|| {
+        fork.restore_with(ckpt, node, zero_copy())
+    }));
+    let Err(payload) = caught else {
+        panic!("the restore must trip the seal");
+    };
+    let message = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(
+        message.contains("restore mutated or freed sealed checkpoint pages"),
+        "{message}"
+    );
+}
+
 #[test]
+#[cfg_attr(not(debug_assertions), ignore = "the seal is a debug-build check")]
 fn freed_checkpoint_page_is_reported_as_dangling_and_unsealed() {
     let (mut src, mut dst, device) = cluster();
     let pid = build_victim(&mut src);
     let fork = CxlFork::new();
     let ckpt = fork.checkpoint(&mut src, pid).unwrap();
-    let mut seals = SealRegistry::new();
-    seals.seal_region(&device, ckpt.region).unwrap();
-    // A zero-copy clone whose armed PTEs point straight at the device.
-    let opts = RestoreOptions {
-        policy: TierPolicy::MigrateOnWrite,
-        prefetch_dirty: false,
-        sync_hot_prefetch: false,
-    };
-    fork.restore_with(&ckpt, &mut dst, opts).unwrap();
+    fork.restore_with(&ckpt, &mut dst, zero_copy()).unwrap();
     assert_eq!(
         cxl_check::audit_node(&dst),
         Vec::new(),
         "clean before sabotage"
     );
-    assert_eq!(seals.verify(&device), Vec::new());
 
     // Sabotage: free one checkpoint data page behind everyone's back —
     // the double-free / premature-release bug class.
@@ -92,25 +118,17 @@ fn freed_checkpoint_page_is_reported_as_dangling_and_unsealed() {
     );
     // The source keeps running on its local frames and stays clean.
     assert_eq!(cxl_check::audit_node(&src), Vec::new());
-    // And the seal checker reports the sealed page as gone.
-    let violations = seals.verify(&device);
-    assert!(
-        violations
-            .iter()
-            .any(|v| matches!(v, Violation::SealMissingPage { page: p, .. } if *p == page)),
-        "expected a SealMissingPage for {page}, got {violations:?}"
-    );
+    // And the checkpoint's own seal refuses the next restore.
+    assert_restore_trips_the_seal(&fork, &ckpt, &mut dst);
 }
 
 #[test]
+#[cfg_attr(not(debug_assertions), ignore = "the seal is a debug-build check")]
 fn mutating_a_sealed_checkpoint_page_is_reported() {
-    let (mut src, _dst, device) = cluster();
+    let (mut src, mut dst, device) = cluster();
     let pid = build_victim(&mut src);
     let fork = CxlFork::new();
     let ckpt = fork.checkpoint(&mut src, pid).unwrap();
-    let mut seals = SealRegistry::new();
-    seals.seal_region(&device, ckpt.region).unwrap();
-    assert_eq!(seals.verify(&device), Vec::new(), "clean before sabotage");
 
     // Sabotage: scribble over a checkpoint data page — the stray-writer
     // bug class the paper's immutable checkpoints exclude by design.
@@ -121,13 +139,8 @@ fn mutating_a_sealed_checkpoint_page_is_reported() {
     device.write_page(page, data, NodeId(1)).unwrap();
     assert_ne!(device.fingerprint(page).unwrap(), before, "sabotage took");
 
-    let violations = seals.verify(&device);
-    assert!(
-        violations
-            .iter()
-            .any(|v| matches!(v, Violation::SealMismatch { page: p, .. } if *p == page)),
-        "expected a SealMismatch for {page}, got {violations:?}"
-    );
-    // Region accounting is still balanced — only the content is wrong.
+    // Region accounting is still balanced — only the content is wrong,
+    // and the checkpoint's own seal is what names it.
     assert_eq!(cxl_check::audit_device(&device), Vec::new());
+    assert_restore_trips_the_seal(&fork, &ckpt, &mut dst);
 }

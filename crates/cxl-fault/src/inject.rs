@@ -529,4 +529,36 @@ mod tests {
         assert!(log.iter().any(|r| r.op == DeviceOp::Write));
         assert_eq!((log.len(), log_hash(&log)), (42, 7_112_811_430_668_935_086));
     }
+
+    /// The plan draws nothing for a region-table change: the same reads
+    /// and writes fault identically with region ops between them.
+    #[test]
+    fn region_ops_leave_the_plan_fault_stream_unchanged() {
+        let run = |with_regions: bool| {
+            let d = CxlDevice::new(64);
+            let r = d.create_region("r");
+            let pages = d.alloc_batch(r, 8).unwrap();
+            let inj = Arc::new(Injector::from_plan(
+                FaultPlan::new(7).with_transient_rate(0.2),
+            ));
+            inj.arm(&d);
+            for i in 0..240u64 {
+                let page = pages[(i % 8) as usize];
+                if i % 2 == 0 {
+                    let _ = d.read_page(page, NodeId(0));
+                } else {
+                    let _ = d.write_page(page, PageData::pattern(i), NodeId(0));
+                }
+                if with_regions {
+                    let staged = d.create_region_staged("s", NodeId(0), i);
+                    d.commit_region(staged).unwrap();
+                    d.destroy_region(staged).unwrap();
+                }
+            }
+            inj.fault_log()
+        };
+        let log = run(true);
+        assert!(log.len() > 10, "0.2 over 240 ops fires");
+        assert_eq!(log, run(false));
+    }
 }

@@ -18,6 +18,9 @@
 //! * [`lease`]: epoch/lease-based reclamation of checkpoint staging
 //!   regions orphaned by a dead node (the GC half of the two-phase
 //!   checkpoint commit in `core::checkpoint`).
+//! * [`crashpoint`]: coordinator-death injection for the crashpoint
+//!   sweep — a [`Recorder`] and a [`Killer`], both `FaultHook`s, that
+//!   enumerate and kill at device-operation boundaries.
 //!
 //! # Example
 //!
@@ -54,7 +57,7 @@ pub mod lease;
 pub mod retry;
 
 pub use crash::{CrashSchedule, NodeCrash};
-pub use crashpoint::{run_to_crash, CrashpointHook, CrashpointKill, Killer, Recorder};
+pub use crashpoint::{run_to_crash, CrashpointKill, Killer, Recorder};
 pub use inject::{
     FaultPlan, FaultRecord, FaultSchedule, FaultStats, InjectedFault, Injector, Trigger,
 };

@@ -4,7 +4,7 @@
 //! committed source tree with those edges and assert the two graphs
 //! agree — no static cycle, no contradiction, the
 //! `cxl_mem.device.regions → cxl_mem.device.shard*` ordering covered by
-//! a runtime `shardNN` edge, and the static graph exactly the seven
+//! a runtime `shardNN` edge, and the static graph exactly the six
 //! edges below (a refactor that hides an acquisition from the extractor
 //! must fail here, not silently shrink the graph).
 //!
@@ -102,7 +102,6 @@ fn runtime_lockdep_agrees_with_the_static_graph() {
             ("cxl_store.inner", "cxl_mem.device.hook"),
             ("cxl_store.inner", "cxl_mem.device.regions"),
             ("cxl_store.inner", "cxl_mem.device.shard*"),
-            ("cxl_store.inner", "cxl_store.crash_hook"),
         ]
     );
 

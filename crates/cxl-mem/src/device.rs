@@ -316,9 +316,9 @@ impl CxlDevice {
 
     /// Installs (or, with `None`, removes) the fault-injection hook.
     ///
-    /// The hook is consulted before every read, write, allocation and
-    /// free; see [`FaultHook`]. With no hook installed the data path pays
-    /// one relaxed atomic load.
+    /// The hook is consulted before every read, write, allocation, free
+    /// and region-table change; see [`FaultHook`]. With no hook installed
+    /// each operation pays one relaxed atomic load.
     pub fn set_fault_hook(&self, hook: Option<Arc<dyn FaultHook>>) {
         let mut slot = self.hook.write();
         self.hook_armed.store(hook.is_some(), Ordering::Release);
@@ -332,6 +332,13 @@ impl CxlDevice {
         }
         let hook = self.hook.read().clone()?;
         hook.inject(op, page, node)
+    }
+
+    /// Reports a region-table change to the fault hook (if armed), before
+    /// the region lock is taken. Report-only: the change cannot fail, so
+    /// a veto is ignored.
+    fn report_region_change(&self) {
+        let _ = self.injected(DeviceOp::Region, None, NodeId(u32::MAX));
     }
 
     /// Attaches this device to a fabric as device `device_index`, or
@@ -466,6 +473,7 @@ impl CxlDevice {
         epoch: u64,
         kind: RegionKind,
     ) -> RegionId {
+        self.report_region_change();
         let mut rt = self.regions.write();
         let id = RegionId(rt.next_region);
         rt.next_region += 1;
@@ -490,6 +498,7 @@ impl CxlDevice {
     ///
     /// [`CxlError::BadRegion`] if the region does not exist.
     pub fn commit_region(&self, region: RegionId) -> Result<(), CxlError> {
+        self.report_region_change();
         let mut rt = self.regions.write();
         let r = rt
             .regions
@@ -774,6 +783,7 @@ impl CxlDevice {
     ///
     /// [`CxlError::BadRegion`] if the region does not exist.
     pub fn destroy_region(&self, region: RegionId) -> Result<u64, CxlError> {
+        self.report_region_change();
         let mut rt = self.regions.write();
         let info = rt
             .regions

@@ -51,8 +51,9 @@
 //! work (page interning) lands *before* its journal record, destructive
 //! work (free/destroy) lands *after* — so that a crash at any
 //! instruction boundary leaves a state recovery can roll forward or
-//! back. The [`cxl_fault::CrashpointHook`] sites threaded through every
-//! mutator let the crashpoint sweep in `tests/` prove exactly that.
+//! back. The crashpoint sweep in `tests/` proves exactly that, killing
+//! the coordinator at every device-operation boundary through the
+//! device's fault hook.
 //!
 //! Journal writes ride the same batched `write_pages` path as data and
 //! are charged to the virtual clock via [`InternOutcome::journal_pages`]
@@ -70,10 +71,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use cxl_fault::{with_backoff, BackoffPolicy, CrashpointHook, LeaseTable};
+use cxl_fault::{with_backoff, BackoffPolicy, LeaseTable};
 use cxl_mem::lockdep::TrackedMutex;
 use cxl_mem::{CxlDevice, CxlError, CxlPageId, NodeId, PageData, RegionId, PAGE_SIZE};
 use simclock::SimTime;
@@ -330,11 +330,6 @@ pub struct Store {
     device: Arc<CxlDevice>,
     config: StoreConfig,
     inner: TrackedMutex<Inner>,
-    /// Crashpoint observer for the sweep harness (see
-    /// [`Store::set_crash_hook`]). Behind its own lock so arming does
-    /// not contend with mutations; `crash_armed` is the fast-path gate.
-    crash_hook: TrackedMutex<Option<Arc<dyn CrashpointHook>>>,
-    crash_armed: AtomicBool,
 }
 
 impl Store {
@@ -372,8 +367,6 @@ impl Store {
             device,
             config,
             inner: TrackedMutex::new("cxl_store.inner", inner),
-            crash_hook: TrackedMutex::new("cxl_store.crash_hook", None),
-            crash_armed: AtomicBool::new(false),
         }
     }
 
@@ -426,33 +419,10 @@ impl Store {
         (store, report)
     }
 
-    /// Installs (or clears) the crashpoint observer. Every mutator
-    /// reports named sites through it — a `cxl_fault::Recorder`
-    /// enumerates the injection points, a `cxl_fault::Killer` simulates
-    /// coordinator death at one of them.
-    pub fn set_crash_hook(&self, hook: Option<Arc<dyn CrashpointHook>>) {
-        self.crash_armed.store(hook.is_some(), Ordering::Relaxed);
-        *self.crash_hook.lock() = hook;
-    }
-
-    /// Reports reaching `site` to the installed hook, if any. A killing
-    /// hook panics here with a `CrashpointKill` payload; the unwind
-    /// abandons the mutation exactly where it stood, modeling the
-    /// coordinator's DRAM vanishing mid-operation.
-    fn crashpoint(&self, site: &'static str) {
-        if !self.crash_armed.load(Ordering::Relaxed) {
-            return;
-        }
-        let hook = self.crash_hook.lock().clone();
-        if let Some(hook) = hook {
-            hook.reached(site);
-        }
-    }
-
     /// Appends `record` to the journal as one sealed record (no-op for
-    /// non-durable stores). `mid_site` fires between the payload write
-    /// and the commit-marker write — the torn-tail crash window. Returns
-    /// the entry as journaled and the journal pages written.
+    /// non-durable stores): the payload, then the commit marker — a
+    /// crash between the two leaves a torn tail. Returns the entry as
+    /// journaled and the journal pages written.
     ///
     /// # Errors
     ///
@@ -464,7 +434,6 @@ impl Store {
         inner: &mut Inner,
         (owner, epoch): (NodeId, u64),
         record: Record,
-        mid_site: Option<&'static str>,
     ) -> Result<(JournalEntry, u64), CxlError> {
         let mut entry = JournalEntry {
             seq: 0,
@@ -479,9 +448,6 @@ impl Store {
         let start = j.frame(|buf| journal::encode_payload_into(buf, &entry));
         let flushed = retry(|| j.flush_from(&self.device, start));
         let mut pages = flushed.inspect_err(|_| j.unframe(start))?;
-        if let Some(site) = mid_site {
-            self.crashpoint(site);
-        }
         // The marker byte was reserved with the payload.
         let sealed = retry(|| j.seal(&self.device));
         pages += must("journal seal failed past retries", sealed);
@@ -490,8 +456,8 @@ impl Store {
     }
 
     /// How every mutator but `intern_pages` changes the books: journal
-    /// the record, fire `after_site`, [apply](Books::apply) it. Returns
-    /// what the device is still owed and the journal pages written.
+    /// the record, then [apply](Books::apply) it. Returns what the device
+    /// is still owed and the journal pages written.
     ///
     /// # Errors
     ///
@@ -501,25 +467,15 @@ impl Store {
         inner: &mut Inner,
         tags: (NodeId, u64),
         record: Record,
-        [mid_site, after_site]: [Option<&'static str>; 2],
     ) -> Result<(Effects, u64), CxlError> {
-        let (entry, pages) = self.journal_append(inner, tags, record, mid_site)?;
-        if let Some(site) = after_site {
-            self.crashpoint(site);
-        }
+        let (entry, pages) = self.journal_append(inner, tags, record)?;
         Ok((inner.books.apply(&entry), pages))
     }
 
     /// [`Store::try_log`] for the mutators that have no error to return:
     /// their records are a few dozen bytes.
-    fn log(
-        &self,
-        inner: &mut Inner,
-        tags: (NodeId, u64),
-        record: Record,
-        after_site: Option<&'static str>,
-    ) -> Effects {
-        let logged = self.try_log(inner, tags, record, [None, after_site]);
+    fn log(&self, inner: &mut Inner, tags: (NodeId, u64), record: Record) -> Effects {
+        let logged = self.try_log(inner, tags, record);
         must("journal append failed past retries", logged).0
     }
 
@@ -542,13 +498,10 @@ impl Store {
             })
         });
         let (mut fresh, mut pages) = must("journal compaction failed past retries", staged);
-        self.crashpoint("compact.after_snapshot_write");
         // The superblock write is idempotent.
         let published = retry(|| fresh.publish(&self.device));
         pages += must("journal publish failed past retries", published);
-        self.crashpoint("compact.after_publish");
         let _ = old.destroy(&self.device);
-        self.crashpoint("compact.after_destroy_old");
         inner.journal = Some(fresh);
         inner.stats.journal_pages_written += pages;
         pages
@@ -592,9 +545,7 @@ impl Store {
             created_at: books::time_nanos(now),
             label: label.to_owned(),
         };
-        self.crashpoint("begin.before_journal");
-        let after_site = Some("begin.after_journal");
-        self.log(&mut inner, (owner, epoch), record, after_site);
+        self.log(&mut inner, (owner, epoch), record);
         ImageId(image)
     }
 
@@ -609,10 +560,10 @@ impl Store {
         payload: &[&PageData],
         node: NodeId,
     ) -> Result<(Vec<CxlPageId>, Vec<CxlPageId>), CxlError> {
+        // A crash from here to the record leaves pages allocated (and
+        // perhaps written) but unjournaled — recovery frees them as
+        // leaked. Constructive ordering: device first, journal second.
         let allocated = self.device.alloc_batch(region, payload.len() as u64)?;
-        // Crash here: pages allocated but unjournaled — recovery frees
-        // them as leaked.
-        self.crashpoint("intern.after_alloc");
         // Fresh allocations are already zeroed, so only non-zero misses
         // cross the fabric.
         let writes: Vec<(CxlPageId, PageData)> = payload
@@ -627,10 +578,6 @@ impl Store {
             self.free_pages(&allocated);
             return Err(e);
         }
-        // Crash here: content written but unjournaled — still leaked
-        // pages from recovery's point of view. Constructive ordering:
-        // device first, journal second.
-        self.crashpoint("intern.after_data_write");
         Ok((allocated, written_pages))
     }
 
@@ -723,8 +670,7 @@ impl Store {
             image: image.0,
             entries: fps.iter().copied().zip(pages.iter().map(|p| p.0)).collect(),
         };
-        let mid_site = Some("intern.after_journal_payload");
-        let journal_pages = match self.journal_append(&mut inner, (node, epoch), record, mid_site) {
+        let journal_pages = match self.journal_append(&mut inner, (node, epoch), record) {
             Ok((_, journal_pages)) => journal_pages,
             Err(e) => {
                 // The record cannot be journaled: take the references
@@ -734,7 +680,6 @@ impl Store {
                 return Err(e);
             }
         };
-        self.crashpoint("intern.after_marker");
         if let Some(meta) = inner.books.images.get_mut(&image.0) {
             meta.slots.extend_from_slice(&slots);
         }
@@ -754,7 +699,6 @@ impl Store {
         ] {
             cxl_telemetry::counter_add(TELEMETRY_LAYER, counter, Some(node.0), value);
         }
-        self.crashpoint("intern.after_publish");
         Ok(InternOutcome {
             pages,
             fresh,
@@ -794,15 +738,10 @@ impl Store {
             // after the sealed record could not write.
             journal::check_capacity(inner.books.snapshot_len()).map_err(full)?;
         }
-        // Crash here (or mid-record): no sealed Commit — recovery rolls
-        // the image back as pending and sweeps its orphaned meta region.
-        self.crashpoint("commit.before_journal");
-        // Crash after: the sealed Commit is the durability point — the
-        // image survives into the recovered catalog.
-        let sites = [Some("commit.mid_record"), Some("commit.after_journal")];
-        let (_, mut pages) = self
-            .try_log(&mut inner, tags, record, sites)
-            .map_err(full)?;
+        // The sealed Commit is the durability point: a crash before its
+        // marker rolls the image back as pending (and sweeps its orphaned
+        // meta region), a crash after it keeps the image.
+        let (_, mut pages) = self.try_log(&mut inner, tags, record).map_err(full)?;
         let limit = self.config.journal_compact_bytes;
         let journal = inner.journal.as_ref();
         if journal.is_some_and(|j| j.wants_compaction(limit)) {
@@ -814,28 +753,19 @@ impl Store {
     /// The one way an image leaves the books: by the record its state
     /// names — `Abort` while pending, `Release` or (`evict`) `Evict` once
     /// committed. Destructive ordering: journal first, free second —
-    /// recovery re-applies a journaled removal idempotently. `sites` fire
-    /// after the record is sealed and after the device is paid: the
-    /// orphaned data pages freed and, for an eviction, the metadata region
-    /// destroyed. Returns pages freed.
-    fn remove_image(
-        &self,
-        inner: &mut Inner,
-        image: u64,
-        evict: bool,
-        sites: Option<[&'static str; 2]>,
-    ) -> u64 {
+    /// recovery re-applies a journaled removal idempotently. The device is
+    /// paid after the record is sealed: the orphaned data pages freed and,
+    /// for an eviction, the metadata region destroyed. Returns pages
+    /// freed.
+    fn remove_image(&self, inner: &mut Inner, image: u64, evict: bool) -> u64 {
         let Some(meta) = inner.books.images.get(&image) else {
             return 0;
         };
         let (tags, record) = (meta.tags(), meta.removal_record(image, evict));
-        let owed = self.log(inner, tags, record, sites.map(|s| s[0]));
+        let owed = self.log(inner, tags, record);
         let mut freed = self.free_pages(&owed.free);
         if let Some(region) = owed.doomed_meta.filter(|_| evict) {
             freed += self.device.destroy_region(region).unwrap_or(0);
-        }
-        if let Some(sites) = sites {
-            self.crashpoint(sites[1]);
         }
         freed
     }
@@ -851,8 +781,7 @@ impl Store {
     pub fn abort_image(&self, image: ImageId) -> Result<u64, StoreError> {
         let mut inner = self.inner.lock();
         inner.books.require(image, false, "abort_image")?;
-        let sites = Some(["abort.after_journal", "abort.after_free"]);
-        Ok(self.remove_image(&mut inner, image.0, false, sites))
+        Ok(self.remove_image(&mut inner, image.0, false))
     }
 
     /// True while `image` is restorable (committed and not evicted).
@@ -876,7 +805,6 @@ impl Store {
     /// per restore would tax the fast path; after recovery, LRU falls
     /// back to creation order until restores refresh it.
     pub fn touch_restore(&self, image: ImageId, now: SimTime) {
-        self.crashpoint("restore.touch");
         if let Some(meta) = self.inner.lock().books.in_state(image.0, true) {
             meta.last_restore = meta.last_restore.max(now);
         }
@@ -895,7 +823,7 @@ impl Store {
             image: image.0,
             pinned,
         };
-        self.log(&mut inner, tags, record, Some("pin.after_journal"));
+        self.log(&mut inner, tags, record);
         Ok(())
     }
 
@@ -914,7 +842,7 @@ impl Store {
             image: image.0,
             holder: holder.map(|n| n.0),
         };
-        self.log(&mut inner, tags, record, Some("lease.after_journal"));
+        self.log(&mut inner, tags, record);
         Ok(())
     }
 
@@ -931,8 +859,7 @@ impl Store {
     pub fn release_image(&self, image: ImageId) -> Result<u64, StoreError> {
         let mut inner = self.inner.lock();
         inner.books.require(image, true, "release_image")?;
-        let sites = Some(["release.after_journal", "release.after_free"]);
-        let freed = self.remove_image(&mut inner, image.0, false, sites);
+        let freed = self.remove_image(&mut inner, image.0, false);
         inner.stats.released_images += 1;
         inner.stats.evicted_pages += freed;
         Ok(freed)
@@ -1002,7 +929,7 @@ impl Store {
         let orphans = inner.books.pending_where(|m| !leases.is_live(m.owner, now));
         orphans
             .into_iter()
-            .map(|id| self.remove_image(&mut inner, id, false, None))
+            .map(|id| self.remove_image(&mut inner, id, false))
             .sum()
     }
 
@@ -1079,8 +1006,7 @@ impl Store {
             };
             // Frees the image's unshared data pages and destroys its
             // metadata region.
-            let sites = Some(["evict.after_journal", "evict.after_free"]);
-            let freed = self.remove_image(&mut inner, id, true, sites);
+            let freed = self.remove_image(&mut inner, id, true);
             inner.stats.evicted_images += 1;
             inner.stats.evicted_pages += freed;
             report.images += 1;
@@ -1651,8 +1577,8 @@ mod tests {
 
         // Model a crash between the device write and the journal record:
         // pages land in the data region with no Intern record. The crash
-        // sweep reaches this state via the `intern.after_data_write`
-        // crashpoint; here we plant it directly.
+        // sweep reaches this state by a kill before the record's first
+        // journal write; here we plant it directly.
         let region = store.data_region();
         let orphaned = d.alloc_batch(region, 3).unwrap();
         d.write_pages(&[(orphaned[0], PageData::pattern(9))], NodeId(1))

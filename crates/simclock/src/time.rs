@@ -86,12 +86,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Returns the duration in whole microseconds (truncating).
-    #[inline]
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Returns the duration in whole milliseconds (truncating).
     #[inline]
     pub const fn as_millis(self) -> u64 {
@@ -108,12 +102,6 @@ impl SimDuration {
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Returns `true` if the duration is zero.
-    #[inline]
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 
     /// Saturating addition.

@@ -1,14 +1,19 @@
 //! Exhaustive crashpoint sweep over the durable store: enumerate every
-//! injection site a checkpoint→dedup→evict→restore scenario reaches,
-//! kill the coordinator at each one, recover from the surviving device,
-//! and prove the recovered state is sound — zero `cxl-check`
-//! violations, balanced device-page accounting, byte-identical
-//! surviving contents, and bit-identical per-seed [`RecoveryReport`]s.
+//! mutating device operation a checkpoint→dedup→evict→restore scenario
+//! performs, kill the coordinator before each one, recover from the
+//! surviving device, and prove the recovered state is sound — zero
+//! `cxl-check` violations, balanced device-page accounting,
+//! byte-identical surviving contents, and bit-identical per-seed
+//! [`RecoveryReport`]s.
 //!
-//! The kill is a panic (`CrashpointKill`), not an error return: a crash
-//! must not run the victim's rollback code. The harness drops every
-//! DRAM structure after the unwind — only the device survives, exactly
-//! the failure model of fabric-attached CXL memory.
+//! A crash point is a device-operation boundary: the device state a dead
+//! coordinator leaves is the state at its last device operation, so the
+//! sweep kills through the device's fault hook (`cxl_fault::Killer`)
+//! and the store carries no crash sites of its own. The kill is a panic
+//! (`CrashpointKill`), not an error return: a crash must not run the
+//! victim's rollback code. The harness drops every DRAM structure after
+//! the unwind — only the device survives, exactly the failure model of
+//! fabric-attached CXL memory.
 //!
 //! Environment knobs for the CI smoke (full sweep by default):
 //!
@@ -20,8 +25,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cxl_check::{audit_device, audit_device_with_live, audit_journal, audit_store};
-use cxl_fault::{run_to_crash, CrashpointHook, Killer, LeaseTable, Recorder};
-use cxl_mem::{CxlDevice, NodeId, PageData, PAGE_SIZE};
+use cxl_fault::{run_to_crash, Killer, LeaseTable, Recorder};
+use cxl_mem::DeviceOp::{self, Alloc, Free, Region, Write};
+use cxl_mem::{CxlDevice, FaultHook, NodeId, PageData, PAGE_SIZE};
 use cxl_store::{journal, ImageId, RecoveryReport, Store, StoreConfig};
 use simclock::{SimDuration, SimTime};
 
@@ -54,79 +60,57 @@ fn authored_contents(seed: u64) -> BTreeMap<u64, PageData> {
     map
 }
 
-/// The sites [`scenario`] reaches, in order — the same for every seed.
-/// Recorded at f98969d, before the store's mutators were rebuilt around
-/// one `apply`: a rewrite that moves, drops or adds a site fails here by
-/// name, instead of only shifting what each kill position means.
-const RECORDED_SITE_SEQUENCE: [&str; 52] = [
-    // image A: begin, intern, commit
-    "begin.before_journal",
-    "begin.after_journal",
-    "intern.after_alloc",
-    "intern.after_data_write",
-    "intern.after_journal_payload",
-    "intern.after_marker",
-    "intern.after_publish",
-    "commit.before_journal",
-    "commit.mid_record",
-    "commit.after_journal",
-    // image B
-    "begin.before_journal",
-    "begin.after_journal",
-    "intern.after_alloc",
-    "intern.after_data_write",
-    "intern.after_journal_payload",
-    "intern.after_marker",
-    "intern.after_publish",
-    "commit.before_journal",
-    "commit.mid_record",
-    "commit.after_journal",
+/// The mutating device operations [`scenario`] performs once its store
+/// exists, in order — the same for every seed. A journal append is a
+/// payload write then a marker write (the first also allocates a journal
+/// page and rewrites the superblock's page list); an intern allocates its
+/// misses as one batch and writes each non-zero one; a free is one
+/// consult per page. A store rewrite that reorders, adds or drops device
+/// work fails here, instead of only shifting what each kill position
+/// means.
+#[rustfmt::skip]
+const RECORDED_OP_SEQUENCE: [DeviceOp; 68] = [
+    // image A: begin, intern (4 non-zero misses), meta region, commit
+    Alloc, Write, Write, Write,
+    Alloc, Write, Write, Write, Write, Write, Write,
+    Region, Write, Write,
+    // image B: begin, intern (2 misses), meta region, commit
+    Write, Write,
+    Alloc, Write, Write, Write, Write,
+    Region, Write, Write,
     // pin A, lease B
-    "pin.after_journal",
-    "lease.after_journal",
-    // image C: begin, intern, abort
-    "begin.before_journal",
-    "begin.after_journal",
-    "intern.after_alloc",
-    "intern.after_data_write",
-    "intern.after_journal_payload",
-    "intern.after_marker",
-    "intern.after_publish",
-    "abort.after_journal",
-    "abort.after_free",
-    // image D
-    "begin.before_journal",
-    "begin.after_journal",
-    "intern.after_alloc",
-    "intern.after_data_write",
-    "intern.after_journal_payload",
-    "intern.after_marker",
-    "intern.after_publish",
-    "commit.before_journal",
-    "commit.mid_record",
-    "commit.after_journal",
-    // unlease and release B, touch A and D, unpin and evict A, compact
-    "lease.after_journal",
-    "release.after_journal",
-    "release.after_free",
-    "restore.touch",
-    "restore.touch",
-    "pin.after_journal",
-    "evict.after_journal",
-    "evict.after_free",
-    "compact.after_snapshot_write",
-    "compact.after_publish",
-    "compact.after_destroy_old",
+    Write, Write, Write, Write,
+    // image C: begin, intern (1 miss), abort (record, free)
+    Write, Write,
+    Alloc, Write, Write, Write,
+    Write, Write, Free,
+    // image D: begin, intern (2 misses), meta region, commit
+    Write, Write,
+    Alloc, Write, Write, Write, Write,
+    Region, Write, Write,
+    // unlease and release B (record, 2 frees), destroy B's meta region
+    Write, Write,
+    Write, Write, Free, Free,
+    Region,
+    // (touch A and D: no device work) unpin A, evict A (record, 4 frees,
+    // meta region destroyed)
+    Write, Write,
+    Write, Write, Free, Free, Free, Free, Region,
+    // compact: create, allocate and write the new generation, publish
+    // its superblock, destroy the old one
+    Region, Alloc, Write, Write, Region,
 ];
 
 /// The deterministic scenario under test. Walks the full mutation
 /// surface of the durable store: begin/intern (with intra- and
 /// cross-image dedup and a zero page), commit, pin, lease, restore
 /// touch, abort, release, watermark eviction, and an explicit journal
-/// compaction. Every step threads the installed crashpoint hook.
-fn scenario(device: &Arc<CxlDevice>, hook: Arc<dyn CrashpointHook>, seed: u64) {
+/// compaction. `hook` is armed once the store exists: the device
+/// operations that create it leave a device with no journal root yet,
+/// which `Store::recover` rightly refuses.
+fn scenario(device: &Arc<CxlDevice>, hook: Arc<dyn FaultHook>, seed: u64) {
     let store = Store::with_config(Arc::clone(device), config());
-    store.set_crash_hook(Some(hook));
+    device.set_fault_hook(Some(hook));
     let t0 = SimTime::from_nanos(1_000_000_000);
 
     // Image A: intra-batch dup (two p1) plus a zero page.
@@ -200,10 +184,10 @@ fn recover_and_verify(
     device: &Arc<CxlDevice>,
     seed: u64,
     position: u64,
-    site: &str,
+    op: &str,
 ) -> RecoveryReport {
     let (recovered, report) = Store::recover(Arc::clone(device), config(), NodeId(0));
-    let ctx = format!("seed {seed}, kill position {position} ({site})");
+    let ctx = format!("seed {seed}, kill position {position} (before {op})");
 
     assert_eq!(
         report.fingerprint_mismatches, 0,
@@ -272,33 +256,23 @@ fn env_limit(name: &str) -> usize {
         .unwrap_or(usize::MAX)
 }
 
-/// One full sweep for one seed: record the site sequence, then kill at
-/// every position (bounded by `CRASH_SWEEP_POSITIONS`) and verify
+/// One full sweep for one seed: record the operation sequence, then kill
+/// at every position (bounded by `CRASH_SWEEP_POSITIONS`) and verify
 /// recovery. Returns the per-position recovery reports.
 fn sweep(seed: u64) -> Vec<RecoveryReport> {
-    // Recording pass: a clean end-to-end run enumerating every site.
+    // Recording pass: a clean end-to-end run enumerating every position.
     let rec_device = device();
     let recorder = Arc::new(Recorder::new());
     scenario(
         &rec_device,
-        Arc::clone(&recorder) as Arc<dyn CrashpointHook>,
+        Arc::clone(&recorder) as Arc<dyn FaultHook>,
         seed,
     );
+    rec_device.set_fault_hook(None);
     let sequence = recorder.sequence();
     assert_eq!(
-        sequence, RECORDED_SITE_SEQUENCE,
-        "seed {seed}: site sequence"
-    );
-    let distinct = recorder.site_counts();
-    assert!(
-        sequence.len() >= 30,
-        "the sweep must cover >= 30 injection positions, got {}: {distinct:?}",
-        sequence.len()
-    );
-    assert!(
-        distinct.len() >= 15,
-        "the sweep must cover >= 15 distinct sites, got {}: {distinct:?}",
-        distinct.len()
+        sequence, RECORDED_OP_SEQUENCE,
+        "seed {seed}: device-op sequence"
     );
 
     // The clean run must itself verify (position = past-the-end).
@@ -307,22 +281,28 @@ fn sweep(seed: u64) -> Vec<RecoveryReport> {
         &rec_device,
         seed,
         sequence.len() as u64,
-        "no-crash",
+        "no crash",
     ));
 
     // Kill-and-recover at every position.
     let bound = sequence.len().min(env_limit("CRASH_SWEEP_POSITIONS"));
-    for (position, expected_site) in sequence.iter().enumerate().take(bound) {
+    for (position, &expected_op) in sequence.iter().enumerate().take(bound) {
         let dev = device();
         let killer = Arc::new(Killer::kill_at(position as u64));
         let outcome =
-            run_to_crash(|| scenario(&dev, Arc::clone(&killer) as Arc<dyn CrashpointHook>, seed));
+            run_to_crash(|| scenario(&dev, Arc::clone(&killer) as Arc<dyn FaultHook>, seed));
         let kill = outcome.expect_err("killer must fire inside the scenario");
         assert_eq!(kill.ordinal, position as u64);
-        assert_eq!(&kill.site, expected_site, "site order must be stable");
+        assert_eq!(kill.op, expected_op, "op order must be stable");
         // The coordinator is dead: its Store was dropped by the unwind.
-        // Only the device survives; recover from it.
-        reports.push(recover_and_verify(&dev, seed, position as u64, kill.site));
+        // Only the device survives; disarm it and recover from it.
+        dev.set_fault_hook(None);
+        reports.push(recover_and_verify(
+            &dev,
+            seed,
+            position as u64,
+            kill.op.name(),
+        ));
     }
     reports
 }
