@@ -25,18 +25,28 @@ if git grep -nE 'CrashpointHook|set_crash_hook|crash_armed|SealRegistry' -- crat
     exit 1
 fi
 
+echo '== one lock-order check =='
+# Lock order is one declared table, checked by lockdep on every
+# acquisition (DESIGN.md §12): neither the static lock-graph linter nor
+# the runtime cycle finder may come back.
+if git grep -nE 'cxl_lint|cxl-lint|lock_order_cycles|check_lock_order|reset_lock_graph|LockOrderCycle' -- crates tests examples Cargo.toml; then
+    echo 'ci: a second lock-order checker is back (DESIGN.md §12)' >&2
+    exit 1
+fi
+
 echo '== clippy =='
 # Besides the usual lints this enforces the workspace invariants in
 # crates/clippy.toml (DESIGN.md §12): no wall clock, no hash containers,
 # no raw locks, and — scoped to the device path — no unjustified
-# unwrap/expect. --all-targets extends the ban to tests/, benches/ and
-# examples/.
+# unwrap/expect; the crates that export an error enum also keep every
+# public enum non-exhaustive unless an allow says why. --all-targets
+# extends the ban to tests/, benches/ and examples/.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo '== clippy canary (must FAIL, naming every banned construct) =='
-# crates/cxl-lint/canary plants one violation per invariant above. If
+# crates/clippy-canary plants one violation per invariant above. If
 # clippy passes it, or misses one, the clippy pass proves nothing.
-if canary=$(cargo clippy --quiet --manifest-path crates/cxl-lint/canary/Cargo.toml \
+if canary=$(cargo clippy --quiet --manifest-path crates/clippy-canary/Cargo.toml \
     --target-dir target/clippy-canary -- -D warnings 2>&1); then
     echo 'ci: clippy passed the canary: crates/clippy.toml is not applied' >&2
     exit 1
@@ -44,7 +54,8 @@ fi
 for flagged in 'disallowed type `std::time::Instant`' \
     'disallowed type `std::collections::HashMap`' \
     'disallowed type `std::sync::Mutex`' \
-    'index.html#unwrap_used' 'index.html#expect_used'; do
+    'index.html#unwrap_used' 'index.html#expect_used' \
+    'index.html#exhaustive_enums'; do
     echo "$canary" | grep -qF "$flagged" || {
         echo "ci: clippy did not report \"$flagged\" on the canary:" >&2
         echo "$canary" >&2
@@ -52,16 +63,9 @@ for flagged in 'disallowed type `std::time::Instant`' \
     }
 done
 
-echo '== cxl-lint (static lock-class graph) =='
-# What clippy cannot express (DESIGN.md §12): the lock-class graph
-# extracted from source must be a DAG even on paths no test drives, and
-# public error enums stay #[non_exhaustive]. Runs before the test suites
-# so a violation fails fast; the suite then cross-checks the same graph
-# against runtime lockdep (cxl-lint's static_vs_runtime test).
-cargo run --quiet -p cxl-lint
-
 echo '== test =='
-# A debug build: lockdep records every nested acquisition, each CXLfork
+# A debug build: lockdep checks every acquisition against the declared
+# lock order, each CXLfork
 # restore re-verifies its checkpoint's seal, and every trace a test runs
 # ends in the cluster audit (DESIGN.md §7).
 cargo test --workspace --quiet
@@ -102,12 +106,12 @@ echo '== these tests exist =='
 # and the recovered slab included) and the journal golden recorded before
 # the index became a slab, `CxlBacking` against its ordered-map model, the
 # porter's expiry floor at its edge and under late memory pressure, the
-# sharded-device audit + lockdep lint (DESIGN.md §10), the pipeline
+# sharded-device audit under lockdep (DESIGN.md §10), the pipeline
 # model's invariants (§15: p = 1 is the serial cost, cost is monotone in
 # p, never below the streaming floor), the fabric model's (§16: zero
 # delay at zero load, monotone in load, telemetry-invariant) and the
-# end-to-end contention properties, the static-vs-runtime lock graph
-# cross-check, and the guards of the one-path-per-decision shapes
+# end-to-end contention properties, and the guards of the
+# one-path-per-decision shapes
 # (placement by scan sees every load change, a crashed node is never
 # dispatched to, the default config is the p = 1 pipeline, a hostile
 # superblock page count is skipped), and what holds the store's one
@@ -126,8 +130,9 @@ echo '== these tests exist =='
 # the node books (§9): `NodeCounters` against an independent tally of
 # every access outcome, the `node_os.*` telemetry counters against those
 # books, and `device_retries` counting one run; and the auditors every
-# test build runs (§7): lockdep recording edges, the checkpoint seal
-# tripping on a written or freed checkpoint page, the node auditor naming
+# test build runs (§7): lockdep accepting the declared lock order and
+# panicking, naming both classes, on a descending or self-nested
+# acquisition (§12), the checkpoint seal tripping on a written or freed checkpoint page, the node auditor naming
 # seeded violations, the cluster audit needing the porter's declared
 # container pins, and a TrEnv release that strands no template frames.
 expect_tests() {
@@ -146,7 +151,10 @@ expect_tests trace-gen '--test golden' \
     golden_trace_diurnal_cluster_default \
     golden_trace_paper_default_burst
 expect_tests cxl-mem --lib \
-    lockdep::tests::nested_acquisitions_record_edges \
+    lockdep::tests::ascending_nesting_is_accepted \
+    lockdep::tests::descending_acquisition_panics_and_names_both_classes \
+    lockdep::tests::the_same_class_nested_twice_panics \
+    lockdep::tests::after_an_out_of_order_release_a_middle_rank_is_accepted \
     page::tests::fingerprint_identity_zero_page_is_the_reference_constant \
     page::tests::fingerprint_identity_pattern_matches_reference \
     page::tests::fingerprint_identity_bytes_match_reference \
@@ -182,8 +190,6 @@ expect_tests cxlfork-bench '--test contention' \
     contention_shrinks_the_pipelined_copy_win \
     armed_telemetry_does_not_move_contention_costs \
     striping_beats_locality_under_overlapping_traffic
-expect_tests cxl-lint '--test static_vs_runtime' \
-    runtime_lockdep_agrees_with_the_static_graph
 expect_tests cxlporter --lib \
     cluster::tests::least_loaded_sees_an_untracked_load_decrease \
     tests::crash_then_arrivals_never_dispatch_to_the_dead_node \

@@ -442,8 +442,8 @@ pub fn audit_journal(store: &cxl_store::Store) -> Vec<Violation> {
 /// Audits a whole deployment after a trace: every node's memory ledgers
 /// (each node paired with the frames its containers pin outside any
 /// process, declared as external references), the shared device's
-/// books, the image store's content index if there is one, the staging
-/// regions of owners not in `live`, and the recorded lock-order graph.
+/// books, the image store's content index if there is one, and the
+/// staging regions of owners not in `live`.
 ///
 /// It takes the cluster's parts rather than a `cxlporter::CxlPorter`:
 /// `cxlporter`'s unit tests link this crate as a dev-dependency, and a
@@ -463,7 +463,6 @@ pub fn audit_cluster<'a, P: IntoIterator<Item = Pfn>>(
         out.extend(audit_store(store));
     }
     out.extend(audit_staging(device, live));
-    out.extend(crate::check_lock_order());
     out
 }
 

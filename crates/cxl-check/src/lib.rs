@@ -12,18 +12,15 @@
 //! [`Violation`] — it never panics on a broken invariant, so tests can
 //! assert on the exact violation class they seeded.
 //!
-//! Two checkers live here:
+//! [`audit`] walks a [`node_os::Node`] (PTEs ↔ frame refcounts ↔ page
+//! cache ↔ VMAs) and a [`cxl_mem::CxlDevice`] (slab ↔ region
+//! accounting), cross-validating every reference; [`audit_cluster`] runs
+//! every auditor over a whole deployment.
 //!
-//! * [`audit`] — walks a [`node_os::Node`] (PTEs ↔ frame refcounts ↔ page
-//!   cache ↔ VMAs) and a [`cxl_mem::CxlDevice`] (slab ↔ region
-//!   accounting), cross-validating every reference; [`audit_cluster`]
-//!   runs every auditor over a whole deployment.
-//! * [`lockorder`] — DFS cycle detection over the lock-order graph that
-//!   [`cxl_mem::lockdep`] records in debug builds, lockdep-style: a cycle
-//!   is a potential deadlock even if the unlucky interleaving never ran.
-//!
-//! Checkpoint immutability is not checked here: every CXLfork checkpoint
-//! carries its own seal, re-verified by each restore in debug builds.
+//! Two checks live elsewhere, because they run at the operation they
+//! guard: every CXLfork checkpoint carries its own seal, re-verified by
+//! each restore in debug builds, and [`cxl_mem::lockdep`] checks each
+//! lock acquisition against one declared lock order.
 //!
 //! The crate is test support: the crates it audits take it as a
 //! dev-dependency, and only the `cxlfork-bench` scenarios link it
@@ -38,13 +35,11 @@ use cxl_mem::{CxlPageId, NodeId, RegionId};
 use node_os::{Pfn, Pid};
 
 pub mod audit;
-pub mod lockorder;
 
 pub use audit::{
     audit_cluster, audit_device, audit_device_with_live, audit_journal, audit_node, audit_staging,
     audit_store, NodeAudit,
 };
-pub use lockorder::{check_lock_order, lock_order_cycles};
 
 /// One detected cross-layer invariant violation.
 ///
@@ -239,12 +234,6 @@ pub enum Violation {
         /// page is no longer live on the device).
         observed: Option<u64>,
     },
-    /// A cycle in the observed lock-order graph — a potential deadlock.
-    LockOrderCycle {
-        /// The lock classes forming the cycle, smallest class first; the
-        /// last element acquires the first.
-        cycle: Vec<&'static str>,
-    },
     /// The store journal's committed stream is followed by a torn
     /// (unsealed or truncated) tail record. Recovery truncates torn
     /// tails; seeing one on a live store means a crashed append was
@@ -421,13 +410,6 @@ impl fmt::Display for Violation {
                     "store: index entry {fingerprint:#018x} maps to dead device page {page}"
                 ),
             },
-            Violation::LockOrderCycle { cycle } => {
-                write!(f, "lock-order cycle: ")?;
-                for class in cycle {
-                    write!(f, "{class} -> ")?;
-                }
-                write!(f, "{}", cycle.first().copied().unwrap_or("?"))
-            }
             Violation::JournalTornTail {
                 region,
                 committed_bytes,
@@ -475,11 +457,6 @@ mod tests {
         let s = v.to_string();
         assert!(s.contains("refcount is 3"), "{s}");
         assert!(s.contains("accounts for 2"), "{s}");
-
-        let c = Violation::LockOrderCycle {
-            cycle: vec!["a", "b"],
-        };
-        assert_eq!(c.to_string(), "lock-order cycle: a -> b -> a");
 
         let s = Violation::ShardAccounting {
             shard: 3,

@@ -1,19 +1,14 @@
 //! CI gate for the sharded device (DESIGN.md §10): drives batched and
 //! scalar traffic across every page-pool shard, then runs the full
-//! device audit — shard-counter reconciliation included — and the
-//! lockdep lock-order lint. The shard locks record real acquisition
-//! edges (`cxl_mem.device.regions` → shardNN, ascending) in every test
-//! build.
-//!
-//! Lives in its own test binary because the lockdep edge graph is
-//! process-global.
+//! device audit — shard-counter reconciliation included. In a debug
+//! build lockdep checks every shard acquisition as it happens
+//! (`cxl_mem.device.regions` → one `cxl_mem.device.shard` at a time),
+//! so a nested shard lock or an inversion panics mid-churn.
 
-use cxl_mem::lockdep::reset_lock_graph;
 use cxl_mem::{CxlDevice, NodeId, PageData, DEFAULT_SHARDS};
 
 #[test]
 fn sharded_device_batch_churn_audits_clean_with_no_lock_cycle() {
-    reset_lock_graph();
     let device = CxlDevice::with_shards(256, DEFAULT_SHARDS);
     let node = NodeId(0);
 
@@ -48,6 +43,4 @@ fn sharded_device_batch_churn_audits_clean_with_no_lock_cycle() {
         .count();
     assert!(active > 1, "batch churn must span shards, got {active}");
     assert_eq!(cxl_check::audit_device(&device), Vec::new());
-    assert_eq!(cxl_check::check_lock_order(), Vec::new());
-    reset_lock_graph();
 }

@@ -38,7 +38,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use cxl_mem::lockdep::TrackedMutex;
+use cxl_mem::lockdep::{LockClass, TrackedMutex};
 use cxl_mem::FabricLink;
 use serde::{Deserialize, Serialize};
 use simclock::{LatencyModel, QueueingCurve, SimDuration, SimTime};
@@ -224,7 +224,7 @@ impl FabricTopology {
             uplink_curve,
             bucket_ns: (config.window_ns / WINDOW_BUCKETS).max(1),
             state: TrackedMutex::new(
-                "cxl_fabric.switch",
+                LockClass::FABRIC_SWITCH,
                 SwitchState {
                     cursor_ns: 0,
                     ports: vec![Window::default(); ports],

@@ -33,7 +33,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Once;
 
-use cxl_mem::lockdep::TrackedMutex;
+use cxl_mem::lockdep::{LockClass, TrackedMutex};
 use cxl_mem::{CxlError, CxlPageId, DeviceOp, FaultHook, NodeId};
 
 /// Panic payload a [`Killer`] unwinds with — the simulated coordinator
@@ -77,7 +77,7 @@ impl Recorder {
     /// An empty recorder.
     pub fn new() -> Self {
         Recorder {
-            ops: TrackedMutex::new("cxl_fault.crashpoint", Vec::new()),
+            ops: TrackedMutex::new(LockClass::FAULT_CRASHPOINT, Vec::new()),
         }
     }
 

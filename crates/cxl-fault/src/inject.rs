@@ -16,7 +16,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cxl_mem::lockdep::TrackedMutex;
+use cxl_mem::lockdep::{LockClass, TrackedMutex};
 
 use cxl_mem::{CxlError, CxlPageId, DeviceOp, FaultHook, NodeId};
 use rand::rngs::StdRng;
@@ -223,7 +223,7 @@ impl Injector {
             .map(|p| simclock::rng::derived(p.seed, "cxl-fault.plan"));
         Injector {
             state: TrackedMutex::new(
-                "cxl_fault.injector",
+                LockClass::FAULT_INJECTOR,
                 InjectorState {
                     schedule: schedule.triggers,
                     plan,

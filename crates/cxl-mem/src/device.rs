@@ -7,15 +7,15 @@
 //! `[i * pages_per_shard, (i+1) * pages_per_shard)`. Each shard keeps its
 //! own slot slab, recycled-slot free list, and traffic counters behind its
 //! own [`TrackedRwLock`], so data-path reads and writes to different
-//! offset ranges never contend — and lockdep still sees every
-//! acquisition, per shard class.
+//! offset ranges never contend. All shard locks share one lockdep class,
+//! so lockdep checks every acquisition against the declared order.
 //!
 //! The region table (and with it the device-wide `used_pages` counter)
 //! lives behind a separate lock that doubles as the allocation
 //! serialization point. The lock order is strictly
-//! `cxl_mem.device.regions` → `cxl_mem.device.shardNN` (ascending shard
-//! index, one shard at a time); data-path page reads/writes take only the
-//! owning shard's lock.
+//! `cxl_mem.device.regions` → `cxl_mem.device.shard`, one shard at a
+//! time (a class is never nested in itself, `crate::lockdep`); data-path
+//! page reads/writes take only the owning shard's lock.
 
 // Device path: a panic here would bypass an injected fault's recovery, so
 // each `unwrap`/`expect` names its invariant in an `#[allow]` (DESIGN.md §12).
@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::fabric::{FabricAttachment, FabricLink};
 use crate::injection::{DeviceOp, FaultHook};
-use crate::lockdep::TrackedRwLock;
+use crate::lockdep::{LockClass, TrackedRwLock};
 use simclock::{SimDuration, SimTime};
 
 use crate::{CxlError, CxlPageId, NodeId, PageData, RegionId, PAGE_SIZE};
@@ -41,34 +41,13 @@ use crate::{CxlError, CxlPageId, NodeId, PageData, RegionId, PAGE_SIZE};
 /// lock is held and never calls back into the device.
 const TELEMETRY_LAYER: &str = "cxl_mem";
 
-/// Upper bound on the shard count. Lockdep tracks lock *classes* as
-/// `&'static str` names, so every possible shard needs a pre-declared
-/// class; sixteen is plenty for a simulated device.
+/// Upper bound on the shard count; sixteen is plenty for a simulated
+/// device.
 pub const MAX_SHARDS: usize = 16;
 
 /// Default shard count used by [`CxlDevice::new`] /
 /// [`CxlDevice::with_capacity_mib`].
 pub const DEFAULT_SHARDS: usize = 8;
-
-/// One lockdep class per possible shard (see [`MAX_SHARDS`]).
-static SHARD_CLASSES: [&str; MAX_SHARDS] = [
-    "cxl_mem.device.shard00",
-    "cxl_mem.device.shard01",
-    "cxl_mem.device.shard02",
-    "cxl_mem.device.shard03",
-    "cxl_mem.device.shard04",
-    "cxl_mem.device.shard05",
-    "cxl_mem.device.shard06",
-    "cxl_mem.device.shard07",
-    "cxl_mem.device.shard08",
-    "cxl_mem.device.shard09",
-    "cxl_mem.device.shard10",
-    "cxl_mem.device.shard11",
-    "cxl_mem.device.shard12",
-    "cxl_mem.device.shard13",
-    "cxl_mem.device.shard14",
-    "cxl_mem.device.shard15",
-];
 
 /// The fabric-attached CXL memory device, shared by all nodes.
 ///
@@ -183,6 +162,10 @@ struct Region {
 /// store's write-ahead journal) that crash recovery must locate before
 /// any catalog exists to name it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[allow(
+    clippy::exhaustive_enums,
+    reason = "a region holds data or bookkeeping, nothing else; recovery matches both arms"
+)]
 pub enum RegionKind {
     /// Checkpoint page data (the default for every pre-existing API).
     #[default]
@@ -298,7 +281,7 @@ impl CxlDevice {
                 PageShard {
                     base,
                     capacity: pages_per_shard.min(capacity_pages - base),
-                    state: TrackedRwLock::new(SHARD_CLASSES[i as usize], ShardState::default()),
+                    state: TrackedRwLock::new(LockClass::DEVICE_SHARD, ShardState::default()),
                 }
             })
             .collect();
@@ -306,10 +289,10 @@ impl CxlDevice {
             capacity_pages,
             pages_per_shard,
             shards,
-            regions: TrackedRwLock::new("cxl_mem.device.regions", RegionTable::default()),
-            hook: TrackedRwLock::new("cxl_mem.device.hook", None),
+            regions: TrackedRwLock::new(LockClass::DEVICE_REGIONS, RegionTable::default()),
+            hook: TrackedRwLock::new(LockClass::DEVICE_HOOK, None),
             hook_armed: AtomicBool::new(false),
-            fabric: TrackedRwLock::new("cxl_mem.device.fabric", None),
+            fabric: TrackedRwLock::new(LockClass::DEVICE_FABRIC, None),
             fabric_armed: AtomicBool::new(false),
         }
     }
@@ -1303,7 +1286,7 @@ impl Drop for RegionGuard<'_> {
 #[cfg(test)]
 #[allow(
     clippy::disallowed_types,
-    reason = "test-local countdowns, counters and call logs behind raw std mutexes; tracking them would pollute the lockdep class graph the tests assert on"
+    reason = "test-local countdowns, counters and call logs behind raw std mutexes: test fixtures, not device locks, so they take no rank in the declared lock order"
 )]
 mod tests {
     use super::*;

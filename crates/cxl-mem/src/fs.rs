@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::lockdep::TrackedRwLock;
+use crate::lockdep::{LockClass, TrackedRwLock};
 
 use crate::{CxlDevice, CxlError, CxlPageId, NodeId, RegionId, PAGE_SIZE};
 
@@ -72,7 +72,7 @@ impl CxlFs {
         CxlFs {
             device,
             region,
-            files: TrackedRwLock::new("cxl_mem.fs", BTreeMap::new()),
+            files: TrackedRwLock::new(LockClass::CXL_FS, BTreeMap::new()),
         }
     }
 

@@ -13,6 +13,10 @@ use crate::{CxlError, CxlPageId, NodeId};
 
 /// Device operations observable by a fault hook.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[allow(
+    clippy::exhaustive_enums,
+    reason = "the device's operation set; a hook that matches every arm must break when a new operation appears"
+)]
 pub enum DeviceOp {
     /// A read (`read`/`read_pages`).
     Read,

@@ -36,6 +36,10 @@ use crate::PAGE_SIZE;
 /// assert_ne!(copy, page); // copies are independent
 /// ```
 #[derive(Clone, Default)]
+#[allow(
+    clippy::exhaustive_enums,
+    reason = "a page representation, not an error: zero, pattern and bytes are the whole set"
+)]
 pub enum PageData {
     /// A zero-filled page.
     #[default]

@@ -37,6 +37,10 @@ fn nanos_time(ns: u64) -> SimTime {
 
 /// Where an image is in its life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(
+    clippy::exhaustive_enums,
+    reason = "an image life cycle, not an error: pending and committed are the whole set"
+)]
 pub enum ImageState {
     /// Begun but not committed (mid-checkpoint): invisible to restores
     /// and to eviction.

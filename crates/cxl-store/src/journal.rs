@@ -88,6 +88,10 @@ pub fn check_capacity(bytes: u64) -> Result<(), CxlError> {
 
 /// One journaled store mutation. Field order here is the wire order.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[allow(
+    clippy::exhaustive_enums,
+    reason = "the journal wire format: a new record is a format change every replay match must see"
+)]
 pub enum Record {
     /// `begin_image`: a pending image was registered.
     Begin {

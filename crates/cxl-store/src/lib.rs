@@ -68,13 +68,16 @@
 // Device path: a panic here would bypass an injected fault's recovery, so
 // each `unwrap`/`expect` names its invariant in an `#[allow]` (DESIGN.md §12).
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+// Public error enums stay `#[non_exhaustive]`: fault classes grow, and
+// downstream matches must keep a wildcard arm (DESIGN.md §12).
+#![warn(clippy::exhaustive_enums)]
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
 use cxl_fault::{with_backoff, BackoffPolicy, LeaseTable};
-use cxl_mem::lockdep::TrackedMutex;
+use cxl_mem::lockdep::{LockClass, TrackedMutex};
 use cxl_mem::{CxlDevice, CxlError, CxlPageId, NodeId, PageData, RegionId, PAGE_SIZE};
 use simclock::SimTime;
 
@@ -366,7 +369,7 @@ impl Store {
         Store {
             device,
             config,
-            inner: TrackedMutex::new("cxl_store.inner", inner),
+            inner: TrackedMutex::new(LockClass::STORE_INNER, inner),
         }
     }
 

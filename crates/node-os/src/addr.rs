@@ -26,6 +26,10 @@ impl fmt::Display for Pfn {
 /// `Cxl` targets pay the fabric round trip, loads to `Local` targets pay
 /// DRAM latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[allow(
+    clippy::exhaustive_enums,
+    reason = "a frame is local or on the device: the two tiers the paper models"
+)]
 pub enum PhysAddr {
     /// A frame in the node's local DRAM.
     Local(Pfn),

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use cxl_mem::lockdep::TrackedRwLock;
+use cxl_mem::lockdep::{LockClass, TrackedRwLock};
 
 use cxl_mem::PageData;
 
@@ -66,7 +66,7 @@ impl SharedFs {
     /// Creates an empty filesystem.
     pub fn new() -> Self {
         SharedFs {
-            files: TrackedRwLock::new("node_os.shared_fs", BTreeMap::new()),
+            files: TrackedRwLock::new(LockClass::NODE_SHARED_FS, BTreeMap::new()),
         }
     }
 

@@ -57,6 +57,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Public error enums stay `#[non_exhaustive]`: fault classes grow, and
+// downstream matches must keep a wildcard arm (DESIGN.md §12).
+#![warn(clippy::exhaustive_enums)]
 
 pub mod addr;
 pub mod cache;

@@ -44,6 +44,7 @@ pub(crate) const PRIVATE: PteFlags = PteFlags::from_bits(1 << 9);
 
 /// The kind of memory access being simulated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(clippy::exhaustive_enums, reason = "an access is a load or a store")]
 pub enum Access {
     /// A load.
     Read,
@@ -54,6 +55,10 @@ pub enum Access {
 /// How an address space treats first accesses to CXL-checkpointed pages
 /// (§4.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[allow(
+    clippy::exhaustive_enums,
+    reason = "the tiering policies of the paper; every dispatch on them must handle a new one"
+)]
 pub enum CxlTierPolicy {
     /// No checkpoint backing: ordinary local process.
     #[default]
@@ -71,6 +76,10 @@ pub enum CxlTierPolicy {
 
 /// Where a checkpointed page's content can be pulled from.
 #[derive(Debug, Clone)]
+#[allow(
+    clippy::exhaustive_enums,
+    reason = "the pull sources the mechanisms use; every fault path must handle a new one"
+)]
 pub enum BackingSource {
     /// A page resident on the shared CXL device (CXLfork checkpoints).
     Device(CxlPageId),
@@ -154,6 +163,10 @@ impl CxlBacking {
 
 /// The fault type resolved during an access, for accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[allow(
+    clippy::exhaustive_enums,
+    reason = "fault accounting: a new kind must reach every counter that matches on it"
+)]
 pub enum FaultKind {
     /// Write-protect fault resolved in place (sole CoW owner): no copy.
     UpgradeInPlace,

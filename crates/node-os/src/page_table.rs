@@ -213,6 +213,7 @@ pub struct AttachedLeaf {
 
 /// A leaf position in the tree: node-local and mutable, or attached.
 #[derive(Debug, Clone)]
+#[allow(clippy::exhaustive_enums, reason = "a leaf is node-local or attached")]
 pub enum LeafSlot {
     /// An ordinary node-local leaf.
     Local(PtLeaf),

@@ -83,6 +83,10 @@ impl fmt::Display for Protection {
 
 /// What backs a VMA.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[allow(
+    clippy::exhaustive_enums,
+    reason = "the backing kinds checkpoint and restore must each handle"
+)]
 pub enum VmaKind {
     /// Anonymous memory (heap, stack, arenas) — zero-filled on first touch.
     Anonymous,
@@ -262,6 +266,7 @@ impl VmaBlock {
 
 /// A block position in the tree.
 #[derive(Debug, Clone)]
+#[allow(clippy::exhaustive_enums, reason = "a block is node-local or attached")]
 pub enum VmaBlockSlot {
     /// A node-local, mutable block.
     Local(VmaBlock),

@@ -17,6 +17,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Public error enums stay `#[non_exhaustive]`: fault classes grow, and
+// downstream matches must keep a wildcard arm (DESIGN.md §12).
+#![warn(clippy::exhaustive_enums)]
 
 pub mod wire;
 
@@ -75,6 +78,10 @@ pub struct Restored {
 /// behaviour (CRIU copies everything up front, Mitosis is inherently
 /// migrate-on-access) and ignore this knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[allow(
+    clippy::exhaustive_enums,
+    reason = "the three tiering policies of the paper (§4.3); every mechanism matches on them"
+)]
 pub enum TierPolicy {
     /// Migrate-on-write: CXLfork's default.
     #[default]

@@ -40,7 +40,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cxl_mem::lockdep::TrackedMutex;
+use cxl_mem::lockdep::{LockClass, TrackedMutex};
 
 use criu_cxl::images::{CoreImage, MmImage, PagemapEntry, PagemapImage};
 use cxl_mem::{CxlPageId, NodeId, RegionId, PAGE_SIZE};
@@ -99,7 +99,7 @@ impl Default for TrEnvCxl {
     fn default() -> Self {
         TrEnvCxl {
             next_id: AtomicU64::new(0),
-            templates: TrackedMutex::new("trenv.templates", Templates::default()),
+            templates: TrackedMutex::new(LockClass::TRENV_TEMPLATES, Templates::default()),
         }
     }
 }

@@ -24,8 +24,8 @@ struct Cluster {
     dst: Node,
 }
 
-/// Post-condition: the given nodes' memory ledgers, the device's region
-/// books and the lock-order graph are all consistent. Live checkpoints
+/// Post-condition: the given nodes' memory ledgers and the device's
+/// region books are consistent. Live checkpoints
 /// are fine — the audit verifies balance, not emptiness.
 fn audit_clean(nodes: &[&Node], device: &CxlDevice) {
     let mut violations = Vec::new();
@@ -33,7 +33,6 @@ fn audit_clean(nodes: &[&Node], device: &CxlDevice) {
         violations.extend(cxl_check::audit_node(node));
     }
     violations.extend(cxl_check::audit_device(device));
-    violations.extend(cxl_check::check_lock_order());
     assert!(
         violations.is_empty(),
         "cross-layer audit failed: {violations:?}"

