@@ -34,6 +34,15 @@ if git grep -nE 'cxl_lint|cxl-lint|lock_order_cycles|check_lock_order|reset_lock
     exit 1
 fi
 
+echo '== telemetry reads the books =='
+# Node and porter counters are published from their books, not bumped
+# per event, and metrics nothing reads stay deleted (DESIGN.md §9): no
+# gauge kind, and none of the seven write-only timers, may come back.
+if git grep -nE 'gauge_set|"fault\.latency"|"startup\.latency"|"local_fork\.latency"|"invocation\.latency"|"deploy_cold\.latency"|"queue\.delay"' -- crates tests examples; then
+    echo 'ci: a gauge or a write-only timer is back (DESIGN.md §9)' >&2
+    exit 1
+fi
+
 echo '== clippy =='
 # Besides the usual lints this enforces the workspace invariants in
 # crates/clippy.toml (DESIGN.md §12): no wall clock, no hash containers,
@@ -129,7 +138,9 @@ echo '== these tests exist =='
 # arrival, catalog specs reaching the porter's deployments as held, and
 # the node books (§9): `NodeCounters` against an independent tally of
 # every access outcome, the `node_os.*` telemetry counters against those
-# books, and `device_retries` counting one run; and the auditors every
+# books (a deploy that runs out of memory and checkpoint/restore retries
+# included), the ten `cxlporter.*` counters against the porter reports,
+# and `device_retries` counting one run; and the auditors every
 # test build runs (§7): lockdep accepting the declared lock order and
 # panicking, naming both classes, on a descending or self-nested
 # acquisition (§12), the checkpoint seal tripping on a written or freed checkpoint page, the node auditor naming
@@ -205,7 +216,9 @@ expect_tests trenv-cxl --lib \
     tests::drop_templates_releases_pinned_frames \
     tests::release_with_a_live_template_is_refused_and_strands_nothing
 expect_tests cxlfork-bench '--test telemetry' \
-    node_telemetry_counters_reconcile_with_node_books
+    node_telemetry_counters_reconcile_with_node_books \
+    checkpoint_and_restore_retries_reach_node_telemetry \
+    armed_availability_run_is_bit_identical_to_unarmed
 expect_tests cxl-fault --lib \
     inject::tests::plan_fault_stream_is_pinned \
     inject::tests::region_ops_leave_the_plan_fault_stream_unchanged \

@@ -323,7 +323,6 @@ fn attach_state(
             cursor = end;
         }
         cxl_telemetry::span_close(track, cursor);
-        cxl_telemetry::timer_record("core", "restore.latency", Some(track), cost);
     }
     Ok(Restored {
         pid,

@@ -322,27 +322,10 @@ impl FabricTopology {
         st.stats.total_queue_delay += delay;
         st.stats.max_queue_delay = st.stats.max_queue_delay.max(delay);
 
-        // Telemetry last, still under the lock so gauge snapshots are
-        // consistent; pure observation — armed runs stay bit-identical.
-        if cxl_telemetry::is_armed() {
-            cxl_telemetry::counter_add("cxl_fabric", "bytes", Some(device), total);
-            cxl_telemetry::timer_record("cxl_fabric", "queue.delay", Some(device), delay);
-            let capacity = self.port_curve.capacity_bytes().max(1);
-            for (port, &bytes) in folded.iter().enumerate() {
-                if bytes == 0 {
-                    continue;
-                }
-                let inflight = st.ports[base + port].inflight() + bg_port;
-                let permille = inflight.saturating_mul(1000) / capacity;
-                let global_port = u32::try_from(base + port).unwrap_or(u32::MAX);
-                cxl_telemetry::gauge_set(
-                    "cxl_fabric",
-                    "port.util_permille",
-                    Some(global_port),
-                    i64::try_from(permille).unwrap_or(i64::MAX),
-                );
-            }
-        }
+        // Pure observation — armed runs stay bit-identical. Queue delay
+        // and port utilisation are read from `stats` and
+        // `port_utilization_permille`, not from telemetry.
+        cxl_telemetry::counter_add("cxl_fabric", "bytes", Some(device), total);
         delay
     }
 }

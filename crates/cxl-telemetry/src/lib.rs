@@ -2,19 +2,24 @@
 //!
 //! The simulation's instruments: structured [`SpanRecord`]s charged to
 //! `simclock` virtual time, a process-wide [`MetricsRegistry`] of
-//! counters/gauges/latency timers keyed by `(layer, name, node)`, and two
+//! counters and latency timers keyed by `(layer, name, node)`, and two
 //! exporters — Chrome `trace_event` JSON ([`chrome_trace`]) and the
 //! stable [`BenchReport`] schema behind `BENCH_<scenario>.json`.
 //!
 //! ## Always-on, nearly-free
 //!
-//! Instrumentation calls are compiled into the hot paths of every layer
-//! (`cxl-mem`, `node-os`, `core`, `cxlporter`, `faas`), but they are
-//! inert until a sink is armed: the fast path is **one relaxed atomic
-//! load** — the same discipline `cxl_mem::FaultHook` uses for fault
-//! injection. No allocation, no lock, no formatting happens while
-//! unarmed, and recording never advances a clock, so an armed run
-//! observes byte-identical virtual-time behaviour to an unarmed one.
+//! Instrumentation calls are compiled into every layer (`cxl-mem`,
+//! `node-os`, `core`, `cxlporter`, `faas`), but they are inert until a
+//! sink is armed: the fast path is **one relaxed atomic load** — the
+//! same discipline `cxl_mem::FaultHook` uses for fault injection. No
+//! allocation, no lock, no formatting happens while unarmed, and
+//! recording never advances a clock, so an armed run observes
+//! byte-identical virtual-time behaviour to an unarmed one.
+//!
+//! A layer that already keeps typed books does not record its events
+//! here one by one: `node-os`'s `NodeCounters` and `cxlporter`'s
+//! `PorterReport` are published once per stretch of work by the code
+//! that owns them, so an armed access loop takes no lock per access.
 //!
 //! ## Sessions
 //!
@@ -97,17 +102,6 @@ pub fn counter_add(layer: &str, name: &str, node: Option<u32>, n: u64) {
     }
     if let Some(state) = SINK.lock().as_mut() {
         state.registry.counter_add(layer, name, node, n);
-    }
-}
-
-/// Sets gauge `layer.name{node=}` to `v`. No-op while unarmed.
-#[inline]
-pub fn gauge_set(layer: &str, name: &str, node: Option<u32>, v: i64) {
-    if !is_armed() {
-        return;
-    }
-    if let Some(state) = SINK.lock().as_mut() {
-        state.registry.gauge_set(layer, name, node, v);
     }
 }
 
@@ -200,7 +194,7 @@ macro_rules! span {
 /// Everything one session recorded.
 #[derive(Debug, Default)]
 pub struct TelemetryData {
-    /// The counters, gauges and timers.
+    /// The counters and timers.
     pub registry: MetricsRegistry,
     /// Finished spans in close order.
     pub spans: Vec<SpanRecord>,
@@ -283,7 +277,7 @@ mod tests {
         let session = TelemetrySession::start();
         assert!(is_armed());
         counter_add("cxl_mem", "reads", Some(1), 3);
-        gauge_set("cxlporter", "queue_depth", None, 5);
+        timer_record("cxlporter", "e2e", None, SimDuration::from_nanos(5));
         span_open("core.checkpoint", 0, t(0), &[]);
         span!("core.checkpoint.copy_pages", 0, t(0), t(40), pages = 2);
         span_close(0, t(100));
@@ -292,8 +286,8 @@ mod tests {
 
         assert_eq!(data.registry.counter("cxl_mem", "reads", Some(1)), 3);
         assert_eq!(
-            data.registry.gauge("cxlporter", "queue_depth", None),
-            Some(5)
+            data.registry.timer("cxlporter", "e2e", None).unwrap().len(),
+            1
         );
         assert_eq!(data.spans.len(), 2);
         let child = &data.spans[0];

@@ -4,11 +4,9 @@
 //! `layer.name{node=N}` — `layer` is the owning crate (`cxl_mem`,
 //! `node_os`, `core`, `cxlporter`, `faas`, `bench`), `name` is a
 //! dot-separated event name, and `node` is the fabric node id when the
-//! metric is per-node. Three metric kinds exist:
+//! metric is per-node. Two metric kinds exist:
 //!
 //! * **counters** — monotonically growing `u64` event/byte counts;
-//! * **gauges** — last-write-wins `i64` levels (queue depths, utilization
-//!   per mille);
 //! * **timers** — [`LatencyHistogram`]s of virtual durations, for exact
 //!   P50/P99 reporting.
 
@@ -49,7 +47,7 @@ impl fmt::Display for MetricKey {
     }
 }
 
-/// The registry of counters, gauges and timers.
+/// The registry of counters and timers.
 ///
 /// # Example
 ///
@@ -59,14 +57,13 @@ impl fmt::Display for MetricKey {
 ///
 /// let mut r = MetricsRegistry::new();
 /// r.counter_add("cxl_mem", "bytes_read", Some(0), 4096);
-/// r.timer_record("faas", "invocation", Some(0), SimDuration::from_millis(14));
+/// r.timer_record("cxlporter", "e2e", None, SimDuration::from_millis(14));
 /// assert_eq!(r.counter("cxl_mem", "bytes_read", Some(0)), 4096);
 /// assert_eq!(r.counter("cxl_mem", "bytes_read", Some(1)), 0);
 /// ```
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<MetricKey, u64>,
-    gauges: BTreeMap<MetricKey, i64>,
     timers: BTreeMap<MetricKey, LatencyHistogram>,
 }
 
@@ -78,7 +75,7 @@ impl MetricsRegistry {
 
     /// `true` if nothing has ever been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.timers.is_empty()
+        self.counters.is_empty() && self.timers.is_empty()
     }
 
     /// Adds `n` to a counter.
@@ -95,16 +92,6 @@ impl MetricsRegistry {
             .get(&MetricKey::new(layer, name, node))
             .copied()
             .unwrap_or(0)
-    }
-
-    /// Sets a gauge to `v`.
-    pub fn gauge_set(&mut self, layer: &str, name: &str, node: Option<u32>, v: i64) {
-        self.gauges.insert(MetricKey::new(layer, name, node), v);
-    }
-
-    /// Reads a gauge (`None` if never written).
-    pub fn gauge(&self, layer: &str, name: &str, node: Option<u32>) -> Option<i64> {
-        self.gauges.get(&MetricKey::new(layer, name, node)).copied()
     }
 
     /// Records one duration sample into a timer histogram.
@@ -125,33 +112,13 @@ impl MetricsRegistry {
         self.counters.iter().map(|(k, v)| (k, *v))
     }
 
-    /// Iterates all gauges in sorted key order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&MetricKey, i64)> {
-        self.gauges.iter().map(|(k, v)| (k, *v))
-    }
-
     /// Iterates all timers in sorted key order.
     pub fn timers(&self) -> impl Iterator<Item = (&MetricKey, &LatencyHistogram)> {
         self.timers.iter()
     }
 
-    /// Merges every metric from `other`: counters add, gauges
-    /// last-write-win (`other` wins), timers merge samples. Used to fold
-    /// per-run registries into cluster- or sweep-wide aggregates.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, h) in &other.timers {
-            self.timers.entry(k.clone()).or_default().merge(h);
-        }
-    }
-
     /// Sums one named timer across all nodes into a single histogram
-    /// (e.g. cluster-wide `core.restore.latency`).
+    /// (e.g. cluster-wide `cxlporter.queue.latency`).
     pub fn timer_across_nodes(&self, layer: &str, name: &str) -> LatencyHistogram {
         let mut out = LatencyHistogram::new();
         for (k, h) in &self.timers {
@@ -189,17 +156,14 @@ mod tests {
     }
 
     #[test]
-    fn counters_gauges_timers_are_independent_namespaces() {
+    fn counters_and_timers_are_independent_namespaces() {
         let mut r = MetricsRegistry::new();
         r.counter_add("a", "x", None, 2);
         r.counter_add("a", "x", None, 3);
-        r.gauge_set("a", "x", None, -7);
-        r.gauge_set("a", "x", None, 9);
         r.timer_record("a", "x", None, SimDuration::from_nanos(5));
         assert_eq!(r.counter("a", "x", None), 5);
-        assert_eq!(r.gauge("a", "x", None), Some(9), "gauges last-write-win");
         assert_eq!(r.timer("a", "x", None).unwrap().len(), 1);
-        assert_eq!(r.gauge("a", "y", None), None);
+        assert!(r.timer("a", "y", None).is_none());
     }
 
     #[test]
@@ -212,18 +176,5 @@ mod tests {
         assert_eq!(r.counter("cxl_mem", "reads", Some(1)), 10);
         assert_eq!(r.counter("cxl_mem", "reads", None), 100);
         assert_eq!(r.counter_across_nodes("cxl_mem", "reads"), 111);
-    }
-
-    #[test]
-    fn merge_folds_registries() {
-        let mut a = MetricsRegistry::new();
-        let mut b = MetricsRegistry::new();
-        a.counter_add("l", "c", None, 1);
-        b.counter_add("l", "c", None, 2);
-        a.timer_record("l", "t", Some(0), SimDuration::from_nanos(1));
-        b.timer_record("l", "t", Some(1), SimDuration::from_nanos(3));
-        a.merge(&b);
-        assert_eq!(a.counter("l", "c", None), 3);
-        assert_eq!(a.timer_across_nodes("l", "t").len(), 2);
     }
 }

@@ -18,7 +18,7 @@ pub const SCHEMA_VERSION: i64 = 1;
 /// Exact percentile summary of one latency distribution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencySummary {
-    /// Distribution name, e.g. `e2e` or `core.restore.latency`.
+    /// Distribution name, e.g. `e2e` or `queue.wait`.
     pub name: String,
     /// Number of recorded samples.
     pub samples: u64,
@@ -59,7 +59,10 @@ pub struct BenchReport {
     pub phases: Vec<(String, u64)>,
     /// Latency distributions; must include one named `e2e`.
     pub latencies: Vec<LatencySummary>,
-    /// Counter snapshot as `layer.name{node=N}` → value, sorted by key.
+    /// Counter snapshot as `layer.name{node=N}` → value, in insertion
+    /// order: the bench scenarios write the registry's counters sorted by
+    /// key, then may append their own (`availability.*` follows the
+    /// sorted snapshot).
     pub counters: Vec<(String, u64)>,
 }
 

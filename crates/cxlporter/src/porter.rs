@@ -339,6 +339,31 @@ impl PorterReport {
             self.warm_hits as f64 / total as f64
         }
     }
+
+    /// Publishes the run's outcome counts as `cxlporter.*` telemetry
+    /// counters, skipping zeros. The report is their only book;
+    /// [`CxlPorter::try_run_trace`] publishes each finished report once.
+    fn publish(&self) {
+        if !cxl_telemetry::is_armed() {
+            return;
+        }
+        for (name, n) in [
+            ("warm_hits", self.warm_hits),
+            ("restores", self.restores),
+            ("full_cold", self.full_cold),
+            ("checkpoints", self.checkpoints),
+            ("image_misses", self.image_misses),
+            ("crashes_survived", self.crashes_survived),
+            ("redispatched", self.redispatched),
+            ("work_lost", self.work_lost),
+            ("recovered_images", self.recovered_images),
+            ("journal_replay_ns", self.journal_replay_ns),
+        ] {
+            if n > 0 {
+                cxl_telemetry::counter_add("cxlporter", name, None, n);
+            }
+        }
+    }
 }
 
 /// The autoscaler, generic over the remote-fork mechanism.
@@ -582,15 +607,6 @@ impl<M: RemoteFork> CxlPorter<M> {
         }
         self.report.recovered_images += recovery.committed_images;
         self.report.journal_replay_ns += replay.as_nanos();
-        if cxl_telemetry::is_armed() {
-            cxl_telemetry::counter_add(
-                "cxlporter",
-                "recovered_images",
-                None,
-                recovery.committed_images,
-            );
-            cxl_telemetry::counter_add("cxlporter", "journal_replay_ns", None, replay.as_nanos());
-        }
         self.image_store = Some(store);
     }
 
@@ -725,6 +741,7 @@ impl<M: RemoteFork> CxlPorter<M> {
         if let Some(istore) = &self.image_store {
             report.store_deduped_pages = istore.stats().deduped_pages;
         }
+        report.publish();
         Ok(report)
     }
 
@@ -888,8 +905,6 @@ impl<M: RemoteFork> CxlPorter<M> {
         // Re-dispatch: each lost invocation re-enters the normal
         // dispatch path at the crash instant. A retry the survivors
         // cannot place is lost work, not a dropped request.
-        let redispatched_before = self.report.redispatched;
-        let lost_before = self.report.work_lost;
         in_flight.sort();
         for (function, owner) in in_flight {
             let retry = Invocation {
@@ -904,17 +919,6 @@ impl<M: RemoteFork> CxlPorter<M> {
                 self.report.work_lost += 1;
             } else {
                 self.report.redispatched += 1;
-            }
-        }
-        if cxl_telemetry::is_armed() {
-            cxl_telemetry::counter_add("cxlporter", "crashes_survived", None, 1);
-            let redispatched = self.report.redispatched - redispatched_before;
-            if redispatched > 0 {
-                cxl_telemetry::counter_add("cxlporter", "redispatched", None, redispatched);
-            }
-            let lost = self.report.work_lost - lost_before;
-            if lost > 0 {
-                cxl_telemetry::counter_add("cxlporter", "work_lost", None, lost);
             }
         }
     }
@@ -937,7 +941,6 @@ impl<M: RemoteFork> CxlPorter<M> {
             match self.invoke_with_reclaim(node, pid, &spec, inv_idx, now) {
                 Some(result) => {
                     self.report.warm_hits += 1;
-                    cxl_telemetry::counter_add("cxlporter", "warm_hits", None, 1);
                     self.finish(id, now, SimDuration::ZERO, result, &spec, true);
                 }
                 None => {
@@ -1080,7 +1083,6 @@ impl<M: RemoteFork> CxlPorter<M> {
                     }
                     self.store.put(&spec.name, ckpt, now);
                     self.report.checkpoints += 1;
-                    cxl_telemetry::counter_add("cxlporter", "checkpoints", None, 1);
                     self.reclaim_cxl_pressure(&spec.name);
                 }
             }
@@ -1154,7 +1156,6 @@ impl<M: RemoteFork> CxlPorter<M> {
                         .release_checkpoint(ckpt, &self.cluster.nodes[node]);
                 }
                 self.report.image_misses += 1;
-                cxl_telemetry::counter_add("cxlporter", "image_misses", None, 1);
             }
         }
 
@@ -1213,15 +1214,6 @@ impl<M: RemoteFork> CxlPorter<M> {
                         image,
                     });
                     self.report.restores += 1;
-                    if cxl_telemetry::is_armed() {
-                        cxl_telemetry::counter_add("cxlporter", "restores", None, 1);
-                        cxl_telemetry::timer_record(
-                            "cxlporter",
-                            "startup.latency",
-                            Some(node as u32),
-                            container_cost + r.restore_latency,
-                        );
-                    }
                     Some((id, container_cost + r.restore_latency))
                 }
                 Err(_) => {
@@ -1266,15 +1258,6 @@ impl<M: RemoteFork> CxlPorter<M> {
                         image: None,
                     });
                     self.report.full_cold += 1;
-                    if cxl_telemetry::is_armed() {
-                        cxl_telemetry::counter_add("cxlporter", "full_cold", None, 1);
-                        cxl_telemetry::timer_record(
-                            "cxlporter",
-                            "startup.latency",
-                            Some(node as u32),
-                            container_cost + init.total,
-                        );
-                    }
                     Some((id, container_cost + init.total))
                 }
                 Err(_) => {

@@ -67,7 +67,8 @@ impl InitReport {
 }
 
 /// The engine's one access loop: issues `access` to every page of `vpns`,
-/// in order, and hands each outcome to `book`.
+/// in order, and hands each outcome to `book`. Publishes what the node's
+/// books gained once, when the loop ends, also when an access fails.
 fn touch(
     node: &mut Node,
     pid: Pid,
@@ -75,10 +76,12 @@ fn touch(
     access: Access,
     mut book: impl FnMut(AccessOutcome),
 ) -> Result<(), OsError> {
-    for vpn in vpns {
-        book(node.access(pid, vpn.0, access)?);
-    }
-    Ok(())
+    let before = node.counters();
+    let result = vpns
+        .into_iter()
+        .try_for_each(|vpn| node.access(pid, vpn.0, access).map(&mut book));
+    node.publish_counters_since(before);
+    result
 }
 
 /// Deploys a function cold on `node`: creates the process, maps its
@@ -106,12 +109,6 @@ pub fn deploy_cold(node: &mut Node, spec: &FunctionSpec) -> Result<(Pid, InitRep
                     t0,
                     node.now(),
                     &[("pages_touched", report.pages_touched)],
-                );
-                cxl_telemetry::timer_record(
-                    "faas",
-                    "deploy_cold.latency",
-                    Some(track),
-                    report.total,
                 );
             }
             Ok((pid, report))
@@ -216,7 +213,6 @@ pub fn run_invocation(
             node.now(),
             &[("faults", r.faults)],
         );
-        cxl_telemetry::timer_record("faas", "invocation.latency", Some(track), r.total);
     }
     Ok(r)
 }

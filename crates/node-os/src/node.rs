@@ -62,7 +62,8 @@ impl NodeConfig {
 /// access, and the transient CXL errors retried away.
 ///
 /// Fixed fields, one update per [`Node::access`]; the names the reports
-/// use are rendered only by [`NodeCounters::get`].
+/// use are rendered only by [`NodeCounters::get`], and reach telemetry
+/// only through [`Node::publish_counters_since`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NodeCounters {
     faults: [u64; FaultKind::ALL.len()],
@@ -94,6 +95,14 @@ impl NodeCounters {
                 .find(|k| k.counter_name() == name)
                 .map_or(0, |k| self.faults(k)),
         }
+    }
+
+    /// Every name [`get`](Self::get) answers with a count.
+    fn names() -> impl Iterator<Item = &'static str> {
+        FaultKind::ALL
+            .into_iter()
+            .map(FaultKind::counter_name)
+            .chain(["llc_hit", "llc_miss", "cxl_transient_retry"])
     }
 
     fn record(&mut self, outcome: &AccessOutcome) {
@@ -232,9 +241,28 @@ impl Node {
     }
 
     /// Books `n` transient CXL errors that a checkpoint or restore on
-    /// this node retried away.
+    /// this node retried away, and publishes them.
     pub fn add_transient_retries(&mut self, n: u64) {
+        let before = self.counters;
         self.counters.transient_retries += n;
+        self.publish_counters_since(before);
+    }
+
+    /// Publishes what the books gained since `before`: one
+    /// `node_os.<name>{node=}` telemetry counter per
+    /// [`NodeCounters::get`] name that moved. Telemetry keeps no copy of
+    /// its own; whoever drives the node publishes each stretch of work
+    /// once. No-op while unarmed.
+    pub fn publish_counters_since(&self, before: NodeCounters) {
+        if !cxl_telemetry::is_armed() {
+            return;
+        }
+        for name in NodeCounters::names() {
+            let delta = self.counters.get(name) - before.get(name);
+            if delta > 0 {
+                cxl_telemetry::counter_add("node_os", name, Some(self.id.0), delta);
+            }
+        }
     }
 
     /// The node's page cache.
@@ -336,7 +364,9 @@ impl Node {
     }
 
     /// Simulates one memory access by `pid` to virtual page `vpn`,
-    /// advancing the node clock and updating counters.
+    /// advancing the node clock and updating counters. Makes no telemetry
+    /// call: the caller publishes the books once per batch
+    /// ([`publish_counters_since`](Self::publish_counters_since)).
     ///
     /// # Errors
     ///
@@ -348,36 +378,6 @@ impl Node {
         })??;
         self.clock.advance(outcome.cost);
         self.counters.record(&outcome);
-        if cxl_telemetry::is_armed() {
-            let node = self.id.0;
-            if let Some(kind) = outcome.fault {
-                cxl_telemetry::counter_add("node_os", kind.counter_name(), Some(node), 1);
-                cxl_telemetry::timer_record(
-                    "node_os",
-                    "fault.latency",
-                    Some(node),
-                    outcome.fault_cost,
-                );
-            }
-            if outcome.retries > 0 {
-                cxl_telemetry::counter_add(
-                    "node_os",
-                    "cxl_transient_retry",
-                    Some(node),
-                    u64::from(outcome.retries),
-                );
-            }
-            cxl_telemetry::counter_add(
-                "node_os",
-                if outcome.cache_hit {
-                    "llc_hit"
-                } else {
-                    "llc_miss"
-                },
-                Some(node),
-                1,
-            );
-        }
         Ok(outcome)
     }
 
@@ -406,7 +406,6 @@ impl Node {
         );
         self.clock.advance(cost);
         cxl_telemetry::counter_add("node_os", "local_fork", Some(self.id.0), 1);
-        cxl_telemetry::timer_record("node_os", "local_fork.latency", Some(self.id.0), cost);
         Ok((pid, cost))
     }
 

@@ -6,11 +6,13 @@
 //!    virtual-time result: an armed seeded availability run produces a
 //!    bit-identical [`cxlporter::PorterReport`] to an unarmed one.
 //! 2. **Reconciliation** — the `cxl_mem.*` telemetry counters are
-//!    mirrors of [`cxl_mem::CxlDeviceStats`], and the `node_os.*` fault
-//!    and LLC counters mirror each node's [`Node::counters`]; after a
-//!    full checkpoint/restore/invoke cycle the two books must agree entry
-//!    for entry (and the cross-layer audits of the same run must stay
-//!    clean).
+//!    mirrors of [`cxl_mem::CxlDeviceStats`]; the `node_os.*` counters
+//!    are each node's [`Node::counters`], published once per access loop
+//!    (a failed one included) and per checkpoint or restore retry; the
+//!    `cxlporter.*` counters are the [`cxlporter::PorterReport`]s,
+//!    published once per run. After a full checkpoint/restore/invoke
+//!    cycle each pair of books must agree entry for entry (and the
+//!    cross-layer audits of the same run must stay clean).
 //! 3. **Trace consistency** — checkpoint/restore phase child spans
 //!    partition their parent span exactly, the `core.phase.*` counters
 //!    equal the corresponding span durations, and the Chrome export
@@ -21,7 +23,8 @@
 
 use std::sync::Arc;
 
-use cxl_mem::CxlDevice;
+use cxl_fault::{FaultSchedule, Injector};
+use cxl_mem::{CxlDevice, DeviceOp};
 use cxl_telemetry::{chrome_trace, Json, TelemetryData, TelemetrySession};
 use cxlfork::CxlFork;
 use cxlfork_bench::report::cold_start_report;
@@ -29,7 +32,7 @@ use cxlfork_bench::{run_availability, run_cold_start, Scenario, DEFAULT_STEADY_I
 use mitosis_cxl::MitosisCxl;
 use node_os::fs::SharedFs;
 use node_os::mm::FaultKind;
-use node_os::{Node, NodeConfig};
+use node_os::{Node, NodeConfig, OsError};
 use rfork::{RemoteFork, RestoreOptions};
 use simclock::LatencyModel;
 
@@ -38,6 +41,34 @@ use simclock::LatencyModel;
     reason = "test-only serialization of the process-global telemetry sink; never nested with a tracked lock"
 )]
 static TELEMETRY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// A node with `mib` of local memory on the shared `device` and `rootfs`.
+fn node(
+    id: u32,
+    mib: u64,
+    model: &LatencyModel,
+    device: &Arc<CxlDevice>,
+    rootfs: &Arc<SharedFs>,
+) -> Node {
+    Node::with_rootfs(
+        NodeConfig::default()
+            .with_id(id)
+            .with_local_mem_mib(mib)
+            .with_model(model.clone()),
+        Arc::clone(device),
+        Arc::clone(rootfs),
+    )
+}
+
+/// `n` nodes with 2 GiB of local memory each on one fresh device.
+fn cluster(n: u32, model: &LatencyModel) -> (Arc<CxlDevice>, Arc<SharedFs>, Vec<Node>) {
+    let device = Arc::new(CxlDevice::with_capacity_mib(4096));
+    let rootfs = Arc::new(SharedFs::new());
+    let nodes = (0..n)
+        .map(|i| node(i, 2048, model, &device, &rootfs))
+        .collect();
+    (device, rootfs, nodes)
+}
 
 #[test]
 fn armed_availability_run_is_bit_identical_to_unarmed() {
@@ -61,11 +92,31 @@ fn armed_availability_run_is_bit_identical_to_unarmed() {
     assert!(!data.spans.is_empty());
     let e2e = data.registry.timer_across_nodes("cxlporter", "e2e");
     assert!(!e2e.is_empty(), "porter recorded no end-to-end samples");
-    assert_eq!(
-        data.registry
-            .counter_across_nodes("cxlporter", "crashes_survived"),
-        armed.report.crashes_survived
-    );
+    // Each porter counter is the two coordinators' reports, published
+    // once per run.
+    let (a, b) = (&armed.report, &armed.successor);
+    for (name, expected) in [
+        ("warm_hits", a.warm_hits + b.warm_hits),
+        ("restores", a.restores + b.restores),
+        ("full_cold", a.full_cold + b.full_cold),
+        ("checkpoints", a.checkpoints + b.checkpoints),
+        ("image_misses", a.image_misses + b.image_misses),
+        ("crashes_survived", a.crashes_survived + b.crashes_survived),
+        ("redispatched", a.redispatched + b.redispatched),
+        ("work_lost", a.work_lost + b.work_lost),
+        ("recovered_images", a.recovered_images + b.recovered_images),
+        (
+            "journal_replay_ns",
+            a.journal_replay_ns + b.journal_replay_ns,
+        ),
+    ] {
+        assert_eq!(
+            data.registry.counter("cxlporter", name, None),
+            expected,
+            "cxlporter.{name} disagrees with the porter reports"
+        );
+    }
+    assert!(a.crashes_survived > 0 && b.recovered_images > 0);
 }
 
 #[test]
@@ -76,20 +127,7 @@ fn telemetry_counters_reconcile_with_device_stats() {
     // The device is created *inside* the armed window, so its stats and
     // the telemetry counters cover exactly the same operations.
     let session = TelemetrySession::start();
-    let device = Arc::new(CxlDevice::with_capacity_mib(4096));
-    let rootfs = Arc::new(SharedFs::new());
-    let mut nodes: Vec<Node> = (0..2)
-        .map(|i| {
-            Node::with_rootfs(
-                NodeConfig::default()
-                    .with_id(i)
-                    .with_local_mem_mib(2048)
-                    .with_model(model.clone()),
-                Arc::clone(&device),
-                Arc::clone(&rootfs),
-            )
-        })
-        .collect();
+    let (device, _, mut nodes) = cluster(2, &model);
     let mut node1 = nodes.pop().expect("two nodes");
     let mut node0 = nodes.pop().expect("two nodes");
 
@@ -156,20 +194,7 @@ fn node_telemetry_counters_reconcile_with_node_books() {
     // The nodes are created *inside* the armed window, so their books
     // and the telemetry counters cover exactly the same accesses.
     let session = TelemetrySession::start();
-    let device = Arc::new(CxlDevice::with_capacity_mib(4096));
-    let rootfs = Arc::new(SharedFs::new());
-    let mut nodes: Vec<Node> = (0..4)
-        .map(|i| {
-            Node::with_rootfs(
-                NodeConfig::default()
-                    .with_id(i)
-                    .with_local_mem_mib(2048)
-                    .with_model(model.clone()),
-                Arc::clone(&device),
-                Arc::clone(&rootfs),
-            )
-        })
-        .collect();
+    let (device, rootfs, mut nodes) = cluster(4, &model);
 
     // Cold deploy and a local-fork child on node 0, then CXLfork MoW and
     // MoA restores and a Mitosis restore, one per node, each invoked.
@@ -197,6 +222,17 @@ fn node_telemetry_counters_reconcile_with_node_books() {
         .restore(&mckpt, &mut nodes[3])
         .expect("restore fits");
     faas::run_invocation(&mut nodes[3], restored.pid, &spec, 0).expect("invocation");
+    // A node too small for the function: its cold deploy runs out of
+    // memory partway through the access loop, and what it did reach is
+    // in the books and in telemetry alike.
+    let mut small = node(4, 16, &model, &device, &rootfs);
+    let err = faas::deploy_cold(&mut small, &spec).expect_err("the footprint does not fit");
+    assert!(matches!(err, OsError::OutOfMemory { .. }), "got {err}");
+    assert!(
+        small.counters().llc_misses > 0,
+        "the deploy failed before its first access"
+    );
+    nodes.push(small);
     let data = session.finish();
 
     let count = |name: &str, node: &Node| data.registry.counter("node_os", name, Some(node.id().0));
@@ -213,6 +249,7 @@ fn node_telemetry_counters_reconcile_with_node_books() {
         }
         assert_eq!(count("llc_hit", node), books.llc_hits);
         assert_eq!(count("llc_miss", node), books.llc_misses);
+        assert_eq!(count("cxl_transient_retry", node), books.transient_retries);
     }
     // The scenario reached the flavours each restore path exists for.
     let total = |kind: FaultKind| nodes.iter().map(|n| n.counters().faults(kind)).sum::<u64>();
@@ -225,6 +262,50 @@ fn node_telemetry_counters_reconcile_with_node_books() {
         FaultKind::RemotePull,
     ] {
         assert!(total(kind) > 0, "the scenario never took a {kind:?} fault");
+    }
+}
+
+#[test]
+fn checkpoint_and_restore_retries_reach_node_telemetry() {
+    let _guard = TELEMETRY_LOCK.lock().unwrap();
+    let model = LatencyModel::calibrated();
+
+    let session = TelemetrySession::start();
+    let (device, _, mut nodes) = cluster(2, &model);
+    let spec = faas::by_name("Json").expect("Json is in the suite");
+    let (parent, _) = faas::deploy_cold(&mut nodes[0], &spec).expect("deploy fits");
+    faas::warm_for_checkpoint(&mut nodes[0], parent, &spec, DEFAULT_STEADY_INVOCATIONS)
+        .expect("warm-up fits");
+
+    // Two transient write errors early in the checkpoint's bulk copy,
+    // then three transient read errors in the restore's prefetch.
+    let fork = CxlFork::new();
+    let arm = |op, burst| {
+        let injector = Arc::new(Injector::from_schedule(
+            FaultSchedule::new().transient_after(op, 0, burst),
+        ));
+        injector.arm(&device);
+    };
+    arm(DeviceOp::Write, 2);
+    let ckpt = fork
+        .checkpoint(&mut nodes[0], parent)
+        .expect("checkpoint retries through");
+    arm(DeviceOp::Read, 3);
+    fork.restore_with(&ckpt, &mut nodes[1], RestoreOptions::mow())
+        .expect("restore retries through");
+    device.set_fault_hook(None);
+    let data = session.finish();
+
+    for (node, retried) in nodes.iter().zip([2, 3]) {
+        let books = node.counters().transient_retries;
+        assert_eq!(books, retried, "node {}", node.id().0);
+        assert_eq!(
+            data.registry
+                .counter("node_os", "cxl_transient_retry", Some(node.id().0)),
+            books,
+            "node_os.cxl_transient_retry{{node={}}} disagrees with the node's books",
+            node.id().0
+        );
     }
 }
 
