@@ -43,6 +43,20 @@ if git grep -nE 'gauge_set|"fault\.latency"|"startup\.latency"|"local_fork\.late
     exit 1
 fi
 
+echo '== the device publishes its book =='
+# The device's traffic book is one `CxlDeviceStats`; telemetry reads it
+# through `CxlDevice::publish_counters_since`, cxl-mem's one
+# `counter_add` (DESIGN.md §9). No per-event telemetry call and no
+# layer-name constant may come back into the device.
+calls=$(git grep -h 'counter_add' -- crates/cxl-mem/src | wc -l)
+published=$(awk '/fn publish_counters_since/,/^    }$/ { if (/counter_add/) n++ } END { print n + 0 }' \
+    crates/cxl-mem/src/device.rs)
+if git grep -n 'TELEMETRY_LAYER' -- crates/cxl-mem/src || [ "$calls" -ne 1 ] || [ "$published" -ne 1 ]; then
+    echo 'ci: cxl-mem books traffic in telemetry outside publish_counters_since (DESIGN.md §9)' >&2
+    git grep -n 'counter_add' -- crates/cxl-mem/src >&2
+    exit 1
+fi
+
 echo '== clippy =='
 # Besides the usual lints this enforces the workspace invariants in
 # crates/clippy.toml (DESIGN.md §12): no wall clock, no hash containers,
@@ -140,6 +154,7 @@ echo '== these tests exist =='
 # every access outcome, the `node_os.*` telemetry counters against those
 # books (a deploy that runs out of memory and checkpoint/restore retries
 # included), the ten `cxlporter.*` counters against the porter reports,
+# the `cxl_mem.*` counters against the device book's snapshot deltas,
 # and `device_retries` counting one run; and the auditors every
 # test build runs (§7): lockdep accepting the declared lock order and
 # panicking, naming both classes, on a descending or self-nested
@@ -166,6 +181,8 @@ expect_tests cxl-mem --lib \
     lockdep::tests::descending_acquisition_panics_and_names_both_classes \
     lockdep::tests::the_same_class_nested_twice_panics \
     lockdep::tests::after_an_out_of_order_release_a_middle_rank_is_accepted \
+    device::tests::stats_count_per_node_traffic \
+    device::tests::publish_adds_only_what_moved_since_the_snapshot \
     page::tests::fingerprint_identity_zero_page_is_the_reference_constant \
     page::tests::fingerprint_identity_pattern_matches_reference \
     page::tests::fingerprint_identity_bytes_match_reference \
@@ -216,6 +233,7 @@ expect_tests trenv-cxl --lib \
     tests::drop_templates_releases_pinned_frames \
     tests::release_with_a_live_template_is_refused_and_strands_nothing
 expect_tests cxlfork-bench '--test telemetry' \
+    telemetry_counters_reconcile_with_device_stats \
     node_telemetry_counters_reconcile_with_node_books \
     checkpoint_and_restore_retries_reach_node_telemetry \
     armed_availability_run_is_bit_identical_to_unarmed

@@ -42,7 +42,7 @@ fn main() {
             .checkpoint(&mut cluster[0], pid)
             .expect("checkpoint fits");
         let device_pages = device.used_pages();
-        device.reset_stats();
+        let before = device.stats();
 
         let mut restore_total = simclock::SimDuration::ZERO;
         let mut exec_total = simclock::SimDuration::ZERO;
@@ -62,7 +62,7 @@ fn main() {
                 clones += 1;
             }
         }
-        let stats = device.stats();
+        let after = device.stats();
         rows.push(vec![
             nodes.to_string(),
             clones.to_string(),
@@ -70,7 +70,9 @@ fn main() {
             ms(exec_total / clones),
             format!(
                 "{:.1}",
-                stats.bytes_read.values().sum::<u64>() as f64 / 1048576.0
+                (after.bytes_read.values().sum::<u64>() - before.bytes_read.values().sum::<u64>())
+                    as f64
+                    / 1048576.0
             ),
             device_pages.to_string(),
             (device.used_pages() - device_pages).to_string(),

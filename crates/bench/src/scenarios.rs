@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use criu_cxl::CriuCxl;
-use cxl_mem::{CxlDevice, CxlFs, NodeId};
+use cxl_mem::{CxlDevice, CxlDeviceStats, CxlFs, NodeId};
 use cxlfork::{CxlFork, CxlForkConfig};
 use faas::FunctionSpec;
 use mitosis_cxl::MitosisCxl;
@@ -100,10 +100,12 @@ fn two_node_cluster(model: &LatencyModel) -> (Vec<Node>, Arc<CxlDevice>, Arc<Sha
     (nodes, device, rootfs)
 }
 
-/// Post-condition of every scenario run: every node's memory ledgers
-/// and the device's region books must be clean. Checkpoints may still be live; the audit verifies
-/// consistency, not emptiness.
-fn audit_scenario(nodes: &[&Node], device: &CxlDevice) {
+/// The closing step of every scenario, run once per device after its
+/// last operation: every node's memory ledgers and the device's region
+/// books must be clean (checkpoints may still be live; the audit
+/// verifies consistency, not emptiness), and the device, created inside
+/// the scenario, publishes its whole traffic book.
+fn close_scenario(nodes: &[&Node], device: &CxlDevice) {
     let mut violations = Vec::new();
     for node in nodes {
         violations.extend(cxl_check::audit_node(node));
@@ -113,6 +115,7 @@ fn audit_scenario(nodes: &[&Node], device: &CxlDevice) {
         violations.is_empty(),
         "scenario left cross-layer violations: {violations:?}"
     );
+    device.publish_counters_since(&CxlDeviceStats::default());
 }
 
 /// Runs `trace` on `porter`, then asserts the cluster audit
@@ -234,7 +237,7 @@ pub fn run_cold_start(
             finish_rfork(&fork, &ckpt, &mut node1, spec, scenario, options)
         }
     };
-    audit_scenario(&[&node0, &node1], &device);
+    close_scenario(&[&node0, &node1], &device);
     row
 }
 
@@ -320,7 +323,7 @@ pub fn run_pipeline(
         .restore_with(&ckpt, &mut node1, RestoreOptions::mow())
         .expect("restore fits");
     let r = faas::run_invocation(&mut node1, restored.pid, spec, 0).expect("invocation");
-    audit_scenario(&[&node0, &node1], &device);
+    close_scenario(&[&node0, &node1], &device);
 
     let (criu_nodes, criu_device, _criu_rootfs) = two_node_cluster(model);
     let mut criu_node = criu_nodes.into_iter().next().expect("two nodes");
@@ -330,7 +333,7 @@ pub fn run_pipeline(
         .checkpoint(&mut criu_node, criu_parent)
         .expect("checkpoint fits CXL");
     let criu_cost = criu.meta(&criu_ckpt).checkpoint_cost;
-    audit_scenario(&[&criu_node], &criu_device);
+    close_scenario(&[&criu_node], &criu_device);
 
     let (mitosis_nodes, mitosis_device, _mitosis_rootfs) = two_node_cluster(model);
     let mut mitosis_node = mitosis_nodes.into_iter().next().expect("two nodes");
@@ -340,7 +343,7 @@ pub fn run_pipeline(
         .checkpoint(&mut mitosis_node, mitosis_parent)
         .expect("checkpoint");
     let mitosis_cost = mitosis.meta(&mitosis_ckpt).checkpoint_cost;
-    audit_scenario(&[&mitosis_node], &mitosis_device);
+    close_scenario(&[&mitosis_node], &mitosis_device);
 
     let checkpoint_cost = fork.meta(&ckpt).checkpoint_cost;
     PipelineRow {
@@ -369,6 +372,17 @@ pub struct TieringRow {
     pub local_pages: u64,
 }
 
+/// The warm execution time of `pid` after its first invocation: the
+/// 4th invocation, once two more have warmed its caches.
+fn warm_invocation(node: &mut Node, pid: node_os::Pid, spec: &FunctionSpec) -> SimDuration {
+    for i in 1..3 {
+        faas::run_invocation(node, pid, spec, i).expect("invocation");
+    }
+    faas::run_invocation(node, pid, spec, 3)
+        .expect("invocation")
+        .total
+}
+
 /// Runs the Fig. 8 tiering experiment: restore with `options`, measure
 /// cold execution, then warm execution as the 4th invocation.
 pub fn run_tiering(
@@ -392,12 +406,7 @@ pub fn run_tiering(
         .expect("restore fits");
     let r0 = faas::run_invocation(&mut node1, restored.pid, spec, 0).expect("invocation");
     let cold = restored.restore_latency + r0.total;
-    for i in 1..3 {
-        faas::run_invocation(&mut node1, restored.pid, spec, i).expect("invocation");
-    }
-    let warm = faas::run_invocation(&mut node1, restored.pid, spec, 3)
-        .expect("invocation")
-        .total;
+    let warm = warm_invocation(&mut node1, restored.pid, spec);
     let row = TieringRow {
         policy: options.policy.to_string(),
         function: spec.name.clone(),
@@ -405,7 +414,7 @@ pub fn run_tiering(
         warm,
         local_pages: node1.frames().used() - before,
     };
-    audit_scenario(&[&node0, &node1], &device);
+    close_scenario(&[&node0, &node1], &device);
     row
 }
 
@@ -539,6 +548,9 @@ pub fn run_availability(
         )
     });
     let successor_report = run_audited(&mut successor, &tail);
+    // Published once, after both traces: the journal replay between
+    // them is device traffic too.
+    device.publish_counters_since(&CxlDeviceStats::default());
 
     AvailabilityOutcome {
         report,
@@ -613,7 +625,7 @@ pub fn run_capacity(specs: &[FunctionSpec], model: &LatencyModel) -> CapacityOut
         baseline_ckpts.push(fork.checkpoint(&mut node0, pid).expect("checkpoint fits"));
     }
     let baseline_cxl_pages = device.used_pages();
-    audit_scenario(&[&node0], &device);
+    close_scenario(&[&node0], &device);
 
     // Store-backed: the identical workload through one shared store.
     let (mut nodes, device, _fs) = two_node_cluster(model);
@@ -636,7 +648,7 @@ pub fn run_capacity(specs: &[FunctionSpec], model: &LatencyModel) -> CapacityOut
         .restore_with(&ckpts[0], &mut node1, RestoreOptions::mow())
         .expect("restore fits");
     faas::run_invocation(&mut node1, restored.pid, &overlapped[0], 0).expect("invocation");
-    audit_scenario(&[&node0, &node1], &device);
+    close_scenario(&[&node0, &node1], &device);
 
     // Eviction sweep on a dedicated pressured store.
     const SWEEP_IMAGES: u64 = 16;
@@ -683,6 +695,7 @@ pub fn run_capacity(specs: &[FunctionSpec], model: &LatencyModel) -> CapacityOut
         "the pinned image must survive the sweep"
     );
     let survivor_images = images.iter().filter(|&&i| sweep.is_live(i)).count() as u64;
+    sweep_device.publish_counters_since(&CxlDeviceStats::default());
 
     CapacityOutcome {
         baseline_cxl_pages,
@@ -812,6 +825,7 @@ pub fn run_cluster_with(
     ));
 
     let report = run_audited(&mut porter, &trace);
+    device.publish_counters_since(&CxlDeviceStats::default());
     ClusterOutcome {
         report,
         trace_len: trace.len() as u64,
@@ -836,13 +850,8 @@ pub fn local_fork_warm(
     let (child, fork_cost) = node1.local_fork(parent).expect("fork");
     let r0 = faas::run_invocation(&mut node1, child, spec, 0).expect("invocation");
     let cold = fork_cost + r0.total;
-    for i in 1..3 {
-        faas::run_invocation(&mut node1, child, spec, i).expect("invocation");
-    }
-    let warm = faas::run_invocation(&mut node1, child, spec, 3)
-        .expect("invocation")
-        .total;
-    audit_scenario(&[&node1], &device);
+    let warm = warm_invocation(&mut node1, child, spec);
+    close_scenario(&[&node1], &device);
     (cold, warm)
 }
 
@@ -921,7 +930,7 @@ pub fn run_contention(
         .restore_with(&ckpt, &mut node1, RestoreOptions::mow())
         .expect("restore fits");
     let r = faas::run_invocation(&mut node1, restored.pid, spec, 0).expect("invocation");
-    audit_scenario(&[&node0, &node1], &device);
+    close_scenario(&[&node0, &node1], &device);
 
     let checkpoint_cost = fork.meta(&ckpt).checkpoint_cost;
     ContentionRow {
@@ -970,6 +979,6 @@ pub fn run_placement(
             .expect("checkpoint fits CXL");
         total += fork.meta(&ckpt).checkpoint_cost;
     }
-    audit_scenario(&[&node0], &device);
+    close_scenario(&[&node0], &device);
     total
 }

@@ -5,17 +5,20 @@
 //! The page pool is partitioned into up to [`MAX_SHARDS`] *shards* by
 //! contiguous page-offset range: shard `i` owns global page ids
 //! `[i * pages_per_shard, (i+1) * pages_per_shard)`. Each shard keeps its
-//! own slot slab, recycled-slot free list, and traffic counters behind its
-//! own [`TrackedRwLock`], so data-path reads and writes to different
-//! offset ranges never contend. All shard locks share one lockdep class,
-//! so lockdep checks every acquisition against the declared order.
+//! own slot slab and recycled-slot free list behind its own
+//! [`TrackedRwLock`], so data-path reads and writes to different offset
+//! ranges never contend, and reads of one range share its lock. All shard
+//! locks share one lockdep class, so lockdep checks every acquisition
+//! against the declared order.
 //!
 //! The region table (and with it the device-wide `used_pages` counter)
 //! lives behind a separate lock that doubles as the allocation
 //! serialization point. The lock order is strictly
 //! `cxl_mem.device.regions` → `cxl_mem.device.shard`, one shard at a
 //! time (a class is never nested in itself, `crate::lockdep`); data-path
-//! page reads/writes take only the owning shard's lock.
+//! page reads/writes take only the owning shard's lock. The traffic book,
+//! [`CxlDeviceStats`], is one device-wide value behind the innermost lock,
+//! `cxl_mem.device.book`, bumped once per operation after its data moved.
 
 // Device path: a panic here would bypass an injected fault's recovery, so
 // each `unwrap`/`expect` names its invariant in an `#[allow]` (DESIGN.md §12).
@@ -29,17 +32,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::fabric::{FabricAttachment, FabricLink};
 use crate::injection::{DeviceOp, FaultHook};
-use crate::lockdep::{LockClass, TrackedRwLock};
+use crate::lockdep::{LockClass, TrackedMutex, TrackedRwLock};
 use simclock::{SimDuration, SimTime};
 
 use crate::{CxlError, CxlPageId, NodeId, PageData, RegionId, PAGE_SIZE};
-
-/// Telemetry layer name for device metrics (`cxl_mem.reads{node=}` …).
-/// Counters mirror [`CxlDeviceStats`] exactly — same increment sites,
-/// same units — so telemetry can be reconciled against device stats as a
-/// second witness. Lock order: telemetry is recorded while a device
-/// lock is held and never calls back into the device.
-const TELEMETRY_LAYER: &str = "cxl_mem";
 
 /// Upper bound on the shard count; sixteen is plenty for a simulated
 /// device.
@@ -88,6 +84,9 @@ pub struct CxlDevice {
     /// this write lock is what serializes allocation, freeing and region
     /// destruction; page liveness cannot change while it is held.
     regions: TrackedRwLock<RegionTable>,
+    /// The traffic book: the one copy of [`CxlDeviceStats`], published to
+    /// telemetry by [`CxlDevice::publish_counters_since`].
+    book: TrackedMutex<CxlDeviceStats>,
     /// Fault-injection hook (see [`crate::FaultHook`]). Kept outside the
     /// state locks: the hook fires *before* state is touched, and an armed
     /// flag keeps the unhooked fast path to one relaxed atomic load.
@@ -119,9 +118,17 @@ struct ShardState {
     /// Recycled shard-local slot indexes (LIFO).
     free: Vec<u64>,
     used: u64,
-    /// Per-shard traffic counters; [`CxlDevice::stats`] merges them, so
-    /// device-wide totals stay increment-exact.
-    stats: CxlDeviceStats,
+}
+
+impl ShardState {
+    /// The live slot at shard-local index `l`, if any.
+    fn slot(&self, l: u64) -> Option<&PageSlot> {
+        self.slots.get(l as usize).and_then(Option::as_ref)
+    }
+
+    fn slot_mut(&mut self, l: u64) -> Option<&mut PageSlot> {
+        self.slots.get_mut(l as usize).and_then(Option::as_mut)
+    }
 }
 
 #[derive(Debug, Default)]
@@ -157,6 +164,17 @@ struct Region {
     kind: RegionKind,
 }
 
+impl Region {
+    fn usage(&self) -> RegionUsage {
+        RegionUsage {
+            name: self.name.clone(),
+            pages: self.pages,
+            bytes: self.pages * PAGE_SIZE,
+            kind: self.kind,
+        }
+    }
+}
+
 /// What a region holds. Most regions carry checkpoint page *data*;
 /// [`RegionKind::Metadata`] marks device-resident bookkeeping (e.g. the
 /// store's write-ahead journal) that crash recovery must locate before
@@ -174,7 +192,8 @@ pub enum RegionKind {
     Metadata,
 }
 
-/// Per-node traffic counters for the device.
+/// The device's traffic book: per-node reads and writes, and the pages
+/// allocated and freed. Every count only grows.
 #[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CxlDeviceStats {
     /// Read operations per node.
@@ -185,6 +204,10 @@ pub struct CxlDeviceStats {
     pub bytes_read: BTreeMap<NodeId, u64>,
     /// Write operations per node.
     pub writes: BTreeMap<NodeId, u64>,
+    /// Pages allocated, by any batch.
+    pub pages_allocated: u64,
+    /// Pages freed, by a batch free or a region's destruction.
+    pub pages_freed: u64,
 }
 
 impl CxlDeviceStats {
@@ -198,21 +221,16 @@ impl CxlDeviceStats {
         self.writes.values().sum()
     }
 
-    /// Adds every counter from `other` into `self` (used to fold
-    /// per-shard counters into the device-wide view).
-    pub fn merge(&mut self, other: &CxlDeviceStats) {
-        for (node, v) in &other.reads {
-            *self.reads.entry(*node).or_insert(0) += v;
-        }
-        for (node, v) in &other.bytes_written {
-            *self.bytes_written.entry(*node).or_insert(0) += v;
-        }
-        for (node, v) in &other.bytes_read {
-            *self.bytes_read.entry(*node).or_insert(0) += v;
-        }
-        for (node, v) in &other.writes {
-            *self.writes.entry(*node).or_insert(0) += v;
-        }
+    /// Books `ops` reads of `bytes` in all by `node`.
+    fn book_reads(&mut self, node: NodeId, ops: u64, bytes: u64) {
+        *self.reads.entry(node).or_insert(0) += ops;
+        *self.bytes_read.entry(node).or_insert(0) += bytes;
+    }
+
+    /// Books `ops` writes of `bytes` in all by `node`.
+    fn book_writes(&mut self, node: NodeId, ops: u64, bytes: u64) {
+        *self.writes.entry(node).or_insert(0) += ops;
+        *self.bytes_written.entry(node).or_insert(0) += bytes;
     }
 }
 
@@ -290,6 +308,7 @@ impl CxlDevice {
             pages_per_shard,
             shards,
             regions: TrackedRwLock::new(LockClass::DEVICE_REGIONS, RegionTable::default()),
+            book: TrackedMutex::new(LockClass::DEVICE_BOOK, CxlDeviceStats::default()),
             hook: TrackedRwLock::new(LockClass::DEVICE_HOOK, None),
             hook_armed: AtomicBool::new(false),
             fabric: TrackedRwLock::new(LockClass::DEVICE_FABRIC, None),
@@ -532,7 +551,7 @@ impl CxlDevice {
     /// sequences identical to the pre-shard allocator for alloc-only
     /// workloads. The fault hook is consulted once per *non-empty*
     /// batch; a zero-page batch is a no-op — it cannot fault, costs
-    /// nothing and touches no telemetry.
+    /// nothing and books nothing.
     ///
     /// # Errors
     ///
@@ -556,21 +575,18 @@ impl CxlDevice {
         let mut st = shard.state.write();
         let mut got = 0u64;
         while got < want {
-            let local = if let Some(l) = st.free.pop() {
-                st.slots[l as usize] = Some(PageSlot {
-                    data: PageData::zeroed(),
-                    region,
-                });
-                l
-            } else if (st.slots.len() as u64) < shard.capacity {
-                st.slots.push(Some(PageSlot {
-                    data: PageData::zeroed(),
-                    region,
-                }));
-                (st.slots.len() - 1) as u64
-            } else {
-                break;
+            let local = match st.free.pop() {
+                Some(l) => l,
+                None if (st.slots.len() as u64) < shard.capacity => {
+                    st.slots.push(None);
+                    (st.slots.len() - 1) as u64
+                }
+                None => break,
             };
+            st.slots[local as usize] = Some(PageSlot {
+                data: PageData::zeroed(),
+                region,
+            });
             st.used += 1;
             out.push(CxlPageId(shard.base + local));
             got += 1;
@@ -647,7 +663,7 @@ impl CxlDevice {
         if let Some(r) = rt.regions.get_mut(&region) {
             r.pages += n;
         }
-        cxl_telemetry::counter_add(TELEMETRY_LAYER, "pages_allocated", None, n);
+        self.book.lock().pages_allocated += n;
         Ok(out)
     }
 
@@ -730,7 +746,7 @@ impl CxlDevice {
         for (&s, locals) in &by_shard {
             let st = self.shards[s].state.read();
             for &(l, p) in locals {
-                if st.slots.get(l as usize).and_then(Option::as_ref).is_none() {
+                if st.slot(l).is_none() {
                     return Err(CxlError::BadPage(p));
                 }
             }
@@ -755,7 +771,7 @@ impl CxlDevice {
             }
         }
         rt.used_pages -= freed;
-        cxl_telemetry::counter_add(TELEMETRY_LAYER, "pages_freed", None, freed);
+        self.book.lock().pages_freed += freed;
         Ok(freed)
     }
 
@@ -775,9 +791,7 @@ impl CxlDevice {
         let mut freed = 0;
         for shard in &self.shards {
             let mut st = shard.state.write();
-            let ShardState {
-                slots, free, used, ..
-            } = &mut *st;
+            let ShardState { slots, free, used } = &mut *st;
             for (l, slot) in slots.iter_mut().enumerate() {
                 if matches!(slot, Some(s) if s.region == region) {
                     *slot = None;
@@ -789,7 +803,7 @@ impl CxlDevice {
         }
         debug_assert_eq!(freed, info.pages, "region page accounting drifted");
         rt.used_pages -= freed;
-        cxl_telemetry::counter_add(TELEMETRY_LAYER, "pages_freed", None, freed);
+        self.book.lock().pages_freed += freed;
         Ok(freed)
     }
 
@@ -800,32 +814,17 @@ impl CxlDevice {
     /// [`CxlError::BadRegion`] if the region does not exist.
     pub fn region_usage(&self, region: RegionId) -> Result<RegionUsage, CxlError> {
         let rt = self.regions.read();
-        let r = rt.regions.get(&region).ok_or(CxlError::BadRegion(region))?;
-        Ok(RegionUsage {
-            name: r.name.clone(),
-            pages: r.pages,
-            bytes: r.pages * PAGE_SIZE,
-            kind: r.kind,
-        })
+        Ok(rt
+            .regions
+            .get(&region)
+            .ok_or(CxlError::BadRegion(region))?
+            .usage())
     }
 
     /// Lists all live regions with their usage.
     pub fn regions(&self) -> Vec<(RegionId, RegionUsage)> {
         let rt = self.regions.read();
-        rt.regions
-            .iter()
-            .map(|(id, r)| {
-                (
-                    *id,
-                    RegionUsage {
-                        name: r.name.clone(),
-                        pages: r.pages,
-                        bytes: r.pages * PAGE_SIZE,
-                        kind: r.kind,
-                    },
-                )
-            })
-            .collect()
+        rt.regions.iter().map(|(id, r)| (*id, r.usage())).collect()
     }
 
     /// Lists every live page with its owning region, for cross-layer
@@ -850,11 +849,7 @@ impl CxlDevice {
     /// live (freed, or never allocated).
     pub fn page_region(&self, page: CxlPageId) -> Option<RegionId> {
         let (s, l) = self.shard_of(page)?;
-        let st = self.shards[s].state.read();
-        st.slots
-            .get(l as usize)
-            .and_then(Option::as_ref)
-            .map(|slot| slot.region)
+        self.shards[s].state.read().slot(l).map(|slot| slot.region)
     }
 
     /// Reads `buf.len()` bytes at `offset` within `page`, on behalf of
@@ -878,18 +873,11 @@ impl CxlDevice {
             return Err(err);
         }
         let (s, l) = self.shard_of(page).ok_or(CxlError::BadPage(page))?;
-        let mut st = self.shards[s].state.write();
-        let len = buf.len() as u64;
-        let slot = st
-            .slots
-            .get(l as usize)
-            .and_then(Option::as_ref)
-            .ok_or(CxlError::BadPage(page))?;
+        let st = self.shards[s].state.read();
+        let slot = st.slot(l).ok_or(CxlError::BadPage(page))?;
         slot.data.read(offset, buf);
-        *st.stats.reads.entry(node).or_insert(0) += 1;
-        *st.stats.bytes_read.entry(node).or_insert(0) += len;
-        cxl_telemetry::counter_add(TELEMETRY_LAYER, "reads", Some(node.0), 1);
-        cxl_telemetry::counter_add(TELEMETRY_LAYER, "bytes_read", Some(node.0), len);
+        drop(st);
+        self.book.lock().book_reads(node, 1, buf.len() as u64);
         Ok(())
     }
 
@@ -914,21 +902,10 @@ impl CxlDevice {
         }
         let (s, l) = self.shard_of(page).ok_or(CxlError::BadPage(page))?;
         let mut st = self.shards[s].state.write();
-        let slot = st
-            .slots
-            .get_mut(l as usize)
-            .and_then(Option::as_mut)
-            .ok_or(CxlError::BadPage(page))?;
+        let slot = st.slot_mut(l).ok_or(CxlError::BadPage(page))?;
         slot.data.write(offset, data);
-        *st.stats.writes.entry(node).or_insert(0) += 1;
-        *st.stats.bytes_written.entry(node).or_insert(0) += data.len() as u64;
-        cxl_telemetry::counter_add(TELEMETRY_LAYER, "writes", Some(node.0), 1);
-        cxl_telemetry::counter_add(
-            TELEMETRY_LAYER,
-            "bytes_written",
-            Some(node.0),
-            data.len() as u64,
-        );
+        drop(st);
+        self.book.lock().book_writes(node, 1, data.len() as u64);
         Ok(())
     }
 
@@ -1016,23 +993,13 @@ impl CxlDevice {
         for (&s, entries) in &by_shard {
             let mut st = self.shards[s].state.write();
             for &(l, pos) in entries {
-                let slot = st
-                    .slots
-                    .get_mut(l as usize)
-                    .and_then(Option::as_mut)
-                    .ok_or(CxlError::BadPage(writes.as_ref()[pos].0))?;
+                let page = writes.as_ref()[pos].0;
+                let slot = st.slot_mut(l).ok_or(CxlError::BadPage(page))?;
                 slot.data = contents(&mut writes, pos);
             }
+            drop(st);
             let k = entries.len() as u64;
-            *st.stats.writes.entry(node).or_insert(0) += k;
-            *st.stats.bytes_written.entry(node).or_insert(0) += k * PAGE_SIZE;
-            cxl_telemetry::counter_add(TELEMETRY_LAYER, "writes", Some(node.0), k);
-            cxl_telemetry::counter_add(
-                TELEMETRY_LAYER,
-                "bytes_written",
-                Some(node.0),
-                k * PAGE_SIZE,
-            );
+            self.book.lock().book_writes(node, k, k * PAGE_SIZE);
         }
         Ok(())
     }
@@ -1075,10 +1042,10 @@ impl CxlDevice {
     /// [`CxlDevice::fingerprint_pages`] and [`CxlDevice::snapshot_pages`]:
     /// groups `pages` by owning shard, visits each shard once (ascending,
     /// one lock at a time) and returns `get(contents)` for every page
-    /// **in input order**. With `reader` set the visit is a modelled
-    /// transfer — that node's read counters advance by the shard's page
-    /// count once its sweep succeeded, under the shard's write lock;
-    /// without it the sweep is a read-locked audit that moves nothing.
+    /// **in input order**. Each sweep holds the shard's read lock. With
+    /// `reader` set the visit is a modelled transfer — the book gains
+    /// that node's reads of the shard's pages once its sweep succeeded;
+    /// without it the visit is an audit that books nothing.
     #[allow(
         clippy::expect_used,
         reason = "the shard sweep writes every input position or returns Err before the collect"
@@ -1096,32 +1063,15 @@ impl CxlDevice {
         }
         let mut out: Vec<Option<T>> = pages.iter().map(|_| None).collect();
         for (&s, entries) in &by_shard {
-            let mut sweep = |slots: &[Option<PageSlot>]| -> Result<(), CxlError> {
-                for &(l, pos) in entries {
-                    let slot = slots
-                        .get(l as usize)
-                        .and_then(Option::as_ref)
-                        .ok_or(CxlError::BadPage(pages[pos]))?;
-                    out[pos] = Some(get(&slot.data));
-                }
-                Ok(())
-            };
+            let st = self.shards[s].state.read();
+            for &(l, pos) in entries {
+                let slot = st.slot(l).ok_or(CxlError::BadPage(pages[pos]))?;
+                out[pos] = Some(get(&slot.data));
+            }
+            drop(st);
             if let Some(node) = reader {
-                let mut st = self.shards[s].state.write();
-                sweep(&st.slots)?;
                 let k = entries.len() as u64;
-                *st.stats.reads.entry(node).or_insert(0) += k;
-                *st.stats.bytes_read.entry(node).or_insert(0) += k * PAGE_SIZE;
-                cxl_telemetry::counter_add(TELEMETRY_LAYER, "reads", Some(node.0), k);
-                cxl_telemetry::counter_add(
-                    TELEMETRY_LAYER,
-                    "bytes_read",
-                    Some(node.0),
-                    k * PAGE_SIZE,
-                );
-            } else {
-                let st = self.shards[s].state.read();
-                sweep(&st.slots)?;
+                self.book.lock().book_reads(node, k, k * PAGE_SIZE);
             }
         }
         Ok(out
@@ -1138,12 +1088,11 @@ impl CxlDevice {
     pub fn fingerprint(&self, page: CxlPageId) -> Result<u64, CxlError> {
         let (s, l) = self.shard_of(page).ok_or(CxlError::BadPage(page))?;
         let st = self.shards[s].state.read();
-        let slot = st
-            .slots
-            .get(l as usize)
-            .and_then(Option::as_ref)
-            .ok_or(CxlError::BadPage(page))?;
-        Ok(slot.data.fingerprint())
+        Ok(st
+            .slot(l)
+            .ok_or(CxlError::BadPage(page))?
+            .data
+            .fingerprint())
     }
 
     /// Content fingerprints of every page, **in input order**, grouped by
@@ -1205,21 +1154,42 @@ impl CxlDevice {
         }
     }
 
-    /// Snapshot of the traffic counters, merged across shards. Totals are
-    /// increment-exact: every scalar or batch operation advanced exactly
-    /// one shard's counters by the amounts the scalar path always used.
+    /// A snapshot of the traffic book. Counts only grow, so the
+    /// difference of two snapshots is the traffic between them.
     pub fn stats(&self) -> CxlDeviceStats {
-        let mut merged = CxlDeviceStats::default();
-        for shard in &self.shards {
-            merged.merge(&shard.state.read().stats);
-        }
-        merged
+        self.book.lock().clone()
     }
 
-    /// Resets all traffic counters (between experiment phases).
-    pub fn reset_stats(&self) {
-        for shard in &self.shards {
-            shard.state.write().stats = CxlDeviceStats::default();
+    /// Publishes what the book gained since `before`: one
+    /// `cxl_mem.{reads,writes,bytes_read,bytes_written}{node=}` counter
+    /// per node whose count moved, and `cxl_mem.pages_allocated` /
+    /// `cxl_mem.pages_freed` if they moved. Telemetry keeps no copy of
+    /// its own; whoever created the device inside the armed window
+    /// publishes once, after the device's last operation. Records
+    /// nothing while unarmed.
+    pub fn publish_counters_since(&self, before: &CxlDeviceStats) {
+        let now = self.stats();
+        let per_node = [
+            ("reads", &now.reads, &before.reads),
+            ("writes", &now.writes, &before.writes),
+            ("bytes_read", &now.bytes_read, &before.bytes_read),
+            ("bytes_written", &now.bytes_written, &before.bytes_written),
+        ]
+        .into_iter()
+        .flat_map(|(name, now, was)| {
+            now.iter()
+                .map(move |(node, n)| (name, Some(node.0), n - was.get(node).map_or(0, |w| *w)))
+        });
+        let allocated = now.pages_allocated - before.pages_allocated;
+        let freed = now.pages_freed - before.pages_freed;
+        let pages = [
+            ("pages_allocated", None, allocated),
+            ("pages_freed", None, freed),
+        ];
+        for (name, node, delta) in per_node.chain(pages) {
+            if delta > 0 {
+                cxl_telemetry::counter_add("cxl_mem", name, node, delta);
+            }
         }
     }
 }
@@ -1394,15 +1364,54 @@ mod tests {
         d.write(p, 0, &[1, 2, 3], NodeId(0)).unwrap();
         let mut buf = [0u8; 2];
         d.read(p, 0, &mut buf, NodeId(1)).unwrap();
+        let before = d.stats();
         d.read(p, 0, &mut buf, NodeId(1)).unwrap();
-        let s = d.stats();
-        assert_eq!(s.writes[&NodeId(0)], 1);
-        assert_eq!(s.bytes_written[&NodeId(0)], 3);
-        assert_eq!(s.reads[&NodeId(1)], 2);
-        assert_eq!(s.bytes_read[&NodeId(1)], 4);
-        assert_eq!(s.total_reads(), 2);
-        d.reset_stats();
-        assert_eq!(d.stats().total_reads(), 0);
+        d.read(p, 0, &mut buf, NodeId(1)).unwrap();
+        d.free_page(p).unwrap();
+        let after = d.stats();
+        assert_eq!(after.writes[&NodeId(0)], 1);
+        assert_eq!(after.bytes_written[&NodeId(0)], 3);
+        assert_eq!(after.pages_allocated, 1);
+        // The difference of two snapshots is the traffic between them.
+        assert_eq!(after.reads[&NodeId(1)] - before.reads[&NodeId(1)], 2);
+        assert_eq!(
+            after.bytes_read[&NodeId(1)] - before.bytes_read[&NodeId(1)],
+            4
+        );
+        assert_eq!(after.total_reads() - before.total_reads(), 2);
+        assert_eq!(after.writes, before.writes, "no write in between");
+        assert_eq!(after.pages_freed - before.pages_freed, 1);
+    }
+
+    #[test]
+    fn publish_adds_only_what_moved_since_the_snapshot() {
+        let d = dev();
+        let r = d.create_region("r");
+        let pages = d.alloc_batch(r, 2).unwrap();
+        let writes: Vec<_> = pages.iter().map(|&p| (p, PageData::pattern(3))).collect();
+        d.write_pages(&writes, NodeId(0)).unwrap();
+        d.read_pages(&pages, NodeId(0)).unwrap();
+        let before = d.stats();
+        let session = cxl_telemetry::TelemetrySession::start();
+        d.read_pages(&pages, NodeId(1)).unwrap();
+        d.free_page(pages[0]).unwrap();
+        d.publish_counters_since(&before);
+        let data = session.finish();
+        let published: Vec<(String, u64)> = data
+            .registry
+            .counters()
+            .filter(|(k, _)| k.layer == "cxl_mem")
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        assert_eq!(
+            published,
+            vec![
+                ("cxl_mem.bytes_read{node=1}".to_string(), 2 * PAGE_SIZE),
+                ("cxl_mem.pages_freed".to_string(), 1),
+                ("cxl_mem.reads{node=1}".to_string(), 2),
+            ],
+            "node 0 and the allocations did not move: no key, not a zero"
+        );
     }
 
     #[test]

@@ -82,6 +82,8 @@ lock_order! {
     DEVICE_REGIONS = "cxl_mem.device.regions",
     /// Any one page shard of the device: shards are taken one at a time.
     DEVICE_SHARD = "cxl_mem.device.shard",
+    /// The device's traffic book: bumped after the data moved, innermost.
+    DEVICE_BOOK = "cxl_mem.device.book",
 }
 
 impl LockClass {
@@ -305,9 +307,11 @@ mod tests {
         let store = TrackedMutex::new(LockClass::STORE_INNER, ());
         let regions = TrackedRwLock::new(LockClass::DEVICE_REGIONS, ());
         let shard = TrackedRwLock::new(LockClass::DEVICE_SHARD, ());
+        let book = TrackedMutex::new(LockClass::DEVICE_BOOK, ());
         let _s = store.lock();
         let _r = regions.write();
         let _sh = shard.read();
+        let _b = book.lock();
     }
 
     #[test]

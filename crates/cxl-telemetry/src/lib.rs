@@ -33,7 +33,7 @@
 //! use simclock::SimTime;
 //!
 //! let session = TelemetrySession::start();
-//! cxl_telemetry::counter_add("cxl_mem", "bytes_read", Some(0), 4096);
+//! cxl_telemetry::counter_add("example", "bytes_read", Some(0), 4096);
 //! let pages = 64u64;
 //! span!(
 //!     "checkpoint.copy_pages",
@@ -43,7 +43,7 @@
 //!     pages
 //! );
 //! let data = session.finish();
-//! assert_eq!(data.registry.counter("cxl_mem", "bytes_read", Some(0)), 4096);
+//! assert_eq!(data.registry.counter("example", "bytes_read", Some(0)), 4096);
 //! assert_eq!(data.spans.len(), 1);
 //! assert_eq!(data.spans[0].attrs, vec![("pages".to_string(), 64)]);
 //! ```

@@ -56,10 +56,10 @@ impl fmt::Display for MetricKey {
 /// use simclock::SimDuration;
 ///
 /// let mut r = MetricsRegistry::new();
-/// r.counter_add("cxl_mem", "bytes_read", Some(0), 4096);
+/// r.counter_add("example", "bytes_read", Some(0), 4096);
 /// r.timer_record("cxlporter", "e2e", None, SimDuration::from_millis(14));
-/// assert_eq!(r.counter("cxl_mem", "bytes_read", Some(0)), 4096);
-/// assert_eq!(r.counter("cxl_mem", "bytes_read", Some(1)), 0);
+/// assert_eq!(r.counter("example", "bytes_read", Some(0)), 4096);
+/// assert_eq!(r.counter("example", "bytes_read", Some(1)), 0);
 /// ```
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct MetricsRegistry {

@@ -5,14 +5,16 @@
 //! 1. **Zero perturbation** — arming telemetry must not move a single
 //!    virtual-time result: an armed seeded availability run produces a
 //!    bit-identical [`cxlporter::PorterReport`] to an unarmed one.
-//! 2. **Reconciliation** — the `cxl_mem.*` telemetry counters are
-//!    mirrors of [`cxl_mem::CxlDeviceStats`]; the `node_os.*` counters
-//!    are each node's [`Node::counters`], published once per access loop
-//!    (a failed one included) and per checkpoint or restore retry; the
-//!    `cxlporter.*` counters are the [`cxlporter::PorterReport`]s,
-//!    published once per run. After a full checkpoint/restore/invoke
-//!    cycle each pair of books must agree entry for entry (and the
-//!    cross-layer audits of the same run must stay clean).
+//! 2. **Reconciliation** — telemetry keeps no copy of a book; it
+//!    publishes one. The `cxl_mem.*` counters are what the device's
+//!    [`cxl_mem::CxlDeviceStats`] gained since a snapshot, published by
+//!    whoever owns the device; the `node_os.*` counters are each node's
+//!    [`Node::counters`], published once per access loop (a failed one
+//!    included) and per checkpoint or restore retry; the `cxlporter.*`
+//!    counters are the [`cxlporter::PorterReport`]s, published once per
+//!    run. After a full checkpoint/restore/invoke cycle each pair of
+//!    books must agree entry for entry (and the cross-layer audits of the
+//!    same run must stay clean).
 //! 3. **Trace consistency** — checkpoint/restore phase child spans
 //!    partition their parent span exactly, the `core.phase.*` counters
 //!    equal the corresponding span durations, and the Chrome export
@@ -124,61 +126,92 @@ fn telemetry_counters_reconcile_with_device_stats() {
     let _guard = TELEMETRY_LOCK.lock().unwrap();
     let model = LatencyModel::calibrated();
 
-    // The device is created *inside* the armed window, so its stats and
-    // the telemetry counters cover exactly the same operations.
-    let session = TelemetrySession::start();
+    // The device is created, and carries traffic, *before* the armed
+    // window: one checkpoint restored and invoked, plus a node that goes
+    // quiet afterwards. The snapshot taken at arming is what telemetry
+    // must not count.
     let (device, _, mut nodes) = cluster(2, &model);
     let mut node1 = nodes.pop().expect("two nodes");
     let mut node0 = nodes.pop().expect("two nodes");
-
     let spec = faas::by_name("Json").expect("Json is in the suite");
     let (parent, _) = faas::deploy_cold(&mut node0, &spec).expect("deploy fits");
     faas::warm_for_checkpoint(&mut node0, parent, &spec, DEFAULT_STEADY_INVOCATIONS)
         .expect("warm-up fits");
     let fork = CxlFork::new();
+    let early = fork
+        .checkpoint(&mut node0, parent)
+        .expect("checkpoint fits");
+    let restored = fork
+        .restore_with(&early, &mut node1, RestoreOptions::mow())
+        .expect("restore fits");
+    faas::run_invocation(&mut node1, restored.pid, &spec, 0).expect("invocation");
+    let quiet = cxl_mem::NodeId(9);
+    let region = device.create_region("quiet");
+    let page = device.alloc_page(region).expect("a page fits");
+    device.write(page, 0, &[1, 2, 3], quiet).expect("live page");
+
+    let before = device.stats();
+    let used_before = device.used_pages();
+    let session = TelemetrySession::start();
     let ckpt = fork
         .checkpoint(&mut node0, parent)
         .expect("checkpoint fits");
     let restored = fork
         .restore_with(&ckpt, &mut node1, RestoreOptions::mow())
         .expect("restore fits");
-    faas::run_invocation(&mut node1, restored.pid, &spec, 0).expect("invocation");
+    faas::run_invocation(&mut node1, restored.pid, &spec, 1).expect("invocation");
+    device.publish_counters_since(&before);
     let data = session.finish();
 
-    let stats = device.stats();
-    assert!(stats.total_writes() > 0, "workload must hit the device");
-    for (map, name) in [
-        (&stats.reads, "reads"),
-        (&stats.writes, "writes"),
-        (&stats.bytes_read, "bytes_read"),
-        (&stats.bytes_written, "bytes_written"),
-    ] {
-        for (&node, &expected) in map {
+    let after = device.stats();
+    assert!(
+        before.total_writes() > 0 && after.total_writes() > before.total_writes(),
+        "traffic must fall on both sides of the snapshot"
+    );
+    let maps = [
+        ("reads", &after.reads, &before.reads),
+        ("writes", &after.writes, &before.writes),
+        ("bytes_read", &after.bytes_read, &before.bytes_read),
+        ("bytes_written", &after.bytes_written, &before.bytes_written),
+    ];
+    for (name, now, was) in maps {
+        for (node, n) in now {
+            let delta = n - was.get(node).copied().unwrap_or(0);
             assert_eq!(
                 data.registry.counter("cxl_mem", name, Some(node.0)),
-                expected,
-                "cxl_mem.{name}{{node={}}} disagrees with device stats",
+                delta,
+                "cxl_mem.{name}{{node={}}} disagrees with the book's delta",
                 node.0
             );
         }
-        // Totals match too, so telemetry has no per-node key the device
-        // does not know about.
-        assert_eq!(
-            data.registry.counter_across_nodes("cxl_mem", name),
-            map.values().sum::<u64>(),
-            "cxl_mem.{name} totals disagree"
-        );
+    }
+    // Telemetry adds no key the device lacks, and none for a node whose
+    // counts did not move (node 9 wrote only before the snapshot).
+    for (key, value) in data.registry.counters() {
+        if key.layer != "cxl_mem" {
+            continue;
+        }
+        assert!(value > 0, "{key} was published as zero");
+        assert_ne!(key.node, Some(quiet.0), "{key} did not move");
+        let known = match key.node {
+            Some(node) => maps.iter().any(|(name, now, _)| {
+                *name == key.name && now.contains_key(&cxl_mem::NodeId(node))
+            }),
+            None => key.name == "pages_allocated" || key.name == "pages_freed",
+        };
+        assert!(known, "{key} is not in the device's book");
     }
     let allocated = data.registry.counter("cxl_mem", "pages_allocated", None);
     let freed = data.registry.counter("cxl_mem", "pages_freed", None);
+    assert!(allocated > 0, "the checkpoint allocated inside the window");
     assert_eq!(
         allocated - freed,
-        device.used_pages(),
+        device.used_pages() - used_before,
         "page telemetry disagrees with the device's allocator"
     );
 
     // The very same run must also pass the cross-layer audits:
-    // telemetry never perturbs the books it mirrors.
+    // publishing never perturbs the books it reads.
     let mut violations = Vec::new();
     violations.extend(cxl_check::audit_node(&node0));
     violations.extend(cxl_check::audit_node(&node1));
