@@ -7,51 +7,76 @@ cd "$(dirname "$0")"
 echo '== fmt =='
 cargo fmt --all --check
 
+# forbid REASON PATTERN PATH...: fails with REASON if `git grep -E`
+# finds PATTERN under the PATHs. A grep that cannot run (exit status
+# above 1, such as 128 outside a git checkout) fails too, instead of
+# reading as "no match".
+forbid() {
+    reason=$1 pattern=$2
+    shift 2
+    status=0
+    git grep -nE "$pattern" -- "$@" || status=$?
+    case $status in
+    0)
+        echo "ci: $reason" >&2
+        exit 1
+        ;;
+    1) ;;
+    *)
+        echo "ci: git grep exited $status, so this guard cannot run: $reason" >&2
+        exit 1
+        ;;
+    esac
+}
+
 echo '== no build-configuration switch for the auditors =='
 # The auditors run in every test build (DESIGN.md §7): no crate may
 # grow a `check` feature back, and nothing may build with one.
-if git grep -nE 'feature = "check"|--features check|^check = ' -- crates/ tests/ examples/ Cargo.toml; then
-    echo 'ci: a `check` feature is back (DESIGN.md §7)' >&2
-    exit 1
-fi
+forbid 'a `check` feature is back (DESIGN.md §7)' \
+    'feature = "check"|--features check|^check = ' crates/ tests/ examples/ Cargo.toml
 
 echo '== one crash seam, one seal =='
 # A crash point is a device-operation boundary, reached through the
 # device's fault hook (DESIGN.md §13), and checkpoint immutability is the
 # seal each CXLfork checkpoint carries (§7). Neither second copy may
 # come back.
-if git grep -nE 'CrashpointHook|set_crash_hook|crash_armed|SealRegistry' -- crates tests; then
-    echo 'ci: a store crash-site hook or the test-only seal registry is back' >&2
-    exit 1
-fi
+forbid 'a store crash-site hook or the test-only seal registry is back' \
+    'CrashpointHook|set_crash_hook|crash_armed|SealRegistry' crates tests
 
 echo '== one lock-order check =='
 # Lock order is one declared table, checked by lockdep on every
 # acquisition (DESIGN.md §12): neither the static lock-graph linter nor
 # the runtime cycle finder may come back.
-if git grep -nE 'cxl_lint|cxl-lint|lock_order_cycles|check_lock_order|reset_lock_graph|LockOrderCycle' -- crates tests examples Cargo.toml; then
-    echo 'ci: a second lock-order checker is back (DESIGN.md §12)' >&2
-    exit 1
-fi
+forbid 'a second lock-order checker is back (DESIGN.md §12)' \
+    'cxl_lint|cxl-lint|lock_order_cycles|check_lock_order|reset_lock_graph|LockOrderCycle' \
+    crates tests examples Cargo.toml
 
 echo '== telemetry reads the books =='
 # Node and porter counters are published from their books, not bumped
 # per event, and metrics nothing reads stay deleted (DESIGN.md §9): no
 # gauge kind, and none of the seven write-only timers, may come back.
-if git grep -nE 'gauge_set|"fault\.latency"|"startup\.latency"|"local_fork\.latency"|"invocation\.latency"|"deploy_cold\.latency"|"queue\.delay"' -- crates tests examples; then
-    echo 'ci: a gauge or a write-only timer is back (DESIGN.md §9)' >&2
-    exit 1
-fi
+forbid 'a gauge or a write-only timer is back (DESIGN.md §9)' \
+    'gauge_set|"fault\.latency"|"startup\.latency"|"local_fork\.latency"|"invocation\.latency"|"deploy_cold\.latency"|"queue\.delay"' \
+    crates tests examples
+
+echo '== one access loop =='
+# The engine issues its page accesses as runs through `Node::access_run`,
+# which walks the page table once per leaf (DESIGN.md §4): no per-page
+# `access(` call may come back into faas.
+forbid 'faas makes a per-page access call; issue a run through Node::access_run (DESIGN.md §4)' \
+    '\.access\(' crates/faas/src
 
 echo '== the device publishes its book =='
 # The device's traffic book is one `CxlDeviceStats`; telemetry reads it
 # through `CxlDevice::publish_counters_since`, cxl-mem's one
 # `counter_add` (DESIGN.md §9). No per-event telemetry call and no
 # layer-name constant may come back into the device.
+forbid 'a telemetry layer-name constant is back in cxl-mem (DESIGN.md §9)' \
+    'TELEMETRY_LAYER' crates/cxl-mem/src
 calls=$(git grep -h 'counter_add' -- crates/cxl-mem/src | wc -l)
 published=$(awk '/fn publish_counters_since/,/^    }$/ { if (/counter_add/) n++ } END { print n + 0 }' \
     crates/cxl-mem/src/device.rs)
-if git grep -n 'TELEMETRY_LAYER' -- crates/cxl-mem/src || [ "$calls" -ne 1 ] || [ "$published" -ne 1 ]; then
+if [ "$calls" -ne 1 ] || [ "$published" -ne 1 ]; then
     echo 'ci: cxl-mem books traffic in telemetry outside publish_counters_since (DESIGN.md §9)' >&2
     git grep -n 'counter_add' -- crates/cxl-mem/src >&2
     exit 1
@@ -191,7 +216,8 @@ expect_tests cxl-mem --lib \
 expect_tests node-os --lib \
     frame::tests::fingerprint_identity_frame_size_is_unchanged \
     mm::tests::cxl_backing_matches_btreemap_model_under_arbitrary_insert_orders \
-    node::tests::counters_equal_an_independent_tally_of_access_outcomes
+    node::tests::counters_equal_an_independent_tally_of_access_outcomes \
+    node::tests::an_access_run_equals_its_pages_one_by_one
 expect_tests cxl-store '--test differential' \
     store_differential_volatile_matches_per_page_model_page_for_page \
     store_differential_durable_matches_model_and_recovers_to_it \

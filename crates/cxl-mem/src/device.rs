@@ -1006,15 +1006,22 @@ impl CxlDevice {
 
     /// Returns a copy of the full contents of `page` (the CoW-fault /
     /// migrate-on-access pull path). Scalar form of
-    /// [`CxlDevice::read_pages`] — a batch of one, with identical
-    /// counter increments.
+    /// [`CxlDevice::read_pages`]: the same fault-hook consult and counter
+    /// increments as a batch of one, without the batch's allocations.
     ///
     /// # Errors
     ///
     /// [`CxlError::BadPage`] if the page is not live.
     pub fn read_page(&self, page: CxlPageId, node: NodeId) -> Result<PageData, CxlError> {
-        let mut out = self.read_pages(std::slice::from_ref(&page), node)?;
-        Ok(out.remove(0))
+        if let Some(err) = self.injected(DeviceOp::Read, Some(page), node) {
+            return Err(err);
+        }
+        let (s, l) = self.shard_of(page).ok_or(CxlError::BadPage(page))?;
+        let st = self.shards[s].state.read();
+        let data = st.slot(l).ok_or(CxlError::BadPage(page))?.data.clone();
+        drop(st);
+        self.book.lock().book_reads(node, 1, PAGE_SIZE);
+        Ok(data)
     }
 
     /// Reads the full contents of every page as one batched transfer,

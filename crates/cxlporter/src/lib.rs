@@ -86,7 +86,7 @@ mod tests {
         for i in 0..=checkpoint_after {
             trace.push(Invocation {
                 time: simclock::SimTime::from_nanos(i * 1_000_000_000),
-                function: function.to_owned(),
+                function: function.into(),
                 owner: 0,
             });
         }
@@ -94,7 +94,7 @@ mod tests {
         for i in 0..burst {
             trace.push(Invocation {
                 time: simclock::SimTime::from_nanos(burst_at + i as u64),
-                function: function.to_owned(),
+                function: function.into(),
                 owner: 0,
             });
         }
@@ -409,7 +409,7 @@ mod tests {
         for i in 0..8u64 {
             trace.push(Invocation {
                 time: crash_at + SimDuration::from_millis(1 + i),
-                function: "Json".to_owned(),
+                function: "Json".into(),
                 owner: 0,
             });
         }

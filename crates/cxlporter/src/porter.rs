@@ -909,7 +909,7 @@ impl<M: RemoteFork> CxlPorter<M> {
         for (function, owner) in in_flight {
             let retry = Invocation {
                 time: crash.at,
-                function,
+                function: function.into(),
                 owner,
             };
             let dropped_before = self.report.dropped;

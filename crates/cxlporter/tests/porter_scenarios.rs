@@ -17,7 +17,7 @@ use trace_gen::Invocation;
 fn at(ns: u64, function: &str) -> Invocation {
     Invocation {
         time: SimTime::from_nanos(ns),
-        function: function.to_owned(),
+        function: function.into(),
         owner: 0,
     }
 }

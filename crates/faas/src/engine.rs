@@ -9,7 +9,7 @@
 //! anonymous page — which is exactly the work remote forks exist to avoid
 //! (Fig. 6).
 //!
-//! All costs flow through [`Node::access`], so faults, LLC behaviour and
+//! All costs flow through [`Node::access_run`], so faults, LLC behaviour and
 //! memory-tier latencies are charged by the same machinery for every fork
 //! mechanism.
 
@@ -67,19 +67,18 @@ impl InitReport {
 }
 
 /// The engine's one access loop: issues `access` to every page of `vpns`,
-/// in order, and hands each outcome to `book`. Publishes what the node's
-/// books gained once, when the loop ends, also when an access fails.
+/// in order, as one run ([`Node::access_run`]), and hands each outcome to
+/// `book`. Publishes what the node's books gained once, when the run
+/// ends, also when an access fails.
 fn touch(
     node: &mut Node,
     pid: Pid,
     vpns: impl IntoIterator<Item = VirtPageNum>,
     access: Access,
-    mut book: impl FnMut(AccessOutcome),
+    book: impl FnMut(AccessOutcome),
 ) -> Result<(), OsError> {
     let before = node.counters();
-    let result = vpns
-        .into_iter()
-        .try_for_each(|vpn| node.access(pid, vpn.0, access).map(&mut book));
+    let result = node.access_run(pid, vpns, access, book);
     node.publish_counters_since(before);
     result
 }

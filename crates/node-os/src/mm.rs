@@ -33,7 +33,7 @@ use crate::cache::LlcCache;
 use crate::error::OsError;
 use crate::frame::FrameAllocator;
 use crate::fs::SharedFs;
-use crate::page_table::PageTable;
+use crate::page_table::{LeafSlot, PageTable};
 use crate::pagecache::PageCache;
 use crate::pte::{Pte, PteFlags};
 use crate::vma::{Protection, Vma, VmaTree};
@@ -141,8 +141,12 @@ impl CxlBacking {
 
     /// Looks up the checkpointed page for `vpn`.
     pub fn get(&self, vpn: VirtPageNum) -> Option<BackingPage> {
+        self.find(vpn).cloned()
+    }
+
+    fn find(&self, vpn: VirtPageNum) -> Option<&BackingPage> {
         let at = self.pages.binary_search_by_key(&vpn.0, |(v, _)| *v).ok()?;
-        Some(self.pages[at].1.clone())
+        Some(&self.pages[at].1)
     }
 
     /// Number of backed pages.
@@ -216,7 +220,7 @@ impl FaultKind {
 }
 
 /// Result of one simulated access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AccessOutcome {
     /// The fault taken, if any.
     pub fault: Option<FaultKind>,
@@ -432,7 +436,8 @@ impl AddressSpace {
     }
 
     /// Simulates one access to `vpn`, resolving any fault, charging the
-    /// cache and memory tier, and updating A/D bits.
+    /// cache and memory tier, and updating A/D bits: a one-page run
+    /// through the one access loop (DESIGN.md §4).
     ///
     /// # Errors
     ///
@@ -446,45 +451,65 @@ impl AddressSpace {
         access: Access,
         ctx: &mut MmContext<'_>,
     ) -> Result<AccessOutcome, OsError> {
-        let mut outcome = AccessOutcome {
-            fault: None,
-            cost: SimDuration::ZERO,
-            fault_cost: SimDuration::ZERO,
-            cache_hit: false,
-            cxl_tier: false,
-            pt_leaf_cow: false,
-            retries: 0,
-        };
-
-        let pte = self.page_table.get(vpn);
-        let needs_fault = !pte.is_present() || (access == Access::Write && !pte.is_writable());
-        if needs_fault {
-            self.handle_fault(vpn, access, pte, ctx, &mut outcome)?;
-        }
-
-        // Post-fault (or fault-free) data access.
-        let final_pte = self.page_table.get(vpn);
-        let target = final_pte
-            .target()
-            .unwrap_or_else(|| panic!("present pte without target at {vpn}"));
-        outcome.cxl_tier = target.is_cxl();
-        let hit = ctx.cache.access(target);
-        outcome.cache_hit = hit;
-        let mem_cost = if hit {
-            ctx.model.cache_hit()
-        } else if target.is_cxl() {
-            ctx.model.cxl_read_round_trip()
-        } else {
-            ctx.model.local_read_round_trip()
-        };
-        outcome.cost += mem_cost;
-
-        // A/D bit maintenance (works on attached leaves for A).
-        self.page_table.mark_accessed(vpn);
-        if access == Access::Write {
-            self.page_table.mark_dirty(vpn);
-        }
+        let mut outcome = AccessOutcome::default();
+        self.access_run([vpn], access, ctx, |o| outcome = o)?;
         Ok(outcome)
+    }
+
+    /// Simulates `access` to every page of `vpns`, in order, handing each
+    /// outcome to `each` as it completes. Stops at the first failing
+    /// page, which hands over nothing; the pages before it stay booked.
+    ///
+    /// The run keeps a cursor on the current page-table leaf, so the
+    /// tree is walked once per leaf: a page whose PTE is present and
+    /// allows the access costs one slot read and the tail every access
+    /// ends in (`complete`: LLC step, tier cost, A/D bits). Any other
+    /// page takes the fault path and drops the cursor, since a fault can
+    /// create a leaf or copy an attached one. Each page's outcome is
+    /// exactly what a run of that page alone would give.
+    ///
+    /// # Errors
+    ///
+    /// As [`AddressSpace::access`], for the first page that fails.
+    pub(crate) fn access_run(
+        &mut self,
+        vpns: impl IntoIterator<Item = VirtPageNum>,
+        access: Access,
+        ctx: &mut MmContext<'_>,
+        mut each: impl FnMut(AccessOutcome),
+    ) -> Result<(), OsError> {
+        let mut vpns = vpns.into_iter();
+        let mut next = vpns.next();
+        'run: while let Some(mut vpn) = next {
+            let mut pte = Pte::EMPTY;
+            if let Some(leaf) = self.page_table.leaf_for_mut(vpn) {
+                let leaf_index = vpn.leaf_index();
+                loop {
+                    pte = leaf.get(vpn.leaf_slot());
+                    if !allows(pte, access) {
+                        break;
+                    }
+                    let mut outcome = AccessOutcome::default();
+                    complete(leaf, vpn, access, ctx, &mut outcome);
+                    each(outcome);
+                    next = vpns.next();
+                    match next {
+                        Some(n) if n.leaf_index() == leaf_index => vpn = n,
+                        _ => continue 'run,
+                    }
+                }
+            }
+            let mut outcome = AccessOutcome::default();
+            self.handle_fault(vpn, access, pte, ctx, &mut outcome)?;
+            let leaf = self
+                .page_table
+                .leaf_for_mut(vpn)
+                .unwrap_or_else(|| panic!("resolved fault at {vpn} left no leaf"));
+            complete(leaf, vpn, access, ctx, &mut outcome);
+            each(outcome);
+            next = vpns.next();
+        }
+        Ok(())
     }
 
     /// Resolves a fault at `vpn`. On return the PTE is present and (for
@@ -514,11 +539,7 @@ impl AddressSpace {
             outcome.cost += cost;
         }
 
-        let vma = self
-            .vmas
-            .find(vpn)
-            .cloned()
-            .ok_or(OsError::BadAddress(vpn))?;
+        let vma = self.vmas.find(vpn).ok_or(OsError::BadAddress(vpn))?;
         if access == Access::Write && !vma.prot.write {
             return Err(OsError::ProtectionViolation(vpn));
         }
@@ -539,7 +560,7 @@ impl AddressSpace {
                             FaultKind::LocalCow,
                             Pte::mapped(
                                 PhysAddr::Local(copy),
-                                base_flags(&vma) | PteFlags::DIRTY | PRIVATE,
+                                base_flags(vma) | PteFlags::DIRTY | PRIVATE,
                             ),
                         )
                     } else {
@@ -560,7 +581,7 @@ impl AddressSpace {
                         FaultKind::CxlCow,
                         Pte::mapped(
                             PhysAddr::Local(pfn),
-                            base_flags(&vma) | PteFlags::DIRTY | PRIVATE,
+                            base_flags(vma) | PteFlags::DIRTY | PRIVATE,
                         ),
                     )
                 }
@@ -570,10 +591,14 @@ impl AddressSpace {
             let PhysAddr::Cxl(page) = target else {
                 unreachable!("armed entries always point at CXL")
             };
-            self.pull_page(BackingSource::Device(page), access, &vma, ctx, outcome)?
+            let pulled = Self::pull_page(&BackingSource::Device(page), access, vma, ctx, outcome)?;
+            self.private_local_pages += 1;
+            pulled
         } else if let Some(b) = self.backing_for(vpn) {
             // Pull policy (migrate-on-access): copy on first touch.
-            self.pull_page(b.source, access, &vma, ctx, outcome)?
+            let pulled = Self::pull_page(&b.source, access, vma, ctx, outcome)?;
+            self.private_local_pages += 1;
+            pulled
         } else {
             match &vma.kind {
                 // Shared anonymous memory faults like private anonymous
@@ -582,7 +607,7 @@ impl AddressSpace {
                 crate::vma::VmaKind::Anonymous | crate::vma::VmaKind::SharedAnonymous => {
                     let pfn = ctx.frames.alloc_zeroed()?;
                     self.private_local_pages += 1;
-                    let mut flags = base_flags(&vma);
+                    let mut flags = base_flags(vma);
                     if access == Access::Write {
                         flags |= PteFlags::DIRTY;
                     }
@@ -623,7 +648,7 @@ impl AddressSpace {
                             kind,
                             Pte::mapped(
                                 PhysAddr::Local(copy),
-                                base_flags(&vma) | PteFlags::FILE | PteFlags::DIRTY | PRIVATE,
+                                base_flags(vma) | PteFlags::FILE | PteFlags::DIRTY | PRIVATE,
                             ),
                         )
                     } else {
@@ -697,17 +722,17 @@ impl AddressSpace {
         })
     }
 
-    fn backing_for(&self, vpn: VirtPageNum) -> Option<BackingPage> {
+    fn backing_for(&self, vpn: VirtPageNum) -> Option<&BackingPage> {
         match self.policy {
-            CxlTierPolicy::MigrateOnAccess => self.backing.as_ref()?.get(vpn),
+            CxlTierPolicy::MigrateOnAccess => self.backing.as_ref()?.find(vpn),
             _ => None,
         }
     }
 
-    /// Copies a checkpointed page to local memory on first touch.
+    /// Copies a checkpointed page into a fresh local frame on first
+    /// touch. The caller counts the frame as private once this returns.
     fn pull_page(
-        &mut self,
-        source: BackingSource,
+        source: &BackingSource,
         access: Access,
         vma: &Vma,
         ctx: &mut MmContext<'_>,
@@ -716,12 +741,11 @@ impl AddressSpace {
         let (kind, data) = match source {
             BackingSource::Device(page) => (
                 FaultKind::CxlPull,
-                Self::read_cxl_page(ctx.device, ctx.node, page, outcome)?,
+                Self::read_cxl_page(ctx.device, ctx.node, *page, outcome)?,
             ),
-            BackingSource::Remote(data) => (FaultKind::RemotePull, (*data).clone()),
+            BackingSource::Remote(data) => (FaultKind::RemotePull, (**data).clone()),
         };
         let pfn = ctx.frames.alloc(data)?;
-        self.private_local_pages += 1;
         let mut flags = base_flags(vma);
         if access == Access::Write {
             flags |= PteFlags::DIRTY;
@@ -883,6 +907,45 @@ impl AddressSpace {
         child.policy = self.policy;
         child.backing = self.backing.clone();
         Ok((child, cost))
+    }
+}
+
+/// Whether `pte` lets `access` through without a fault: present, and
+/// writable for a store.
+#[inline]
+fn allows(pte: Pte, access: Access) -> bool {
+    pte.is_present() && (access == Access::Read || pte.is_writable())
+}
+
+/// The tail every access ends in, faulted or not, on the leaf holding
+/// the now-resolved `vpn`: one LLC step, the tier's round trip on a miss
+/// (a cache hit otherwise), the A bit, and for a store the D bit (on
+/// local leaves; attached entries are immutable).
+#[inline]
+fn complete(
+    leaf: &mut LeafSlot,
+    vpn: VirtPageNum,
+    access: Access,
+    ctx: &mut MmContext<'_>,
+    outcome: &mut AccessOutcome,
+) {
+    let slot = vpn.leaf_slot();
+    let target = leaf
+        .get(slot)
+        .target()
+        .unwrap_or_else(|| panic!("present pte without target at {vpn}"));
+    outcome.cxl_tier = target.is_cxl();
+    outcome.cache_hit = ctx.cache.access(target);
+    outcome.cost += if outcome.cache_hit {
+        ctx.model.cache_hit()
+    } else if outcome.cxl_tier {
+        ctx.model.cxl_read_round_trip()
+    } else {
+        ctx.model.local_read_round_trip()
+    };
+    leaf.access_bits().set(slot);
+    if access == Access::Write {
+        leaf.mark_dirty(slot);
     }
 }
 

@@ -7,7 +7,7 @@ use simclock::{LatencyModel, SimClock, SimDuration, SimTime};
 
 use cxl_mem::{CxlDevice, NodeId};
 
-use crate::addr::Pid;
+use crate::addr::{Pid, VirtPageNum};
 use crate::cache::{CacheConfig, LlcCache};
 use crate::error::OsError;
 use crate::frame::FrameAllocator;
@@ -61,9 +61,9 @@ impl NodeConfig {
 /// A node's event books: faults by kind, the LLC outcome of every
 /// access, and the transient CXL errors retried away.
 ///
-/// Fixed fields, one update per [`Node::access`]; the names the reports
-/// use are rendered only by [`NodeCounters::get`], and reach telemetry
-/// only through [`Node::publish_counters_since`].
+/// Fixed fields, one update per access outcome ([`Node::access_run`]);
+/// the names the reports use are rendered only by [`NodeCounters::get`],
+/// and reach telemetry only through [`Node::publish_counters_since`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NodeCounters {
     faults: [u64; FaultKind::ALL.len()],
@@ -347,11 +347,22 @@ impl Node {
         pid: Pid,
         f: impl FnOnce(&mut Process, &mut MmContext<'_>) -> R,
     ) -> Result<R, OsError> {
-        let process = self
-            .processes
-            .get_mut(&pid)
-            .ok_or(OsError::NoSuchProcess(pid))?;
-        let mut ctx = MmContext {
+        let (processes, mut ctx, ..) = self.split();
+        let process = processes.get_mut(&pid).ok_or(OsError::NoSuchProcess(pid))?;
+        Ok(f(process, &mut ctx))
+    }
+
+    /// The node's fields borrowed apart: the process table, the fault
+    /// context, the clock and the books.
+    fn split(
+        &mut self,
+    ) -> (
+        &mut BTreeMap<Pid, Process>,
+        MmContext<'_>,
+        &mut SimClock,
+        &mut NodeCounters,
+    ) {
+        let ctx = MmContext {
             frames: &mut self.frames,
             cache: &mut self.cache,
             device: &self.device,
@@ -360,25 +371,54 @@ impl Node {
             page_cache: &mut self.page_cache,
             node: self.id,
         };
-        Ok(f(process, &mut ctx))
+        (
+            &mut self.processes,
+            ctx,
+            &mut self.clock,
+            &mut self.counters,
+        )
     }
 
-    /// Simulates one memory access by `pid` to virtual page `vpn`,
-    /// advancing the node clock and updating counters. Makes no telemetry
-    /// call: the caller publishes the books once per batch
-    /// ([`publish_counters_since`](Self::publish_counters_since)).
+    /// Simulates one memory access by `pid` to virtual page `vpn`: a
+    /// one-page [`access_run`](Self::access_run).
     ///
     /// # Errors
     ///
     /// Propagates address-space errors ([`OsError::BadAddress`],
     /// [`OsError::OutOfMemory`], …).
     pub fn access(&mut self, pid: Pid, vpn: u64, access: Access) -> Result<AccessOutcome, OsError> {
-        let outcome = self.with_process_ctx(pid, |p, ctx| {
-            p.mm.access(crate::addr::VirtPageNum(vpn), access, ctx)
-        })??;
-        self.clock.advance(outcome.cost);
-        self.counters.record(&outcome);
+        let mut outcome = AccessOutcome::default();
+        self.access_run(pid, [VirtPageNum(vpn)], access, |o| outcome = o)?;
         Ok(outcome)
+    }
+
+    /// Simulates `access` by `pid` to every page of `vpns`, in order, as
+    /// one run (DESIGN.md §4): the process is looked up once and the page
+    /// table walked once per leaf. Each outcome advances the node clock
+    /// and the books, then goes to `book`. A failing page books nothing
+    /// and ends the run. Makes no telemetry call: the caller publishes
+    /// the books once per batch
+    /// ([`publish_counters_since`](Self::publish_counters_since)).
+    ///
+    /// # Errors
+    ///
+    /// [`OsError::NoSuchProcess`] if `pid` is not live; otherwise the
+    /// first failing page's address-space error ([`OsError::BadAddress`],
+    /// [`OsError::OutOfMemory`], …).
+    pub fn access_run(
+        &mut self,
+        pid: Pid,
+        vpns: impl IntoIterator<Item = VirtPageNum>,
+        access: Access,
+        mut book: impl FnMut(AccessOutcome),
+    ) -> Result<(), OsError> {
+        let (processes, mut ctx, clock, counters) = self.split();
+        let process = processes.get_mut(&pid).ok_or(OsError::NoSuchProcess(pid))?;
+        process.mm.access_run(vpns, access, &mut ctx, |outcome| {
+            clock.advance(outcome.cost);
+            counters.record(&outcome);
+            book(outcome);
+        })
     }
 
     /// Forks `parent` locally: CoW-shares its anonymous memory, clones its
@@ -415,19 +455,8 @@ impl Node {
     ///
     /// [`OsError::NoSuchProcess`] if `pid` is not live on this node.
     pub fn kill(&mut self, pid: Pid) -> Result<(), OsError> {
-        let mut process = self
-            .processes
-            .remove(&pid)
-            .ok_or(OsError::NoSuchProcess(pid))?;
-        let mut ctx = MmContext {
-            frames: &mut self.frames,
-            cache: &mut self.cache,
-            device: &self.device,
-            rootfs: &self.rootfs,
-            model: &self.model,
-            page_cache: &mut self.page_cache,
-            node: self.id,
-        };
+        let (processes, mut ctx, ..) = self.split();
+        let mut process = processes.remove(&pid).ok_or(OsError::NoSuchProcess(pid))?;
         process.mm.teardown(&mut ctx);
         Ok(())
     }
@@ -626,6 +655,320 @@ mod tests {
         assert_eq!(books.get("llc_miss"), books.llc_misses);
         assert_eq!(books.get("cxl_transient_retry"), books.transient_retries);
         assert_eq!(books.get("no_such_event"), 0);
+    }
+
+    /// One step of the run-equivalence script.
+    enum Step {
+        /// `access` to `vpns`, in order, by the `proc`-th process.
+        Run {
+            proc: usize,
+            vpns: Vec<u64>,
+            access: Access,
+        },
+        /// A local fork of the parent; the child becomes process 3.
+        Fork,
+    }
+
+    /// Everything a replay leaves behind that the two ways of issuing a
+    /// run must agree on.
+    #[derive(Debug, PartialEq)]
+    struct Replay {
+        /// Per page issued: `(step, position in the run, outcome)`.
+        outcomes: Vec<(usize, usize, Result<AccessOutcome, String>)>,
+        now: SimTime,
+        counters: NodeCounters,
+        frames_used: u64,
+        llc: (u64, u64),
+        /// Per process: every populated PTE with its runtime A bit.
+        entries: Vec<(Pid, VirtPageNum, crate::pte::Pte, bool)>,
+        /// Per process: private pages, leaf CoWs and VMA-block CoWs.
+        books: Vec<(Pid, u64, u64, u64)>,
+    }
+
+    /// The mapped ranges of each process the script draws runs from.
+    /// All are writable but the library at 2048 of the parent and its
+    /// child.
+    const PROC_RANGES: [&[(u64, u64)]; 4] = [
+        &[(0, 1100), (2048, 2112), (2200, 2232), (4096, 4160)],
+        &[(300, 700)],
+        &[(7900, 9216), (9216, 9280)],
+        &[(0, 1100), (2048, 2112), (2200, 2232), (4096, 4160)],
+    ];
+
+    /// A seeded script: a fixed prologue (a store run that localizes the
+    /// attached VMA block on its first page, copies an attached leaf in
+    /// its middle and revisits pages after the copy; a load run across
+    /// two attached leaves into armed entries), then random runs —
+    /// sequential stretches that may cross leaf boundaries, revisit
+    /// their own pages, or hit an unmapped page part-way — with one
+    /// local fork a third of the way in.
+    fn run_script(seed: u64) -> Vec<Step> {
+        use rand::Rng;
+        let mut rng = simclock::rng::seeded(seed);
+        let mut steps = vec![
+            Step::Run {
+                proc: 2,
+                vpns: (8186..8200).chain(8193..8196).collect(),
+                access: Access::Write,
+            },
+            Step::Run {
+                proc: 2,
+                vpns: (8700..8710).chain(9214..9220).collect(),
+                access: Access::Read,
+            },
+        ];
+        let mut live: usize = 3;
+        for i in 0..360 {
+            if i == 120 {
+                steps.push(Step::Fork);
+                live = 4;
+            }
+            let proc = rng.gen_range(0..live);
+            let ranges = PROC_RANGES[proc];
+            let (lo, hi) = ranges[rng.gen_range(0..ranges.len())];
+            let start = rng.gen_range(lo..hi);
+            let len = rng.gen_range(1..48u64);
+            let mut vpns: Vec<u64> = (start..(start + len).min(hi)).collect();
+            if rng.gen_range(0u8..4) == 0 {
+                let again = rng.gen_range(1..=vpns.len());
+                vpns.extend_from_within(..again);
+            }
+            if rng.gen_range(0u8..10) == 0 {
+                let at = rng.gen_range(0..=vpns.len());
+                vpns.insert(at, 60_000);
+            }
+            let access = if rng.gen_range(0u8..3) == 0 {
+                Access::Write
+            } else {
+                Access::Read
+            };
+            steps.push(Step::Run { proc, vpns, access });
+        }
+        steps
+    }
+
+    /// Builds a node of `mib` MiB with three processes — a parent with
+    /// a heap, a read-only library, a writable file mapping and
+    /// migrate-on-write CXL pages; a migrate-on-access puller backed by
+    /// the device and by another node's memory; and a hybrid restore
+    /// with attached page-table leaves, armed entries and an attached
+    /// VMA block — and replays `script` on it, each run whole through
+    /// [`Node::access_run`] or page by page through [`Node::access`].
+    fn replay_script(mib: u64, script: &[Step], whole: bool) -> Replay {
+        use crate::mm::{BackingPage, BackingSource, CxlBacking, CxlTierPolicy};
+        use crate::page_table::{AttachedLeaf, PtLeaf};
+        use crate::pte::{Pte, PteFlags};
+        use crate::vma::{Vma, VmaBlock};
+        use crate::PhysAddr;
+        use cxl_mem::PageData;
+
+        let device = Arc::new(CxlDevice::with_capacity_mib(16));
+        let rootfs = Arc::new(SharedFs::new());
+        rootfs.create("/lib/app.so", 64 * crate::PAGE_SIZE, 5);
+        rootfs.create("/data.bin", 32 * crate::PAGE_SIZE, 6);
+        let mut n = Node::with_rootfs(
+            NodeConfig::default().with_local_mem_mib(mib),
+            Arc::clone(&device),
+            rootfs,
+        );
+        let region = device.create_region("ckpt");
+        let cxl_page = |seed: u64| {
+            let page = device.alloc_page(region).unwrap();
+            device
+                .write_page(page, PageData::pattern(seed), NodeId(9))
+                .unwrap();
+            page
+        };
+        let rw = Protection::read_write();
+
+        let parent = n.spawn("parent").unwrap();
+        let mm = &mut n.process_mut(parent).unwrap().mm;
+        mm.map_anonymous(0, 1100, rw, "heap").unwrap();
+        mm.map_file(2048, 64, Protection::read_exec(), "/lib/app.so", 0)
+            .unwrap();
+        mm.map_file(2200, 32, rw, "/data.bin", 0).unwrap();
+        mm.map_anonymous(4096, 64, rw, "ckpt").unwrap();
+        for vpn in 4096..4160 {
+            let target = PhysAddr::Cxl(cxl_page(vpn));
+            mm.install_mapping(
+                VirtPageNum(vpn),
+                target,
+                PteFlags::PRESENT | PteFlags::COW,
+                false,
+            );
+        }
+
+        let puller = n.spawn("puller").unwrap();
+        let mut backing = CxlBacking::new();
+        for vpn in 300..700 {
+            let source = if vpn < 500 {
+                BackingSource::Device(cxl_page(vpn))
+            } else {
+                BackingSource::Remote(Arc::new(PageData::pattern(vpn)))
+            };
+            let page = BackingPage {
+                source,
+                accessed: true,
+                dirty: false,
+                file_backed: false,
+            };
+            backing.insert(VirtPageNum(vpn), page);
+        }
+        let mm = &mut n.process_mut(puller).unwrap().mm;
+        mm.map_anonymous(300, 400, rw, "pulled").unwrap();
+        mm.set_policy(CxlTierPolicy::MigrateOnAccess);
+        mm.set_backing(Arc::new(backing));
+
+        // Leaves 16 and 17 (vpns 8192..9216) are attached checkpoint
+        // leaves; 7900..8192 is plain heap below them; leaf 18 holds
+        // armed (fetch-on-access) entries.
+        let restored = n.spawn("restored").unwrap();
+        let mut attached = Vec::new();
+        for leaf_index in [16u64, 17] {
+            let mut leaf = PtLeaf::new();
+            for slot in 0..crate::PTES_PER_LEAF {
+                let target = PhysAddr::Cxl(cxl_page((leaf_index << 9) + slot as u64));
+                let flags = PteFlags::PRESENT | PteFlags::COW | PteFlags::CKPT_PIN;
+                leaf.set(slot, Pte::mapped(target, flags));
+            }
+            let backing = cxl_page(leaf_index);
+            attached.push((
+                leaf_index,
+                AttachedLeaf {
+                    leaf: Arc::new(leaf),
+                    backing,
+                },
+            ));
+        }
+        let armed: Vec<_> = (9216..9280).map(|vpn| (vpn, cxl_page(vpn))).collect();
+        let block_page = cxl_page(0);
+        let mm = &mut n.process_mut(restored).unwrap().mm;
+        let block = VmaBlock::from_vmas(vec![
+            Vma::anonymous(7900, 9216, rw, "ckpt"),
+            Vma::anonymous(9216, 9280, rw, "hot"),
+        ]);
+        mm.vmas.attach_block(Arc::new(block), block_page);
+        for (leaf_index, leaf) in attached {
+            mm.page_table.attach_leaf(leaf_index, leaf);
+        }
+        for (vpn, page) in armed {
+            let pte = Pte::armed(PhysAddr::Cxl(page), PteFlags::FETCH_ON_ACCESS);
+            mm.page_table.set(VirtPageNum(vpn), pte);
+        }
+        mm.set_policy(CxlTierPolicy::Hybrid);
+
+        let injector = Arc::new(cxl_fault::Injector::from_plan(
+            cxl_fault::FaultPlan::new(11).with_transient_rate(0.1),
+        ));
+        injector.arm(&device);
+
+        let mut pids = vec![parent, puller, restored];
+        let mut outcomes = Vec::new();
+        for (step, op) in script.iter().enumerate() {
+            let Step::Run { proc, vpns, access } = op else {
+                pids.push(n.local_fork(parent).unwrap().0);
+                continue;
+            };
+            let (pid, access) = (pids[*proc], *access);
+            let mut pos = 0;
+            let mut record = |o: Result<AccessOutcome, OsError>| {
+                outcomes.push((step, pos, o.map_err(|e| format!("{e:?}"))));
+                pos += 1;
+            };
+            if whole {
+                let pages = vpns.iter().map(|v| VirtPageNum(*v));
+                if let Err(e) = n.access_run(pid, pages, access, |o| record(Ok(o))) {
+                    record(Err(e));
+                }
+            } else {
+                for vpn in vpns {
+                    let o = n.access(pid, *vpn, access);
+                    let failed = o.is_err();
+                    record(o);
+                    if failed {
+                        break;
+                    }
+                }
+            }
+        }
+        device.set_fault_hook(None);
+
+        let mut entries = Vec::new();
+        let mut books = Vec::new();
+        for pid in n.pids() {
+            let mm = &n.process(pid).unwrap().mm;
+            for (vpn, pte) in mm.page_table.iter_populated() {
+                entries.push((pid, vpn, pte, mm.page_table.is_accessed(vpn)));
+            }
+            books.push((
+                pid,
+                mm.private_local_pages(),
+                mm.page_table.leaf_cow_events(),
+                mm.vmas.block_cow_events(),
+            ));
+        }
+        Replay {
+            outcomes,
+            now: n.now(),
+            counters: n.counters(),
+            frames_used: n.frames().used(),
+            llc: (n.cache().hits(), n.cache().misses()),
+            entries,
+            books,
+        }
+    }
+
+    /// A run equals its pages: one seeded script, replayed as whole
+    /// runs through [`Node::access_run`] and page by page through
+    /// [`Node::access`] on identically built nodes, gives the same
+    /// outcome sequence, clock, books, frames, PTEs with A/D bits and
+    /// LLC hits and misses. The script reaches all eight fault kinds,
+    /// a VMA-block CoW, a leaf CoW in the middle of a run, transient
+    /// device errors, and runs that end in `BadAddress`, a protection
+    /// violation or (on the 2 MiB node) running out of memory.
+    #[test]
+    fn an_access_run_equals_its_pages_one_by_one() {
+        for (mib, seed) in [(16, 37), (2, 38)] {
+            let script = run_script(seed);
+            let whole = replay_script(mib, &script, true);
+            let paged = replay_script(mib, &script, false);
+            let errors: Vec<&str> = whole
+                .outcomes
+                .iter()
+                .filter_map(|(_, _, o)| o.as_ref().err().map(String::as_str))
+                .collect();
+            let has = |error: &str| errors.iter().any(|e| e.starts_with(error));
+            assert!(
+                has("BadAddress") && has("ProtectionViolation"),
+                "{mib} MiB: {errors:?}"
+            );
+            if mib == 2 {
+                assert!(has("OutOfMemory"), "the small node never ran out");
+                assert!(whole.outcomes.iter().any(|(_, _, o)| o.is_ok()));
+            } else {
+                for kind in FaultKind::ALL {
+                    assert!(whole.counters.faults(kind) > 0, "never reached {kind:?}");
+                }
+                let mid_run_leaf_cow = whole
+                    .outcomes
+                    .iter()
+                    .any(|(_, pos, o)| *pos > 0 && o.as_ref().is_ok_and(|o| o.pt_leaf_cow));
+                assert!(mid_run_leaf_cow, "no leaf CoW inside a run");
+                assert!(
+                    whole.counters.transient_retries > 0,
+                    "the injector never fired"
+                );
+            }
+            for (i, (w, p)) in whole.outcomes.iter().zip(&paged.outcomes).enumerate() {
+                assert_eq!(w, p, "{mib} MiB: outcome {i} (step, position, outcome) differs: whole run left, page by page right");
+            }
+            assert_eq!(
+                whole.outcomes.len(),
+                paged.outcomes.len(),
+                "{mib} MiB: outcome count"
+            );
+            assert_eq!(whole, paged, "{mib} MiB: end state");
+        }
     }
 
     #[test]

@@ -51,11 +51,14 @@ impl AccessBits {
         (slot / 64, 1u64 << (slot % 64))
     }
 
-    /// Sets the bit for `slot`.
+    /// Sets the bit for `slot`. A bit already set costs one load: the
+    /// atomic read-modify-write runs only when the bit is clear.
     #[inline]
     pub fn set(&self, slot: usize) {
         let (w, m) = Self::split(slot);
-        self.words[w].fetch_or(m, Ordering::Relaxed);
+        if self.words[w].load(Ordering::Relaxed) & m == 0 {
+            self.words[w].fetch_or(m, Ordering::Relaxed);
+        }
     }
 
     /// Reads the bit for `slot`.
@@ -245,6 +248,21 @@ impl LeafSlot {
     pub fn is_attached(&self) -> bool {
         matches!(self, LeafSlot::Attached(_))
     }
+
+    /// Sets the D bit of the entry at `slot` if it is populated. Only
+    /// local leaves take it (writable mappings always live in local
+    /// leaves after CoW resolution); a no-op on attached leaves, whose D
+    /// bits "are never updated, as these pages are attached as read-only"
+    /// (§4.3).
+    #[inline]
+    pub(crate) fn mark_dirty(&mut self, slot: usize) {
+        if let LeafSlot::Local(leaf) = self {
+            let e = leaf.get(slot);
+            if !e.is_empty() && !e.flags().contains(PteFlags::DIRTY) {
+                leaf.set(slot, e.with_flags(PteFlags::DIRTY));
+            }
+        }
+    }
 }
 
 /// Result of a [`PageTable::set`] walk, for cost accounting.
@@ -304,8 +322,8 @@ impl PageTable {
     }
 
     /// Reads the PTE for `vpn` ([`Pte::EMPTY`] if unmapped). Never touches
-    /// A bits — use [`PageTable::mark_accessed`] for the access side
-    /// effect.
+    /// A bits: an access sets them on its leaf
+    /// ([`LeafSlot::access_bits`]).
     pub fn get(&self, vpn: VirtPageNum) -> Pte {
         match self.leaf_for(vpn) {
             Some(slot) => slot.get(vpn.leaf_slot()),
@@ -385,37 +403,15 @@ impl PageTable {
         (old, outcome)
     }
 
-    /// Sets the runtime A bit for `vpn` (no-op when unmapped). Works on
-    /// attached leaves without copying them.
-    pub fn mark_accessed(&self, vpn: VirtPageNum) {
-        if let Some(slot) = self.leaf_for(vpn) {
-            slot.access_bits().set(vpn.leaf_slot());
-        }
-    }
-
     /// Reads the runtime A bit for `vpn`.
     pub fn is_accessed(&self, vpn: VirtPageNum) -> bool {
         self.leaf_for(vpn)
             .is_some_and(|slot| slot.access_bits().get(vpn.leaf_slot()))
     }
 
-    /// Sets the D bit in the entry for `vpn`.
-    ///
-    /// Only meaningful for local leaves (writable mappings always live in
-    /// local leaves after CoW resolution); silently ignored on attached
-    /// leaves, whose D bits "are never updated, as these pages are attached
-    /// as read-only" (§4.3).
-    pub fn mark_dirty(&mut self, vpn: VirtPageNum) {
-        let slot_idx = vpn.leaf_slot();
-        if let Some(LeafSlot::Local(leaf)) = self.leaf_for_mut(vpn) {
-            let e = leaf.get(slot_idx);
-            if !e.is_empty() {
-                leaf.set(slot_idx, e.with_flags(PteFlags::DIRTY));
-            }
-        }
-    }
-
-    fn leaf_for_mut(&mut self, vpn: VirtPageNum) -> Option<&mut LeafSlot> {
+    /// Returns the leaf covering `vpn` for A/D-bit maintenance, if any
+    /// (mapping changes go through [`PageTable::set`] and its leaf CoW).
+    pub(crate) fn leaf_for_mut(&mut self, vpn: VirtPageNum) -> Option<&mut LeafSlot> {
         let l4 = self.root.children.get_mut(&vpn.index(4))?;
         let DirEntry::Dir(l3) = l4 else { return None };
         let l3e = l3.children.get_mut(&vpn.index(3))?;
@@ -698,7 +694,7 @@ mod tests {
             },
         );
         assert!(!pt.is_accessed(VirtPageNum(7)));
-        pt.mark_accessed(VirtPageNum(7));
+        pt.leaf_for(VirtPageNum(7)).unwrap().access_bits().set(7);
         assert!(pt.is_accessed(VirtPageNum(7)));
         // The A bit is visible through the shared checkpoint leaf (hybrid
         // tiering's continuous working-set monitor reads it there).
@@ -715,7 +711,7 @@ mod tests {
     fn dirty_marking_only_touches_local_leaves() {
         let mut pt = PageTable::new();
         pt.set(VirtPageNum(4), pte(4));
-        pt.mark_dirty(VirtPageNum(4));
+        pt.leaf_for_mut(VirtPageNum(4)).unwrap().mark_dirty(4);
         assert!(pt.get(VirtPageNum(4)).is_dirty());
 
         let mut shared = PtLeaf::new();
@@ -729,7 +725,7 @@ mod tests {
                 backing: CxlPageId(0),
             },
         );
-        pt2.mark_dirty(VirtPageNum(512));
+        pt2.leaf_for_mut(VirtPageNum(512)).unwrap().mark_dirty(0);
         assert!(
             !pt2.get(VirtPageNum(512)).is_dirty(),
             "attached D bits never update"

@@ -19,12 +19,13 @@ use crate::frame::FrameAllocator;
 
 /// A `(path, file page) → frame` cache.
 ///
-/// Keyed by a `BTreeMap` so [`PageCache::entries`] walks in a stable
-/// order — the entries feed `cxl-check` audits and report output, which
-/// must be byte-identical across runs.
+/// Keyed by path, then by page, in `BTreeMap`s so [`PageCache::entries`]
+/// walks in a stable `(path, page)` order — the entries feed `cxl-check`
+/// audits and report output, which must be byte-identical across runs —
+/// and a lookup borrows the path instead of allocating a key.
 #[derive(Debug, Default)]
 pub struct PageCache {
-    map: BTreeMap<(String, u64), Pfn>,
+    map: BTreeMap<String, BTreeMap<u64, Pfn>>,
     hits: u64,
     misses: u64,
 }
@@ -37,7 +38,7 @@ impl PageCache {
 
     /// Looks up a cached frame, counting a hit or miss.
     pub fn lookup(&mut self, path: &str, file_page: u64) -> Option<Pfn> {
-        match self.map.get(&(path.to_owned(), file_page)) {
+        match self.map.get(path).and_then(|pages| pages.get(&file_page)) {
             Some(pfn) => {
                 self.hits += 1;
                 Some(*pfn)
@@ -52,21 +53,30 @@ impl PageCache {
     /// Inserts a frame into the cache. The caller must have already given
     /// the cache its own reference on the frame.
     pub fn insert(&mut self, path: &str, file_page: u64, pfn: Pfn) {
-        self.map.insert((path.to_owned(), file_page), pfn);
+        match self.map.get_mut(path) {
+            Some(pages) => pages.insert(file_page, pfn),
+            None => self
+                .map
+                .entry(path.to_owned())
+                .or_default()
+                .insert(file_page, pfn),
+        };
     }
 
     /// Cached page count.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.map.values().map(BTreeMap::len).sum()
     }
 
     /// Iterates every cached `(path, file_page) → pfn` entry, for
     /// cross-layer auditing (each entry holds one frame reference that
     /// `cxl-check` balances into the expected refcount).
     pub fn entries(&self) -> impl Iterator<Item = (&str, u64, Pfn)> + '_ {
-        self.map
-            .iter()
-            .map(|((path, file_page), pfn)| (path.as_str(), *file_page, *pfn))
+        self.map.iter().flat_map(|(path, pages)| {
+            pages
+                .iter()
+                .map(move |(file_page, pfn)| (path.as_str(), *file_page, *pfn))
+        })
     }
 
     /// `true` if nothing is cached.
@@ -90,7 +100,10 @@ impl PageCache {
     /// pressure.
     pub fn clear(&mut self, frames: &mut FrameAllocator) -> u64 {
         let mut freed = 0;
-        for (_, pfn) in std::mem::take(&mut self.map) {
+        for pfn in std::mem::take(&mut self.map)
+            .into_values()
+            .flat_map(BTreeMap::into_values)
+        {
             if frames.dec_ref(pfn) {
                 freed += 1;
             }

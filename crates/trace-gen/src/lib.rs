@@ -25,6 +25,7 @@
 #![warn(clippy::exhaustive_enums)]
 
 use std::fmt;
+use std::sync::Arc;
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -36,8 +37,9 @@ use simclock::SimTime;
 pub struct Invocation {
     /// Arrival time.
     pub time: SimTime,
-    /// Target function name.
-    pub function: String,
+    /// Target function name, shared by every invocation of the function
+    /// in a generated trace.
+    pub function: Arc<str>,
     /// Owning tenant. The single-tenant generator and historical traces
     /// use owner 0; the diurnal generator assigns one owner per tenant
     /// so the porter's fairness quotas have something to meter.
@@ -119,7 +121,7 @@ pub fn validate(trace: &[Invocation], known: &[String]) -> Result<(), TraceError
         if !is_known(&inv.function) {
             return Err(TraceError::UnknownFunction {
                 index,
-                function: inv.function.clone(),
+                function: inv.function.to_string(),
             });
         }
     }
@@ -189,8 +191,8 @@ impl TraceConfig {
 }
 
 /// One arrival before its name is attached. The generators collect and
-/// sort these 16-byte records and clone each name once from the config's
-/// table, instead of formatting and sorting 40-byte [`Invocation`]s.
+/// sort these 16-byte records, then share one `Arc` per name from the
+/// config's table, instead of formatting and sorting [`Invocation`]s.
 #[derive(Clone, Copy)]
 struct Arrival {
     time_ns: u64,
@@ -203,11 +205,12 @@ struct Arrival {
 /// stable: simultaneous arrivals keep the order they were generated in.
 fn into_trace(mut arrivals: Vec<Arrival>, names: &[String]) -> Vec<Invocation> {
     arrivals.sort_by_key(|a| a.time_ns);
+    let names: Vec<Arc<str>> = names.iter().map(|n| Arc::from(n.as_str())).collect();
     arrivals
         .into_iter()
         .map(|a| Invocation {
             time: SimTime::from_nanos(a.time_ns),
-            function: names[a.name as usize].clone(),
+            function: Arc::clone(&names[a.name as usize]),
             owner: a.owner,
         })
         .collect()
@@ -484,7 +487,7 @@ mod tests {
     #[test]
     fn popularity_is_zipf_skewed() {
         let trace = generate(&config());
-        let count = |f: &str| trace.iter().filter(|i| i.function == f).count();
+        let count = |f: &str| trace.iter().filter(|i| &*i.function == f).count();
         let a = count("A");
         let d = count("D");
         assert!(a > 2 * d, "most-popular A ({a}) should dwarf D ({d})");
