@@ -66,6 +66,14 @@ echo '== one access loop =='
 forbid 'faas makes a per-page access call; issue a run through Node::access_run (DESIGN.md §4)' \
     '\.access\(' crates/faas/src
 
+echo '== one leaf map =='
+# The page table is one map of its leaves keyed by leaf index; the
+# directory pages a walk creates are counted from leaf-index prefixes
+# (DESIGN.md §4). The radix tree, its per-level index and its
+# hand-copied descents may not come back.
+forbid 'the page-table radix tree is back; count directories from the leaf map (DESIGN.md §4)' \
+    'DirLevel|DirEntry|fn index\(self, level' crates/node-os/src
+
 echo '== the device publishes its book =='
 # The device's traffic book is one `CxlDeviceStats`; telemetry reads it
 # through `CxlDevice::publish_counters_since`, cxl-mem's one
@@ -217,7 +225,10 @@ expect_tests node-os --lib \
     frame::tests::fingerprint_identity_frame_size_is_unchanged \
     mm::tests::cxl_backing_matches_btreemap_model_under_arbitrary_insert_orders \
     node::tests::counters_equal_an_independent_tally_of_access_outcomes \
-    node::tests::an_access_run_equals_its_pages_one_by_one
+    node::tests::an_access_run_equals_its_pages_one_by_one \
+    mm::tests::mappings_outside_the_vpn_space_are_bad_addresses
+expect_tests node-os '--test properties' \
+    page_table_matches_hashmap_model
 expect_tests cxl-store '--test differential' \
     store_differential_volatile_matches_per_page_model_page_for_page \
     store_differential_durable_matches_model_and_recovers_to_it \

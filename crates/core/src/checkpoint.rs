@@ -249,10 +249,7 @@ pub(crate) fn take_checkpoint(
         for (leaf_index, slot) in process.mm.page_table.leaves() {
             // Fold the runtime A bits into entry flags: the checkpoint
             // records the parent's access pattern (§4.1).
-            let harvested = match slot {
-                node_os::page_table::LeafSlot::Local(l) => l.harvested(),
-                node_os::page_table::LeafSlot::Attached(a) => a.leaf.harvested(),
-            };
+            let harvested = slot.leaf().harvested();
             footprint_pages += harvested.present_count() as u64;
             src_leaves.push(SourceLeaf {
                 leaf_index,

@@ -103,7 +103,6 @@ fn warm_for_checkpoint_cycles_the_whole_rw_band() {
     let dirty =
         p.mm.page_table
             .iter_populated()
-            .iter()
             .filter(|(_, pte)| pte.is_dirty())
             .count() as u64;
     assert!(

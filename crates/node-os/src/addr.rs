@@ -119,17 +119,6 @@ impl VirtPageNum {
         VirtPageNum(self.0 + 1)
     }
 
-    /// Radix-tree index at `level` (4 = root … 1 = leaf), 9 bits each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` is not in `1..=4`.
-    #[inline]
-    pub fn index(self, level: u8) -> u16 {
-        assert!((1..=4).contains(&level), "page-table level {level}");
-        ((self.0 >> (9 * (level as u64 - 1))) & 0x1ff) as u16
-    }
-
     /// The index of the page-table leaf covering this page
     /// (all VPN bits above the low 9).
     #[inline]
@@ -181,18 +170,8 @@ mod tests {
     fn radix_indices_decompose_vpn() {
         // vpn = l4|l3|l2|l1 9-bit groups.
         let vpn = VirtPageNum((3 << 27) | (5 << 18) | (7 << 9) | 11);
-        assert_eq!(vpn.index(4), 3);
-        assert_eq!(vpn.index(3), 5);
-        assert_eq!(vpn.index(2), 7);
-        assert_eq!(vpn.index(1), 11);
         assert_eq!(vpn.leaf_slot(), 11);
-        assert_eq!(vpn.leaf_index(), vpn.0 >> 9);
-    }
-
-    #[test]
-    #[should_panic(expected = "page-table level")]
-    fn radix_index_rejects_bad_level() {
-        let _ = VirtPageNum(0).index(5);
+        assert_eq!(vpn.leaf_index(), (3 << 18) | (5 << 9) | 7);
     }
 
     #[test]

@@ -21,7 +21,9 @@ pub enum OsError {
     },
     /// No process with that pid exists on this node.
     NoSuchProcess(Pid),
-    /// The virtual page is not covered by any VMA.
+    /// The virtual page is not covered by any VMA, or a new mapping
+    /// starting there is empty, overflows or ends past the
+    /// [`VirtPageNum::BITS`]-bit VPN space.
     BadAddress(VirtPageNum),
     /// Access violated the VMA protection (e.g. write to read-only data).
     ProtectionViolation(VirtPageNum),
@@ -52,7 +54,7 @@ impl fmt::Display for OsError {
                 "out of local memory: requested {requested} frames, {available} free"
             ),
             OsError::NoSuchProcess(pid) => write!(f, "no such process: {pid}"),
-            OsError::BadAddress(vpn) => write!(f, "address not mapped by any vma: {vpn}"),
+            OsError::BadAddress(vpn) => write!(f, "no vma, or a bad mapping range, at {vpn}"),
             OsError::ProtectionViolation(vpn) => {
                 write!(f, "access violates vma protection at {vpn}")
             }

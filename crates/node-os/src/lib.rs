@@ -14,9 +14,11 @@
 //! * [`pte`] — page-table entries with Present/Writable/Accessed/Dirty bits
 //!   plus the software bits CXLfork uses (CoW, checkpoint-pinned,
 //!   fetch-on-access, user hot hint).
-//! * [`page_table::PageTable`] — a 4-level radix tree whose *leaves* can be
-//!   either node-local (mutable) or **attached**: shared, immutable,
-//!   CXL-resident leaves referenced by device page number. Mutating an
+//! * [`page_table::PageTable`] — a 4-level page table, stored as one map of
+//!   its leaves keyed by leaf index (directory pages are counted from
+//!   leaf-index prefixes), whose *leaves* can be either node-local
+//!   (mutable) or **attached**: shared, immutable, CXL-resident leaves
+//!   referenced by device page number. Mutating an
 //!   attached leaf triggers a leaf-level copy-on-write, exactly as §4.2.1
 //!   describes. Attached leaves expose atomic Accessed-bit tracking (the
 //!   one mutation §4.3 permits on checkpointed PTEs).

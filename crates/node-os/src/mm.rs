@@ -324,7 +324,6 @@ impl AddressSpace {
     pub fn mapped_local_pages(&self) -> u64 {
         self.page_table
             .iter_populated()
-            .iter()
             .filter(|(_, pte)| pte.is_present() && matches!(pte.target(), Some(PhysAddr::Local(_))))
             .count() as u64
     }
@@ -333,7 +332,6 @@ impl AddressSpace {
     pub fn mapped_cxl_pages(&self) -> u64 {
         self.page_table
             .iter_populated()
-            .iter()
             .filter(|(_, pte)| pte.is_present() && matches!(pte.target(), Some(PhysAddr::Cxl(_))))
             .count() as u64
     }
@@ -342,8 +340,10 @@ impl AddressSpace {
     ///
     /// # Errors
     ///
-    /// [`OsError::MappingOverlap`] if the range intersects an existing
-    /// VMA.
+    /// * [`OsError::BadAddress`] if the range is empty, overflows or ends
+    ///   past the [`VirtPageNum::BITS`]-bit VPN space.
+    /// * [`OsError::MappingOverlap`] if the range intersects an existing
+    ///   VMA.
     pub fn map_anonymous(
         &mut self,
         start_vpn: u64,
@@ -351,8 +351,9 @@ impl AddressSpace {
         prot: Protection,
         label: &str,
     ) -> Result<(), OsError> {
+        let end = vma_end(start_vpn, pages)?;
         self.vmas
-            .insert(Vma::anonymous(start_vpn, start_vpn + pages, prot, label))?;
+            .insert(Vma::anonymous(start_vpn, end, prot, label))?;
         Ok(())
     }
 
@@ -361,8 +362,7 @@ impl AddressSpace {
     ///
     /// # Errors
     ///
-    /// [`OsError::MappingOverlap`] if the range intersects an existing
-    /// VMA.
+    /// As [`AddressSpace::map_anonymous`].
     pub fn map_file(
         &mut self,
         start_vpn: u64,
@@ -371,13 +371,9 @@ impl AddressSpace {
         path: &str,
         file_start_page: u64,
     ) -> Result<(), OsError> {
-        self.vmas.insert(Vma::file(
-            start_vpn,
-            start_vpn + pages,
-            prot,
-            path,
-            file_start_page,
-        ))?;
+        let end = vma_end(start_vpn, pages)?;
+        self.vmas
+            .insert(Vma::file(start_vpn, end, prot, path, file_start_page))?;
         Ok(())
     }
 
@@ -461,7 +457,7 @@ impl AddressSpace {
     /// page, which hands over nothing; the pages before it stay booked.
     ///
     /// The run keeps a cursor on the current page-table leaf, so the
-    /// tree is walked once per leaf: a page whose PTE is present and
+    /// leaf map is searched once per leaf: a page whose PTE is present and
     /// allows the access costs one slot read and the tail every access
     /// ends in (`complete`: LLC step, tier cost, A/D bits). Any other
     /// page takes the fault path and drops the cursor, since a fault can
@@ -835,14 +831,13 @@ impl AddressSpace {
     /// Tears down all mappings, releasing local frames back to the
     /// allocator. Called when the process exits.
     pub fn teardown(&mut self, ctx: &mut MmContext<'_>) {
-        for (vpn, pte) in self.page_table.iter_populated() {
+        for (_, pte) in self.page_table.iter_populated() {
             if let Some(PhysAddr::Local(pfn)) = pte.target() {
                 // Attached leaves never hold local targets, so every local
                 // target sits in a leaf we own a reference through.
                 if pte.is_present() {
                     ctx.cache.invalidate(PhysAddr::Local(pfn));
                     ctx.frames.dec_ref(pfn);
-                    let _ = vpn;
                 }
             }
         }
@@ -949,6 +944,16 @@ fn complete(
     }
 }
 
+/// The end of a new mapping of `pages` pages at `start_vpn`, or
+/// [`OsError::BadAddress`] if that range is empty, overflows or ends past
+/// the [`VirtPageNum::BITS`]-bit VPN space.
+fn vma_end(start_vpn: u64, pages: u64) -> Result<u64, OsError> {
+    match start_vpn.checked_add(pages) {
+        Some(end) if pages > 0 && end <= 1 << VirtPageNum::BITS => Ok(end),
+        _ => Err(OsError::BadAddress(VirtPageNum(start_vpn))),
+    }
+}
+
 /// Base PTE flags for a freshly resolved private page in `vma`.
 fn base_flags(vma: &Vma) -> PteFlags {
     let mut flags = PteFlags::PRESENT;
@@ -1029,6 +1034,29 @@ mod tests {
             asp.access(VirtPageNum(5), Access::Read, &mut w.ctx()),
             Err(OsError::BadAddress(_))
         ));
+    }
+
+    #[test]
+    fn mappings_outside_the_vpn_space_are_bad_addresses() {
+        let mut asp = AddressSpace::new();
+        let rw = Protection::read_write();
+        asp.map_anonymous(0, 1, rw, "low").unwrap();
+        let top = 1 << VirtPageNum::BITS;
+        for (start, pages) in [(top, 1), (top - 1, 2), (5, 0), (u64::MAX, 2)] {
+            assert_eq!(
+                asp.map_anonymous(start, pages, rw, "bad"),
+                Err(OsError::BadAddress(VirtPageNum(start))),
+                "{pages} pages at {start:#x}"
+            );
+            assert_eq!(
+                asp.map_file(start, pages, rw, "/lib/libc.so", 0),
+                Err(OsError::BadAddress(VirtPageNum(start))),
+                "{pages} file pages at {start:#x}"
+            );
+        }
+        // The last page of the space is still mappable.
+        asp.map_anonymous(top - 1, 1, rw, "top").unwrap();
+        assert_eq!(asp.vmas.vma_count(), 2);
     }
 
     #[test]

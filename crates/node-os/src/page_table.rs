@@ -1,10 +1,19 @@
-//! A 4-level page-table radix tree with attachable, shareable leaves.
+//! A 4-level page table, stored as its leaves, with attachable, shareable
+//! leaves.
 //!
 //! This is the structure CXLfork's headline optimization manipulates
 //! (§4.2.1): a restore allocates and initializes **only the upper levels**
 //! of the tree in node-local memory and *attaches* the checkpointed leaf
 //! tables, which live in CXL memory and are shared — immutably — by every
 //! process cloned from the same checkpoint, across nodes.
+//!
+//! The simulation needs two things from the upper levels: how many
+//! directory pages a walk creates (charged in virtual time) and the
+//! ascending leaf order. Both follow from the leaves alone, so the table
+//! is one map keyed by leaf index (`vpn >> 9`): a level-2 directory exists
+//! exactly when some leaf shares its `leaf_index >> 9`, and a level-3
+//! directory when some leaf shares its `leaf_index >> 18` (directories are
+//! never freed, and each one is created together with a leaf under it).
 //!
 //! Two kinds of mutation are possible on an attached leaf:
 //!
@@ -20,6 +29,7 @@
 //!   attached to every leaf, so they never force a copy, and user space can
 //!   reset them to re-estimate working sets.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -214,7 +224,7 @@ pub struct AttachedLeaf {
     pub backing: CxlPageId,
 }
 
-/// A leaf position in the tree: node-local and mutable, or attached.
+/// A leaf of the table: node-local and mutable, or attached.
 #[derive(Debug, Clone)]
 #[allow(clippy::exhaustive_enums, reason = "a leaf is node-local or attached")]
 pub enum LeafSlot {
@@ -225,22 +235,25 @@ pub enum LeafSlot {
 }
 
 impl LeafSlot {
+    /// The leaf, regardless of locality.
+    #[inline]
+    pub fn leaf(&self) -> &PtLeaf {
+        match self {
+            LeafSlot::Local(l) => l,
+            LeafSlot::Attached(a) => &a.leaf,
+        }
+    }
+
     /// Reads a PTE regardless of locality.
     #[inline]
     pub fn get(&self, slot: usize) -> Pte {
-        match self {
-            LeafSlot::Local(l) => l.get(slot),
-            LeafSlot::Attached(a) => a.leaf.get(slot),
-        }
+        self.leaf().get(slot)
     }
 
     /// The leaf's runtime A bits.
     #[inline]
     pub fn access_bits(&self) -> &AccessBits {
-        match self {
-            LeafSlot::Local(l) => l.access_bits(),
-            LeafSlot::Attached(a) => a.leaf.access_bits(),
-        }
+        self.leaf().access_bits()
     }
 
     /// `true` for an attached (checkpoint) leaf.
@@ -277,18 +290,8 @@ pub struct SetOutcome {
     pub leaf_created: bool,
 }
 
-#[derive(Debug, Default)]
-struct DirLevel {
-    children: std::collections::BTreeMap<u16, DirEntry>,
-}
-
-#[derive(Debug)]
-enum DirEntry {
-    Dir(Box<DirLevel>),
-    Leaf(LeafSlot),
-}
-
-/// A 4-level page table.
+/// A 4-level page table, held as its leaves in ascending leaf-index
+/// order.
 ///
 /// # Example
 ///
@@ -306,19 +309,15 @@ enum DirEntry {
 /// ```
 #[derive(Debug, Default)]
 pub struct PageTable {
-    root: DirLevel,
-    dir_pages: u64,
+    /// Leaves keyed by leaf index (`vpn >> 9`).
+    leaves: BTreeMap<u64, LeafSlot>,
     leaf_cow_events: u64,
 }
 
 impl PageTable {
     /// An empty table (root directory only).
     pub fn new() -> Self {
-        PageTable {
-            root: DirLevel::default(),
-            dir_pages: 1, // the root page
-            leaf_cow_events: 0,
-        }
+        PageTable::default()
     }
 
     /// Reads the PTE for `vpn` ([`Pte::EMPTY`] if unmapped). Never touches
@@ -333,13 +332,38 @@ impl PageTable {
 
     /// Returns the leaf covering `vpn`, if any.
     pub fn leaf_for(&self, vpn: VirtPageNum) -> Option<&LeafSlot> {
-        let l4 = self.root.children.get(&vpn.index(4))?;
-        let DirEntry::Dir(l3) = l4 else { return None };
-        let l3e = l3.children.get(&vpn.index(3))?;
-        let DirEntry::Dir(l2) = l3e else { return None };
-        match l2.children.get(&vpn.index(2))? {
-            DirEntry::Leaf(slot) => Some(slot),
-            DirEntry::Dir(_) => None,
+        self.leaves.get(&vpn.leaf_index())
+    }
+
+    /// The one insert path: puts `leaf` at `leaf_index`, replacing any
+    /// leaf there, and reports whether the index was new and the
+    /// directory pages the walk down to a new one creates.
+    fn insert(&mut self, leaf_index: u64, leaf: LeafSlot) -> SetOutcome {
+        debug_assert!(
+            leaf_index >> (VirtPageNum::BITS - 9) == 0,
+            "leaf index {leaf_index:#x} is past the {}-bit VPN space",
+            VirtPageNum::BITS
+        );
+        if self.leaves.insert(leaf_index, leaf).is_some() {
+            return SetOutcome::default();
+        }
+        // The directory over `leaf_index >> shift` is new if the leaf just
+        // inserted is alone under it. A level-2 directory with another
+        // leaf under it has a level-3 parent that has one too.
+        let alone = |shift: u32| {
+            let first = leaf_index >> shift << shift;
+            let others = self.leaves.range(first..first + (1 << shift)).nth(1);
+            others.is_none()
+        };
+        let dirs_created = if alone(9) {
+            1 + u64::from(alone(18))
+        } else {
+            0
+        };
+        SetOutcome {
+            dirs_created,
+            leaf_cow: false,
+            leaf_created: true,
         }
     }
 
@@ -348,29 +372,12 @@ impl PageTable {
     /// local memory (leaf CoW) — the outcome reports this so the caller can
     /// charge the copy.
     pub fn set(&mut self, vpn: VirtPageNum, pte: Pte) -> SetOutcome {
-        let mut outcome = SetOutcome::default();
-        let l3 = match self.root.children.entry(vpn.index(4)).or_insert_with(|| {
-            outcome.dirs_created += 1;
-            DirEntry::Dir(Box::default())
-        }) {
-            DirEntry::Dir(d) => d,
-            DirEntry::Leaf(_) => unreachable!("level-4 entries are always directories"),
+        let Some(slot) = self.leaves.get_mut(&vpn.leaf_index()) else {
+            let mut leaf = PtLeaf::new();
+            leaf.set(vpn.leaf_slot(), pte);
+            return self.insert(vpn.leaf_index(), LeafSlot::Local(leaf));
         };
-        let l2 = match l3.children.entry(vpn.index(3)).or_insert_with(|| {
-            outcome.dirs_created += 1;
-            DirEntry::Dir(Box::default())
-        }) {
-            DirEntry::Dir(d) => d,
-            DirEntry::Leaf(_) => unreachable!("level-3 entries are always directories"),
-        };
-        let entry = l2.children.entry(vpn.index(2)).or_insert_with(|| {
-            outcome.leaf_created = true;
-            DirEntry::Leaf(LeafSlot::Local(PtLeaf::new()))
-        });
-        let slot = match entry {
-            DirEntry::Leaf(slot) => slot,
-            DirEntry::Dir(_) => unreachable!("level-2 entries are always leaves"),
-        };
+        let leaf_cow = slot.is_attached();
         if let LeafSlot::Attached(att) = slot {
             // Leaf CoW: copy entries (dropping the checkpoint pin) and the
             // runtime A bits to a private local leaf.
@@ -382,14 +389,15 @@ impl PageTable {
                 }
             }
             *slot = LeafSlot::Local(copy);
-            outcome.leaf_cow = true;
-            self.leaf_cow_events += 1;
         }
         if let LeafSlot::Local(leaf) = slot {
             leaf.set(vpn.leaf_slot(), pte);
         }
-        self.dir_pages += outcome.dirs_created;
-        outcome
+        self.leaf_cow_events += u64::from(leaf_cow);
+        SetOutcome {
+            leaf_cow,
+            ..SetOutcome::default()
+        }
     }
 
     /// Clears the PTE for `vpn`, returning the previous entry. Triggers a
@@ -412,14 +420,7 @@ impl PageTable {
     /// Returns the leaf covering `vpn` for A/D-bit maintenance, if any
     /// (mapping changes go through [`PageTable::set`] and its leaf CoW).
     pub(crate) fn leaf_for_mut(&mut self, vpn: VirtPageNum) -> Option<&mut LeafSlot> {
-        let l4 = self.root.children.get_mut(&vpn.index(4))?;
-        let DirEntry::Dir(l3) = l4 else { return None };
-        let l3e = l3.children.get_mut(&vpn.index(3))?;
-        let DirEntry::Dir(l2) = l3e else { return None };
-        match l2.children.get_mut(&vpn.index(2))? {
-            DirEntry::Leaf(slot) => Some(slot),
-            DirEntry::Dir(_) => None,
-        }
+        self.leaves.get_mut(&vpn.leaf_index())
     }
 
     /// Attaches a checkpointed leaf at `leaf_index` (= `vpn >> 9`),
@@ -427,104 +428,38 @@ impl PageTable {
     /// directory pages created on the way down — the only allocation the
     /// constant-time restore pays (§4.2.1).
     pub fn attach_leaf(&mut self, leaf_index: u64, attached: AttachedLeaf) -> u64 {
-        let vpn = VirtPageNum(leaf_index << 9);
-        let mut dirs_created = 0;
-        let l3 = match self.root.children.entry(vpn.index(4)).or_insert_with(|| {
-            dirs_created += 1;
-            DirEntry::Dir(Box::default())
-        }) {
-            DirEntry::Dir(d) => d,
-            DirEntry::Leaf(_) => unreachable!(),
-        };
-        let l2 = match l3.children.entry(vpn.index(3)).or_insert_with(|| {
-            dirs_created += 1;
-            DirEntry::Dir(Box::default())
-        }) {
-            DirEntry::Dir(d) => d,
-            DirEntry::Leaf(_) => unreachable!(),
-        };
-        l2.children
-            .insert(vpn.index(2), DirEntry::Leaf(LeafSlot::Attached(attached)));
-        self.dir_pages += dirs_created;
-        dirs_created
+        self.insert(leaf_index, LeafSlot::Attached(attached))
+            .dirs_created
     }
 
     /// Installs a local leaf wholesale at `leaf_index` (used by hybrid
     /// tiering, which materializes per-policy local copies of checkpoint
     /// leaves at restore time). Returns directories created.
     pub fn install_local_leaf(&mut self, leaf_index: u64, leaf: PtLeaf) -> u64 {
-        let vpn = VirtPageNum(leaf_index << 9);
-        let mut dirs_created = 0;
-        let l3 = match self.root.children.entry(vpn.index(4)).or_insert_with(|| {
-            dirs_created += 1;
-            DirEntry::Dir(Box::default())
-        }) {
-            DirEntry::Dir(d) => d,
-            DirEntry::Leaf(_) => unreachable!(),
-        };
-        let l2 = match l3.children.entry(vpn.index(3)).or_insert_with(|| {
-            dirs_created += 1;
-            DirEntry::Dir(Box::default())
-        }) {
-            DirEntry::Dir(d) => d,
-            DirEntry::Leaf(_) => unreachable!(),
-        };
-        l2.children
-            .insert(vpn.index(2), DirEntry::Leaf(LeafSlot::Local(leaf)));
-        self.dir_pages += dirs_created;
-        dirs_created
+        self.insert(leaf_index, LeafSlot::Local(leaf)).dirs_created
     }
 
-    /// Iterates `(leaf_index, &LeafSlot)` over all leaves.
-    pub fn leaves(&self) -> Vec<(u64, &LeafSlot)> {
-        let mut out = Vec::new();
-        for (i4, e4) in &self.root.children {
-            let DirEntry::Dir(l3) = e4 else { continue };
-            for (i3, e3) in &l3.children {
-                let DirEntry::Dir(l2) = e3 else { continue };
-                for (i2, e2) in &l2.children {
-                    if let DirEntry::Leaf(slot) = e2 {
-                        let leaf_index = ((*i4 as u64) << 18) | ((*i3 as u64) << 9) | (*i2 as u64);
-                        out.push((leaf_index, slot));
-                    }
-                }
-            }
-        }
-        out
+    /// Iterates `(leaf_index, &LeafSlot)` over all leaves, in ascending
+    /// leaf-index order.
+    pub fn leaves(&self) -> impl Iterator<Item = (u64, &LeafSlot)> + '_ {
+        self.leaves
+            .iter()
+            .map(|(&leaf_index, slot)| (leaf_index, slot))
     }
 
     /// Iterates `(vpn, pte)` over all populated (present or armed)
-    /// entries.
-    pub fn iter_populated(&self) -> Vec<(VirtPageNum, Pte)> {
-        let mut out = Vec::new();
-        for (leaf_index, slot) in self.leaves() {
-            let leaf: &PtLeaf = match slot {
-                LeafSlot::Local(l) => l,
-                LeafSlot::Attached(a) => &a.leaf,
-            };
-            for (s, pte) in leaf.iter_populated() {
-                out.push((VirtPageNum((leaf_index << 9) | s as u64), pte));
-            }
-        }
-        out
-    }
-
-    /// Number of directory (upper-level) pages, including the root.
-    pub fn dir_page_count(&self) -> u64 {
-        self.dir_pages
-    }
-
-    /// Number of leaves.
-    pub fn leaf_count(&self) -> usize {
-        self.leaves().len()
+    /// entries, in ascending VPN order.
+    pub fn iter_populated(&self) -> impl Iterator<Item = (VirtPageNum, Pte)> + '_ {
+        self.leaves().flat_map(|(leaf_index, slot)| {
+            slot.leaf()
+                .iter_populated()
+                .map(move |(s, pte)| (VirtPageNum((leaf_index << 9) | s as u64), pte))
+        })
     }
 
     /// Number of currently attached (checkpoint) leaves.
     pub fn attached_leaf_count(&self) -> usize {
-        self.leaves()
-            .iter()
-            .filter(|(_, s)| s.is_attached())
-            .count()
+        self.leaves.values().filter(|s| s.is_attached()).count()
     }
 
     /// Leaf-CoW events since creation.
@@ -539,29 +474,17 @@ impl PageTable {
     /// Attached leaves only have their (side-band) A bits cleared — their
     /// entries are immutable.
     pub fn clear_ad_bits(&mut self) {
-        fn walk(dir: &mut DirLevel) {
-            for entry in dir.children.values_mut() {
-                match entry {
-                    DirEntry::Dir(d) => walk(d),
-                    DirEntry::Leaf(LeafSlot::Local(leaf)) => {
-                        leaf.access_bits().clear_all();
-                        for slot in 0..PTES_PER_LEAF {
-                            let e = leaf.get(slot);
-                            if !e.is_empty() {
-                                leaf.set(
-                                    slot,
-                                    e.without_flags(PteFlags::DIRTY | PteFlags::ACCESSED),
-                                );
-                            }
-                        }
-                    }
-                    DirEntry::Leaf(LeafSlot::Attached(a)) => {
-                        a.leaf.access_bits().clear_all();
+        for slot in self.leaves.values_mut() {
+            slot.leaf().access_bits().clear_all();
+            if let LeafSlot::Local(leaf) = slot {
+                for i in 0..PTES_PER_LEAF {
+                    let e = leaf.get(i);
+                    if !e.is_empty() {
+                        leaf.set(i, e.without_flags(PteFlags::DIRTY | PteFlags::ACCESSED));
                     }
                 }
             }
         }
-        walk(&mut self.root);
     }
 }
 
@@ -609,7 +532,11 @@ mod tests {
         let o2 = pt.set(VirtPageNum(1), pte(2));
         assert_eq!(o2.dirs_created, 0);
         assert!(!o2.leaf_created);
-        assert_eq!(pt.dir_page_count(), 3); // root + L3 + L2
+        // A new leaf under the same L2 directory, then one under the same
+        // L3 directory only, then one under a new L3 directory.
+        assert_eq!(pt.set(VirtPageNum(512), pte(3)).dirs_created, 0);
+        assert_eq!(pt.set(VirtPageNum(1 << 18), pte(4)).dirs_created, 1);
+        assert_eq!(pt.set(VirtPageNum(1 << 27), pte(5)).dirs_created, 2);
     }
 
     #[test]
@@ -755,10 +682,9 @@ mod tests {
         for &v in &vpns {
             pt.set(VirtPageNum(v), pte(v));
         }
-        let mut got: Vec<u64> = pt.iter_populated().iter().map(|(v, _)| v.0).collect();
-        got.sort_unstable();
+        let got: Vec<u64> = pt.iter_populated().map(|(v, _)| v.0).collect();
         assert_eq!(got, vec![5, 600, (2 << 18) + 9]);
-        assert_eq!(pt.leaf_count(), 3);
+        assert_eq!(pt.leaves().count(), 3);
     }
 
     #[test]

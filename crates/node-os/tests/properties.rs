@@ -4,17 +4,18 @@
 
 #![allow(
     clippy::disallowed_types,
-    reason = "the page-table reference model is a HashMap on purpose (nothing like a radix tree); only lookups and lengths are compared, never iteration order"
+    reason = "the page-table reference model is a HashMap and HashSets on purpose (nothing like the table's ordered leaf map); iteration order is compared against the model's sorted keys"
 )]
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use cxl_mem::PageData;
 use node_os::addr::{PhysAddr, VirtPageNum};
 use node_os::frame::FrameAllocator;
-use node_os::page_table::PageTable;
+use node_os::page_table::{AttachedLeaf, PageTable, PtLeaf};
 use node_os::pte::{Pte, PteFlags};
 use node_os::vma::{Protection, Vma, VmaTree};
 
@@ -28,38 +29,123 @@ fn arb_pte() -> impl Strategy<Value = Pte> {
     })
 }
 
+/// A VPN anywhere in the 36-bit space, or one of a few slots under a
+/// few directory prefixes, so that leaves meet in directories and
+/// unmaps and leaf CoWs hit mapped entries.
+fn arb_vpn() -> impl Strategy<Value = u64> {
+    const INDICES: [u64; 3] = [0, 1, 511];
+    (
+        any::<bool>(),
+        0u64..(1u64 << 36),
+        (0usize..3, 0usize..3, 0usize..3),
+        0u64..16,
+    )
+        .prop_map(|(anywhere, vpn, (i4, i3, i2), slot)| {
+            if anywhere {
+                vpn
+            } else {
+                (INDICES[i4] << 27) | (INDICES[i3] << 18) | (INDICES[i2] << 9) | slot
+            }
+        })
+}
+
+/// One page-table operation of the reference-model test.
+#[derive(Debug, Clone)]
+enum PtOp {
+    Set(u64, Pte),
+    Unmap(u64),
+    /// Attach a shared leaf with these entries at the leaf covering the VPN.
+    Attach(u64, Vec<(usize, Pte)>),
+    /// Install a local leaf with these entries there.
+    Install(u64, Vec<(usize, Pte)>),
+}
+
+fn arb_op() -> impl Strategy<Value = PtOp> {
+    let entries = prop::collection::vec((0usize..16, arb_pte()), 0..8);
+    (0u8..7, arb_vpn(), arb_pte(), entries).prop_map(|(kind, vpn, pte, entries)| match kind {
+        0..=2 => PtOp::Set(vpn, pte),
+        3 | 4 => PtOp::Unmap(vpn),
+        5 => PtOp::Attach(vpn, entries),
+        _ => PtOp::Install(vpn, entries),
+    })
+}
+
+/// Builds the leaf an attach or install puts at leaf index `li`, and
+/// makes the model's entries under `li` equal to it.
+fn replace_leaf(model: &mut HashMap<u64, Pte>, li: u64, entries: &[(usize, Pte)]) -> PtLeaf {
+    model.retain(|vpn, _| vpn >> 9 != li);
+    let mut leaf = PtLeaf::new();
+    for &(slot, pte) in entries {
+        leaf.set(slot, pte);
+        model.insert((li << 9) | slot as u64, pte);
+    }
+    leaf
+}
+
 proptest! {
-    /// The 4-level page table behaves exactly like a `HashMap<vpn, pte>`
-    /// under arbitrary set/unmap/get sequences across the whole VPN space.
+    /// The page table behaves exactly like a `HashMap<vpn, pte>` under
+    /// arbitrary set/unmap/attach/install sequences across the whole VPN
+    /// space; it creates one directory page per distinct `vpn >> 27`
+    /// (level 3) and `vpn >> 18` (level 2) prefix of its leaves, reports
+    /// a new leaf exactly when the leaf index is new, copies exactly the
+    /// attached leaves it writes, and walks its entries in ascending VPN
+    /// order.
     #[test]
-    fn page_table_matches_hashmap_model(
-        ops in prop::collection::vec(
-            (0u64..(1u64 << 36), prop::option::of(arb_pte())),
-            1..200
-        )
-    ) {
+    fn page_table_matches_hashmap_model(ops in prop::collection::vec(arb_op(), 1..200)) {
         let mut pt = PageTable::new();
         let mut model: HashMap<u64, Pte> = HashMap::new();
-        for (vpn, op) in ops {
+        let mut leaves: HashSet<u64> = HashSet::new();
+        let mut attached: HashSet<u64> = HashSet::new();
+        let mut dirs_created = 0;
+        for op in ops {
             match op {
-                Some(pte) => {
-                    pt.set(VirtPageNum(vpn), pte);
+                PtOp::Set(vpn, pte) => {
+                    let li = vpn >> 9;
+                    let o = pt.set(VirtPageNum(vpn), pte);
+                    prop_assert_eq!(o.leaf_created, leaves.insert(li), "set at {:#x}", vpn);
+                    prop_assert_eq!(o.leaf_cow, attached.remove(&li), "set at {:#x}", vpn);
+                    dirs_created += o.dirs_created;
                     model.insert(vpn, pte);
                 }
-                None => {
-                    let (old, _) = pt.unmap(VirtPageNum(vpn));
-                    prop_assert_eq!(old, model.remove(&vpn).unwrap_or(Pte::EMPTY));
+                PtOp::Unmap(vpn) => {
+                    let (old, o) = pt.unmap(VirtPageNum(vpn));
+                    let expected = model.remove(&vpn).unwrap_or(Pte::EMPTY);
+                    prop_assert_eq!(old, expected);
+                    prop_assert!(!o.leaf_created);
+                    prop_assert_eq!(o.leaf_cow, !expected.is_empty() && attached.remove(&(vpn >> 9)));
+                    dirs_created += o.dirs_created;
+                }
+                PtOp::Attach(vpn, entries) => {
+                    let li = vpn >> 9;
+                    let leaf = Arc::new(replace_leaf(&mut model, li, &entries));
+                    leaves.insert(li);
+                    attached.insert(li);
+                    let backing = cxl_mem::CxlPageId(li);
+                    dirs_created += pt.attach_leaf(li, AttachedLeaf { leaf, backing });
+                }
+                PtOp::Install(vpn, entries) => {
+                    let li = vpn >> 9;
+                    let leaf = replace_leaf(&mut model, li, &entries);
+                    leaves.insert(li);
+                    attached.remove(&li);
+                    dirs_created += pt.install_local_leaf(li, leaf);
                 }
             }
         }
         for (vpn, pte) in &model {
             prop_assert_eq!(pt.get(VirtPageNum(*vpn)), *pte);
         }
-        let populated = pt.iter_populated();
-        prop_assert_eq!(populated.len(), model.len());
-        for (vpn, pte) in populated {
-            prop_assert_eq!(model.get(&vpn.0), Some(&pte));
-        }
+        let l3: HashSet<u64> = leaves.iter().map(|li| li >> 18).collect();
+        let l2: HashSet<u64> = leaves.iter().map(|li| li >> 9).collect();
+        prop_assert_eq!(dirs_created, (l3.len() + l2.len()) as u64);
+        prop_assert_eq!(pt.attached_leaf_count(), attached.len());
+        let mut leaf_indices: Vec<u64> = leaves.into_iter().collect();
+        leaf_indices.sort_unstable();
+        prop_assert_eq!(pt.leaves().map(|(li, _)| li).collect::<Vec<_>>(), leaf_indices);
+        let mut expected: Vec<(u64, Pte)> = model.into_iter().collect();
+        expected.sort_unstable_by_key(|&(vpn, _)| vpn);
+        let populated: Vec<(u64, Pte)> = pt.iter_populated().map(|(v, pte)| (v.0, pte)).collect();
+        prop_assert_eq!(populated, expected);
     }
 
     /// The VMA tree finds exactly the VMAs a linear scan would, under
@@ -131,9 +217,6 @@ proptest! {
         slots in prop::collection::vec(0usize..512, 1..30),
         write_slot in 0usize..512,
     ) {
-        use node_os::page_table::{AttachedLeaf, PtLeaf};
-        use std::sync::Arc;
-
         let mut leaf = PtLeaf::new();
         for s in &slots {
             leaf.set(*s, Pte::mapped(
