@@ -74,7 +74,17 @@ echo '== one leaf map =='
 forbid 'the page-table radix tree is back; count directories from the leaf map (DESIGN.md §4)' \
     'DirLevel|DirEntry|fn index\(self, level' crates/node-os/src
 
+echo '== one VMA lookup per fault =='
+# A fault finds its VMA with one cursor-checked lookup that also
+# localizes an attached VMA block, and a migrate-on-access page with a
+# probe after the last hit, then resolves into the run's leaf (DESIGN.md
+# §4): neither the localize-then-find pair nor the per-fault backing
+# search may come back.
+forbid 'a fault searches the VMA tree twice or the backing from scratch (DESIGN.md §4)' \
+    'ensure_local\(|fn backing_for' crates/node-os/src/mm.rs
+
 echo '== the device publishes its book =='
+
 # The device's traffic book is one `CxlDeviceStats`; telemetry reads it
 # through `CxlDevice::publish_counters_since`, cxl-mem's one
 # `counter_add` (DESIGN.md §9). No per-event telemetry call and no
@@ -161,6 +171,10 @@ echo '== these tests exist =='
 # store's differential test against a per-page refcount model (slot reuse
 # and the recovered slab included) and the journal golden recorded before
 # the index became a slab, `CxlBacking` against its ordered-map model, the
+# fault path's cursors against the searches they save (the VMA lookup
+# against localize-then-find, the backing probe against a binary search,
+# a fault that copies its leaf completing in the copy), `munmap` and
+# `mprotect` against the per-page walk and on a 2^27-page VMA, the
 # porter's expiry floor at its edge and under late memory pressure, the
 # sharded-device audit under lockdep (DESIGN.md §10), the pipeline
 # model's invariants (§15: p = 1 is the serial cost, cost is monotone in
@@ -226,7 +240,12 @@ expect_tests node-os --lib \
     mm::tests::cxl_backing_matches_btreemap_model_under_arbitrary_insert_orders \
     node::tests::counters_equal_an_independent_tally_of_access_outcomes \
     node::tests::an_access_run_equals_its_pages_one_by_one \
-    mm::tests::mappings_outside_the_vpn_space_are_bad_addresses
+    mm::tests::mappings_outside_the_vpn_space_are_bad_addresses \
+    mm::tests::a_fault_that_copies_its_leaf_completes_in_the_copy \
+    mm::tests::cxl_backing_cursor_probe_equals_a_binary_search \
+    mm::tests::munmap_and_mprotect_equal_the_per_page_walk \
+    mm::tests::munmap_and_mprotect_of_a_huge_vma_visit_only_its_leaves \
+    vma::tests::find_local_with_a_carried_cursor_equals_ensure_local_then_find
 expect_tests node-os '--test properties' \
     page_table_matches_hashmap_model
 expect_tests cxl-store '--test differential' \

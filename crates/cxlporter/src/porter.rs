@@ -18,7 +18,7 @@
 //!    pressure so idle instances are reclaimed faster.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cxl_fault::{reclaim_dead, reclaim_orphans, CrashSchedule, LeaseTable, NodeCrash};
 use cxl_mem::NodeId;
@@ -31,7 +31,7 @@ use simclock::stats::LatencyHistogram;
 use simclock::{SimDuration, SimTime};
 use trace_gen::{Invocation, TraceError};
 
-use faas::{Catalog, Container, FunctionSpec};
+use faas::{Catalog, Container, FunctionSpec, BARE_CONTAINER_PAGES};
 
 use crate::cluster::Cluster;
 use crate::store::ObjectStore;
@@ -414,7 +414,9 @@ pub struct CxlPorter<M: RemoteFork> {
     leases: LeaseTable,
     torn_epoch: u64,
     image_store: Option<Arc<cxl_store::Store>>,
-    catalog: Catalog,
+    /// Built on first use when no scenario installs its own, so a porter
+    /// given a catalog never builds the Table 1 suite it would discard.
+    catalog: OnceLock<Catalog>,
     /// Every arrival name resolved so far, and where to find it.
     functions: Vec<Function>,
     fn_ids: BTreeMap<String, FnId>,
@@ -457,6 +459,8 @@ impl<M: RemoteFork> CxlPorter<M> {
         for node in &mut cluster.nodes {
             let mut pool = Vec::new();
             if config.use_ghost_containers {
+                let pool_frames = config.ghost_pool_per_node as u64 * BARE_CONTAINER_PAGES;
+                node.frames_mut().reserve(pool_frames);
                 for _ in 0..config.ghost_pool_per_node {
                     if let Ok((c, _)) = Container::create(node, next_container_id) {
                         next_container_id += 1;
@@ -486,7 +490,7 @@ impl<M: RemoteFork> CxlPorter<M> {
             leases,
             torn_epoch: 0,
             image_store: None,
-            catalog: Catalog::table1(),
+            catalog: OnceLock::new(),
             functions: Vec::new(),
             fn_ids: BTreeMap::new(),
             expiry_floor: NO_INSTANCES,
@@ -508,7 +512,7 @@ impl<M: RemoteFork> CxlPorter<M> {
             self.functions.is_empty(),
             "install the catalog before the first trace runs"
         );
-        self.catalog = catalog;
+        self.catalog = OnceLock::from(catalog);
         self
     }
 
@@ -519,7 +523,7 @@ impl<M: RemoteFork> CxlPorter<M> {
         if let Some(&id) = self.fn_ids.get(name) {
             return Some(id);
         }
-        let spec = Arc::new(self.catalog.get(name)?.clone());
+        let spec = Arc::new(self.catalog().get(name)?.clone());
         let id = self.functions.len();
         self.fn_ids.insert(name.to_owned(), id);
         self.functions.push(Function {
@@ -541,7 +545,7 @@ impl<M: RemoteFork> CxlPorter<M> {
 
     /// The function catalog invocations resolve against.
     pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+        self.catalog.get_or_init(Catalog::table1)
     }
 
     /// Attaches a content-addressed checkpoint image store. The

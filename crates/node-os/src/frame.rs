@@ -63,6 +63,13 @@ impl FrameAllocator {
         FrameAllocator::new(mib * 1024 * 1024 / crate::PAGE_SIZE)
     }
 
+    /// Makes room for `frames` more allocations in one step, so a batch
+    /// known up front (a node's ghost-container pool) does not grow the
+    /// frame table by repeated doubling. Changes no frame number.
+    pub fn reserve(&mut self, frames: u64) {
+        self.slots.reserve(frames as usize);
+    }
+
     /// Total capacity in frames.
     pub fn capacity(&self) -> u64 {
         self.capacity
@@ -96,6 +103,7 @@ impl FrameAllocator {
     /// # Errors
     ///
     /// [`OsError::OutOfMemory`] if the node is at capacity.
+    #[inline]
     pub fn alloc(&mut self, data: PageData) -> Result<Pfn, OsError> {
         if self.used >= self.capacity {
             return Err(OsError::OutOfMemory {
@@ -124,6 +132,7 @@ impl FrameAllocator {
     /// # Errors
     ///
     /// [`OsError::OutOfMemory`] if the node is at capacity.
+    #[inline]
     pub fn alloc_zeroed(&mut self) -> Result<Pfn, OsError> {
         self.alloc(PageData::zeroed())
     }

@@ -36,7 +36,7 @@ use crate::fs::SharedFs;
 use crate::page_table::{LeafSlot, PageTable};
 use crate::pagecache::PageCache;
 use crate::pte::{Pte, PteFlags};
-use crate::vma::{Protection, Vma, VmaTree};
+use crate::vma::{Protection, Vma, VmaCursor, VmaTree};
 
 /// Extra software flag: this local frame was allocated by (and is private
 /// to) this address space, and counts toward its local-memory consumption.
@@ -146,6 +146,19 @@ impl CxlBacking {
 
     fn find(&self, vpn: VirtPageNum) -> Option<&BackingPage> {
         let at = self.pages.binary_search_by_key(&vpn.0, |(v, _)| *v).ok()?;
+        Some(&self.pages[at].1)
+    }
+
+    /// Looks up the checkpointed page for `vpn`, first probing the entry
+    /// after the last hit, `cursor`, which a hit moves on. The probe is
+    /// checked, so a cursor from another backing or an earlier
+    /// registration only costs the binary search.
+    fn find_from(&self, vpn: VirtPageNum, cursor: &mut usize) -> Option<&BackingPage> {
+        let at = match self.pages.get(*cursor) {
+            Some((v, _)) if *v == vpn.0 => *cursor,
+            _ => self.pages.binary_search_by_key(&vpn.0, |(v, _)| *v).ok()?,
+        };
+        *cursor = at + 1;
         Some(&self.pages[at].1)
     }
 
@@ -280,6 +293,10 @@ pub struct AddressSpace {
     policy: CxlTierPolicy,
     backing: Option<Arc<CxlBacking>>,
     private_local_pages: u64,
+    /// Where the last fault found its VMA.
+    vma_cursor: VmaCursor,
+    /// The backing entry after the last migrate-on-access pull.
+    backing_cursor: usize,
 }
 
 impl AddressSpace {
@@ -460,9 +477,9 @@ impl AddressSpace {
     /// leaf map is searched once per leaf: a page whose PTE is present and
     /// allows the access costs one slot read and the tail every access
     /// ends in (`complete`: LLC step, tier cost, A/D bits). Any other
-    /// page takes the fault path and drops the cursor, since a fault can
-    /// create a leaf or copy an attached one. Each page's outcome is
-    /// exactly what a run of that page alone would give.
+    /// page takes the fault path, which hands back the leaf it wrote —
+    /// the local copy after a leaf CoW — and the run goes on in it. Each
+    /// page's outcome is exactly what a run of that page alone would give.
     ///
     /// # Errors
     ///
@@ -477,39 +494,46 @@ impl AddressSpace {
         let mut vpns = vpns.into_iter();
         let mut next = vpns.next();
         'run: while let Some(mut vpn) = next {
-            let mut pte = Pte::EMPTY;
-            if let Some(leaf) = self.page_table.leaf_for_mut(vpn) {
-                let leaf_index = vpn.leaf_index();
-                loop {
-                    pte = leaf.get(vpn.leaf_slot());
-                    if !allows(pte, access) {
-                        break;
-                    }
-                    let mut outcome = AccessOutcome::default();
-                    complete(leaf, vpn, access, ctx, &mut outcome);
-                    each(outcome);
-                    next = vpns.next();
-                    match next {
-                        Some(n) if n.leaf_index() == leaf_index => vpn = n,
-                        _ => continue 'run,
+            let leaf_index = vpn.leaf_index();
+            let mut leaf = self.page_table.leaf_for_mut(vpn);
+            loop {
+                let mut pte = Pte::EMPTY;
+                if let Some(leaf) = leaf {
+                    loop {
+                        pte = leaf.get(vpn.leaf_slot());
+                        if !allows(pte, access) {
+                            break;
+                        }
+                        let mut outcome = AccessOutcome::default();
+                        complete(leaf, vpn, access, ctx, &mut outcome);
+                        each(outcome);
+                        next = vpns.next();
+                        match next {
+                            Some(n) if n.leaf_index() == leaf_index => vpn = n,
+                            _ => continue 'run,
+                        }
                     }
                 }
+                let mut outcome = AccessOutcome::default();
+                let resolved = self.handle_fault(vpn, access, pte, ctx, &mut outcome)?;
+                complete(resolved, vpn, access, ctx, &mut outcome);
+                each(outcome);
+                next = vpns.next();
+                match next {
+                    Some(n) if n.leaf_index() == leaf_index => vpn = n,
+                    _ => continue 'run,
+                }
+                leaf = Some(resolved);
             }
-            let mut outcome = AccessOutcome::default();
-            self.handle_fault(vpn, access, pte, ctx, &mut outcome)?;
-            let leaf = self
-                .page_table
-                .leaf_for_mut(vpn)
-                .unwrap_or_else(|| panic!("resolved fault at {vpn} left no leaf"));
-            complete(leaf, vpn, access, ctx, &mut outcome);
-            each(outcome);
-            next = vpns.next();
         }
         Ok(())
     }
 
-    /// Resolves a fault at `vpn`. On return the PTE is present and (for
-    /// writes) writable.
+    /// Resolves a fault at `vpn` and returns the leaf holding its PTE,
+    /// which is then present and (for writes) writable. The VMA comes
+    /// from one lookup that also localizes an attached VMA block, and a
+    /// migrate-on-access backing page from a probe after the last one;
+    /// both cursors are checked on use, so they only save searches.
     fn handle_fault(
         &mut self,
         vpn: VirtPageNum,
@@ -517,25 +541,22 @@ impl AddressSpace {
         pte: Pte,
         ctx: &mut MmContext<'_>,
         outcome: &mut AccessOutcome,
-    ) -> Result<(), OsError> {
+    ) -> Result<&mut LeafSlot, OsError> {
+        let (vma, touch) = self
+            .vmas
+            .find_local(vpn, &mut self.vma_cursor)
+            .ok_or(OsError::BadAddress(vpn))?;
         // Any fault in an attached VMA block first reconstructs that block
         // locally (copy + re-register fs callbacks for file VMAs, §4.2.1).
-        let vma_touch = self.vmas.ensure_local(vpn);
-        if vma_touch.block_cow {
+        if touch.block_cow {
             let mut cost = ctx.model.cxl_copy(crate::PAGE_SIZE);
-            let is_file_vma = self
-                .vmas
-                .find(vpn)
-                .map(|v| v.kind.is_file())
-                .unwrap_or(false);
-            if is_file_vma {
+            if vma.kind.is_file() {
                 cost += SimDuration::from_nanos(ctx.model.file_reopen_ns);
             }
             outcome.fault_cost += cost;
             outcome.cost += cost;
         }
 
-        let vma = self.vmas.find(vpn).ok_or(OsError::BadAddress(vpn))?;
         if access == Access::Write && !vma.prot.write {
             return Err(OsError::ProtectionViolation(vpn));
         }
@@ -590,7 +611,12 @@ impl AddressSpace {
             let pulled = Self::pull_page(&BackingSource::Device(page), access, vma, ctx, outcome)?;
             self.private_local_pages += 1;
             pulled
-        } else if let Some(b) = self.backing_for(vpn) {
+        } else if let Some(b) = self
+            .backing
+            .as_ref()
+            .filter(|_| self.policy == CxlTierPolicy::MigrateOnAccess)
+            .and_then(|backing| backing.find_from(vpn, &mut self.backing_cursor))
+        {
             // Pull policy (migrate-on-access): copy on first touch.
             let pulled = Self::pull_page(&b.source, access, vma, ctx, outcome)?;
             self.private_local_pages += 1;
@@ -680,7 +706,7 @@ impl AddressSpace {
         outcome.fault_cost += fault_cost;
         outcome.cost += fault_cost;
 
-        let set = self.page_table.set(vpn, new_pte);
+        let (set, leaf) = self.page_table.set_in_leaf(vpn, new_pte);
         if set.leaf_cow {
             outcome.pt_leaf_cow = true;
             // Copying a 4 KiB leaf from CXL to local memory.
@@ -688,7 +714,7 @@ impl AddressSpace {
             outcome.fault_cost += leaf_cost;
             outcome.cost += leaf_cost;
         }
-        Ok(())
+        Ok(leaf)
     }
 
     /// Reads a checkpointed page from the device, retrying transient
@@ -716,13 +742,6 @@ impl AddressSpace {
                 OsError::from(e)
             }
         })
-    }
-
-    fn backing_for(&self, vpn: VirtPageNum) -> Option<&BackingPage> {
-        match self.policy {
-            CxlTierPolicy::MigrateOnAccess => self.backing.as_ref()?.find(vpn),
-            _ => None,
-        }
     }
 
     /// Copies a checkpointed page into a fresh local frame on first
@@ -763,23 +782,20 @@ impl AddressSpace {
     ) -> Result<(Vma, SimDuration), OsError> {
         let (vma, touch) = self.vmas.remove(vpn).ok_or(OsError::BadAddress(vpn))?;
         let mut unmapped = 0u64;
-        for page in vma.start..vma.end {
-            let page = VirtPageNum(page);
-            let (old, _) = self.page_table.unmap(page);
-            if old.is_empty() {
-                continue;
-            }
+        let private_local_pages = &mut self.private_local_pages;
+        self.page_table.update_range(vma.start..vma.end, |old| {
             unmapped += 1;
             if old.is_present() {
                 if let Some(PhysAddr::Local(pfn)) = old.target() {
                     ctx.cache.invalidate(PhysAddr::Local(pfn));
                     ctx.frames.dec_ref(pfn);
                     if old.flags().contains(PRIVATE) {
-                        self.private_local_pages = self.private_local_pages.saturating_sub(1);
+                        *private_local_pages = private_local_pages.saturating_sub(1);
                     }
                 }
             }
-        }
+            Some(Pte::EMPTY)
+        });
         let mut cost = SimDuration::from_nanos(ctx.model.fork_pte_copy_ns) * unmapped
             + SimDuration::from_nanos(ctx.model.tlb_shootdown_ns);
         if touch.block_cow {
@@ -807,18 +823,18 @@ impl AddressSpace {
             .vmas
             .set_protection(vpn, prot)
             .ok_or(OsError::BadAddress(vpn))?;
-        let vma = self.vmas.find(vpn).cloned().expect("just updated");
+        let pages = self
+            .vmas
+            .find(vpn)
+            .map(|v| v.start..v.end)
+            .expect("just updated");
         let mut updated = 0u64;
         if !prot.write {
-            for page in vma.start..vma.end {
-                let page = VirtPageNum(page);
-                let pte = self.page_table.get(page);
-                if pte.is_present() && pte.is_writable() {
-                    self.page_table
-                        .set(page, pte.without_flags(PteFlags::WRITABLE));
-                    updated += 1;
-                }
-            }
+            self.page_table.update_range(pages, |pte| {
+                let protect = pte.is_present() && pte.is_writable();
+                updated += u64::from(protect);
+                protect.then(|| pte.without_flags(PteFlags::WRITABLE))
+            });
         }
         let mut cost = SimDuration::from_nanos(ctx.model.fork_pte_copy_ns) * updated
             + SimDuration::from_nanos(ctx.model.tlb_shootdown_ns);
@@ -965,10 +981,11 @@ fn base_flags(vma: &Vma) -> PteFlags {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     use super::*;
     use crate::cache::{CacheConfig, LlcCache};
+    use crate::page_table::{AttachedLeaf, PtLeaf};
 
     struct World {
         frames: FrameAllocator,
@@ -1515,6 +1532,285 @@ mod tests {
             .unwrap();
         assert!(hit.cache_hit);
         assert!(hit.cost < miss.cost);
+    }
+
+    #[test]
+    fn a_fault_that_copies_its_leaf_completes_in_the_copy() {
+        let mut w = World::new();
+        let region = w.device.create_region("ckpt");
+        let mut leaf = PtLeaf::new();
+        for slot in 0..2 {
+            let page = w.device.alloc_page(region).unwrap();
+            let flags = PteFlags::PRESENT | PteFlags::COW | PteFlags::CKPT_PIN;
+            leaf.set(slot, Pte::mapped(PhysAddr::Cxl(page), flags));
+        }
+        let backing = w.device.alloc_page(region).unwrap();
+        let mut asp = AddressSpace::new();
+        asp.map_anonymous(0, 4, Protection::read_write(), "ckpt")
+            .unwrap();
+        let leaf = Arc::new(leaf);
+        asp.page_table
+            .attach_leaf(0, AttachedLeaf { leaf, backing });
+        let mut outcomes = Vec::new();
+        let vpns = [0, 0, 1, 2].map(VirtPageNum);
+        asp.access_run(vpns, Access::Write, &mut w.ctx(), |o| outcomes.push(o))
+            .unwrap();
+        let faults: Vec<_> = outcomes.iter().map(|o| (o.fault, o.pt_leaf_cow)).collect();
+        assert_eq!(
+            faults,
+            [
+                (Some(FaultKind::CxlCow), true),
+                (None, false),
+                (Some(FaultKind::CxlCow), false),
+                (Some(FaultKind::AnonZeroFill), false),
+            ]
+        );
+        assert!(outcomes.iter().all(|o| !o.cxl_tier), "{outcomes:?}");
+        assert!(
+            outcomes[1].cache_hit,
+            "the store after the copy hits its line"
+        );
+        for vpn in vpns {
+            assert!(asp.page_table.is_accessed(vpn), "{vpn}");
+            assert!(asp.translate(vpn).is_dirty(), "{vpn}");
+        }
+        assert_eq!(asp.page_table.leaf_cow_events(), 1);
+    }
+
+    #[test]
+    fn munmap_and_mprotect_of_a_huge_vma_visit_only_its_leaves() {
+        let mut w = World::new();
+        let mut asp = AddressSpace::new();
+        let pages = 1 << 27;
+        asp.map_anonymous(0, pages, Protection::read_write(), "huge")
+            .unwrap();
+        for vpn in [0, pages / 2, pages - 1] {
+            asp.access(VirtPageNum(vpn), Access::Write, &mut w.ctx())
+                .unwrap();
+        }
+        let per_pte = SimDuration::from_nanos(w.model.fork_pte_copy_ns);
+        let shootdown = SimDuration::from_nanos(w.model.tlb_shootdown_ns);
+        let cost = asp
+            .mprotect(VirtPageNum(7), Protection::read_only(), &mut w.ctx())
+            .unwrap();
+        assert_eq!(cost, per_pte * 3 + shootdown);
+        assert!(!asp.translate(VirtPageNum(pages - 1)).is_writable());
+        let (vma, cost) = asp.munmap(VirtPageNum(pages - 1), &mut w.ctx()).unwrap();
+        assert_eq!((vma.start, vma.end), (0, pages));
+        assert_eq!(cost, per_pte * 3 + shootdown);
+        assert_eq!((w.frames.used(), asp.private_local_pages()), (0, 0));
+        assert_eq!(asp.page_table.iter_populated().count(), 0);
+    }
+
+    /// The per-page walk `munmap` made before it visited only the leaves
+    /// in range: one page-table lookup for every page of the VMA.
+    fn munmap_page_by_page(
+        asp: &mut AddressSpace,
+        vpn: VirtPageNum,
+        ctx: &mut MmContext<'_>,
+    ) -> Result<(Vma, SimDuration), OsError> {
+        let (vma, touch) = asp.vmas.remove(vpn).ok_or(OsError::BadAddress(vpn))?;
+        let mut unmapped = 0u64;
+        for page in vma.start..vma.end {
+            let (old, _) = asp.page_table.unmap(VirtPageNum(page));
+            if old.is_empty() {
+                continue;
+            }
+            unmapped += 1;
+            if let (true, Some(PhysAddr::Local(pfn))) = (old.is_present(), old.target()) {
+                ctx.cache.invalidate(PhysAddr::Local(pfn));
+                ctx.frames.dec_ref(pfn);
+                if old.flags().contains(PRIVATE) {
+                    asp.private_local_pages = asp.private_local_pages.saturating_sub(1);
+                }
+            }
+        }
+        let mut cost = SimDuration::from_nanos(ctx.model.fork_pte_copy_ns) * unmapped
+            + SimDuration::from_nanos(ctx.model.tlb_shootdown_ns);
+        if touch.block_cow {
+            cost += ctx.model.cxl_copy(crate::PAGE_SIZE);
+        }
+        Ok((vma, cost))
+    }
+
+    /// The per-page walk `mprotect` made before it visited only the
+    /// leaves in range.
+    fn mprotect_page_by_page(
+        asp: &mut AddressSpace,
+        vpn: VirtPageNum,
+        prot: Protection,
+        ctx: &mut MmContext<'_>,
+    ) -> Result<SimDuration, OsError> {
+        let touch = asp
+            .vmas
+            .set_protection(vpn, prot)
+            .ok_or(OsError::BadAddress(vpn))?;
+        let vma = asp.vmas.find(vpn).cloned().expect("just updated");
+        let mut updated = 0u64;
+        if !prot.write {
+            for page in (vma.start..vma.end).map(VirtPageNum) {
+                let pte = asp.page_table.get(page);
+                if pte.is_present() && pte.is_writable() {
+                    asp.page_table
+                        .set(page, pte.without_flags(PteFlags::WRITABLE));
+                    updated += 1;
+                }
+            }
+        }
+        let mut cost = SimDuration::from_nanos(ctx.model.fork_pte_copy_ns) * updated
+            + SimDuration::from_nanos(ctx.model.tlb_shootdown_ns);
+        if touch.block_cow {
+            cost += ctx.model.cxl_copy(crate::PAGE_SIZE);
+        }
+        Ok(cost)
+    }
+
+    /// Builds a world and an address space from a seeded recipe: three
+    /// VMAs around leaf boundaries, pages mapped to private, CoW-shared
+    /// or file-cache local frames, CXL pages and armed entries, some made
+    /// writable, and `attached` of the leaves over the middle VMA
+    /// attached from a checkpoint.
+    fn sparse_space(mapped: &[(u64, u8)], attached: &[u64]) -> (World, AddressSpace) {
+        let mut w = World::new();
+        let region = w.device.create_region("ckpt");
+        let mut asp = AddressSpace::new();
+        let rw = Protection::read_write();
+        asp.map_anonymous(100, 1400, rw, "low").unwrap();
+        asp.map_anonymous(1500, 1500, rw, "mid").unwrap();
+        asp.map_file(3000, 64, rw, "/lib/libc.so", 0).unwrap();
+        for &leaf_index in attached {
+            let mut leaf = PtLeaf::new();
+            for slot in (0..crate::PTES_PER_LEAF).step_by(3) {
+                let page = w.device.alloc_page(region).unwrap();
+                let flags = PteFlags::PRESENT | PteFlags::COW | PteFlags::CKPT_PIN;
+                leaf.set(slot, Pte::mapped(PhysAddr::Cxl(page), flags));
+            }
+            let backing = w.device.alloc_page(region).unwrap();
+            let leaf = Arc::new(leaf);
+            asp.page_table
+                .attach_leaf(leaf_index, AttachedLeaf { leaf, backing });
+        }
+        for &(vpn, kind) in mapped {
+            let vpn = VirtPageNum(vpn);
+            if asp
+                .page_table
+                .leaf_for(vpn)
+                .is_some_and(LeafSlot::is_attached)
+            {
+                continue;
+            }
+            match kind % 5 {
+                0 | 1 => {
+                    let flags = PteFlags::PRESENT | PteFlags::WRITABLE;
+                    let pfn = w.frames.alloc(PageData::pattern(vpn.0)).unwrap();
+                    asp.install_mapping(vpn, PhysAddr::Local(pfn), flags, kind % 5 == 0);
+                }
+                2 => {
+                    let pfn = w.frames.alloc(PageData::pattern(vpn.0)).unwrap();
+                    w.frames.inc_ref(pfn);
+                    let flags = PteFlags::PRESENT | PteFlags::COW;
+                    asp.install_mapping(vpn, PhysAddr::Local(pfn), flags, false);
+                }
+                3 => {
+                    let page = w.device.alloc_page(region).unwrap();
+                    let flags = PteFlags::PRESENT | PteFlags::COW;
+                    asp.install_mapping(vpn, PhysAddr::Cxl(page), flags, false);
+                }
+                _ => {
+                    let page = w.device.alloc_page(region).unwrap();
+                    let pte = Pte::armed(PhysAddr::Cxl(page), PteFlags::FETCH_ON_ACCESS);
+                    asp.page_table.set(vpn, pte);
+                }
+            }
+        }
+        // Bring the pages into the LLC so an unmap's invalidations show.
+        for (_, pte) in asp.page_table.iter_populated().collect::<Vec<_>>() {
+            if let (true, Some(target)) = (pte.is_present(), pte.target()) {
+                w.cache.access(target);
+            }
+        }
+        (w, asp)
+    }
+
+    /// Everything a walk over the page table may change.
+    fn walk_state(w: &World, asp: &AddressSpace) -> String {
+        let entries: Vec<_> = asp.page_table.iter_populated().collect();
+        format!(
+            "{entries:?} {} {} {:?} {:?} {:?}",
+            asp.page_table.leaf_cow_events(),
+            asp.private_local_pages,
+            w.frames,
+            w.cache,
+            asp.vmas.iter().collect::<Vec<_>>()
+        )
+    }
+
+    proptest::proptest! {
+        /// `munmap` and `mprotect`, which visit only the leaves over the
+        /// VMA, leave the same page table, leaf CoWs, frames (free-list
+        /// order included), LLC and private-page count, and return the
+        /// same VMA and cost, as the per-page walk they replaced, on
+        /// random sparse mappings with attached checkpoint leaves.
+        #[test]
+        fn munmap_and_mprotect_equal_the_per_page_walk(
+            mapped in proptest::collection::vec((0u64..3_200, 0u8..5), 0..120),
+            attached in proptest::collection::vec(2u64..6, 0..3),
+            at in 0u64..3_200,
+        ) {
+            let attached: Vec<u64> = attached.into_iter().collect::<BTreeSet<_>>().into_iter().collect();
+            let (mut w1, mut a1) = sparse_space(&mapped, &attached);
+            let (mut w2, mut a2) = sparse_space(&mapped, &attached);
+            let vpn = VirtPageNum(at);
+            for prot in [Protection::read_only(), Protection::read_write()] {
+                let got = a1.mprotect(vpn, prot, &mut w1.ctx());
+                let expected = mprotect_page_by_page(&mut a2, vpn, prot, &mut w2.ctx());
+                proptest::prop_assert_eq!(got, expected);
+                proptest::prop_assert_eq!(walk_state(&w1, &a1), walk_state(&w2, &a2));
+            }
+            let got = a1.munmap(vpn, &mut w1.ctx());
+            let expected = munmap_page_by_page(&mut a2, vpn, &mut w2.ctx());
+            proptest::prop_assert_eq!(got, expected);
+            proptest::prop_assert_eq!(walk_state(&w1, &a1), walk_state(&w2, &a2));
+            let next = (w1.frames.alloc_zeroed(), w2.frames.alloc_zeroed());
+            proptest::prop_assert_eq!(next.0, next.1, "the free lists differ");
+        }
+
+        /// The cursor probe answers every lookup exactly as a binary
+        /// search does, over random backings and probe orders, with one
+        /// cursor carried across two different backings.
+        #[test]
+        fn cxl_backing_cursor_probe_equals_a_binary_search(
+            vpns in proptest::collection::vec(0u64..400, 0..120),
+            other in proptest::collection::vec(0u64..400, 0..40),
+            probes in proptest::collection::vec((0u64..420, proptest::arbitrary::any::<bool>()), 0..300),
+        ) {
+            let build = |vpns: &[u64]| {
+                let vpns: BTreeSet<u64> = vpns.iter().copied().collect();
+                let mut backing = CxlBacking::with_capacity(vpns.len());
+                for vpn in vpns {
+                    let page = BackingPage {
+                        source: BackingSource::Device(CxlPageId(vpn * 7)),
+                        accessed: vpn % 2 == 0,
+                        dirty: vpn % 3 == 0,
+                        file_backed: false,
+                    };
+                    backing.insert(VirtPageNum(vpn), page);
+                }
+                backing
+            };
+            let backings = [build(&vpns), build(&other)];
+            let mut cursor = 0;
+            let mut last = 0;
+            for (i, (vpn, stride)) in probes.into_iter().enumerate() {
+                let backing = &backings[usize::from(i % 50 >= 45)];
+                // Mostly the next page after the last probe, as a run's
+                // faults make, sometimes anywhere.
+                let vpn = VirtPageNum(if stride { last + 1 } else { vpn });
+                last = vpn.0;
+                let probed = backing.find_from(vpn, &mut cursor).map(backing_key);
+                proptest::prop_assert_eq!(probed, backing.find(vpn).map(backing_key));
+            }
+        }
     }
 
     /// What a test can compare of a [`BackingPage`]: its device page and

@@ -667,6 +667,14 @@ mod tests {
         },
         /// A local fork of the parent; the child becomes process 3.
         Fork,
+        /// A second migrate-on-access restore from the puller's backing
+        /// into a fresh process, which becomes process 4.
+        Restore,
+        /// `munmap` of the `proc`-th process's VMA holding `vpn`, then a
+        /// fresh anonymous mapping of the same range.
+        Remap { proc: usize, vpn: u64 },
+        /// `mprotect` of the `proc`-th process's VMA holding `vpn`.
+        Protect { proc: usize, vpn: u64, write: bool },
     }
 
     /// Everything a replay leaves behind that the two ways of issuing a
@@ -675,6 +683,8 @@ mod tests {
     struct Replay {
         /// Per page issued: `(step, position in the run, outcome)`.
         outcomes: Vec<(usize, usize, Result<AccessOutcome, String>)>,
+        /// Per `munmap` or `mprotect` step: `(step, result)`.
+        edits: Vec<(usize, String)>,
         now: SimTime,
         counters: NodeCounters,
         frames_used: u64,
@@ -687,21 +697,27 @@ mod tests {
 
     /// The mapped ranges of each process the script draws runs from.
     /// All are writable but the library at 2048 of the parent and its
-    /// child.
-    const PROC_RANGES: [&[(u64, u64)]; 4] = [
-        &[(0, 1100), (2048, 2112), (2200, 2232), (4096, 4160)],
+    /// child. The parent's range at 2200 and the pullers' range span two
+    /// VMAs that meet inside one page-table leaf.
+    const PROC_RANGES: [&[(u64, u64)]; 5] = [
+        &[(0, 1100), (2048, 2112), (2200, 2300), (4096, 4160)],
         &[(300, 700)],
         &[(7900, 9216), (9216, 9280)],
-        &[(0, 1100), (2048, 2112), (2200, 2232), (4096, 4160)],
+        &[(0, 1100), (2048, 2112), (2200, 2300), (4096, 4160)],
+        &[(300, 700)],
     ];
 
     /// A seeded script: a fixed prologue (a store run that localizes the
     /// attached VMA block on its first page, copies an attached leaf in
     /// its middle and revisits pages after the copy; a load run across
-    /// two attached leaves into armed entries), then random runs —
-    /// sequential stretches that may cross leaf boundaries, revisit
-    /// their own pages, or hit an unmapped page part-way — with one
-    /// local fork a third of the way in.
+    /// two attached leaves into armed entries; a store run that copies
+    /// the other attached leaf and stores to the same page again at
+    /// once; store runs that fault across a VMA boundary inside one
+    /// leaf), then random runs — sequential stretches that may cross
+    /// leaf boundaries, revisit their own pages, or hit an unmapped page
+    /// part-way — with one local fork a third of the way in, a second
+    /// migrate-on-access restore half way, and an `munmap` + remap or an
+    /// `mprotect` every 30 steps.
     fn run_script(seed: u64) -> Vec<Step> {
         use rand::Rng;
         let mut rng = simclock::rng::seeded(seed);
@@ -716,6 +732,21 @@ mod tests {
                 vpns: (8700..8710).chain(9214..9220).collect(),
                 access: Access::Read,
             },
+            Step::Run {
+                proc: 2,
+                vpns: vec![8800, 8800, 8801],
+                access: Access::Write,
+            },
+            Step::Run {
+                proc: 1,
+                vpns: (490..515).collect(),
+                access: Access::Write,
+            },
+            Step::Run {
+                proc: 0,
+                vpns: (2225..2240).collect(),
+                access: Access::Write,
+            },
         ];
         let mut live: usize = 3;
         for i in 0..360 {
@@ -723,10 +754,26 @@ mod tests {
                 steps.push(Step::Fork);
                 live = 4;
             }
+            if i == 180 {
+                steps.push(Step::Restore);
+                live = 5;
+            }
             let proc = rng.gen_range(0..live);
             let ranges = PROC_RANGES[proc];
             let (lo, hi) = ranges[rng.gen_range(0..ranges.len())];
             let start = rng.gen_range(lo..hi);
+            if i % 30 == 29 {
+                steps.push(if rng.gen_range(0u8..2) == 0 {
+                    Step::Remap { proc, vpn: start }
+                } else {
+                    let write = rng.gen_range(0u8..2) == 0;
+                    Step::Protect {
+                        proc,
+                        vpn: start,
+                        write,
+                    }
+                });
+            }
             let len = rng.gen_range(1..48u64);
             let mut vpns: Vec<u64> = (start..(start + len).min(hi)).collect();
             if rng.gen_range(0u8..4) == 0 {
@@ -787,6 +834,7 @@ mod tests {
         mm.map_file(2048, 64, Protection::read_exec(), "/lib/app.so", 0)
             .unwrap();
         mm.map_file(2200, 32, rw, "/data.bin", 0).unwrap();
+        mm.map_anonymous(2232, 68, rw, "arena").unwrap();
         mm.map_anonymous(4096, 64, rw, "ckpt").unwrap();
         for vpn in 4096..4160 {
             let target = PhysAddr::Cxl(cxl_page(vpn));
@@ -798,7 +846,6 @@ mod tests {
             );
         }
 
-        let puller = n.spawn("puller").unwrap();
         let mut backing = CxlBacking::new();
         for vpn in 300..700 {
             let source = if vpn < 500 {
@@ -814,10 +861,17 @@ mod tests {
             };
             backing.insert(VirtPageNum(vpn), page);
         }
-        let mm = &mut n.process_mut(puller).unwrap().mm;
-        mm.map_anonymous(300, 400, rw, "pulled").unwrap();
-        mm.set_policy(CxlTierPolicy::MigrateOnAccess);
-        mm.set_backing(Arc::new(backing));
+        let backing = Arc::new(backing);
+        let restore_puller = |n: &mut Node, name: &str| {
+            let pid = n.spawn(name).unwrap();
+            let mm = &mut n.process_mut(pid).unwrap().mm;
+            mm.map_anonymous(300, 200, rw, "pulled").unwrap();
+            mm.map_anonymous(500, 200, rw, "pulled-remote").unwrap();
+            mm.set_policy(CxlTierPolicy::MigrateOnAccess);
+            mm.set_backing(Arc::clone(&backing));
+            pid
+        };
+        let puller = restore_puller(&mut n, "puller");
 
         // Leaves 16 and 17 (vpns 8192..9216) are attached checkpoint
         // leaves; 7900..8192 is plain heap below them; leaf 18 holds
@@ -864,10 +918,37 @@ mod tests {
 
         let mut pids = vec![parent, puller, restored];
         let mut outcomes = Vec::new();
+        let mut edits = Vec::new();
         for (step, op) in script.iter().enumerate() {
-            let Step::Run { proc, vpns, access } = op else {
-                pids.push(n.local_fork(parent).unwrap().0);
-                continue;
+            let (proc, vpns, access) = match op {
+                Step::Run { proc, vpns, access } => (proc, vpns, access),
+                Step::Fork => {
+                    pids.push(n.local_fork(parent).unwrap().0);
+                    continue;
+                }
+                Step::Restore => {
+                    pids.push(restore_puller(&mut n, "puller-2"));
+                    continue;
+                }
+                Step::Remap { proc, vpn } => {
+                    let vpn = VirtPageNum(*vpn);
+                    let remapped = n.with_process_ctx(pids[*proc], |p, ctx| {
+                        let (vma, cost) = p.mm.munmap(vpn, ctx).unwrap();
+                        p.mm.map_anonymous(vma.start, vma.pages(), rw, "remapped")
+                            .unwrap();
+                        cost
+                    });
+                    edits.push((step, format!("{remapped:?}")));
+                    continue;
+                }
+                Step::Protect { proc, vpn, write } => {
+                    let prot = if *write { rw } else { Protection::read_only() };
+                    let protected = n.with_process_ctx(pids[*proc], |p, ctx| {
+                        p.mm.mprotect(VirtPageNum(*vpn), prot, ctx)
+                    });
+                    edits.push((step, format!("{protected:?}")));
+                    continue;
+                }
             };
             let (pid, access) = (pids[*proc], *access);
             let mut pos = 0;
@@ -909,6 +990,7 @@ mod tests {
         }
         Replay {
             outcomes,
+            edits,
             now: n.now(),
             counters: n.counters(),
             frames_used: n.frames().used(),
@@ -923,9 +1005,12 @@ mod tests {
     /// [`Node::access`] on identically built nodes, gives the same
     /// outcome sequence, clock, books, frames, PTEs with A/D bits and
     /// LLC hits and misses. The script reaches all eight fault kinds,
-    /// a VMA-block CoW, a leaf CoW in the middle of a run, transient
-    /// device errors, and runs that end in `BadAddress`, a protection
-    /// violation or (on the 2 MiB node) running out of memory.
+    /// a VMA-block CoW, a leaf CoW in the middle of a run, faults that
+    /// cross a VMA boundary inside one leaf, runs after `munmap`,
+    /// `mprotect` and a local fork, a second migrate-on-access restore
+    /// into a fresh process, transient device errors, and runs that end
+    /// in `BadAddress`, a protection violation or (on the 2 MiB node)
+    /// running out of memory.
     #[test]
     fn an_access_run_equals_its_pages_one_by_one() {
         for (mib, seed) in [(16, 37), (2, 38)] {
@@ -938,6 +1023,8 @@ mod tests {
                 .filter_map(|(_, _, o)| o.as_ref().err().map(String::as_str))
                 .collect();
             let has = |error: &str| errors.iter().any(|e| e.starts_with(error));
+            let edits_ok = whole.edits.iter().filter(|(_, e)| e.starts_with("Ok"));
+            assert!(edits_ok.count() >= 10, "{mib} MiB: {:?}", whole.edits);
             assert!(
                 has("BadAddress") && has("ProtectionViolation"),
                 "{mib} MiB: {errors:?}"

@@ -29,8 +29,10 @@
 //!   attached to every leaf, so they never force a copy, and user space can
 //!   reset them to re-estimate working sets.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -262,6 +264,33 @@ impl LeafSlot {
         matches!(self, LeafSlot::Attached(_))
     }
 
+    /// Copies an attached leaf to a private local one — a leaf CoW —
+    /// dropping the checkpoint pin from its entries and keeping its
+    /// runtime A bits. Returns whether it copied; a local leaf stays as
+    /// it is.
+    fn make_local(&mut self) -> bool {
+        let LeafSlot::Attached(att) = self else {
+            return false;
+        };
+        let mut copy = (*att.leaf).clone();
+        for i in 0..PTES_PER_LEAF {
+            let e = copy.get(i);
+            if !e.is_empty() {
+                copy.set(i, e.without_flags(PteFlags::CKPT_PIN));
+            }
+        }
+        *self = LeafSlot::Local(copy);
+        true
+    }
+
+    /// Writes the entry at `slot` of a local leaf; a no-op on an attached
+    /// one, which [`LeafSlot::make_local`] copies first.
+    fn set(&mut self, slot: usize, pte: Pte) {
+        if let LeafSlot::Local(leaf) = self {
+            leaf.set(slot, pte);
+        }
+    }
+
     /// Sets the D bit of the entry at `slot` if it is populated. Only
     /// local leaves take it (writable mappings always live in local
     /// leaves after CoW resolution); a no-op on attached leaves, whose D
@@ -335,35 +364,41 @@ impl PageTable {
         self.leaves.get(&vpn.leaf_index())
     }
 
-    /// The one insert path: puts `leaf` at `leaf_index`, replacing any
-    /// leaf there, and reports whether the index was new and the
-    /// directory pages the walk down to a new one creates.
+    /// The one insert path for whole leaves: puts `leaf` at
+    /// `leaf_index`, replacing any leaf there, and reports whether the
+    /// index was new and the directory pages the walk down to a new one
+    /// creates.
     fn insert(&mut self, leaf_index: u64, leaf: LeafSlot) -> SetOutcome {
+        if self.leaves.insert(leaf_index, leaf).is_some() {
+            return SetOutcome::default();
+        }
+        SetOutcome {
+            dirs_created: self.dirs_created_by(leaf_index),
+            leaf_cow: false,
+            leaf_created: true,
+        }
+    }
+
+    /// The directory pages the walk down to the leaf just created at
+    /// `leaf_index` created on the way.
+    fn dirs_created_by(&self, leaf_index: u64) -> u64 {
         debug_assert!(
             leaf_index >> (VirtPageNum::BITS - 9) == 0,
             "leaf index {leaf_index:#x} is past the {}-bit VPN space",
             VirtPageNum::BITS
         );
-        if self.leaves.insert(leaf_index, leaf).is_some() {
-            return SetOutcome::default();
-        }
-        // The directory over `leaf_index >> shift` is new if the leaf just
-        // inserted is alone under it. A level-2 directory with another
-        // leaf under it has a level-3 parent that has one too.
+        // The directory over `leaf_index >> shift` is new if the new leaf
+        // is alone under it. A level-2 directory with another leaf under
+        // it has a level-3 parent that has one too.
         let alone = |shift: u32| {
             let first = leaf_index >> shift << shift;
             let others = self.leaves.range(first..first + (1 << shift)).nth(1);
             others.is_none()
         };
-        let dirs_created = if alone(9) {
+        if alone(9) {
             1 + u64::from(alone(18))
         } else {
             0
-        };
-        SetOutcome {
-            dirs_created,
-            leaf_cow: false,
-            leaf_created: true,
         }
     }
 
@@ -372,31 +407,64 @@ impl PageTable {
     /// local memory (leaf CoW) — the outcome reports this so the caller can
     /// charge the copy.
     pub fn set(&mut self, vpn: VirtPageNum, pte: Pte) -> SetOutcome {
-        let Some(slot) = self.leaves.get_mut(&vpn.leaf_index()) else {
-            let mut leaf = PtLeaf::new();
-            leaf.set(vpn.leaf_slot(), pte);
-            return self.insert(vpn.leaf_index(), LeafSlot::Local(leaf));
+        let (mut outcome, _) = self.set_in_leaf(vpn, pte);
+        if outcome.leaf_created {
+            outcome.dirs_created = self.dirs_created_by(vpn.leaf_index());
+        }
+        outcome
+    }
+
+    /// [`PageTable::set`] as one map operation that hands back the leaf
+    /// it wrote (the local copy after a leaf CoW), so an access run can
+    /// go on in it. Leaves `dirs_created` at zero: the fault path does not
+    /// charge directory pages.
+    pub(crate) fn set_in_leaf(
+        &mut self,
+        vpn: VirtPageNum,
+        pte: Pte,
+    ) -> (SetOutcome, &mut LeafSlot) {
+        let mut outcome = SetOutcome::default();
+        let slot = match self.leaves.entry(vpn.leaf_index()) {
+            Entry::Occupied(slot) => slot.into_mut(),
+            Entry::Vacant(slot) => {
+                outcome.leaf_created = true;
+                slot.insert(LeafSlot::Local(PtLeaf::new()))
+            }
         };
-        let leaf_cow = slot.is_attached();
-        if let LeafSlot::Attached(att) = slot {
-            // Leaf CoW: copy entries (dropping the checkpoint pin) and the
-            // runtime A bits to a private local leaf.
-            let mut copy = (*att.leaf).clone();
-            for i in 0..PTES_PER_LEAF {
-                let e = copy.get(i);
-                if !e.is_empty() {
-                    copy.set(i, e.without_flags(PteFlags::CKPT_PIN));
+        outcome.leaf_cow = slot.make_local();
+        self.leaf_cow_events += u64::from(outcome.leaf_cow);
+        slot.set(vpn.leaf_slot(), pte);
+        (outcome, slot)
+    }
+
+    /// Rewrites the populated entries of `pages`, in ascending order:
+    /// `update` sees each entry and returns the one to write, or `None`
+    /// to leave it. Only the leaves over `pages` are visited, and a
+    /// leaf is copied local (a leaf CoW) at its first rewritten entry, as
+    /// a per-page [`PageTable::set`] would.
+    pub(crate) fn update_range(
+        &mut self,
+        pages: Range<u64>,
+        mut update: impl FnMut(Pte) -> Option<Pte>,
+    ) {
+        if pages.is_empty() {
+            return;
+        }
+        let span = pages.start >> 9..=(pages.end - 1) >> 9;
+        for (&leaf_index, slot) in self.leaves.range_mut(span) {
+            let base = leaf_index << 9;
+            let first = pages.start.max(base) - base;
+            let end = pages.end.min(base + PTES_PER_LEAF as u64) - base;
+            for s in first as usize..end as usize {
+                let pte = slot.get(s);
+                if pte.is_empty() {
+                    continue;
+                }
+                if let Some(new) = update(pte) {
+                    self.leaf_cow_events += u64::from(slot.make_local());
+                    slot.set(s, new);
                 }
             }
-            *slot = LeafSlot::Local(copy);
-        }
-        if let LeafSlot::Local(leaf) = slot {
-            leaf.set(vpn.leaf_slot(), pte);
-        }
-        self.leaf_cow_events += u64::from(leaf_cow);
-        SetOutcome {
-            leaf_cow,
-            ..SetOutcome::default()
         }
     }
 

@@ -249,18 +249,22 @@ impl VmaBlock {
     }
 
     fn find(&self, vpn: VirtPageNum) -> Option<&Vma> {
-        match self.vmas.binary_search_by(|v| {
-            if v.end <= vpn.0 {
-                std::cmp::Ordering::Less
-            } else if v.start > vpn.0 {
-                std::cmp::Ordering::Greater
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        }) {
-            Ok(i) => Some(&self.vmas[i]),
-            Err(_) => None,
-        }
+        Some(&self.vmas[self.position(vpn)?])
+    }
+
+    /// The index of the VMA containing `vpn`.
+    fn position(&self, vpn: VirtPageNum) -> Option<usize> {
+        self.vmas
+            .binary_search_by(|v| {
+                if v.end <= vpn.0 {
+                    std::cmp::Ordering::Less
+                } else if v.start > vpn.0 {
+                    std::cmp::Ordering::Greater
+                } else {
+                    std::cmp::Ordering::Equal
+                }
+            })
+            .ok()
     }
 }
 
@@ -298,6 +302,15 @@ impl VmaBlockSlot {
 pub struct VmaTouchOutcome {
     /// `true` if an attached block was copied to local memory.
     pub block_cow: bool,
+}
+
+/// Where [`VmaTree::find_local`] last found a VMA: a (block, VMA) index
+/// pair, checked on every use, so an edit of the tree can make it stale
+/// but never wrong.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct VmaCursor {
+    block: usize,
+    vma: usize,
 }
 
 /// The per-process VMA tree.
@@ -385,17 +398,37 @@ impl VmaTree {
         Some(idx)
     }
 
-    /// Ensures the block containing `vpn` is node-local, copying it from
-    /// the checkpoint if needed (VMA-leaf CoW + on-demand global-state
-    /// reconstruction, §4.2.1). No-op if `vpn` is not covered.
-    pub fn ensure_local(&mut self, vpn: VirtPageNum) -> VmaTouchOutcome {
-        let Some(idx) = self.block_index_for(vpn.0) else {
-            return VmaTouchOutcome::default();
+    /// The VMA containing `vpn`, with its block made node-local first
+    /// (VMA-leaf CoW + on-demand global-state reconstruction, §4.2.1): the
+    /// one VMA lookup a fault makes. `cursor` holds the (block, VMA)
+    /// position of the last answer; it is checked on every use, and a
+    /// local block whose VMA still contains `vpn` answers without a
+    /// search. Any other cursor, stale after an edit of the tree or not,
+    /// costs the search it would have saved, and the search moves it.
+    pub fn find_local(
+        &mut self,
+        vpn: VirtPageNum,
+        cursor: &mut VmaCursor,
+    ) -> Option<(&Vma, VmaTouchOutcome)> {
+        let hit = match self.blocks.get(cursor.block) {
+            Some(VmaBlockSlot::Local(block)) => block
+                .vmas
+                .get(cursor.vma)
+                .is_some_and(|vma| vma.contains(vpn)),
+            _ => false,
         };
-        if self.blocks[idx].block().find(vpn).is_none() {
-            return VmaTouchOutcome::default();
-        }
-        self.localize(idx)
+        let touch = if hit {
+            VmaTouchOutcome::default()
+        } else {
+            let block = self.block_index_for(vpn.0)?;
+            *cursor = VmaCursor {
+                block,
+                vma: self.blocks[block].block().position(vpn)?,
+            };
+            self.localize(block)
+        };
+        let vma = &self.blocks[cursor.block].block().vmas[cursor.vma];
+        Some((vma, touch))
     }
 
     fn localize(&mut self, idx: usize) -> VmaTouchOutcome {
@@ -609,11 +642,101 @@ mod tests {
     }
 
     #[test]
-    fn ensure_local_is_noop_for_local_or_uncovered() {
+    fn find_local_localizes_only_a_covering_attached_block() {
         let mut t = VmaTree::new();
         t.insert(anon(0, 4)).unwrap();
-        assert!(!t.ensure_local(VirtPageNum(1)).block_cow);
-        assert!(!t.ensure_local(VirtPageNum(100)).block_cow);
+        t.attach_block(
+            Arc::new(VmaBlock::from_vmas(vec![anon(10, 20)])),
+            CxlPageId(0),
+        );
+        let mut cursor = VmaCursor::default();
+        let (vma, touch) = t.find_local(VirtPageNum(1), &mut cursor).unwrap();
+        assert_eq!((vma.start, touch.block_cow), (0, false));
+        assert!(t.find_local(VirtPageNum(7), &mut cursor).is_none());
+        assert!(t.find_local(VirtPageNum(100), &mut cursor).is_none());
+        assert_eq!(t.attached_block_count(), 1);
+        let (vma, touch) = t.find_local(VirtPageNum(12), &mut cursor).unwrap();
+        assert_eq!((vma.start, touch.block_cow), (10, true));
+        let (_, touch) = t.find_local(VirtPageNum(19), &mut cursor).unwrap();
+        assert!(!touch.block_cow, "the block is local now");
+        assert_eq!(t.block_cow_events(), 1);
+    }
+
+    /// The two searches a fault made before [`VmaTree::find_local`]:
+    /// localize the block whose VMA covers `vpn`, then find that VMA
+    /// again from the top.
+    fn ensure_local_then_find(t: &mut VmaTree, vpn: VirtPageNum) -> Option<(Vma, bool)> {
+        let idx = t.block_index_for(vpn.0)?;
+        t.blocks[idx].block().find(vpn)?;
+        let touch = t.localize(idx);
+        Some((t.find(vpn)?.clone(), touch.block_cow))
+    }
+
+    /// Everything of a tree a lookup may change: each block's VMAs and
+    /// whether it is attached, and the block-CoW count.
+    fn shape(t: &VmaTree) -> (Vec<(bool, Vec<Vma>)>, u64) {
+        let blocks = t.blocks.iter();
+        let blocks = blocks.map(|b| (b.is_attached(), b.block().vmas.clone()));
+        (blocks.collect(), t.block_cow_events())
+    }
+
+    proptest::proptest! {
+        /// One cursor carried across random inserts, removals,
+        /// protection changes and attached blocks answers every lookup
+        /// with the VMA, the block CoW and the tree afterwards that the
+        /// two-search path gives on a twin tree.
+        #[test]
+        fn find_local_with_a_carried_cursor_equals_ensure_local_then_find(
+            ops in proptest::collection::vec((0u8..8, 0u64..1_200, 1u64..40), 1..200),
+        ) {
+            let mut t = VmaTree::new();
+            let mut oracle = VmaTree::new();
+            let mut cursor = VmaCursor::default();
+            let mut last = 0u64;
+            for (op, at, len) in ops {
+                match op {
+                    0 => {
+                        let vma = anon(at, at + len);
+                        proptest::prop_assert_eq!(
+                            t.insert(vma.clone()).is_ok(),
+                            oracle.insert(vma).is_ok()
+                        );
+                    }
+                    1 => {
+                        let removed = t.remove(VirtPageNum(at)).map(|(v, o)| (v, o.block_cow));
+                        let expected = oracle.remove(VirtPageNum(at)).map(|(v, o)| (v, o.block_cow));
+                        proptest::prop_assert_eq!(removed, expected);
+                    }
+                    2 => {
+                        let prot = Protection::read_only();
+                        proptest::prop_assert_eq!(
+                            t.set_protection(VirtPageNum(at), prot),
+                            oracle.set_protection(VirtPageNum(at), prot)
+                        );
+                    }
+                    3 => {
+                        // A checkpoint block of `len % 4 + 1` VMAs past
+                        // every VMA, shared by both trees.
+                        let end = t.iter().last().map_or(0, |v| v.end);
+                        let vmas = (0..len % 4 + 1).map(|i| anon(end + at % 8 + 6 * i, end + at % 8 + 6 * i + 5));
+                        let block = Arc::new(VmaBlock::from_vmas(vmas.collect()));
+                        t.attach_block(Arc::clone(&block), CxlPageId(at));
+                        oracle.attach_block(block, CxlPageId(at));
+                    }
+                    _ => {
+                        // Mostly short strides from the last lookup, as a
+                        // run's faults make, sometimes a jump.
+                        let vpn = VirtPageNum(if op == 7 { at } else { last + len % 8 });
+                        last = vpn.0;
+                        let found = t
+                            .find_local(vpn, &mut cursor)
+                            .map(|(v, touch)| (v.clone(), touch.block_cow));
+                        proptest::prop_assert_eq!(found, ensure_local_then_find(&mut oracle, vpn));
+                    }
+                }
+                proptest::prop_assert_eq!(shape(&t), shape(&oracle));
+            }
+        }
     }
 
     #[test]
