@@ -83,6 +83,14 @@ echo '== one VMA lookup per fault =='
 forbid 'a fault searches the VMA tree twice or the backing from scratch (DESIGN.md §4)' \
     'ensure_local\(|fn backing_for' crates/node-os/src/mm.rs
 
+echo '== flat LLC sets =='
+# The LLC model keeps its tags in one flat array, each set a ring probed
+# by control bytes, stepped a leaf batch at a time (DESIGN.md §4): the
+# per-set vectors with their shifting removes and inserts may not come
+# back.
+forbid 'per-set Vec storage is back in the LLC model (DESIGN.md §4)' \
+    'Vec<Vec<' crates/node-os/src/cache.rs
+
 echo '== the device publishes its book =='
 
 # The device's traffic book is one `CxlDeviceStats`; telemetry reads it
@@ -173,7 +181,11 @@ echo '== these tests exist =='
 # the index became a slab, `CxlBacking` against its ordered-map model, the
 # fault path's cursors against the searches they save (the VMA lookup
 # against localize-then-find, the backing probe against a binary search,
-# a fault that copies its leaf completing in the copy), `munmap` and
+# a fault that copies its leaf completing in the copy), the flat LLC
+# against a list-per-set model after every access, probe and
+# invalidation (its fastmod, zero-byte test, lazy storage and
+# state-only `Debug` too) and a batch stepping the LLC before the fault
+# that ends it, `munmap` and
 # `mprotect` against the per-page walk and on a 2^27-page VMA, the
 # porter's expiry floor at its edge and under late memory pressure, the
 # sharded-device audit under lockdep (DESIGN.md §10), the pipeline
@@ -245,9 +257,18 @@ expect_tests node-os --lib \
     mm::tests::cxl_backing_cursor_probe_equals_a_binary_search \
     mm::tests::munmap_and_mprotect_equal_the_per_page_walk \
     mm::tests::munmap_and_mprotect_of_a_huge_vma_visit_only_its_leaves \
-    vma::tests::find_local_with_a_carried_cursor_equals_ensure_local_then_find
+    vma::tests::find_local_with_a_carried_cursor_equals_ensure_local_then_find \
+    mm::tests::a_batch_steps_the_llc_before_the_fault_that_ends_it \
+    cache::tests::invalidate_drops_the_line_and_keeps_the_books \
+    cache::tests::new_allocates_nothing_until_the_first_access \
+    cache::tests::equal_states_print_the_same_whatever_their_history \
+    cache::tests::fastmod_equals_the_remainder \
+    cache::tests::zero_byte_test_is_exact
 expect_tests node-os '--test properties' \
     page_table_matches_hashmap_model
+expect_tests node-os '--test cache_properties' \
+    cache_matches_reference_model \
+    invalidate_is_precise
 expect_tests cxl-store '--test differential' \
     store_differential_volatile_matches_per_page_model_page_for_page \
     store_differential_durable_matches_model_and_recovers_to_it \

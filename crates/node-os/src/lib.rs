@@ -29,9 +29,10 @@
 //!   state machine: anonymous zero-fill, file-backed major faults, local
 //!   and CXL copy-on-write, CXL pull (migrate-on-access) faults, and the
 //!   per-access LLC + memory-tier latency charging.
-//! * [`cache::LlcCache`] — a set-associative last-level-cache model; the
-//!   paper's warm-execution results hinge on whether a function's working
-//!   set fits in the 64 MB LLC (§7.1).
+//! * [`cache::LlcCache`] — a set-associative last-level-cache model (flat
+//!   ring sets probed by control bytes); the paper's warm-execution
+//!   results hinge on whether a function's working set fits in the 64 MB
+//!   LLC (§7.1).
 //! * [`fs::SharedFs`] — the cluster-wide identical root filesystem that all
 //!   remote-fork designs assume (§4.1).
 //! * [`process`] / [`node::Node`] — tasks (registers, fd table,

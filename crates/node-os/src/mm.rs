@@ -28,7 +28,7 @@ use simclock::{LatencyModel, SimDuration};
 
 use cxl_mem::{CxlDevice, CxlPageId, NodeId, PageData};
 
-use crate::addr::{PhysAddr, VirtPageNum};
+use crate::addr::{Pfn, PhysAddr, VirtPageNum};
 use crate::cache::LlcCache;
 use crate::error::OsError;
 use crate::frame::FrameAllocator;
@@ -41,6 +41,10 @@ use crate::vma::{Protection, Vma, VmaCursor, VmaTree};
 /// Extra software flag: this local frame was allocated by (and is private
 /// to) this address space, and counts toward its local-memory consumption.
 pub(crate) const PRIVATE: PteFlags = PteFlags::from_bits(1 << 9);
+
+/// Most pages of one leaf an access run steps the LLC for in one call
+/// before running their tails.
+const BATCH: usize = 64;
 
 /// The kind of memory access being simulated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -474,12 +478,17 @@ impl AddressSpace {
     /// page, which hands over nothing; the pages before it stay booked.
     ///
     /// The run keeps a cursor on the current page-table leaf, so the
-    /// leaf map is searched once per leaf: a page whose PTE is present and
-    /// allows the access costs one slot read and the tail every access
-    /// ends in (`complete`: LLC step, tier cost, A/D bits). Any other
-    /// page takes the fault path, which hands back the leaf it wrote —
-    /// the local copy after a leaf CoW — and the run goes on in it. Each
-    /// page's outcome is exactly what a run of that page alone would give.
+    /// leaf map is searched once per leaf. Pages of that leaf whose PTE
+    /// is present and allows the access are gathered, up to `BATCH` at
+    /// a time: the LLC is stepped for all of them in order, in one call,
+    /// then each runs the tail every access ends in (`finish`: tier cost,
+    /// A/D bits, `each`). Any other page ends the batch, which completes
+    /// first, and takes the fault path; that hands back the leaf it
+    /// wrote — the local copy after a leaf CoW — and the run goes on in
+    /// it. Each page's outcome is exactly what a run of that page alone
+    /// would give: nothing between a page's LLC step and its tail reads
+    /// or writes the LLC, and A/D bits change neither what a PTE allows
+    /// nor where it points.
     ///
     /// # Errors
     ///
@@ -493,6 +502,8 @@ impl AddressSpace {
     ) -> Result<(), OsError> {
         let mut vpns = vpns.into_iter();
         let mut next = vpns.next();
+        let mut slots = [0; BATCH];
+        let mut lines = [PhysAddr::Local(Pfn(0)); BATCH];
         'run: while let Some(mut vpn) = next {
             let leaf_index = vpn.leaf_index();
             let mut leaf = self.page_table.leaf_for_mut(vpn);
@@ -500,23 +511,53 @@ impl AddressSpace {
                 let mut pte = Pte::EMPTY;
                 if let Some(leaf) = leaf {
                     loop {
-                        pte = leaf.get(vpn.leaf_slot());
-                        if !allows(pte, access) {
-                            break;
+                        let mut len = 0;
+                        let mut leaf_done = false;
+                        while len < BATCH {
+                            pte = leaf.get(vpn.leaf_slot());
+                            if !allows(pte, access) {
+                                break;
+                            }
+                            slots[len] = vpn.leaf_slot();
+                            lines[len] = target_of(pte, vpn);
+                            len += 1;
+                            next = vpns.next();
+                            match next {
+                                Some(n) if n.leaf_index() == leaf_index => vpn = n,
+                                _ => {
+                                    leaf_done = true;
+                                    break;
+                                }
+                            }
                         }
-                        let mut outcome = AccessOutcome::default();
-                        complete(leaf, vpn, access, ctx, &mut outcome);
-                        each(outcome);
-                        next = vpns.next();
-                        match next {
-                            Some(n) if n.leaf_index() == leaf_index => vpn = n,
-                            _ => continue 'run,
+                        let hits = ctx.cache.access_batch(&lines[..len]);
+                        for (i, (&slot, &target)) in slots[..len].iter().zip(&lines).enumerate() {
+                            let mut outcome = AccessOutcome::default();
+                            let hit = hits >> i & 1 == 1;
+                            finish(leaf, slot, target, hit, access, ctx.model, &mut outcome);
+                            each(outcome);
+                        }
+                        if leaf_done {
+                            continue 'run;
+                        }
+                        if len < BATCH {
+                            break;
                         }
                     }
                 }
                 let mut outcome = AccessOutcome::default();
                 let resolved = self.handle_fault(vpn, access, pte, ctx, &mut outcome)?;
-                complete(resolved, vpn, access, ctx, &mut outcome);
+                let target = target_of(resolved.get(vpn.leaf_slot()), vpn);
+                let hit = ctx.cache.access(target);
+                finish(
+                    resolved,
+                    vpn.leaf_slot(),
+                    target,
+                    hit,
+                    access,
+                    ctx.model,
+                    &mut outcome,
+                );
                 each(outcome);
                 next = vpns.next();
                 match next {
@@ -928,31 +969,35 @@ fn allows(pte: Pte, access: Access) -> bool {
     pte.is_present() && (access == Access::Read || pte.is_writable())
 }
 
-/// The tail every access ends in, faulted or not, on the leaf holding
-/// the now-resolved `vpn`: one LLC step, the tier's round trip on a miss
-/// (a cache hit otherwise), the A bit, and for a store the D bit (on
-/// local leaves; attached entries are immutable).
+/// Where the present PTE `pte` of `vpn` points.
 #[inline]
-fn complete(
+fn target_of(pte: Pte, vpn: VirtPageNum) -> PhysAddr {
+    pte.target()
+        .unwrap_or_else(|| panic!("present pte without target at {vpn}"))
+}
+
+/// The tail every access ends in, faulted or not, once its LLC step on
+/// `target` gave `hit`: the cache hit, or the tier's round trip on a
+/// miss, then the A bit of `slot` in `leaf` and for a store its D bit
+/// (on local leaves; attached entries are immutable).
+#[inline]
+fn finish(
     leaf: &mut LeafSlot,
-    vpn: VirtPageNum,
+    slot: usize,
+    target: PhysAddr,
+    hit: bool,
     access: Access,
-    ctx: &mut MmContext<'_>,
+    model: &LatencyModel,
     outcome: &mut AccessOutcome,
 ) {
-    let slot = vpn.leaf_slot();
-    let target = leaf
-        .get(slot)
-        .target()
-        .unwrap_or_else(|| panic!("present pte without target at {vpn}"));
     outcome.cxl_tier = target.is_cxl();
-    outcome.cache_hit = ctx.cache.access(target);
-    outcome.cost += if outcome.cache_hit {
-        ctx.model.cache_hit()
+    outcome.cache_hit = hit;
+    outcome.cost += if hit {
+        model.cache_hit()
     } else if outcome.cxl_tier {
-        ctx.model.cxl_read_round_trip()
+        model.cxl_read_round_trip()
     } else {
-        ctx.model.local_read_round_trip()
+        model.local_read_round_trip()
     };
     leaf.access_bits().set(slot);
     if access == Access::Write {
@@ -1575,6 +1620,43 @@ mod tests {
             assert!(asp.translate(vpn).is_dirty(), "{vpn}");
         }
         assert_eq!(asp.page_table.leaf_cow_events(), 1);
+    }
+
+    /// A batch completes, LLC steps included, before the fault that
+    /// ends it: on a one-set LLC the run leaves every line in the same
+    /// LRU order as the same pages issued one by one.
+    #[test]
+    fn a_batch_steps_the_llc_before_the_fault_that_ends_it() {
+        let mut states = Vec::new();
+        for whole in [true, false] {
+            let mut w = World::new();
+            w.cache = LlcCache::new(CacheConfig {
+                capacity_bytes: 8 * crate::PAGE_SIZE,
+                associativity: 8,
+                line_bytes: crate::PAGE_SIZE,
+            });
+            let mut asp = AddressSpace::new();
+            asp.map_anonymous(0, 8, Protection::read_write(), "heap")
+                .unwrap();
+            for vpn in 0..3 {
+                asp.access(VirtPageNum(vpn), Access::Write, &mut w.ctx())
+                    .unwrap();
+            }
+            let vpns = [2, 1, 0, 3, 0].map(VirtPageNum);
+            let mut outcomes = Vec::new();
+            if whole {
+                asp.access_run(vpns, Access::Read, &mut w.ctx(), |o| outcomes.push(o))
+                    .unwrap();
+            } else {
+                for vpn in vpns {
+                    outcomes.push(asp.access(vpn, Access::Read, &mut w.ctx()).unwrap());
+                }
+            }
+            let faults: Vec<bool> = outcomes.iter().map(|o| o.fault.is_some()).collect();
+            assert_eq!(faults, [false, false, false, true, false]);
+            states.push((outcomes, format!("{:?}", w.cache)));
+        }
+        assert_eq!(states[0], states[1], "whole run left, page by page right");
     }
 
     #[test]

@@ -688,7 +688,8 @@ mod tests {
         now: SimTime,
         counters: NodeCounters,
         frames_used: u64,
-        llc: (u64, u64),
+        /// The LLC's state: each set's lines in LRU order, and the books.
+        llc: String,
         /// Per process: every populated PTE with its runtime A bit.
         entries: Vec<(Pid, VirtPageNum, crate::pte::Pte, bool)>,
         /// Per process: private pages, leaf CoWs and VMA-block CoWs.
@@ -713,7 +714,11 @@ mod tests {
     /// two attached leaves into armed entries; a store run that copies
     /// the other attached leaf and stores to the same page again at
     /// once; store runs that fault across a VMA boundary inside one
-    /// leaf), then random runs — sequential stretches that may cross
+    /// leaf; 150 load faults in one leaf, then a load run over the same
+    /// pages, which fill more than two LLC batches without a fault; a
+    /// full batch followed at once by a fault in the same leaf; a store
+    /// run over clean pages that sets D bits inside batches and revisits
+    /// pages within one), then random runs — sequential stretches that may cross
     /// leaf boundaries, revisit their own pages, or hit an unmapped page
     /// part-way — with one local fork a third of the way in, a second
     /// migrate-on-access restore half way, and an `munmap` + remap or an
@@ -745,6 +750,26 @@ mod tests {
             Step::Run {
                 proc: 0,
                 vpns: (2225..2240).collect(),
+                access: Access::Write,
+            },
+            Step::Run {
+                proc: 0,
+                vpns: (0..150).collect(),
+                access: Access::Read,
+            },
+            Step::Run {
+                proc: 0,
+                vpns: (0..150).collect(),
+                access: Access::Read,
+            },
+            Step::Run {
+                proc: 0,
+                vpns: (0..64).chain(150..160).collect(),
+                access: Access::Read,
+            },
+            Step::Run {
+                proc: 0,
+                vpns: (0..100).chain(0..30).collect(),
                 access: Access::Write,
             },
         ];
@@ -994,7 +1019,7 @@ mod tests {
             now: n.now(),
             counters: n.counters(),
             frames_used: n.frames().used(),
-            llc: (n.cache().hits(), n.cache().misses()),
+            llc: format!("{:?}", n.cache()),
             entries,
             books,
         }
@@ -1004,9 +1029,12 @@ mod tests {
     /// runs through [`Node::access_run`] and page by page through
     /// [`Node::access`] on identically built nodes, gives the same
     /// outcome sequence, clock, books, frames, PTEs with A/D bits and
-    /// LLC hits and misses. The script reaches all eight fault kinds,
-    /// a VMA-block CoW, a leaf CoW in the middle of a run, faults that
-    /// cross a VMA boundary inside one leaf, runs after `munmap`,
+    /// LLC state (each set's LRU order, hits and misses). The script
+    /// reaches all eight fault kinds, runs of more than one LLC batch
+    /// without a fault, a fault right after a full batch, a store run
+    /// over a full batch, a VMA-block CoW, a leaf CoW in the middle of
+    /// a run, faults that cross a VMA boundary inside one leaf, runs
+    /// after `munmap`,
     /// `mprotect` and a local fork, a second migrate-on-access restore
     /// into a fresh process, transient device errors, and runs that end
     /// in `BadAddress`, a protection violation or (on the 2 MiB node)
@@ -1045,6 +1073,26 @@ mod tests {
                     whole.counters.transient_retries > 0,
                     "the injector never fired"
                 );
+                // Per run: more than one LLC batch without a fault, a
+                // fault right after a full batch, a store over a full one.
+                let mut batched = [false; 3];
+                for (step, op) in script.iter().enumerate() {
+                    let Step::Run { access, .. } = op else {
+                        continue;
+                    };
+                    let no_fault: Vec<Option<bool>> = whole
+                        .outcomes
+                        .iter()
+                        .filter(|(s, _, _)| *s == step)
+                        .map(|(_, _, o)| o.as_ref().ok().map(|o| o.fault.is_none()))
+                        .collect();
+                    if no_fault.len() > 64 && no_fault[..64].iter().all(|c| *c == Some(true)) {
+                        batched[0] |= no_fault[64] == Some(true);
+                        batched[1] |= no_fault[64] == Some(false);
+                        batched[2] |= *access == Access::Write;
+                    }
+                }
+                assert_eq!(batched, [true; 3], "batches: long, then a fault, a store");
             }
             for (i, (w, p)) in whole.outcomes.iter().zip(&paged.outcomes).enumerate() {
                 assert_eq!(w, p, "{mib} MiB: outcome {i} (step, position, outcome) differs: whole run left, page by page right");

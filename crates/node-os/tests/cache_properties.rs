@@ -4,11 +4,15 @@
 use node_os::addr::{Pfn, PhysAddr};
 use node_os::cache::{CacheConfig, LlcCache};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
-/// A transparent reference model with the same geometry and hash.
+/// A transparent reference model with the same geometry and hash: one
+/// list per set, most recently used first.
 struct RefCache {
     sets: Vec<Vec<u64>>,
     assoc: usize,
+    hits: u64,
+    misses: u64,
 }
 
 impl RefCache {
@@ -16,6 +20,8 @@ impl RefCache {
         RefCache {
             sets: vec![Vec::new(); sets],
             assoc,
+            hits: 0,
+            misses: 0,
         }
     }
 
@@ -30,49 +36,113 @@ impl RefCache {
         if let Some(pos) = set.iter().position(|&t| t == key) {
             let t = set.remove(pos);
             set.insert(0, t);
+            self.hits += 1;
             true
         } else {
             if set.len() >= self.assoc {
                 set.pop();
             }
             set.insert(0, key);
+            self.misses += 1;
             false
         }
+    }
+
+    fn contains(&self, key: u64) -> bool {
+        self.sets[self.set_index(key)].contains(&key)
+    }
+
+    fn invalidate(&mut self, key: u64) {
+        let idx = self.set_index(key);
+        self.sets[idx].retain(|&t| t != key);
+    }
+
+    /// The model state as `LlcCache`'s `Debug` prints it: each non-empty
+    /// set's lines, most recently used first, then the books.
+    fn render(&self) -> String {
+        let sets: BTreeMap<usize, &Vec<u64>> = self
+            .sets
+            .iter()
+            .enumerate()
+            .filter(|(_, set)| !set.is_empty())
+            .collect();
+        format!(
+            "LlcCache {{ sets: {sets:?}, hits: {}, misses: {} }}",
+            self.hits, self.misses
+        )
+    }
+}
+
+/// Set counts (non-powers of two take the fastmod path) and
+/// associativities (3 pads its control word, 16 fills two) the model is
+/// checked over.
+const SETS: [usize; 4] = [1, 3, 5, 8];
+const WAYS: [usize; 4] = [1, 3, 4, 16];
+
+fn line(cxl: bool, page: u64) -> PhysAddr {
+    if cxl {
+        PhysAddr::Cxl(cxl_mem::CxlPageId(page))
+    } else {
+        PhysAddr::Local(Pfn(page))
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The production cache and the reference model agree on every access
-    /// outcome for arbitrary access streams over both tiers.
+    /// The production cache and the reference model agree on every
+    /// access outcome, every residency probe and, after every operation,
+    /// each set's full LRU order and the books, for arbitrary scripts of
+    /// accesses, invalidations and probes over both tiers, on every
+    /// geometry in `SETS` x `WAYS`.
     #[test]
     fn cache_matches_reference_model(
-        accesses in prop::collection::vec((any::<bool>(), 0u64..256), 1..400)
+        ops in prop::collection::vec((0u8..8, any::<bool>(), 0u64..96), 1..300)
     ) {
-        // 8 sets x 4 ways.
-        let mut cache = LlcCache::new(CacheConfig {
-            capacity_bytes: 32 * 4096,
-            associativity: 4,
-            line_bytes: 4096,
-        });
-        let mut reference = RefCache::new(8, 4);
-        let mut hits = 0u64;
-        for (cxl, page) in accesses {
-            let addr = if cxl {
-                PhysAddr::Cxl(cxl_mem::CxlPageId(page))
-            } else {
-                PhysAddr::Local(Pfn(page))
-            };
-            let got = cache.access(addr);
-            let expected = reference.access(addr.cache_key());
-            prop_assert_eq!(got, expected, "divergence at {:?}", addr);
-            if got {
-                hits += 1;
+        for sets in SETS {
+            for assoc in WAYS {
+                let mut cache = LlcCache::new(CacheConfig {
+                    capacity_bytes: (sets * assoc) as u64 * 4096,
+                    associativity: assoc,
+                    line_bytes: 4096,
+                });
+                let mut reference = RefCache::new(sets, assoc);
+                // Pages spread over about twice the capacity, so sets
+                // fill, evict and hit.
+                let pages = (2 * sets * assoc) as u64;
+                let mut accesses = 0u64;
+                for (i, &(op, cxl, page)) in ops.iter().enumerate() {
+                    let addr = line(cxl, page % pages);
+                    let key = addr.cache_key();
+                    match op {
+                        0 => cache.invalidate(addr),
+                        1 => prop_assert_eq!(
+                            cache.contains(addr),
+                            reference.contains(key),
+                            "{}x{}: op {} contains {:?}", sets, assoc, i, addr
+                        ),
+                        _ => {
+                            accesses += 1;
+                            prop_assert_eq!(
+                                cache.access(addr),
+                                reference.access(key),
+                                "{}x{}: op {} access {:?}", sets, assoc, i, addr
+                            );
+                        }
+                    }
+                    if op == 0 {
+                        reference.invalidate(key);
+                    }
+                    prop_assert_eq!(
+                        format!("{cache:?}"),
+                        reference.render(),
+                        "{}x{}: state after op {} on {:?}", sets, assoc, i, addr
+                    );
+                }
+                prop_assert_eq!(cache.hits(), reference.hits);
+                prop_assert_eq!(cache.misses(), accesses - cache.hits());
             }
         }
-        prop_assert_eq!(cache.hits(), hits);
-        prop_assert_eq!(cache.hits() + cache.misses(), cache.hits() + cache.misses());
     }
 
     /// Invalidation makes the next access a miss, and never affects other
