@@ -91,6 +91,18 @@ echo '== flat LLC sets =='
 forbid 'per-set Vec storage is back in the LLC model (DESIGN.md §4)' \
     'Vec<Vec<' crates/node-os/src/cache.rs
 
+echo '== an ordered content table, a backing derived on use =='
+# The store finds content through one flat ordered hash table whose scan
+# is in fingerprint order (DESIGN.md §11), and a checkpoint leaves the
+# migrate-on-access backing to the first pull restore, which derives it
+# from the leaves (§4 "Tiering"): neither the ordered map on the intern
+# path nor the per-page backing build on the checkpoint path may come
+# back.
+forbid 'an ordered map is back in the content index (DESIGN.md §11)' \
+    'BTreeMap' crates/cxl-store/src/index.rs
+forbid 'the checkpoint builds a CxlBacking eagerly (DESIGN.md §4)' \
+    'CxlBacking::|BackingPage' crates/core/src/checkpoint.rs
+
 echo '== the device publishes its book =='
 
 # The device's traffic book is one `CxlDeviceStats`; telemetry reads it
@@ -176,9 +188,13 @@ echo '== these tests exist =='
 # filtering one away fails here instead of passing with "0 tests":
 # the golden traces (trace-gen may get faster, never different), the
 # fingerprint value identity (constant, memo and byte loop agree), the
-# store's differential test against a per-page refcount model (slot reuse
-# and the recovered slab included) and the journal golden recorded before
-# the index became a slab, `CxlBacking` against its ordered-map model, the
+# store's differential test against a per-page refcount model (slot reuse,
+# the recovered slab and zero elision by content included), the ordered
+# content table against a `BTreeMap` under op scripts (uniform, one long
+# run, the tail past the last home), and the journal golden recorded before
+# the index became a slab, `CxlBacking` against its ordered-map model and
+# a checkpoint's backing derived from its leaves on the first pull restore
+# (shared by the next, never built without one), the
 # fault path's cursors against the searches they save (the VMA lookup
 # against localize-then-find, the backing probe against a binary search,
 # a fault that copies its leaf completing in the copy), the flat LLC
@@ -323,9 +339,11 @@ expect_tests cxl-fault --lib \
     crashpoint::tests::killer_stays_quiet_after_it_fires \
     crashpoint::tests::create_commit_and_destroy_each_report_region_and_ignore_a_veto
 expect_tests cxlfork --lib \
+    tests::pull_backing_is_derived_from_the_leaves_on_first_use_and_shared \
     tests::default_config_is_bit_identical_to_explicit_serial \
     tests::restore_of_a_written_checkpoint_trips_the_debug_seal
 expect_tests cxl-store --lib \
+    index::tests::ordered_table_matches_a_btreemap_model_under_op_scripts \
     journal::tests::hostile_superblock_page_count_is_skipped_not_allocated \
     journal::tests::superblock_limit_is_refused_where_the_page_list_grows \
     tests::apply_is_total_a_record_that_meets_the_wrong_state_changes_nothing \

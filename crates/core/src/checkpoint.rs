@@ -14,11 +14,11 @@
 //! Dirty bits (harvested from the runtime A-bit bitmap), which later
 //! drive dirty-page prefetch (§4.2.1) and hybrid tiering (§4.3).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cxl_mem::{CxlPageId, RegionId, PAGE_SIZE};
 use node_os::addr::{PhysAddr, Pid, VirtPageNum};
-use node_os::mm::{BackingPage, BackingSource, CxlBacking};
+use node_os::mm::CxlBacking;
 use node_os::page_table::PtLeaf;
 use node_os::process::{FileDescriptor, Registers};
 use node_os::pte::{Pte, PteFlags};
@@ -104,8 +104,9 @@ pub struct CxlForkCheckpoint {
     pub vma_blocks: Vec<(Arc<VmaBlock>, CxlPageId)>,
     /// Checkpointed page-table leaves, in address order.
     pub leaves: Vec<CkptLeaf>,
-    /// Prebuilt vpn → device-page map for pull-based restores.
-    pub(crate) backing: Arc<CxlBacking>,
+    /// The vpn → device-page map pull-based restores read, derived from
+    /// `leaves` by the first one ([`CxlForkCheckpoint::backing`]).
+    pub(crate) backing: OnceLock<Arc<CxlBacking>>,
     /// Checkpointed data pages.
     pub data_pages: u64,
     /// Pages whose checkpointed D bit is set.
@@ -292,28 +293,36 @@ pub(crate) fn take_checkpoint(
     // contents move in one batched read + alloc + write per checkpoint:
     // the fabric round-trip is paid once per batch and the remaining
     // pages pipeline behind it (§4.1 streaming non-temporal copy).
+    // `datas` holds the content of every page to checkpoint, in the same
+    // order: local frames as-is, and a placeholder for each source page
+    // still resident on the device, which one batched read fills in
+    // (e.g. re-checkpointing a restored process).
     struct PageEntry {
         leaf_pos: usize,
         slot: usize,
         vpn: VirtPageNum,
         pte: Pte,
     }
-    enum PageSource {
-        Local(cxl_mem::PageData),
-        Device(CxlPageId),
-    }
-    let mut entries: Vec<PageEntry> = Vec::new();
-    let mut sources: Vec<PageSource> = Vec::new();
+    let present = footprint_pages as usize;
+    let mut entries: Vec<PageEntry> = Vec::with_capacity(present);
+    let mut datas: Vec<cxl_mem::PageData> = Vec::with_capacity(present);
+    let mut dev_srcs: Vec<CxlPageId> = Vec::new();
+    let mut dev_at: Vec<usize> = Vec::new();
+    let frames = node.frames();
     for (leaf_pos, src) in src_leaves.iter().enumerate() {
         for (slot, pte) in src.harvested.iter_populated() {
             if !pte.is_present() {
                 continue; // armed entries re-arm against the new checkpoint via backing
             }
             let vpn = VirtPageNum((src.leaf_index << 9) | slot as u64);
-            sources.push(match pte.target().expect("present pte") {
-                PhysAddr::Local(pfn) => PageSource::Local(node.frames().data(pfn).clone()),
-                PhysAddr::Cxl(page) => PageSource::Device(page),
-            });
+            match pte.target().expect("present pte") {
+                PhysAddr::Local(pfn) => datas.push(frames.data(pfn).clone()),
+                PhysAddr::Cxl(page) => {
+                    dev_at.push(datas.len());
+                    dev_srcs.push(page);
+                    datas.push(cxl_mem::PageData::Zero);
+                }
+            }
             entries.push(PageEntry {
                 leaf_pos,
                 slot,
@@ -326,34 +335,14 @@ pub(crate) fn take_checkpoint(
     let mut retries = 0u64;
     let mut retry_backoff = SimDuration::ZERO;
 
-    // One batched read covers every source page still resident on the
-    // device (e.g. re-checkpointing a restored process).
-    let dev_srcs: Vec<CxlPageId> = sources
-        .iter()
-        .filter_map(|s| match s {
-            PageSource::Device(p) => Some(*p),
-            PageSource::Local(_) => None,
-        })
-        .collect();
-    let dev_data = if dev_srcs.is_empty() {
-        Vec::new()
-    } else {
-        dev_retry("checkpoint_read", &mut retries, &mut retry_backoff, || {
+    if !dev_srcs.is_empty() {
+        let dev_data = dev_retry("checkpoint_read", &mut retries, &mut retry_backoff, || {
             device.read_pages(&dev_srcs, node_id)
-        })?
-    };
-
-    // Materialize the content of every page to checkpoint (local frames
-    // as-is, device-resident sources from the batched read), in
-    // leaf/slot order.
-    let mut dev_iter = dev_data.into_iter();
-    let datas: Vec<cxl_mem::PageData> = sources
-        .into_iter()
-        .map(|src| match src {
-            PageSource::Local(d) => d,
-            PageSource::Device(_) => dev_iter.next().expect("one read result per device source"),
-        })
-        .collect();
+        })?;
+        for (at, data) in dev_at.into_iter().zip(dev_data) {
+            datas[at] = data;
+        }
+    }
 
     // Data pages land either in the content-addressed store (deduped
     // across images, zero pages elided from the transfer) or privately
@@ -401,10 +390,8 @@ pub(crate) fn take_checkpoint(
 
     // REBASE: rewrite every copied entry to its machine-independent CXL
     // page number, read-only + CoW + checkpoint-pinned, keeping the
-    // FILE / ACCESSED / DIRTY record bits.
-    // Entries are in leaf/slot — ascending vpn — order: every insert
-    // below is an append into an allocation of exactly this size.
-    let mut backing = CxlBacking::with_capacity(entries.len());
+    // FILE / ACCESSED / DIRTY record bits. The leaves are all a
+    // migrate-on-access restore needs: it derives its backing from them.
     let data_pages = entries.len() as u64;
     let mut dirty: Vec<(VirtPageNum, CxlPageId)> = Vec::new();
     let mut accessed_pages = 0u64;
@@ -425,16 +412,6 @@ pub(crate) fn take_checkpoint(
         }
         ckpt_leaves[e.leaf_pos].set(e.slot, Pte::mapped(PhysAddr::Cxl(dst), flags));
         rebased_pointers += 1;
-
-        backing.insert(
-            e.vpn,
-            BackingPage {
-                source: BackingSource::Device(dst),
-                accessed: e.pte.is_accessed(),
-                dirty: e.pte.is_dirty(),
-                file_backed: e.pte.flags().contains(PteFlags::FILE),
-            },
-        );
     }
 
     // One device page physically stores each populated 512-entry leaf.
@@ -627,7 +604,7 @@ pub(crate) fn take_checkpoint(
         global_bytes,
         vma_blocks,
         leaves,
-        backing: Arc::new(backing),
+        backing: OnceLock::new(),
         data_pages,
         dirty_pages: dirty.len() as u64,
         dirty,

@@ -312,7 +312,7 @@ mod tests {
     use cxl_mem::{CxlDevice, CxlError, PAGE_SIZE};
     use node_os::addr::{PhysAddr, VirtPageNum};
     use node_os::fs::SharedFs;
-    use node_os::mm::{Access, CxlTierPolicy, FaultKind};
+    use node_os::mm::{Access, BackingSource, CxlTierPolicy, FaultKind};
     use node_os::process::Registers;
     use node_os::vma::Protection;
     use node_os::NodeConfig;
@@ -615,6 +615,120 @@ mod tests {
         assert_eq!(o2.fault, Some(FaultKind::CxlPull));
     }
 
+    /// The migrate-on-access backing is derived from the checkpointed
+    /// leaves by the first pull restore, entry for entry, and shared by
+    /// the next; a checkpoint that is never pull-restored never builds it.
+    #[test]
+    fn pull_backing_is_derived_from_the_leaves_on_first_use_and_shared() {
+        let mut c = cluster(2);
+        let pid = c.nodes[0].spawn("derive").unwrap();
+        {
+            let p = c.nodes[0].process_mut(pid).unwrap();
+            // Leaf 0 full, leaf 1 partly populated, file pages in leaf 8.
+            p.mm.map_anonymous(0, 520, Protection::read_write(), "heap")
+                .unwrap();
+            p.mm.map_file(
+                4096,
+                16,
+                Protection::read_exec(),
+                "/usr/lib/libpython.so",
+                0,
+            )
+            .unwrap();
+        }
+        let node = &mut c.nodes[0];
+        for vpn in 0..520 {
+            let access = if vpn < 300 {
+                Access::Write
+            } else {
+                Access::Read
+            };
+            node.access(pid, vpn, access).unwrap();
+        }
+        for vpn in 4096..4112 {
+            node.access(pid, vpn, Access::Read).unwrap();
+        }
+        // Clear the A bits, then touch a subset again: the rest is clean
+        // of A at checkpoint time.
+        node.with_process_ctx(pid, |p, _| {
+            for (_, slot) in p.mm.page_table.leaves() {
+                slot.access_bits().clear_all();
+            }
+        })
+        .unwrap();
+        let hot = |vpn: u64| vpn < 100 || (400..450).contains(&vpn) || (4096..4104).contains(&vpn);
+        for vpn in (0..520).chain(4096..4112).filter(|&v| hot(v)) {
+            node.access(pid, vpn, Access::Read).unwrap();
+        }
+
+        let ckpt = c.fork.checkpoint(&mut c.nodes[0], pid).unwrap();
+        let shape: Vec<(u64, usize)> = (ckpt.leaves.iter())
+            .map(|l| (l.leaf_index, l.leaf.populated_count()))
+            .collect();
+        assert_eq!(shape, vec![(0, 512), (1, 8), (8, 16)]);
+        assert!(ckpt.backing.get().is_none(), "the checkpoint builds none");
+        c.fork.restore(&ckpt, &mut c.nodes[1]).unwrap();
+        assert!(ckpt.backing.get().is_none(), "a MoW restore builds none");
+
+        let first = c
+            .fork
+            .restore_with(&ckpt, &mut c.nodes[1], rfork::RestoreOptions::moa())
+            .unwrap();
+        let derived = Arc::clone(ckpt.backing.get().expect("the pull restore derived it"));
+        let leaf_page = |vpn: VirtPageNum| {
+            let leaf = (ckpt.leaves.iter())
+                .find(|l| l.leaf_index == vpn.leaf_index())
+                .expect("a checkpointed leaf");
+            match leaf.leaf.get(vpn.leaf_slot()).target() {
+                Some(PhysAddr::Cxl(page)) => page,
+                other => panic!("vpn {vpn} targets {other:?}"),
+            }
+        };
+        let got: Vec<_> = (derived.iter())
+            .map(|(vpn, b)| {
+                let BackingSource::Device(page) = b.source else {
+                    panic!("vpn {vpn}: a remote source");
+                };
+                (vpn.0, page, b.accessed, b.dirty, b.file_backed)
+            })
+            .collect();
+        let want: Vec<_> = (0..520)
+            .chain(4096..4112)
+            .map(|vpn| {
+                let page = leaf_page(VirtPageNum(vpn));
+                (vpn, page, hot(vpn), vpn < 300, vpn >= 4096)
+            })
+            .collect();
+        assert_eq!(got, want, "(vpn, page, A, D, FILE) in ascending vpn order");
+        let first_child = c.nodes[1].process(first.pid).unwrap();
+        assert!(Arc::ptr_eq(first_child.mm.backing().unwrap(), &derived));
+
+        let second = c
+            .fork
+            .restore_with(&ckpt, &mut c.nodes[1], rfork::RestoreOptions::moa())
+            .unwrap();
+        let second_child = c.nodes[1].process(second.pid).unwrap();
+        assert!(
+            Arc::ptr_eq(second_child.mm.backing().unwrap(), &derived),
+            "the second pull restore shares the first one's backing"
+        );
+
+        // A checkpoint released after push restores only never built one.
+        let pid = build_process(&mut c.nodes[0]);
+        let other = c.fork.checkpoint(&mut c.nodes[0], pid).unwrap();
+        c.fork.restore(&other, &mut c.nodes[1]).unwrap();
+        let hybrid = rfork::RestoreOptions {
+            policy: rfork::TierPolicy::Hybrid,
+            prefetch_dirty: false,
+            sync_hot_prefetch: false,
+        };
+        c.fork
+            .restore_with(&other, &mut c.nodes[1], hybrid)
+            .unwrap();
+        assert!(other.backing.get().is_none(), "no pull restore, no backing");
+        c.fork.release(other, &c.nodes[0]).unwrap();
+    }
+
     #[test]
     fn hybrid_policy_splits_by_accessed_bit() {
         let mut c = cluster(2);
@@ -819,7 +933,7 @@ mod tests {
             global_bytes: ckpt.global_bytes.clone(),
             vma_blocks: ckpt.vma_blocks.clone(),
             leaves: ckpt.leaves.clone(),
-            backing: Arc::clone(&ckpt.backing),
+            backing: std::sync::OnceLock::new(),
             data_pages: ckpt.data_pages,
             dirty_pages: ckpt.dirty_pages,
             dirty: ckpt.dirty.clone(),

@@ -24,8 +24,10 @@
 //!   (or user-hinted hot) pages are *armed* to migrate on first access and
 //!   the rest stay mapped read-only in CXL.
 
+use std::sync::Arc;
+
 use node_os::addr::{PhysAddr, Pid};
-use node_os::mm::CxlTierPolicy;
+use node_os::mm::{BackingPage, BackingSource, CxlBacking, CxlTierPolicy};
 use node_os::page_table::{AttachedLeaf, PtLeaf};
 use node_os::process::FdTable;
 use node_os::pte::{Pte, PteFlags};
@@ -34,6 +36,34 @@ use rfork::{RestoreOptions, Restored, RforkError, TierPolicy};
 use simclock::SimDuration;
 
 use crate::checkpoint::{decode_global_state, dev_retry, CxlForkCheckpoint};
+
+impl CxlForkCheckpoint {
+    /// The vpn → device-page map migrate-on-access restores pull through:
+    /// every checkpointed entry's CXL page and A/D/FILE bits, in ascending
+    /// vpn order. Derived from the leaves by the first such restore and
+    /// shared by every later one; a checkpoint never pull-restored never
+    /// builds it.
+    pub(crate) fn backing(&self) -> &Arc<CxlBacking> {
+        self.backing.get_or_init(|| {
+            let mut backing = CxlBacking::with_capacity(self.data_pages as usize);
+            for (vpn, pte) in self.iter_pages() {
+                let Some(PhysAddr::Cxl(page)) = pte.target() else {
+                    panic!("checkpoint entry {vpn} is not mapped in CXL: {pte:?}");
+                };
+                backing.insert(
+                    vpn,
+                    BackingPage {
+                        source: BackingSource::Device(page),
+                        accessed: pte.is_accessed(),
+                        dirty: pte.is_dirty(),
+                        file_backed: pte.flags().contains(PteFlags::FILE),
+                    },
+                );
+            }
+            Arc::new(backing)
+        })
+    }
+}
 
 /// Restores a process from `checkpoint` onto `node` with `options`,
 /// charging the cost to the node's clock.
@@ -44,7 +74,7 @@ pub(crate) fn restore(
     config: &crate::CxlForkConfig,
 ) -> Result<Restored, RforkError> {
     let model = node.model().clone();
-    let device = std::sync::Arc::clone(node.device());
+    let device = Arc::clone(node.device());
 
     // Two-phase-commit gate: an *uncommitted* region is a torn
     // checkpoint whose writer died mid-copy — it must never be
@@ -112,7 +142,7 @@ fn attach_state(
     let parallelism = config.parallelism;
     let node_id = node.id();
     let model = node.model().clone();
-    let device = std::sync::Arc::clone(node.device());
+    let device = Arc::clone(node.device());
     let mut retries = 0u64;
     let mut retry_backoff = SimDuration::ZERO;
     // Cost accrued so far is the global-state redo (process create +
@@ -124,8 +154,7 @@ fn attach_state(
     cost += SimDuration::from_nanos(model.vma_leaf_attach_ns) * checkpoint.vma_blocks.len() as u64;
     node.with_process_ctx(pid, |p, _| {
         for (block, backing) in &checkpoint.vma_blocks {
-            p.mm.vmas
-                .attach_block(std::sync::Arc::clone(block), *backing);
+            p.mm.vmas.attach_block(Arc::clone(block), *backing);
         }
     })?;
 
@@ -138,7 +167,7 @@ fn attach_state(
                     dirs_created += p.mm.page_table.attach_leaf(
                         leaf.leaf_index,
                         AttachedLeaf {
-                            leaf: std::sync::Arc::clone(&leaf.leaf),
+                            leaf: Arc::clone(&leaf.leaf),
                             backing: leaf.backing,
                         },
                     );
@@ -154,7 +183,7 @@ fn attach_state(
             // takes a CXL pull fault (§4.3).
             node.with_process_ctx(pid, |p, _| {
                 p.mm.set_policy(CxlTierPolicy::MigrateOnAccess);
-                p.mm.set_backing(std::sync::Arc::clone(&checkpoint.backing));
+                p.mm.set_backing(Arc::clone(checkpoint.backing()));
             })?;
         }
         TierPolicy::Hybrid => {

@@ -13,7 +13,7 @@
 //! * **Cross-image dedup.** A refcounted content index maps the 64-bit
 //!   page fingerprint ([`PageData::fingerprint`]) to one device page;
 //!   images reference its entries by slab slot, so only *finding* content
-//!   costs a map probe.
+//!   costs a probe of its ordered table.
 //!   `CxlFork::checkpoint` routes its batched data-page writes through
 //!   [`Store::intern_pages`]; a page whose content is already resident
 //!   (in *any* image) resolves to the existing device page and moves no
@@ -245,7 +245,8 @@ pub struct InternOutcome {
     pub written: u64,
     /// Input pages resolved to an already-resident device page.
     pub shared: u64,
-    /// Input pages that were all-zero (always transfer-free).
+    /// Input pages whose content is all-zero, whatever their
+    /// representation (always transfer-free).
     pub zero: u64,
     /// Journal pages written for this batch's `Intern` record (0 unless
     /// the store is durable). Callers fold this into the checkpoint's
@@ -560,20 +561,22 @@ impl Store {
     fn place_misses(
         &self,
         region: RegionId,
-        payload: &[&PageData],
+        payload: &[(u64, &PageData)],
         node: NodeId,
     ) -> Result<(Vec<CxlPageId>, Vec<CxlPageId>), CxlError> {
         // A crash from here to the record leaves pages allocated (and
         // perhaps written) but unjournaled — recovery frees them as
         // leaked. Constructive ordering: device first, journal second.
         let allocated = self.device.alloc_batch(region, payload.len() as u64)?;
-        // Fresh allocations are already zeroed, so only non-zero misses
-        // cross the fabric.
+        // Fresh allocations are already zeroed, so only misses whose
+        // content is not all-zero (whatever its representation) cross
+        // the fabric.
+        let zero = PageData::Zero.fingerprint();
         let writes: Vec<(CxlPageId, PageData)> = payload
             .iter()
             .zip(&allocated)
-            .filter(|(d, _)| !matches!(d, PageData::Zero))
-            .map(|(d, &p)| (p, (*d).clone()))
+            .filter(|((fp, _), _)| *fp != zero)
+            .map(|((_, d), &p)| (p, (*d).clone()))
             .collect();
         let written_pages = writes.iter().map(|(p, _)| *p).collect();
         if let Err(e) = self.device.write_pages_owned(writes, node) {
@@ -628,20 +631,21 @@ impl Store {
         let fps: Vec<u64> = data.iter().map(PageData::fingerprint).collect();
         let mut slots: Vec<Slot> = Vec::with_capacity(fps.len());
         let mut missed: Vec<Slot> = Vec::new();
-        let mut miss_payload: Vec<&PageData> = Vec::new();
+        let mut miss_payload: Vec<(u64, &PageData)> = Vec::new();
         let mut pos = 0;
         let index = &mut inner.books.index;
         for run in fps.chunk_by(|a, b| a == b) {
             let (slot, fresh) = index.find_or_reserve(run[0]);
             if fresh {
                 missed.push(slot);
-                miss_payload.push(&data[pos]);
+                miss_payload.push((run[0], &data[pos]));
             }
             slots.resize(slots.len() + run.len(), slot);
             pos += run.len();
         }
         let shared = (fps.len() - missed.len()) as u64;
-        let zero = data.iter().filter(|d| matches!(d, PageData::Zero)).count() as u64;
+        let zero_fingerprint = PageData::Zero.fingerprint();
+        let zero = fps.iter().filter(|&&fp| fp == zero_fingerprint).count() as u64;
 
         let (allocated, written_pages) = match self.place_misses(inner.region, &miss_payload, node)
         {

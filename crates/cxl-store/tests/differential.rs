@@ -73,6 +73,11 @@ fn payload(rng: &mut Rng) -> Vec<PageData> {
     pages
 }
 
+/// The fingerprint of all-zero content, in any representation.
+fn zero_fingerprint() -> u64 {
+    PageData::Zero.fingerprint()
+}
+
 #[derive(Default)]
 struct Model {
     /// fingerprint → (device page, references), one count per page.
@@ -92,15 +97,19 @@ struct Model {
 }
 
 impl Model {
-    /// Interns page by page; returns the backing page of each input and
-    /// how many were first seen.
-    fn intern(&mut self, image: ImageId, data: &[PageData]) -> (Vec<CxlPageId>, u64) {
+    /// Interns page by page; returns the backing page of each input, how
+    /// many were first seen, and how many of those were written: all but
+    /// all-zero content, whatever its representation (fresh device pages
+    /// are already zeroed).
+    fn intern(&mut self, image: ImageId, data: &[PageData]) -> (Vec<CxlPageId>, u64, u64) {
         let mut fresh = 0;
+        let mut written = 0;
         let mut pages = Vec::new();
         for d in data {
             let fp = d.fingerprint();
             let entry = self.index.entry(fp).or_insert_with(|| {
                 fresh += 1;
+                written += u64::from(fp != zero_fingerprint());
                 let page = self.freed.pop().unwrap_or_else(|| {
                     self.grown += 1;
                     CxlPageId(self.grown - 1)
@@ -113,7 +122,7 @@ impl Model {
         }
         self.peak_entries = self.peak_entries.max(self.index.len());
         self.minted += fresh as usize;
-        (pages, fresh)
+        (pages, fresh, written)
     }
 
     /// Drops an image's references page by page; returns pages freed.
@@ -246,10 +255,13 @@ fn run(seed: u64, durable: bool) -> (Arc<CxlDevice>, Store, Model) {
                 let image = pending[rng.below(pending.len())];
                 let data = payload(&mut rng);
                 let out = store.intern_pages(image, &data, node).expect("device fits");
-                let (pages, fresh) = model.intern(image, &data);
-                let zero = data.iter().filter(|d| matches!(d, PageData::Zero)).count() as u64;
+                let (pages, fresh, written) = model.intern(image, &data);
+                let zero = (data.iter())
+                    .filter(|d| d.fingerprint() == zero_fingerprint())
+                    .count() as u64;
                 assert_eq!((out.fresh, out.shared), (fresh, data.len() as u64 - fresh));
-                assert_eq!(out.zero, zero);
+                assert_eq!(out.zero, zero, "zero pages by content");
+                assert_eq!(out.written, written, "only non-zero content is written");
                 if exact {
                     assert_eq!(out.pages, pages, "input-order backing pages");
                 }

@@ -137,6 +137,7 @@ impl FrameAllocator {
         self.alloc(PageData::zeroed())
     }
 
+    #[inline]
     fn frame(&self, pfn: Pfn) -> Option<&Frame> {
         self.slots.get(pfn.0 as usize).and_then(Option::as_ref)
     }
@@ -197,11 +198,12 @@ impl FrameAllocator {
     /// # Panics
     ///
     /// Panics if the frame is not live.
+    #[inline]
     pub fn data(&self, pfn: Pfn) -> &PageData {
-        &self
-            .frame(pfn)
-            .unwrap_or_else(|| panic!("read of dead frame {pfn}"))
-            .data
+        match self.frame(pfn) {
+            Some(frame) => &frame.data,
+            None => dead_frame_read(pfn),
+        }
     }
 
     /// Mutates the contents of a frame.
@@ -238,6 +240,13 @@ impl FrameAllocator {
     pub fn reset_peak(&mut self) {
         self.peak_used = self.used;
     }
+}
+
+/// The panic of a read of a dead frame, kept out of the inlined read.
+#[cold]
+#[inline(never)]
+fn dead_frame_read(pfn: Pfn) -> ! {
+    panic!("read of dead frame {pfn}")
 }
 
 #[cfg(test)]

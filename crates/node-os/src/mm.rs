@@ -132,6 +132,7 @@ impl CxlBacking {
 
     /// Registers the checkpointed page for `vpn`, replacing an earlier
     /// registration of the same vpn.
+    #[inline]
     pub fn insert(&mut self, vpn: VirtPageNum, page: BackingPage) {
         if self.pages.last().is_none_or(|(last, _)| *last < vpn.0) {
             self.pages.push((vpn.0, page));
