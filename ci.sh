@@ -103,6 +103,20 @@ forbid 'an ordered map is back in the content index (DESIGN.md §11)' \
 forbid 'the checkpoint builds a CxlBacking eagerly (DESIGN.md §4)' \
     'CxlBacking::|BackingPage' crates/core/src/checkpoint.rs
 
+echo '== one page capture =='
+# A checkpoint's pages are captured by one walk, `Node::capture`, which
+# reads each entry's runtime A bit beside it and moves device-resident
+# pages in one batched, retried read (DESIGN.md §10 "Consumers"); every
+# device retry runs the one constant policy in `cxl_fault::with_backoff`
+# (§8). Neither a leaf copy to fold A bits into, nor a baseline's
+# per-page device read or write, nor a retry-policy object may come back.
+forbid 'a harvested leaf copy is back; read the A bit beside the entry (DESIGN.md §10)' \
+    'harvested' crates/node-os/src crates/core/src
+forbid 'a baseline moves pages one device call at a time (DESIGN.md §10)' \
+    'read_page\(|write_page\(' crates/criu-cxl/src crates/trenv-cxl/src crates/mitosis-cxl/src
+forbid 'a retry-policy object is back; the policy is the constants in cxl_fault::retry (DESIGN.md §8)' \
+    'BackoffPolicy' crates tests examples
+
 echo '== the device publishes its book =='
 
 # The device's traffic book is one `CxlDeviceStats`; telemetry reads it
@@ -194,7 +208,10 @@ echo '== these tests exist =='
 # run, the tail past the last home), and the journal golden recorded before
 # the index became a slab, `CxlBacking` against its ordered-map model and
 # a checkpoint's backing derived from its leaves on the first pull restore
-# (shared by the next, never built without one), the
+# (shared by the next, never built without one), the one page capture
+# against a per-page walk (local, device-resident, armed and file pages, a
+# stale baked-in A flag) and every mechanism retrying a transient read
+# while re-checkpointing a device-resident child, the
 # fault path's cursors against the searches they save (the VMA lookup
 # against localize-then-find, the backing probe against a binary search,
 # a fault that copies its leaf completing in the copy), the flat LLC
@@ -268,6 +285,7 @@ expect_tests node-os --lib \
     mm::tests::cxl_backing_matches_btreemap_model_under_arbitrary_insert_orders \
     node::tests::counters_equal_an_independent_tally_of_access_outcomes \
     node::tests::an_access_run_equals_its_pages_one_by_one \
+    node::tests::capture_equals_a_per_page_walk \
     mm::tests::mappings_outside_the_vpn_space_are_bad_addresses \
     mm::tests::a_fault_that_copies_its_leaf_completes_in_the_copy \
     mm::tests::cxl_backing_cursor_probe_equals_a_binary_search \
@@ -348,6 +366,8 @@ expect_tests cxl-store --lib \
     journal::tests::superblock_limit_is_refused_where_the_page_list_grows \
     tests::apply_is_total_a_record_that_meets_the_wrong_state_changes_nothing \
     tests::an_intern_that_cannot_be_journaled_is_rolled_back_whole
+expect_tests cxlfork-bench '--test cross_mechanism' \
+    every_mechanism_retries_a_transient_read_of_a_cxl_resident_child
 expect_tests cxlfork-bench '--test crashpoint_sweep' \
     every_crashpoint_recovers_with_zero_violations
 expect_tests cxlfork '--test recheckpoint' \

@@ -11,8 +11,8 @@
 //! lightly serialized (paths and permissions only).
 //!
 //! The checkpointed page-table leaves preserve the parent's Accessed and
-//! Dirty bits (harvested from the runtime A-bit bitmap), which later
-//! drive dirty-page prefetch (§4.2.1) and hybrid tiering (§4.3).
+//! Dirty bits (the Accessed bit read from the runtime A-bit bitmap), which
+//! later drive dirty-page prefetch (§4.2.1) and hybrid tiering (§4.3).
 
 use std::sync::{Arc, OnceLock};
 
@@ -41,9 +41,8 @@ pub(crate) fn dev_retry<T>(
     backoff: &mut SimDuration,
     f: impl FnMut() -> Result<T, cxl_mem::CxlError>,
 ) -> Result<T, RforkError> {
-    let policy = cxl_fault::BackoffPolicy::default();
-    let (res, report) = cxl_fault::with_backoff(&policy, f);
-    *retries += u64::from(report.retries);
+    let (res, report) = cxl_fault::with_backoff(f);
+    *retries += u64::from(report.retries());
     *backoff = backoff.saturating_add(report.backoff);
     res.map_err(|e| {
         if e.is_transient() {
@@ -218,12 +217,8 @@ pub(crate) fn take_checkpoint(
     let model = node.model().clone();
     let parallelism = config.parallelism;
 
-    // ---- Gather source state (read-only walk). ----
-    struct SourceLeaf {
-        leaf_index: u64,
-        harvested: PtLeaf,
-    }
-    let (task, fds, src_leaves, vma_block_images, footprint_pages) = {
+    // ---- Gather the task, fd and VMA state (read-only). ----
+    let (task, fds, vma_block_images) = {
         let process = node.process(pid)?;
         // §4.1: CXLfork does not support shared anonymous memory.
         if let Some(vma) = process
@@ -245,19 +240,6 @@ pub(crate) fn take_checkpoint(
         };
         let fds: Vec<FileDescriptor> = process.task.fds.iter().map(|(_, d)| d.clone()).collect();
 
-        let mut src_leaves = Vec::new();
-        let mut footprint_pages = 0u64;
-        for (leaf_index, slot) in process.mm.page_table.leaves() {
-            // Fold the runtime A bits into entry flags: the checkpoint
-            // records the parent's access pattern (§4.1).
-            let harvested = slot.leaf().harvested();
-            footprint_pages += harvested.present_count() as u64;
-            src_leaves.push(SourceLeaf {
-                leaf_index,
-                harvested,
-            });
-        }
-
         // VMA tree leaves: copy the blocks as-is.
         let vma_block_images: Vec<VmaBlock> = process
             .mm
@@ -270,7 +252,7 @@ pub(crate) fn take_checkpoint(
             })
             .filter(|b| !b.is_empty())
             .collect();
-        (task, fds, src_leaves, vma_block_images, footprint_pages)
+        (task, fds, vma_block_images)
     };
 
     // ---- Copy pages + metadata into a fresh CXL *staging* region. ----
@@ -289,60 +271,19 @@ pub(crate) fn take_checkpoint(
     );
     let region = guard.id();
 
-    // ---- Enumerate every page to copy, in leaf/slot order, so the
-    // contents move in one batched read + alloc + write per checkpoint:
-    // the fabric round-trip is paid once per batch and the remaining
-    // pages pipeline behind it (§4.1 streaming non-temporal copy).
-    // `datas` holds the content of every page to checkpoint, in the same
-    // order: local frames as-is, and a placeholder for each source page
-    // still resident on the device, which one batched read fills in
-    // (e.g. re-checkpointing a restored process).
-    struct PageEntry {
-        leaf_pos: usize,
-        slot: usize,
-        vpn: VirtPageNum,
-        pte: Pte,
-    }
-    let present = footprint_pages as usize;
-    let mut entries: Vec<PageEntry> = Vec::with_capacity(present);
-    let mut datas: Vec<cxl_mem::PageData> = Vec::with_capacity(present);
-    let mut dev_srcs: Vec<CxlPageId> = Vec::new();
-    let mut dev_at: Vec<usize> = Vec::new();
-    let frames = node.frames();
-    for (leaf_pos, src) in src_leaves.iter().enumerate() {
-        for (slot, pte) in src.harvested.iter_populated() {
-            if !pte.is_present() {
-                continue; // armed entries re-arm against the new checkpoint via backing
-            }
-            let vpn = VirtPageNum((src.leaf_index << 9) | slot as u64);
-            match pte.target().expect("present pte") {
-                PhysAddr::Local(pfn) => datas.push(frames.data(pfn).clone()),
-                PhysAddr::Cxl(page) => {
-                    dev_at.push(datas.len());
-                    dev_srcs.push(page);
-                    datas.push(cxl_mem::PageData::Zero);
-                }
-            }
-            entries.push(PageEntry {
-                leaf_pos,
-                slot,
-                vpn,
-                pte,
-            });
-        }
-    }
-
-    let mut retries = 0u64;
-    let mut retry_backoff = SimDuration::ZERO;
-
-    if !dev_srcs.is_empty() {
-        let dev_data = dev_retry("checkpoint_read", &mut retries, &mut retry_backoff, || {
-            device.read_pages(&dev_srcs, node_id)
-        })?;
-        for (at, data) in dev_at.into_iter().zip(dev_data) {
-            datas[at] = data;
-        }
-    }
+    // ---- Capture every present page with its runtime A bit — the
+    // parent's access pattern (§4.1) — and its contents, so they move in
+    // one batched read + alloc + write per checkpoint: the fabric
+    // round-trip is paid once per batch and the remaining pages pipeline
+    // behind it (§4.1 streaming non-temporal copy). Pages still resident
+    // on the device (a restored process re-checkpointed) are read in one
+    // retried batch.
+    let capture = node
+        .capture(pid, |_| true)
+        .map_err(|e| RforkError::during("checkpoint_read", e))?;
+    let mut retries = capture.retries;
+    let mut retry_backoff = capture.backoff;
+    let datas = capture.data;
 
     // Data pages land either in the content-addressed store (deduped
     // across images, zero pages elided from the transfer) or privately
@@ -377,7 +318,7 @@ pub(crate) fn take_checkpoint(
         // the default parallelism this IS `alloc_batch`, page ids
         // included.
         let dsts = dev_retry("checkpoint_alloc", &mut retries, &mut retry_backoff, || {
-            device.alloc_batch_striped(region, entries.len() as u64, parallelism)
+            device.alloc_batch_striped(region, capture.pages.len() as u64, parallelism)
         })?;
         let pairs: Vec<(CxlPageId, cxl_mem::PageData)> = dsts.iter().copied().zip(datas).collect();
         if !pairs.is_empty() {
@@ -390,37 +331,37 @@ pub(crate) fn take_checkpoint(
 
     // REBASE: rewrite every copied entry to its machine-independent CXL
     // page number, read-only + CoW + checkpoint-pinned, keeping the
-    // FILE / ACCESSED / DIRTY record bits. The leaves are all a
-    // migrate-on-access restore needs: it derives its backing from them.
-    let data_pages = entries.len() as u64;
+    // FILE / DIRTY bits and recording the runtime A bit as ACCESSED. One
+    // device page physically stores each populated 512-entry leaf. The
+    // leaves are all a migrate-on-access restore needs: it derives its
+    // backing from them.
+    let data_pages = capture.pages.len() as u64;
     let mut dirty: Vec<(VirtPageNum, CxlPageId)> = Vec::new();
     let mut accessed_pages = 0u64;
     let mut rebased_pointers = 0u64;
-    let mut ckpt_leaves: Vec<PtLeaf> = (0..src_leaves.len()).map(|_| PtLeaf::new()).collect();
-    for (e, dst) in entries.iter().zip(dsts.iter().copied()) {
+    let mut populated: Vec<(u64, PtLeaf)> = Vec::new();
+    for (page, dst) in capture.pages.iter().zip(dsts.iter().copied()) {
         let mut flags = PteFlags::PRESENT | PteFlags::COW | PteFlags::CKPT_PIN;
-        if e.pte.flags().contains(PteFlags::FILE) {
+        if page.pte.flags().contains(PteFlags::FILE) {
             flags |= PteFlags::FILE;
         }
-        if e.pte.is_accessed() {
+        if page.accessed {
             flags |= PteFlags::ACCESSED;
             accessed_pages += 1;
         }
-        if e.pte.is_dirty() {
+        if page.pte.is_dirty() {
             flags |= PteFlags::DIRTY;
-            dirty.push((e.vpn, dst));
+            dirty.push((page.vpn, dst));
         }
-        ckpt_leaves[e.leaf_pos].set(e.slot, Pte::mapped(PhysAddr::Cxl(dst), flags));
+        let leaf_index = page.vpn.leaf_index();
+        if populated.last().is_none_or(|(last, _)| *last != leaf_index) {
+            populated.push((leaf_index, PtLeaf::new()));
+        }
+        let (_, leaf) = populated.last_mut().expect("the leaf was pushed above");
+        leaf.set(page.vpn.leaf_slot(), Pte::mapped(PhysAddr::Cxl(dst), flags));
         rebased_pointers += 1;
     }
 
-    // One device page physically stores each populated 512-entry leaf.
-    let populated: Vec<(u64, PtLeaf)> = src_leaves
-        .iter()
-        .zip(ckpt_leaves)
-        .filter(|(_, l)| l.populated_count() > 0)
-        .map(|(src, l)| (src.leaf_index, l))
-        .collect();
     let leaf_backings = dev_retry("checkpoint_alloc", &mut retries, &mut retry_backoff, || {
         device.alloc_batch(region, populated.len() as u64)
     })?;
@@ -589,7 +530,7 @@ pub(crate) fn take_checkpoint(
     Ok(CxlForkCheckpoint {
         meta: CheckpointMeta {
             comm: task.comm.clone(),
-            footprint_pages,
+            footprint_pages: capture.footprint,
             // Pages this checkpoint added to the device: its metadata
             // region plus (with a store) the freshly interned data pages
             // — shared content was already resident.

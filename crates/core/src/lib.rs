@@ -675,31 +675,30 @@ mod tests {
             .restore_with(&ckpt, &mut c.nodes[1], rfork::RestoreOptions::moa())
             .unwrap();
         let derived = Arc::clone(ckpt.backing.get().expect("the pull restore derived it"));
-        let leaf_page = |vpn: VirtPageNum| {
+        let leaf_entry = |vpn: VirtPageNum| {
             let leaf = (ckpt.leaves.iter())
                 .find(|l| l.leaf_index == vpn.leaf_index())
                 .expect("a checkpointed leaf");
-            match leaf.leaf.get(vpn.leaf_slot()).target() {
-                Some(PhysAddr::Cxl(page)) => page,
-                other => panic!("vpn {vpn} targets {other:?}"),
-            }
+            leaf.leaf.get(vpn.leaf_slot())
         };
+        // The backing names each entry's CXL page; the entry keeps the
+        // parent's A/D/FILE bits.
         let got: Vec<_> = (derived.iter())
-            .map(|(vpn, b)| {
-                let BackingSource::Device(page) = b.source else {
+            .map(|(vpn, source)| {
+                let BackingSource::Device(page) = source else {
                     panic!("vpn {vpn}: a remote source");
                 };
-                (vpn.0, page, b.accessed, b.dirty, b.file_backed)
+                let pte = leaf_entry(vpn);
+                assert_eq!(pte.target(), Some(PhysAddr::Cxl(*page)), "vpn {vpn}");
+                let file = pte.flags().contains(node_os::pte::PteFlags::FILE);
+                (vpn.0, pte.is_accessed(), pte.is_dirty(), file)
             })
             .collect();
         let want: Vec<_> = (0..520)
             .chain(4096..4112)
-            .map(|vpn| {
-                let page = leaf_page(VirtPageNum(vpn));
-                (vpn, page, hot(vpn), vpn < 300, vpn >= 4096)
-            })
+            .map(|vpn| (vpn, hot(vpn), vpn < 300, vpn >= 4096))
             .collect();
-        assert_eq!(got, want, "(vpn, page, A, D, FILE) in ascending vpn order");
+        assert_eq!(got, want, "(vpn, A, D, FILE) in ascending vpn order");
         let first_child = c.nodes[1].process(first.pid).unwrap();
         assert!(Arc::ptr_eq(first_child.mm.backing().unwrap(), &derived));
 
@@ -1008,7 +1007,6 @@ mod tests {
         let pid = build_process(&mut c.nodes[0]);
         let clean = c.fork.checkpoint(&mut c.nodes[0], pid).unwrap();
 
-        let policy = cxl_fault::BackoffPolicy::default();
         for transients in [1u32, 2, 3] {
             // Seeded, deterministic schedule: the first `transients` write
             // consults fail, so each retry attempt trips the next one.
@@ -1023,13 +1021,13 @@ mod tests {
             let faulted = c.fork.checkpoint(&mut c.nodes[0], pid).unwrap();
             c.device.set_fault_hook(None);
 
-            // Expected ladder: base, base*m, base*m^2, ... capped.
+            // Expected ladder: base, base*m, base*m^2, ...
             let mut expected = simclock::SimDuration::ZERO;
-            let mut step = policy.base;
+            let mut step = cxl_fault::retry::BACKOFF_BASE;
             for _ in 0..transients {
-                expected += if step > policy.cap { policy.cap } else { step };
+                expected += step;
                 step = simclock::SimDuration::from_nanos(
-                    step.as_nanos().saturating_mul(u64::from(policy.multiplier)),
+                    step.as_nanos() * cxl_fault::retry::BACKOFF_MULTIPLIER,
                 );
             }
             assert_eq!(

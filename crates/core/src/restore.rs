@@ -27,7 +27,7 @@
 use std::sync::Arc;
 
 use node_os::addr::{PhysAddr, Pid};
-use node_os::mm::{BackingPage, BackingSource, CxlBacking, CxlTierPolicy};
+use node_os::mm::{BackingSource, CxlBacking, CxlTierPolicy};
 use node_os::page_table::{AttachedLeaf, PtLeaf};
 use node_os::process::FdTable;
 use node_os::pte::{Pte, PteFlags};
@@ -39,10 +39,9 @@ use crate::checkpoint::{decode_global_state, dev_retry, CxlForkCheckpoint};
 
 impl CxlForkCheckpoint {
     /// The vpn → device-page map migrate-on-access restores pull through:
-    /// every checkpointed entry's CXL page and A/D/FILE bits, in ascending
-    /// vpn order. Derived from the leaves by the first such restore and
-    /// shared by every later one; a checkpoint never pull-restored never
-    /// builds it.
+    /// every checkpointed entry's CXL page, in ascending vpn order.
+    /// Derived from the leaves by the first such restore and shared by
+    /// every later one; a checkpoint never pull-restored never builds it.
     pub(crate) fn backing(&self) -> &Arc<CxlBacking> {
         self.backing.get_or_init(|| {
             let mut backing = CxlBacking::with_capacity(self.data_pages as usize);
@@ -50,15 +49,7 @@ impl CxlForkCheckpoint {
                 let Some(PhysAddr::Cxl(page)) = pte.target() else {
                     panic!("checkpoint entry {vpn} is not mapped in CXL: {pte:?}");
                 };
-                backing.insert(
-                    vpn,
-                    BackingPage {
-                        source: BackingSource::Device(page),
-                        accessed: pte.is_accessed(),
-                        dirty: pte.is_dirty(),
-                        file_backed: pte.flags().contains(PteFlags::FILE),
-                    },
-                );
+                backing.insert(vpn, BackingSource::Device(page));
             }
             Arc::new(backing)
         })

@@ -34,7 +34,7 @@ pub mod imgfmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cxl_mem::{CxlFs, CxlPageId, PageData, RegionId, PAGE_SIZE};
+use cxl_mem::{CxlFs, CxlPageId, RegionId, PAGE_SIZE};
 use node_os::addr::{PhysAddr, Pid, VirtPageNum};
 use node_os::pte::PteFlags;
 use node_os::Node;
@@ -134,32 +134,20 @@ impl RemoteFork for CriuCxl {
         let node_id = node.id();
         let model = node.model().clone();
 
-        // ---- Walk the process (read-only) and capture state. ----
-        let (core, mm_img, captured, footprint_pages) = {
+        // ---- Capture the process. CRIU skips clean private-file pages:
+        // they are re-faulted from the (identical) root fs on the restore
+        // side. ----
+        let capture = node
+            .capture(pid, |pte| {
+                pte.is_dirty() || !pte.flags().contains(PteFlags::FILE)
+            })
+            .map_err(|e| RforkError::during("checkpoint_read", e))?;
+        let (core, mm_img) = {
             let process = node.process(pid)?;
-            let core = CoreImage::capture(&process.task);
             let mm_img = MmImage {
                 vmas: process.mm.vmas.iter().cloned().collect(),
             };
-            let mut captured: Vec<(VirtPageNum, bool, PageData)> = Vec::new();
-            let mut footprint_pages = 0u64;
-            for (vpn, pte) in process.mm.page_table.iter_populated() {
-                if !pte.is_present() {
-                    continue;
-                }
-                footprint_pages += 1;
-                // CRIU skips clean private-file pages: they are re-faulted
-                // from the (identical) root fs on the restore side.
-                if pte.flags().contains(PteFlags::FILE) && !pte.is_dirty() {
-                    continue;
-                }
-                let data = match pte.target().expect("present pte") {
-                    PhysAddr::Local(pfn) => node.frames().data(pfn).clone(),
-                    PhysAddr::Cxl(page) => node.device().read_page(page, node_id)?,
-                };
-                captured.push((vpn, pte.is_dirty(), data));
-            }
-            (core, mm_img, captured, footprint_pages)
+            (CoreImage::capture(&process.task), mm_img)
         };
 
         // ---- Store the page payload in a device region. ----
@@ -168,13 +156,16 @@ impl RemoteFork for CriuCxl {
         let device = Arc::clone(node.device());
         let guard = device.create_region_guarded(&format!("criu:{}{}", core.comm, id));
         let region = guard.id();
-        let page_ids = node.device().alloc_batch(region, captured.len() as u64)?;
+        let page_ids = device.alloc_batch(region, capture.pages.len() as u64)?;
+        device.write_pages_owned(
+            page_ids.iter().copied().zip(capture.data).collect(),
+            node_id,
+        )?;
         let mut pagemap = PagemapImage::default();
-        for (i, ((vpn, dirty, data), page)) in captured.into_iter().zip(&page_ids).enumerate() {
-            node.device().write_page(*page, data, node_id)?;
+        for (i, page) in capture.pages.iter().enumerate() {
             pagemap.entries.push(PagemapEntry {
-                vpn: vpn.0,
-                dirty,
+                vpn: page.vpn.0,
+                dirty: page.pte.is_dirty(),
                 page_index: i as u64,
             });
         }
@@ -191,19 +182,22 @@ impl RemoteFork for CriuCxl {
         self.fs
             .write_file(&format!("{dir}pagemap.img"), &pagemap_bytes, node_id)?;
 
-        // ---- Cost: serialize everything + stream it into CXL. ----
+        // ---- Cost: serialize everything + stream it into CXL, plus any
+        // backoff the capture's read retried with. ----
         let payload_bytes = pagemap.entries.len() as u64 * PAGE_SIZE;
         let cost = model.serialize(meta_bytes + payload_bytes)
             + model.cxl_write_copy(meta_bytes + payload_bytes)
-            + SimDuration::from_nanos(model.image_file_open_ns) * 3;
+            + SimDuration::from_nanos(model.image_file_open_ns) * 3
+            + capture.backoff;
         node.clock_mut().advance(cost);
+        node.add_transient_retries(capture.retries);
 
         let cxl_pages = page_ids.len() as u64 + meta_bytes.div_ceil(PAGE_SIZE);
         let region = guard.commit();
         Ok(CriuCheckpoint {
             meta: CheckpointMeta {
                 comm: core.comm.clone(),
-                footprint_pages,
+                footprint_pages: capture.footprint,
                 cxl_pages,
                 created_at: node.now(),
                 checkpoint_cost: cost,
@@ -319,11 +313,12 @@ impl CriuCxl {
         let payload_bytes = pagemap.entries.len() as u64 * PAGE_SIZE;
         *cost += model.cxl_copy(payload_bytes);
         *cost += SimDuration::from_nanos(model.fork_pte_copy_ns) * pagemap.entries.len() as u64;
-        for entry in &pagemap.entries {
-            let data = node
-                .device()
-                .read_page(checkpoint.pages[entry.page_index as usize], node_id)?;
-            node.with_process_ctx(pid, |p, ctx| -> Result<(), RforkError> {
+        let pages: Vec<CxlPageId> = (pagemap.entries.iter())
+            .map(|entry| checkpoint.pages[entry.page_index as usize])
+            .collect();
+        let datas = node.device().read_pages(&pages, node_id)?;
+        node.with_process_ctx(pid, |p, ctx| -> Result<(), RforkError> {
+            for (entry, data) in pagemap.entries.iter().zip(datas) {
                 let pfn = ctx.frames.alloc(data).map_err(RforkError::from)?;
                 let vpn = VirtPageNum(entry.vpn);
                 let writable = p.mm.vmas.find(vpn).map(|v| v.prot.write).unwrap_or(false);
@@ -335,9 +330,9 @@ impl CriuCxl {
                     flags |= PteFlags::DIRTY;
                 }
                 p.mm.install_mapping(vpn, PhysAddr::Local(pfn), flags, true);
-                Ok(())
-            })??;
-        }
+            }
+            Ok(())
+        })??;
         Ok(())
     }
 }

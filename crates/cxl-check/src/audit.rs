@@ -157,9 +157,9 @@ impl<'a> NodeAudit<'a> {
             // entry behind; those are exempt.)
             if mm.policy() == CxlTierPolicy::MigrateOnAccess {
                 if let Some(backing) = mm.backing() {
-                    for (vpn, bp) in backing.iter() {
+                    for (vpn, source) in backing.iter() {
                         if !mm.page_table.get(vpn).is_present() {
-                            if let BackingSource::Device(page) = bp.source {
+                            if let BackingSource::Device(page) = *source {
                                 if device.page_region(page).is_none() {
                                     out.push(Violation::DanglingBackingPage {
                                         node: node_id,

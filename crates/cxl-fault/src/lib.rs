@@ -62,4 +62,4 @@ pub use inject::{
     FaultPlan, FaultRecord, FaultSchedule, FaultStats, InjectedFault, Injector, Trigger,
 };
 pub use lease::{reclaim_dead, reclaim_orphans, LeaseTable, ReclaimReport};
-pub use retry::{with_backoff, BackoffPolicy, RetryReport};
+pub use retry::{with_backoff, RetryReport};

@@ -8,46 +8,36 @@
 use cxl_mem::CxlError;
 use simclock::SimDuration;
 
-/// Retry policy: at most `max_attempts` tries with exponentially growing
-/// per-retry delays `base * multiplier^k`, capped at `cap`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackoffPolicy {
-    /// Total attempts, including the first (≥ 1).
-    pub max_attempts: u32,
-    /// Delay before the first retry.
-    pub base: SimDuration,
-    /// Multiplier applied to the delay after every retry.
-    pub multiplier: u32,
-    /// Upper bound on any single retry delay.
-    pub cap: SimDuration,
-}
+/// Attempts a [`with_backoff`] run makes at most, the first included.
+pub const MAX_ATTEMPTS: u32 = 4;
 
-impl Default for BackoffPolicy {
-    /// 4 attempts, 2 µs → 8 µs → 32 µs delays, capped at 1 ms —
-    /// calibrated to the CXL link-retry scale, not to wall-clock I/O.
-    fn default() -> Self {
-        BackoffPolicy {
-            max_attempts: 4,
-            base: SimDuration::from_micros(2),
-            multiplier: 4,
-            cap: SimDuration::from_millis(1),
-        }
-    }
-}
+/// Delay before the first retry; each later one is [`BACKOFF_MULTIPLIER`]
+/// times the one before: 2, 8 and 32 µs, calibrated to the CXL
+/// link-retry scale, not to wall-clock I/O.
+pub const BACKOFF_BASE: SimDuration = SimDuration::from_micros(2);
+
+/// Growth factor of the delay from one retry to the next.
+pub const BACKOFF_MULTIPLIER: u64 = 4;
 
 /// What a [`with_backoff`] run did, whether or not it succeeded.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetryReport {
-    /// Attempts made (1 for a first-try success).
+    /// Attempts made (1 for a first-try success, 0 for no run).
     pub attempts: u32,
-    /// Retries performed (`attempts - 1`).
-    pub retries: u32,
     /// Total virtual backoff delay to charge to the clock.
     pub backoff: SimDuration,
 }
 
-/// Runs `op`, retrying transient errors (per
-/// [`CxlError::is_transient`]) with bounded exponential backoff.
+impl RetryReport {
+    /// Retries performed: every attempt after the first.
+    pub fn retries(&self) -> u32 {
+        self.attempts.saturating_sub(1)
+    }
+}
+
+/// Runs `op`, retrying transient errors (per [`CxlError::is_transient`])
+/// up to [`MAX_ATTEMPTS`] attempts in all, with exponential backoff
+/// from [`BACKOFF_BASE`].
 ///
 /// Returns the final result — the last transient error if every attempt
 /// failed, or the first non-transient error immediately — plus a
@@ -55,29 +45,17 @@ pub struct RetryReport {
 /// caller decides how to type the give-up error and *must* charge
 /// `report.backoff` to its virtual clock.
 pub fn with_backoff<T>(
-    policy: &BackoffPolicy,
     mut op: impl FnMut() -> Result<T, CxlError>,
 ) -> (Result<T, CxlError>, RetryReport) {
     let mut report = RetryReport::default();
-    let mut delay = policy.base;
-    let attempts = policy.max_attempts.max(1);
+    let mut delay = BACKOFF_BASE;
     loop {
         report.attempts += 1;
         match op() {
             Ok(v) => return (Ok(v), report),
-            Err(e) if e.is_transient() && report.attempts < attempts => {
-                report.retries += 1;
-                let step = if delay > policy.cap {
-                    policy.cap
-                } else {
-                    delay
-                };
-                report.backoff = report.backoff.saturating_add(step);
-                delay = SimDuration::from_nanos(
-                    delay
-                        .as_nanos()
-                        .saturating_mul(u64::from(policy.multiplier)),
-                );
+            Err(e) if e.is_transient() && report.attempts < MAX_ATTEMPTS => {
+                report.backoff = report.backoff.saturating_add(delay);
+                delay = SimDuration::from_nanos(delay.as_nanos() * BACKOFF_MULTIPLIER);
             }
             Err(e) => return (Err(e), report),
         }
@@ -91,17 +69,17 @@ mod tests {
 
     #[test]
     fn first_try_success_costs_nothing() {
-        let (res, rep) = with_backoff(&BackoffPolicy::default(), || Ok::<_, CxlError>(42));
+        let (res, rep) = with_backoff(|| Ok::<_, CxlError>(42));
         assert_eq!(res.unwrap(), 42);
         assert_eq!(rep.attempts, 1);
-        assert_eq!(rep.retries, 0);
+        assert_eq!(rep.retries(), 0);
         assert_eq!(rep.backoff, SimDuration::ZERO);
     }
 
     #[test]
     fn transient_errors_are_retried_with_growing_backoff() {
         let mut fails = 2;
-        let (res, rep) = with_backoff(&BackoffPolicy::default(), || {
+        let (res, rep) = with_backoff(|| {
             if fails > 0 {
                 fails -= 1;
                 Err(CxlError::Transient { op: "read" })
@@ -111,7 +89,7 @@ mod tests {
         });
         assert_eq!(res.unwrap(), 7);
         assert_eq!(rep.attempts, 3);
-        assert_eq!(rep.retries, 2);
+        assert_eq!(rep.retries(), 2);
         // 2 µs + 8 µs.
         assert_eq!(rep.backoff, SimDuration::from_micros(10));
     }
@@ -119,7 +97,7 @@ mod tests {
     #[test]
     fn gives_up_after_max_attempts() {
         let mut calls = 0;
-        let (res, rep) = with_backoff(&BackoffPolicy::default(), || {
+        let (res, rep) = with_backoff(|| {
             calls += 1;
             Err::<(), _>(CxlError::Transient { op: "write" })
         });
@@ -133,25 +111,12 @@ mod tests {
     #[test]
     fn permanent_errors_fail_fast() {
         let mut calls = 0;
-        let (res, rep) = with_backoff(&BackoffPolicy::default(), || {
+        let (res, rep) = with_backoff(|| {
             calls += 1;
             Err::<(), _>(CxlError::Poisoned(CxlPageId(3)))
         });
         assert_eq!(res.unwrap_err(), CxlError::Poisoned(CxlPageId(3)));
-        assert_eq!((calls, rep.attempts, rep.retries), (1, 1, 0));
+        assert_eq!((calls, rep.attempts, rep.retries()), (1, 1, 0));
         assert_eq!(rep.backoff, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn per_retry_delay_is_capped() {
-        let policy = BackoffPolicy {
-            max_attempts: 10,
-            base: SimDuration::from_micros(400),
-            multiplier: 4,
-            cap: SimDuration::from_millis(1),
-        };
-        let (_, rep) = with_backoff(&policy, || Err::<(), _>(CxlError::Transient { op: "read" }));
-        // 400 µs + 1 ms * 8 (capped).
-        assert_eq!(rep.backoff, SimDuration::from_micros(8400));
     }
 }

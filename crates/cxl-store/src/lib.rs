@@ -76,7 +76,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-use cxl_fault::{with_backoff, BackoffPolicy, LeaseTable};
+use cxl_fault::{with_backoff, LeaseTable};
 use cxl_mem::lockdep::{LockClass, TrackedMutex};
 use cxl_mem::{CxlDevice, CxlError, CxlPageId, NodeId, PageData, RegionId, PAGE_SIZE};
 use simclock::SimTime;
@@ -102,7 +102,7 @@ const DATA_REGION_NAME: &str = "cxl-store:data";
 /// bounded backoff. The backoff is not charged to any clock: store
 /// mutators do not own one.
 fn retry<T>(op: impl FnMut() -> Result<T, CxlError>) -> Result<T, CxlError> {
-    with_backoff(&BackoffPolicy::default(), op).0
+    with_backoff(op).0
 }
 
 /// Unwraps the result of a device operation the store cannot go on

@@ -34,15 +34,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cxl_mem::{PageData, PAGE_SIZE};
-use node_os::addr::{PhysAddr, Pid, VirtPageNum};
-use node_os::mm::{BackingPage, BackingSource, CxlBacking, CxlTierPolicy};
+use node_os::addr::{Pid, VirtPageNum};
+use node_os::mm::{BackingSource, CxlBacking, CxlTierPolicy};
 use node_os::process::{FdTable, FileDescriptor, Registers};
 use node_os::vma::{Protection, Vma, VmaKind};
-use node_os::Node;
+use node_os::{CapturedPage, Node};
 use rfork::wire::{ImageReader, ImageWriter};
 use rfork::{CheckpointMeta, RemoteFork, RestoreOptions, Restored, RforkError};
 use simclock::SimDuration;
@@ -52,22 +51,9 @@ pub const DESCRIPTOR_MAGIC: u32 = 0x3170_5150;
 
 /// The Mitosis-CXL mechanism.
 ///
-/// Stateless apart from an id counter; the per-fork state lives in
-/// [`MitosisCheckpoint`].
+/// Stateless; the per-fork state lives in [`MitosisCheckpoint`].
 #[derive(Debug, Default)]
-pub struct MitosisCxl {
-    next_id: AtomicU64,
-}
-
-/// One per-page record in the shadow copy.
-#[derive(Debug, Clone)]
-struct ShadowPage {
-    vpn: u64,
-    dirty: bool,
-    accessed: bool,
-    file_backed: bool,
-    data: Arc<PageData>,
-}
+pub struct MitosisCxl;
 
 /// A Mitosis checkpoint: the serialized OS-state descriptor plus the
 /// parent-resident shadow copy of the process pages.
@@ -77,7 +63,9 @@ pub struct MitosisCheckpoint {
     /// Encoded OS-state descriptor (what gets shipped over CXL at
     /// restore).
     descriptor: Vec<u8>,
-    shadow: Vec<ShadowPage>,
+    /// The shadow copy: `(vpn, contents)` of every resident page, in the
+    /// descriptor's page-record order.
+    shadow: Vec<(u64, Arc<PageData>)>,
 }
 
 impl MitosisCheckpoint {
@@ -95,7 +83,7 @@ impl MitosisCheckpoint {
 impl MitosisCxl {
     /// Creates the mechanism.
     pub fn new() -> Self {
-        MitosisCxl::default()
+        MitosisCxl
     }
 
     fn encode_descriptor(
@@ -105,7 +93,7 @@ impl MitosisCxl {
         pid_ns: u64,
         mount_ns: u64,
         vmas: &[Vma],
-        shadow: &[ShadowPage],
+        pages: &[CapturedPage],
     ) -> Result<Vec<u8>, RforkError> {
         let mut w = ImageWriter::new(DESCRIPTOR_MAGIC);
         w.put_str(comm)?;
@@ -144,12 +132,12 @@ impl MitosisCxl {
             }
         }
         // Per-page records (vpn + flag bits); contents stay in the shadow.
-        w.put_u64(shadow.len() as u64);
-        for p in shadow {
-            w.put_u64(p.vpn);
-            w.put_bool(p.dirty);
+        w.put_u64(pages.len() as u64);
+        for p in pages {
+            w.put_u64(p.vpn.0);
+            w.put_bool(p.pte.is_dirty());
             w.put_bool(p.accessed);
-            w.put_bool(p.file_backed);
+            w.put_bool(p.pte.flags().contains(node_os::pte::PteFlags::FILE));
         }
         Ok(w.into_bytes())
     }
@@ -163,7 +151,9 @@ struct Descriptor {
     pid_ns: u64,
     mount_ns: u64,
     vmas: Vec<Vma>,
-    pages: Vec<(u64, bool, bool, bool)>,
+    /// The page records' vpns (their D, A and FILE bits are decoded and
+    /// dropped: the restore rebuilds no PTE from them).
+    pages: Vec<u64>,
 }
 
 fn decode_descriptor(bytes: &[u8]) -> Result<Descriptor, RforkError> {
@@ -216,7 +206,10 @@ fn decode_descriptor(bytes: &[u8]) -> Result<Descriptor, RforkError> {
     let npages = r.get_u64()? as usize;
     let mut pages = Vec::with_capacity(npages);
     for _ in 0..npages {
-        pages.push((r.get_u64()?, r.get_bool()?, r.get_bool()?, r.get_bool()?));
+        pages.push(r.get_u64()?);
+        for _ in 0..3 {
+            r.get_bool()?;
+        }
     }
     Ok(Descriptor {
         comm,
@@ -237,31 +230,13 @@ impl RemoteFork for MitosisCxl {
     }
 
     fn checkpoint(&self, node: &mut Node, pid: Pid) -> Result<MitosisCheckpoint, RforkError> {
-        let node_id = node.id();
         let model = node.model().clone();
-        let _id = self.next_id.fetch_add(1, Ordering::Relaxed);
 
-        let (descriptor, shadow, footprint_pages, vma_count) = {
+        let capture = node
+            .capture(pid, |_| true)
+            .map_err(|e| RforkError::during("checkpoint_read", e))?;
+        let (comm, descriptor, vma_count) = {
             let process = node.process(pid)?;
-            let mut shadow = Vec::new();
-            let mut footprint_pages = 0u64;
-            for (vpn, pte) in process.mm.page_table.iter_populated() {
-                if !pte.is_present() {
-                    continue;
-                }
-                footprint_pages += 1;
-                let data = match pte.target().expect("present pte") {
-                    PhysAddr::Local(pfn) => node.frames().data(pfn).clone(),
-                    PhysAddr::Cxl(page) => node.device().read_page(page, node_id)?,
-                };
-                shadow.push(ShadowPage {
-                    vpn: vpn.0,
-                    dirty: pte.is_dirty(),
-                    accessed: process.mm.page_table.is_accessed(vpn),
-                    file_backed: pte.flags().contains(node_os::pte::PteFlags::FILE),
-                    data: Arc::new(data),
-                });
-            }
             let vmas: Vec<Vma> = process.mm.vmas.iter().cloned().collect();
             let fds: Vec<FileDescriptor> =
                 process.task.fds.iter().map(|(_, d)| d.clone()).collect();
@@ -272,26 +247,29 @@ impl RemoteFork for MitosisCxl {
                 process.task.ns.pid_ns,
                 process.task.ns.mount_ns,
                 &vmas,
-                &shadow,
+                &capture.pages,
             )?;
-            (descriptor, shadow, footprint_pages, vmas.len())
+            (process.task.comm.clone(), descriptor, vmas.len())
         };
+        let shadow: Vec<(u64, Arc<PageData>)> = (capture.pages.iter())
+            .zip(capture.data)
+            .map(|(page, data)| (page.vpn.0, Arc::new(data)))
+            .collect();
 
-        // Cost: local shadow copy + per-PTE descriptor encoding. No CXL
-        // traffic at checkpoint time — that is the point of Mitosis.
+        // Cost: local shadow copy + per-PTE descriptor encoding, plus any
+        // backoff the capture's read retried with. No CXL traffic at
+        // checkpoint time — that is the point of Mitosis.
         let cost = model.local_copy(shadow.len() as u64 * PAGE_SIZE)
             + SimDuration::from_nanos(model.descriptor_encode_pte_ns) * shadow.len() as u64
-            + model.serialize(descriptor.len() as u64);
+            + model.serialize(descriptor.len() as u64)
+            + capture.backoff;
         node.clock_mut().advance(cost);
+        node.add_transient_retries(capture.retries);
 
-        let comm = {
-            // Re-borrow for the comm; cheap.
-            node.process(pid)?.task.comm.clone()
-        };
         Ok(MitosisCheckpoint {
             meta: CheckpointMeta {
                 comm,
-                footprint_pages,
+                footprint_pages: capture.footprint,
                 cxl_pages: 0,
                 created_at: node.now(),
                 checkpoint_cost: cost,
@@ -336,17 +314,9 @@ impl RemoteFork for MitosisCxl {
 
         // Backing map: every shadow page is pull-able from the parent.
         let mut backing = CxlBacking::with_capacity(d.pages.len());
-        for (record, shadow) in d.pages.iter().zip(&checkpoint.shadow) {
-            debug_assert_eq!(record.0, shadow.vpn, "descriptor/shadow order");
-            backing.insert(
-                VirtPageNum(record.0),
-                BackingPage {
-                    source: BackingSource::Remote(Arc::clone(&shadow.data)),
-                    accessed: record.2,
-                    dirty: record.1,
-                    file_backed: record.3,
-                },
-            );
+        for (&record, (vpn, data)) in d.pages.iter().zip(&checkpoint.shadow) {
+            debug_assert_eq!(record, *vpn, "descriptor/shadow order");
+            backing.insert(VirtPageNum(record), BackingSource::Remote(Arc::clone(data)));
         }
         let backing = Arc::new(backing);
         node.with_process_ctx(pid, |p, _| -> Result<(), RforkError> {
@@ -389,7 +359,7 @@ mod tests {
     use cxl_mem::CxlDevice;
     use node_os::fs::SharedFs;
     use node_os::mm::{Access, FaultKind};
-    use node_os::NodeConfig;
+    use node_os::{NodeConfig, PhysAddr};
 
     struct Cluster {
         src: Node,

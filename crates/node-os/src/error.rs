@@ -4,6 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::addr::{Pid, VirtPageNum};
+use cxl_fault::RetryReport;
 use cxl_mem::CxlError;
 
 /// Errors surfaced by node-OS operations.
@@ -87,6 +88,26 @@ impl From<CxlError> for OsError {
     fn from(e: CxlError) -> Self {
         OsError::Cxl(e)
     }
+}
+
+/// Runs one device operation under [`cxl_fault::with_backoff`], typing a
+/// transient give-up as [`OsError::DeviceRetriesExhausted`]. The caller
+/// charges the report's backoff to its virtual clock.
+pub(crate) fn with_backoff<T>(
+    op: impl FnMut() -> Result<T, CxlError>,
+) -> (Result<T, OsError>, RetryReport) {
+    let (res, report) = cxl_fault::with_backoff(op);
+    let res = res.map_err(|last| {
+        if last.is_transient() {
+            OsError::DeviceRetriesExhausted {
+                attempts: report.attempts,
+                last,
+            }
+        } else {
+            OsError::Cxl(last)
+        }
+    });
+    (res, report)
 }
 
 #[cfg(test)]

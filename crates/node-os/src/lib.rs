@@ -79,7 +79,7 @@ pub mod vma;
 
 pub use addr::{Pfn, PhysAddr, Pid, VirtAddr, VirtPageNum};
 pub use error::OsError;
-pub use node::{Node, NodeConfig};
+pub use node::{Capture, CapturedPage, Node, NodeConfig};
 
 /// Re-export of the fabric node identifier.
 pub use cxl_mem::NodeId;

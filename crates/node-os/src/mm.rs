@@ -94,27 +94,13 @@ pub enum BackingSource {
     Remote(Arc<PageData>),
 }
 
-/// A per-page record of the checkpoint backing an address space restored
-/// with a non-attached policy (migrate-on-access).
-#[derive(Debug, Clone)]
-pub struct BackingPage {
-    /// Where the checkpointed page's content lives.
-    pub source: BackingSource,
-    /// Checkpointed A bit.
-    pub accessed: bool,
-    /// Checkpointed D bit.
-    pub dirty: bool,
-    /// Whether the page backs a private file mapping.
-    pub file_backed: bool,
-}
-
 /// The vpn → checkpointed-page map used by pull-based restore policies:
-/// `(vpn, page)` pairs sorted by vpn. A checkpoint fills it in ascending
+/// `(vpn, source)` pairs sorted by vpn. A checkpoint fills it in ascending
 /// vpn order (one append per page, into an allocation sized up front);
 /// lookups are a binary search.
 #[derive(Debug, Default, Clone)]
 pub struct CxlBacking {
-    pages: Vec<(u64, BackingPage)>,
+    pages: Vec<(u64, BackingSource)>,
 }
 
 impl CxlBacking {
@@ -133,7 +119,7 @@ impl CxlBacking {
     /// Registers the checkpointed page for `vpn`, replacing an earlier
     /// registration of the same vpn.
     #[inline]
-    pub fn insert(&mut self, vpn: VirtPageNum, page: BackingPage) {
+    pub fn insert(&mut self, vpn: VirtPageNum, page: BackingSource) {
         if self.pages.last().is_none_or(|(last, _)| *last < vpn.0) {
             self.pages.push((vpn.0, page));
             return;
@@ -145,11 +131,7 @@ impl CxlBacking {
     }
 
     /// Looks up the checkpointed page for `vpn`.
-    pub fn get(&self, vpn: VirtPageNum) -> Option<BackingPage> {
-        self.find(vpn).cloned()
-    }
-
-    fn find(&self, vpn: VirtPageNum) -> Option<&BackingPage> {
+    pub fn get(&self, vpn: VirtPageNum) -> Option<&BackingSource> {
         let at = self.pages.binary_search_by_key(&vpn.0, |(v, _)| *v).ok()?;
         Some(&self.pages[at].1)
     }
@@ -158,7 +140,7 @@ impl CxlBacking {
     /// after the last hit, `cursor`, which a hit moves on. The probe is
     /// checked, so a cursor from another backing or an earlier
     /// registration only costs the binary search.
-    fn find_from(&self, vpn: VirtPageNum, cursor: &mut usize) -> Option<&BackingPage> {
+    fn find_from(&self, vpn: VirtPageNum, cursor: &mut usize) -> Option<&BackingSource> {
         let at = match self.pages.get(*cursor) {
             Some((v, _)) if *v == vpn.0 => *cursor,
             _ => self.pages.binary_search_by_key(&vpn.0, |(v, _)| *v).ok()?,
@@ -177,9 +159,9 @@ impl CxlBacking {
         self.pages.is_empty()
     }
 
-    /// Iterates `(vpn, backing)` pairs in address order.
-    pub fn iter(&self) -> impl Iterator<Item = (VirtPageNum, BackingPage)> + '_ {
-        self.pages.iter().map(|(v, b)| (VirtPageNum(*v), b.clone()))
+    /// Iterates `(vpn, source)` pairs in address order.
+    pub fn iter(&self) -> impl Iterator<Item = (VirtPageNum, &BackingSource)> + '_ {
+        self.pages.iter().map(|(v, b)| (VirtPageNum(*v), b))
     }
 }
 
@@ -660,7 +642,7 @@ impl AddressSpace {
             .and_then(|backing| backing.find_from(vpn, &mut self.backing_cursor))
         {
             // Pull policy (migrate-on-access): copy on first touch.
-            let pulled = Self::pull_page(&b.source, access, vma, ctx, outcome)?;
+            let pulled = Self::pull_page(b, access, vma, ctx, outcome)?;
             self.private_local_pages += 1;
             pulled
         } else {
@@ -769,21 +751,11 @@ impl AddressSpace {
         page: CxlPageId,
         outcome: &mut AccessOutcome,
     ) -> Result<PageData, OsError> {
-        let policy = cxl_fault::BackoffPolicy::default();
-        let (res, report) = cxl_fault::with_backoff(&policy, || device.read_page(page, node));
-        outcome.retries += report.retries;
+        let (res, report) = crate::error::with_backoff(|| device.read_page(page, node));
+        outcome.retries += report.retries();
         outcome.fault_cost += report.backoff;
         outcome.cost += report.backoff;
-        res.map_err(|e| {
-            if e.is_transient() {
-                OsError::DeviceRetriesExhausted {
-                    attempts: report.attempts,
-                    last: e,
-                }
-            } else {
-                OsError::from(e)
-            }
-        })
+        res
     }
 
     /// Copies a checkpointed page into a fresh local frame on first
@@ -1231,15 +1203,7 @@ mod tests {
             .unwrap();
         asp.set_policy(CxlTierPolicy::MigrateOnAccess);
         let mut backing = CxlBacking::new();
-        backing.insert(
-            VirtPageNum(2),
-            BackingPage {
-                source: BackingSource::Device(page),
-                accessed: true,
-                dirty: false,
-                file_backed: false,
-            },
-        );
+        backing.insert(VirtPageNum(2), BackingSource::Device(page));
         asp.set_backing(Arc::new(backing));
 
         let o = asp
@@ -1871,13 +1835,7 @@ mod tests {
                 let vpns: BTreeSet<u64> = vpns.iter().copied().collect();
                 let mut backing = CxlBacking::with_capacity(vpns.len());
                 for vpn in vpns {
-                    let page = BackingPage {
-                        source: BackingSource::Device(CxlPageId(vpn * 7)),
-                        accessed: vpn % 2 == 0,
-                        dirty: vpn % 3 == 0,
-                        file_backed: false,
-                    };
-                    backing.insert(VirtPageNum(vpn), page);
+                    backing.insert(VirtPageNum(vpn), source(vpn * 7, vpn % 2 == 0));
                 }
                 backing
             };
@@ -1891,18 +1849,28 @@ mod tests {
                 let vpn = VirtPageNum(if stride { last + 1 } else { vpn });
                 last = vpn.0;
                 let probed = backing.find_from(vpn, &mut cursor).map(backing_key);
-                proptest::prop_assert_eq!(probed, backing.find(vpn).map(backing_key));
+                proptest::prop_assert_eq!(probed, backing.get(vpn).map(backing_key));
             }
         }
     }
 
-    /// What a test can compare of a [`BackingPage`]: its device page and
-    /// flag bits.
-    fn backing_key(page: &BackingPage) -> (CxlPageId, bool, bool, bool) {
-        let BackingSource::Device(device_page) = page.source else {
-            unreachable!("the property test only registers device pages")
-        };
-        (device_page, page.accessed, page.dirty, page.file_backed)
+    /// A test source: the device page `id`, or a remote page holding
+    /// `PageData::pattern(id)`.
+    fn source(id: u64, remote: bool) -> BackingSource {
+        if remote {
+            BackingSource::Remote(Arc::new(PageData::pattern(id)))
+        } else {
+            BackingSource::Device(CxlPageId(id))
+        }
+    }
+
+    /// What a test can compare of a [`BackingSource`]: whether it is
+    /// remote, and its device page or its content's fingerprint.
+    fn backing_key(source: &BackingSource) -> (bool, u64) {
+        match source {
+            BackingSource::Device(page) => (false, page.0),
+            BackingSource::Remote(data) => (true, data.fingerprint()),
+        }
     }
 
     proptest::proptest! {
@@ -1916,30 +1884,25 @@ mod tests {
             inserts in proptest::collection::vec((0u64..96, 0u64..1_000, 0u8..8), 0..160),
             ascending_prefix in 0u64..64,
         ) {
-            let page = |device_page: u64, bits: u8| BackingPage {
-                source: BackingSource::Device(CxlPageId(device_page)),
-                accessed: bits & 1 != 0,
-                dirty: bits & 2 != 0,
-                file_backed: bits & 4 != 0,
-            };
             let mut backing = CxlBacking::with_capacity(ascending_prefix as usize);
-            let mut model: BTreeMap<u64, BackingPage> = BTreeMap::new();
+            let mut model: BTreeMap<u64, (bool, u64)> = BTreeMap::new();
             // A checkpoint-shaped ascending fill (the append path), then
             // arbitrary inserts on top of it, duplicates included.
             let fill = (0..ascending_prefix).map(|i| (200 + 2 * i, i, (i % 8) as u8));
-            for (vpn, device_page, bits) in fill.chain(inserts) {
-                backing.insert(VirtPageNum(vpn), page(device_page, bits));
-                model.insert(vpn, page(device_page, bits));
+            for (vpn, id, bits) in fill.chain(inserts) {
+                let page = source(id, bits & 1 != 0);
+                model.insert(vpn, backing_key(&page));
+                backing.insert(VirtPageNum(vpn), page);
             }
             proptest::prop_assert_eq!(backing.len(), model.len());
             proptest::prop_assert_eq!(backing.is_empty(), model.is_empty());
-            let listed: Vec<_> = backing.iter().map(|(v, p)| (v.0, backing_key(&p))).collect();
-            let expected: Vec<_> = model.iter().map(|(v, p)| (*v, backing_key(p))).collect();
+            let listed: Vec<_> = backing.iter().map(|(v, p)| (v.0, backing_key(p))).collect();
+            let expected: Vec<_> = model.iter().map(|(v, key)| (*v, *key)).collect();
             proptest::prop_assert_eq!(listed, expected);
             for vpn in 0..340 {
                 proptest::prop_assert_eq!(
-                    backing.get(VirtPageNum(vpn)).as_ref().map(backing_key),
-                    model.get(&vpn).map(backing_key)
+                    backing.get(VirtPageNum(vpn)).map(backing_key),
+                    model.get(&vpn).copied()
                 );
             }
         }

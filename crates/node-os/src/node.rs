@@ -5,9 +5,9 @@ use std::sync::Arc;
 
 use simclock::{LatencyModel, SimClock, SimDuration, SimTime};
 
-use cxl_mem::{CxlDevice, NodeId};
+use cxl_mem::{CxlDevice, NodeId, PageData};
 
-use crate::addr::{Pid, VirtPageNum};
+use crate::addr::{PhysAddr, Pid, VirtPageNum};
 use crate::cache::{CacheConfig, LlcCache};
 use crate::error::OsError;
 use crate::frame::FrameAllocator;
@@ -15,6 +15,7 @@ use crate::fs::SharedFs;
 use crate::mm::{Access, AccessOutcome, AddressSpace, FaultKind, MmContext};
 use crate::pagecache::PageCache;
 use crate::process::Task;
+use crate::pte::Pte;
 
 /// Configuration for one simulated node.
 #[derive(Debug, Clone)]
@@ -116,6 +117,35 @@ impl NodeCounters {
         }
         self.transient_retries += u64::from(outcome.retries);
     }
+}
+
+/// One present page met by [`Node::capture`] and kept by its `keep`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CapturedPage {
+    /// The page's virtual page number.
+    pub vpn: VirtPageNum,
+    /// The entry as the page table holds it. Its `ACCESSED` flag is no
+    /// access record (an attached leaf bakes in its checkpoint's);
+    /// `accessed` is.
+    pub pte: Pte,
+    /// The runtime A bit, read from the leaf's bitmap beside the entry.
+    pub accessed: bool,
+}
+
+/// What [`Node::capture`] took of a process's memory.
+#[derive(Debug, Default)]
+pub struct Capture {
+    /// Present pages, kept or not: the process's footprint.
+    pub footprint: u64,
+    /// The kept pages, in ascending vpn order.
+    pub pages: Vec<CapturedPage>,
+    /// The kept pages' contents, in the same order.
+    pub data: Vec<PageData>,
+    /// Transient device errors the read retried away.
+    pub retries: u64,
+    /// The virtual backoff those retries accrued: zero without faults.
+    /// The caller charges it to its cost.
+    pub backoff: SimDuration,
 }
 
 /// One process: task + address space.
@@ -421,6 +451,67 @@ impl Node {
         })
     }
 
+    /// Captures `pid`'s memory for a checkpoint (§4.1): one walk over the
+    /// page table's leaves, in ascending vpn order, meets every present
+    /// page with its runtime A bit; `keep` picks the pages whose contents
+    /// to return. A kept local frame is cloned; the kept pages resident
+    /// on the CXL device move in one batched read, retried with
+    /// [`cxl_fault::with_backoff`] on transient errors. The result is
+    /// allocated once, sized by the leaves' present counts.
+    ///
+    /// # Errors
+    ///
+    /// [`OsError::NoSuchProcess`] if `pid` is not live;
+    /// [`OsError::DeviceRetriesExhausted`] or [`OsError::Cxl`] if the read
+    /// fails.
+    pub fn capture(&self, pid: Pid, mut keep: impl FnMut(Pte) -> bool) -> Result<Capture, OsError> {
+        let process = self.process(pid)?;
+        let leaves = || process.mm.page_table.leaves();
+        let footprint: usize = leaves().map(|(_, slot)| slot.leaf().present_count()).sum();
+        let mut out = Capture {
+            footprint: footprint as u64,
+            pages: Vec::with_capacity(footprint),
+            data: Vec::with_capacity(footprint),
+            ..Capture::default()
+        };
+        // Kept pages resident on the device, and where each one's
+        // contents go in `out.data`.
+        let mut device_pages = Vec::new();
+        let mut device_at = Vec::new();
+        for (leaf_index, slot) in leaves() {
+            let bits = slot.access_bits();
+            for (s, pte) in slot.leaf().iter_populated() {
+                // An armed entry is not resident: its restore re-arms it.
+                if !pte.is_present() || !keep(pte) {
+                    continue;
+                }
+                out.pages.push(CapturedPage {
+                    vpn: VirtPageNum((leaf_index << 9) | s as u64),
+                    pte,
+                    accessed: bits.get(s),
+                });
+                match pte.target().expect("a present entry has a target") {
+                    PhysAddr::Local(pfn) => out.data.push(self.frames.data(pfn).clone()),
+                    PhysAddr::Cxl(page) => {
+                        device_at.push(out.data.len());
+                        device_pages.push(page);
+                        out.data.push(PageData::Zero);
+                    }
+                }
+            }
+        }
+        if !device_pages.is_empty() {
+            let (read, report) =
+                crate::error::with_backoff(|| self.device.read_pages(&device_pages, self.id));
+            out.retries = u64::from(report.retries());
+            out.backoff = report.backoff;
+            for (at, data) in device_at.into_iter().zip(read?) {
+                out.data[at] = data;
+            }
+        }
+        Ok(out)
+    }
+
     /// Forks `parent` locally: CoW-shares its anonymous memory, clones its
     /// task. Returns the child pid and the modelled fork latency (already
     /// charged to the clock).
@@ -522,7 +613,7 @@ mod tests {
     /// eight fault kinds while an injector fires transient read errors.
     #[test]
     fn counters_equal_an_independent_tally_of_access_outcomes() {
-        use crate::mm::{BackingPage, BackingSource, CxlBacking, CxlTierPolicy};
+        use crate::mm::{BackingSource, CxlBacking, CxlTierPolicy};
         use crate::pte::PteFlags;
         use crate::{PhysAddr, VirtPageNum};
         use cxl_mem::PageData;
@@ -581,15 +672,7 @@ mod tests {
                 } else {
                     BackingSource::Remote(Arc::new(PageData::pattern(100 + i as u64)))
                 };
-                backing.insert(
-                    VirtPageNum(300 + i as u64),
-                    BackingPage {
-                        source,
-                        accessed: true,
-                        dirty: false,
-                        file_backed: false,
-                    },
-                );
+                backing.insert(VirtPageNum(300 + i as u64), source);
             }
             mm.set_backing(Arc::new(backing));
         }
@@ -827,7 +910,7 @@ mod tests {
     /// VMA block — and replays `script` on it, each run whole through
     /// [`Node::access_run`] or page by page through [`Node::access`].
     fn replay_script(mib: u64, script: &[Step], whole: bool) -> Replay {
-        use crate::mm::{BackingPage, BackingSource, CxlBacking, CxlTierPolicy};
+        use crate::mm::{BackingSource, CxlBacking, CxlTierPolicy};
         use crate::page_table::{AttachedLeaf, PtLeaf};
         use crate::pte::{Pte, PteFlags};
         use crate::vma::{Vma, VmaBlock};
@@ -878,13 +961,7 @@ mod tests {
             } else {
                 BackingSource::Remote(Arc::new(PageData::pattern(vpn)))
             };
-            let page = BackingPage {
-                source,
-                accessed: true,
-                dirty: false,
-                file_backed: false,
-            };
-            backing.insert(VirtPageNum(vpn), page);
+            backing.insert(VirtPageNum(vpn), source);
         }
         let backing = Arc::new(backing);
         let restore_puller = |n: &mut Node, name: &str| {
@@ -1158,5 +1235,175 @@ mod tests {
         assert!(b.rootfs().exists("/app"));
         assert_eq!(a.id(), NodeId(0));
         assert_eq!(b.id(), NodeId(1));
+    }
+
+    /// `capture` against an independent per-page walk (`iter_populated`,
+    /// `is_accessed`, one `read_page` per device page) over local anon
+    /// and file pages, an attached checkpoint leaf with an armed entry
+    /// and stale `ACCESSED` flags baked in, and a leaf copied local from
+    /// one (which keeps those flags): the same pages, A bits, contents
+    /// and device book, whatever `keep` picks.
+    #[test]
+    fn capture_equals_a_per_page_walk() {
+        use crate::page_table::{AttachedLeaf, PtLeaf};
+        use crate::pte::PteFlags;
+        use cxl_fault::{FaultSchedule, Injector};
+        use cxl_mem::DeviceOp;
+
+        let device = Arc::new(CxlDevice::with_capacity_mib(16));
+        let rootfs = Arc::new(SharedFs::new());
+        rootfs.create("/lib/app.so", 16 * crate::PAGE_SIZE, 5);
+        let mut n = Node::with_rootfs(
+            NodeConfig::default().with_local_mem_mib(16),
+            Arc::clone(&device),
+            rootfs,
+        );
+        let region = device.create_region("ckpt");
+        let checkpoint_leaf = |seed: u64| {
+            let mut leaf = PtLeaf::new();
+            for slot in 0..24u64 {
+                let page = device.alloc_page(region).unwrap();
+                let data = PageData::pattern(seed + slot);
+                device.write_page(page, data, NodeId(9)).unwrap();
+                let target = PhysAddr::Cxl(page);
+                let mut flags = PteFlags::PRESENT | PteFlags::COW | PteFlags::CKPT_PIN;
+                // The previous generation's record: every third entry.
+                if slot % 3 == 0 {
+                    flags |= PteFlags::ACCESSED;
+                }
+                let pte = if slot == 23 {
+                    Pte::armed(target, PteFlags::FETCH_ON_ACCESS)
+                } else {
+                    Pte::mapped(target, flags)
+                };
+                leaf.set(slot as usize, pte);
+            }
+            // This generation's accesses: every second entry, and an
+            // empty slot, which must not materialize.
+            for slot in (0..24).step_by(2).chain([100]) {
+                leaf.access_bits().set(slot);
+            }
+            AttachedLeaf {
+                leaf: Arc::new(leaf),
+                backing: device.alloc_page(region).unwrap(),
+            }
+        };
+
+        let pid = n.spawn("captured").unwrap();
+        {
+            let mm = &mut n.process_mut(pid).unwrap().mm;
+            mm.map_anonymous(0, 64, Protection::read_write(), "heap")
+                .unwrap();
+            mm.map_file(100, 16, Protection::read_exec(), "/lib/app.so", 0)
+                .unwrap();
+            mm.map_anonymous(1024, 1024, Protection::read_write(), "ckpt")
+                .unwrap();
+            mm.page_table.attach_leaf(2, checkpoint_leaf(100));
+            mm.page_table.attach_leaf(3, checkpoint_leaf(200));
+        }
+        for vpn in 0..40 {
+            n.access(pid, vpn, Access::Write).unwrap();
+        }
+        for vpn in 100..108 {
+            n.access(pid, vpn, Access::Read).unwrap();
+        }
+        // A write copies leaf 3 local: its entries keep their stale flags
+        // and the copy keeps the runtime A bits.
+        n.access(pid, 3 * 512 + 5, Access::Write).unwrap();
+        assert!(!n
+            .process(pid)
+            .unwrap()
+            .mm
+            .page_table
+            .leaf_for(VirtPageNum(1541))
+            .unwrap()
+            .is_attached());
+
+        let criu_keep = |pte: Pte| pte.is_dirty() || !pte.flags().contains(PteFlags::FILE);
+        let keeps: [(&str, &dyn Fn(Pte) -> bool); 3] = [
+            ("all", &|_| true),
+            ("dirty or anonymous", &criu_keep),
+            ("none", &|_| false),
+        ];
+        for (name, keep) in keeps {
+            let before = device.stats();
+            let capture = n.capture(pid, keep).unwrap();
+            let captured = device.stats();
+
+            let pt = &n.process(pid).unwrap().mm.page_table;
+            let mut footprint = 0;
+            let mut pages = Vec::new();
+            let mut data = Vec::new();
+            for (vpn, pte) in pt.iter_populated() {
+                if !pte.is_present() {
+                    continue;
+                }
+                footprint += 1;
+                if !keep(pte) {
+                    continue;
+                }
+                let accessed = pt.is_accessed(vpn);
+                pages.push(CapturedPage { vpn, pte, accessed });
+                data.push(match pte.target().unwrap() {
+                    PhysAddr::Local(pfn) => n.frames().data(pfn).clone(),
+                    PhysAddr::Cxl(page) => device.read_page(page, n.id()).unwrap(),
+                });
+            }
+            let walked = device.stats();
+
+            assert_eq!(capture.footprint, footprint, "{name}");
+            assert_eq!(capture.pages, pages, "{name}");
+            assert!(capture.data == data, "{name}: contents");
+            assert_eq!((capture.retries, capture.backoff), (0, SimDuration::ZERO));
+            assert_eq!(
+                captured.total_reads() - before.total_reads(),
+                walked.total_reads() - captured.total_reads(),
+                "{name}: one batched read books what the per-page reads do"
+            );
+        }
+
+        // The walk met every kind of page, and a stale generation's A is
+        // discarded: the record is the runtime bit alone.
+        let all = n.capture(pid, |_| true).unwrap();
+        assert_eq!(all.footprint, 40 + 8 + 2 * 23);
+        let find = |vpn: u64| all.pages.iter().find(|p| p.vpn.0 == vpn).copied();
+        let stale = find(2 * 512 + 3).unwrap();
+        assert!(
+            stale.pte.is_accessed() && !stale.accessed,
+            "stale generation A discarded"
+        );
+        let stale_copied = find(3 * 512 + 9).unwrap();
+        assert!(stale_copied.pte.is_accessed() && !stale_copied.accessed);
+        assert!(find(2 * 512 + 4).unwrap().accessed);
+        assert!(
+            find(2 * 512 + 23).is_none(),
+            "an armed entry is not resident"
+        );
+        assert!(all
+            .pages
+            .iter()
+            .any(|p| p.pte.flags().contains(PteFlags::FILE)));
+
+        // A transient read is retried for one backoff step; four exhaust
+        // the policy.
+        for (transients, expected) in [(1, Ok(1)), (4, Err(4))] {
+            let injector = Arc::new(Injector::from_schedule(
+                FaultSchedule::new().transient_after(DeviceOp::Read, 0, transients),
+            ));
+            injector.arm(&device);
+            let got = n.capture(pid, |_| true);
+            device.set_fault_hook(None);
+            match (got, expected) {
+                (Ok(capture), Ok(retries)) => {
+                    assert_eq!(capture.retries, retries);
+                    assert_eq!(capture.backoff, cxl_fault::retry::BACKOFF_BASE);
+                    assert!(capture.data == all.data, "retried contents");
+                }
+                (Err(OsError::DeviceRetriesExhausted { attempts, .. }), Err(want)) => {
+                    assert_eq!(attempts, want);
+                }
+                (got, _) => panic!("{transients} transient(s): {got:?}"),
+            }
+        }
     }
 }

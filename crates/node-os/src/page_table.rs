@@ -185,29 +185,6 @@ impl PtLeaf {
             .enumerate()
             .filter(|(_, e)| !e.is_empty())
     }
-
-    /// Returns a copy whose entries' `ACCESSED` flags reflect the runtime
-    /// A-bit bitmap — and *only* it. Used when checkpointing: the
-    /// harvested flags become the checkpoint's access-pattern record
-    /// (§4.1). Any `ACCESSED` flag already present in the entries (e.g.
-    /// the previous generation's record, baked into an attached
-    /// checkpoint leaf) is discarded, so re-checkpointing a restored
-    /// process captures *its* steady state, not its ancestor's.
-    pub fn harvested(&self) -> PtLeaf {
-        let mut out = self.clone();
-        for slot in 0..PTES_PER_LEAF {
-            let e = out.entries[slot];
-            if e.is_empty() {
-                continue;
-            }
-            out.entries[slot] = if self.accessed.get(slot) {
-                e.with_flags(PteFlags::ACCESSED)
-            } else {
-                e.without_flags(PteFlags::ACCESSED)
-            };
-        }
-        out
-    }
 }
 
 impl Default for PtLeaf {
@@ -725,22 +702,6 @@ mod tests {
             !pt2.get(VirtPageNum(512)).is_dirty(),
             "attached D bits never update"
         );
-    }
-
-    #[test]
-    fn harvested_folds_runtime_access_into_flags() {
-        let mut leaf = PtLeaf::new();
-        leaf.set(2, pte(2));
-        leaf.set(3, pte(3));
-        // Stale record from a previous generation: must be discarded.
-        leaf.set(4, pte(4).with_flags(PteFlags::ACCESSED));
-        leaf.access_bits().set(2);
-        leaf.access_bits().set(100); // empty slot: must not materialize
-        let h = leaf.harvested();
-        assert!(h.get(2).is_accessed());
-        assert!(!h.get(3).is_accessed());
-        assert!(!h.get(4).is_accessed(), "stale generation A discarded");
-        assert!(h.get(100).is_empty());
     }
 
     #[test]

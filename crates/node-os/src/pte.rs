@@ -11,8 +11,9 @@
 //! * [`PteFlags::FETCH_ON_ACCESS`] — hybrid tiering's encoding for "this
 //!   page was hot at checkpoint time; the first access should migrate it
 //!   to local memory" (§4.3).
-//! * [`PteFlags::HOT_HINT`] — the user-populated hot-page hint bit (§4.3,
-//!   "User-Identified Hot Pages").
+//!
+//! User hot-page hints (§4.3) are no PTE bit: they live in each leaf's
+//! `hot` bitmap ([`crate::page_table::PtLeaf::hot_bits`]).
 
 use std::fmt;
 use std::ops::{BitOr, BitOrAssign};
@@ -48,8 +49,6 @@ impl PteFlags {
     /// Software: hybrid tiering should migrate this page to local memory on
     /// first access.
     pub const FETCH_ON_ACCESS: PteFlags = PteFlags(1 << 7);
-    /// Software: user-space profiler marked this page hot.
-    pub const HOT_HINT: PteFlags = PteFlags(1 << 8);
 
     /// `true` if every bit of `other` is set in `self`.
     #[inline]
@@ -99,7 +98,7 @@ impl BitOrAssign for PteFlags {
 
 impl fmt::Display for PteFlags {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let names: [(PteFlags, char); 9] = [
+        let names: [(PteFlags, char); 8] = [
             (PteFlags::PRESENT, 'P'),
             (PteFlags::WRITABLE, 'W'),
             (PteFlags::ACCESSED, 'A'),
@@ -108,7 +107,6 @@ impl fmt::Display for PteFlags {
             (PteFlags::FILE, 'F'),
             (PteFlags::CKPT_PIN, 'K'),
             (PteFlags::FETCH_ON_ACCESS, 'M'),
-            (PteFlags::HOT_HINT, 'H'),
         ];
         for (flag, c) in names {
             if self.contains(flag) {
@@ -269,7 +267,7 @@ mod tests {
 
     #[test]
     fn flag_bits_roundtrip() {
-        let f = PteFlags::ACCESSED | PteFlags::HOT_HINT;
+        let f = PteFlags::ACCESSED | PteFlags::FETCH_ON_ACCESS;
         assert_eq!(PteFlags::from_bits(f.bits()), f);
     }
 

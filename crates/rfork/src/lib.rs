@@ -232,17 +232,25 @@ impl Error for RforkError {
     }
 }
 
-impl From<OsError> for RforkError {
-    fn from(e: OsError) -> Self {
+impl RforkError {
+    /// Types an OS error met during `op`: a device give-up becomes
+    /// [`RforkError::RetriesExhausted`] naming `op` (a capture's read is
+    /// `"checkpoint_read"`), a device error [`RforkError::Cxl`].
+    pub fn during(op: &'static str, e: OsError) -> Self {
         match e {
             OsError::Cxl(c) => RforkError::Cxl(c),
-            OsError::DeviceRetriesExhausted { attempts, last } => RforkError::RetriesExhausted {
-                op: "page_fault",
-                attempts,
-                last,
-            },
+            OsError::DeviceRetriesExhausted { attempts, last } => {
+                RforkError::RetriesExhausted { op, attempts, last }
+            }
             other => RforkError::Os(other),
         }
+    }
+}
+
+/// An OS error outside a named operation is a page fault's.
+impl From<OsError> for RforkError {
+    fn from(e: OsError) -> Self {
+        RforkError::during("page_fault", e)
     }
 }
 

@@ -270,48 +270,34 @@ impl RemoteFork for TrEnvCxl {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
 
         // ---- Capture state (CRIU-format metadata; data to CXL). ----
-        let (core, mm_img, captured, footprint_pages) = {
+        let capture = node
+            .capture(pid, |_| true)
+            .map_err(|e| RforkError::during("checkpoint_read", e))?;
+        let (core, mm_img) = {
             let process = node.process(pid)?;
-            let core = CoreImage::capture(&process.task);
             let mm_img = MmImage {
                 vmas: process.mm.vmas.iter().cloned().collect(),
             };
-            let mut captured = Vec::new();
-            let mut footprint_pages = 0u64;
-            for (vpn, pte) in process.mm.page_table.iter_populated() {
-                if !pte.is_present() {
-                    continue;
-                }
-                footprint_pages += 1;
-                let data = match pte.target().expect("present pte") {
-                    PhysAddr::Local(pfn) => node.frames().data(pfn).clone(),
-                    PhysAddr::Cxl(page) => node.device().read_page(page, node_id)?,
-                };
-                captured.push((
-                    vpn.0,
-                    pte.is_dirty(),
-                    pte.flags().contains(PteFlags::FILE),
-                    data,
-                ));
-            }
-            (core, mm_img, captured, footprint_pages)
+            (CoreImage::capture(&process.task), mm_img)
         };
 
         // ---- Data pages into a CXL region (shared, like CXLfork). ----
         let device = Arc::clone(node.device());
         let guard = device.create_region_guarded(&format!("trenv:{}#{id}", core.comm));
         let region = guard.id();
-        let page_ids = node.device().alloc_batch(region, captured.len() as u64)?;
-        let mut pages = Vec::with_capacity(captured.len());
+        let page_ids = device.alloc_batch(region, capture.pages.len() as u64)?;
+        device.write_pages_owned(
+            page_ids.iter().copied().zip(capture.data).collect(),
+            node_id,
+        )?;
+        let mut pages = Vec::with_capacity(capture.pages.len());
         let mut pagemap = PagemapImage::default();
-        for (i, ((vpn, dirty, file_backed, data), page)) in
-            captured.into_iter().zip(&page_ids).enumerate()
-        {
-            node.device().write_page(*page, data, node_id)?;
-            pages.push((vpn, *page, file_backed));
+        for (i, (captured, page)) in capture.pages.iter().zip(page_ids).enumerate() {
+            let vpn = captured.vpn.0;
+            pages.push((vpn, page, captured.pte.flags().contains(PteFlags::FILE)));
             pagemap.entries.push(PagemapEntry {
                 vpn,
-                dirty,
+                dirty: captured.pte.is_dirty(),
                 page_index: i as u64,
             });
         }
@@ -321,16 +307,18 @@ impl RemoteFork for TrEnvCxl {
         let pagemap_bytes = pagemap.encode();
         let meta_bytes = (core_bytes.len() + mm_bytes.len() + pagemap_bytes.len()) as u64;
 
-        // Cost: stream data to CXL + serialize CRIU metadata.
+        // Cost: stream data to CXL + serialize CRIU metadata, plus any
+        // backoff the capture's read retried with.
         let payload = pages.len() as u64 * PAGE_SIZE;
-        let cost = model.cxl_write_copy(payload) + model.serialize(meta_bytes);
+        let cost = model.cxl_write_copy(payload) + model.serialize(meta_bytes) + capture.backoff;
         node.clock_mut().advance(cost);
+        node.add_transient_retries(capture.retries);
 
         let region = guard.commit();
         Ok(TrEnvCheckpoint {
             meta: CheckpointMeta {
                 comm: core.comm.clone(),
-                footprint_pages,
+                footprint_pages: capture.footprint,
                 cxl_pages: pages.len() as u64 + meta_bytes.div_ceil(PAGE_SIZE),
                 created_at: node.now(),
                 checkpoint_cost: cost,

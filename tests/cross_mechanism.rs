@@ -1,4 +1,4 @@
-//! Integration tests exercising all three remote-fork mechanisms through
+//! Integration tests exercising the remote-fork mechanisms through
 //! the common [`rfork::RemoteFork`] interface on the same workload, and
 //! verifying functional equivalence: every mechanism must produce a child
 //! that computes the same result — they differ only in cost and memory
@@ -7,7 +7,8 @@
 use std::sync::Arc;
 
 use criu_cxl::CriuCxl;
-use cxl_mem::{CxlDevice, CxlFs};
+use cxl_fault::{FaultSchedule, Injector};
+use cxl_mem::{CxlDevice, CxlFs, DeviceOp, PageData};
 use cxlfork::CxlFork;
 use mitosis_cxl::MitosisCxl;
 use node_os::addr::{PhysAddr, VirtPageNum};
@@ -16,7 +17,8 @@ use node_os::mm::Access;
 use node_os::process::Registers;
 use node_os::vma::Protection;
 use node_os::{Node, NodeConfig, Pid};
-use rfork::{RemoteFork, Restored};
+use rfork::{RemoteFork, RestoreOptions, Restored};
+use trenv_cxl::TrEnvCxl;
 
 struct Cluster {
     device: Arc<CxlDevice>,
@@ -336,4 +338,80 @@ fn checkpoint_cost_ordering_matches_the_paper() {
     assert!(k2 < k3, "Mitosis {k2} < CXLfork {k3}");
     assert!(k3 < k1, "CXLfork {k3} < CRIU {k1}");
     c.audit_clean();
+}
+
+/// Every page of `vpns`, read through `pid`'s own mappings (a read access
+/// first maps what a lazy restore left unmapped).
+fn contents(node: &mut Node, device: &CxlDevice, pid: Pid, vpns: &[u64]) -> Vec<PageData> {
+    vpns.iter()
+        .map(|&vpn| {
+            node.access(pid, vpn, Access::Read).unwrap();
+            let pte = node.process(pid).unwrap().mm.translate(VirtPageNum(vpn));
+            match pte.target().expect("mapped after a read") {
+                PhysAddr::Local(pfn) => node.frames().data(pfn).clone(),
+                PhysAddr::Cxl(page) => device.read_page(page, node.id()).unwrap(),
+            }
+        })
+        .collect()
+}
+
+/// Checkpoints a CXLfork migrate-on-write child, whose pages all stay on
+/// the device, with the mechanism `make` builds over the cluster's device:
+/// once clean, once with the first device read failing transiently. The
+/// second must retry it, cost exactly one backoff step more, book one
+/// retry, and restore bit-identically.
+fn recheckpoint_through_one_transient_read<M: RemoteFork>(make: impl FnOnce(&Arc<CxlDevice>) -> M) {
+    let mut c = cluster();
+    let mechanism = make(&c.device);
+    let name = mechanism.name();
+    let pid = build_victim(&mut c.src);
+    scribble(&mut c.src, pid, 0x5A);
+    let fork = CxlFork::new();
+    let parent = fork.checkpoint(&mut c.src, pid).unwrap();
+    let mow = RestoreOptions {
+        policy: rfork::TierPolicy::MigrateOnWrite,
+        prefetch_dirty: false,
+        sync_hot_prefetch: false,
+    };
+    let child = fork.restore_with(&parent, &mut c.dst, mow).unwrap().pid;
+    let pt = &c.dst.process(child).unwrap().mm.page_table;
+    let vpns: Vec<u64> = (pt.iter_populated())
+        .inspect(|(vpn, pte)| assert!(pte.target().unwrap().is_cxl(), "{vpn}"))
+        .map(|(vpn, _)| vpn.0)
+        .collect();
+    assert_eq!(vpns.len(), 64 + 16);
+    let want = contents(&mut c.dst, &c.device, child, &vpns);
+
+    let clean = mechanism.checkpoint(&mut c.dst, child).unwrap();
+    let retries = c.dst.counters().transient_retries;
+    let injector = Arc::new(Injector::from_schedule(
+        FaultSchedule::new().transient_after(DeviceOp::Read, 0, 1),
+    ));
+    injector.arm(&c.device);
+    let faulted = mechanism.checkpoint(&mut c.dst, child);
+    c.device.set_fault_hook(None);
+    let faulted = faulted.unwrap_or_else(|e| panic!("{name}: {e:?}"));
+    assert_eq!(injector.stats().transients, 1, "{name}");
+    assert_eq!(
+        mechanism.meta(&faulted).checkpoint_cost,
+        mechanism.meta(&clean).checkpoint_cost + cxl_fault::retry::BACKOFF_BASE,
+        "{name}: one backoff step"
+    );
+    assert_eq!(c.dst.counters().transient_retries - retries, 1, "{name}");
+
+    let restored = mechanism.restore(&faulted, &mut c.src).unwrap();
+    assert!(
+        contents(&mut c.src, &c.device, restored.pid, &vpns) == want,
+        "{name}: the restored child differs"
+    );
+}
+
+#[test]
+fn every_mechanism_retries_a_transient_read_of_a_cxl_resident_child() {
+    recheckpoint_through_one_transient_read(|_| CxlFork::new());
+    recheckpoint_through_one_transient_read(|device| {
+        CriuCxl::new(Arc::new(CxlFs::new(Arc::clone(device))))
+    });
+    recheckpoint_through_one_transient_read(|_| TrEnvCxl::new());
+    recheckpoint_through_one_transient_read(|_| MitosisCxl::new());
 }
