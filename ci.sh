@@ -125,6 +125,13 @@ echo '== the device publishes its book =='
 # layer-name constant may come back into the device.
 forbid 'a telemetry layer-name constant is back in cxl-mem (DESIGN.md §9)' \
     'TELEMETRY_LAYER' crates/cxl-mem/src
+
+echo '== closed-form page fingerprints =='
+# A page's fingerprint is a weighted sum of its 512 words, and a pattern
+# page's is a closed form in its seed (DESIGN.md §11): there is nothing
+# to memoise, and no byte-serial hash may come back.
+forbid 'a per-thread fingerprint memo or a byte-serial page hash is back (DESIGN.md §11)' \
+    'thread_local!|PATTERN_MEMO|FNV_PRIME' crates/cxl-mem/src/page.rs
 calls=$(git grep -h 'counter_add' -- crates/cxl-mem/src | wc -l)
 published=$(awk '/fn publish_counters_since/,/^    }$/ { if (/counter_add/) n++ } END { print n + 0 }' \
     crates/cxl-mem/src/device.rs)
@@ -201,7 +208,9 @@ echo '== these tests exist =='
 # The suites above ran them; this pins them by name, so that renaming or
 # filtering one away fails here instead of passing with "0 tests":
 # the golden traces (trace-gen may get faster, never different), the
-# fingerprint value identity (constant, memo and byte loop agree), the
+# fingerprint oracle (the zero constant, the pattern closed form and the
+# `Bytes` sum agree with the word-level definition; distinct seeds and
+# one-word changes never collide), the
 # store's differential test against a per-page refcount model (slot reuse,
 # the recovered slab and zero elision by content included), the ordered
 # content table against a `BTreeMap` under op scripts (uniform, one long
@@ -252,7 +261,9 @@ echo '== these tests exist =='
 # panicking, naming both classes, on a descending or self-nested
 # acquisition (§12), the checkpoint seal tripping on a written or freed checkpoint page, the node auditor naming
 # seeded violations, the cluster audit needing the porter's declared
-# container pins, and a TrEnv release that strands no template frames.
+# container pins, a TrEnv release that strands no template frames, a live
+# TrEnv template's frames closing the node audit once declared, and a
+# CRIU pagemap naming a payload page past the end failing as a bad image.
 expect_tests() {
     package=$1 target=$2
     shift 2
@@ -278,8 +289,9 @@ expect_tests cxl-mem --lib \
     page::tests::fingerprint_identity_zero_page_is_the_reference_constant \
     page::tests::fingerprint_identity_pattern_matches_reference \
     page::tests::fingerprint_identity_bytes_match_reference \
-    page::tests::fingerprint_identity_survives_memo_eviction \
-    page::tests::fingerprint_identity_memo_adds_nothing_to_page_size
+    page::tests::fingerprint_identity_distinct_seeds_never_collide \
+    page::tests::fingerprint_identity_one_word_changes_never_collide \
+    page::tests::fingerprint_identity_adds_nothing_to_page_size
 expect_tests node-os --lib \
     frame::tests::fingerprint_identity_frame_size_is_unchanged \
     mm::tests::cxl_backing_matches_btreemap_model_under_arbitrary_insert_orders \
@@ -342,7 +354,10 @@ expect_tests cxlporter '--test porter_scenarios' \
     cluster_audit_flags_container_pins_unless_the_accessor_declares_them
 expect_tests trenv-cxl --lib \
     tests::drop_templates_releases_pinned_frames \
-    tests::release_with_a_live_template_is_refused_and_strands_nothing
+    tests::release_with_a_live_template_is_refused_and_strands_nothing \
+    tests::declared_template_frames_close_the_node_audit
+expect_tests criu-cxl --lib \
+    tests::hostile_pagemap_index_is_a_bad_image
 expect_tests cxlfork-bench '--test telemetry' \
     telemetry_counters_reconcile_with_device_stats \
     node_telemetry_counters_reconcile_with_node_books \

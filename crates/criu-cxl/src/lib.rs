@@ -313,9 +313,14 @@ impl CriuCxl {
         let payload_bytes = pagemap.entries.len() as u64 * PAGE_SIZE;
         *cost += model.cxl_copy(payload_bytes);
         *cost += SimDuration::from_nanos(model.fork_pte_copy_ns) * pagemap.entries.len() as u64;
-        let pages: Vec<CxlPageId> = (pagemap.entries.iter())
-            .map(|entry| checkpoint.pages[entry.page_index as usize])
-            .collect();
+        let page = |i: u64| checkpoint.pages.get(usize::try_from(i).ok()?).copied();
+        let pages = (pagemap.entries.iter())
+            .map(|entry| page(entry.page_index).ok_or(entry.page_index))
+            .collect::<Result<Vec<CxlPageId>, u64>>()
+            .map_err(|i| {
+                let n = checkpoint.pages.len();
+                RforkError::BadImage(format!("pagemap names payload page {i} of {n}"))
+            })?;
         let datas = node.device().read_pages(&pages, node_id)?;
         node.with_process_ctx(pid, |p, ctx| -> Result<(), RforkError> {
             for (entry, data) in pagemap.entries.iter().zip(datas) {
@@ -533,5 +538,30 @@ mod tests {
             c.criu.restore(&ckpt, &mut c.dst),
             Err(RforkError::Cxl(_))
         ));
+    }
+
+    #[test]
+    fn hostile_pagemap_index_is_a_bad_image() {
+        let mut c = cluster();
+        let pid = build_process(&mut c.src);
+        let ckpt = c.criu.checkpoint(&mut c.src, pid).unwrap();
+        assert_eq!(ckpt.page_count(), 16);
+        let path = format!("{}pagemap.img", ckpt.dir);
+        let mut pagemap =
+            PagemapImage::decode(&c.criu.fs().read_file(&path, c.dst.id()).unwrap()).unwrap();
+        pagemap.entries[5].page_index = 999;
+        c.criu
+            .fs()
+            .write_file(&path, &pagemap.encode(), c.src.id())
+            .unwrap();
+        let frames_before = c.dst.frames().used();
+        let err = c.criu.restore(&ckpt, &mut c.dst).unwrap_err();
+        assert!(
+            matches!(&err, RforkError::BadImage(m) if m.contains("999 of 16")),
+            "got {err}"
+        );
+        // The half-built child is rolled back.
+        assert_eq!(c.dst.frames().used(), frames_before);
+        assert!(c.dst.pids().is_empty());
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! * `Zero` — an untouched, zero-filled page;
 //! * `Pattern` — a page procedurally filled from a 64-bit seed (what the
-//!   workload generators write);
+//!   workload generators write), one fixed word table shifted by the seed;
 //! * `Bytes` — a verbatim 4 KiB buffer, used as soon as a caller writes
 //!   arbitrary data.
 //!
@@ -15,7 +15,6 @@
 //! isolation and checkpoint immutability by byte equality regardless of
 //! representation.
 
-use std::cell::RefCell;
 use std::fmt;
 
 use crate::PAGE_SIZE;
@@ -44,9 +43,12 @@ pub enum PageData {
     /// A zero-filled page.
     #[default]
     Zero,
-    /// A page deterministically filled from a seed.
+    /// A page deterministically filled from a seed: its 512 little-endian
+    /// words are `seed + c[j]` for a fixed table `c` (the last word leaves
+    /// the seed out), so its fingerprint is a closed form in the seed.
     Pattern {
-        /// The fill seed; byte `i` is `mix(seed, i)`.
+        /// The fill seed; word 0 is `seed + c[0]`, so distinct seeds are
+        /// distinct contents.
         seed: u64,
     },
     /// A verbatim page.
@@ -85,15 +87,6 @@ impl PageData {
         PageData::Bytes(buf)
     }
 
-    #[inline]
-    fn pattern_byte(seed: u64, index: u64) -> u8 {
-        // SplitMix64-style mix of (seed, index); cheap and well distributed.
-        let mut z = seed ^ (index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)) as u8
-    }
-
     /// The byte at `index`.
     ///
     /// # Panics
@@ -104,7 +97,9 @@ impl PageData {
         assert!(index < PAGE_SIZE, "byte index {index} out of page");
         match self {
             PageData::Zero => 0,
-            PageData::Pattern { seed } => Self::pattern_byte(*seed, index),
+            PageData::Pattern { seed } => {
+                (pattern_word(*seed, index as usize / 8) >> (8 * (index % 8))) as u8
+            }
             PageData::Bytes(b) => b[index as usize],
         }
     }
@@ -119,14 +114,8 @@ impl PageData {
         assert!(end <= PAGE_SIZE, "read range {offset}..{end} out of page");
         match self {
             PageData::Zero => buf.fill(0),
-            PageData::Pattern { seed } => {
-                for (i, b) in buf.iter_mut().enumerate() {
-                    *b = Self::pattern_byte(*seed, offset + i as u64);
-                }
-            }
-            PageData::Bytes(bytes) => {
-                buf.copy_from_slice(&bytes[offset as usize..end as usize]);
-            }
+            PageData::Pattern { .. } => (offset..).zip(buf).for_each(|(i, b)| *b = self.byte_at(i)),
+            PageData::Bytes(bytes) => buf.copy_from_slice(&bytes[offset as usize..end as usize]),
         }
     }
 
@@ -142,20 +131,14 @@ impl PageData {
         if data.is_empty() {
             return;
         }
-        // Whole-page writes and pattern-preserving fast paths.
-        let bytes = match self {
-            PageData::Bytes(b) => b,
-            other => {
-                let mut buf = vec![0u8; PAGE_SIZE as usize].into_boxed_slice();
-                other.read(0, &mut buf);
-                *other = PageData::Bytes(buf);
-                match other {
-                    PageData::Bytes(b) => b,
-                    _ => unreachable!("just upgraded to Bytes"),
-                }
-            }
-        };
-        bytes[offset as usize..end as usize].copy_from_slice(data);
+        if !matches!(self, PageData::Bytes(_)) {
+            let mut buf = vec![0u8; PAGE_SIZE as usize].into_boxed_slice();
+            self.read(0, &mut buf);
+            *self = PageData::Bytes(buf);
+        }
+        if let PageData::Bytes(bytes) = self {
+            bytes[offset as usize..end as usize].copy_from_slice(data);
+        }
     }
 
     /// Replaces the entire page content with a pattern fill, keeping the
@@ -175,88 +158,90 @@ impl PageData {
         }
     }
 
-    /// A 64-bit content fingerprint: FNV-1a over all 4096 logical bytes,
-    /// independent of the storage representation (two content-equal pages
-    /// always fingerprint identically). The compact representations do not
-    /// pay for the bytes they do not store: `Zero` is a constant and
-    /// `Pattern` is looked up by seed in a bounded per-thread memo that
-    /// falls back to the byte loop on a miss.
+    /// A 64-bit content fingerprint: the wrapping sum of a page's 512
+    /// little-endian words, word `j` times the odd weight `WEIGHTS[j]`.
+    /// It depends on the logical bytes only (two content-equal pages
+    /// always fingerprint identically), and pages that differ in one word
+    /// never collide: an odd weight times a nonzero difference is nonzero
+    /// modulo 2^64. `Zero` and `Pattern` cost O(1): the zero page sums to
+    /// 0 and a pattern page to the closed form `SEED_COEFFICIENT · seed +
+    /// PATTERN_CONSTANT`, injective on seeds because the coefficient is
+    /// odd. Only `Bytes` reads its 512 words, out of line.
+    #[inline]
     pub fn fingerprint(&self) -> u64 {
         match self {
-            PageData::Zero => ZERO_FINGERPRINT,
-            PageData::Pattern { seed } => pattern_fingerprint(*seed),
-            PageData::Bytes(b) => fnv1a(b.iter().copied()),
+            PageData::Zero => 0,
+            PageData::Pattern { seed } => SEED_COEFFICIENT
+                .wrapping_mul(*seed)
+                .wrapping_add(PATTERN_CONSTANT),
+            PageData::Bytes(b) => bytes_fingerprint(b),
         }
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
+/// Words in a page.
+const WORDS: usize = PAGE_SIZE as usize / 8;
 
-/// FNV-1a of the zero page: xor with a zero byte is the identity, so the
-/// hash is the offset basis times the prime once per byte.
-const ZERO_FINGERPRINT: u64 = {
-    let mut h = FNV_OFFSET;
-    let mut i = 0;
-    while i < PAGE_SIZE {
-        h = h.wrapping_mul(FNV_PRIME);
-        i += 1;
+/// Words of a pattern page that carry its seed: all but the last, so the
+/// seed enters an odd number of words and [`SEED_COEFFICIENT`] is odd.
+const SEEDED_WORDS: usize = WORDS - 1;
+
+/// `WORDS` outputs of SplitMix64 from stream position `first`, each OR-ed
+/// with `low_bit`.
+const fn splitmix_table(first: u64, low_bit: u64) -> [u64; WORDS] {
+    let (mut t, mut j) = ([0; WORDS], 0);
+    while j < WORDS {
+        let mut z = (first + j as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        t[j] = z ^ (z >> 31) | low_bit;
+        j += 1;
+    }
+    t
+}
+
+/// Word `j` of a pattern page is `seed + OFFSETS[j]` (`OFFSETS[j]` alone
+/// past [`SEEDED_WORDS`]).
+const OFFSETS: [u64; WORDS] = splitmix_table(0, 0);
+
+/// The fingerprint's per-word weights, all odd.
+const WEIGHTS: [u64; WORDS] = splitmix_table(WORDS as u64, 1);
+
+/// Word `j` of `PageData::pattern(seed)`.
+#[inline]
+const fn pattern_word(seed: u64, j: usize) -> u64 {
+    let seeded = if j < SEEDED_WORDS { seed } else { 0 };
+    seeded.wrapping_add(OFFSETS[j])
+}
+
+/// The fingerprint of `PageData::pattern(seed)`, word by word.
+const fn pattern_sum(seed: u64) -> u64 {
+    let (mut h, mut j) = (0u64, 0);
+    while j < WORDS {
+        h = h.wrapping_add(pattern_word(seed, j).wrapping_mul(WEIGHTS[j]));
+        j += 1;
     }
     h
-};
-
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    bytes.fold(FNV_OFFSET, |h, byte| {
-        (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
-    })
 }
 
-/// Entries in the per-thread seed → fingerprint memo: 16 Ki × 16 B =
-/// 256 KiB, allocated on the first `Pattern` fingerprint.
-const MEMO_ENTRIES: usize = 1 << 14;
-/// Entries per bucket: one 64-byte cache line.
-const MEMO_WAYS: usize = 4;
+/// A pattern page's fingerprint is `SEED_COEFFICIENT · seed +
+/// PATTERN_CONSTANT`: its words are affine in the seed, and so is their
+/// weighted sum.
+const PATTERN_CONSTANT: u64 = pattern_sum(0);
+const SEED_COEFFICIENT: u64 = pattern_sum(1).wrapping_sub(PATTERN_CONSTANT);
+const _: () = assert!(
+    SEED_COEFFICIENT % 2 == 1,
+    "distinct seeds must fingerprint apart"
+);
 
-thread_local! {
-    /// `(seed, fingerprint)` entries in buckets of [`MEMO_WAYS`]. A
-    /// fingerprint of 0 marks an empty entry; a seed whose true
-    /// fingerprint is 0 is simply never cached.
-    static PATTERN_MEMO: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
-}
-
-/// The two buckets (first-entry indices) that may hold `seed`. Two
-/// choices keep a working set of ~70 % of the entries almost free of
-/// conflict misses, where one direct-mapped choice loses a third of it.
-fn memo_buckets(seed: u64) -> [usize; 2] {
-    const BITS: u32 = (MEMO_ENTRIES / MEMO_WAYS).trailing_zeros();
-    // The top two BITS-wide fields of a multiplicative hash.
-    let h = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    [h >> (64 - BITS), (h << BITS) >> (64 - BITS)].map(|bucket| bucket as usize * MEMO_WAYS)
-}
-
-/// The fingerprint of `PageData::pattern(seed)`. A pattern page's bytes
-/// are a pure function of its seed, so the memo can only ever return the
-/// value the byte loop would; an evicted seed recomputes on its next
-/// visit. A seed that finds both its buckets full enters its first one
-/// at the head and pushes that bucket's oldest entry out, so seeds that
-/// are no longer asked for age out.
-fn pattern_fingerprint(seed: u64) -> u64 {
-    PATTERN_MEMO.with_borrow_mut(|memo| {
-        if memo.is_empty() {
-            *memo = vec![(0, 0); MEMO_ENTRIES];
-        }
-        let buckets = memo_buckets(seed);
-        let entries = || buckets.into_iter().flat_map(|b| b..b + MEMO_WAYS);
-        if let Some(hit) = entries().find(|&i| memo[i].0 == seed && memo[i].1 != 0) {
-            return memo[hit].1;
-        }
-        let fp = fnv1a((0..PAGE_SIZE).map(|i| PageData::pattern_byte(seed, i)));
-        let free = entries().find(|&i| memo[i].1 == 0).unwrap_or_else(|| {
-            memo[buckets[0]..][..MEMO_WAYS].rotate_right(1);
-            buckets[0]
-        });
-        memo[free] = (seed, fp);
-        fp
+/// The weighted word sum of a verbatim page: 512 independent
+/// multiply-adds, kept out of line so the O(1) arms of
+/// [`PageData::fingerprint`] inline on their own.
+#[inline(never)]
+fn bytes_fingerprint(bytes: &[u8]) -> u64 {
+    let (words, _) = bytes.as_chunks::<8>();
+    words.iter().zip(&WEIGHTS).fold(0, |h, (word, &w)| {
+        h.wrapping_add(u64::from_le_bytes(*word).wrapping_mul(w))
     })
 }
 
@@ -267,7 +252,8 @@ impl PartialEq for PageData {
         use PageData::*;
         match (self, other) {
             (Zero, Zero) => true,
-            (Pattern { seed: a }, Pattern { seed: b }) if a == b => true,
+            // Word 0 is `seed + OFFSETS[0]`: patterns are equal iff seeds are.
+            (Pattern { seed: a }, Pattern { seed: b }) => a == b,
             _ => (0..PAGE_SIZE).all(|i| self.byte_at(i) == other.byte_at(i)),
         }
     }
@@ -394,15 +380,15 @@ mod tests {
         );
     }
 
-    /// The byte loop `fingerprint` ran for every page before the constant
-    /// and the memo: the oracle the fast paths must equal.
+    /// The definition `fingerprint` must equal: the 512 little-endian
+    /// words assembled from `byte_at`, each times its weight, summed.
     fn reference_fingerprint(page: &PageData) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for i in 0..PAGE_SIZE {
-            h ^= u64::from(page.byte_at(i));
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h
+        (0..WORDS).fold(0u64, |h, j| {
+            let word = (0..8).rev().fold(0u64, |w, k| {
+                (w << 8) | u64::from(page.byte_at((8 * j + k) as u64))
+            });
+            h.wrapping_add(word.wrapping_mul(WEIGHTS[j]))
+        })
     }
 
     /// The verbatim copy of `page`'s 4096 bytes.
@@ -425,51 +411,56 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_identity_survives_memo_eviction() {
-        // With every entry taken (by seeds this test never asks for),
-        // one more seed than a bucket holds, all sharing a first bucket,
-        // push each other out in turn: every visit after the first round
-        // finds its seed evicted and must still return its own value.
-        PATTERN_MEMO.with_borrow_mut(|memo| {
-            *memo = (0..MEMO_ENTRIES as u64)
-                .map(|i| (u64::MAX - i, 1))
-                .collect();
-        });
-        let bucket = memo_buckets(0x5eed)[0];
-        let seeds: Vec<u64> = (0x5eed_u64..)
-            .filter(|&s| memo_buckets(s)[0] == bucket)
-            .take(MEMO_WAYS + 1)
-            .collect();
-        for round in 0..3 {
-            for &seed in &seeds {
-                let cached = PATTERN_MEMO.with_borrow(|memo| memo.iter().any(|e| e.0 == seed));
-                assert!(!cached, "round {round}: {seed:#x} is still cached");
-                let expected = reference_fingerprint(&PageData::pattern(seed));
-                assert_eq!(PageData::pattern(seed).fingerprint(), expected);
-                assert_eq!(PageData::pattern(seed).fingerprint(), expected);
-                assert_eq!(
-                    PATTERN_MEMO.with_borrow(|memo| memo[bucket]),
-                    (seed, expected)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fingerprint_identity_memo_adds_nothing_to_page_size() {
-        // The memo lives beside the pages, not in them: growing `PageData`
-        // would grow every frame and every device slot.
+    fn fingerprint_identity_adds_nothing_to_page_size() {
+        // The closed forms are constants beside the pages, not in them:
+        // growing `PageData` would grow every frame and every device slot.
         assert_eq!(std::mem::size_of::<PageData>(), 24);
     }
 
+    #[test]
+    fn fingerprint_identity_distinct_seeds_never_collide() {
+        // Seeds one bit apart in every position (bit 63 included: an even
+        // seed coefficient would fold those pairs together), small and
+        // adjacent seeds, and seeds at the ends of the range.
+        let mut seeds: Vec<u64> = (0..64).map(|bit| 1u64 << bit).collect();
+        seeds.extend((0..64).map(|bit| 0x5eed ^ (1u64 << bit)));
+        seeds.extend([0, 3, 0x5eed, u64::MAX, u64::MAX - 1, 1 << 63 | 3]);
+        seeds.extend(0..4096);
+        seeds.sort_unstable();
+        seeds.dedup();
+        let mut fps: Vec<u64> = seeds
+            .iter()
+            .map(|&s| PageData::pattern(s).fingerprint())
+            .collect();
+        fps.sort_unstable();
+        fps.dedup();
+        assert_eq!(fps.len(), seeds.len(), "two seeds share a fingerprint");
+        assert_ne!(
+            PageData::pattern(0).fingerprint(),
+            PageData::pattern(1 << 63).fingerprint()
+        );
+    }
+
+    #[test]
+    fn fingerprint_identity_one_word_changes_never_collide() {
+        // An odd weight times a nonzero word difference is nonzero.
+        let base = PageData::pattern(0x5eed);
+        let fp = base.fingerprint();
+        for (offset, byte) in [(0, 0x01), (7, 0x80), (2048, 0xFF), (PAGE_SIZE - 1, 0x80)] {
+            let mut page = base.clone();
+            page.write(offset, &[page.byte_at(offset) ^ byte]);
+            assert_ne!(page.fingerprint(), fp, "byte {offset} ^ {byte:#x}");
+            assert_eq!(page.fingerprint(), reference_fingerprint(&page));
+        }
+    }
+
     proptest::proptest! {
-        /// Memoised (first visit and repeat visit) and verbatim
-        /// representations of a pattern page agree with the byte loop.
+        /// The closed form, the reference and the verbatim copy of a
+        /// pattern page agree.
         #[test]
         fn fingerprint_identity_pattern_matches_reference(seed in proptest::prelude::any::<u64>()) {
             let page = PageData::pattern(seed);
             let expected = reference_fingerprint(&page);
-            proptest::prop_assert_eq!(page.fingerprint(), expected);
             proptest::prop_assert_eq!(page.fingerprint(), expected);
             proptest::prop_assert_eq!(as_bytes(&page).fingerprint(), expected);
         }
@@ -478,8 +469,13 @@ mod tests {
         fn fingerprint_identity_bytes_match_reference(
             bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4097),
         ) {
-            let page = PageData::from_bytes(&bytes);
-            proptest::prop_assert_eq!(page.fingerprint(), reference_fingerprint(&page));
+            // Padded at the end and, so the last words are not always
+            // zero, at the front.
+            let mut tail = vec![0; PAGE_SIZE as usize - bytes.len()];
+            tail.extend_from_slice(&bytes);
+            for page in [PageData::from_bytes(&bytes), PageData::from_bytes(&tail)] {
+                proptest::prop_assert_eq!(page.fingerprint(), reference_fingerprint(&page));
+            }
         }
     }
 

@@ -272,7 +272,7 @@ mod tests {
 
     #[test]
     fn fingerprint_identity_frame_size_is_unchanged() {
-        // Content fingerprints are memoised beside the pages (cxl-mem),
+        // Content fingerprints are computed from the pages (cxl-mem),
         // never cached in the frame: local memory is `slots` of these.
         assert_eq!(std::mem::size_of::<Frame>(), 32);
         assert_eq!(std::mem::size_of::<Option<Frame>>(), 32);

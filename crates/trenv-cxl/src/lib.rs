@@ -144,6 +144,18 @@ impl TrEnvCxl {
             .contains_key(&(checkpoint.region, node))
     }
 
+    /// The local frames the templates on `node` pin outside any process
+    /// (one per template leaf), in template order. A node audit must
+    /// declare them as external references for the refcount balance to
+    /// close.
+    pub fn template_frames(&self, node: NodeId) -> Vec<node_os::Pfn> {
+        let templates = self.templates.lock();
+        let on_node = templates.built.iter().filter(|((_, n), _)| *n == node);
+        on_node
+            .flat_map(|(_, t)| t.pinned_frames.iter().copied())
+            .collect()
+    }
+
     /// Pre-processes the template for `checkpoint` on `node` (TrEnv's
     /// expensive step): deserializes the CRIU metadata and materializes
     /// node-local page-table leaves mapping the CXL data. Idempotent.
@@ -583,6 +595,32 @@ mod tests {
         assert_eq!(nodes[1].frames().used(), before);
         assert_eq!(trenv.template_count(), 0);
         assert!(trenv.release_checkpoint(ckpt, &nodes[0]).unwrap() > 0);
+    }
+
+    #[test]
+    fn declared_template_frames_close_the_node_audit() {
+        let (mut src, mut dst) = cluster();
+        let pid = build_process(&mut src);
+        let trenv = TrEnvCxl::new();
+        let ckpt = trenv.checkpoint(&mut src, pid).unwrap();
+        let before = dst.frames().used();
+        trenv.restore(&ckpt, &mut dst).unwrap();
+        let pins = trenv.template_frames(dst.id());
+        assert!(!pins.is_empty());
+        assert!(trenv.template_frames(src.id()).is_empty());
+        // Undeclared, every pinned frame is a leak; declared, none is.
+        let leaks = cxl_check::audit_node(&dst);
+        assert_eq!(leaks.len(), pins.len(), "{leaks:?}");
+        assert!(leaks
+            .iter()
+            .all(|v| matches!(v, cxl_check::Violation::FrameLeak { .. })));
+        let audit = cxl_check::NodeAudit::new(&dst).with_external_refs(pins.iter().copied());
+        assert_eq!(audit.run(), Vec::new());
+        let mut nodes = [src, dst];
+        trenv.drop_templates(ckpt.region, &mut nodes).unwrap();
+        assert!(trenv.template_frames(nodes[1].id()).is_empty());
+        assert_eq!(nodes[1].frames().used(), before);
+        assert_eq!(cxl_check::audit_node(&nodes[1]), Vec::new());
     }
 
     #[test]

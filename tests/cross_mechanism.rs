@@ -359,8 +359,11 @@ fn contents(node: &mut Node, device: &CxlDevice, pid: Pid, vpns: &[u64]) -> Vec<
 /// the device, with the mechanism `make` builds over the cluster's device:
 /// once clean, once with the first device read failing transiently. The
 /// second must retry it, cost exactly one backoff step more, book one
-/// retry, and restore bit-identically.
-fn recheckpoint_through_one_transient_read<M: RemoteFork>(make: impl FnOnce(&Arc<CxlDevice>) -> M) {
+/// retry, and restore bit-identically. Hands back the cluster and the
+/// mechanism for a closing audit.
+fn recheckpoint_through_one_transient_read<M: RemoteFork>(
+    make: impl FnOnce(&Arc<CxlDevice>) -> M,
+) -> (Cluster, M) {
     let mut c = cluster();
     let mechanism = make(&c.device);
     let name = mechanism.name();
@@ -404,6 +407,7 @@ fn recheckpoint_through_one_transient_read<M: RemoteFork>(make: impl FnOnce(&Arc
         contents(&mut c.src, &c.device, restored.pid, &vpns) == want,
         "{name}: the restored child differs"
     );
+    (c, mechanism)
 }
 
 #[test]
@@ -412,6 +416,19 @@ fn every_mechanism_retries_a_transient_read_of_a_cxl_resident_child() {
     recheckpoint_through_one_transient_read(|device| {
         CriuCxl::new(Arc::new(CxlFs::new(Arc::clone(device))))
     });
-    recheckpoint_through_one_transient_read(|_| TrEnvCxl::new());
+    // The TrEnv restore left a live template on the source node: its
+    // frames are declared, as the porter declares its containers.
+    let (c, trenv) = recheckpoint_through_one_transient_read(|_| TrEnvCxl::new());
+    assert!(!trenv.template_frames(c.src.id()).is_empty());
+    let mut violations = cxl_check::audit_device(&c.device);
+    for node in [&c.src, &c.dst] {
+        let pins = trenv.template_frames(node.id());
+        violations.extend(
+            cxl_check::NodeAudit::new(node)
+                .with_external_refs(pins)
+                .run(),
+        );
+    }
+    assert!(violations.is_empty(), "TrEnv audit: {violations:?}");
     recheckpoint_through_one_transient_read(|_| MitosisCxl::new());
 }
