@@ -127,9 +127,9 @@ forbid 'a telemetry layer-name constant is back in cxl-mem (DESIGN.md §9)' \
     'TELEMETRY_LAYER' crates/cxl-mem/src
 
 echo '== closed-form page fingerprints =='
-# A page's fingerprint is a weighted sum of its 512 words, and a pattern
-# page's is a closed form in its seed (DESIGN.md §11): there is nothing
-# to memoise, and no byte-serial hash may come back.
+# A page's fingerprint is a sum of keyed mixes of its 512 words, and a
+# pattern page's is a closed form in its seed (DESIGN.md §11): there is
+# nothing to memoise, and no byte-serial hash may come back.
 forbid 'a per-thread fingerprint memo or a byte-serial page hash is back (DESIGN.md §11)' \
     'thread_local!|PATTERN_MEMO|FNV_PRIME' crates/cxl-mem/src/page.rs
 calls=$(git grep -h 'counter_add' -- crates/cxl-mem/src | wc -l)
@@ -209,10 +209,11 @@ echo '== these tests exist =='
 # filtering one away fails here instead of passing with "0 tests":
 # the golden traces (trace-gen may get faster, never different), the
 # fingerprint oracle (the zero constant, the pattern closed form and the
-# `Bytes` sum agree with the word-level definition; distinct seeds and
-# one-word changes never collide), the
-# store's differential test against a per-page refcount model (slot reuse,
-# the recovered slab and zero elision by content included), the ordered
+# `Bytes` sum agree with the word-level definition; distinct seeds,
+# one-word changes and two-word flips of bit 31, 32 or 63 never collide),
+# the store's differential test against a per-page refcount model (slot
+# reuse, the recovered slab and zero elision by content included, and a
+# page of two -0.0 words written apart from the zero page), the ordered
 # content table against a `BTreeMap` under op scripts (uniform, one long
 # run, the tail past the last home), and the journal golden recorded before
 # the index became a slab, `CxlBacking` against its ordered-map model and
@@ -291,6 +292,7 @@ expect_tests cxl-mem --lib \
     page::tests::fingerprint_identity_bytes_match_reference \
     page::tests::fingerprint_identity_distinct_seeds_never_collide \
     page::tests::fingerprint_identity_one_word_changes_never_collide \
+    page::tests::fingerprint_identity_sign_bit_flips_never_collide \
     page::tests::fingerprint_identity_adds_nothing_to_page_size
 expect_tests node-os --lib \
     frame::tests::fingerprint_identity_frame_size_is_unchanged \
@@ -380,7 +382,8 @@ expect_tests cxl-store --lib \
     journal::tests::hostile_superblock_page_count_is_skipped_not_allocated \
     journal::tests::superblock_limit_is_refused_where_the_page_list_grows \
     tests::apply_is_total_a_record_that_meets_the_wrong_state_changes_nothing \
-    tests::an_intern_that_cannot_be_journaled_is_rolled_back_whole
+    tests::an_intern_that_cannot_be_journaled_is_rolled_back_whole \
+    tests::a_nonzero_page_is_written_apart_from_the_zero_page
 expect_tests cxlfork-bench '--test cross_mechanism' \
     every_mechanism_retries_a_transient_read_of_a_cxl_resident_child
 expect_tests cxlfork-bench '--test crashpoint_sweep' \

@@ -313,14 +313,12 @@ impl CriuCxl {
         let payload_bytes = pagemap.entries.len() as u64 * PAGE_SIZE;
         *cost += model.cxl_copy(payload_bytes);
         *cost += SimDuration::from_nanos(model.fork_pte_copy_ns) * pagemap.entries.len() as u64;
+        let n = checkpoint.pages.len();
         let page = |i: u64| checkpoint.pages.get(usize::try_from(i).ok()?).copied();
         let pages = (pagemap.entries.iter())
             .map(|entry| page(entry.page_index).ok_or(entry.page_index))
             .collect::<Result<Vec<CxlPageId>, u64>>()
-            .map_err(|i| {
-                let n = checkpoint.pages.len();
-                RforkError::BadImage(format!("pagemap names payload page {i} of {n}"))
-            })?;
+            .map_err(|i| RforkError::BadImage(format!("pagemap names payload page {i} of {n}")))?;
         let datas = node.device().read_pages(&pages, node_id)?;
         node.with_process_ctx(pid, |p, ctx| -> Result<(), RforkError> {
             for (entry, data) in pagemap.entries.iter().zip(datas) {

@@ -8,7 +8,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use cxl_check::Violation;
-use cxl_mem::{CxlDevice, CxlPageId, NodeId};
+use cxl_mem::{CxlDevice, CxlPageId, NodeId, PageData};
 use cxlfork::CxlFork;
 use node_os::addr::PhysAddr;
 use node_os::fs::SharedFs;
@@ -134,9 +134,9 @@ fn mutating_a_sealed_checkpoint_page_is_reported() {
     // bug class the paper's immutable checkpoints exclude by design.
     let page = first_ckpt_page(&ckpt);
     let before = device.fingerprint(page).unwrap();
-    let mut data = device.read_page(page, NodeId(1)).unwrap();
-    data.fill_pattern(0xBAD_5EED);
-    device.write_page(page, data, NodeId(1)).unwrap();
+    device
+        .write_page(page, PageData::pattern(0xBAD_5EED), NodeId(1))
+        .unwrap();
     assert_ne!(device.fingerprint(page).unwrap(), before, "sabotage took");
 
     // Region accounting is still balanced — only the content is wrong,

@@ -44,8 +44,8 @@ pub enum PageData {
     #[default]
     Zero,
     /// A page deterministically filled from a seed: its 512 little-endian
-    /// words are `seed + c[j]` for a fixed table `c` (the last word leaves
-    /// the seed out), so its fingerprint is a closed form in the seed.
+    /// words are `seed + c[j]` for a fixed table `c`, so its fingerprint is
+    /// a closed form in the seed.
     Pattern {
         /// The fill seed; word 0 is `seed + c[0]`, so distinct seeds are
         /// distinct contents.
@@ -98,7 +98,7 @@ impl PageData {
         match self {
             PageData::Zero => 0,
             PageData::Pattern { seed } => {
-                (pattern_word(*seed, index as usize / 8) >> (8 * (index % 8))) as u8
+                (seed.wrapping_add(OFFSETS[index as usize / 8]) >> (8 * (index % 8))) as u8
             }
             PageData::Bytes(b) => b[index as usize],
         }
@@ -141,13 +141,6 @@ impl PageData {
         }
     }
 
-    /// Replaces the entire page content with a pattern fill, keeping the
-    /// compact representation. This is what workload generators use to
-    /// "dirty" a page cheaply.
-    pub fn fill_pattern(&mut self, seed: u64) {
-        *self = PageData::Pattern { seed };
-    }
-
     /// Approximate host-memory footprint of this representation, in bytes.
     /// Used only for simulator self-diagnostics, never for experiment
     /// accounting (experiments always account full pages).
@@ -158,22 +151,22 @@ impl PageData {
         }
     }
 
-    /// A 64-bit content fingerprint: the wrapping sum of a page's 512
-    /// little-endian words, word `j` times the odd weight `WEIGHTS[j]`.
-    /// It depends on the logical bytes only (two content-equal pages
-    /// always fingerprint identically), and pages that differ in one word
-    /// never collide: an odd weight times a nonzero difference is nonzero
-    /// modulo 2^64. `Zero` and `Pattern` cost O(1): the zero page sums to
-    /// 0 and a pattern page to the closed form `SEED_COEFFICIENT · seed +
-    /// PATTERN_CONSTANT`, injective on seeds because the coefficient is
-    /// odd. Only `Bytes` reads its 512 words, out of line.
+    /// A 64-bit content fingerprint of the logical bytes: two
+    /// content-equal pages always fingerprint alike, whatever their
+    /// representation. A page whose bytes are a pattern page's
+    /// fingerprints as `mix(seed ^ PATTERN_KEY)`, any other page as the
+    /// wrapping sum over its 512 little-endian words of
+    /// `mix(word_j ^ KEYS[j])`, where `mix` is SplitMix64's bijective
+    /// finalizer. Distinct seeds never collide (`mix` is a bijection), nor
+    /// do two non-pattern pages that differ in one word; every other pair
+    /// collides only by a 64-bit coincidence, since `mix` spreads each
+    /// input bit, the top one included, over the whole output. `Zero` and
+    /// `Pattern` cost O(1); only `Bytes` reads its words, out of line.
     #[inline]
     pub fn fingerprint(&self) -> u64 {
         match self {
-            PageData::Zero => 0,
-            PageData::Pattern { seed } => SEED_COEFFICIENT
-                .wrapping_mul(*seed)
-                .wrapping_add(PATTERN_CONSTANT),
+            PageData::Zero => ZERO_FINGERPRINT,
+            PageData::Pattern { seed } => pattern_fingerprint(*seed),
             PageData::Bytes(b) => bytes_fingerprint(b),
         }
     }
@@ -182,67 +175,68 @@ impl PageData {
 /// Words in a page.
 const WORDS: usize = PAGE_SIZE as usize / 8;
 
-/// Words of a pattern page that carry its seed: all but the last, so the
-/// seed enters an odd number of words and [`SEED_COEFFICIENT`] is odd.
-const SEEDED_WORDS: usize = WORDS - 1;
+/// SplitMix64's finalizer: a bijection on `u64` in which every input bit
+/// reaches every output bit.
+#[inline]
+const fn mix(z: u64) -> u64 {
+    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
-/// `WORDS` outputs of SplitMix64 from stream position `first`, each OR-ed
-/// with `low_bit`.
-const fn splitmix_table(first: u64, low_bit: u64) -> [u64; WORDS] {
+/// `WORDS` consecutive outputs of the SplitMix64 stream seeded at 0,
+/// from position `first`.
+const fn splitmix_table(first: usize) -> [u64; WORDS] {
     let (mut t, mut j) = ([0; WORDS], 0);
     while j < WORDS {
-        let mut z = (first + j as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        t[j] = z ^ (z >> 31) | low_bit;
+        t[j] = mix(((first + j + 1) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         j += 1;
     }
     t
 }
 
-/// Word `j` of a pattern page is `seed + OFFSETS[j]` (`OFFSETS[j]` alone
-/// past [`SEEDED_WORDS`]).
-const OFFSETS: [u64; WORDS] = splitmix_table(0, 0);
+/// Word `j` of a pattern page is `seed + OFFSETS[j]`.
+const OFFSETS: [u64; WORDS] = splitmix_table(0);
 
-/// The fingerprint's per-word weights, all odd.
-const WEIGHTS: [u64; WORDS] = splitmix_table(WORDS as u64, 1);
+/// The per-word keys of a non-pattern page's fingerprint.
+const KEYS: [u64; WORDS] = splitmix_table(WORDS);
 
-/// Word `j` of `PageData::pattern(seed)`.
-#[inline]
-const fn pattern_word(seed: u64, j: usize) -> u64 {
-    let seeded = if j < SEEDED_WORDS { seed } else { 0 };
-    seeded.wrapping_add(OFFSETS[j])
-}
+/// The key of a pattern page's fingerprint (an arbitrary constant).
+const PATTERN_KEY: u64 = 0x2545_F491_4F6C_DD1D;
 
-/// The fingerprint of `PageData::pattern(seed)`, word by word.
-const fn pattern_sum(seed: u64) -> u64 {
-    let (mut h, mut j) = (0u64, 0);
-    while j < WORDS {
-        h = h.wrapping_add(pattern_word(seed, j).wrapping_mul(WEIGHTS[j]));
-        j += 1;
-    }
-    h
-}
-
-/// A pattern page's fingerprint is `SEED_COEFFICIENT · seed +
-/// PATTERN_CONSTANT`: its words are affine in the seed, and so is their
-/// weighted sum.
-const PATTERN_CONSTANT: u64 = pattern_sum(0);
-const SEED_COEFFICIENT: u64 = pattern_sum(1).wrapping_sub(PATTERN_CONSTANT);
 const _: () = assert!(
-    SEED_COEFFICIENT % 2 == 1,
-    "distinct seeds must fingerprint apart"
+    OFFSETS[0] != OFFSETS[1],
+    "the zero page must not be a pattern page"
 );
 
-/// The weighted word sum of a verbatim page: 512 independent
-/// multiply-adds, kept out of line so the O(1) arms of
-/// [`PageData::fingerprint`] inline on their own.
+/// The fingerprint of `PageData::pattern(seed)`.
+#[inline]
+const fn pattern_fingerprint(seed: u64) -> u64 {
+    mix(seed ^ PATTERN_KEY)
+}
+
+/// The fingerprint of the zero page, which is no pattern page.
+const ZERO_FINGERPRINT: u64 = bytes_fingerprint(&[0; PAGE_SIZE as usize]);
+
+/// The fingerprint of a verbatim page: the pattern's if its words are one,
+/// else 512 independent keyed mixes, summed. Kept out of line so the O(1)
+/// arms of [`PageData::fingerprint`] inline on their own.
 #[inline(never)]
-fn bytes_fingerprint(bytes: &[u8]) -> u64 {
+const fn bytes_fingerprint(bytes: &[u8]) -> u64 {
     let (words, _) = bytes.as_chunks::<8>();
-    words.iter().zip(&WEIGHTS).fold(0, |h, (word, &w)| {
-        h.wrapping_add(u64::from_le_bytes(*word).wrapping_mul(w))
-    })
+    let seed = u64::from_le_bytes(words[0]).wrapping_sub(OFFSETS[0]);
+    let (mut sum, mut pattern, mut j) = (0u64, true, 0);
+    while j < WORDS {
+        let word = u64::from_le_bytes(words[j]);
+        pattern &= word == seed.wrapping_add(OFFSETS[j]);
+        sum = sum.wrapping_add(mix(word ^ KEYS[j]));
+        j += 1;
+    }
+    if pattern {
+        pattern_fingerprint(seed)
+    } else {
+        sum
+    }
 }
 
 impl PartialEq for PageData {
@@ -380,15 +374,23 @@ mod tests {
         );
     }
 
-    /// The definition `fingerprint` must equal: the 512 little-endian
-    /// words assembled from `byte_at`, each times its weight, summed.
+    /// The definition `fingerprint` must equal, from the 512 little-endian
+    /// words assembled from `byte_at`: the pattern's key mixed with the
+    /// seed if every word is `seed + OFFSETS[j]`, else each word mixed
+    /// with its key, summed.
     fn reference_fingerprint(page: &PageData) -> u64 {
-        (0..WORDS).fold(0u64, |h, j| {
-            let word = (0..8).rev().fold(0u64, |w, k| {
-                (w << 8) | u64::from(page.byte_at((8 * j + k) as u64))
-            });
-            h.wrapping_add(word.wrapping_mul(WEIGHTS[j]))
-        })
+        let words: Vec<u64> = (0..WORDS)
+            .map(|j| {
+                (0..8).rev().fold(0u64, |w, k| {
+                    (w << 8) | u64::from(page.byte_at((8 * j + k) as u64))
+                })
+            })
+            .collect();
+        let seed = words[0].wrapping_sub(OFFSETS[0]);
+        if (0..WORDS).all(|j| words[j] == seed.wrapping_add(OFFSETS[j])) {
+            return mix(seed ^ PATTERN_KEY);
+        }
+        (0..WORDS).fold(0u64, |h, j| h.wrapping_add(mix(words[j] ^ KEYS[j])))
     }
 
     /// The verbatim copy of `page`'s 4096 bytes.
@@ -396,6 +398,20 @@ mod tests {
         let mut buf = vec![0u8; PAGE_SIZE as usize];
         page.read(0, &mut buf);
         PageData::from_bytes(&buf)
+    }
+
+    /// A non-pattern page with no zero word.
+    fn busy_page() -> PageData {
+        let bytes: Vec<u8> = (0..PAGE_SIZE).map(|i| (i * 7 + 1) as u8).collect();
+        PageData::from_bytes(&bytes)
+    }
+
+    /// `page` with bit `bit` of word `j` flipped.
+    fn flip(page: &PageData, j: usize, bit: u32) -> PageData {
+        let at = 8 * j as u64 + u64::from(bit / 8);
+        let mut out = page.clone();
+        out.write(at, &[page.byte_at(at) ^ 1 << (bit % 8)]);
+        out
     }
 
     #[test]
@@ -419,9 +435,8 @@ mod tests {
 
     #[test]
     fn fingerprint_identity_distinct_seeds_never_collide() {
-        // Seeds one bit apart in every position (bit 63 included: an even
-        // seed coefficient would fold those pairs together), small and
-        // adjacent seeds, and seeds at the ends of the range.
+        // Seeds one bit apart in every position (bit 63 included), small
+        // and adjacent seeds, and seeds at the ends of the range.
         let mut seeds: Vec<u64> = (0..64).map(|bit| 1u64 << bit).collect();
         seeds.extend((0..64).map(|bit| 0x5eed ^ (1u64 << bit)));
         seeds.extend([0, 3, 0x5eed, u64::MAX, u64::MAX - 1, 1 << 63 | 3]);
@@ -443,15 +458,47 @@ mod tests {
 
     #[test]
     fn fingerprint_identity_one_word_changes_never_collide() {
-        // An odd weight times a nonzero word difference is nonzero.
-        let base = PageData::pattern(0x5eed);
+        // `mix` is a bijection, so a non-pattern page that changes one
+        // word changes that word's term and nothing else.
+        let base = busy_page();
         let fp = base.fingerprint();
-        for (offset, byte) in [(0, 0x01), (7, 0x80), (2048, 0xFF), (PAGE_SIZE - 1, 0x80)] {
-            let mut page = base.clone();
-            page.write(offset, &[page.byte_at(offset) ^ byte]);
-            assert_ne!(page.fingerprint(), fp, "byte {offset} ^ {byte:#x}");
+        for (j, bit) in [(0, 0), (0, 63), (256, 7), (256, 32), (511, 63)] {
+            let page = flip(&base, j, bit);
+            assert_ne!(page.fingerprint(), fp, "word {j} bit {bit}");
             assert_eq!(page.fingerprint(), reference_fingerprint(&page));
         }
+    }
+
+    #[test]
+    fn fingerprint_identity_sign_bit_flips_never_collide() {
+        // Any linear word sum modulo 2^64 folds bit 63 of every word into
+        // bit 63 of the sum: two -0.0 words in a zero page would sum to the
+        // zero page's fingerprint, and pages differing in the upper half
+        // of some words would keep only 32 bits of hash. Flip bit 31, 32
+        // or 63 of two words, of a zero and of a busy page, for many word
+        // pairs: every page fingerprints apart from every other and from
+        // its base.
+        let neg_zero = (-0.0f64).to_bits();
+        let mut bytes = vec![0u8; PAGE_SIZE as usize];
+        bytes[8..16].copy_from_slice(&neg_zero.to_le_bytes());
+        bytes[4088..].copy_from_slice(&neg_zero.to_le_bytes());
+        let two_neg_zeros = PageData::from_bytes(&bytes);
+        assert_ne!(two_neg_zeros, PageData::Zero);
+        assert_ne!(two_neg_zeros.fingerprint(), PageData::Zero.fingerprint());
+
+        let mut fps = Vec::new();
+        for base in [PageData::Zero, busy_page()] {
+            fps.push(base.fingerprint());
+            for bit in [31, 32, 63] {
+                for (i, k) in (0..24).flat_map(|i| (i + 1..24).map(move |k| (i, k))) {
+                    fps.push(flip(&flip(&base, i, bit), 500 - k, bit).fingerprint());
+                }
+            }
+        }
+        let pages = fps.len();
+        fps.sort_unstable();
+        fps.dedup();
+        assert_eq!(fps.len(), pages, "two of the flipped pages collide");
     }
 
     proptest::proptest! {

@@ -64,6 +64,11 @@ const VACANT: Cell = Cell {
 /// Home bits of the first table: 16 homes.
 const FIRST_HOME_BITS: u32 = 4;
 
+/// Tail cells a table has room for before a push past its end would
+/// double its allocation. Under fingerprints drawn uniformly a tail is a
+/// few cells long.
+const TAIL_ROOM: usize = 64;
+
 #[derive(Debug, Default)]
 pub(crate) struct ContentIndex {
     entries: Vec<Entry>,
@@ -135,7 +140,8 @@ impl ContentIndex {
     fn grow(&mut self) {
         let old = std::mem::take(&mut self.cells);
         self.home_bits = (self.home_bits + 1).max(FIRST_HOME_BITS);
-        self.cells = vec![VACANT; 1 << self.home_bits];
+        self.cells = Vec::with_capacity((1 << self.home_bits) + TAIL_ROOM);
+        self.cells.resize(1 << self.home_bits, VACANT);
         let mut next = 0;
         for cell in old.into_iter().filter(|c| c.slot != EMPTY) {
             let at = self.home(cell.fingerprint).max(next);

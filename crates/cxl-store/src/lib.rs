@@ -561,7 +561,7 @@ impl Store {
     fn place_misses(
         &self,
         region: RegionId,
-        payload: &[(u64, &PageData)],
+        payload: &[&PageData],
         node: NodeId,
     ) -> Result<(Vec<CxlPageId>, Vec<CxlPageId>), CxlError> {
         // A crash from here to the record leaves pages allocated (and
@@ -571,12 +571,11 @@ impl Store {
         // Fresh allocations are already zeroed, so only misses whose
         // content is not all-zero (whatever its representation) cross
         // the fabric.
-        let zero = PageData::Zero.fingerprint();
         let writes: Vec<(CxlPageId, PageData)> = payload
             .iter()
             .zip(&allocated)
-            .filter(|((fp, _), _)| *fp != zero)
-            .map(|((_, d), &p)| (p, (*d).clone()))
+            .filter(|&(&d, _)| *d != PageData::Zero)
+            .map(|(d, &p)| (p, (*d).clone()))
             .collect();
         let written_pages = writes.iter().map(|(p, _)| *p).collect();
         if let Err(e) = self.device.write_pages_owned(writes, node) {
@@ -631,21 +630,20 @@ impl Store {
         let fps: Vec<u64> = data.iter().map(PageData::fingerprint).collect();
         let mut slots: Vec<Slot> = Vec::with_capacity(fps.len());
         let mut missed: Vec<Slot> = Vec::new();
-        let mut miss_payload: Vec<(u64, &PageData)> = Vec::new();
+        let mut miss_payload: Vec<&PageData> = Vec::new();
         let mut pos = 0;
         let index = &mut inner.books.index;
         for run in fps.chunk_by(|a, b| a == b) {
             let (slot, fresh) = index.find_or_reserve(run[0]);
             if fresh {
                 missed.push(slot);
-                miss_payload.push((run[0], &data[pos]));
+                miss_payload.push(&data[pos]);
             }
             slots.resize(slots.len() + run.len(), slot);
             pos += run.len();
         }
         let shared = (fps.len() - missed.len()) as u64;
-        let zero_fingerprint = PageData::Zero.fingerprint();
-        let zero = fps.iter().filter(|&&fp| fp == zero_fingerprint).count() as u64;
+        let zero = data.iter().filter(|&d| *d == PageData::Zero).count() as u64;
 
         let (allocated, written_pages) = match self.place_misses(inner.region, &miss_payload, node)
         {
@@ -1106,6 +1104,22 @@ mod tests {
         let (_, out2) = intern(&store, "z2", &[PageData::Zero], t(2));
         assert_eq!(out2.fresh, 0);
         assert_eq!(out2.pages[0], out.pages[0]);
+    }
+
+    #[test]
+    fn a_nonzero_page_is_written_apart_from_the_zero_page() {
+        // Two -0.0 words in an otherwise zero page: its bytes cross the
+        // fabric, it shares nothing with the zero page, and it reads back.
+        let d = device();
+        let store = Store::new(Arc::clone(&d));
+        let mut bytes = vec![0u8; PAGE_SIZE as usize];
+        bytes[8..16].copy_from_slice(&(-0.0f64).to_bits().to_le_bytes());
+        bytes[4088..].copy_from_slice(&(-0.0f64).to_bits().to_le_bytes());
+        let payload = vec![PageData::Zero, PageData::from_bytes(&bytes)];
+        let (_, out) = intern(&store, "neg-zero", &payload, t(1));
+        assert_eq!((out.fresh, out.written, out.zero, out.shared), (2, 1, 1, 0));
+        assert_ne!(out.pages[0], out.pages[1]);
+        assert_eq!(d.snapshot_pages(&out.pages).unwrap(), payload);
     }
 
     #[test]

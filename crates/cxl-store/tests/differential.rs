@@ -398,12 +398,13 @@ fn fold_journal_region(device: &CxlDevice, hash: &mut u64) {
 /// became a slab and journal pages single-copy: slot numbering, the
 /// snapshot encoder and the owning device write may not move one byte or
 /// one page write. The region hash was re-recorded when the page
-/// fingerprint became a weighted word sum (the records carry fingerprint
-/// values; every record kept its length, so the page count held).
+/// fingerprint became keyed word mixes with a closed form for pattern
+/// pages (the records carry fingerprint values; every record kept its
+/// length, so the page count held).
 #[test]
 fn journal_golden_fixed_script_pins_pages_written_and_region_bytes() {
     const GOLDEN_JOURNAL_PAGES_WRITTEN: u64 = 43;
-    const GOLDEN_REGION_FNV: u64 = 7_310_398_779_798_519_893;
+    const GOLDEN_REGION_FNV: u64 = 14_687_642_136_988_135_890;
 
     let device = Arc::new(CxlDevice::new(DEVICE_PAGES));
     let store = Store::with_config(
