@@ -141,6 +141,14 @@ if [ "$calls" -ne 1 ] || [ "$published" -ne 1 ]; then
     exit 1
 fi
 
+echo '== one table per function in the porter =='
+# A function's checkpoint lives in its entry of the porter's function
+# table, and walks over stored checkpoints go in name order through the
+# name index (DESIGN.md §14): no second, name-keyed checkpoint table,
+# and no checkpoint identifier only such a table would hand out.
+forbid 'a second, name-keyed checkpoint table is back in the porter (DESIGN.md §14)' \
+    'ObjectStore|CheckpointId|BTreeMap<String, StoredCheckpoint' crates/cxlporter/src crates/rfork/src
+
 echo '== clippy =='
 # Besides the usual lints this enforces the workspace invariants in
 # crates/clippy.toml (DESIGN.md §12): no wall clock, no hash containers,
@@ -245,7 +253,9 @@ echo '== these tests exist =='
 # cannot take a record or a snapshot refuses with a typed error and
 # leaks nothing — at the store, the journal and `CxlFork::checkpoint` —
 # the crashpoint sweep's literal device-op sequence, and per-function porter
-# state filed under one entry however an arrival spells the name), the
+# state filed under one entry however an arrival spells the name, its
+# stored checkpoints walked in name order, and a failed restore counted),
+# the
 # fault plan's stream recorded literally (the availability and cluster
 # runs replay it) and unmoved by region-table consults, the crash seam
 # (reads never count, a kill before a batch's first write writes none of
@@ -349,7 +359,8 @@ expect_tests cxlporter --lib \
     porter::tests::idle_instance_expires_one_nanosecond_past_the_expiry_floor \
     porter::tests::node_turning_pressured_after_the_floor_was_computed_expires_on_time \
     porter::tests::spellings_of_one_function_share_one_entry_and_its_slo_statistics \
-    porter::tests::expiry_floor_skips_only_scans_that_would_expire_nothing
+    porter::tests::expiry_floor_skips_only_scans_that_would_expire_nothing \
+    porter::tests::stored_checkpoints_are_walked_in_name_order_and_every_restore_counts
 expect_tests cxlporter '--test porter_scenarios' \
     catalog_template_overlap_reaches_the_deployments \
     device_retries_count_one_run_each \

@@ -141,16 +141,6 @@ impl PageData {
         }
     }
 
-    /// Approximate host-memory footprint of this representation, in bytes.
-    /// Used only for simulator self-diagnostics, never for experiment
-    /// accounting (experiments always account full pages).
-    pub fn host_footprint(&self) -> usize {
-        match self {
-            PageData::Zero | PageData::Pattern { .. } => std::mem::size_of::<PageData>(),
-            PageData::Bytes(_) => std::mem::size_of::<PageData>() + PAGE_SIZE as usize,
-        }
-    }
-
     /// A 64-bit content fingerprint of the logical bytes: two
     /// content-equal pages always fingerprint alike, whatever their
     /// representation. A page whose bytes are a pattern page's
@@ -524,11 +514,5 @@ mod tests {
                 proptest::prop_assert_eq!(page.fingerprint(), reference_fingerprint(&page));
             }
         }
-    }
-
-    #[test]
-    fn host_footprint_reflects_representation() {
-        assert!(PageData::Zero.host_footprint() < 64);
-        assert!(PageData::from_bytes(&[1]).host_footprint() >= PAGE_SIZE as usize);
     }
 }

@@ -29,19 +29,13 @@
 //! tests must serialize around it (the harness uses a static mutex).
 //!
 //! ```
-//! use cxl_telemetry::{span, TelemetrySession};
+//! use cxl_telemetry::TelemetrySession;
 //! use simclock::SimTime;
 //!
 //! let session = TelemetrySession::start();
 //! cxl_telemetry::counter_add("example", "bytes_read", Some(0), 4096);
-//! let pages = 64u64;
-//! span!(
-//!     "checkpoint.copy_pages",
-//!     0,
-//!     SimTime::ZERO,
-//!     SimTime::from_nanos(500),
-//!     pages
-//! );
+//! let (start, end) = (SimTime::ZERO, SimTime::from_nanos(500));
+//! cxl_telemetry::record_span("checkpoint.copy_pages", 0, start, end, &[("pages", 64)]);
 //! let data = session.finish();
 //! assert_eq!(data.registry.counter("example", "bytes_read", Some(0)), 4096);
 //! assert_eq!(data.spans.len(), 1);
@@ -155,42 +149,6 @@ pub fn span_close(track: u32, end: SimTime) {
     }
 }
 
-/// Records a complete leaf span with identifier-named attributes.
-///
-/// ```
-/// # use cxl_telemetry::span;
-/// # use simclock::SimTime;
-/// # let (t0, t1) = (SimTime::ZERO, SimTime::from_nanos(10));
-/// let pages = 8u64;
-/// span!("checkpoint.copy_pages", 0, t0, t1, pages);           // attr from variable
-/// span!("checkpoint.rebase", 0, t0, t1, pointers = 3 + 4);    // attr from expression
-/// span!("checkpoint.serialize", 0, t0, t1);                   // no attrs
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($name:expr, $track:expr, $start:expr, $end:expr $(,)?) => {
-        $crate::record_span($name, $track, $start, $end, &[])
-    };
-    ($name:expr, $track:expr, $start:expr, $end:expr, $($attr:ident = $val:expr),+ $(,)?) => {
-        $crate::record_span(
-            $name,
-            $track,
-            $start,
-            $end,
-            &[$((stringify!($attr), ($val) as u64)),+],
-        )
-    };
-    ($name:expr, $track:expr, $start:expr, $end:expr, $($attr:ident),+ $(,)?) => {
-        $crate::record_span(
-            $name,
-            $track,
-            $start,
-            $end,
-            &[$((stringify!($attr), ($attr) as u64)),+],
-        )
-    };
-}
-
 /// Everything one session recorded.
 #[derive(Debug, Default)]
 pub struct TelemetryData {
@@ -261,7 +219,7 @@ mod tests {
         assert!(!is_armed());
         counter_add("l", "c", None, 1);
         timer_record("l", "t", None, SimDuration::from_nanos(1));
-        span!("x", 0, t(0), t(1));
+        record_span("x", 0, t(0), t(1), &[]);
         span_open("y", 0, t(0), &[]);
         span_close(0, t(1));
 
@@ -279,7 +237,13 @@ mod tests {
         counter_add("cxl_mem", "reads", Some(1), 3);
         timer_record("cxlporter", "e2e", None, SimDuration::from_nanos(5));
         span_open("core.checkpoint", 0, t(0), &[]);
-        span!("core.checkpoint.copy_pages", 0, t(0), t(40), pages = 2);
+        record_span(
+            "core.checkpoint.copy_pages",
+            0,
+            t(0),
+            t(40),
+            &[("pages", 2)],
+        );
         span_close(0, t(100));
         let data = session.finish();
         assert!(!is_armed());
@@ -311,23 +275,5 @@ mod tests {
         let session = TelemetrySession::start();
         let data = session.finish();
         assert!(data.registry.is_empty(), "dropped session must not leak");
-    }
-
-    #[test]
-    fn span_macro_attr_forms() {
-        let _guard = TEST_LOCK.lock();
-        let session = TelemetrySession::start();
-        let pages = 7u64;
-        let node = 2u32;
-        span!("a", 0, t(0), t(1), pages, node);
-        span!("b", 0, t(0), t(1), bytes = 4096u64 * 2);
-        span!("c", 0, t(0), t(1));
-        let data = session.finish();
-        assert_eq!(
-            data.spans[0].attrs,
-            vec![("pages".to_owned(), 7), ("node".to_owned(), 2)]
-        );
-        assert_eq!(data.spans[1].attrs, vec![("bytes".to_owned(), 8192)]);
-        assert!(data.spans[2].attrs.is_empty());
     }
 }

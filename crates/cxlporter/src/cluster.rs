@@ -63,11 +63,6 @@ impl Cluster {
         }
     }
 
-    /// The paper's platform: two nodes, 16 GiB CXL device.
-    pub fn paper_platform(node_mem_mib: u64) -> Self {
-        Cluster::new(2, node_mem_mib, 16 * 1024, LatencyModel::calibrated())
-    }
-
     /// Utilization scaled to integers for exact comparison.
     fn scaled_load(&self, idx: usize) -> u64 {
         (self.nodes[idx].frames().utilization() * 1e9) as u64
@@ -189,12 +184,5 @@ mod tests {
             c.nodes[0].frames_mut().dec_ref(pfn);
         }
         assert_eq!(c.least_loaded(), Some(0));
-    }
-
-    #[test]
-    fn paper_platform_geometry() {
-        let c = Cluster::paper_platform(1024);
-        assert_eq!(c.nodes.len(), 2);
-        assert_eq!(c.device.capacity_pages(), 16 * 1024 * 256);
     }
 }

@@ -4,8 +4,9 @@
 //! CXLporter exploits a remote-fork mechanism (CXLfork by design; the
 //! CRIU-CXL and Mitosis-CXL baselines for comparison, §7.2) to scale
 //! function instances across a cluster: it checkpoints functions at the
-//! right moment, stores checkpoints in a CXL-resident object store, clones
-//! new instances into pre-provisioned *ghost containers*, steers CXLfork's
+//! right moment, keeps each CXL-stored checkpoint in its function's entry
+//! of the porter's function table (the paper's object store), clones new
+//! instances into pre-provisioned *ghost containers*, steers CXLfork's
 //! tiering policies from observed SLOs and memory pressure, and shrinks
 //! keep-alive windows when nodes run hot.
 //!
@@ -18,11 +19,9 @@
 
 mod cluster;
 mod porter;
-pub mod store;
 
 pub use cluster::Cluster;
-pub use porter::{CxlPorter, FairnessConfig, PorterConfig, PorterReport};
-pub use store::{ObjectStore, StoredCheckpoint};
+pub use porter::{CxlPorter, FairnessConfig, PorterConfig, PorterReport, StoredCheckpoint};
 
 #[cfg(test)]
 mod tests {

@@ -8,7 +8,9 @@
 //!    after its 16th invocation (JIT warm-up), and its A/D bits are
 //!    cleared after the first invocation so the checkpoint records the
 //!    steady-state access pattern;
-//! 2. **an object store of checkpoints** keyed by function;
+//! 2. **an object store of checkpoints** keyed by function: each
+//!    function's entry in the porter's function table holds its one
+//!    checkpoint;
 //! 3. **a pool of ghost containers** — pre-provisioned empty containers
 //!    (512 KiB each) that absorb the ≈130 ms container-creation cost;
 //! 4. **tiering-policy control** — by default migrate-on-write; functions
@@ -34,7 +36,6 @@ use trace_gen::{Invocation, TraceError};
 use faas::{Catalog, Container, FunctionSpec, BARE_CONTAINER_PAGES};
 
 use crate::cluster::Cluster;
-use crate::store::ObjectStore;
 
 /// Keep-alive window of an idle instance on a pressured node (§5: 10 s).
 const PRESSURE_KEEP_ALIVE: SimDuration = SimDuration::from_secs(10);
@@ -161,7 +162,7 @@ type FnId = usize;
 
 /// One function name the porter has seen arrive, resolved once.
 #[derive(Debug)]
-struct Function {
+struct Function<C> {
     /// The catalog entry, exactly as the catalog holds it.
     spec: Arc<FunctionSpec>,
     /// The entry for `spec.name`, under which the function's instances
@@ -172,6 +173,20 @@ struct Function {
     /// `filed_under` entry only: however an arrival spells the name, the
     /// function has one set of statistics.
     stats: FnStats,
+    /// The function's stored checkpoint, likewise in the `filed_under`
+    /// entry only (§5's object store: the evaluation has one tenant, so
+    /// the function alone keys it).
+    checkpoint: Option<StoredCheckpoint<C>>,
+}
+
+/// A function's checkpoint in the porter's function table.
+#[derive(Debug)]
+pub struct StoredCheckpoint<C> {
+    /// The mechanism-specific checkpoint.
+    pub checkpoint: C,
+    /// Restores attempted from this checkpoint, failed ones included:
+    /// the coldest one is reclaimed first under CXL pressure.
+    pub restores: u64,
 }
 
 /// The expiry floor of an empty instance table: nothing expires, ever.
@@ -402,7 +417,6 @@ pub struct CxlPorter<M: RemoteFork> {
     config: PorterConfig,
     /// The cluster (public for post-run inspection).
     pub cluster: Cluster,
-    store: ObjectStore<M::Checkpoint>,
     instances: Vec<Instance>,
     ghost_pools: Vec<Vec<Container>>,
     report: PorterReport,
@@ -418,7 +432,9 @@ pub struct CxlPorter<M: RemoteFork> {
     /// given a catalog never builds the Table 1 suite it would discard.
     catalog: OnceLock<Catalog>,
     /// Every arrival name resolved so far, and where to find it.
-    functions: Vec<Function>,
+    /// `functions` is in first-seen order; a walk that must be in name
+    /// order goes through `fn_ids`.
+    functions: Vec<Function<M::Checkpoint>>,
     fn_ids: BTreeMap<String, FnId>,
     /// A lower bound on every instance's `last_used`, so no idle instance
     /// can be past its keep-alive window before this plus the window.
@@ -478,7 +494,6 @@ impl<M: RemoteFork> CxlPorter<M> {
             mech,
             config,
             cluster,
-            store: ObjectStore::new(),
             instances: Vec::new(),
             ghost_pools,
             report: PorterReport::default(),
@@ -530,6 +545,7 @@ impl<M: RemoteFork> CxlPorter<M> {
             spec: Arc::clone(&spec),
             filed_under: id,
             stats: FnStats::default(),
+            checkpoint: None,
         });
         if spec.name != name {
             self.functions[id].filed_under = self.function_id(&spec.name)?;
@@ -843,7 +859,7 @@ impl<M: RemoteFork> CxlPorter<M> {
                 let evicted = istore.evict_to_low_watermark_except(&self.leases, now, &referenced);
                 self.report.image_evictions += evicted.images;
             }
-            for (_, entry) in self.store.iter() {
+            for (_, _, entry) in self.stored() {
                 self.mech.maintain(&entry.checkpoint);
             }
         }
@@ -1058,7 +1074,11 @@ impl<M: RemoteFork> CxlPorter<M> {
                 // capture the steady state.
                 let _ = faas::engine::clear_ad_bits(&mut self.cluster.nodes[node], pid);
             }
-            if invocations == self.config.checkpoint_after && !self.store.contains(&spec.name) {
+            // `function` is the `filed_under` entry: `cold_start` files
+            // every instance there.
+            if invocations == self.config.checkpoint_after
+                && self.functions[function].checkpoint.is_none()
+            {
                 // Make room first if the device is short (a checkpoint
                 // needs roughly the footprint plus metadata).
                 self.reclaim_cxl_for(spec.footprint_pages() + spec.footprint_pages() / 16, now);
@@ -1085,9 +1105,14 @@ impl<M: RemoteFork> CxlPorter<M> {
                                 .expect("freshly published image is committed");
                         }
                     }
-                    self.store.put(&spec.name, ckpt, now);
+                    let slot = &mut self.functions[function].checkpoint;
+                    debug_assert!(slot.is_none(), "a stored checkpoint would leak");
+                    *slot = Some(StoredCheckpoint {
+                        checkpoint: ckpt,
+                        restores: 0,
+                    });
                     self.report.checkpoints += 1;
-                    self.reclaim_cxl_pressure(&spec.name);
+                    self.reclaim_cxl_pressure(function);
                 }
             }
         }
@@ -1147,30 +1172,29 @@ impl<M: RemoteFork> CxlPorter<M> {
         // owner crashed, or pressure outran the lease). Drop the stale
         // entry and fall through to a cold deployment, which
         // re-checkpoints on the usual schedule.
-        if let Some(istore) = self.image_store.clone() {
-            let stale = self.store.get(&spec.name).is_some_and(|entry| {
+        if let Some(istore) = &self.image_store {
+            let stale = self.functions[function].checkpoint.take_if(|entry| {
                 self.mech
                     .image_id(&entry.checkpoint)
                     .is_some_and(|image| !istore.is_live(ImageId(image)))
             });
-            if stale {
-                if let Some(ckpt) = self.store.remove(&spec.name) {
-                    let _ = self
-                        .mech
-                        .release_checkpoint(ckpt, &self.cluster.nodes[node]);
-                }
+            if let Some(entry) = stale {
+                let _ = self
+                    .mech
+                    .release_checkpoint(entry.checkpoint, &self.cluster.nodes[node]);
                 self.report.image_misses += 1;
             }
         }
 
-        if self.store.contains(&spec.name) {
+        if self.functions[function].checkpoint.is_some() {
             let options = self.choose_options(function, node);
             if options.policy == TierPolicy::Hybrid {
                 self.report.hybrid_restores += 1;
             }
             // Memory pre-check against the policy's expected consumption.
             let estimate = {
-                let entry = self.store.get(&spec.name).expect("checked above");
+                let entry = self.functions[function].checkpoint.as_ref();
+                let entry = entry.expect("checked above");
                 self.mech
                     .restore_memory_estimate(&entry.checkpoint, options)
             };
@@ -1186,10 +1210,10 @@ impl<M: RemoteFork> CxlPorter<M> {
                 &[],
             );
             let restored = {
-                let entry = self
-                    .store
-                    .get_for_restore(&spec.name)
-                    .expect("checked above");
+                let entry = self.functions[function].checkpoint.as_mut();
+                let entry = entry.expect("checked above");
+                // Counted before the restore runs: a failed one counts too.
+                entry.restores += 1;
                 self.mech
                     .restore_with(&entry.checkpoint, &mut self.cluster.nodes[node], options)
             };
@@ -1200,9 +1224,9 @@ impl<M: RemoteFork> CxlPorter<M> {
                     container.attach_process(&spec.name, r.pid);
                     let id = self.next_instance_id;
                     self.next_instance_id += 1;
-                    let image = self
-                        .store
-                        .get(&spec.name)
+                    let image = self.functions[function]
+                        .checkpoint
+                        .as_ref()
                         .and_then(|entry| self.mech.image_id(&entry.checkpoint));
                     self.admit(Instance {
                         id,
@@ -1294,11 +1318,11 @@ impl<M: RemoteFork> CxlPorter<M> {
     }
 
     /// Reclaims the coldest stored checkpoints while the CXL device is
-    /// over the pressure threshold (§5). Never evicts `keep` (the
+    /// over the pressure threshold (§5). Never evicts `keep`'s (the
     /// checkpoint that was just stored).
-    fn reclaim_cxl_pressure(&mut self, keep: &str) {
+    fn reclaim_cxl_pressure(&mut self, keep: FnId) {
         while self.cluster.device.utilization() > self.config.cxl_reclaim_threshold {
-            if !self.evict_coldest(keep) {
+            if !self.evict_coldest(Some(keep)) {
                 break;
             }
         }
@@ -1316,28 +1340,29 @@ impl<M: RemoteFork> CxlPorter<M> {
             self.report.image_evictions += evicted.images;
         }
         while self.cluster.device.free_pages() < pages {
-            if !self.evict_coldest("") {
+            if !self.evict_coldest(None) {
                 break;
             }
         }
     }
 
-    fn evict_coldest(&mut self, keep: &str) -> bool {
+    /// Releases the least-restored stored checkpoint other than
+    /// `keep`'s, the first in name order on a tie. `false` if there is
+    /// none.
+    fn evict_coldest(&mut self, keep: Option<FnId>) -> bool {
         let victim = self
-            .store
-            .iter()
-            .filter(|(f, _)| *f != keep)
-            .min_by_key(|(_, s)| s.restores)
-            .map(|(f, _)| f.to_owned());
-        let Some(victim) = victim else { return false };
-        match self.store.remove(&victim) {
-            Some(ckpt) => {
-                let _ = self.mech.release_checkpoint(ckpt, &self.cluster.nodes[0]);
-                self.report.checkpoint_reclaims += 1;
-                true
-            }
-            None => false,
-        }
+            .stored()
+            .filter(|&(_, id, _)| Some(id) != keep)
+            .min_by_key(|(_, _, entry)| entry.restores)
+            .map(|(_, id, _)| id);
+        let Some(entry) = victim.and_then(|id| self.functions[id].checkpoint.take()) else {
+            return false;
+        };
+        let _ = self
+            .mech
+            .release_checkpoint(entry.checkpoint, &self.cluster.nodes[0]);
+        self.report.checkpoint_reclaims += 1;
+        true
     }
 
     fn claim_container(&mut self, node: usize, now: SimTime) -> Option<(Container, SimDuration)> {
@@ -1472,12 +1497,28 @@ impl<M: RemoteFork> CxlPorter<M> {
 
     /// Number of checkpoints stored.
     pub fn stored_checkpoints(&self) -> usize {
-        self.store.len()
+        self.stored().count()
     }
 
-    /// The checkpoint object store (for audits and tests).
-    pub fn store(&self) -> &ObjectStore<M::Checkpoint> {
-        &self.store
+    /// The stored checkpoints by function name, in name order (for
+    /// audits and tests).
+    pub fn store(&self) -> Vec<(&str, &StoredCheckpoint<M::Checkpoint>)> {
+        self.stored()
+            .map(|(name, _, entry)| (name, entry))
+            .collect()
+    }
+
+    /// The stored checkpoints in function-name order, each under its
+    /// function's canonical name and table position. The walk goes
+    /// through `fn_ids`, not `functions` (first-seen order): reclamation
+    /// breaks restore-count ties by name, and [`CxlPorter::store`]'s
+    /// order is what callers see.
+    fn stored(&self) -> impl Iterator<Item = (&str, FnId, &StoredCheckpoint<M::Checkpoint>)> {
+        self.fn_ids.iter().filter_map(|(name, &id)| {
+            let f = &self.functions[id];
+            let entry = f.checkpoint.as_ref().filter(|_| f.filed_under == id)?;
+            Some((name.as_str(), id, entry))
+        })
     }
 
     /// The local frames the containers on `node` pin outside any
@@ -1720,5 +1761,59 @@ mod tests {
             (per_function[0].0.as_str(), per_function[0].1.len()),
             ("Float", 3)
         );
+    }
+
+    #[test]
+    fn stored_checkpoints_are_walked_in_name_order_and_every_restore_counts() {
+        let mut porter = one_node_porter(PorterConfig {
+            checkpoint_after: 2,
+            ..PorterConfig::cxlfork_dynamic()
+        });
+        let arrive = |porter: &mut CxlPorter<CxlFork>, secs: u64, function: &str| {
+            porter.handle(&Invocation {
+                time: SimTime::ZERO + SimDuration::from_secs(secs),
+                function: function.into(),
+                owner: 0,
+            });
+        };
+        let listed = |porter: &CxlPorter<CxlFork>| -> Vec<(String, u64)> {
+            let store = porter.store();
+            store
+                .iter()
+                .map(|(f, e)| ((*f).to_owned(), e.restores))
+                .collect()
+        };
+
+        // "Json" is seen first and checkpointed first, so first-seen
+        // order and name order disagree.
+        for (secs, function) in [(0, "Json"), (1, "Json"), (2, "Float"), (3, "Float")] {
+            arrive(&mut porter, secs, function);
+        }
+        assert_eq!(porter.report.checkpoints, 2);
+        assert!(porter.fn_ids["Json"] < porter.fn_ids["Float"]);
+        // Second spellings find no idle instance and restore, one each,
+        // from the checkpoint filed under the catalog's spelling.
+        arrive(&mut porter, 4, "float");
+        arrive(&mut porter, 5, "json");
+        assert_eq!(porter.report.restores, 2);
+        let tied = vec![("Float".to_owned(), 1), ("Json".to_owned(), 1)];
+        assert_eq!(listed(&porter), tied, "each function once, in name order");
+        assert_eq!(porter.stored_checkpoints(), 2);
+
+        // Equal restore counts: reclamation takes the first in name order.
+        assert!(porter.evict_coldest(None));
+        assert_eq!(porter.report.checkpoint_reclaims, 1);
+        assert_eq!(listed(&porter), vec![("Json".to_owned(), 1)]);
+
+        // A restore that fails still counts: destroy the checkpoint's
+        // region behind the porter's back, and the next one is dropped.
+        let json = porter.fn_ids["Json"];
+        let stored = porter.functions[json].checkpoint.as_ref();
+        let region = stored.expect("Json keeps its checkpoint").checkpoint.region;
+        porter.cluster.device.destroy_region(region).unwrap();
+        arrive(&mut porter, 6, "json");
+        assert_eq!(porter.report.restores, 2);
+        assert_eq!(porter.report.dropped, 1);
+        assert_eq!(listed(&porter), vec![("Json".to_owned(), 2)]);
     }
 }

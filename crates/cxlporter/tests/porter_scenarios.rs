@@ -302,7 +302,10 @@ fn evicted_image_turns_the_next_restore_into_a_cold_redeploy() {
     // would after its owner node crashed): strip the owner lease, then
     // sweep with a lease table that considers every holder dead.
     let istore = Arc::clone(p.image_store().expect("attached above"));
-    let entry = p.store().get("Json").expect("just checkpointed");
+    let store = p.store();
+    let [("Json", entry)] = store[..] else {
+        panic!("only Json is checkpointed: {store:?}");
+    };
     let image = cxl_store::ImageId(
         p.mechanism()
             .image_id(&entry.checkpoint)

@@ -33,18 +33,6 @@ use node_os::addr::Pid;
 use node_os::{Node, OsError};
 use simclock::{SimDuration, SimTime};
 
-/// Identifies a checkpoint in an object store (the paper's CID, §5).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
-pub struct CheckpointId(pub u64);
-
-impl fmt::Display for CheckpointId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cid{}", self.0)
-    }
-}
-
 /// Metadata common to every checkpoint representation.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CheckpointMeta {
@@ -392,10 +380,5 @@ mod tests {
         assert!(matches!(e2, RforkError::Cxl(_)));
         let e3: RforkError = CxlError::FileNotFound("x".into()).into();
         assert!(e3.to_string().contains("cxl error"));
-    }
-
-    #[test]
-    fn checkpoint_id_display() {
-        assert_eq!(CheckpointId(7).to_string(), "cid7");
     }
 }

@@ -390,10 +390,10 @@ impl LatencyModelBuilder {
 /// 10-page stream at `p = 2` but an 18-page stream at `p = 3`).
 ///
 /// Every result is clamped from above by the serial cost, so a pipeline
-/// can never lose to the single-stream model it replaces, and
-/// `parallelism <= 1` short-circuits to the serial methods exactly —
-/// the default configuration stays bit-identical to the pre-pipeline
-/// simulation.
+/// can never lose to the single-stream model it replaces. There is one
+/// costing path: at `parallelism <= 1` one stream carries the whole
+/// batch and the clamp returns the serial cost exactly, so the default
+/// configuration stays bit-identical to the pre-pipeline simulation.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineModel<'m> {
     /// The underlying serial cost model.
@@ -499,36 +499,31 @@ impl<'m> PipelineModel<'m> {
     /// Cost of writing a batch whose pages land on shards with the
     /// given per-shard counts, split across up to `parallelism`
     /// streams. `fingerprint` charges the intern path's content-hash
-    /// stage. Zero pages cost zero; `parallelism <= 1` is the serial
-    /// model exactly; otherwise the bottleneck stream's critical path,
-    /// never exceeding the serial cost.
+    /// stage. Zero pages cost zero; otherwise the bottleneck stream's
+    /// critical path, never exceeding the serial cost (one stream costs
+    /// the serial write plus pipeline fill, so the clamp returns exactly
+    /// the serial cost).
     pub fn batch_write(&self, shard_counts: &[u64], fingerprint: bool) -> SimDuration {
         let total: u64 = shard_counts.iter().sum();
         if total == 0 {
             return SimDuration::ZERO;
         }
         let serial = self.model.cxl_batch_write(total);
-        if self.parallelism <= 1 {
-            return serial + self.queue_delay;
-        }
         serial.min(self.stream_write_cost(self.stream_pages(shard_counts), fingerprint))
             + self.queue_delay
     }
 
     /// Cost of reading a batch whose pages land on shards with the
     /// given per-shard counts, split across up to `parallelism`
-    /// streams. Zero pages cost zero; `parallelism <= 1` is the serial
-    /// model exactly; otherwise the bottleneck stream's critical path,
-    /// never exceeding the serial cost.
+    /// streams. Zero pages cost zero; otherwise the bottleneck stream's
+    /// critical path, never exceeding the serial cost (one stream: the
+    /// serial read itself).
     pub fn batch_read(&self, shard_counts: &[u64]) -> SimDuration {
         let total: u64 = shard_counts.iter().sum();
         if total == 0 {
             return SimDuration::ZERO;
         }
         let serial = self.model.cxl_batch_read(total);
-        if self.parallelism <= 1 {
-            return serial + self.queue_delay;
-        }
         serial.min(self.stream_read_cost(self.stream_pages(shard_counts))) + self.queue_delay
     }
 }
