@@ -254,8 +254,8 @@ echo '== these tests exist =='
 # leaks nothing — at the store, the journal and `CxlFork::checkpoint` —
 # the crashpoint sweep's literal device-op sequence, and per-function porter
 # state filed under one entry however an arrival spells the name, its
-# stored checkpoints walked in name order, and a failed restore counted),
-# the
+# stored checkpoints walked in name order, a failed restore counted, and
+# pressure reclaiming the least-restored checkpoint first), the
 # fault plan's stream recorded literally (the availability and cluster
 # runs replay it) and unmoved by region-table consults, the crash seam
 # (reads never count, a kill before a batch's first write writes none of
@@ -360,7 +360,10 @@ expect_tests cxlporter --lib \
     porter::tests::node_turning_pressured_after_the_floor_was_computed_expires_on_time \
     porter::tests::spellings_of_one_function_share_one_entry_and_its_slo_statistics \
     porter::tests::expiry_floor_skips_only_scans_that_would_expire_nothing \
-    porter::tests::stored_checkpoints_are_walked_in_name_order_and_every_restore_counts
+    porter::tests::stored_checkpoints_are_walked_in_name_order_and_every_restore_counts \
+    store::tests::restore_counting_and_coldest
+expect_tests cxlporter '--test store_properties' \
+    coldest_is_the_least_restored
 expect_tests cxlporter '--test porter_scenarios' \
     catalog_template_overlap_reaches_the_deployments \
     device_retries_count_one_run_each \

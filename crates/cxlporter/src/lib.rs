@@ -19,9 +19,11 @@
 
 mod cluster;
 mod porter;
+mod store;
 
 pub use cluster::Cluster;
-pub use porter::{CxlPorter, FairnessConfig, PorterConfig, PorterReport, StoredCheckpoint};
+pub use porter::{CxlPorter, FairnessConfig, PorterConfig, PorterReport};
+pub use store::StoredCheckpoint;
 
 #[cfg(test)]
 mod tests {

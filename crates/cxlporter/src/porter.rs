@@ -36,6 +36,7 @@ use trace_gen::{Invocation, TraceError};
 use faas::{Catalog, Container, FunctionSpec, BARE_CONTAINER_PAGES};
 
 use crate::cluster::Cluster;
+use crate::store::StoredCheckpoint;
 
 /// Keep-alive window of an idle instance on a pressured node (§5: 10 s).
 const PRESSURE_KEEP_ALIVE: SimDuration = SimDuration::from_secs(10);
@@ -177,16 +178,6 @@ struct Function<C> {
     /// entry only (§5's object store: the evaluation has one tenant, so
     /// the function alone keys it).
     checkpoint: Option<StoredCheckpoint<C>>,
-}
-
-/// A function's checkpoint in the porter's function table.
-#[derive(Debug)]
-pub struct StoredCheckpoint<C> {
-    /// The mechanism-specific checkpoint.
-    pub checkpoint: C,
-    /// Restores attempted from this checkpoint, failed ones included:
-    /// the coldest one is reclaimed first under CXL pressure.
-    pub restores: u64,
 }
 
 /// The expiry floor of an empty instance table: nothing expires, ever.

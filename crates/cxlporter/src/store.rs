@@ -1,152 +1,79 @@
-//! The checkpoint object store (§5).
+//! The porter's object store of checkpoints (§5).
 //!
-//! CXLporter "maintains a distributed object store in the CXL fabric that
-//! associates unique tuples of `<user, function>` with checkpoint
-//! identifiers (CIDs) of CXL-stored checkpoints". The store is queried
-//! before every restore and written after every checkpoint; CXLporter is
-//! also responsible for reclaiming checkpoints under CXL memory pressure.
+//! There is no separate table: a function's checkpoint lives in its own
+//! entry of the porter's function table (DESIGN.md §14), filled once
+//! when the function is checkpointed and emptied when CXL pressure
+//! reclaims it. Reclamation takes the least-restored checkpoint, the
+//! first in function-name order on a tie.
 
-use std::collections::BTreeMap;
-
-use rfork::CheckpointId;
-use simclock::SimTime;
-
-/// A stored checkpoint with its identifier and bookkeeping.
+/// A function's checkpoint in the porter's function table.
 #[derive(Debug)]
 pub struct StoredCheckpoint<C> {
-    /// The checkpoint identifier.
-    pub cid: CheckpointId,
     /// The mechanism-specific checkpoint.
     pub checkpoint: C,
-    /// When it was stored.
-    pub stored_at: SimTime,
-    /// Restores served from this checkpoint.
+    /// Restores attempted from this checkpoint, failed ones included:
+    /// the coldest one is reclaimed first under CXL pressure.
     pub restores: u64,
-}
-
-/// The `<function> → CID → checkpoint` object store.
-///
-/// Keys are `<user, function>` tuples in the paper; the evaluation uses a
-/// single tenant, so the function name suffices.
-#[derive(Debug)]
-pub struct ObjectStore<C> {
-    entries: BTreeMap<String, StoredCheckpoint<C>>,
-    next_cid: u64,
-}
-
-impl<C> Default for ObjectStore<C> {
-    fn default() -> Self {
-        ObjectStore {
-            entries: BTreeMap::new(),
-            next_cid: 1,
-        }
-    }
-}
-
-impl<C> ObjectStore<C> {
-    /// An empty store.
-    pub fn new() -> Self {
-        ObjectStore::default()
-    }
-
-    /// Stores a checkpoint for `function`, returning its new CID. Replaces
-    /// (and returns) any previous checkpoint for the function.
-    pub fn put(
-        &mut self,
-        function: &str,
-        checkpoint: C,
-        now: SimTime,
-    ) -> (CheckpointId, Option<C>) {
-        let cid = CheckpointId(self.next_cid);
-        self.next_cid += 1;
-        let old = self.entries.insert(
-            function.to_owned(),
-            StoredCheckpoint {
-                cid,
-                checkpoint,
-                stored_at: now,
-                restores: 0,
-            },
-        );
-        (cid, old.map(|s| s.checkpoint))
-    }
-
-    /// Queries the checkpoint for `function`.
-    pub fn get(&self, function: &str) -> Option<&StoredCheckpoint<C>> {
-        self.entries.get(function)
-    }
-
-    /// Queries and counts a restore.
-    pub fn get_for_restore(&mut self, function: &str) -> Option<&StoredCheckpoint<C>> {
-        let entry = self.entries.get_mut(function)?;
-        entry.restores += 1;
-        Some(entry)
-    }
-
-    /// `true` if a checkpoint exists for `function`.
-    pub fn contains(&self, function: &str) -> bool {
-        self.entries.contains_key(function)
-    }
-
-    /// Removes and returns the checkpoint for `function` (reclamation).
-    pub fn remove(&mut self, function: &str) -> Option<C> {
-        self.entries.remove(function).map(|s| s.checkpoint)
-    }
-
-    /// Number of stored checkpoints.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` if empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterates `(function, entry)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &StoredCheckpoint<C>)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// The least-recently-restored function (reclamation victim).
-    pub fn coldest(&self) -> Option<&str> {
-        self.entries
-            .iter()
-            .min_by_key(|(_, s)| s.restores)
-            .map(|(k, _)| k.as_str())
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{Cluster, CxlPorter, PorterConfig};
+    use cxlfork::CxlFork;
+    use simclock::{LatencyModel, SimDuration, SimTime};
+    use trace_gen::Invocation;
 
-    #[test]
-    fn put_get_roundtrip_with_fresh_cids() {
-        let mut s: ObjectStore<&'static str> = ObjectStore::new();
-        let (cid1, old) = s.put("bert", "ckpt-a", SimTime::ZERO);
-        assert!(old.is_none());
-        let (cid2, old) = s.put("bert", "ckpt-b", SimTime::ZERO);
-        assert_eq!(old, Some("ckpt-a"));
-        assert_ne!(cid1, cid2);
-        assert_eq!(s.get("bert").unwrap().checkpoint, "ckpt-b");
-        assert!(s.contains("bert"));
-        assert!(!s.contains("rnn"));
-        assert_eq!(s.len(), 1);
+    /// Three arrivals of `function` one second apart from `start_secs`,
+    /// which checkpoint it, then `burst` arrivals at once: the first is
+    /// a warm hit, the others restore.
+    fn checkpoint_then_burst(function: &str, start_secs: u64, burst: u64) -> Vec<Invocation> {
+        let at = |secs: u64, nanos: u64| Invocation {
+            time: SimTime::ZERO + SimDuration::from_secs(secs) + SimDuration::from_nanos(nanos),
+            function: function.into(),
+            owner: 0,
+        };
+        let warm_up = (0..3).map(|i| at(start_secs + i, 0));
+        warm_up
+            .chain((0..burst).map(|k| at(start_secs + 3, k)))
+            .collect()
+    }
+
+    fn listed(porter: &CxlPorter<CxlFork>) -> Vec<(String, u64)> {
+        let store = porter.store();
+        store
+            .iter()
+            .map(|(f, e)| ((*f).to_owned(), e.restores))
+            .collect()
     }
 
     #[test]
     fn restore_counting_and_coldest() {
-        let mut s: ObjectStore<u32> = ObjectStore::new();
-        s.put("a", 1, SimTime::ZERO);
-        s.put("b", 2, SimTime::ZERO);
-        s.get_for_restore("a");
-        s.get_for_restore("a");
-        s.get_for_restore("b");
-        assert_eq!(s.get("a").unwrap().restores, 2);
-        assert_eq!(s.coldest(), Some("b"));
-        assert_eq!(s.remove("b"), Some(2));
-        assert_eq!(s.coldest(), Some("a"));
-        assert!(s.remove("b").is_none());
+        // Each 4 MiB function's checkpoint fills about a sixteenth of
+        // the 64 MiB device: a 15 % threshold holds two of them.
+        let catalog =
+            faas::Catalog::from_specs(["a", "b", "c", "d"].map(|f| faas::micro(f, 4, 64, 3)));
+        let cluster = Cluster::new(1, 512, 64, LatencyModel::calibrated());
+        let config = PorterConfig {
+            checkpoint_after: 2,
+            cxl_reclaim_threshold: 0.15,
+            ..PorterConfig::cxlfork_dynamic()
+        };
+        let mut porter = CxlPorter::new(cluster, CxlFork::new(), config).with_catalog(catalog);
+
+        let a = porter.run_trace(&checkpoint_then_burst("a", 0, 3));
+        let b = porter.run_trace(&checkpoint_then_burst("b", 10, 2));
+        assert_eq!((a.restores, b.restores), (2, 1));
+        assert_eq!(listed(&porter), [("a".into(), 2), ("b".into(), 1)]);
+
+        // The third checkpoint goes past the threshold: the coldest
+        // other one, "b", is reclaimed.
+        let c = porter.run_trace(&checkpoint_then_burst("c", 20, 1));
+        assert_eq!((c.checkpoints, c.checkpoint_reclaims), (1, 1));
+        assert_eq!(listed(&porter), [("a".into(), 2), ("c".into(), 0)]);
+        // The next one reclaims the now coldest, "c", never itself.
+        let d = porter.run_trace(&checkpoint_then_burst("d", 30, 1));
+        assert_eq!((d.checkpoints, d.checkpoint_reclaims), (1, 1));
+        assert_eq!(listed(&porter), [("a".into(), 2), ("d".into(), 0)]);
+        crate::tests::run_audited(&mut porter, &[]);
     }
 }
