@@ -100,6 +100,10 @@ echo '== an ordered content table, a backing derived on use =='
 # back.
 forbid 'an ordered map is back in the content index (DESIGN.md §11)' \
     'BTreeMap' crates/cxl-store/src/index.rs
+# Store interns stripe their fresh pages across every bank (§15), so a
+# p > 1 checkpoint through the store has per-bank work to overlap.
+forbid 'store interns allocate first-fit again (DESIGN.md §15)' \
+    'self\.device\.alloc_batch\(' crates/cxl-store/src/lib.rs
 forbid 'the checkpoint builds a CxlBacking eagerly (DESIGN.md §4)' \
     'CxlBacking::|BackingPage' crates/core/src/checkpoint.rs
 
@@ -220,8 +224,12 @@ echo '== these tests exist =='
 # `Bytes` sum agree with the word-level definition; distinct seeds,
 # one-word changes and two-word flips of bit 31, 32 or 63 never collide),
 # the store's differential test against a per-page refcount model (slot
-# reuse, the recovered slab and zero elision by content included, and a
-# page of two -0.0 words written apart from the zero page), the ordered
+# reuse, the recovered slab, zero elision by content and page ids under
+# bank-striped interns, full banks included, and a page of two -0.0
+# words written apart from the zero page), an intern's fresh pages in
+# per-bank shares that differ by at most one, the journal's compaction
+# rule at each edge, its tail-only DRAM mirror against a full byte
+# stream and a resumed generation writing what the live one would, the ordered
 # content table against a `BTreeMap` under op scripts (uniform, one long
 # run, the tail past the last home), and the journal golden recorded before
 # the index became a slab, `CxlBacking` against its ordered-map model and
@@ -395,6 +403,10 @@ expect_tests cxl-store --lib \
     index::tests::ordered_table_matches_a_btreemap_model_under_op_scripts \
     journal::tests::hostile_superblock_page_count_is_skipped_not_allocated \
     journal::tests::superblock_limit_is_refused_where_the_page_list_grows \
+    journal::tests::wants_compaction_edges \
+    journal::tests::tail_mirror_keeps_the_device_bytes_of_a_full_byte_stream \
+    journal::tests::a_resumed_generation_appends_the_same_device_bytes_as_the_live_journal \
+    tests::an_intern_stripes_its_fresh_pages_across_banks \
     tests::apply_is_total_a_record_that_meets_the_wrong_state_changes_nothing \
     tests::an_intern_that_cannot_be_journaled_is_rolled_back_whole \
     tests::a_nonzero_page_is_written_apart_from_the_zero_page

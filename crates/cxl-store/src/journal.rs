@@ -650,18 +650,29 @@ fn frame_record(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> u64 {
 
 // --- the device-resident log ---------------------------------------------
 
-/// A live journal generation: the DRAM mirror plus the device region
-/// backing it. All device traffic goes through the store's batched
-/// `write_pages`/`read_pages` paths; the caller charges the virtual
-/// clock for the page counts these methods return.
+/// A live journal generation: a DRAM mirror of its stream's tail plus
+/// the device region backing it. All device traffic goes through
+/// the store's batched `write_pages`/`read_pages` paths; the caller
+/// charges the virtual clock for the page counts these methods return.
+///
+/// Offsets into the record stream (what [`Journal::frame`] returns and
+/// the other methods take) are *logical*: bytes from the start of the
+/// generation's stream, superblock excluded.
 #[derive(Debug)]
 pub struct Journal {
     region: RegionId,
     generation: u64,
     super_page: CxlPageId,
     data_pages: Vec<CxlPageId>,
-    /// DRAM mirror of the record stream (excludes the superblock).
+    /// DRAM mirror of the record stream from logical offset `tail` on:
+    /// the last, partly filled page and any unsealed frame. Whole pages
+    /// before it are sealed on the device, and nothing reads them back.
     buf: Vec<u8>,
+    /// Logical offset of `buf[0]`, always a page boundary.
+    tail: u64,
+    /// Byte length of the generation's opening snapshot (0 for a
+    /// generation that opened empty).
+    base: u64,
     next_seq: u64,
 }
 
@@ -701,9 +712,12 @@ impl Journal {
                 super_page: pages[0],
                 data_pages: pages[1..].to_vec(),
                 buf,
+                tail: 0,
+                base: end,
                 next_seq,
             };
             let written = journal.flush_range(device, 0, end)?;
+            journal.release_flushed();
             Ok((journal, written))
         });
         if staged.is_err() {
@@ -720,6 +734,24 @@ impl Journal {
     /// Sequence number of the next record to be sealed.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
+    }
+
+    /// Logical length of the record stream, any unsealed frame included.
+    fn len(&self) -> u64 {
+        self.tail + self.buf.len() as u64
+    }
+
+    /// Drops the mirror's whole pages before the last page boundary: they
+    /// are on the device, and the next flush starts at or after them.
+    /// The kept bytes move to a fresh allocation, so the memory is freed
+    /// rather than kept as spare capacity.
+    fn release_flushed(&mut self) {
+        let keep_from = self.len() / PAGE_SIZE * PAGE_SIZE;
+        let n = (keep_from - self.tail) as usize;
+        if n > 0 {
+            self.buf = self.buf.split_off(n);
+            self.tail = keep_from;
+        }
     }
 
     fn write_superblock(&mut self, device: &CxlDevice) -> Result<(), CxlError> {
@@ -759,18 +791,21 @@ impl Journal {
         Ok(1)
     }
 
-    /// Writes the dirty byte range `[from, to)` of the mirror to the
-    /// device, whole pages at a time. Each page is built once, here, and
-    /// handed to the device to keep. Returns pages written.
+    /// Writes the dirty logical byte range `[from, to)` of the stream to
+    /// the device, whole pages at a time, from the mirror (`from` is at
+    /// or after `tail`, so every page it touches starts in the mirror).
+    /// Each page is built once, here, and handed to the device to keep.
+    /// Returns pages written.
     fn flush_range(&mut self, device: &CxlDevice, from: u64, to: u64) -> Result<u64, CxlError> {
         if to <= from {
             return Ok(0);
         }
+        debug_assert!(from >= self.tail, "flushing bytes the mirror dropped");
         let first = (from / PAGE_SIZE) as usize;
         let last = to.div_ceil(PAGE_SIZE) as usize;
         let writes: Vec<(CxlPageId, PageData)> = (first..last)
             .map(|pi| {
-                let start = pi * PAGE_SIZE as usize;
+                let start = (pi as u64 * PAGE_SIZE - self.tail) as usize;
                 let end = (start + PAGE_SIZE as usize).min(self.buf.len());
                 (
                     self.data_pages[pi],
@@ -786,9 +821,9 @@ impl Journal {
     /// Phase one of an append, DRAM half: frames a record header at the
     /// tail of the mirror and lets `encode` append the payload behind it
     /// (no marker yet — the record is *not* sealed). Returns the record's
-    /// byte offset for [`Journal::flush_from`].
+    /// logical offset for [`Journal::flush_from`].
     pub fn frame(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> u64 {
-        frame_record(&mut self.buf, encode)
+        self.tail + frame_record(&mut self.buf, encode)
     }
 
     /// Phase one of an append, device half: writes the mirror from byte
@@ -802,17 +837,17 @@ impl Journal {
     /// a caller that gives up takes it out with [`Journal::unframe`].
     pub fn flush_from(&mut self, device: &CxlDevice, start: u64) -> Result<u64, CxlError> {
         // Reserve through the marker byte so sealing never allocates.
-        let total = self.buf.len() as u64 + 1;
-        let mut pages = self.reserve(device, total)?;
-        pages += self.flush_range(device, start, self.buf.len() as u64)?;
+        let end = self.len();
+        let mut pages = self.reserve(device, end + 1)?;
+        pages += self.flush_range(device, start, end)?;
         Ok(pages)
     }
 
-    /// Drops the unsealed frame at byte `start` from the mirror again:
-    /// whatever part of it reached the device is a torn tail the next
-    /// append overwrites.
+    /// Drops the unsealed frame at logical offset `start` from the mirror
+    /// again: whatever part of it reached the device is a torn tail the
+    /// next append overwrites.
     pub fn unframe(&mut self, start: u64) {
-        self.buf.truncate(start as usize);
+        self.buf.truncate((start - self.tail) as usize);
     }
 
     /// Phase two of an append: writes the commit marker, sealing the
@@ -823,20 +858,32 @@ impl Journal {
     /// Device write failures. The mirror drops the marker again so a
     /// retry re-frames exactly one marker byte.
     pub fn seal(&mut self, device: &CxlDevice) -> Result<u64, CxlError> {
-        let start = self.buf.len() as u64;
+        let start = self.len();
         self.buf.push(MARKER);
-        let written = self.flush_range(device, start, self.buf.len() as u64);
+        let written = self.flush_range(device, start, start + 1);
         match written {
-            Ok(_) => self.next_seq += 1,
-            Err(_) => self.buf.truncate(start as usize),
+            Ok(_) => {
+                self.next_seq += 1;
+                self.release_flushed();
+            }
+            Err(_) => self.unframe(start),
         }
         written
     }
 
-    /// Whether the record stream has outgrown `limit` bytes and should
-    /// be compacted into a fresh generation.
+    /// Whether this generation should be compacted into a fresh one: its
+    /// stream has outgrown `limit` bytes (`u64::MAX` never compacts), and
+    /// either the records after the opening snapshot have outgrown the
+    /// snapshot, or the room left under the superblock cap is less than
+    /// one more snapshot's worth. The first clause amortises a
+    /// compaction's cost over at least a snapshot's worth of records; the
+    /// second keeps books near the cap compacting at every commit, so a
+    /// record that would fit beside a fresh snapshot is not refused
+    /// because the stream kept old records instead.
     pub fn wants_compaction(&self, limit: u64) -> bool {
-        self.buf.len() as u64 > limit
+        let len = self.len();
+        let room = (SUPERBLOCK_MAX_PAGES * PAGE_SIZE).saturating_sub(len);
+        len > limit && (len - self.base > self.base || room < self.base)
     }
 
     /// Compaction phase one: builds generation `generation` around one
@@ -1080,19 +1127,25 @@ pub fn replay_reference_counts(entries: &[JournalEntry]) -> std::collections::BT
 /// store can keep appending where the committed stream ended.
 pub fn resume(found: &FoundGeneration, loaded: LoadedGeneration) -> Journal {
     let next_seq = loaded.log.entries.last().map_or(0, |e| e.seq + 1);
-    Journal {
+    let mut journal = Journal {
         region: found.region,
         generation: found.generation,
         super_page: loaded.super_page,
         data_pages: loaded.data_pages,
+        base: loaded.buf.len() as u64,
         buf: loaded.buf,
+        tail: 0,
         next_seq,
-    }
+    };
+    journal.release_flushed();
+    journal
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     fn entry(seq: u64, record: Record) -> JournalEntry {
         JournalEntry {
@@ -1467,5 +1520,202 @@ mod tests {
             .unwrap();
         assert_eq!(loaded.log.entries, vec![e]);
         assert_eq!(loaded.log.torn_bytes, 0);
+    }
+
+    /// A journal whose opening snapshot is `base` bytes and whose stream
+    /// is `len` bytes long; only its lengths are real.
+    fn sized(base: u64, len: u64) -> Journal {
+        let tail = len / PAGE_SIZE * PAGE_SIZE;
+        Journal {
+            region: RegionId(0),
+            generation: 0,
+            super_page: CxlPageId(0),
+            data_pages: Vec::new(),
+            buf: vec![0; (len - tail) as usize],
+            tail,
+            base,
+            next_seq: 0,
+        }
+    }
+
+    #[test]
+    fn wants_compaction_edges() {
+        // `u64::MAX` never compacts, however far the records outgrow the
+        // snapshot or the room shrinks.
+        let cap = SUPERBLOCK_MAX_PAGES * PAGE_SIZE;
+        assert!(!sized(1_000, 100_000).wants_compaction(u64::MAX));
+        assert!(!sized(cap / 2, cap).wants_compaction(u64::MAX));
+        // At or below the limit nothing compacts.
+        assert!(!sized(1_000, 100_000).wants_compaction(100_000));
+        assert!(sized(1_000, 100_000).wants_compaction(99_999));
+        // A generation that opened empty compacts past the limit alone.
+        assert!(!sized(0, 4_096).wants_compaction(4_096));
+        assert!(sized(0, 4_097).wants_compaction(4_096));
+        // Records equal to the snapshot do not compact; one byte more does.
+        assert!(!sized(10_000, 20_000).wants_compaction(1_024));
+        assert!(sized(10_000, 20_001).wants_compaction(1_024));
+        // Room equal to the snapshot does not compact; one byte less does
+        // (the records are still smaller than the snapshot).
+        let base = 800_000;
+        assert!(!sized(base, cap - base).wants_compaction(1_024));
+        assert!(sized(base, cap - base + 1).wants_compaction(1_024));
+    }
+
+    /// Fails every device write while armed.
+    #[derive(Debug, Default)]
+    struct FailWrites(AtomicBool);
+
+    impl cxl_mem::FaultHook for FailWrites {
+        fn inject(
+            &self,
+            op: cxl_mem::DeviceOp,
+            _page: Option<CxlPageId>,
+            _node: NodeId,
+        ) -> Option<CxlError> {
+            let armed = self.0.load(Ordering::Relaxed);
+            (armed && op == cxl_mem::DeviceOp::Write).then_some(CxlError::Transient { op: "write" })
+        }
+    }
+
+    /// An `Intern` record of `pages` entries (16 bytes each), so records
+    /// range from a few bytes to several pages.
+    fn intern_entry(seq: u64, pages: u64) -> JournalEntry {
+        let entries = (0..pages).map(|i| (seq ^ i, i)).collect();
+        entry(
+            seq,
+            Record::Intern {
+                image: seq,
+                entries,
+            },
+        )
+    }
+
+    /// Frames `e` the way the journal does, for the model stream.
+    fn framed(e: &JournalEntry) -> Vec<u8> {
+        let mut buf = Vec::new();
+        frame_record(&mut buf, |b| encode_payload_into(b, e));
+        buf
+    }
+
+    #[test]
+    fn tail_mirror_keeps_the_device_bytes_of_a_full_byte_stream() {
+        let device = CxlDevice::new(4096);
+        let hook = Arc::new(FailWrites::default());
+        device.set_fault_hook(Some(Arc::clone(&hook) as Arc<dyn cxl_mem::FaultHook>));
+        let mut j = Journal::create(&device, 0).unwrap();
+        let mut model: Vec<u8> = Vec::new();
+        let mut rng = 0x5EED_u64;
+        let mut next = |n: u64| {
+            rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (rng ^ (rng >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            (z ^ (z >> 29)) % n
+        };
+        for step in 0..300 {
+            let e = intern_entry(j.next_seq(), next(700));
+            let frame_len = framed(&e).len() as u64;
+            let what = match next(10) {
+                // An append whose payload flush fails: the caller gives up.
+                0 => {
+                    let start = j.frame(|buf| encode_payload_into(buf, &e));
+                    assert_eq!(start, model.len() as u64);
+                    assert!((j.buf.len() as u64) < PAGE_SIZE + frame_len);
+                    hook.0.store(true, Ordering::Relaxed);
+                    assert!(j.flush_from(&device, start).is_err());
+                    hook.0.store(false, Ordering::Relaxed);
+                    j.unframe(start);
+                    "unframe"
+                }
+                // A flushed frame whose first seal fails, then lands.
+                1 => {
+                    let start = j.frame(|buf| encode_payload_into(buf, &e));
+                    j.flush_from(&device, start).unwrap();
+                    assert!((j.buf.len() as u64) < PAGE_SIZE + frame_len);
+                    hook.0.store(true, Ordering::Relaxed);
+                    assert!(j.seal(&device).is_err());
+                    hook.0.store(false, Ordering::Relaxed);
+                    j.seal(&device).unwrap();
+                    model.extend(framed(&e));
+                    model.push(MARKER);
+                    "seal retried"
+                }
+                // Compaction: a fresh generation opening with a snapshot.
+                2 => {
+                    let index = (0..next(400)).map(|i| (i, i)).collect();
+                    let snap = entry(
+                        0,
+                        Record::Snapshot(SnapshotState {
+                            index,
+                            ..SnapshotState::default()
+                        }),
+                    );
+                    let generation = j.generation() + 1;
+                    let (mut fresh, _) = Journal::stage_compacted(&device, generation, |buf| {
+                        encode_payload_into(buf, &snap);
+                    })
+                    .unwrap();
+                    fresh.publish(&device).unwrap();
+                    std::mem::replace(&mut j, fresh).destroy(&device).unwrap();
+                    model = framed(&snap);
+                    model.push(MARKER);
+                    assert_eq!(j.base, model.len() as u64, "base is the snapshot");
+                    "compact"
+                }
+                _ => {
+                    let start = j.frame(|buf| encode_payload_into(buf, &e));
+                    j.flush_from(&device, start).unwrap();
+                    j.seal(&device).unwrap();
+                    model.extend(framed(&e));
+                    model.push(MARKER);
+                    "append"
+                }
+            };
+            let found = find_generations(&device).pop().unwrap();
+            let loaded = snapshot_generation(&device, &found).unwrap();
+            assert_eq!(
+                loaded.buf, model,
+                "device stream after step {step} ({what})"
+            );
+            assert_eq!(loaded.log.torn_bytes, 0, "after step {step} ({what})");
+            assert_eq!(j.len(), model.len() as u64, "after step {step} ({what})");
+            assert_eq!(j.tail % PAGE_SIZE, 0);
+            assert!(
+                (j.buf.len() as u64) < PAGE_SIZE,
+                "after step {step} ({what})"
+            );
+        }
+    }
+
+    #[test]
+    fn a_resumed_generation_appends_the_same_device_bytes_as_the_live_journal() {
+        // Two devices driven alike: one journal stays live, the other's
+        // coordinator dies and a new one resumes from the device.
+        let run = |resume_midway: bool| {
+            let device = CxlDevice::new(256);
+            let mut j = Journal::create(&device, 0).unwrap();
+            let seal = |j: &mut Journal, e: &JournalEntry| {
+                append_unsealed(j, &device, e);
+                j.seal(&device).unwrap();
+            };
+            for seq in 0..4 {
+                seal(&mut j, &intern_entry(seq, 300 + 170 * seq));
+            }
+            // A frame that reached the device but was never sealed.
+            let torn = j.frame(|buf| encode_payload_into(buf, &intern_entry(4, 500)));
+            j.flush_from(&device, torn).unwrap();
+            if resume_midway {
+                let found = find_generations(&device).pop().unwrap();
+                let loaded = load_generation(&device, &found, NodeId(0));
+                j = resume(&found, loaded.unwrap().unwrap());
+                assert!(j.tail > 0 && (j.buf.len() as u64) < PAGE_SIZE);
+            } else {
+                j.unframe(torn);
+            }
+            for seq in 4..7 {
+                seal(&mut j, &intern_entry(seq, 90 * seq));
+            }
+            let pages: Vec<CxlPageId> = device.live_pages().into_iter().map(|(p, _)| p).collect();
+            (j.len(), device.snapshot_pages(&pages).unwrap())
+        };
+        assert_eq!(run(true), run(false));
     }
 }

@@ -200,9 +200,14 @@ pub struct StoreConfig {
     /// coordinator death. Off by default: journaling costs device writes
     /// on every mutation.
     pub durable: bool,
-    /// Journal size (bytes of record stream) above which
-    /// [`Store::commit_image`] compacts it into a fresh generation
-    /// holding one state snapshot. Only meaningful when `durable`.
+    /// Journal size (bytes of record stream) at or below which
+    /// [`Store::commit_image`] never compacts it. Above it a commit
+    /// compacts the generation into a fresh one holding one state
+    /// snapshot once the records after the generation's opening snapshot
+    /// outgrow that snapshot, or once less than a snapshot's worth of
+    /// room is left under the superblock cap
+    /// ([`journal::Journal::wants_compaction`]). `u64::MAX` never
+    /// compacts. Only meaningful when `durable`.
     pub journal_compact_bytes: u64,
 }
 
@@ -554,7 +559,9 @@ impl Store {
     }
 
     /// The device half of an intern attempt: allocates one page per
-    /// missed content, first-fit, and writes the non-zero ones. Returns
+    /// missed content, striped across every bank in balanced shares (a
+    /// full bank's share falls back to first-fit), and writes the
+    /// non-zero ones. Returns
     /// every allocated page (in `payload` order) and the ones whose bytes
     /// crossed the fabric. On a failed write the allocations are freed
     /// again.
@@ -567,7 +574,10 @@ impl Store {
         // A crash from here to the record leaves pages allocated (and
         // perhaps written) but unjournaled — recovery frees them as
         // leaked. Constructive ordering: device first, journal second.
-        let allocated = self.device.alloc_batch(region, payload.len() as u64)?;
+        let banks = self.device.shard_count() as u32;
+        let allocated = self
+            .device
+            .alloc_batch_striped(region, payload.len() as u64, banks)?;
         // Fresh allocations are already zeroed, so only misses whose
         // content is not all-zero (whatever its representation) cross
         // the fabric.
@@ -1120,6 +1130,35 @@ mod tests {
         assert_eq!((out.fresh, out.written, out.zero, out.shared), (2, 1, 1, 0));
         assert_ne!(out.pages[0], out.pages[1]);
         assert_eq!(d.snapshot_pages(&out.pages).unwrap(), payload);
+    }
+
+    #[test]
+    fn an_intern_stripes_its_fresh_pages_across_banks() {
+        let distinct = |seeds: std::ops::Range<u64>| -> Vec<PageData> {
+            seeds.map(PageData::pattern).collect()
+        };
+        // An empty device: 20 fresh pages over 8 banks, 2 or 3 in each.
+        let d = device();
+        let store = Store::new(Arc::clone(&d));
+        let (_, out) = intern(&store, "striped", &distinct(0..20), t(1));
+        let shares = d.shard_partition(out.pages.iter().copied());
+        assert_eq!(shares.len(), d.shard_count());
+        assert_eq!(shares.iter().sum::<u64>(), 20);
+        let (lo, hi) = (shares.iter().min(), shares.iter().max());
+        assert!(hi.zip(lo).is_some_and(|(h, l)| h - l <= 1), "{shares:?}");
+
+        // Bank 0 full: its share is taken first-fit from the other banks.
+        let d = device();
+        let store = Store::new(Arc::clone(&d));
+        let ballast = d.create_region("ballast");
+        let bank = d.capacity_pages() / d.shard_count() as u64;
+        d.alloc_batch(ballast, bank).unwrap();
+        let (_, out) = intern(&store, "full-bank", &distinct(0..16), t(1));
+        let shares = d.shard_partition(out.pages.iter().copied());
+        assert_eq!(shares[0], 0, "bank 0 had no room");
+        assert_eq!(shares[1], 4, "its two pages went first-fit to bank 1");
+        assert_eq!(shares.iter().sum::<u64>(), 16);
+        assert_eq!(d.snapshot_pages(&out.pages).unwrap(), distinct(0..16));
     }
 
     #[test]
